@@ -87,6 +87,11 @@ def _resolve(args: argparse.Namespace, schema: dict[str, tuple]) -> dict:
     return resolved
 
 
+def _check_step_cap(cfg: dict) -> None:
+    if cfg["step_cap"] < 1:
+        raise CliError(f"--step-cap must be at least 1, got {cfg['step_cap']}")
+
+
 def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -299,6 +304,7 @@ def _cmd_rollout(args) -> int:
         "trace_json": (str, ""),
     }
     cfg = _resolve(args, schema)
+    _check_step_cap(cfg)
     if not cfg["policy"]:
         raise CliError("--policy is required")
     policy, _adam, _it = load_policy(cfg["policy"])
@@ -418,6 +424,7 @@ def _cmd_bench(args) -> int:
         "traces": (bool, False),
     }
     cfg = _resolve(args, schema)
+    _check_step_cap(cfg)
     if not cfg["policy"]:
         raise CliError("--policy is required")
     policy, _adam, _it = load_policy(cfg["policy"])

@@ -263,6 +263,10 @@ class EnvHandle:
     step_cap: int = 120
     episode_id: int = 0
 
+    def __post_init__(self):
+        if self.step_cap < 1:
+            raise ValueError(f"step_cap must be at least 1, got {self.step_cap}")
+
 
 def make_env(kind: EnvKind, seed: int, episode: int = 0, *, step_cap: int = 120) -> EnvHandle:
     rng = make_rng(seed, STREAM_INIT, episode)

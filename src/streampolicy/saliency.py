@@ -230,26 +230,61 @@ def loss_and_grad(predictor: Predictor, E: np.ndarray, C: np.ndarray,
     return loss, grads
 
 
-def _sample_pairs(trajectories: list[Trajectory], cfg: PredictorConfig,
-                  rng: np.random.Generator):
-    """Frame pairs (f, f+gap) with the actions executed in between."""
+@dataclass
+class _PairPool:
+    """Everything _sample_pairs reads that does not depend on the RNG, built
+    once per training run from the trajectories longer than the smallest gap.
+
+    Trajectory i's frames start at offsets[i] in features; its actions start
+    at offsets[i] + i * n_eo_max in actions, each trajectory followed by
+    n_eo_max zero rows so a condition window never reads the next one.
+    """
+
+    lengths: list[int]
+    feasible: list[tuple[int, ...]]  # configured gaps shorter than each trajectory
+    features: np.ndarray        # (sum L, obs_dim)
+    actions: np.ndarray         # (sum (L + n_eo_max), D)
+    offsets: np.ndarray
+
+
+def _prepare_pairs(trajectories: list[Trajectory], cfg: PredictorConfig) -> _PairPool:
     gmin = min(cfg.gap_choices)
     usable = [t for t in trajectories if len(t) > gmin]
     if not usable:
         raise ValueError("no trajectory long enough for the configured gaps")
+    lengths = [len(t) for t in usable]
+    pad = np.zeros((cfg.n_eo_max, cfg.action_dim))
+    return _PairPool(
+        lengths=lengths,
+        feasible=[tuple(g for g in cfg.gap_choices if g < n) for n in lengths],
+        features=np.stack([o.features for t in usable for o in t.observations]),
+        actions=np.concatenate([part for t in usable for part in (t.actions, pad)]),
+        offsets=np.concatenate([[0], np.cumsum(lengths)[:-1]]),
+    )
+
+
+def _sample_pairs(pool: _PairPool, cfg: PredictorConfig, rng: np.random.Generator):
+    """Frame pairs (f, f+gap) with the actions executed in between.
+
+    Each row draws a trajectory, then a gap it can hold, then a start frame:
+    three dependent scalar draws in that order, so the stream stays fixed.
+    """
     B = cfg.batch_size
-    early = np.empty((B, cfg.obs_dim))
-    late = np.empty((B, cfg.obs_dim))
-    cond = np.empty((B, cfg.cond_dim))
-    gaps = np.asarray(cfg.gap_choices)
-    for b in range(B):
-        traj = usable[int(rng.integers(len(usable)))]
-        feasible = gaps[gaps < len(traj)]
-        gap = int(feasible[int(rng.integers(len(feasible)))])
-        f = int(rng.integers(len(traj) - gap))
-        early[b] = traj.observations[f].features
-        late[b] = traj.observations[f + gap].features
-        cond[b] = pad_actions(traj.actions[f : f + gap], cfg)
+    n_traj = len(pool.lengths)
+    draws = []
+    for _ in range(B):
+        i = rng.integers(n_traj)
+        feasible = pool.feasible[i]
+        g = feasible[rng.integers(len(feasible))]
+        draws.append((i, g, rng.integers(pool.lengths[i] - g)))
+    traj, gap, f = np.array(draws, dtype=np.int64).T
+    rows = pool.offsets[traj] + f
+    early = pool.features[rows]
+    late = pool.features[rows + gap]
+    # pad_actions: the first min(gap, n_eo_max) actions from f, zeros after
+    slots = np.arange(cfg.n_eo_max)
+    window = pool.actions[(rows + traj * cfg.n_eo_max)[:, None] + slots]
+    cond = np.where((slots < gap[:, None])[:, :, None], window, 0.0).reshape(B, cfg.cond_dim)
     return early, late, cond
 
 
@@ -260,20 +295,23 @@ def train_predictor(trajectories: list[Trajectory], cfg: PredictorConfig,
     Returns the predictor and a (iteration, loss, wall_ms) log. Per-iteration
     RNG streams keyed by the seed make runs reproducible.
     """
+    pool = _prepare_pairs(trajectories, cfg)
     predictor = init_predictor(cfg)
-    adam = init_adam(predictor.trainable(), lr=cfg.lr)
+    trainable = predictor.trainable()
+    adam = init_adam(trainable, lr=cfg.lr)
+    predictor.params.update(trainable)  # the trained tensors are now Adam's flat views
     log: list[tuple[int, float, float]] = []
     t0 = time.perf_counter()
     for i in range(cfg.iterations):
         rng = make_rng(cfg.seed, STREAM_PREDICTOR, i)
-        early, late, cond = _sample_pairs(trajectories, cfg, rng)
+        early, late, cond = _sample_pairs(pool, cfg, rng)
         E = embed(predictor, early)
         target = embed(predictor, late) - E
         loss, grads = loss_and_grad(predictor, E, cond, target)
         if not np.isfinite(loss):
             raise FloatingPointError(f"predictor loss diverged at iteration {i}")
         lr = cfg.lr * 0.5 * (1.0 + np.cos(np.pi * i / cfg.iterations))
-        adam_step(predictor.trainable(), grads, adam, lr=lr)
+        adam_step(trainable, grads, adam, lr=lr)
         if i % 50 == 0 or i == cfg.iterations - 1:
             log.append((i, loss, (time.perf_counter() - t0) * 1e3))
             if progress is not None:

@@ -58,60 +58,48 @@ class TrainConfig:
             raise ValueError(f"unknown lr schedule {self.lr_schedule!r}")
 
 
-def sample_subtrajectory(trajectories: list[Trajectory], h: int, rng: np.random.Generator,
-                         *, use_state_alignment: bool = True):
-    """Uniformly pick an episode and window start; returns (obs, alpha, actions).
-
-    alpha is the dataset-precomputed action-space state at the window start,
-    or a zero vector when state alignment is ablated. Episodes shorter than h
-    are skipped by resampling.
-    """
-    usable = [t for t in trajectories if len(t) >= h]
-    if not usable:
-        raise ValueError(f"no episode has at least h={h} actions")
-    traj = usable[int(rng.integers(len(usable)))]
-    s = int(rng.integers(len(traj) - h + 1))
-    alpha = traj.action_states[s].copy()
-    if not use_state_alignment:
-        alpha = np.zeros_like(alpha)
-    return traj.observations[s], alpha, traj.actions[s:s + h].copy()
-
-
 @dataclass
 class _Prepared:
-    obs: list[np.ndarray]       # per-episode (L, obs_dim)
-    actions: list[np.ndarray]   # per-episode (L, D)
-    states: list[np.ndarray]    # per-episode (L+1, D)
+    """Usable episodes (at least h actions) stacked end to end.
+
+    Episode e's rows start at offsets[e] in obs and actions and at
+    offsets[e] + e in states, which carries one more row per episode.
+    """
+
+    obs: np.ndarray             # (sum L, obs_dim)
+    actions: np.ndarray         # (sum L, D)
+    states: np.ndarray          # (sum (L+1), D)
+    offsets: np.ndarray         # first row of each episode in obs/actions
     n_windows: np.ndarray       # windows per episode
 
 
 def _prepare(trajectories: list[Trajectory], h: int) -> _Prepared:
-    obs, actions, states, counts = [], [], [], []
-    for traj in trajectories:
-        if len(traj) < h:
-            continue
-        obs.append(np.stack([o.features for o in traj.observations]))
-        actions.append(traj.actions)
-        states.append(traj.action_states)
-        counts.append(len(traj) - h + 1)
-    if not obs:
+    usable = [t for t in trajectories if len(t) >= h]
+    if not usable:
         raise ValueError(f"no episode has at least h={h} actions")
-    return _Prepared(obs=obs, actions=actions, states=states, n_windows=np.asarray(counts))
+    lengths = np.array([len(t) for t in usable])
+    return _Prepared(
+        obs=np.stack([o.features for t in usable for o in t.observations]),
+        actions=np.concatenate([t.actions for t in usable]),
+        states=np.concatenate([t.action_states for t in usable]),
+        offsets=np.concatenate([[0], np.cumsum(lengths)[:-1]]),
+        n_windows=lengths - h + 1,
+    )
 
 
 def _sample_batch(prep: _Prepared, cfg: TrainConfig, rng: np.random.Generator):
+    """B windows: an episode each, then a start within it (one draw per row,
+    in row order); returns (OBS, ALPHA, XI)."""
     B, h = cfg.batch_size, cfg.h
-    eps = rng.integers(len(prep.obs), size=B)
-    OBS = np.empty((B, prep.obs[0].shape[1]))
-    ALPHA = np.empty((B, prep.actions[0].shape[1]))
-    XI = np.empty((B, h, prep.actions[0].shape[1]))
-    for b, e in enumerate(eps):
-        s = int(rng.integers(prep.n_windows[e]))
-        OBS[b] = prep.obs[e][s]
-        ALPHA[b] = prep.states[e][s]
-        XI[b] = prep.actions[e][s:s + h]
-    if not cfg.use_state_alignment:
-        ALPHA[:] = 0.0
+    eps = rng.integers(len(prep.n_windows), size=B)
+    s = rng.integers(prep.n_windows[eps])
+    rows = prep.offsets[eps] + s
+    OBS = prep.obs[rows]
+    if cfg.use_state_alignment:
+        ALPHA = prep.states[rows + eps]
+    else:
+        ALPHA = np.zeros((B, prep.states.shape[1]))
+    XI = prep.actions[rows[:, None] + np.arange(h)]
     return OBS, ALPHA, XI
 
 
@@ -132,11 +120,11 @@ def training_step(model: VelocityModel, adam: AdamState, stats: NormStats, cfg: 
         a0 = normkit.normalize_legacy(ALPHA, stats)
         steps = normkit.normalize_legacy(XI, stats)
 
-    # window ledger, summed left to right; W[:, 0] is alpha exactly
+    # window ledger, summed left to right (add.accumulate); W[:, 0] is alpha exactly
     W = np.empty((B, h + 1, ALPHA.shape[1]))
     W[:, 0] = a0
-    for n in range(h):
-        W[:, n + 1] = W[:, n] + steps[:, n]
+    W[:, 1:] = steps
+    np.cumsum(W, axis=1, out=W)
 
     t = rng.random(B)                      # U[0, 1), so T <= h-1 always
     Tn = np.floor(t * h).astype(np.int64)
@@ -175,8 +163,8 @@ def train(trajectories: list[Trajectory], cfg: TrainConfig, *, alpha0_convention
     fp = FlowParams(k=cfg.k, sigma0=cfg.sigma0, h=cfg.h)
     stats = normkit.fit_stats(trajectories)
     if resume is None:
-        obs_dim = prep.obs[0].shape[1]
-        action_dim = prep.actions[0].shape[1]
+        obs_dim = prep.obs.shape[1]
+        action_dim = prep.actions.shape[1]
         model = velocitynet.init_velocity_model(
             action_dim, obs_dim, cfg.hidden, rng=make_rng(cfg.seed, STREAM_MODEL_INIT))
         adam = velocitynet.init_adam(model.params, cfg.lr)

@@ -135,8 +135,30 @@ def loss_and_grad(model: VelocityModel, X: np.ndarray, T: np.ndarray, OBS: np.nd
 
 
 @dataclass
+class _FlatAdam:
+    """Parameters and both moments packed into one flat buffer each.
+
+    The caller's dicts hold views into these buffers, so a single pass of
+    elementwise ops updates every tensor. The views are kept to tell whether
+    the dicts still point here.
+    """
+
+    keys: tuple[str, ...]
+    views: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]  # (param, m, v) per key
+    p: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    g: np.ndarray       # flattened gradient, then scratch
+    tmp: np.ndarray     # scratch
+
+
+@dataclass
 class AdamState:
-    """First/second moment accumulators keyed like the parameter dict."""
+    """First/second moment accumulators keyed like the parameter dict.
+
+    The dicts m and v (and the parameter dict being trained) are the state
+    that checkpoints save; adam_step runs over flat buffers behind them.
+    """
 
     lr: float
     beta1: float = 0.9
@@ -145,29 +167,80 @@ class AdamState:
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    flat: _FlatAdam | None = field(default=None, repr=False, compare=False)
+
+
+def _bind_flat(params: dict[str, np.ndarray], state: AdamState) -> _FlatAdam:
+    """Copy params, m and v into flat buffers and point every dict entry at
+    its view, so the dicts stay the source of truth after any update."""
+    keys = tuple(params)
+    n = sum(params[k].size for k in keys)
+    p, m, v = np.empty(n), np.empty(n), np.empty(n)
+    views = []
+    off = 0
+    for k in keys:
+        shape, size = params[k].shape, params[k].size
+        triple = []
+        for buf, src in ((p, params), (m, state.m), (v, state.v)):
+            view = buf[off:off + size].reshape(shape)
+            view[...] = src[k]
+            src[k] = view
+            triple.append(view)
+        views.append(tuple(triple))
+        off += size
+    return _FlatAdam(keys=keys, views=tuple(views), p=p, m=m, v=v, g=np.empty(n), tmp=np.empty(n))
+
+
+def _is_bound(flat: _FlatAdam | None, params: dict[str, np.ndarray], state: AdamState) -> bool:
+    return (flat is not None and len(params) == len(flat.keys)
+            and all(params.get(k) is p and state.m.get(k) is m and state.v.get(k) is v
+                    for k, (p, m, v) in zip(flat.keys, flat.views)))
 
 
 def init_adam(params: dict[str, np.ndarray], lr: float, **kw) -> AdamState:
+    """Zero moments for params. The entries of params are replaced by views
+    into the optimizer's flat buffer: keep training through this dict."""
     st = AdamState(lr=lr, **kw)
     for k, p in params.items():
         st.m[k] = np.zeros_like(p)
         st.v[k] = np.zeros_like(p)
+    st.flat = _bind_flat(params, st)
     return st
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState, lr: float | None = None) -> None:
-    """One Adam update, in place. Pass lr to override the stored rate (for schedules)."""
+    """One Adam update, in place. Pass lr to override the stored rate (for schedules).
+
+    Runs once over the flat buffers. When the dict entries are not the flat
+    buffers' views (a state loaded from a checkpoint, or a copy), the buffers
+    are rebuilt from the dicts first. The elementwise arithmetic is the
+    per-tensor formula, op for op:
+        m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
+        p -= rate*(m/c1) / (sqrt(v/c2) + eps)
+    """
+    if not _is_bound(state.flat, params, state):
+        state.flat = _bind_flat(params, state)
+    flat = state.flat
     state.step += 1
     rate = state.lr if lr is None else lr
     c1 = 1.0 - state.beta1**state.step
     c2 = 1.0 - state.beta2**state.step
-    for k, p in params.items():
-        g = grads[k]
-        state.m[k] = state.beta1 * state.m[k] + (1.0 - state.beta1) * g
-        state.v[k] = state.beta2 * state.v[k] + (1.0 - state.beta2) * (g * g)
-        mhat = state.m[k] / c1
-        vhat = state.v[k] / c2
-        p -= rate * mhat / (np.sqrt(vhat) + state.eps)
+    g, tmp = flat.g, flat.tmp
+    np.concatenate([grads[k].ravel() for k in flat.keys], out=g)
+    flat.m *= state.beta1
+    np.multiply(g, 1.0 - state.beta1, out=tmp)
+    flat.m += tmp
+    np.multiply(g, g, out=g)
+    g *= 1.0 - state.beta2
+    flat.v *= state.beta2
+    flat.v += g
+    np.divide(flat.m, c1, out=tmp)
+    tmp *= rate
+    np.divide(flat.v, c2, out=g)
+    np.sqrt(g, out=g)
+    g += state.eps
+    tmp /= g
+    flat.p -= tmp
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Shared fixtures. The trained-policy fixtures are expensive (~15 s each) and
+"""Shared fixtures. The trained-policy fixtures are expensive (about 24 s each,
+the predictor about 4 s, on a 2-CPU x86-64 host with OpenBLAS) and
 session-scoped; everything that needs a competent policy shares them. Seeds
 are frozen so every run trains byte-identical models."""
 
 import numpy as np
 import pytest
 
+from streampolicy.core import Trajectory
 from streampolicy.envsim import EnvKind, KIND_CONTROLLER, KIND_DIRECT, generate_demos
 from streampolicy.saliency import PredictorConfig, train_predictor
 from streampolicy.trainer import TrainConfig, train
@@ -44,6 +46,19 @@ def direct_demos():
 def small_demos():
     """A light dataset for structural tests that do not need a good policy."""
     return generate_demos(CTRL, 40, seed=21)
+
+
+@pytest.fixture(scope="session")
+def ragged_demos(small_demos):
+    """small_demos with every other episode cut short (1 to 11 actions), so
+    samplers meet episodes shorter than the window or the largest gap."""
+    cuts = (1, 2, 3, 5, 9, 10, 11)
+    out = []
+    for i, t in enumerate(small_demos):
+        n = cuts[(i // 2) % len(cuts)] if i % 2 else len(t)
+        out.append(Trajectory(observations=t.observations[:n], actions=t.actions[:n],
+                              action_states=t.action_states[:n + 1]))
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -129,6 +129,15 @@ def test_unknown_eo_mode_exits_2(workdir):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["rollout", "bench"])
+def test_step_cap_below_one_exits_2(workdir, tmp_path, capsys, command):
+    rc = main([command, "--policy", str(workdir / "policy" / "policy.ckpt"),
+               "--env", "controller", "--episodes", "1", "--step-cap", "0",
+               *(["--out-dir", str(tmp_path / "b")] if command == "bench" else [])])
+    assert rc == 2
+    assert "--step-cap must be at least 1" in capsys.readouterr().err
+
+
 def test_adaptive_requires_predictor(workdir):
     rc = main(["rollout", "--policy", str(workdir / "policy" / "policy.ckpt"),
                "--eo", "adaptive", "--episodes", "1", "--step-cap", "5"])

@@ -6,7 +6,7 @@ from streampolicy.core import make_rng
 from streampolicy.envsim import (
     EXPERT_PARK_STEPS, GOAL_BOX, LATCH_SHIFT, START_BOX, SUCCESS_DIST,
     WORKSPACE_HI, WORKSPACE_LO, EnvKind, GenerationError, KIND_CONTROLLER,
-    KIND_DIRECT, alpha0_for, expert_action, generate_demos, latch_waypoint,
+    KIND_DIRECT, EnvHandle, alpha0_for, expert_action, generate_demos, latch_waypoint,
     make_env, make_initial_state, observe, run_expert_episode, step, success,
 )
 
@@ -164,3 +164,12 @@ def test_alpha0_conventions(ctrl_env, direct_env, rng):
     state = make_initial_state(rng)
     assert np.array_equal(alpha0_for(ctrl_env, state), np.zeros(2))
     assert np.array_equal(alpha0_for(direct_env, state), state.position)
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_step_cap_below_one_is_rejected(ctrl_env, cap):
+    with pytest.raises(ValueError, match="step_cap"):
+        make_env(ctrl_env, 0, step_cap=cap)
+    state = make_env(ctrl_env, 0).init_state
+    with pytest.raises(ValueError, match="step_cap"):
+        EnvHandle(kind=ctrl_env, init_state=state, step_cap=cap)

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streampolicy.core import make_rng
+from streampolicy.core import STREAM_PREDICTOR, make_rng
 from streampolicy.saliency import (
-    EO_ACTION_NORM, EO_ADAPTIVE, Indicator, PredictorConfig, action_norm_score,
-    calibrate_threshold, decision_scores, embed, init_predictor, load_predictor,
-    loss_and_grad, pad_actions, predict_change, saliency_score, save_predictor,
+    EO_ACTION_NORM, EO_ADAPTIVE, Indicator, PredictorConfig, _prepare_pairs, _sample_pairs,
+    action_norm_score, calibrate_threshold, decision_scores, embed, init_predictor,
+    load_predictor, loss_and_grad, pad_actions, predict_change, saliency_score,
+    save_predictor,
 )
 
 
@@ -62,6 +63,45 @@ def test_pad_actions_shapes():
     assert np.array_equal(two[:4], np.ones(4)) and np.all(two[4:] == 0)
     crowded = pad_actions(np.arange(12.0).reshape(6, 2), cfg)
     assert np.array_equal(crowded, np.arange(float(cfg.cond_dim)))
+
+
+def _reference_sample_pairs(trajectories, cfg, rng):
+    """The per-row loop that _sample_pairs replaces with gathers."""
+    usable = [t for t in trajectories if len(t) > min(cfg.gap_choices)]
+    B = cfg.batch_size
+    early = np.empty((B, cfg.obs_dim))
+    late = np.empty((B, cfg.obs_dim))
+    cond = np.empty((B, cfg.cond_dim))
+    gaps = np.asarray(cfg.gap_choices)
+    for b in range(B):
+        traj = usable[int(rng.integers(len(usable)))]
+        feasible = gaps[gaps < len(traj)]
+        gap = int(feasible[int(rng.integers(len(feasible)))])
+        f = int(rng.integers(len(traj) - gap))
+        early[b] = traj.observations[f].features
+        late[b] = traj.observations[f + gap].features
+        cond[b] = pad_actions(traj.actions[f : f + gap], cfg)
+    return early, late, cond
+
+
+@pytest.mark.parametrize("gaps, n_eo_max", [((1, 2, 3), 4), ((1, 3, 6), 4), ((2, 5), 2)])
+def test_sample_pairs_matches_reference_loop(ragged_demos, gaps, n_eo_max):
+    """Bitwise the same pairs as the per-row loop, from the same streams,
+    with trajectories shorter than the largest gap and gaps beyond n_eo_max."""
+    cfg = PredictorConfig(gap_choices=gaps, n_eo_max=n_eo_max, batch_size=48)
+    assert any(min(gaps) < len(t) <= max(gaps) for t in ragged_demos)
+    pool = _prepare_pairs(ragged_demos, cfg)
+    for i in range(150):
+        got = _sample_pairs(pool, cfg, make_rng(9, STREAM_PREDICTOR, i))
+        want = _reference_sample_pairs(ragged_demos, cfg, make_rng(9, STREAM_PREDICTOR, i))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes(), i
+
+
+def test_sample_pairs_needs_a_long_enough_trajectory(ragged_demos):
+    with pytest.raises(ValueError):
+        _prepare_pairs([t for t in ragged_demos if len(t) <= 2], PredictorConfig(gap_choices=(2, 3)))
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from streampolicy.core import make_rng
+from streampolicy.core import STREAM_TRAIN, make_rng
 from streampolicy.trainer import (
-    TrainConfig, TrainingDivergedError, evaluate, sample_subtrajectory, train,
+    TrainConfig, TrainingDivergedError, _prepare, _sample_batch, evaluate, train,
     write_train_log,
 )
+from streampolicy.velocitynet import load_policy, save_policy
 
 TINY = dict(iterations=250, batch_size=32, lr=2e-3, hidden=(32, 32), seed=0)
 
@@ -17,30 +18,73 @@ def test_config_validation():
         TrainConfig(lr_schedule="linear")
 
 
-def test_sampled_window_alignment(small_demos, rng):
-    """The window's starting ledger value must be the episode prefix sum at
-    the window start, not a fresh zero."""
-    for _ in range(50):
-        obs, alpha, acts = sample_subtrajectory(small_demos, 10, rng)
-        assert acts.shape == (10, 2)
-        s = obs.frame_id
-        sources = [t for t in small_demos
-                   if len(t) >= s + 10
-                   and np.array_equal(t.actions[s:s + 10], acts)
-                   and np.array_equal(t.action_states[s], alpha)]
-        assert sources, "window does not align with any episode's ledger"
+def _reference_sample_batch(trajectories, cfg, rng):
+    """The per-episode, per-row sampling loop that _sample_batch vectorizes."""
+    usable = [t for t in trajectories if len(t) >= cfg.h]
+    obs = [np.stack([o.features for o in t.observations]) for t in usable]
+    n_windows = np.asarray([len(t) - cfg.h + 1 for t in usable])
+    B, h = cfg.batch_size, cfg.h
+    eps = rng.integers(len(usable), size=B)
+    OBS = np.empty((B, obs[0].shape[1]))
+    ALPHA = np.empty((B, usable[0].actions.shape[1]))
+    XI = np.empty((B, h, usable[0].actions.shape[1]))
+    for b, e in enumerate(eps):
+        s = int(rng.integers(n_windows[e]))
+        OBS[b] = obs[e][s]
+        ALPHA[b] = usable[e].action_states[s]
+        XI[b] = usable[e].actions[s:s + h]
+    if not cfg.use_state_alignment:
+        ALPHA[:] = 0.0
+    return OBS, ALPHA, XI
+
+
+@pytest.mark.parametrize("aligned", [True, False])
+def test_sample_batch_matches_reference_loop(ragged_demos, aligned):
+    """Bitwise the same windows as the scalar loop, from the same streams,
+    on a dataset where some episodes are shorter than h."""
+    cfg = TrainConfig(batch_size=48, use_state_alignment=aligned)
+    assert any(len(t) < cfg.h for t in ragged_demos)
+    prep = _prepare(ragged_demos, cfg.h)
+    for i in range(200):
+        got = _sample_batch(prep, cfg, make_rng(5, STREAM_TRAIN, i))
+        want = _reference_sample_batch(ragged_demos, cfg, make_rng(5, STREAM_TRAIN, i))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes(), i
+
+
+def test_sampled_window_alignment(ragged_demos, rng):
+    """Each window's starting ledger value must be its episode's prefix sum
+    at the window start, not a fresh zero, next to that frame's observation."""
+    cfg = TrainConfig(batch_size=64)
+    h = cfg.h
+    sources = {}
+    for t in ragged_demos:
+        for s in range(len(t) - h + 1):
+            sources.setdefault(t.actions[s:s + h].tobytes(), []).append((t, s))
+    OBS, ALPHA, XI = _sample_batch(_prepare(ragged_demos, h), cfg, rng)
+    assert XI.shape == (64, h, 2)
+    for b in range(cfg.batch_size):
+        assert any(np.array_equal(t.action_states[s], ALPHA[b])
+                   and np.array_equal(t.observations[s].features, OBS[b])
+                   for t, s in sources.get(XI[b].tobytes(), [])), \
+            "window does not align with any episode's ledger"
+    assert np.any(ALPHA != 0.0)
 
 
 def test_sampled_window_misaligned_is_zero(small_demos, rng):
-    for _ in range(20):
-        _, alpha, _ = sample_subtrajectory(small_demos, 10, rng, use_state_alignment=False)
-        assert np.array_equal(alpha, np.zeros_like(alpha))
+    cfg = TrainConfig(batch_size=64, use_state_alignment=False)
+    _, ALPHA, _ = _sample_batch(_prepare(small_demos, cfg.h), cfg, rng)
+    assert ALPHA.shape == (64, 2)
+    assert np.array_equal(ALPHA, np.zeros_like(ALPHA))
 
 
-def test_sample_skips_short_episodes(small_demos, rng):
+def test_sample_skips_short_episodes(small_demos):
     longest = max(len(t) for t in small_demos)
     with pytest.raises(ValueError):
-        sample_subtrajectory(small_demos, longest + 1, rng)
+        _prepare(small_demos, longest + 1)
+    prep = _prepare(small_demos, longest)
+    assert len(prep.n_windows) == sum(len(t) == longest for t in small_demos)
 
 
 def test_loss_decreases(small_demos):
@@ -83,6 +127,25 @@ def test_resume_matches_uninterrupted_run(small_demos):
                           resume=(policy, adam, 120))
     for k in straight.model.params:
         assert np.array_equal(straight.model.params[k], resumed.model.params[k]), k
+
+
+def test_resume_from_checkpoint_matches_uninterrupted_run(tmp_path, small_demos):
+    """Resuming from a saved checkpoint, with Adam's moments rebuilt from the
+    loaded arrays, lands on the same bytes as a straight run."""
+    n = 100
+    cfg = TrainConfig(**{**TINY, "iterations": 2 * n})
+    straight, straight_adam, _ = train(small_demos, cfg, alpha0_convention="zero")
+    save_policy(tmp_path / "straight.ckpt", straight, adam=straight_adam, iteration=2 * n)
+
+    half = TrainConfig(**{**TINY, "iterations": n})
+    policy, adam, _ = train(small_demos, half, alpha0_convention="zero")
+    save_policy(tmp_path / "half.ckpt", policy, adam=adam, iteration=n)
+    loaded, loaded_adam, it = load_policy(tmp_path / "half.ckpt")
+    assert it == n
+    resumed, resumed_adam, _ = train(small_demos, cfg, alpha0_convention="zero",
+                                     resume=(loaded, loaded_adam, it))
+    save_policy(tmp_path / "resumed.ckpt", resumed, adam=resumed_adam, iteration=2 * n)
+    assert (tmp_path / "resumed.ckpt").read_bytes() == (tmp_path / "straight.ckpt").read_bytes()
 
 
 def test_cosine_schedule_changes_trajectory(small_demos):

@@ -4,6 +4,8 @@ import pytest
 from streampolicy.core import make_rng
 from streampolicy.flowmatch import FlowParams
 from streampolicy.normkit import NormStats
+from streampolicy.saliency import PredictorConfig, init_predictor
+from streampolicy.saliency import loss_and_grad as predictor_loss_and_grad
 from streampolicy.velocitynet import (
     AdamState, CheckpointError, Policy, adam_step, forward, forward_batch,
     init_adam, init_velocity_model, load_policy, loss_and_grad, read_container,
@@ -69,6 +71,81 @@ def test_adam_descends(rng):
         adam_step(model.params, grads, state, lr=1e-2)
     final, _ = loss_and_grad(model, X, T, OBS, V)
     assert final < 0.5 * first
+
+
+def _reference_adam_step(params, grads, m, v, step, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The per-tensor Adam update that adam_step runs over flat buffers."""
+    c1 = 1.0 - b1**step
+    c2 = 1.0 - b2**step
+    for k, p in params.items():
+        g = grads[k]
+        m[k] = b1 * m[k] + (1.0 - b1) * g
+        v[k] = b2 * v[k] + (1.0 - b2) * (g * g)
+        mhat = m[k] / c1
+        vhat = v[k] / c2
+        p -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
+def _policy_params(rng):
+    model = _small_model()
+    X, T, OBS, V = _batch(rng, n=16)
+    return model.params, lambda: loss_and_grad(model, X, T, OBS, V)[1]
+
+
+def _predictor_trainable(rng):
+    pred = init_predictor(PredictorConfig(obs_dim=7, action_dim=2, embed_dim=8, hidden=12,
+                                          cond_hidden=6, iterations=1, seed=3))
+    trainable = pred.trainable()
+    E = rng.normal(size=(16, 8))
+    C = rng.normal(size=(16, pred.config.cond_dim))
+    target = rng.normal(size=(16, 8))
+
+    def grads():
+        pred.params.update(trainable)
+        return predictor_loss_and_grad(pred, E, C, target)[1]
+    return trainable, grads
+
+
+@pytest.mark.parametrize("make", [_policy_params, _predictor_trainable])
+def test_adam_step_matches_per_tensor_formula(rng, make):
+    """The flat update is bitwise the per-tensor one, step after step, for the
+    policy's parameters and the predictor's trainable subset."""
+    params, grads_of = make(rng)
+    ref = {k: p.copy() for k, p in params.items()}
+    ref_m = {k: np.zeros_like(p) for k, p in params.items()}
+    ref_v = {k: np.zeros_like(p) for k, p in params.items()}
+    state = init_adam(params, lr=1e-2)
+    for step, lr in enumerate([1e-2, 3e-3, 1e-2, 5e-4, 2e-3, 1e-3, 7e-3], start=1):
+        grads = grads_of()
+        adam_step(params, grads, state, lr=lr)
+        _reference_adam_step(ref, grads, ref_m, ref_v, step, lr)
+        assert state.step == step
+        for k in ref:
+            assert params[k].tobytes() == ref[k].tobytes(), (step, k)
+            assert state.m[k].tobytes() == ref_m[k].tobytes(), (step, k)
+            assert state.v[k].tobytes() == ref_v[k].tobytes(), (step, k)
+
+
+def test_adam_step_rebinds_replaced_arrays(rng):
+    """Arrays put in the dicts from outside (as a checkpoint load does) are
+    what the next step updates, and become views into the flat buffers."""
+    params, grads_of = _policy_params(rng)
+    state = init_adam(params, lr=1e-2)
+    adam_step(params, grads_of(), state)
+    copies = {k: p.copy() for k, p in params.items()}
+    state.m = {k: m.copy() for k, m in state.m.items()}
+    state.v = {k: v.copy() for k, v in state.v.items()}
+    params.update({k: p.copy() for k, p in params.items()})
+    grads = grads_of()
+    ref_m = {k: m.copy() for k, m in state.m.items()}
+    ref_v = {k: v.copy() for k, v in state.v.items()}
+    _reference_adam_step(copies, grads, ref_m, ref_v, 2, 1e-2)
+    adam_step(params, grads, state)
+    for k in params:
+        assert params[k].tobytes() == copies[k].tobytes(), k
+        assert state.m[k].tobytes() == ref_m[k].tobytes(), k
+        assert state.v[k].tobytes() == ref_v[k].tobytes(), k
+        assert np.shares_memory(params[k], state.flat.p)
 
 
 def test_container_roundtrip(tmp_path):
