@@ -50,7 +50,7 @@ class Box:
     hi: np.ndarray
 
     def contains(self, p: np.ndarray) -> bool:
-        return bool(np.all(p >= self.lo) and np.all(p <= self.hi))
+        return bool((p >= self.lo).all() and (p <= self.hi).all())
 
     @property
     def center(self) -> np.ndarray:
@@ -98,7 +98,8 @@ def step(kind: EnvKind, state: EnvState, action: np.ndarray) -> EnvState:
         delta = c * np.tanh(a / c)
     else:
         delta = a
-    pos = np.clip(state.position + delta, WORKSPACE_LO, WORKSPACE_HI)
+    # np.clip's result, without its wrapper overhead
+    pos = np.minimum(np.maximum(state.position + delta, WORKSPACE_LO), WORKSPACE_HI)
     goal = state.goal
     latch = state.latch
     if not latch and kind.latch_region.contains(pos):
@@ -121,7 +122,11 @@ def observe(state: EnvState, capture_time: float | None = None) -> Observation:
 
 def success(state: EnvState) -> bool:
     """Latched and strictly within SUCCESS_DIST of the (shifted) goal."""
-    return state.latch and float(np.linalg.norm(state.position - state.goal)) < SUCCESS_DIST
+    if not state.latch:
+        return False
+    # what np.linalg.norm computes for a real 1-D vector: sqrt(d . d)
+    d = state.position - state.goal
+    return math.sqrt(float(d.dot(d))) < SUCCESS_DIST
 
 
 def make_initial_state(rng: np.random.Generator) -> EnvState:

@@ -18,8 +18,16 @@ horizon, which is precisely the staleness early observation trades away.
 Event logs are deterministic for fixed seeds, with ties ordered
 observe < predict < generate < execute, then by action index.
 
+On the simulated clock, generate events model the generator lane: every
+planned action of a horizon gets one at its modeled time, because the
+timeline does not depend on action values. The values are computed only when
+an action executes or an early-observation indicator scores it, in index
+order, so an action that is planned and then replaced (a sync chunk's tail,
+the rest of a horizon when the episode ends) costs no forward pass.
+
 The wall-clock runner reproduces the same semantics with three real threads
-and bounded queues; timestamps then come from the wall clock.
+and bounded queues; timestamps then come from the wall clock. It generates
+every planned action, with each forward pass inside its t_gen budget.
 """
 
 from __future__ import annotations
@@ -174,6 +182,47 @@ def _finish(success, events, raw, norm, alpha0_norm, state, horizons, eo_fired, 
     )
 
 
+# indicators that read the remaining actions' values; naive and random do not
+_SCORED_MODES = (saliency.EO_ACTION_NORM, saliency.EO_ADAPTIVE)
+
+
+class _Chunk:
+    """One horizon's actions on the simulated clock, computed on demand.
+
+    The generate events are logged when the horizon is scheduled, since the
+    timeline does not depend on action values. The values are computed here
+    in index order, with the generator's ledger summed left to right as on the
+    wall clock, and only as far as an execution or an indicator score reads
+    them. The results are the ones generating the whole chunk up front gives.
+    """
+
+    __slots__ = ("policy", "alpha", "features", "norm", "raw", "n")
+
+    def __init__(self, policy: Policy, alpha: np.ndarray, features: np.ndarray, h: int):
+        self.policy, self.alpha, self.features = policy, alpha, features
+        self.norm = np.empty((h, alpha.shape[0]))
+        self.raw = np.empty_like(self.norm)
+        self.n = 0  # actions computed so far
+
+    def _fill(self, stop: int) -> None:
+        while self.n < stop:
+            a_norm, a_raw = self.policy.action(self.alpha, self.n, self.features)
+            self.alpha = self.alpha + a_norm
+            self.norm[self.n] = a_norm
+            self.raw[self.n] = a_raw
+            self.n += 1
+
+    def get(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """(normalized, raw) action i."""
+        self._fill(i + 1)
+        return self.norm[i], self.raw[i]
+
+    def tail(self, i: int) -> np.ndarray:
+        """Raw actions i..h-1."""
+        self._fill(len(self.raw))
+        return self.raw[i:]
+
+
 def _simulated_streaming(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
                          scheduler: SchedulerConfig, record_trajectory: bool) -> EpisodeResult:
     h = scheduler.h
@@ -207,13 +256,11 @@ def _simulated_streaming(policy: Policy, predictor, env: EnvHandle, stage: Stage
         obs_end = obs_start + stage.t_obs
         events.append(TimelineEvent(STAGE_OBSERVE, base, horizon, obs_start, obs_end))
 
-        # generate all h actions of the horizon on the serial generator lane;
+        # schedule all h actions of the horizon on the serial generator lane;
         # the queue-capacity constraint keeps the lane from running more than
         # h actions ahead of execution
         gen_end = np.empty(h)
-        acts_norm = np.empty((h, alpha_exec.shape[0]))
-        acts_raw = np.empty_like(acts_norm)
-        gen_alpha = alpha_exec.copy()
+        chunk = _Chunk(policy, alpha_exec, obs.features, h)
         lane = max(gen_lane, obs_end)
         for i in range(h):
             g = base + i
@@ -222,10 +269,6 @@ def _simulated_streaming(policy: Policy, predictor, env: EnvHandle, stage: Stage
                 start = max(start, exec_starts[g - h])
             end = start + stage.t_gen
             events.append(TimelineEvent(STAGE_GENERATE, g, horizon, start, end))
-            a_norm, a_raw = policy.action(gen_alpha, i, obs.features)
-            gen_alpha = gen_alpha + a_norm
-            acts_norm[i] = a_norm
-            acts_raw[i] = a_raw
             gen_end[i] = end
             lane = end
         gen_lane = lane
@@ -247,7 +290,7 @@ def _simulated_streaming(policy: Policy, predictor, env: EnvHandle, stage: Stage
                 # right here when the indicator fires. Skipped when the step
                 # cap makes this horizon the last: there is no boundary for
                 # an early observation to hide.
-                remaining = acts_raw[i:]
+                remaining = chunk.tail(i) if scheduler.eo.mode in _SCORED_MODES else None
                 dec_obs = envsim.observe(state, capture_time=start)
                 fired, _score = _decide_eo(scheduler, predictor, dec_obs, remaining, ind_rng)
                 eo_decision_count += 1
@@ -267,10 +310,11 @@ def _simulated_streaming(policy: Policy, predictor, env: EnvHandle, stage: Stage
             prev_exec_end = end
             if record_obs is not None:
                 record_obs.append(envsim.observe(state, capture_time=float(state.step_count)))
-            state = envsim.step(kind, state, acts_raw[i])
-            executed_raw.append(acts_raw[i])
-            executed_norm.append(acts_norm[i])
-            alpha_exec = alpha_exec + acts_norm[i]
+            a_norm, a_raw = chunk.get(i)
+            state = envsim.step(kind, state, a_raw)
+            executed_raw.append(a_raw)
+            executed_norm.append(a_norm)
+            alpha_exec = alpha_exec + a_norm
             steps += 1
             if envsim.success(state):
                 succeeded = True
@@ -320,20 +364,14 @@ def _simulated_sync(policy: Policy, predictor, env: EnvHandle, stage: StageLaten
         obs_end = t + stage.t_obs
         events.append(TimelineEvent(STAGE_OBSERVE, base, horizon, t, obs_end))
 
-        # full chunk generated before anything executes; the tail beyond
-        # n_replan is planned but replaced by the next chunk (its generate
-        # events share the indices the next chunk will execute)
-        gen_alpha = alpha_exec.copy()
-        acts_norm = np.empty((h, alpha_exec.shape[0]))
-        acts_raw = np.empty_like(acts_norm)
+        # the full chunk is modeled as generated before anything executes;
+        # the tail beyond n_replan is planned but replaced by the next chunk
+        # (its generate events share the indices the next chunk will execute)
+        chunk = _Chunk(policy, alpha_exec, obs.features, h)
         lane = obs_end
         for i in range(h):
             end = lane + stage.t_gen
             events.append(TimelineEvent(STAGE_GENERATE, base + i, horizon, lane, end))
-            a_norm, a_raw = policy.action(gen_alpha, i, obs.features)
-            gen_alpha = gen_alpha + a_norm
-            acts_norm[i] = a_norm
-            acts_raw[i] = a_raw
             lane = end
 
         exec_start = lane
@@ -342,10 +380,11 @@ def _simulated_sync(policy: Policy, predictor, env: EnvHandle, stage: StageLaten
             events.append(TimelineEvent(STAGE_EXECUTE, base + i, horizon, exec_start, end))
             if record_obs is not None:
                 record_obs.append(envsim.observe(state, capture_time=float(state.step_count)))
-            state = envsim.step(kind, state, acts_raw[i])
-            executed_raw.append(acts_raw[i])
-            executed_norm.append(acts_norm[i])
-            alpha_exec = alpha_exec + acts_norm[i]
+            a_norm, a_raw = chunk.get(i)
+            state = envsim.step(kind, state, a_raw)
+            executed_raw.append(a_raw)
+            executed_norm.append(a_norm)
+            alpha_exec = alpha_exec + a_norm
             exec_start = end
             steps += 1
             if envsim.success(state):
@@ -373,6 +412,16 @@ def _simulated_sync(policy: Policy, predictor, env: EnvHandle, stage: StageLaten
 # ---------------------------------------------------------------------------
 
 _POLL = 0.02
+# seconds the main thread waits for the observer and generator to stop
+_JOIN_TIMEOUT = 5.0
+
+
+def _sleep_rest(began: float, budget_ms: float) -> None:
+    """Sleep what is left of a stage's budget_ms since monotonic time began,
+    so host compute inside the stage counts toward its modeled latency."""
+    left = budget_ms / 1e3 - (time.monotonic() - began)
+    if left > 0:
+        time.sleep(left)
 
 
 class _WallShared:
@@ -432,10 +481,11 @@ def _wall_generator(shared: _WallShared, policy: Policy, stage: StageLatency,
             for i in range(h):
                 if shared.stop.is_set():
                     return
-                start = (time.monotonic() - t0) * 1e3
-                time.sleep(stage.t_gen / 1e3)
+                began = time.monotonic()
                 a_norm, a_raw = policy.action(alpha, i, obs.features)
                 alpha = alpha + a_norm
+                _sleep_rest(began, stage.t_gen)
+                start = (began - t0) * 1e3
                 end = (time.monotonic() - t0) * 1e3
                 shared.emit(TimelineEvent(STAGE_GENERATE, base + i, horizon, start, end))
                 shared.horizon_actions[horizon].append(a_raw)
@@ -543,9 +593,12 @@ def _wall_streaming(policy: Policy, predictor, env: EnvHandle, stage: StageLaten
     alpha0_norm = policy.initial_alpha(env.init_state.position)
     out: dict = {}
     threads = [
-        threading.Thread(target=_wall_observer, args=(shared, stage, t0), daemon=True),
-        threading.Thread(target=_wall_generator, args=(shared, policy, stage, scheduler, alpha0_norm, t0), daemon=True),
-        threading.Thread(target=_wall_executor, args=(shared, policy, predictor, env, stage, scheduler, t0, record_trajectory, out), daemon=True),
+        threading.Thread(target=_wall_observer, args=(shared, stage, t0), daemon=True,
+                         name="observer"),
+        threading.Thread(target=_wall_generator, args=(shared, policy, stage, scheduler, alpha0_norm, t0),
+                         daemon=True, name="generator"),
+        threading.Thread(target=_wall_executor, args=(shared, policy, predictor, env, stage, scheduler, t0, record_trajectory, out),
+                         daemon=True, name="executor"),
     ]
     for th in threads:
         th.start()
@@ -553,9 +606,13 @@ def _wall_streaming(policy: Policy, predictor, env: EnvHandle, stage: StageLaten
     shared.stop.set()
     shared.obs_requests.put(None)
     for th in threads[:2]:
-        th.join(timeout=5.0)
+        th.join(timeout=_JOIN_TIMEOUT)
     if shared.error is not None:
         raise shared.error
+    stuck = [th.name for th in threads[:2] if th.is_alive()]
+    if stuck:
+        raise RuntimeError(f"wall-clock {' and '.join(stuck)} thread still running "
+                           f"{_JOIN_TIMEOUT} s after the episode ended")
 
     traj_parts = None
     if record_trajectory:
@@ -592,12 +649,12 @@ def _wall_sync(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
         gen_alpha = alpha.copy()
         acts = []
         for i in range(h):
-            g_start = now()
-            time.sleep(stage.t_gen / 1e3)
+            began = time.monotonic()
             a_norm, a_raw = policy.action(gen_alpha, i, obs.features)
             gen_alpha = gen_alpha + a_norm
             acts.append((a_norm, a_raw))
-            events.append(TimelineEvent(STAGE_GENERATE, base + i, horizon, g_start, now()))
+            _sleep_rest(began, stage.t_gen)
+            events.append(TimelineEvent(STAGE_GENERATE, base + i, horizon, (began - t0) * 1e3, now()))
         for i in range(n_rep):
             a_norm, a_raw = acts[i]
             e_start = now()

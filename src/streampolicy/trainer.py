@@ -160,9 +160,9 @@ def train(trajectories: list[Trajectory], cfg: TrainConfig, *, alpha0_convention
     resuming from a checkpoint continues the identical sequence.
     """
     prep = _prepare(trajectories, cfg.h)
-    fp = FlowParams(k=cfg.k, sigma0=cfg.sigma0, h=cfg.h)
-    stats = normkit.fit_stats(trajectories)
     if resume is None:
+        fp = FlowParams(k=cfg.k, sigma0=cfg.sigma0, h=cfg.h)
+        stats = normkit.fit_stats(trajectories)
         obs_dim = prep.obs.shape[1]
         action_dim = prep.actions.shape[1]
         model = velocitynet.init_velocity_model(
@@ -171,8 +171,9 @@ def train(trajectories: list[Trajectory], cfg: TrainConfig, *, alpha0_convention
         start = 0
         policy = Policy(model=model, stats=stats, flow=fp, alpha0_convention=alpha0_convention)
     else:
+        # a resumed run keeps the normalization it was trained and is saved with
         policy, adam, start = resume
-        model = policy.model
+        model, stats = policy.model, policy.stats
 
     log: list[tuple[int, float, float]] = []
     t0 = time.perf_counter()

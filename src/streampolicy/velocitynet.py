@@ -73,14 +73,17 @@ def init_velocity_model(action_dim: int, obs_dim: int, hidden=(128, 128), *, rng
     return VelocityModel(action_dim=action_dim, obs_dim=obs_dim, hidden=tuple(hidden), params=params)
 
 
-def _assemble_inputs(model: VelocityModel, x: np.ndarray, t, obs_feat: np.ndarray) -> np.ndarray:
+def _assemble_inputs(model: VelocityModel, x: np.ndarray, t, obs_feat: np.ndarray,
+                     tf: np.ndarray | None = None) -> np.ndarray:
+    """Network input rows; tf, when given, is time_features(t) computed earlier."""
     x = np.asarray(x, dtype=np.float64)
     obs_feat = np.asarray(obs_feat, dtype=np.float64)
     if x.shape[-1] != model.action_dim:
         raise DimensionMismatchError(f"state dim {x.shape[-1]} != {model.action_dim}")
     if obs_feat.shape[-1] != model.obs_dim:
         raise DimensionMismatchError(f"obs dim {obs_feat.shape[-1]} != {model.obs_dim}")
-    tf = time_features(t)
+    if tf is None:
+        tf = time_features(t)
     if x.ndim == 1:
         tf = tf.reshape(TIME_DIM)
     return np.concatenate([x, tf, obs_feat * OBS_FEATURE_SCALE], axis=-1)
@@ -97,9 +100,14 @@ def _mlp_forward(params: dict[str, np.ndarray], inp: np.ndarray, n_layers: int):
     return h, acts
 
 
-def forward(model: VelocityModel, x: np.ndarray, t: float, obs_feat: np.ndarray) -> np.ndarray:
-    """Velocity prediction for a single state/time/observation triple."""
-    inp = _assemble_inputs(model, x, float(t), obs_feat)
+def forward(model: VelocityModel, x: np.ndarray, t: float, obs_feat: np.ndarray,
+            time_feat: np.ndarray | None = None) -> np.ndarray:
+    """Velocity prediction for a single state/time/observation triple.
+
+    time_feat, when given, must be time_features(t); it saves recomputing a
+    row the caller already holds.
+    """
+    inp = _assemble_inputs(model, x, float(t), obs_feat, time_feat)
     out, _ = _mlp_forward(model.params, inp, model.n_layers())
     return out
 
@@ -340,6 +348,9 @@ class Policy:
     stats: NormStats
     flow: FlowParams
     alpha0_convention: str = ALPHA0_ZERO
+    # (h, rows): time_features(T / h) for T in 0..h-1, built on first use
+    _time_table: tuple[int, np.ndarray] | None = field(default=None, init=False, repr=False,
+                                                        compare=False)
 
     def initial_alpha(self, position: np.ndarray) -> np.ndarray:
         """Normalized starting state for an episode beginning at position."""
@@ -349,8 +360,23 @@ class Policy:
             raw = np.zeros(self.model.action_dim)
         return normkit.normalize(raw, self.stats)
 
+    def time_table(self) -> np.ndarray:
+        """Row T is time_features(T / h), the only times a horizon visits.
+
+        Built one row at a time through time_features, so every row is the
+        one a per-call computation gives, bit for bit.
+        """
+        h = self.flow.h
+        if self._time_table is None or self._time_table[0] != h:
+            self._time_table = (h, np.stack([time_features(T / float(h)) for T in range(h)]))
+        return self._time_table[1]
+
     def velocity(self, alpha_norm: np.ndarray, T: int, obs_features: np.ndarray) -> np.ndarray:
-        return forward(self.model, alpha_norm, T / float(self.flow.h), obs_features)
+        h = self.flow.h
+        row = None
+        if isinstance(T, (int, np.integer)) and 0 <= T < h:
+            row = self.time_table()[T]
+        return forward(self.model, alpha_norm, T / float(h), obs_features, row)
 
     def action(self, alpha_norm: np.ndarray, T: int, obs_features: np.ndarray):
         """Generate one action: returns (normalized, raw) pair."""

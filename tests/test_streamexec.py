@@ -1,15 +1,21 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from streampolicy import metrics
-from streampolicy.envsim import EnvKind, KIND_DIRECT, make_env, step as env_step
+from streampolicy import envsim, metrics, saliency, streamexec
+from streampolicy.core import STREAM_INDICATOR, make_rng
+from streampolicy.envsim import EnvHandle, EnvKind, KIND_CONTROLLER, KIND_DIRECT, make_env, step as env_step
 from streampolicy.saliency import Indicator
 from streampolicy.streamexec import (
     MODE_STREAMING, MODE_SYNC_CHUNK, REFERENCE_PROFILE, STAGE_EXECUTE,
-    STAGE_GENERATE, STAGE_OBSERVE, SchedulerConfig, StageLatency, ZERO_LATENCY,
-    run_episode,
+    STAGE_GENERATE, STAGE_OBSERVE, STAGE_PREDICT, EpisodeResult, SchedulerConfig,
+    StageLatency, TimelineEvent, ZERO_LATENCY, _decide_eo, _finish, run_episode,
 )
+from streampolicy.velocitynet import Policy
 DIRECT = EnvKind(variant=KIND_DIRECT)
+CTRL = EnvKind(variant=KIND_CONTROLLER)
 # a tenth of the reference profile keeps wall-clock runs fast while preserving
 # every ordering relation (t_gen < t_exec < t_obs)
 FAST_PROFILE = StageLatency(t_obs=5.8, t_gen=1.8, t_exec=2.7, t_pred=1.0)
@@ -232,3 +238,382 @@ def test_wall_overlap_matches_simulated(null_policy):
     wall = metrics.measure(run_episode(null_policy, None, env, FAST_PROFILE, sched, clock="wall").events)
     assert wall.o_ge_per_horizon == pytest.approx(sim.o_ge_per_horizon, rel=0.2, abs=2.0)
     assert wall.o_oe_per_horizon == pytest.approx(sim.o_oe_per_horizon, rel=0.2, abs=2.0)
+
+
+# ---------------------------------------------------------------------------
+# lazy generation on the simulated clock against the eager reference: the
+# two engine loops below generate every horizon's h actions up front, as the
+# simulated clock once did. The engines now compute an action only when it is
+# executed or scored, and must give the same results bit for bit.
+# ---------------------------------------------------------------------------
+
+def _eager_streaming(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
+                     scheduler: SchedulerConfig, record_trajectory: bool) -> EpisodeResult:
+    h = scheduler.h
+    kind = env.kind
+    state = env.init_state
+    ind_rng = make_rng(scheduler.seed, STREAM_INDICATOR, getattr(env, "episode_id", 0))
+
+    alpha0_norm = policy.initial_alpha(state.position)
+    alpha_exec = alpha0_norm.copy()
+    events: list[TimelineEvent] = []
+    executed_raw: list[np.ndarray] = []
+    executed_norm: list[np.ndarray] = []
+    record_obs = [] if record_trajectory else None
+    alpha0_raw = envsim.alpha0_for(kind, state)
+
+    obs_start = 0.0
+    snapshot = state          # env state visible to the pending observation
+    base = 0                  # global index of the horizon's first action
+    horizon = 0
+    gen_lane = 0.0            # generator availability time
+    exec_starts: list[float] = []
+    prev_exec_end: float | None = None
+    steps = 0
+    succeeded = False
+    ended = False
+    eo_fired_count = 0
+    eo_decision_count = 0
+
+    while not ended:
+        obs = envsim.observe(snapshot, capture_time=obs_start)
+        obs_end = obs_start + stage.t_obs
+        events.append(TimelineEvent(STAGE_OBSERVE, base, horizon, obs_start, obs_end))
+
+        # generate all h actions of the horizon on the serial generator lane;
+        # the queue-capacity constraint keeps the lane from running more than
+        # h actions ahead of execution
+        gen_end = np.empty(h)
+        acts_norm = np.empty((h, alpha_exec.shape[0]))
+        acts_raw = np.empty_like(acts_norm)
+        gen_alpha = alpha_exec.copy()
+        lane = max(gen_lane, obs_end)
+        for i in range(h):
+            g = base + i
+            start = lane
+            if g >= h:
+                start = max(start, exec_starts[g - h])
+            end = start + stage.t_gen
+            events.append(TimelineEvent(STAGE_GENERATE, g, horizon, start, end))
+            a_norm, a_raw = policy.action(gen_alpha, i, obs.features)
+            gen_alpha = gen_alpha + a_norm
+            acts_norm[i] = a_norm
+            acts_raw[i] = a_raw
+            gen_end[i] = end
+            lane = end
+        gen_lane = lane
+
+        decision_idx = h - scheduler.n_eo if scheduler.eo is not None else None
+        fired = False
+        next_obs_start: float | None = None
+        next_snapshot = None
+
+        for i in range(h):
+            g = base + i
+            start = gen_end[i] if prev_exec_end is None else max(gen_end[i], prev_exec_end)
+            end = start + stage.t_exec
+
+            if decision_idx is not None and i == decision_idx \
+                    and (horizon + 1) * h < env.step_cap:
+                # n_eo executions remain; score against the current frame and
+                # the still-pending actions, launching the next observation
+                # right here when the indicator fires. Skipped when the step
+                # cap makes this horizon the last: there is no boundary for
+                # an early observation to hide.
+                remaining = acts_raw[i:]
+                dec_obs = envsim.observe(state, capture_time=start)
+                fired, _score = _decide_eo(scheduler, predictor, dec_obs, remaining, ind_rng)
+                eo_decision_count += 1
+                launch = start
+                if scheduler.eo.mode == saliency.EO_ADAPTIVE:
+                    p_start = max(start - stage.t_pred, gen_end[h - 1])
+                    p_end = p_start + stage.t_pred
+                    events.append(TimelineEvent(STAGE_PREDICT, base + h, horizon, p_start, p_end))
+                    launch = max(launch, p_end)
+                if fired:
+                    eo_fired_count += 1
+                    next_obs_start = launch
+                    next_snapshot = state
+
+            events.append(TimelineEvent(STAGE_EXECUTE, g, horizon, start, end))
+            exec_starts.append(start)
+            prev_exec_end = end
+            if record_obs is not None:
+                record_obs.append(envsim.observe(state, capture_time=float(state.step_count)))
+            state = envsim.step(kind, state, acts_raw[i])
+            executed_raw.append(acts_raw[i])
+            executed_norm.append(acts_norm[i])
+            alpha_exec = alpha_exec + acts_norm[i]
+            steps += 1
+            if envsim.success(state):
+                succeeded = True
+                ended = True
+                break
+            if steps >= env.step_cap:
+                ended = True
+                break
+
+        horizon += 1
+        base += h
+        if not ended:
+            if not fired:
+                next_obs_start = prev_exec_end
+                next_snapshot = state
+            obs_start = next_obs_start
+            snapshot = next_snapshot
+
+    traj_parts = (record_obs, alpha0_raw) if record_trajectory else None
+    return _finish(succeeded, events, executed_raw, executed_norm, alpha0_norm, state,
+                   horizon, eo_fired_count, steps, traj_parts, eo_decision_count)
+
+
+def _eager_sync(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
+                scheduler: SchedulerConfig, record_trajectory: bool) -> EpisodeResult:
+    h, n_rep = scheduler.h, scheduler.replan
+    kind = env.kind
+    state = env.init_state
+
+    alpha0_norm = policy.initial_alpha(state.position)
+    alpha_exec = alpha0_norm.copy()
+    events: list[TimelineEvent] = []
+    executed_raw: list[np.ndarray] = []
+    executed_norm: list[np.ndarray] = []
+    record_obs = [] if record_trajectory else None
+    alpha0_raw = envsim.alpha0_for(kind, state)
+
+    t = 0.0
+    base = 0
+    horizon = 0
+    steps = 0
+    succeeded = False
+    ended = False
+
+    while not ended:
+        obs = envsim.observe(state, capture_time=t)
+        obs_end = t + stage.t_obs
+        events.append(TimelineEvent(STAGE_OBSERVE, base, horizon, t, obs_end))
+
+        # full chunk generated before anything executes; the tail beyond
+        # n_replan is planned but replaced by the next chunk (its generate
+        # events share the indices the next chunk will execute)
+        gen_alpha = alpha_exec.copy()
+        acts_norm = np.empty((h, alpha_exec.shape[0]))
+        acts_raw = np.empty_like(acts_norm)
+        lane = obs_end
+        for i in range(h):
+            end = lane + stage.t_gen
+            events.append(TimelineEvent(STAGE_GENERATE, base + i, horizon, lane, end))
+            a_norm, a_raw = policy.action(gen_alpha, i, obs.features)
+            gen_alpha = gen_alpha + a_norm
+            acts_norm[i] = a_norm
+            acts_raw[i] = a_raw
+            lane = end
+
+        exec_start = lane
+        for i in range(n_rep):
+            end = exec_start + stage.t_exec
+            events.append(TimelineEvent(STAGE_EXECUTE, base + i, horizon, exec_start, end))
+            if record_obs is not None:
+                record_obs.append(envsim.observe(state, capture_time=float(state.step_count)))
+            state = envsim.step(kind, state, acts_raw[i])
+            executed_raw.append(acts_raw[i])
+            executed_norm.append(acts_norm[i])
+            alpha_exec = alpha_exec + acts_norm[i]
+            exec_start = end
+            steps += 1
+            if envsim.success(state):
+                succeeded = True
+                ended = True
+                break
+            if steps >= env.step_cap:
+                ended = True
+                break
+
+        t = exec_start
+        horizon += 1
+        base += n_rep
+
+    traj_parts = (record_obs, alpha0_raw) if record_trajectory else None
+    return _finish(succeeded, events, executed_raw, executed_norm, alpha0_norm, state,
+                   horizon, 0, steps, traj_parts)
+
+
+GENERATOR_BOUND = StageLatency(t_obs=2.0, t_gen=4.0, t_exec=1.0, t_pred=0.5)
+N_EO = 3
+
+
+@pytest.fixture(scope="module")
+def calibrated_etas(ctrl_policy, ctrl_predictor):
+    """anao and adaptive thresholds that fire on about half the decisions."""
+    sched = SchedulerConfig(mode=MODE_STREAMING, h=ctrl_policy.flow.h)
+    trajs = [run_episode(ctrl_policy, None, make_env(CTRL, 1, ep, step_cap=42), ZERO_LATENCY,
+                         sched, record_trajectory=True).trajectory for ep in range(6)]
+    return {mode: saliency.calibrate_threshold(
+                saliency.decision_scores(ctrl_predictor, trajs, ctrl_policy.flow.h, N_EO, mode), 0.5)
+            for mode in (saliency.EO_ACTION_NORM, saliency.EO_ADAPTIVE)}
+
+
+def _grid_schedulers(etas):
+    out = [SchedulerConfig(mode=MODE_SYNC_CHUNK, n_replan=n, seed=3) for n in (10, 1, 5)]
+    out.append(SchedulerConfig(mode=MODE_STREAMING, seed=3))
+    for ind in (Indicator(mode=saliency.EO_NAIVE), Indicator(mode=saliency.EO_RANDOM, p=0.5),
+                Indicator(mode=saliency.EO_ACTION_NORM, eta=etas[saliency.EO_ACTION_NORM]),
+                Indicator(mode=saliency.EO_ADAPTIVE, eta=etas[saliency.EO_ADAPTIVE])):
+        out.append(SchedulerConfig(mode=MODE_STREAMING, eo=ind, n_eo=N_EO, seed=3))
+    return out
+
+
+def _assert_results_identical(a: EpisodeResult, b: EpisodeResult):
+    assert a.events == b.events
+    for name in ("actions_raw", "actions_norm", "final_alpha"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    assert a.final_state.position.tobytes() == b.final_state.position.tobytes()
+    assert a.final_state.goal.tobytes() == b.final_state.goal.tobytes()
+    assert (a.final_state.latch, a.final_state.step_count) == (b.final_state.latch, b.final_state.step_count)
+    assert (a.success, a.n_horizons, a.eo_fired, a.eo_decisions, a.steps) == \
+        (b.success, b.n_horizons, b.eo_fired, b.eo_decisions, b.steps)
+    assert (a.trajectory is None) == (b.trajectory is None)
+    if a.trajectory is not None:
+        ta, tb = a.trajectory, b.trajectory
+        assert ta.actions.tobytes() == tb.actions.tobytes()
+        assert ta.action_states.tobytes() == tb.action_states.tobytes()
+        assert len(ta.observations) == len(tb.observations)
+        for oa, ob in zip(ta.observations, tb.observations):
+            assert oa.features.tobytes() == ob.features.tobytes()
+            assert (oa.frame_id, oa.capture_time) == (ob.frame_id, ob.capture_time)
+
+
+@pytest.mark.parametrize("stage", [ZERO_LATENCY, REFERENCE_PROFILE, GENERATOR_BOUND],
+                         ids=["zero", "reference", "generator_bound"])
+def test_lazy_generation_matches_eager_reference(stage, ctrl_policy, ctrl_predictor, calibrated_etas):
+    covered = {"success": 0, "cap_mid_horizon": 0, "fired": 0, "held": 0}
+    for sched in _grid_schedulers(calibrated_etas):
+        eager = _eager_streaming if sched.mode == MODE_STREAMING else _eager_sync
+        for cap in (7, 23, 42, 120):
+            for record in (False, True):
+                for ep in range(2):
+                    env = make_env(CTRL, 0, ep, step_cap=cap)
+                    got = run_episode(ctrl_policy, ctrl_predictor, env, stage, sched,
+                                      record_trajectory=record)
+                    want = eager(ctrl_policy, ctrl_predictor, env, stage, sched, record)
+                    _assert_results_identical(got, want)
+                    covered["success"] += got.success
+                    covered["cap_mid_horizon"] += (not got.success and cap % sched.replan != 0)
+                    covered["fired"] += got.eo_fired
+                    covered["held"] += got.eo_decisions - got.eo_fired
+    assert all(covered.values()), covered
+
+
+class _CountingPolicy:
+    """Delegates to a real policy and counts action calls."""
+
+    def __init__(self, policy):
+        self.policy, self.calls = policy, 0
+
+    def initial_alpha(self, position):
+        return self.policy.initial_alpha(position)
+
+    def action(self, alpha_norm, T, obs_features):
+        self.calls += 1
+        return self.policy.action(alpha_norm, T, obs_features)
+
+
+@pytest.mark.parametrize("sched", [
+    SchedulerConfig(mode=MODE_SYNC_CHUNK, n_replan=5),
+    SchedulerConfig(mode=MODE_STREAMING),
+    SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="naive"), n_eo=3),
+    SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="random", p=0.5), n_eo=3),
+], ids=["sync_replan5", "streaming", "streaming_naive", "streaming_random"])
+@pytest.mark.parametrize("cap", [7, 23, 42])
+def test_simulated_clock_computes_only_executed_actions(null_policy, sched, cap):
+    """Indicators that never read the remaining actions leave no action
+    computed that is not executed; every planned action keeps its generate
+    event."""
+    policy = _CountingPolicy(null_policy)
+    res = run_episode(policy, None, make_env(DIRECT, 11, step_cap=cap), REFERENCE_PROFILE, sched)
+    assert res.steps == cap
+    assert policy.calls == res.steps
+    assert len(_by_stage(res.events, STAGE_GENERATE)) == res.n_horizons * sched.h
+
+
+def test_scored_indicator_reads_the_whole_remaining_tail(monkeypatch, null_policy):
+    """An anao decision scores the n_eo remaining actions of its horizon,
+    computed before they execute, with the values that then execute."""
+    scored = []
+
+    def recording_score(remaining):
+        scored.append(np.array(remaining))
+        return 1.0
+
+    monkeypatch.setattr(saliency, "action_norm_score", recording_score)
+    sched = SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="action_norm", eta=0.0), n_eo=3)
+    policy = _CountingPolicy(null_policy)
+    # decision at step 7 of horizon 0; the cap leaves horizon 1 without one
+    res = run_episode(policy, None, make_env(DIRECT, 12, step_cap=18), ZERO_LATENCY, sched)
+    assert res.steps == 18 and res.eo_decisions == 1 and res.eo_fired == 0
+    assert len(scored) == 1
+    assert scored[0].tobytes() == res.actions_raw[7:10].tobytes()
+    assert policy.calls == res.steps
+
+
+# ---------------------------------------------------------------------------
+# wall-clock runner
+# ---------------------------------------------------------------------------
+
+
+class _BlockingPolicy:
+    """Duck-typed policy whose action blocks on an event from the call given
+    by block_at onward, as a hung generator would."""
+
+    def __init__(self, block_at: int):
+        self.block_at, self.calls = block_at, 0
+        self.release = threading.Event()
+
+    def initial_alpha(self, position):
+        return np.zeros(2)
+
+    def action(self, alpha_norm, T, obs_features):
+        self.calls += 1
+        if self.calls > self.block_at:
+            self.release.wait(timeout=30.0)
+        return np.full(2, 0.001), np.full(2, 0.002)
+
+
+def test_wall_runner_fails_when_a_stage_thread_outlives_the_episode(monkeypatch):
+    monkeypatch.setattr(streamexec, "_JOIN_TIMEOUT", 0.2)
+    policy = _BlockingPolicy(block_at=3)
+    env = make_env(DIRECT, 13, step_cap=3)
+    try:
+        with pytest.raises(RuntimeError, match="generator thread still running"):
+            run_episode(policy, None, env, ZERO_LATENCY, SchedulerConfig(mode=MODE_STREAMING),
+                        clock="wall")
+    finally:
+        policy.release.set()
+
+
+class _SlowPolicy:
+    """Duck-typed policy whose action takes compute_s of host time."""
+
+    def __init__(self, compute_s: float):
+        self.compute_s = compute_s
+
+    def initial_alpha(self, position):
+        return np.zeros(2)
+
+    def action(self, alpha_norm, T, obs_features):
+        time.sleep(self.compute_s)
+        return np.full(2, 0.001), np.full(2, 0.002)
+
+
+@pytest.mark.parametrize("mode", [MODE_SYNC_CHUNK, MODE_STREAMING])
+def test_wall_generator_computes_within_t_gen(mode):
+    """Host compute counts toward the modeled t_gen: with 4 ms of compute in
+    a 10 ms budget, generate events last about 10 ms, not 14."""
+    stage = StageLatency(t_obs=1.0, t_gen=10.0, t_exec=1.0, t_pred=0.0)
+    res = run_episode(_SlowPolicy(0.004), None, make_env(DIRECT, 14, step_cap=10), stage,
+                      SchedulerConfig(mode=mode), clock="wall")
+    durations = [e.end - e.start for e in _by_stage(res.events, STAGE_GENERATE)]
+    assert len(durations) == 10
+    assert min(durations) >= stage.t_gen
+    assert float(np.median(durations)) < stage.t_gen + 3.0

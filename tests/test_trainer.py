@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from streampolicy import normkit
 from streampolicy.core import STREAM_TRAIN, make_rng
 from streampolicy.trainer import (
     TrainConfig, TrainingDivergedError, _prepare, _sample_batch, evaluate, train,
@@ -146,6 +147,32 @@ def test_resume_from_checkpoint_matches_uninterrupted_run(tmp_path, small_demos)
                                      resume=(loaded, loaded_adam, it))
     save_policy(tmp_path / "resumed.ckpt", resumed, adam=resumed_adam, iteration=2 * n)
     assert (tmp_path / "resumed.ckpt").read_bytes() == (tmp_path / "straight.ckpt").read_bytes()
+
+
+def test_resume_trains_with_the_checkpoint_stats(monkeypatch, small_demos):
+    """Resuming on other demonstrations keeps the loaded normalization: every
+    resumed step normalizes with the stats the returned policy carries."""
+    from streampolicy import envsim, trainer
+
+    cfg = TrainConfig(**{**TINY, "iterations": 20})
+    policy, adam, _ = train(small_demos, cfg, alpha0_convention="zero")
+    loaded_stats = policy.stats
+    other = envsim.generate_demos(envsim.EnvKind(variant=envsim.KIND_CONTROLLER), 40, seed=22)
+    assert not np.array_equal(normkit.fit_stats(other).scale, loaded_stats.scale)
+
+    seen = []
+    step = trainer.training_step
+
+    def recording_step(model, adam, stats, *args, **kwargs):
+        seen.append(stats)
+        return step(model, adam, stats, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "training_step", recording_step)
+    resumed, _, _ = train(other, TrainConfig(**{**TINY, "iterations": 40}),
+                          alpha0_convention="zero", resume=(policy, adam, 20))
+    assert len(seen) == 20
+    assert resumed.stats is loaded_stats
+    assert all(s is resumed.stats for s in seen)
 
 
 def test_cosine_schedule_changes_trajectory(small_demos):

@@ -9,7 +9,7 @@ from streampolicy.saliency import loss_and_grad as predictor_loss_and_grad
 from streampolicy.velocitynet import (
     AdamState, CheckpointError, Policy, adam_step, forward, forward_batch,
     init_adam, init_velocity_model, load_policy, loss_and_grad, read_container,
-    save_policy, time_features, write_container, TAG_VELOCITY_POLICY,
+    save_policy, time_features, write_container, TAG_VELOCITY_POLICY, TIME_DIM,
 )
 
 
@@ -213,3 +213,69 @@ def test_policy_action_pair_consistent():
     assert np.allclose(a_raw, a_norm * policy.stats.scale)
     v = policy.velocity(np.zeros(2), 0, np.zeros(7))
     assert np.allclose(a_norm, v / policy.flow.h)
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 7, 10, 16])
+def test_time_table_rows_equal_time_features(h):
+    policy = _toy_policy()
+    policy.flow = FlowParams(h=h)
+    table = policy.time_table()
+    assert table.shape == (h, TIME_DIM)
+    for T in range(h):
+        assert table[T].tobytes() == time_features(T / float(h)).tobytes(), T
+
+
+def test_time_table_follows_horizon_change():
+    policy = _toy_policy()
+    assert policy.time_table().shape[0] == policy.flow.h
+    policy.flow = FlowParams(h=4)
+    assert policy.time_table().tobytes() == np.stack(
+        [time_features(T / 4.0) for T in range(4)]).tobytes()
+
+
+def _action_via_forward(policy, alpha, T, obs):
+    h = float(policy.flow.h)
+    a_norm = forward(policy.model, alpha, T / h, obs) / h
+    return a_norm, a_norm * policy.stats.scale
+
+
+@pytest.mark.parametrize("h", [1, 5, 10])
+def test_policy_action_matches_forward_bitwise(h):
+    """Every T, including T = h and T = -1 outside the table, gives the
+    per-call forward result bit for bit."""
+    policy = _toy_policy()
+    policy.flow = FlowParams(h=h)
+    rng = make_rng(5, 1, h)
+    alpha = rng.normal(size=2)
+    obs = rng.normal(size=7)
+    for T in [*range(h), np.int64(h - 1), h, -1]:
+        got = policy.action(alpha, T, obs)
+        want = _action_via_forward(policy, alpha, T, obs)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes(), T
+
+
+def test_policy_action_goes_through_forward(monkeypatch):
+    """Single-row calls keep passing through velocitynet.forward (what the
+    traced benchmark counts); time_features runs only to build the table."""
+    from streampolicy import velocitynet
+
+    calls = {"forward": 0, "time_features": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(velocitynet, "forward", counted("forward", velocitynet.forward))
+    monkeypatch.setattr(velocitynet, "time_features",
+                        counted("time_features", velocitynet.time_features))
+    policy = _toy_policy()
+    h = policy.flow.h
+    for _ in range(3):
+        for T in range(h):
+            policy.action(np.zeros(2), T, np.zeros(7))
+    assert calls == {"forward": 3 * h, "time_features": h}
+    policy.action(np.zeros(2), h, np.zeros(7))
+    assert calls == {"forward": 3 * h + 1, "time_features": h + 1}
