@@ -14,7 +14,7 @@ decouples the action-space state from physical space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -157,13 +157,6 @@ def env_metadata(kind: EnvKind) -> dict:
         "alpha0": alpha0_convention(kind),
         "obs_dim": 7,
     }
-
-
-def kind_from_metadata(meta: dict) -> EnvKind:
-    region = meta.get("latch_region")
-    box = DEFAULT_LATCH_REGION if region is None else Box(np.asarray(region[0]), np.asarray(region[1]))
-    sat = meta.get("saturation")
-    return EnvKind(variant=meta["variant"], saturation=sat if sat is not None else 0.5, latch_region=box)
 
 
 class GenerationError(RuntimeError):

@@ -8,7 +8,9 @@ mean rides along xi. Discretizing t over h per-horizon steps turns integration
 into one action per step, a = v / h.
 
 All functions here operate in normalized units (see normkit); callers
-denormalize extracted actions before handing them to an environment.
+denormalize extracted actions before handing them to an environment. This
+module is the one place the flow math lives: trainer.training_step samples
+and regresses through it, and Policy.action extracts its actions with it.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .core import Observation
 
 
 @dataclass(frozen=True)
@@ -38,21 +38,6 @@ class FlowParams:
             raise ValueError("h must be at least 1")
 
 
-@dataclass(frozen=True)
-class SubTrajectory:
-    """An h-step training window: conditioning observation plus the aligned
-    state ledger states[0..h], where states[0] is the precomputed action-space
-    state at the window start."""
-
-    observation: Observation
-    states: np.ndarray
-    start_index: int
-
-    def __post_init__(self):
-        if self.states.ndim != 2:
-            raise ValueError("states must be (h+1, D)")
-
-
 def target_velocity(xi_t: np.ndarray, xi_dot_t: np.ndarray, x: np.ndarray, k: float) -> np.ndarray:
     """Reference velocity xi_dot - k (x - xi) at one time point.
 
@@ -62,17 +47,22 @@ def target_velocity(xi_t: np.ndarray, xi_dot_t: np.ndarray, x: np.ndarray, k: fl
     return xi_dot_t - k * (x - xi_t)
 
 
-def discrete_xi_dot(sub: SubTrajectory, T: int, h: int) -> np.ndarray:
-    """Forward-difference path velocity at grid node T: (states[T+1]-states[T])*h.
+def discrete_xi_dot(states: np.ndarray, T: np.ndarray, h: int) -> np.ndarray:
+    """Forward-difference path velocity at grid node T[b] of each window b:
+    (states[b, T+1] - states[b, T]) * h.
 
-    The factor h converts a per-step difference into a per-unit-time velocity
-    on the [0, 1] horizon clock.
+    states holds B window ledgers of shape (B, h+1, D), where states[b, 0] is
+    the action-space state at the window start. The factor h converts a
+    per-step difference into a per-unit-time velocity on the [0, 1] horizon
+    clock.
     """
-    if not 0 <= T < h:
-        raise ValueError(f"T={T} outside [0, {h})")
-    if sub.states.shape[0] < h + 1:
+    T = np.asarray(T)
+    if T.min() < 0 or T.max() >= h:
+        raise ValueError(f"T outside [0, {h})")
+    if states.shape[1] < h + 1:
         raise ValueError("window has fewer than h+1 states")
-    return (sub.states[T + 1] - sub.states[T]) * float(h)
+    rows = np.arange(states.shape[0])
+    return (states[rows, T + 1] - states[rows, T]) * float(h)
 
 
 def marginal_variance(fp: FlowParams, t: float) -> float:
@@ -80,11 +70,17 @@ def marginal_variance(fp: FlowParams, t: float) -> float:
     return fp.sigma0 * fp.sigma0 * math.exp(-2.0 * fp.k * t)
 
 
-def marginal_sample(mean: np.ndarray, fp: FlowParams, t: float, rng: np.random.Generator) -> np.ndarray:
-    """Draw x_t ~ N(mean, sigma0^2 exp(-2 k t) I)."""
-    if not 0.0 <= t <= 1.0:
+def marginal_sample(mean: np.ndarray, fp: FlowParams, t, rng: np.random.Generator) -> np.ndarray:
+    """Draw x_t ~ N(mean, sigma0^2 exp(-2 k t) I).
+
+    t is one time for all of mean, or one per row of mean (shape (B,) for a
+    (B, D) mean).
+    """
+    t = np.asarray(t, dtype=np.float64)
+    if not (t.min() >= 0.0 and t.max() <= 1.0):  # also rejects NaN
         raise ValueError(f"t={t} outside [0, 1]")
-    std = fp.sigma0 * math.exp(-fp.k * t)
+    std = fp.sigma0 * np.exp(-fp.k * t)
+    std = std.reshape(std.shape + (1,) * (np.ndim(mean) - std.ndim))
     return mean + std * rng.standard_normal(np.shape(mean))
 
 

@@ -151,9 +151,16 @@ def closed_form(stage: StageLatency, h: int, mode: str, n_replan: int | None = N
     n_replan executions. For streaming the executor runs back to back except
     for the boundary halt, which early observation shortens by the average
     observation time hidden behind execution, n_eo_avg * t_exec.
+
+    The streaming forms assume the executor sets the pace (t_gen <= t_exec).
+    A generator-bound profile raises ValueError: at 2/4/1 ms and h=10 they
+    would give 1.6 ms per action, while the simulated clock runs at the
+    generator's pace, about 4.3.
     """
     if mode == MODE_SYNC_CHUNK:
         n = h if n_replan is None else n_replan
+        if not 1 <= n <= h:
+            raise ValueError(f"n_replan must be in [1, h={h}], got {n}")
         halt = stage.t_obs + h * stage.t_gen
         return {
             "t_action": (halt + n * stage.t_exec) / n,
@@ -162,6 +169,9 @@ def closed_form(stage: StageLatency, h: int, mode: str, n_replan: int | None = N
             "o_oe": 0.0,
         }
     if mode == MODE_STREAMING:
+        if stage.t_gen > stage.t_exec:
+            raise ValueError(f"streaming closed forms need t_gen <= t_exec, got t_gen={stage.t_gen:g} "
+                             f"> t_exec={stage.t_exec:g} (generator-bound)")
         o_ge = (h - 1) * min(stage.t_gen, stage.t_exec)
         o_oe = min(n_eo_avg * stage.t_exec, stage.t_obs + stage.t_gen)
         halt = max(0.0, stage.t_obs + stage.t_gen - o_oe)

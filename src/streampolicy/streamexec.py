@@ -1,6 +1,6 @@
 """Asynchronous three-stage policy execution: observe, generate, execute.
 
-Two scheduling modes share one policy:
+Two scheduling modes share one policy and one pipeline:
 
 * sync_chunk: observe, generate a full h-action chunk, execute the first
   n_replan actions, repeat. Nothing overlaps; halts last the full observation
@@ -11,8 +11,12 @@ Two scheduling modes share one policy:
   the current horizon are still executing, when an early-observation indicator
   fires at the decision point.
 
-The simulated clock computes exact event times from the stage-latency algebra
-and advances the environment causally: an observation launched when n_eo
+One simulated engine runs both: each horizon observes, plans h actions on
+the serial generator lane and executes the first n_replan of them (all h in
+streaming). The modes differ only in when an action is ready to execute: at
+the end of its own generation (streaming) or of the whole chunk (sync_chunk).
+The engine computes exact event times from the stage-latency algebra and
+advances the environment causally: an observation launched when n_eo
 executions remain captures the state after exactly h - n_eo steps of that
 horizon, which is precisely the staleness early observation trades away.
 Event logs are deterministic for fixed seeds, with ties ordered
@@ -23,18 +27,21 @@ planned action of a horizon gets one at its modeled time, because the
 timeline does not depend on action values. The values are computed only when
 an action executes or an early-observation indicator scores it, in index
 order, so an action that is planned and then replaced (a sync chunk's tail,
-the rest of a horizon when the episode ends) costs no forward pass.
+the rest of a horizon when the episode ends) costs no forward pass. Each
+action is one Euler step of the learned flow, through Policy.action and
+flowmatch.extract_action, the same flow math the trainer regresses on.
 
-The wall-clock runner reproduces the same semantics with three real threads
-and bounded queues; timestamps then come from the wall clock. It generates
-every planned action, with each forward pass inside its t_gen budget.
+The wall-clock runners reproduce the same semantics with timestamps from the
+wall clock: streaming with three real threads and bounded queues, sync_chunk
+sequentially, since nothing in it overlaps. They generate every planned
+action, with each forward pass inside its t_gen budget.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from queue import Empty, Full, Queue
 
 import numpy as np
@@ -98,11 +105,12 @@ class SchedulerConfig:
         if self.h < 1:
             raise ValueError("h must be at least 1")
         if self.mode == MODE_SYNC_CHUNK:
-            n = self.h if self.n_replan is None else self.n_replan
-            if not 1 <= n <= self.h:
+            if not 1 <= self.replan <= self.h:
                 raise ValueError("n_replan must be in [1, h]")
             if self.eo is not None:
                 raise ValueError("early observation applies to streaming mode only")
+        elif self.n_replan is not None:
+            raise ValueError("n_replan applies to sync_chunk mode only; streaming executes all h")
         if self.eo is not None and not 1 <= self.n_eo < self.h:
             raise ValueError("n_eo must satisfy 1 <= n_eo < h")
 
@@ -223,12 +231,15 @@ class _Chunk:
         return self.raw[i:]
 
 
-def _simulated_streaming(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
-                         scheduler: SchedulerConfig, record_trajectory: bool) -> EpisodeResult:
-    h = scheduler.h
+def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
+               scheduler: SchedulerConfig, record_trajectory: bool) -> EpisodeResult:
+    """The discrete-event engine for both modes (see the module docstring)."""
+    h, n_rep = scheduler.h, scheduler.replan
+    sync = scheduler.mode == MODE_SYNC_CHUNK
     kind = env.kind
     state = env.init_state
-    ind_rng = make_rng(scheduler.seed, STREAM_INDICATOR, getattr(env, "episode_id", 0))
+    ind_rng = (make_rng(scheduler.seed, STREAM_INDICATOR, getattr(env, "episode_id", 0))
+               if scheduler.eo is not None else None)
 
     alpha0_norm = policy.initial_alpha(state.position)
     alpha_exec = alpha0_norm.copy()
@@ -250,6 +261,7 @@ def _simulated_streaming(policy: Policy, predictor, env: EnvHandle, stage: Stage
     ended = False
     eo_fired_count = 0
     eo_decision_count = 0
+    decision_idx = h - scheduler.n_eo if scheduler.eo is not None else None
 
     while not ended:
         obs = envsim.observe(snapshot, capture_time=obs_start)
@@ -258,29 +270,28 @@ def _simulated_streaming(policy: Policy, predictor, env: EnvHandle, stage: Stage
 
         # schedule all h actions of the horizon on the serial generator lane;
         # the queue-capacity constraint keeps the lane from running more than
-        # h actions ahead of execution
-        gen_end = np.empty(h)
+        # h actions ahead of execution. A sync chunk's tail beyond n_replan is
+        # planned but replaced by the next chunk (its generate events share
+        # the indices the next chunk will execute).
+        gen_end: list[float] = []
         chunk = _Chunk(policy, alpha_exec, obs.features, h)
         lane = max(gen_lane, obs_end)
         for i in range(h):
             g = base + i
-            start = lane
-            if g >= h:
-                start = max(start, exec_starts[g - h])
-            end = start + stage.t_gen
-            events.append(TimelineEvent(STAGE_GENERATE, g, horizon, start, end))
-            gen_end[i] = end
-            lane = end
+            start = lane if g < h else max(lane, exec_starts[g - h])
+            lane = start + stage.t_gen
+            events.append(TimelineEvent(STAGE_GENERATE, g, horizon, start, lane))
+            gen_end.append(lane)
         gen_lane = lane
 
-        decision_idx = h - scheduler.n_eo if scheduler.eo is not None else None
         fired = False
         next_obs_start: float | None = None
         next_snapshot = None
 
-        for i in range(h):
+        for i in range(n_rep):
             g = base + i
-            start = gen_end[i] if prev_exec_end is None else max(gen_end[i], prev_exec_end)
+            ready = gen_end[h - 1] if sync else gen_end[i]
+            start = ready if prev_exec_end is None else max(ready, prev_exec_end)
             end = start + stage.t_exec
 
             if decision_idx is not None and i == decision_idx \
@@ -325,7 +336,7 @@ def _simulated_streaming(policy: Policy, predictor, env: EnvHandle, stage: Stage
                 break
 
         horizon += 1
-        base += h
+        base += n_rep
         if not ended:
             if not fired:
                 next_obs_start = prev_exec_end
@@ -336,72 +347,6 @@ def _simulated_streaming(policy: Policy, predictor, env: EnvHandle, stage: Stage
     traj_parts = (record_obs, alpha0_raw) if record_trajectory else None
     return _finish(succeeded, events, executed_raw, executed_norm, alpha0_norm, state,
                    horizon, eo_fired_count, steps, traj_parts, eo_decision_count)
-
-
-def _simulated_sync(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
-                    scheduler: SchedulerConfig, record_trajectory: bool) -> EpisodeResult:
-    h, n_rep = scheduler.h, scheduler.replan
-    kind = env.kind
-    state = env.init_state
-
-    alpha0_norm = policy.initial_alpha(state.position)
-    alpha_exec = alpha0_norm.copy()
-    events: list[TimelineEvent] = []
-    executed_raw: list[np.ndarray] = []
-    executed_norm: list[np.ndarray] = []
-    record_obs = [] if record_trajectory else None
-    alpha0_raw = envsim.alpha0_for(kind, state)
-
-    t = 0.0
-    base = 0
-    horizon = 0
-    steps = 0
-    succeeded = False
-    ended = False
-
-    while not ended:
-        obs = envsim.observe(state, capture_time=t)
-        obs_end = t + stage.t_obs
-        events.append(TimelineEvent(STAGE_OBSERVE, base, horizon, t, obs_end))
-
-        # the full chunk is modeled as generated before anything executes;
-        # the tail beyond n_replan is planned but replaced by the next chunk
-        # (its generate events share the indices the next chunk will execute)
-        chunk = _Chunk(policy, alpha_exec, obs.features, h)
-        lane = obs_end
-        for i in range(h):
-            end = lane + stage.t_gen
-            events.append(TimelineEvent(STAGE_GENERATE, base + i, horizon, lane, end))
-            lane = end
-
-        exec_start = lane
-        for i in range(n_rep):
-            end = exec_start + stage.t_exec
-            events.append(TimelineEvent(STAGE_EXECUTE, base + i, horizon, exec_start, end))
-            if record_obs is not None:
-                record_obs.append(envsim.observe(state, capture_time=float(state.step_count)))
-            a_norm, a_raw = chunk.get(i)
-            state = envsim.step(kind, state, a_raw)
-            executed_raw.append(a_raw)
-            executed_norm.append(a_norm)
-            alpha_exec = alpha_exec + a_norm
-            exec_start = end
-            steps += 1
-            if envsim.success(state):
-                succeeded = True
-                ended = True
-                break
-            if steps >= env.step_cap:
-                ended = True
-                break
-
-        t = exec_start
-        horizon += 1
-        base += n_rep
-
-    traj_parts = (record_obs, alpha0_raw) if record_trajectory else None
-    return _finish(succeeded, events, executed_raw, executed_norm, alpha0_norm, state,
-                   horizon, 0, steps, traj_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -646,17 +591,14 @@ def _wall_sync(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
         obs = envsim.observe(state, capture_time=start)
         time.sleep(stage.t_obs / 1e3)
         events.append(TimelineEvent(STAGE_OBSERVE, base, horizon, start, now()))
-        gen_alpha = alpha.copy()
-        acts = []
+        chunk = _Chunk(policy, alpha, obs.features, h)
         for i in range(h):
             began = time.monotonic()
-            a_norm, a_raw = policy.action(gen_alpha, i, obs.features)
-            gen_alpha = gen_alpha + a_norm
-            acts.append((a_norm, a_raw))
+            chunk.get(i)
             _sleep_rest(began, stage.t_gen)
             events.append(TimelineEvent(STAGE_GENERATE, base + i, horizon, (began - t0) * 1e3, now()))
         for i in range(n_rep):
-            a_norm, a_raw = acts[i]
+            a_norm, a_raw = chunk.get(i)
             e_start = now()
             time.sleep(stage.t_exec / 1e3)
             events.append(TimelineEvent(STAGE_EXECUTE, base + i, horizon, e_start, now()))
@@ -694,9 +636,7 @@ def run_episode(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
     actions for the same configuration.
     """
     if clock == "simulated":
-        if scheduler.mode == MODE_STREAMING:
-            return _simulated_streaming(policy, predictor, env, stage, scheduler, record_trajectory)
-        return _simulated_sync(policy, predictor, env, stage, scheduler, record_trajectory)
+        return _simulated(policy, predictor, env, stage, scheduler, record_trajectory)
     if clock == "wall":
         if scheduler.mode == MODE_STREAMING:
             return _wall_streaming(policy, predictor, env, stage, scheduler, record_trajectory)

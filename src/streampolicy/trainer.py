@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import normkit, velocitynet
-from .core import Observation, Trajectory, make_rng, STREAM_EVAL, STREAM_MODEL_INIT, STREAM_TRAIN
+from . import flowmatch, normkit, velocitynet
+from .core import Trajectory, make_rng, STREAM_MODEL_INIT, STREAM_TRAIN
 from .flowmatch import FlowParams
 from .normkit import NormStats
 from .velocitynet import AdamState, Policy, VelocityModel
@@ -105,14 +105,15 @@ def _sample_batch(prep: _Prepared, cfg: TrainConfig, rng: np.random.Generator):
 
 def training_step(model: VelocityModel, adam: AdamState, stats: NormStats, cfg: TrainConfig,
                   OBS: np.ndarray, ALPHA: np.ndarray, XI: np.ndarray,
-                  rng: np.random.Generator, *, iteration: int = 0, lr: float | None = None,
-                  last_finite: float | None = None) -> float:
+                  rng: np.random.Generator, *, flow: FlowParams, iteration: int = 0,
+                  lr: float | None = None, last_finite: float | None = None) -> float:
     """One gradient step on a sampled batch; returns the batch loss.
 
-    Raises TrainingDivergedError instead of silently carrying non-finite
-    losses forward.
+    flow holds cfg's k, sigma0 and h, built once by the caller. Raises
+    TrainingDivergedError instead of silently carrying non-finite losses
+    forward.
     """
-    B, h = OBS.shape[0], cfg.h
+    B, h = OBS.shape[0], flow.h
     if cfg.use_modified_norm:
         a0 = normkit.normalize(ALPHA, stats)
         steps = normkit.normalize(XI, stats)
@@ -129,13 +130,10 @@ def training_step(model: VelocityModel, adam: AdamState, stats: NormStats, cfg: 
     t = rng.random(B)                      # U[0, 1), so T <= h-1 always
     Tn = np.floor(t * h).astype(np.int64)
     t_node = Tn / float(h)
-    rows = np.arange(B)
-    mean = W[rows, Tn]
-    std = cfg.sigma0 * np.exp(-cfg.k * t_node)
-    x = mean + std[:, None] * rng.standard_normal(mean.shape)
-
-    xi_dot = (W[rows, Tn + 1] - mean) * float(h)
-    target = xi_dot - cfg.k * (x - mean)
+    mean = W[np.arange(B), Tn]
+    x = flowmatch.marginal_sample(mean, flow, t_node, rng)
+    xi_dot = flowmatch.discrete_xi_dot(W, Tn, h)
+    target = flowmatch.target_velocity(mean, xi_dot, x, flow.k)
 
     loss, grads = velocitynet.loss_and_grad(model, x, t_node, OBS, target)
     if not math.isfinite(loss):
@@ -160,8 +158,8 @@ def train(trajectories: list[Trajectory], cfg: TrainConfig, *, alpha0_convention
     resuming from a checkpoint continues the identical sequence.
     """
     prep = _prepare(trajectories, cfg.h)
+    fp = FlowParams(k=cfg.k, sigma0=cfg.sigma0, h=cfg.h)
     if resume is None:
-        fp = FlowParams(k=cfg.k, sigma0=cfg.sigma0, h=cfg.h)
         stats = normkit.fit_stats(trajectories)
         obs_dim = prep.obs.shape[1]
         action_dim = prep.actions.shape[1]
@@ -181,7 +179,7 @@ def train(trajectories: list[Trajectory], cfg: TrainConfig, *, alpha0_convention
     for i in range(start, cfg.iterations):
         rng = make_rng(cfg.seed, STREAM_TRAIN, i)
         OBS, ALPHA, XI = _sample_batch(prep, cfg, rng)
-        loss = training_step(model, adam, stats, cfg, OBS, ALPHA, XI, rng,
+        loss = training_step(model, adam, stats, cfg, OBS, ALPHA, XI, rng, flow=fp,
                              iteration=i, lr=_lr_at(cfg, i), last_finite=last_finite)
         last_finite = loss
         if i % cfg.log_every == 0 or i == cfg.iterations - 1:

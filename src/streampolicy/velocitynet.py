@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import normkit
-from .core import DimensionMismatchError, make_rng
+from . import flowmatch, normkit
+from .core import DimensionMismatchError
 from .flowmatch import FlowParams
 from .normkit import NormStats
 
@@ -381,7 +381,7 @@ class Policy:
     def action(self, alpha_norm: np.ndarray, T: int, obs_features: np.ndarray):
         """Generate one action: returns (normalized, raw) pair."""
         v = self.velocity(alpha_norm, T, obs_features)
-        a_norm = v / float(self.flow.h)
+        a_norm = flowmatch.extract_action(v, self.flow.h)
         return a_norm, normkit.denormalize(a_norm, self.stats)
 
 

@@ -96,6 +96,23 @@ def test_predict_timing_reference_values(capsys):
     assert "30.442" in out
 
 
+def test_predict_timing_rejects_what_it_cannot_predict(capsys):
+    """The streaming closed forms do not hold when t_gen > t_exec, and a
+    chunk cannot replan after 0 or more than h actions."""
+    assert main(["predict-timing", "--profile", "2,4,1,0.5"]) == 2
+    assert "t_gen <= t_exec" in capsys.readouterr().err
+    for n in ("0", "11"):
+        assert main(["predict-timing", "--n-replan", n]) == 2
+        assert "n_replan" in capsys.readouterr().err
+
+
+def test_rollout_rejects_n_replan_in_streaming(workdir, capsys):
+    rc = main(["rollout", "--policy", str(workdir / "policy" / "policy.ckpt"),
+               "--mode", "streaming", "--n-replan", "5", "--episodes", "1", "--step-cap", "5"])
+    assert rc == 2
+    assert "n_replan" in capsys.readouterr().err
+
+
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "streampolicy.cli", "predict-timing"],
                           capture_output=True, text=True)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from streampolicy.core import make_rng
 from streampolicy.flowmatch import (
-    FlowParams, euler_integrate, extract_action, marginal_sample,
+    FlowParams, discrete_xi_dot, euler_integrate, extract_action, marginal_sample,
     marginal_variance, target_velocity,
 )
 
@@ -105,3 +105,41 @@ def test_flowparams_validation():
 def test_extract_action_scales_by_h():
     v = np.array([3.0, -1.0])
     assert np.array_equal(extract_action(v, 10), v / 10.0)
+
+
+def test_discrete_xi_dot_matches_per_row_loop():
+    rng = make_rng(3, 4)
+    B, h, D = 64, 10, 2
+    W = np.cumsum(rng.normal(size=(B, h + 1, D)), axis=1)
+    T = rng.integers(h, size=B)
+    got = discrete_xi_dot(W, T, h)
+    want = np.stack([(W[b, T[b] + 1] - W[b, T[b]]) * float(h) for b in range(B)])
+    assert got.tobytes() == want.tobytes()
+    # a longer window is fine: only states 0..h are read
+    assert discrete_xi_dot(np.concatenate([W, W[:, :3]], axis=1), T, h).tobytes() == want.tobytes()
+
+
+def test_discrete_xi_dot_rejects_bad_nodes_and_short_windows():
+    W = np.zeros((3, 11, 2))
+    for T in ([0, 10, 2], [-1, 0, 0]):
+        with pytest.raises(ValueError, match="outside"):
+            discrete_xi_dot(W, np.array(T), 10)
+    with pytest.raises(ValueError, match="fewer than h\\+1"):
+        discrete_xi_dot(W[:, :10], np.zeros(3, dtype=np.int64), 10)
+
+
+def test_marginal_sample_per_row_times():
+    """One time per row scales each row's noise by its own std, from the
+    same standard-normal draws a scalar time would use."""
+    B = 32
+    t = np.arange(B) / float(B)
+    mean = make_rng(8, 0).normal(size=(B, 2))
+    x = marginal_sample(mean, FP, t, make_rng(8, 1))
+    z = make_rng(8, 1).standard_normal((B, 2))
+    for b in range(B):
+        std = FP.sigma0 * np.exp(-FP.k * t[b])
+        assert np.array_equal(x[b], mean[b] + std * z[b])
+    with pytest.raises(ValueError):
+        marginal_sample(mean, FP, np.where(np.arange(B) == 5, 1.5, t), make_rng(0, 0))
+    with pytest.raises(ValueError):
+        marginal_sample(mean, FP, np.full(B, np.nan), make_rng(0, 0))

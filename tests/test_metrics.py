@@ -99,6 +99,21 @@ def test_closed_form_no_eo():
     assert cf["o_oe"] == 0.0
 
 
+def test_closed_form_rejects_what_it_cannot_predict():
+    gen_bound = StageLatency(t_obs=2.0, t_gen=4.0, t_exec=1.0, t_pred=0.5)
+    for n_eo_avg in (0.0, 3.0):
+        with pytest.raises(ValueError, match="t_gen <= t_exec"):
+            closed_form(gen_bound, 10, MODE_STREAMING, n_eo_avg=n_eo_avg)
+    # sync_chunk serializes the stages, so its forms hold in any regime
+    assert closed_form(gen_bound, 10, MODE_SYNC_CHUNK, n_replan=5)["t_halt"] == 42.0
+    for n in (0, 11):
+        with pytest.raises(ValueError, match="n_replan"):
+            closed_form(gen_bound, 10, MODE_SYNC_CHUNK, n_replan=n)
+    # the boundary t_gen == t_exec is still executor-paced
+    even = StageLatency(t_obs=2.0, t_gen=1.0, t_exec=1.0)
+    assert closed_form(even, 10, MODE_STREAMING)["t_action"] == pytest.approx(1.3)
+
+
 def test_closed_form_halting_floor():
     """Hiding more observation time than exists cannot make the halt negative."""
     deep = closed_form(REFERENCE_PROFILE, 10, MODE_STREAMING, n_eo_avg=9.0)

@@ -58,7 +58,12 @@ def test_scheduler_validation():
         SchedulerConfig(mode=MODE_SYNC_CHUNK, eo=Indicator(mode="naive"))
     with pytest.raises(ValueError):
         SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="naive"), n_eo=10)
+    # streaming executes every planned action; a replan count would be ignored
+    for n in (1, 5, 10):
+        with pytest.raises(ValueError, match="n_replan"):
+            SchedulerConfig(mode=MODE_STREAMING, n_replan=n)
     assert SchedulerConfig(mode=MODE_SYNC_CHUNK).replan == 10
+    assert SchedulerConfig(mode=MODE_STREAMING).replan == 10
 
 
 def test_stage_latency_validation():
@@ -218,8 +223,11 @@ def test_wall_execute_events_never_overlap(null_policy):
         assert b.start >= a.end - 1e-9, (a, b)
 
 
-def test_wall_matches_simulated_actions(null_policy):
-    sched = SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="naive"), n_eo=3)
+@pytest.mark.parametrize("sched", [
+    SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="naive"), n_eo=3),
+    SchedulerConfig(mode=MODE_SYNC_CHUNK, n_replan=5),
+], ids=["streaming_naive", "sync_replan5"])
+def test_wall_matches_simulated_actions(null_policy, sched):
     env = make_env(DIRECT, 9, step_cap=22)
     sim = run_episode(null_policy, None, env, FAST_PROFILE, sched)
     wall = run_episode(null_policy, None, env, FAST_PROFILE, sched, clock="wall")
@@ -535,6 +543,36 @@ def test_simulated_clock_computes_only_executed_actions(null_policy, sched, cap)
     assert res.steps == cap
     assert policy.calls == res.steps
     assert len(_by_stage(res.events, STAGE_GENERATE)) == res.n_horizons * sched.h
+
+
+@pytest.mark.parametrize("sched, calls", [
+    (SchedulerConfig(mode=MODE_SYNC_CHUNK, n_replan=5), 0),
+    (SchedulerConfig(mode=MODE_STREAMING), 0),
+    (SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="naive"), n_eo=3), 1),
+], ids=["sync_replan5", "streaming", "streaming_naive"])
+def test_indicator_stream_is_built_only_with_early_observation(monkeypatch, null_policy, sched, calls):
+    made = []
+
+    def counting_make_rng(*key):
+        made.append(key)
+        return make_rng(*key)
+
+    monkeypatch.setattr(streamexec, "make_rng", counting_make_rng)
+    run_episode(null_policy, None, make_env(DIRECT, 15, step_cap=23), REFERENCE_PROFILE, sched)
+    assert len(made) == calls
+
+
+@pytest.mark.parametrize("sched", [
+    SchedulerConfig(mode=MODE_SYNC_CHUNK, n_replan=5),
+    SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="naive"), n_eo=3),
+], ids=["sync_replan5", "streaming_naive"])
+def test_simulated_trace_csv_round_trips(tmp_path, null_policy, sched):
+    """Event times are plain floats, so the CSV trace reads back equal."""
+    res = run_episode(null_policy, None, make_env(DIRECT, 16, step_cap=23), REFERENCE_PROFILE, sched)
+    assert all(type(t) is float for e in res.events for t in (e.start, e.end))
+    path = tmp_path / "trace.csv"
+    metrics.write_trace_csv(path, res.events)
+    assert metrics.read_trace_csv(path) == res.events
 
 
 def test_scored_indicator_reads_the_whole_remaining_tail(monkeypatch, null_policy):

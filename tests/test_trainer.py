@@ -175,6 +175,53 @@ def test_resume_trains_with_the_checkpoint_stats(monkeypatch, small_demos):
     assert all(s is resumed.stats for s in seen)
 
 
+def test_training_step_flow_math_matches_inline_formulas(monkeypatch, small_demos):
+    """training_step samples and regresses through flowmatch, once each per
+    step, and hands the network the x, t and target of the formulas written
+    out here, bit for bit."""
+    from streampolicy import flowmatch, trainer, velocitynet
+    from streampolicy.flowmatch import FlowParams
+
+    cfg = TrainConfig(**{**TINY, "iterations": 0})
+    policy, adam, _ = train(small_demos, cfg, alpha0_convention="zero")
+    OBS, ALPHA, XI = _sample_batch(_prepare(small_demos, cfg.h), cfg, make_rng(0, STREAM_TRAIN, 5))
+
+    rng = make_rng(1, 2)
+    B, h = OBS.shape[0], cfg.h
+    W = np.cumsum(np.concatenate([normkit.normalize(ALPHA, policy.stats)[:, None],
+                                  normkit.normalize(XI, policy.stats)], axis=1), axis=1)
+    t = rng.random(B)
+    Tn = np.floor(t * h).astype(np.int64)
+    t_node = Tn / float(h)
+    rows = np.arange(B)
+    mean = W[rows, Tn]
+    x = mean + (cfg.sigma0 * np.exp(-cfg.k * t_node))[:, None] * rng.standard_normal(mean.shape)
+    target = (W[rows, Tn + 1] - mean) * float(h) - cfg.k * (x - mean)
+
+    seen, calls = {}, []
+    real_loss_and_grad = velocitynet.loss_and_grad
+
+    def capture(model, X, T, obs, V_target):
+        seen.update(x=X, t=T, target=V_target)
+        return real_loss_and_grad(model, X, T, obs, V_target)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(velocitynet, "loss_and_grad", capture)
+    for name in ("marginal_sample", "discrete_xi_dot", "target_velocity"):
+        monkeypatch.setattr(flowmatch, name, counted(name, getattr(flowmatch, name)))
+    trainer.training_step(policy.model, adam, policy.stats, cfg, OBS, ALPHA, XI, make_rng(1, 2),
+                          flow=FlowParams(k=cfg.k, sigma0=cfg.sigma0, h=cfg.h))
+    assert calls == ["marginal_sample", "discrete_xi_dot", "target_velocity"]
+    assert seen["x"].tobytes() == x.tobytes()
+    assert seen["t"].tobytes() == t_node.tobytes()
+    assert seen["target"].tobytes() == target.tobytes()
+
+
 def test_cosine_schedule_changes_trajectory(small_demos):
     base = TrainConfig(**TINY)
     cos = TrainConfig(**{**TINY, "lr_schedule": "cosine"})

@@ -257,10 +257,11 @@ def test_policy_action_matches_forward_bitwise(h):
 
 def test_policy_action_goes_through_forward(monkeypatch):
     """Single-row calls keep passing through velocitynet.forward (what the
-    traced benchmark counts); time_features runs only to build the table."""
-    from streampolicy import velocitynet
+    traced benchmark counts) and take their action from
+    flowmatch.extract_action; time_features runs only to build the table."""
+    from streampolicy import flowmatch, velocitynet
 
-    calls = {"forward": 0, "time_features": 0}
+    calls = {"forward": 0, "time_features": 0, "extract_action": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -271,11 +272,13 @@ def test_policy_action_goes_through_forward(monkeypatch):
     monkeypatch.setattr(velocitynet, "forward", counted("forward", velocitynet.forward))
     monkeypatch.setattr(velocitynet, "time_features",
                         counted("time_features", velocitynet.time_features))
+    monkeypatch.setattr(flowmatch, "extract_action",
+                        counted("extract_action", flowmatch.extract_action))
     policy = _toy_policy()
     h = policy.flow.h
     for _ in range(3):
         for T in range(h):
             policy.action(np.zeros(2), T, np.zeros(7))
-    assert calls == {"forward": 3 * h, "time_features": h}
+    assert calls == {"forward": 3 * h, "time_features": h, "extract_action": 3 * h}
     policy.action(np.zeros(2), h, np.zeros(7))
-    assert calls == {"forward": 3 * h + 1, "time_features": h + 1}
+    assert calls == {"forward": 3 * h + 1, "time_features": h + 1, "extract_action": 3 * h + 1}
