@@ -1,0 +1,53 @@
+"""Train the test suite's controller checkpoints and print their sha256.
+
+Trains ctrl_policy and ctrl_predictor exactly as tests/conftest.py does (the
+RECIPE policy and PredictorConfig(seed=0), both on 600 controller demos at
+seed 11), saves the policy with its Adam state and iteration count and the
+predictor without an iteration, and prints the sha256 of each file. Two
+checkouts that print the same digests train the same weights. Takes about
+20 s on a 2-CPU x86-64 host.
+
+    PYTHONPATH=src python3 scripts/checkpoint_digest.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+# the fixtures' module is the recipe; importing it first also applies its
+# BLAS thread settings before numpy loads
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from conftest import CTRL, DEMO_COUNT, DEMO_SEED, RECIPE  # noqa: E402
+
+from streampolicy.envsim import generate_demos  # noqa: E402
+from streampolicy.saliency import PredictorConfig, save_predictor, train_predictor  # noqa: E402
+from streampolicy.trainer import train  # noqa: E402
+from streampolicy.velocitynet import save_policy  # noqa: E402
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def main() -> None:
+    demos = generate_demos(CTRL, DEMO_COUNT, seed=DEMO_SEED)
+    with tempfile.TemporaryDirectory() as tmp:
+        t0 = time.perf_counter()
+        policy, adam, _ = train(demos, RECIPE, alpha0_convention="zero")
+        path = Path(tmp) / "policy.ckpt"
+        save_policy(path, policy, adam=adam, iteration=RECIPE.iterations)
+        print(f"policy     {_sha256(path)}  ({time.perf_counter() - t0:.1f} s)", flush=True)
+
+        t0 = time.perf_counter()
+        predictor, _ = train_predictor(demos, PredictorConfig(seed=0))
+        path = Path(tmp) / "predictor.ckpt"
+        save_predictor(path, predictor)
+        print(f"predictor  {_sha256(path)}  ({time.perf_counter() - t0:.1f} s)", flush=True)
+
+
+if __name__ == "__main__":
+    main()

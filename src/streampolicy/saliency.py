@@ -235,13 +235,17 @@ class _PairPool:
     """Everything _sample_pairs reads that does not depend on the RNG, built
     once per training run from the trajectories longer than the smallest gap.
 
+    The three bounds of a row's draws are read from lengths, n_gaps and gaps:
+    trajectory i holds n_gaps[i] configured gaps shorter than lengths[i],
+    listed in configuration order in gaps[i, :n_gaps[i]] (zero-padded after).
     Trajectory i's frames start at offsets[i] in features; its actions start
     at offsets[i] + i * n_eo_max in actions, each trajectory followed by
     n_eo_max zero rows so a condition window never reads the next one.
     """
 
-    lengths: list[int]
-    feasible: list[tuple[int, ...]]  # configured gaps shorter than each trajectory
+    lengths: np.ndarray         # (n_traj,) int64
+    n_gaps: np.ndarray          # (n_traj,) int64, each >= 1
+    gaps: np.ndarray            # (n_traj, len(gap_choices)) int64
     features: np.ndarray        # (sum L, obs_dim)
     actions: np.ndarray         # (sum (L + n_eo_max), D)
     offsets: np.ndarray
@@ -252,32 +256,76 @@ def _prepare_pairs(trajectories: list[Trajectory], cfg: PredictorConfig) -> _Pai
     usable = [t for t in trajectories if len(t) > gmin]
     if not usable:
         raise ValueError("no trajectory long enough for the configured gaps")
-    lengths = [len(t) for t in usable]
+    lengths = np.array([len(t) for t in usable], dtype=np.int64)
+    gaps = np.zeros((len(usable), len(cfg.gap_choices)), dtype=np.int64)
+    n_gaps = np.zeros(len(usable), dtype=np.int64)
+    for i, n in enumerate(lengths):
+        feasible = [g for g in cfg.gap_choices if g < n]
+        gaps[i, : len(feasible)] = feasible
+        n_gaps[i] = len(feasible)
     pad = np.zeros((cfg.n_eo_max, cfg.action_dim))
     return _PairPool(
         lengths=lengths,
-        feasible=[tuple(g for g in cfg.gap_choices if g < n) for n in lengths],
+        n_gaps=n_gaps,
+        gaps=gaps,
         features=np.stack([o.features for t in usable for o in t.observations]),
         actions=np.concatenate([part for t in usable for part in (t.actions, pad)]),
         offsets=np.concatenate([[0], np.cumsum(lengths)[:-1]]),
     )
 
 
-def _sample_pairs(pool: _PairPool, cfg: PredictorConfig, rng: np.random.Generator):
-    """Frame pairs (f, f+gap) with the actions executed in between.
+_WORD = np.uint64(1 << 32)
+_LOW = np.uint64(0xFFFFFFFF)
 
-    Each row draws a trajectory, then a gap it can hold, then a start frame:
-    three dependent scalar draws in that order, so the stream stays fixed.
+
+def _lemire(words: np.ndarray, n) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's bounded draw below n, computed from raw 32-bit words.
+
+    For 2 <= n < 2**32, Generator.integers(n) takes one word u and returns
+    (u * n) >> 32, unless (u * n) mod 2**32 < (2**32 - n) mod n, when it
+    rejects u and takes another. Returns the values and, per word, whether
+    that draw is exact: the bound is in range and u is accepted.
     """
-    B = cfg.batch_size
+    n = np.asarray(n, dtype=np.uint64)
+    m = words * n
+    exact = (n >= 2) & (n < _WORD) & ((m & _LOW) >= (_WORD - n) % n)
+    return (m >> np.uint64(32)).astype(np.int64), exact
+
+
+def _scalar_draws(pool: _PairPool, B: int, rng: np.random.Generator):
+    """(traj, gap, f) for B rows from 3 B dependent scalar draws."""
     n_traj = len(pool.lengths)
     draws = []
     for _ in range(B):
         i = rng.integers(n_traj)
-        feasible = pool.feasible[i]
-        g = feasible[rng.integers(len(feasible))]
+        g = pool.gaps[i, rng.integers(pool.n_gaps[i])]
         draws.append((i, g, rng.integers(pool.lengths[i] - g)))
-    traj, gap, f = np.array(draws, dtype=np.int64).T
+    return np.array(draws, dtype=np.int64).T
+
+
+def _sample_pairs(pool: _PairPool, cfg: PredictorConfig, rng: np.random.Generator):
+    """Frame pairs (f, f+gap) with the actions executed in between.
+
+    Each row draws a trajectory, then a gap it can hold, then a start frame:
+    three dependent draws in that order, defined as _scalar_draws' loop of
+    scalar rng.integers calls. An accepted scalar draw with a bound n in
+    [2, 2**32) consumes exactly one raw 32-bit word, so the whole batch is
+    computed from one block of B x 3 words, row by row in stream order, with
+    _lemire: the same values, and the generator ends in the same state.
+    The block is discarded, the generator restored to its state before it and
+    the scalar loop run instead when any draw would differ: a bound of 1
+    (numpy consumes no word), a bound of 2**32 or more, or a rejected word.
+    """
+    B = cfg.batch_size
+    saved = rng.bit_generator.state
+    words = rng.integers(0, 1 << 32, size=(B, 3), dtype=np.uint32).astype(np.uint64)
+    traj, ok_traj = _lemire(words[:, 0], len(pool.lengths))
+    k, ok_gap = _lemire(words[:, 1], pool.n_gaps[traj])
+    gap = pool.gaps[traj, k]
+    f, ok_f = _lemire(words[:, 2], pool.lengths[traj] - gap)
+    if not (ok_traj & ok_gap & ok_f).all():
+        rng.bit_generator.state = saved
+        traj, gap, f = _scalar_draws(pool, B, rng)
     rows = pool.offsets[traj] + f
     early = pool.features[rows]
     late = pool.features[rows + gap]

@@ -149,13 +149,26 @@ def _lr_at(cfg: TrainConfig, iteration: int) -> float:
     return cfg.lr
 
 
+def _check_resume(policy: Policy, cfg: TrainConfig) -> None:
+    fields = (("h", policy.flow.h, cfg.h), ("k", policy.flow.k, cfg.k),
+              ("sigma0", policy.flow.sigma0, cfg.sigma0),
+              ("hidden", tuple(policy.model.hidden), tuple(cfg.hidden)))
+    differ = [f"{name} (checkpoint {have!r}, config {want!r})"
+              for name, have, want in fields if have != want]
+    if differ:
+        raise ValueError("cannot resume: the config differs from the checkpoint in "
+                         + ", ".join(differ))
+
+
 def train(trajectories: list[Trajectory], cfg: TrainConfig, *, alpha0_convention: str,
           resume: tuple[Policy, AdamState, int] | None = None, progress=None):
     """Train a policy; returns (Policy, AdamState, log rows).
 
     Log rows are (iteration, loss, wall_ms). Training is deterministic for a
     fixed seed: every iteration draws from its own counter-derived stream, so
-    resuming from a checkpoint continues the identical sequence.
+    resuming from a checkpoint continues the identical sequence. Raises
+    ValueError when cfg's h, k, sigma0 or hidden differ from the resumed
+    policy's, which the returned policy would otherwise keep.
     """
     prep = _prepare(trajectories, cfg.h)
     fp = FlowParams(k=cfg.k, sigma0=cfg.sigma0, h=cfg.h)
@@ -171,6 +184,7 @@ def train(trajectories: list[Trajectory], cfg: TrainConfig, *, alpha0_convention
     else:
         # a resumed run keeps the normalization it was trained and is saved with
         policy, adam, start = resume
+        _check_resume(policy, cfg)
         model, stats = policy.model, policy.stats
 
     log: list[tuple[int, float, float]] = []

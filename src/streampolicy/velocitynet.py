@@ -25,10 +25,6 @@ from .normkit import NormStats
 # fixed input featurization: raw t plus four sin/cos pairs over [0, 1]
 TIME_FREQS = (1.0, 2.0, 4.0, 8.0)
 TIME_DIM = 1 + 2 * len(TIME_FREQS)
-# observation features enter unscaled: the goal-position channels carry the
-# fine corrections near the target, and downweighting them measurably hurts
-# final-approach precision on the controller-mediated variant
-OBS_FEATURE_SCALE = 1.0
 
 
 def time_features(t) -> np.ndarray:
@@ -86,7 +82,10 @@ def _assemble_inputs(model: VelocityModel, x: np.ndarray, t, obs_feat: np.ndarra
         tf = time_features(t)
     if x.ndim == 1:
         tf = tf.reshape(TIME_DIM)
-    return np.concatenate([x, tf, obs_feat * OBS_FEATURE_SCALE], axis=-1)
+    # observation features enter unscaled: the goal-position channels carry the
+    # fine corrections near the target, and downweighting them measurably hurts
+    # final-approach precision on the controller-mediated variant
+    return np.concatenate([x, tf, obs_feat], axis=-1)
 
 
 def _mlp_forward(params: dict[str, np.ndarray], inp: np.ndarray, n_layers: int):

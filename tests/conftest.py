@@ -1,15 +1,27 @@
-"""Shared fixtures. The trained-policy fixtures are expensive (about 24 s each,
-the predictor about 4 s, on a 2-CPU x86-64 host with OpenBLAS) and
-session-scoped; everything that needs a competent policy shares them. Seeds
-are frozen so every run trains byte-identical models."""
+"""Shared fixtures. The trained-policy fixtures are expensive (about 17 s each,
+the predictor about 2 s, on a 2-CPU x86-64 host with OpenBLAS at one thread)
+and session-scoped; everything that needs a competent policy shares them. Seeds
+are frozen so every run trains byte-identical models.
 
-import numpy as np
-import pytest
+`scripts/checkpoint_digest.py` trains the ctrl_policy and ctrl_predictor
+recipe and prints the sha256 of both checkpoints."""
 
-from streampolicy.core import Trajectory
-from streampolicy.envsim import EnvKind, KIND_CONTROLLER, KIND_DIRECT, generate_demos
-from streampolicy.saliency import PredictorConfig, train_predictor
-from streampolicy.trainer import TrainConfig, train
+import os
+
+# at these matrix sizes a second BLAS thread costs CPU time and buys no speed;
+# one thread trains the same weights (scripts/checkpoint_digest.py prints the
+# same digests at one and two). Set before numpy is first imported, or it is
+# ignored.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from streampolicy.core import Trajectory  # noqa: E402
+from streampolicy.envsim import EnvKind, KIND_CONTROLLER, KIND_DIRECT, generate_demos  # noqa: E402
+from streampolicy.saliency import PredictorConfig, train_predictor  # noqa: E402
+from streampolicy.trainer import TrainConfig, train  # noqa: E402
 
 CTRL = EnvKind(variant=KIND_CONTROLLER)
 DIRECT = EnvKind(variant=KIND_DIRECT)

@@ -113,6 +113,17 @@ def test_rollout_rejects_n_replan_in_streaming(workdir, capsys):
     assert "n_replan" in capsys.readouterr().err
 
 
+def test_resume_with_another_horizon_exits_2(workdir, tmp_path, capsys):
+    out = tmp_path / "resumed.ckpt"
+    rc = main(["train-policy", "--data", str(workdir / "data" / "demos.jsonl"),
+               "--out", str(out), "--resume", str(workdir / "policy" / "policy.ckpt"),
+               "--iterations", "210", "--batch-size", "16", "--hidden", "16,16",
+               "--horizon", "5"])
+    assert rc == 2
+    assert "h (checkpoint 10, config 5)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "streampolicy.cli", "predict-timing"],
                           capture_output=True, text=True)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from streampolicy import saliency
 from streampolicy.core import STREAM_PREDICTOR, make_rng
 from streampolicy.saliency import (
     EO_ACTION_NORM, EO_ADAPTIVE, Indicator, PredictorConfig, _prepare_pairs, _sample_pairs,
@@ -84,19 +85,77 @@ def _reference_sample_pairs(trajectories, cfg, rng):
     return early, late, cond
 
 
+def _rng_state(rng):
+    s = rng.bit_generator.state
+    return (tuple(int(c) for c in s["state"]["counter"]), tuple(int(b) for b in s["buffer"]),
+            s["buffer_pos"], s["has_uint32"], s["uinteger"])
+
+
+def _assert_same_pairs(pool, trajectories, cfg, rng, ref_rng, label):
+    got = _sample_pairs(pool, cfg, rng)
+    want = _reference_sample_pairs(trajectories, cfg, ref_rng)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes(), label
+    assert _rng_state(rng) == _rng_state(ref_rng), label
+
+
+@pytest.fixture()
+def scalar_calls(monkeypatch):
+    """Counts the batches _sample_pairs hands to its scalar fallback."""
+    calls = []
+    scalar = saliency._scalar_draws
+
+    def counting(*args):
+        calls.append(1)
+        return scalar(*args)
+
+    monkeypatch.setattr(saliency, "_scalar_draws", counting)
+    return calls
+
+
+def test_sample_pairs_block_draw_matches_scalar_draws(small_demos, scalar_calls):
+    """Every bound is at least 2 on full-length demos, so each batch comes from
+    the one block of raw words: the same pairs and the same generator end
+    state as the scalar loop, over 2000 streams."""
+    cfg = PredictorConfig()
+    pool = _prepare_pairs(small_demos, cfg)
+    n = 2000
+    for i in range(n):
+        _assert_same_pairs(pool, small_demos, cfg, make_rng(9, STREAM_PREDICTOR, i),
+                           make_rng(9, STREAM_PREDICTOR, i), i)
+    assert not scalar_calls
+
+
 @pytest.mark.parametrize("gaps, n_eo_max", [((1, 2, 3), 4), ((1, 3, 6), 4), ((2, 5), 2)])
-def test_sample_pairs_matches_reference_loop(ragged_demos, gaps, n_eo_max):
-    """Bitwise the same pairs as the per-row loop, from the same streams,
-    with trajectories shorter than the largest gap and gaps beyond n_eo_max."""
-    cfg = PredictorConfig(gap_choices=gaps, n_eo_max=n_eo_max, batch_size=48)
+def test_sample_pairs_matches_reference_loop(ragged_demos, scalar_calls, gaps, n_eo_max):
+    """Bitwise the same pairs and generator end state as the per-row loop, from
+    the same streams, with trajectories shorter than the largest gap and gaps
+    beyond n_eo_max. Bounds of 1 occur here: nearly every batch of 48 rows
+    meets one and falls back to the scalar loop, while many batches of 8 rows
+    still come from the block draw."""
     assert any(min(gaps) < len(t) <= max(gaps) for t in ragged_demos)
-    pool = _prepare_pairs(ragged_demos, cfg)
-    for i in range(150):
-        got = _sample_pairs(pool, cfg, make_rng(9, STREAM_PREDICTOR, i))
-        want = _reference_sample_pairs(ragged_demos, cfg, make_rng(9, STREAM_PREDICTOR, i))
-        for g, w in zip(got, want):
-            assert g.shape == w.shape and g.dtype == w.dtype
-            assert g.tobytes() == w.tobytes(), i
+    n = 150
+    for batch in (48, 8):
+        cfg = PredictorConfig(gap_choices=gaps, n_eo_max=n_eo_max, batch_size=batch)
+        pool = _prepare_pairs(ragged_demos, cfg)
+        for i in range(n):
+            _assert_same_pairs(pool, ragged_demos, cfg, make_rng(9, STREAM_PREDICTOR, i),
+                               make_rng(9, STREAM_PREDICTOR, i), (batch, i))
+    assert 0 < len(scalar_calls) < 2 * n
+
+
+def test_sample_pairs_falls_back_on_a_rejected_word(small_demos, scalar_calls):
+    """A raw word of 0 is rejected for any bound that is not a power of two
+    (40 trajectories here): numpy draws again, and so must _sample_pairs."""
+    cfg = PredictorConfig()
+    pool = _prepare_pairs(small_demos, cfg)
+    rngs = [make_rng(3, 5, 7), make_rng(3, 5, 7)]
+    for r in rngs:
+        state = r.bit_generator.state
+        r.bit_generator.state = {**state, "has_uint32": 1, "uinteger": 0}
+    _assert_same_pairs(pool, small_demos, cfg, *rngs, "forced rejection")
+    assert len(scalar_calls) == 1
 
 
 def test_sample_pairs_needs_a_long_enough_trajectory(ragged_demos):

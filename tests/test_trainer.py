@@ -149,6 +149,21 @@ def test_resume_from_checkpoint_matches_uninterrupted_run(tmp_path, small_demos)
     assert (tmp_path / "resumed.ckpt").read_bytes() == (tmp_path / "straight.ckpt").read_bytes()
 
 
+def test_resume_rejects_a_config_the_checkpoint_was_not_trained_with(small_demos):
+    """The returned policy keeps the checkpoint's flow and network, so a config
+    that would train other ones is refused, naming every differing field."""
+    cfg = TrainConfig(**{**TINY, "iterations": 20})
+    policy, adam, _ = train(small_demos, cfg, alpha0_convention="zero")
+    for change, names in [({"h": 5}, ["h"]), ({"k": 2.0, "sigma0": 0.3}, ["k", "sigma0"]),
+                          ({"hidden": (16, 16)}, ["hidden"])]:
+        other = TrainConfig(**{**TINY, "iterations": 40, **change})
+        with pytest.raises(ValueError) as exc:
+            train(small_demos, other, alpha0_convention="zero", resume=(policy, adam, 20))
+        message = str(exc.value)
+        for name in ["h", "k", "sigma0", "hidden"]:
+            assert (f"{name} (checkpoint" in message) == (name in names), (change, message)
+
+
 def test_resume_trains_with_the_checkpoint_stats(monkeypatch, small_demos):
     """Resuming on other demonstrations keeps the loaded normalization: every
     resumed step normalizes with the stats the returned policy carries."""
