@@ -118,6 +118,26 @@ def _env_kind(name: str) -> envsim.EnvKind:
     return envsim.EnvKind(variant=name)
 
 
+def _policy_env_kind(cfg: dict, policy) -> envsim.EnvKind:
+    """The env kind for policy. An explicit env must seed its ledger as the
+    policy's training data did; without one, the env whose convention matches
+    is taken and recorded in cfg."""
+    if not cfg["env"]:
+        matching = [n for n in (envsim.KIND_DIRECT, envsim.KIND_CONTROLLER)
+                    if envsim.alpha0_convention(_env_kind(n)) == policy.alpha0_convention]
+        if not matching:
+            raise CliError(f"no env seeds the action-state ledger with "
+                           f"{policy.alpha0_convention!r}, as the policy was trained")
+        cfg["env"] = matching[0]
+    name = cfg["env"]
+    kind = _env_kind(name)
+    if envsim.alpha0_convention(kind) != policy.alpha0_convention:
+        raise CliError(f"--env {name} seeds the action-state ledger with "
+                       f"{envsim.alpha0_convention(kind)!r}, but the policy was trained with "
+                       f"{policy.alpha0_convention!r}; pass the env it was trained on")
+    return kind
+
+
 def _parse_profile(text: str) -> streamexec.StageLatency:
     if text == "reference":
         return streamexec.REFERENCE_PROFILE
@@ -192,7 +212,6 @@ def _cmd_train_policy(args) -> int:
         "hidden": (str, "128,128"),
         "horizon": (int, 10),
         "no_state_alignment": (bool, False),
-        "legacy_norm": (bool, False),
         "resume": (str, ""),
         "log": (str, ""),
         "log_every": (int, 100),
@@ -210,7 +229,6 @@ def _cmd_train_policy(args) -> int:
         lr=cfg["lr"],
         lr_schedule=cfg["lr_schedule"],
         seed=cfg["seed"],
-        use_modified_norm=not cfg["legacy_norm"],
         use_state_alignment=not cfg["no_state_alignment"],
         hidden=_parse_hidden(cfg["hidden"]),
         log_every=cfg["log_every"],
@@ -288,7 +306,7 @@ def _cmd_rollout(args) -> int:
     schema = {
         "policy": (str, None),
         "predictor": (str, ""),
-        "env": (str, "direct"),
+        "env": (str, ""),
         "episodes": (int, 20),
         "seed": (int, 0),
         "step_cap": (int, 120),
@@ -309,7 +327,7 @@ def _cmd_rollout(args) -> int:
         raise CliError("--policy is required")
     policy, _adam, _it = load_policy(cfg["policy"])
     predictor = saliency.load_predictor(cfg["predictor"]) if cfg["predictor"] else None
-    kind = _env_kind(cfg["env"])
+    kind = _policy_env_kind(cfg, policy)
     stage = _parse_profile(cfg["profile"])
     scheduler = streamexec.SchedulerConfig(
         mode=cfg["mode"], h=policy.flow.h,
@@ -407,7 +425,7 @@ def _cmd_bench(args) -> int:
         "policy": (str, None),
         "predictor": (str, ""),
         "calib_data": (str, ""),
-        "env": (str, "direct"),
+        "env": (str, ""),
         "episodes": (int, 50),
         "seed": (int, 0),
         "step_cap": (int, 120),
@@ -429,7 +447,7 @@ def _cmd_bench(args) -> int:
         raise CliError("--policy is required")
     policy, _adam, _it = load_policy(cfg["policy"])
     predictor = saliency.load_predictor(cfg["predictor"]) if cfg["predictor"] else None
-    kind = _env_kind(cfg["env"])
+    kind = _policy_env_kind(cfg, policy)
     stage = _parse_profile(cfg["profile"])
 
     names = [n.strip() for n in cfg["eo"].split(",") if n.strip()]
@@ -570,8 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-state-alignment", dest="no_state_alignment",
                    action="store_const", const=True,
                    help="ablation: start every horizon ledger at zero")
-    p.add_argument("--legacy-norm", dest="legacy_norm", action="store_const", const=True,
-                   help="ablation: min-max normalization with per-term offset")
     p.add_argument("--resume", help="checkpoint to continue training from")
     p.add_argument("--log", help="training-log csv path")
     p.add_argument("--log-every", dest="log_every", type=int)
@@ -587,7 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_exec_opts(p):
         p.add_argument("--policy")
         p.add_argument("--predictor")
-        p.add_argument("--env", choices=[envsim.KIND_DIRECT, envsim.KIND_CONTROLLER])
+        p.add_argument("--env", choices=[envsim.KIND_DIRECT, envsim.KIND_CONTROLLER],
+                       help="default: the env whose ledger seeding the policy was trained with")
         p.add_argument("--episodes", type=int)
         p.add_argument("--step-cap", dest="step_cap", type=int)
         p.add_argument("--n-eo", dest="n_eo", type=int)

@@ -14,7 +14,7 @@ decouples the action-space state from physical space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,9 +48,18 @@ EXPERT_NOISE = 0.05
 class Box:
     lo: np.ndarray
     hi: np.ndarray
+    # (lo, hi) of each axis as Python floats, so contains builds no arrays
+    _axes: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_axes", tuple(zip(np.asarray(self.lo, dtype=np.float64).tolist(),
+                                                    np.asarray(self.hi, dtype=np.float64).tolist())))
 
     def contains(self, p: np.ndarray) -> bool:
-        return bool((p >= self.lo).all() and (p <= self.hi).all())
+        for (lo, hi), v in zip(self._axes, p.tolist()):
+            if not lo <= v <= hi:  # also false for NaN
+                return False
+        return True
 
     @property
     def center(self) -> np.ndarray:
@@ -98,8 +107,13 @@ def step(kind: EnvKind, state: EnvState, action: np.ndarray) -> EnvState:
         delta = c * np.tanh(a / c)
     else:
         delta = a
-    # np.clip's result, without its wrapper overhead
-    pos = np.minimum(np.maximum(state.position + delta, WORKSPACE_LO), WORKSPACE_HI)
+    pos = state.position + delta
+    # np.clip's result: a position inside the workspace is its own clip, so
+    # the clip runs only when a coordinate left it (or is NaN)
+    for v in pos.tolist():
+        if not WORKSPACE_LO <= v <= WORKSPACE_HI:
+            pos = np.minimum(np.maximum(pos, WORKSPACE_LO), WORKSPACE_HI)
+            break
     goal = state.goal
     latch = state.latch
     if not latch and kind.latch_region.contains(pos):

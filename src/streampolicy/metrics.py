@@ -60,21 +60,42 @@ class MetricsReport:
     success: bool | None = None
 
 
-def _overlap_total(a: list[TimelineEvent], b: list[TimelineEvent]) -> float:
-    """Total pairwise intersection time between two sets of intervals."""
-    ia = sorted((e.start, e.end) for e in a)
-    ib = sorted((e.start, e.end) for e in b)
+def _intervals(events: list[TimelineEvent]) -> list[tuple[float, float]]:
+    """(start, end) of each event in ascending order; list.sort makes a
+    single pass over input already in that order."""
+    iv = [(e.start, e.end) for e in events]
+    iv.sort()
+    return iv
+
+
+def _overlap_total(ia: list[tuple[float, float]], ib: list[tuple[float, float]]) -> float:
+    """Total pairwise intersection time between two ascending interval lists."""
     total = 0.0
+    n = len(ib)
     j = 0
     for s, e in ia:
-        while j < len(ib) and ib[j][1] <= s:
+        while j < n and ib[j][1] <= s:
             j += 1
-        k = j
-        while k < len(ib) and ib[k][0] < e:
-            # clamp: b intervals may nest, so one past j can still end before s
-            total += max(0.0, min(e, ib[k][1]) - max(s, ib[k][0]))
-            k += 1
+        for k in range(j, n):
+            bs, be = ib[k]
+            if bs >= e:
+                break
+            # min(e, be) - max(s, bs); b intervals may nest, so one past j can
+            # still end before s, and a non-positive overlap adds nothing
+            d = (be if be < e else e) - (bs if bs > s else s)
+            if d > 0.0:
+                total += d
     return total
+
+
+def _in_execution_order(execs: list[TimelineEvent]) -> list[TimelineEvent]:
+    """execs in event_sort_key order. Strictly increasing starts are that
+    order already (run logs come sorted); anything else gets the stable sort
+    that sorting the whole log and filtering it would give."""
+    for a, b in zip(execs, execs[1:]):
+        if not a.start < b.start:
+            return sorted(execs, key=event_sort_key)
+    return execs
 
 
 def measure(events: list[TimelineEvent], success: bool | None = None) -> MetricsReport:
@@ -86,8 +107,7 @@ def measure(events: list[TimelineEvent], success: bool | None = None) -> Metrics
     """
     if not events:
         raise ValueError("empty event log")
-    events = sorted(events, key=event_sort_key)
-    execs = [e for e in events if e.stage == STAGE_EXECUTE]
+    execs = _in_execution_order([e for e in events if e.stage == STAGE_EXECUTE])
     if not execs:
         raise ValueError("no execute events in log")
     gens = [e for e in events if e.stage == STAGE_GENERATE]
@@ -115,12 +135,13 @@ def measure(events: list[TimelineEvent], success: bool | None = None) -> Metrics
     else:
         t_action_steady = duration / n_actions
 
-    o_ge_total = _overlap_total(gens, execs)
-    o_oe_total = _overlap_total(obs, execs)
+    exec_iv = _intervals(execs)
+    o_ge_total = _overlap_total(_intervals(gens), exec_iv)
+    o_oe_total = _overlap_total(_intervals(obs), exec_iv)
     later = [h for h in horizons if h != first_h]
     if later:
-        ge_tail = _overlap_total([e for e in gens if e.horizon_index != first_h], execs)
-        oe_tail = _overlap_total([e for e in obs if e.horizon_index != first_h], execs)
+        ge_tail = _overlap_total(_intervals([e for e in gens if e.horizon_index != first_h]), exec_iv)
+        oe_tail = _overlap_total(_intervals([e for e in obs if e.horizon_index != first_h]), exec_iv)
         o_ge_ph = ge_tail / len(later)
         o_oe_ph = oe_tail / len(later)
     else:

@@ -22,14 +22,20 @@ horizon, which is precisely the staleness early observation trades away.
 Event logs are deterministic for fixed seeds, with ties ordered
 observe < predict < generate < execute, then by action index.
 
+One _Chunk computes a horizon's actions on all three runners (the
+simulated engine and both wall-clock runners). It prepares the horizon once
+(Policy.prepare, from its observation and starting ledger) and then computes
+each action in index order as one Policy.action on the prepared row: one
+Euler step of the learned flow, through velocitynet.forward,
+flowmatch.extract_action (the same flow math the trainer regresses on) and
+normkit.denormalize.
+
 On the simulated clock, generate events model the generator lane: every
 planned action of a horizon gets one at its modeled time, because the
 timeline does not depend on action values. The values are computed only when
-an action executes or an early-observation indicator scores it, in index
-order, so an action that is planned and then replaced (a sync chunk's tail,
-the rest of a horizon when the episode ends) costs no forward pass. Each
-action is one Euler step of the learned flow, through Policy.action and
-flowmatch.extract_action, the same flow math the trainer regresses on.
+an action executes or an early-observation indicator scores it, so an action
+that is planned and then replaced (a sync chunk's tail, the rest of a
+horizon when the episode ends) costs no forward pass.
 
 The wall-clock runners reproduce the same semantics with timestamps from the
 wall clock: streaming with three real threads and bounded queues, sync_chunk
@@ -166,15 +172,13 @@ def _decide_eo(scheduler: SchedulerConfig, predictor, obs, remaining_raw: np.nda
     raise ValueError(f"unknown indicator mode {ind.mode!r}")
 
 
-def _finish(success, events, raw, norm, alpha0_norm, state, horizons, eo_fired, steps, traj_parts,
+def _finish(success, events, raw, norm, final_alpha, state, horizons, eo_fired, steps, traj_parts,
             eo_decisions=0):
+    """The EpisodeResult; final_alpha is the executed-action ledger, alpha0
+    plus the executed actions summed in execution order."""
     events = sorted(events, key=event_sort_key)
     raw_arr = np.asarray(raw).reshape(len(raw), -1)
     norm_arr = np.asarray(norm).reshape(len(norm), -1)
-    # the executed-action ledger: alpha0 plus actions summed in execution order
-    alpha = alpha0_norm.copy()
-    for a in norm_arr:
-        alpha = alpha + a
     trajectory = None
     if traj_parts is not None:
         observations, alpha0_raw = traj_parts
@@ -185,7 +189,7 @@ def _finish(success, events, raw, norm, alpha0_norm, state, horizons, eo_fired, 
         )
     return EpisodeResult(
         success=success, events=events, actions_raw=raw_arr, actions_norm=norm_arr,
-        final_alpha=alpha, final_state=state, n_horizons=horizons, eo_fired=eo_fired,
+        final_alpha=final_alpha, final_state=state, n_horizons=horizons, eo_fired=eo_fired,
         steps=steps, trajectory=trajectory, eo_decisions=eo_decisions,
     )
 
@@ -195,30 +199,36 @@ _SCORED_MODES = (saliency.EO_ACTION_NORM, saliency.EO_ADAPTIVE)
 
 
 class _Chunk:
-    """One horizon's actions on the simulated clock, computed on demand.
+    """One horizon's h actions from one observation, computed on demand.
 
-    The generate events are logged when the horizon is scheduled, since the
-    timeline does not depend on action values. The values are computed here
-    in index order, with the generator's ledger summed left to right as on the
-    wall clock, and only as far as an execution or an indicator score reads
-    them. The results are the ones generating the whole chunk up front gives.
+    The values are computed in index order, with the generator's ledger
+    alpha summed left to right, and only as far as an execution or an
+    indicator score reads them. The results are the ones generating the whole
+    chunk up front gives.
+
+    The first action prepares the horizon (policy.prepare: the dimension
+    checks and the input row with the observation features in place), so on
+    the wall clock that work falls inside its t_gen budget. Every action is
+    then one policy.action on the prepared row.
     """
 
-    __slots__ = ("policy", "alpha", "features", "norm", "raw", "n")
+    __slots__ = ("policy", "alpha", "features", "h", "norm", "raw", "row")
 
     def __init__(self, policy: Policy, alpha: np.ndarray, features: np.ndarray, h: int):
-        self.policy, self.alpha, self.features = policy, alpha, features
-        self.norm = np.empty((h, alpha.shape[0]))
-        self.raw = np.empty_like(self.norm)
-        self.n = 0  # actions computed so far
+        self.policy, self.alpha, self.features, self.h = policy, alpha, features, h
+        self.norm: list[np.ndarray] = []  # the actions computed so far, in index order
+        self.raw: list[np.ndarray] = []
+        self.row = None
 
     def _fill(self, stop: int) -> None:
-        while self.n < stop:
-            a_norm, a_raw = self.policy.action(self.alpha, self.n, self.features)
+        policy, features = self.policy, self.features
+        for n in range(len(self.norm), stop):
+            if n == 0:
+                self.row = policy.prepare(self.alpha, features)
+            a_norm, a_raw = policy.action(self.alpha, n, features, prepared=self.row)
             self.alpha = self.alpha + a_norm
-            self.norm[self.n] = a_norm
-            self.raw[self.n] = a_raw
-            self.n += 1
+            self.norm.append(a_norm)
+            self.raw.append(a_raw)
 
     def get(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """(normalized, raw) action i."""
@@ -226,9 +236,9 @@ class _Chunk:
         return self.norm[i], self.raw[i]
 
     def tail(self, i: int) -> np.ndarray:
-        """Raw actions i..h-1."""
-        self._fill(len(self.raw))
-        return self.raw[i:]
+        """Raw actions i..h-1, one row each."""
+        self._fill(self.h)
+        return np.asarray(self.raw[i:])
 
 
 def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
@@ -241,8 +251,7 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
     ind_rng = (make_rng(scheduler.seed, STREAM_INDICATOR, getattr(env, "episode_id", 0))
                if scheduler.eo is not None else None)
 
-    alpha0_norm = policy.initial_alpha(state.position)
-    alpha_exec = alpha0_norm.copy()
+    alpha_exec = policy.initial_alpha(state.position)
     events: list[TimelineEvent] = []
     executed_raw: list[np.ndarray] = []
     executed_norm: list[np.ndarray] = []
@@ -345,7 +354,7 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
             snapshot = next_snapshot
 
     traj_parts = (record_obs, alpha0_raw) if record_trajectory else None
-    return _finish(succeeded, events, executed_raw, executed_norm, alpha0_norm, state,
+    return _finish(succeeded, events, executed_raw, executed_norm, alpha_exec, state,
                    horizon, eo_fired_count, steps, traj_parts, eo_decision_count)
 
 
@@ -415,7 +424,7 @@ def _wall_generator(shared: _WallShared, policy: Policy, stage: StageLatency,
                     scheduler: SchedulerConfig, alpha0_norm: np.ndarray, t0: float):
     try:
         h = scheduler.h
-        alpha = alpha0_norm.copy()
+        alpha = alpha0_norm
         base = 0
         while not shared.stop.is_set():
             try:
@@ -423,12 +432,12 @@ def _wall_generator(shared: _WallShared, policy: Policy, stage: StageLatency,
             except Empty:
                 continue
             shared.horizon_actions[horizon] = []
+            chunk = _Chunk(policy, alpha, obs.features, h)
             for i in range(h):
                 if shared.stop.is_set():
                     return
                 began = time.monotonic()
-                a_norm, a_raw = policy.action(alpha, i, obs.features)
-                alpha = alpha + a_norm
+                a_norm, a_raw = chunk.get(i)
                 _sleep_rest(began, stage.t_gen)
                 start = (began - t0) * 1e3
                 end = (time.monotonic() - t0) * 1e3
@@ -441,19 +450,21 @@ def _wall_generator(shared: _WallShared, policy: Policy, stage: StageLatency,
                         break
                     except Full:
                         continue
+            alpha = chunk.alpha
             base += h
     except BaseException as exc:
         shared.error = exc
         shared.stop.set()
 
 
-def _wall_executor(shared: _WallShared, policy: Policy, predictor, env: EnvHandle,
+def _wall_executor(shared: _WallShared, alpha0_norm: np.ndarray, predictor, env: EnvHandle,
                    stage: StageLatency, scheduler: SchedulerConfig, t0: float,
                    record_trajectory: bool, out: dict):
     try:
         h = scheduler.h
         kind = env.kind
         state = env.init_state
+        alpha_exec = alpha0_norm
         ind_rng = make_rng(scheduler.seed, STREAM_INDICATOR, getattr(env, "episode_id", 0))
         executed_raw, executed_norm, record_obs = [], [], ([] if record_trajectory else None)
         steps = 0
@@ -507,6 +518,7 @@ def _wall_executor(shared: _WallShared, policy: Policy, predictor, env: EnvHandl
             state = envsim.step(kind, state, a_raw)
             executed_raw.append(a_raw)
             executed_norm.append(a_norm)
+            alpha_exec = alpha_exec + a_norm
             steps += 1
             if envsim.success(state):
                 succeeded = True
@@ -519,6 +531,7 @@ def _wall_executor(shared: _WallShared, policy: Policy, predictor, env: EnvHandl
         out["state"] = state
         out["raw"] = executed_raw
         out["norm"] = executed_norm
+        out["alpha"] = alpha_exec
         out["steps"] = steps
         out["success"] = succeeded
         out["horizons"] = horizons_seen
@@ -542,7 +555,7 @@ def _wall_streaming(policy: Policy, predictor, env: EnvHandle, stage: StageLaten
                          name="observer"),
         threading.Thread(target=_wall_generator, args=(shared, policy, stage, scheduler, alpha0_norm, t0),
                          daemon=True, name="generator"),
-        threading.Thread(target=_wall_executor, args=(shared, policy, predictor, env, stage, scheduler, t0, record_trajectory, out),
+        threading.Thread(target=_wall_executor, args=(shared, alpha0_norm, predictor, env, stage, scheduler, t0, record_trajectory, out),
                          daemon=True, name="executor"),
     ]
     for th in threads:
@@ -562,7 +575,7 @@ def _wall_streaming(policy: Policy, predictor, env: EnvHandle, stage: StageLaten
     traj_parts = None
     if record_trajectory:
         traj_parts = (out["record_obs"], envsim.alpha0_for(env.kind, env.init_state))
-    return _finish(out["success"], shared.events, out["raw"], out["norm"], alpha0_norm,
+    return _finish(out["success"], shared.events, out["raw"], out["norm"], out["alpha"],
                    out["state"], out["horizons"], out["eo"], out["steps"], traj_parts,
                    out.get("eo_decisions", 0))
 
@@ -573,8 +586,7 @@ def _wall_sync(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
     h, n_rep = scheduler.h, scheduler.replan
     kind = env.kind
     state = env.init_state
-    alpha0_norm = policy.initial_alpha(state.position)
-    alpha = alpha0_norm.copy()
+    alpha = policy.initial_alpha(state.position)
     events: list[TimelineEvent] = []
     executed_raw, executed_norm = [], []
     record_obs = [] if record_trajectory else None
@@ -620,7 +632,7 @@ def _wall_sync(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
         base += n_rep
 
     traj_parts = (record_obs, envsim.alpha0_for(kind, env.init_state)) if record_trajectory else None
-    return _finish(succeeded, events, executed_raw, executed_norm, alpha0_norm, state,
+    return _finish(succeeded, events, executed_raw, executed_norm, alpha, state,
                    horizon, 0, steps, traj_parts)
 
 

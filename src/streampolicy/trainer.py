@@ -45,7 +45,6 @@ class TrainConfig:
     batch_size: int = 64
     lr: float = 1e-3
     seed: int = 0
-    use_modified_norm: bool = True
     use_state_alignment: bool = True
     hidden: tuple[int, ...] = (128, 128)
     lr_schedule: str = "constant"  # or "cosine"
@@ -114,12 +113,8 @@ def training_step(model: VelocityModel, adam: AdamState, stats: NormStats, cfg: 
     forward.
     """
     B, h = OBS.shape[0], flow.h
-    if cfg.use_modified_norm:
-        a0 = normkit.normalize(ALPHA, stats)
-        steps = normkit.normalize(XI, stats)
-    else:
-        a0 = normkit.normalize_legacy(ALPHA, stats)
-        steps = normkit.normalize_legacy(XI, stats)
+    a0 = normkit.normalize(ALPHA, stats)
+    steps = normkit.normalize(XI, stats)
 
     # window ledger, summed left to right (add.accumulate); W[:, 0] is alpha exactly
     W = np.empty((B, h + 1, ALPHA.shape[1]))

@@ -107,7 +107,7 @@ def test_predict_timing_rejects_what_it_cannot_predict(capsys):
 
 
 def test_rollout_rejects_n_replan_in_streaming(workdir, capsys):
-    rc = main(["rollout", "--policy", str(workdir / "policy" / "policy.ckpt"),
+    rc = main(["rollout", "--policy", str(workdir / "policy" / "policy.ckpt"), "--env", "controller",
                "--mode", "streaming", "--n-replan", "5", "--episodes", "1", "--step-cap", "5"])
     assert rc == 2
     assert "n_replan" in capsys.readouterr().err
@@ -151,10 +151,11 @@ def test_missing_required_flag_exits_2(capsys):
     assert main(["rollout", "--episodes", "1"]) == 2
 
 
-def test_unknown_eo_mode_exits_2(workdir):
-    rc = main(["rollout", "--policy", str(workdir / "policy" / "policy.ckpt"),
+def test_unknown_eo_mode_exits_2(workdir, capsys):
+    rc = main(["rollout", "--policy", str(workdir / "policy" / "policy.ckpt"), "--env", "controller",
                "--eo", "psychic", "--episodes", "1", "--step-cap", "5"])
     assert rc == 2
+    assert "unknown early-observation mode 'psychic'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["rollout", "bench"])
@@ -166,10 +167,50 @@ def test_step_cap_below_one_exits_2(workdir, tmp_path, capsys, command):
     assert "--step-cap must be at least 1" in capsys.readouterr().err
 
 
-def test_adaptive_requires_predictor(workdir):
-    rc = main(["rollout", "--policy", str(workdir / "policy" / "policy.ckpt"),
+def test_adaptive_requires_predictor(workdir, capsys):
+    rc = main(["rollout", "--policy", str(workdir / "policy" / "policy.ckpt"), "--env", "controller",
                "--eo", "adaptive", "--episodes", "1", "--step-cap", "5"])
     assert rc == 2
+    assert "adaptive early observation needs --predictor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["rollout", "bench"])
+def test_env_the_policy_was_not_trained_on_exits_2(workdir, tmp_path, capsys, command):
+    """The policy was trained on controller demos, whose ledger starts at
+    zero; the direct env seeds it with the start position."""
+    rc = main([command, "--policy", str(workdir / "policy" / "policy.ckpt"),
+               "--env", "direct", "--episodes", "1", "--step-cap", "5",
+               *(["--out-dir", str(tmp_path / "b")] if command == "bench" else [])])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--env direct" in err and "'initial_position'" in err and "trained with 'zero'" in err
+    assert not (tmp_path / "b").exists()
+
+
+def test_env_defaults_to_the_one_the_policy_was_trained_on(workdir, tmp_path, capsys):
+    """Without --env, a controller policy runs on the controller env: the
+    rollout prints what --env controller prints, and bench records it."""
+    policy = str(workdir / "policy" / "policy.ckpt")
+    rollout = ["rollout", "--policy", policy, "--episodes", "2", "--step-cap", "15",
+               "--profile", "zero", "--seed", "5"]
+    assert main(rollout) == 0
+    implicit = capsys.readouterr().out
+    assert main([*rollout, "--env", "controller"]) == 0
+    assert implicit == capsys.readouterr().out and "success rate" in implicit
+
+    out_dir = tmp_path / "bench"
+    assert main(["bench", "--policy", policy, "--episodes", "1", "--step-cap", "10",
+                 "--eo", "naive", "--out-dir", str(out_dir)]) == 0
+    assert json.loads((out_dir / "manifest.json").read_text())["config"]["env"] == "controller"
+
+
+def test_legacy_norm_flag_is_gone(workdir, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train-policy", "--data", str(workdir / "data" / "demos.jsonl"),
+              "--out", str(tmp_path / "p.ckpt"), "--iterations", "10", "--legacy-norm"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --legacy-norm" in capsys.readouterr().err
+    assert not (tmp_path / "p.ckpt").exists()
 
 
 def test_env_var_and_flag_precedence(tmp_path, monkeypatch):

@@ -1,4 +1,8 @@
+import dataclasses
+import importlib.util
 import json
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +12,10 @@ from streampolicy.metrics import (
     MetricsReport, aggregate, closed_form, measure, read_trace_csv,
     write_chrome_trace, write_trace_csv,
 )
+from streampolicy.envsim import KIND_CONTROLLER, EnvKind, make_env
 from streampolicy.streamexec import (
     MODE_STREAMING, MODE_SYNC_CHUNK, REFERENCE_PROFILE, STAGE_EXECUTE,
-    STAGE_GENERATE, STAGE_OBSERVE, StageLatency, TimelineEvent,
+    STAGE_GENERATE, STAGE_OBSERVE, StageLatency, TimelineEvent, event_sort_key, run_episode,
 )
 
 
@@ -28,8 +33,8 @@ def test_overlap_matches_brute_force(ia, ib):
     b = [_ev(STAGE_EXECUTE, i, 0, s, e) for i, (s, e) in enumerate(ib)]
     brute = sum(max(0.0, min(e1, e2) - max(s1, s2))
                 for s1, e1 in ia for s2, e2 in ib)
-    from streampolicy.metrics import _overlap_total
-    assert _overlap_total(a, b) == pytest.approx(brute, rel=1e-9, abs=1e-9)
+    from streampolicy.metrics import _intervals, _overlap_total
+    assert _overlap_total(_intervals(a), _intervals(b)) == pytest.approx(brute, rel=1e-9, abs=1e-9)
 
 
 def _synthetic_episode():
@@ -168,3 +173,119 @@ def test_aggregate_table():
     assert "stream" in table
     with pytest.raises(ValueError):
         aggregate(results, baseline="nope")
+
+
+# ---------------------------------------------------------------------------
+# measure against the implementation it replaced, which sorted the whole log
+# and rebuilt and sorted both interval lists on every overlap call. The
+# summation order is the same, so every field must match bit for bit.
+# ---------------------------------------------------------------------------
+
+def _reference_overlap_total(a, b):
+    ia = sorted((e.start, e.end) for e in a)
+    ib = sorted((e.start, e.end) for e in b)
+    total = 0.0
+    j = 0
+    for s, e in ia:
+        while j < len(ib) and ib[j][1] <= s:
+            j += 1
+        k = j
+        while k < len(ib) and ib[k][0] < e:
+            total += max(0.0, min(e, ib[k][1]) - max(s, ib[k][0]))
+            k += 1
+    return total
+
+
+def _reference_measure(events, success=None):
+    events = sorted(events, key=event_sort_key)
+    execs = [e for e in events if e.stage == STAGE_EXECUTE]
+    gens = [e for e in events if e.stage == STAGE_GENERATE]
+    obs = [e for e in events if e.stage == STAGE_OBSERVE]
+    start = min(e.start for e in events)
+    end = max(e.end for e in execs)
+    duration = end - start
+    n_actions = len(execs)
+    horizons = sorted({e.horizon_index for e in execs})
+    gaps = []
+    for prev, nxt in zip(execs, execs[1:]):
+        if nxt.horizon_index != prev.horizon_index:
+            gaps.append(max(0.0, nxt.start - prev.end))
+    t_halt = float(np.mean(gaps)) if gaps else 0.0
+    first_h = horizons[0]
+    tail = [e for e in execs if e.horizon_index != first_h]
+    if tail:
+        head_end = max(e.end for e in execs if e.horizon_index == first_h)
+        t_action_steady = (end - head_end) / len(tail)
+    else:
+        t_action_steady = duration / n_actions
+    o_ge_total = _reference_overlap_total(gens, execs)
+    o_oe_total = _reference_overlap_total(obs, execs)
+    later = [h for h in horizons if h != first_h]
+    if later:
+        o_ge_ph = _reference_overlap_total(
+            [e for e in gens if e.horizon_index != first_h], execs) / len(later)
+        o_oe_ph = _reference_overlap_total(
+            [e for e in obs if e.horizon_index != first_h], execs) / len(later)
+    else:
+        o_ge_ph, o_oe_ph = o_ge_total, o_oe_total
+    return MetricsReport(
+        num_actions=n_actions, n_horizons=len(horizons), episode_duration=duration,
+        t_action=duration / n_actions, t_action_steady=t_action_steady, t_halt=t_halt,
+        boundary_gaps=tuple(gaps), o_ge_total=o_ge_total, o_oe_total=o_oe_total,
+        o_ge_per_horizon=o_ge_ph, o_oe_per_horizon=o_oe_ph, success=success,
+    )
+
+
+def _assert_reports_identical(got: MetricsReport, want: MetricsReport):
+    for f in dataclasses.fields(MetricsReport):
+        g, w = getattr(got, f.name), getattr(want, f.name)
+        assert type(g) is type(w), f.name
+        if f.name == "boundary_gaps":
+            assert struct.pack(f"<{len(g)}d", *g) == struct.pack(f"<{len(w)}d", *w)
+        elif isinstance(g, float):
+            assert struct.pack("<d", g) == struct.pack("<d", w), f.name
+        else:
+            assert g == w, f.name
+
+
+def _golden_digest_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "golden_digest.py"
+    spec = importlib.util.spec_from_file_location("_golden_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_measure_matches_reference_on_the_golden_digest_grid(ctrl_policy, ctrl_predictor):
+    """Every episode of scripts/golden_digest.py's grid (controller env, 3
+    episodes per cell), as logged and shuffled."""
+    gd = _golden_digest_script()
+    kind = EnvKind(variant=KIND_CONTROLLER)
+    etas = gd._calibrated_etas(ctrl_policy, ctrl_predictor, kind)
+    shuffle = np.random.default_rng(0)
+    n = 0
+    for _label, sched in gd.configs(ctrl_policy.flow.h, etas, 0):
+        for stage in gd.PROFILES.values():
+            for cap in gd.CAPS:
+                for record in (False, True):
+                    for ep in range(3):
+                        res = run_episode(ctrl_policy, ctrl_predictor, make_env(kind, 0, ep, step_cap=cap),
+                                          stage, sched, record_trajectory=record)
+                        _assert_reports_identical(measure(res.events, success=res.success),
+                                                  _reference_measure(res.events, success=res.success))
+                        shuffled = [res.events[i] for i in shuffle.permutation(len(res.events))]
+                        _assert_reports_identical(measure(shuffled), _reference_measure(shuffled))
+                        n += 1
+    assert n == 576
+
+
+def test_measure_matches_reference_on_tied_starts():
+    """Executions sharing a start, listed against event order and with ends
+    out of index order, take the sorting path."""
+    ev = [_ev(STAGE_OBSERVE, 0, 0, 0.0, 3.0), _ev(STAGE_OBSERVE, 4, 1, 5.0, 9.0)]
+    ev += [_ev(STAGE_GENERATE, i, i // 4, 1.0 + i, 2.5 + i) for i in range(8)]
+    ev += [_ev(STAGE_EXECUTE, 3, 0, 4.0, 4.5), _ev(STAGE_EXECUTE, 2, 0, 4.0, 6.0),
+           _ev(STAGE_EXECUTE, 1, 0, 2.0, 4.0), _ev(STAGE_EXECUTE, 0, 0, 2.0, 3.0),
+           _ev(STAGE_EXECUTE, 5, 1, 9.5, 10.25), _ev(STAGE_EXECUTE, 4, 1, 9.5, 11.0)]
+    for order in (ev, ev[::-1], sorted(ev, key=event_sort_key)):
+        _assert_reports_identical(measure(order), _reference_measure(order))

@@ -4,8 +4,8 @@ import time
 import numpy as np
 import pytest
 
-from streampolicy import envsim, metrics, saliency, streamexec
-from streampolicy.core import STREAM_INDICATOR, make_rng
+from streampolicy import envsim, metrics, saliency, streamexec, velocitynet
+from streampolicy.core import STREAM_INDICATOR, DimensionMismatchError, make_rng
 from streampolicy.envsim import EnvHandle, EnvKind, KIND_CONTROLLER, KIND_DIRECT, make_env, step as env_step
 from streampolicy.saliency import Indicator
 from streampolicy.streamexec import (
@@ -13,7 +13,7 @@ from streampolicy.streamexec import (
     STAGE_GENERATE, STAGE_OBSERVE, STAGE_PREDICT, EpisodeResult, SchedulerConfig,
     StageLatency, TimelineEvent, ZERO_LATENCY, _decide_eo, _finish, run_episode,
 )
-from streampolicy.velocitynet import Policy
+from streampolicy.velocitynet import Policy, init_velocity_model
 DIRECT = EnvKind(variant=KIND_DIRECT)
 CTRL = EnvKind(variant=KIND_CONTROLLER)
 # a tenth of the reference profile keeps wall-clock runs fast while preserving
@@ -32,7 +32,10 @@ class _ConstPolicy:
     def initial_alpha(self, position):
         return np.zeros(2)
 
-    def action(self, alpha_norm, T, obs_features):
+    def prepare(self, alpha_norm, obs_features):
+        return None
+
+    def action(self, alpha_norm, T, obs_features, prepared=None):
         if T == 0:
             self.seen.append(obs_features.copy())
         return 0.5 * self.raw, self.raw.copy()
@@ -371,7 +374,7 @@ def _eager_streaming(policy: Policy, predictor, env: EnvHandle, stage: StageLate
             snapshot = next_snapshot
 
     traj_parts = (record_obs, alpha0_raw) if record_trajectory else None
-    return _finish(succeeded, events, executed_raw, executed_norm, alpha0_norm, state,
+    return _finish(succeeded, events, executed_raw, executed_norm, alpha_exec, state,
                    horizon, eo_fired_count, steps, traj_parts, eo_decision_count)
 
 
@@ -442,7 +445,7 @@ def _eager_sync(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
         base += n_rep
 
     traj_parts = (record_obs, alpha0_raw) if record_trajectory else None
-    return _finish(succeeded, events, executed_raw, executed_norm, alpha0_norm, state,
+    return _finish(succeeded, events, executed_raw, executed_norm, alpha_exec, state,
                    horizon, 0, steps, traj_parts)
 
 
@@ -471,8 +474,11 @@ def _grid_schedulers(etas):
     return out
 
 
-def _assert_results_identical(a: EpisodeResult, b: EpisodeResult):
-    assert a.events == b.events
+def _assert_results_identical(a: EpisodeResult, b: EpisodeResult, events: bool = True):
+    """Bitwise equal results; events=False skips the event logs, whose
+    wall-clock times differ from run to run."""
+    if events:
+        assert a.events == b.events
     for name in ("actions_raw", "actions_norm", "final_alpha"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
@@ -513,18 +519,76 @@ def test_lazy_generation_matches_eager_reference(stage, ctrl_policy, ctrl_predic
     assert all(covered.values()), covered
 
 
-class _CountingPolicy:
-    """Delegates to a real policy and counts action calls."""
+def _wall_grid_schedulers(etas):
+    """The grid's schedules whose executed actions the wall clock reproduces:
+    anao and adaptive score what the wall generator has made by then."""
+    return [s for s in _grid_schedulers(etas)
+            if s.eo is None or s.eo.mode in (saliency.EO_NAIVE, saliency.EO_RANDOM)]
 
-    def __init__(self, policy):
-        self.policy, self.calls = policy, 0
 
-    def initial_alpha(self, position):
-        return self.policy.initial_alpha(position)
+def test_wall_chunk_path_matches_eager_reference(ctrl_policy, ctrl_predictor, calibrated_etas):
+    """Both wall runners generate through the same prepared chunk as the
+    simulated clock, carrying its ledger from horizon to horizon: everything
+    but the wall-clock event times equals the eager reference bit for bit."""
+    covered = {"success": 0, "cap_mid_horizon": 0, "fired": 0}
+    for sched in _wall_grid_schedulers(calibrated_etas):
+        eager = _eager_streaming if sched.mode == MODE_STREAMING else _eager_sync
+        for cap in (7, 23, 42):
+            for record in (False, True):
+                for ep in range(2):
+                    env = make_env(CTRL, 0, ep, step_cap=cap)
+                    got = run_episode(ctrl_policy, ctrl_predictor, env, ZERO_LATENCY, sched,
+                                      clock="wall", record_trajectory=record)
+                    want = eager(ctrl_policy, ctrl_predictor, env, ZERO_LATENCY, sched, record)
+                    _assert_results_identical(got, want, events=False)
+                    covered["success"] += got.success
+                    covered["cap_mid_horizon"] += (not got.success and cap % sched.replan != 0)
+                    covered["fired"] += got.eo_fired
+    assert all(covered.values()), covered
 
-    def action(self, alpha_norm, T, obs_features):
-        self.calls += 1
-        return self.policy.action(alpha_norm, T, obs_features)
+
+def test_final_alpha_is_the_resummed_ledger_on_every_schedule(ctrl_policy, ctrl_predictor,
+                                                              calibrated_etas):
+    """The engine hands its running ledger to the result; it is alpha0 plus
+    the executed actions summed in order, bit for bit."""
+    scheds = _grid_schedulers(calibrated_etas)
+    assert len(scheds) == 8
+    for sched in scheds:
+        for stage in (ZERO_LATENCY, REFERENCE_PROFILE):
+            for cap in (7, 23, 120):
+                env = make_env(CTRL, 2, cap, step_cap=cap)
+                res = run_episode(ctrl_policy, ctrl_predictor, env, stage, sched)
+                alpha = ctrl_policy.initial_alpha(env.init_state.position)
+                for a in res.actions_norm:
+                    alpha = alpha + a
+                assert res.final_alpha.tobytes() == alpha.tobytes()
+
+
+@pytest.mark.parametrize("clock, mode", [("simulated", MODE_STREAMING),
+                                         ("simulated", MODE_SYNC_CHUNK),
+                                         ("wall", MODE_STREAMING), ("wall", MODE_SYNC_CHUNK)])
+def test_wrong_observation_dimension_raises(null_policy, clock, mode):
+    """A policy trained on 5 observation features cannot run on the 7 the
+    environment gives; preparing the first horizon says so."""
+    model = init_velocity_model(2, 5, (8,), rng=make_rng(0, 1))
+    policy = Policy(model=model, stats=null_policy.stats, flow=null_policy.flow)
+    with pytest.raises(DimensionMismatchError, match="obs dim 7 != 5"):
+        run_episode(policy, None, make_env(DIRECT, 17, step_cap=5), ZERO_LATENCY,
+                    SchedulerConfig(mode=mode), clock=clock)
+
+
+def _count_forward_passes(monkeypatch) -> list:
+    """Counts velocitynet.forward calls, the one forward pass of each
+    computed action on the prepared path every Policy takes."""
+    calls = []
+    real = velocitynet.forward
+
+    def counting_forward(*args, **kwargs):
+        calls.append(kwargs.get("prepared") is not None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(velocitynet, "forward", counting_forward)
+    return calls
 
 
 @pytest.mark.parametrize("sched", [
@@ -534,14 +598,14 @@ class _CountingPolicy:
     SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="random", p=0.5), n_eo=3),
 ], ids=["sync_replan5", "streaming", "streaming_naive", "streaming_random"])
 @pytest.mark.parametrize("cap", [7, 23, 42])
-def test_simulated_clock_computes_only_executed_actions(null_policy, sched, cap):
+def test_simulated_clock_computes_only_executed_actions(monkeypatch, null_policy, sched, cap):
     """Indicators that never read the remaining actions leave no action
     computed that is not executed; every planned action keeps its generate
     event."""
-    policy = _CountingPolicy(null_policy)
-    res = run_episode(policy, None, make_env(DIRECT, 11, step_cap=cap), REFERENCE_PROFILE, sched)
+    calls = _count_forward_passes(monkeypatch)
+    res = run_episode(null_policy, None, make_env(DIRECT, 11, step_cap=cap), REFERENCE_PROFILE, sched)
     assert res.steps == cap
-    assert policy.calls == res.steps
+    assert len(calls) == res.steps and all(calls)
     assert len(_by_stage(res.events, STAGE_GENERATE)) == res.n_horizons * sched.h
 
 
@@ -586,13 +650,13 @@ def test_scored_indicator_reads_the_whole_remaining_tail(monkeypatch, null_polic
 
     monkeypatch.setattr(saliency, "action_norm_score", recording_score)
     sched = SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="action_norm", eta=0.0), n_eo=3)
-    policy = _CountingPolicy(null_policy)
+    calls = _count_forward_passes(monkeypatch)
     # decision at step 7 of horizon 0; the cap leaves horizon 1 without one
-    res = run_episode(policy, None, make_env(DIRECT, 12, step_cap=18), ZERO_LATENCY, sched)
+    res = run_episode(null_policy, None, make_env(DIRECT, 12, step_cap=18), ZERO_LATENCY, sched)
     assert res.steps == 18 and res.eo_decisions == 1 and res.eo_fired == 0
     assert len(scored) == 1
     assert scored[0].tobytes() == res.actions_raw[7:10].tobytes()
-    assert policy.calls == res.steps
+    assert len(calls) == res.steps and all(calls)
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +675,10 @@ class _BlockingPolicy:
     def initial_alpha(self, position):
         return np.zeros(2)
 
-    def action(self, alpha_norm, T, obs_features):
+    def prepare(self, alpha_norm, obs_features):
+        return None
+
+    def action(self, alpha_norm, T, obs_features, prepared=None):
         self.calls += 1
         if self.calls > self.block_at:
             self.release.wait(timeout=30.0)
@@ -639,7 +706,10 @@ class _SlowPolicy:
     def initial_alpha(self, position):
         return np.zeros(2)
 
-    def action(self, alpha_norm, T, obs_features):
+    def prepare(self, alpha_norm, obs_features):
+        return None
+
+    def action(self, alpha_norm, T, obs_features, prepared=None):
         time.sleep(self.compute_s)
         return np.full(2, 0.001), np.full(2, 0.002)
 

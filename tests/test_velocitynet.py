@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from streampolicy.core import make_rng
+from streampolicy.core import DimensionMismatchError, make_rng
 from streampolicy.flowmatch import FlowParams
 from streampolicy.normkit import NormStats
 from streampolicy.saliency import PredictorConfig, init_predictor
 from streampolicy.saliency import loss_and_grad as predictor_loss_and_grad
 from streampolicy.velocitynet import (
-    AdamState, CheckpointError, Policy, adam_step, forward, forward_batch,
+    AdamState, CheckpointError, InputRow, Policy, adam_step, forward, forward_batch,
     init_adam, init_velocity_model, load_policy, loss_and_grad, read_container,
     save_policy, time_features, write_container, TAG_VELOCITY_POLICY, TIME_DIM,
+    _assemble_inputs, _mlp_forward,
 )
 
 
@@ -282,3 +283,61 @@ def test_policy_action_goes_through_forward(monkeypatch):
     assert calls == {"forward": 3 * h, "time_features": h, "extract_action": 3 * h}
     policy.action(np.zeros(2), h, np.zeros(7))
     assert calls == {"forward": 3 * h + 1, "time_features": h + 1, "extract_action": 3 * h + 1}
+
+
+@pytest.mark.parametrize("hidden", [(16, 12), (8,), (5, 6, 7)])
+def test_forward_on_a_prepared_row_matches_the_batched_layers_bitwise(hidden):
+    """One InputRow serves many forward passes on its observation: each
+    gives the training path's layers, run on that one row, bit for bit, with
+    the time features passed in or computed from t; so does a forward that
+    builds its own row."""
+    model = init_velocity_model(2, 7, hidden=hidden, rng=make_rng(3, 7, len(hidden)))
+    rng = make_rng(5, 2, len(hidden))
+    for k, b in model.params.items():
+        if k.startswith("b"):  # initialized to zero, which would hide the bias add
+            b[...] = rng.normal(size=b.shape)
+    obs = rng.normal(size=7)
+    row = InputRow(model, np.zeros(2), obs)
+    for T in range(12):
+        x = rng.normal(size=2)
+        t = T / 10.0
+        inp = _assemble_inputs(model, x, t, obs)
+        want = _mlp_forward(model.params, inp, model.n_layers())[0]
+        assert forward(model, x, t, obs).tobytes() == want.tobytes(), T
+        for tf in (time_features(t), None):
+            got = forward(model, x, t, obs, tf, prepared=row)
+            assert got.tobytes() == want.tobytes(), (T, tf is None)
+    assert row.row[2 + TIME_DIM:].tobytes() == obs.tobytes()
+
+
+def test_forward_rejects_a_row_prepared_for_another_input():
+    model = _small_model()
+    obs = np.linspace(-1, 1, 7)
+    row = InputRow(model, np.zeros(2), obs)
+    with pytest.raises(ValueError, match="another model or observation"):
+        forward(model, np.zeros(2), 0.0, obs.copy(), prepared=row)
+    with pytest.raises(ValueError, match="another model or observation"):
+        forward(_small_model(1), np.zeros(2), 0.0, obs, prepared=row)
+
+
+def test_policy_action_on_a_prepared_row_matches_action_bitwise():
+    policy = _toy_policy()
+    rng = make_rng(5, 3, 0)
+    alpha, obs = rng.normal(size=2), rng.normal(size=7)
+    row = policy.prepare(alpha, obs)
+    for T in [*range(policy.flow.h), policy.flow.h]:
+        alpha = alpha + 0.01 * T
+        got = policy.action(alpha, T, obs, prepared=row)
+        want = policy.action(alpha, T, obs)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes(), T
+
+
+def test_input_row_checks_dimensions():
+    model = _small_model()
+    with pytest.raises(DimensionMismatchError, match="obs dim 6 != 7"):
+        InputRow(model, np.zeros(2), np.zeros(6))
+    with pytest.raises(DimensionMismatchError, match="state dim 3 != 2"):
+        InputRow(model, np.zeros(3), np.zeros(7))
+    with pytest.raises(DimensionMismatchError, match="one state and one observation"):
+        InputRow(model, np.zeros((4, 2)), np.zeros((4, 7)))
