@@ -465,12 +465,15 @@ def _cmd_bench(args) -> int:
     rates: dict[str, float] = {}
     artifacts: dict[str, str] = {}
 
+    # every configuration runs the same episodes
+    envs = [envsim.make_env(kind, cfg["seed"], ep, step_cap=cfg["step_cap"])
+            for ep in range(cfg["episodes"])]
+
     def run_config(label):
         scheduler, pred = configs[label]
         reports = []
         fired = decisions = 0
-        for ep in range(cfg["episodes"]):
-            env = envsim.make_env(kind, cfg["seed"], ep, step_cap=cfg["step_cap"])
+        for ep, env in enumerate(envs):
             result = streamexec.run_episode(policy, pred, env, stage, scheduler,
                                             clock=cfg["clock"])
             reports.append(metrics.measure(result.events, success=result.success))
@@ -491,18 +494,20 @@ def _cmd_bench(args) -> int:
               f"eo_rate {rates[label]:.3f}", flush=True)
 
     # the random indicator is matched to the adaptive one's realized firing
-    # rate, so run it after everything else
+    # rate, so run it after everything else. Schedules that observe the same
+    # state plan the same horizon; the scope computes each one once.
     random_label = "streaming+random"
-    for label in configs:
-        if label != random_label:
-            run_config(label)
-    if random_label in configs:
-        adaptive_label = "streaming+adaptive"
-        if cfg["match_random"] and adaptive_label in rates:
-            scheduler, _ = configs[random_label]
-            ind = saliency.Indicator(mode=saliency.EO_RANDOM, p=rates[adaptive_label])
-            configs[random_label] = (replace(scheduler, eo=ind), None)
-        run_config(random_label)
+    with streamexec.shared_horizons():
+        for label in configs:
+            if label != random_label:
+                run_config(label)
+        if random_label in configs:
+            adaptive_label = "streaming+adaptive"
+            if cfg["match_random"] and adaptive_label in rates:
+                scheduler, _ = configs[random_label]
+                ind = saliency.Indicator(mode=saliency.EO_RANDOM, p=rates[adaptive_label])
+                configs[random_label] = (replace(scheduler, eo=ind), None)
+            run_config(random_label)
     results = {label: results[label] for label in configs if label in results}
 
     baseline = next(iter(configs))

@@ -37,14 +37,27 @@ an action executes or an early-observation indicator scores it, so an action
 that is planned and then replaced (a sync chunk's tail, the rest of a
 horizon when the episode ends) costs no forward pass.
 
+Inside a shared_horizons() scope the simulated engine also shares horizons
+between episodes: a horizon's actions are a pure function of the policy, h,
+its starting ledger and its observation features, so two episodes (of the
+same or of different schedules) that observe the same state plan the same
+chunk. The scope keeps each horizon's _Chunk under those four, and a later
+episode reads the actions an earlier one computed and extends the chunk only
+as far as it executes or scores. Every result is the one an unshared run
+gives, bit for bit; `streampolicy bench` runs its whole matrix in one scope.
+The scope assumes the policy's weights do not change inside it.
+
 The wall-clock runners reproduce the same semantics with timestamps from the
 wall clock: streaming with three real threads and bounded queues, sync_chunk
 sequentially, since nothing in it overlaps. They generate every planned
-action, with each forward pass inside its t_gen budget.
+action, with each forward pass inside its t_gen budget, and never share a
+horizon.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import threading
 import time
 from dataclasses import dataclass
@@ -241,6 +254,40 @@ class _Chunk:
         return np.asarray(self.raw[i:])
 
 
+# (id(policy), h, starting ledger bytes, observation feature bytes) -> _Chunk,
+# while a shared_horizons() scope is open; a memoized chunk holds its policy,
+# so the id cannot be reused while the memo lives. A context variable and not
+# a run_episode argument, because wrappers with exactly run_episode's
+# parameters stand in for it (a benchmark harness counts episodes that way).
+_SHARED_HORIZONS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "streamexec_shared_horizons", default=None)
+
+
+@contextlib.contextmanager
+def shared_horizons():
+    """Within this scope, simulated episodes compute each distinct horizon
+    once (see the module docstring). A nested scope starts empty and the
+    enclosing one is restored on exit; the memo is freed when the outermost
+    scope exits, whether or not by an exception."""
+    token = _SHARED_HORIZONS.set({})
+    try:
+        yield
+    finally:
+        _SHARED_HORIZONS.reset(token)
+
+
+def _horizon_chunk(memo: dict | None, policy: Policy, alpha: np.ndarray,
+                   features: np.ndarray, h: int) -> _Chunk:
+    """The horizon's chunk: the shared one inside a scope, else a fresh one."""
+    if memo is None:
+        return _Chunk(policy, alpha, features, h)
+    key = (id(policy), h, alpha.tobytes(), features.tobytes())
+    chunk = memo.get(key)
+    if chunk is None:
+        chunk = memo[key] = _Chunk(policy, alpha, features, h)
+    return chunk
+
+
 def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
                scheduler: SchedulerConfig, record_trajectory: bool) -> EpisodeResult:
     """The discrete-event engine for both modes (see the module docstring)."""
@@ -250,6 +297,7 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
     state = env.init_state
     ind_rng = (make_rng(scheduler.seed, STREAM_INDICATOR, getattr(env, "episode_id", 0))
                if scheduler.eo is not None else None)
+    memo = _SHARED_HORIZONS.get()
 
     alpha_exec = policy.initial_alpha(state.position)
     events: list[TimelineEvent] = []
@@ -283,7 +331,7 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
         # planned but replaced by the next chunk (its generate events share
         # the indices the next chunk will execute).
         gen_end: list[float] = []
-        chunk = _Chunk(policy, alpha_exec, obs.features, h)
+        chunk = _horizon_chunk(memo, policy, alpha_exec, obs.features, h)
         lane = max(gen_lane, obs_end)
         for i in range(h):
             g = base + i
@@ -465,7 +513,8 @@ def _wall_executor(shared: _WallShared, alpha0_norm: np.ndarray, predictor, env:
         kind = env.kind
         state = env.init_state
         alpha_exec = alpha0_norm
-        ind_rng = make_rng(scheduler.seed, STREAM_INDICATOR, getattr(env, "episode_id", 0))
+        ind_rng = (make_rng(scheduler.seed, STREAM_INDICATOR, getattr(env, "episode_id", 0))
+                   if scheduler.eo is not None else None)
         executed_raw, executed_norm, record_obs = [], [], ([] if record_trajectory else None)
         steps = 0
         succeeded = False

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 import pytest
 
+from streampolicy import streamexec
 from streampolicy.cli import main
 from streampolicy.core import load_dataset
 from streampolicy.velocitynet import load_policy
@@ -84,6 +86,38 @@ def test_bench_writes_results(workdir, tmp_path, capsys):
     csv_lines = (out_dir / "results.csv").read_text().strip().splitlines()
     assert len(csv_lines) == 5
     assert json.loads((out_dir / "manifest.json").read_text())["command"] == "bench"
+
+
+def test_bench_runs_every_episode_through_run_episode(workdir, tmp_path, monkeypatch):
+    """A benchmark harness may swap streamexec.run_episode for a wrapper with
+    exactly these parameters and count what it sees: every calibration and
+    matrix episode must pass through it. Sharing horizons across the matrix
+    must not change a byte of the results."""
+    real = streamexec.run_episode
+    seen = []
+
+    def wrapper(policy, predictor, env, stage, scheduler, clock="simulated",
+                record_trajectory=False):
+        seen.append(record_trajectory)
+        return real(policy, predictor, env, stage, scheduler, clock=clock,
+                    record_trajectory=record_trajectory)
+
+    monkeypatch.setattr(streamexec, "run_episode", wrapper)
+    outputs = {}
+    for shared in (True, False):
+        if not shared:
+            monkeypatch.setattr(streamexec, "shared_horizons", contextlib.nullcontext)
+        seen.clear()
+        out_dir = tmp_path / f"shared_{shared}"
+        rc = main(["bench", "--policy", str(workdir / "policy" / "policy.ckpt"),
+                   "--env", "controller", "--episodes", "4", "--step-cap", "30",
+                   "--eo", "naive,random,anao", "--calib-episodes", "3", "--seed", "3",
+                   "--out-dir", str(out_dir)])
+        assert rc == 0
+        # 3 calibration rollouts record trajectories; 6 configurations x 4 episodes
+        assert seen.count(True) == 3 and seen.count(False) == 6 * 4
+        outputs[shared] = [(out_dir / name).read_bytes() for name in ("results.csv", "results.txt")]
+    assert outputs[True] == outputs[False]
 
 
 def test_predict_timing_reference_values(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 import time
 
@@ -12,6 +13,7 @@ from streampolicy.streamexec import (
     MODE_STREAMING, MODE_SYNC_CHUNK, REFERENCE_PROFILE, STAGE_EXECUTE,
     STAGE_GENERATE, STAGE_OBSERVE, STAGE_PREDICT, EpisodeResult, SchedulerConfig,
     StageLatency, TimelineEvent, ZERO_LATENCY, _decide_eo, _finish, run_episode,
+    shared_horizons,
 )
 from streampolicy.velocitynet import Policy, init_velocity_model
 DIRECT = EnvKind(variant=KIND_DIRECT)
@@ -577,6 +579,14 @@ def test_wrong_observation_dimension_raises(null_policy, clock, mode):
                     SchedulerConfig(mode=mode), clock=clock)
 
 
+def test_assert_results_identical_covers_every_field():
+    """The shared-horizon tests compare results field by field; a new
+    EpisodeResult field must be added to _assert_results_identical."""
+    assert [f.name for f in dataclasses.fields(EpisodeResult)] == [
+        "success", "events", "actions_raw", "actions_norm", "final_alpha", "final_state",
+        "n_horizons", "eo_fired", "steps", "trajectory", "eo_decisions"]
+
+
 def _count_forward_passes(monkeypatch) -> list:
     """Counts velocitynet.forward calls, the one forward pass of each
     computed action on the prepared path every Policy takes."""
@@ -624,6 +634,11 @@ def test_indicator_stream_is_built_only_with_early_observation(monkeypatch, null
     monkeypatch.setattr(streamexec, "make_rng", counting_make_rng)
     run_episode(null_policy, None, make_env(DIRECT, 15, step_cap=23), REFERENCE_PROFILE, sched)
     assert len(made) == calls
+    # the wall runners: the executor of streaming, the sequential sync loop
+    made.clear()
+    run_episode(null_policy, None, make_env(DIRECT, 15, step_cap=23), FAST_PROFILE, sched,
+                clock="wall")
+    assert len(made) == calls
 
 
 @pytest.mark.parametrize("sched", [
@@ -657,6 +672,117 @@ def test_scored_indicator_reads_the_whole_remaining_tail(monkeypatch, null_polic
     assert len(scored) == 1
     assert scored[0].tobytes() == res.actions_raw[7:10].tobytes()
     assert len(calls) == res.steps and all(calls)
+
+
+# ---------------------------------------------------------------------------
+# shared horizons: inside a shared_horizons() scope an identical horizon is
+# computed once, and every result is the unshared one bit for bit
+# ---------------------------------------------------------------------------
+
+def _grid_cells(etas):
+    for sched in _grid_schedulers(etas):
+        for cap in (7, 23, 42, 120):
+            for record in (False, True):
+                for ep in range(2):
+                    yield sched, make_env(CTRL, 0, ep, step_cap=cap), record
+
+
+@pytest.mark.parametrize("stage", [ZERO_LATENCY, REFERENCE_PROFILE, GENERATOR_BOUND],
+                         ids=["zero", "reference", "generator_bound"])
+def test_shared_horizons_match_unshared_on_the_grid(monkeypatch, stage, ctrl_policy,
+                                                    ctrl_predictor, calibrated_etas):
+    """The lazy-vs-eager grid (8 schedules, caps 7/23/42/120, recording on
+    and off) run once unshared and once in one scope: every EpisodeResult
+    field agrees byte for byte, events included, for fewer forward passes."""
+    calls = _count_forward_passes(monkeypatch)
+    cells = list(_grid_cells(calibrated_etas))
+    want = [run_episode(ctrl_policy, ctrl_predictor, env, stage, sched, record_trajectory=record)
+            for sched, env, record in cells]
+    unshared = len(calls)
+    calls.clear()
+    with shared_horizons():
+        got = [run_episode(ctrl_policy, ctrl_predictor, env, stage, sched, record_trajectory=record)
+               for sched, env, record in cells]
+    assert len(calls) < unshared
+    for a, b in zip(got, want):
+        _assert_results_identical(a, b)
+
+
+def test_a_horizon_extended_by_another_schedule_gives_the_unshared_values(monkeypatch, null_policy):
+    """sync_replan5 computes the first 5 actions of the first horizon; the
+    streaming run that follows in the same scope reads them and computes the
+    other 5 itself, and its result is the unshared one."""
+    env = make_env(DIRECT, 18, step_cap=23)
+    replan5 = SchedulerConfig(mode=MODE_SYNC_CHUNK, n_replan=5)
+    streaming = SchedulerConfig(mode=MODE_STREAMING)
+    want = run_episode(null_policy, None, env, REFERENCE_PROFILE, streaming)
+    calls = _count_forward_passes(monkeypatch)
+    with shared_horizons():
+        run_episode(null_policy, None, env, REFERENCE_PROFILE, replan5)
+        first = next(iter(streamexec._SHARED_HORIZONS.get().values()))
+        assert len(first.norm) == 5
+        calls.clear()
+        got = run_episode(null_policy, None, env, REFERENCE_PROFILE, streaming)
+        assert len(first.norm) == 10
+    # the rest of the streaming episode observes states sync_replan5 never did
+    assert got.steps == 23 and len(calls) == got.steps - 5
+    _assert_results_identical(got, want)
+
+
+def test_shared_horizons_scope_resets_after_an_exception_and_nests(null_policy):
+    env = make_env(DIRECT, 19, step_cap=12)
+    sched = SchedulerConfig(mode=MODE_STREAMING)
+    assert streamexec._SHARED_HORIZONS.get() is None
+    with pytest.raises(RuntimeError, match="inside the scope"):
+        with shared_horizons():
+            run_episode(null_policy, None, env, ZERO_LATENCY, sched)
+            assert len(streamexec._SHARED_HORIZONS.get()) == 2
+            raise RuntimeError("inside the scope")
+    assert streamexec._SHARED_HORIZONS.get() is None
+
+    with shared_horizons():
+        outer = streamexec._SHARED_HORIZONS.get()
+        run_episode(null_policy, None, env, ZERO_LATENCY, sched)
+        held = dict(outer)
+        with shared_horizons():
+            inner = streamexec._SHARED_HORIZONS.get()
+            assert inner == {} and inner is not outer
+            run_episode(null_policy, None, make_env(DIRECT, 20, step_cap=12), ZERO_LATENCY, sched)
+            assert len(inner) == 2
+        assert streamexec._SHARED_HORIZONS.get() is outer
+        assert outer.keys() == held.keys()
+        assert all(outer[k] is held[k] for k in held)
+    assert streamexec._SHARED_HORIZONS.get() is None
+
+
+def test_outside_a_scope_every_episode_computes_its_own_horizons(monkeypatch, null_policy):
+    env = make_env(DIRECT, 21, step_cap=23)
+    sched = SchedulerConfig(mode=MODE_STREAMING)
+    calls = _count_forward_passes(monkeypatch)
+    for _ in range(2):
+        calls.clear()
+        res = run_episode(null_policy, None, env, REFERENCE_PROFILE, sched)
+        assert len(calls) == res.steps == 23
+    with shared_horizons():
+        run_episode(null_policy, None, env, REFERENCE_PROFILE, sched)
+        calls.clear()
+        run_episode(null_policy, None, env, REFERENCE_PROFILE, sched)
+        assert calls == []
+    calls.clear()
+    res = run_episode(null_policy, None, env, REFERENCE_PROFILE, sched)
+    assert len(calls) == res.steps
+
+
+def test_the_wall_clock_never_shares(monkeypatch, null_policy):
+    env = make_env(DIRECT, 22, step_cap=7)
+    calls = _count_forward_passes(monkeypatch)
+    with shared_horizons():
+        for _ in range(2):
+            calls.clear()
+            run_episode(null_policy, None, env, ZERO_LATENCY, SchedulerConfig(mode=MODE_SYNC_CHUNK),
+                        clock="wall")
+            assert len(calls) == 10  # the whole chunk, each action inside its t_gen
+        assert streamexec._SHARED_HORIZONS.get() == {}
 
 
 # ---------------------------------------------------------------------------
