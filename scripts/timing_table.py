@@ -4,14 +4,17 @@ Uses an untrained policy so the episodes run to a fixed 20 horizons; the
 timing algebra only depends on the schedule, not on task skill. Runs in a
 couple of seconds, no artifacts needed.
 
-    python3 scripts/timing_table.py [--profile t_obs,t_gen,t_exec[,t_pred]]
+    python3 scripts/timing_table.py [--profile reference|zero|t_obs,t_gen,t_exec[,t_pred]]
+
+A profile the closed forms do not cover (a generator-bound one, t_gen >
+t_exec) or a malformed one prints the error and exits 2, as the CLI does.
 """
 
 import argparse
-
-import numpy as np
+import sys
 
 from streampolicy import envsim, metrics, streamexec
+from streampolicy.cli import CliError, _parse_profile
 from streampolicy.envsim import EnvKind, KIND_CONTROLLER
 from streampolicy.saliency import EO_NAIVE, Indicator
 from streampolicy.trainer import TrainConfig, train
@@ -27,17 +30,11 @@ def untrained_policy():
     return policy, kind
 
 
-def main():
+def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--profile", default="reference",
-                    help="'reference' or t_obs,t_gen,t_exec[,t_pred] in ms")
+                    help="'reference', 'zero' or t_obs,t_gen,t_exec[,t_pred] in ms")
     args = ap.parse_args()
-    if args.profile == "reference":
-        stage = streamexec.REFERENCE_PROFILE
-    else:
-        stage = streamexec.StageLatency(*(float(x) for x in args.profile.split(",")))
-
-    policy, kind = untrained_policy()
     rows = [
         ("sync_replan5",
          streamexec.SchedulerConfig(mode=streamexec.MODE_SYNC_CHUNK, n_replan=5),
@@ -53,6 +50,14 @@ def main():
                                     eo=Indicator(mode=EO_NAIVE), n_eo=2),
          dict(mode=streamexec.MODE_STREAMING, n_eo_avg=2.0)),
     ]
+    try:
+        stage = _parse_profile(args.profile)
+        predicted = [metrics.closed_form(stage, H, **cf_kwargs) for *_, cf_kwargs in rows]
+    except (CliError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+    policy, kind = untrained_policy()
 
     print(f"profile t_obs={stage.t_obs:g} t_gen={stage.t_gen:g} "
           f"t_exec={stage.t_exec:g} ms, h={H}, 20-horizon simulated episodes")
@@ -60,24 +65,23 @@ def main():
            f"{'o_ge/hor':>9s} {'(pred)':>8s} {'o_oe/hor':>9s} {'(pred)':>8s}")
     print(hdr)
     print("-" * len(hdr))
-    for name, sched, cf_kwargs in rows:
+    for (name, sched, _), cf in zip(rows, predicted):
         env = envsim.make_env(kind, 0, step_cap=20 * H)
         result = streamexec.run_episode(policy, None, env, stage, sched)
         rep = metrics.measure(result.events)
-        cf = metrics.closed_form(stage, H, **cf_kwargs)
         print(f"{name:<22s} {rep.t_action_steady:>9.2f} {cf['t_action']:>8.2f} "
               f"{rep.t_halt:>8.2f} {cf['t_halt']:>8.2f} "
               f"{rep.o_ge_per_horizon:>9.2f} {cf['o_ge']:>8.2f} "
               f"{rep.o_oe_per_horizon:>9.2f} {cf['o_oe']:>8.2f}")
 
-    base = metrics.closed_form(stage, H, streamexec.MODE_SYNC_CHUNK)
-    eo = metrics.closed_form(stage, H, streamexec.MODE_STREAMING, n_eo_avg=2.0)
+    base, eo = predicted[1], predicted[3]
     if eo["t_halt"] > 0:
         print(f"\nhalting speedup streaming+eo vs sync_full: "
               f"{base['t_halt'] / eo['t_halt']:.2f}x")
     else:
         print("\nstreaming+eo hides the halt entirely")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -87,9 +87,12 @@ def _resolve(args: argparse.Namespace, schema: dict[str, tuple]) -> dict:
     return resolved
 
 
-def _check_step_cap(cfg: dict) -> None:
-    if cfg["step_cap"] < 1:
-        raise CliError(f"--step-cap must be at least 1, got {cfg['step_cap']}")
+def _check_counts(cfg: dict, *names: str, least: int = 1) -> None:
+    """Each named count must be at least least; a smaller one would run
+    nothing (no episodes, no training iterations) or divide by zero."""
+    for name in names:
+        if cfg[name] < least:
+            raise CliError(f"--{name.replace('_', '-')} must be at least {least}, got {cfg[name]}")
 
 
 def _sha256(path) -> str:
@@ -185,6 +188,7 @@ def _cmd_gen_data(args) -> int:
         "out": (str, "demos.jsonl"),
     }
     cfg = _resolve(args, schema)
+    _check_counts(cfg, "episodes", "step_cap")
     kind = _env_kind(cfg["env"])
     trajectories = envsim.generate_demos(
         kind, cfg["episodes"], cfg["seed"], step_cap=cfg["step_cap"], noise=cfg["noise"]
@@ -217,6 +221,7 @@ def _cmd_train_policy(args) -> int:
         "log_every": (int, 100),
     }
     cfg = _resolve(args, schema)
+    _check_counts(cfg, "iterations", "log_every")
     if not cfg["data"]:
         raise CliError("--data is required")
     trajectories, header = _load_trajectories(cfg["data"])
@@ -239,8 +244,9 @@ def _cmd_train_policy(args) -> int:
         policy, adam, iteration = load_policy(cfg["resume"])
         if adam is None or iteration is None:
             raise CliError("checkpoint lacks optimizer state; cannot resume")
-        resume = (policy, adam, iteration)
         print(f"resuming from {cfg['resume']} at iteration {iteration}")
+        _check_counts(cfg, "iterations", least=iteration + 1)
+        resume = (policy, adam, iteration)
 
     def progress(i, loss, wall_ms):
         print(f"iter {i:>7d}  loss {loss:.6f}  ({wall_ms / 1e3:.1f}s)", flush=True)
@@ -322,7 +328,7 @@ def _cmd_rollout(args) -> int:
         "trace_json": (str, ""),
     }
     cfg = _resolve(args, schema)
-    _check_step_cap(cfg)
+    _check_counts(cfg, "episodes", "step_cap")
     if not cfg["policy"]:
         raise CliError("--policy is required")
     policy, _adam, _it = load_policy(cfg["policy"])
@@ -442,7 +448,7 @@ def _cmd_bench(args) -> int:
         "traces": (bool, False),
     }
     cfg = _resolve(args, schema)
-    _check_step_cap(cfg)
+    _check_counts(cfg, "episodes", "step_cap")
     if not cfg["policy"]:
         raise CliError("--policy is required")
     policy, _adam, _it = load_policy(cfg["policy"])

@@ -22,8 +22,8 @@ horizon, which is precisely the staleness early observation trades away.
 Event logs are deterministic for fixed seeds, with ties ordered
 observe < predict < generate < execute, then by action index.
 
-One _Chunk computes a horizon's actions on all three runners (the
-simulated engine and both wall-clock runners). It prepares the horizon once
+One _Chunk computes a horizon's actions on both runners (the simulated
+engine and the wall-clock runner). It prepares the horizon once
 (Policy.prepare, from its observation and starting ledger) and then computes
 each action in index order as one Policy.action on the prepared row: one
 Euler step of the learned flow, through velocitynet.forward,
@@ -47,17 +47,20 @@ as far as it executes or scores. Every result is the one an unshared run
 gives, bit for bit; `streampolicy bench` runs its whole matrix in one scope.
 The scope assumes the policy's weights do not change inside it.
 
-The wall-clock runners reproduce the same semantics with timestamps from the
-wall clock: streaming with three real threads and bounded queues, sync_chunk
-sequentially, since nothing in it overlaps. They generate every planned
-action, with each forward pass inside its t_gen budget, and never share a
-horizon.
+The wall-clock runner reproduces the same semantics with timestamps from
+the wall clock, for both modes, with three real threads and bounded queues.
+As on the simulated clock, the modes differ only in when a horizon's actions
+are released to the executor: each as it is generated (streaming) or all
+n_replan after the chunk's last generation (sync_chunk), which leaves the
+sync stages strictly serial. It generates every planned action, with each
+forward pass inside its t_gen budget, and never shares a horizon.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -98,8 +101,9 @@ class StageLatency:
 
     def __post_init__(self):
         for name in ("t_obs", "t_gen", "t_exec", "t_pred"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 ZERO_LATENCY = StageLatency(0.0, 0.0, 0.0, 0.0)
@@ -407,10 +411,15 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
 
 
 # ---------------------------------------------------------------------------
-# wall-clock runner: three threads (observer, generator, executor) joined by
-# bounded queues. The observation slot holds at most one latent; the action
-# buffer holds at most h actions. The executor owns the environment and the
-# early-observation decision; the generator owns the action-state ledger.
+# wall-clock runner, for both modes: three threads (observer, generator,
+# executor) joined by bounded queues. The observation slot holds at most one
+# latent; the action buffer holds at most h actions. The generator owns the
+# action-state ledger: it makes all h actions of a horizon, each inside its
+# t_gen budget, and queues the first n_replan, each as it is made in
+# streaming and all at once after the horizon's last generation in
+# sync_chunk. The executor owns the environment and the early-observation
+# decision, and requests the next observation after its n_replan-th
+# execution, so in sync_chunk the stages run one at a time.
 # ---------------------------------------------------------------------------
 
 _POLL = 0.02
@@ -441,28 +450,35 @@ class _WallShared:
         with self.log_lock:
             self.events.append(ev)
 
+    def put(self, queue: Queue, item) -> None:
+        """Put item on queue, giving up once the episode stops."""
+        while not self.stop.is_set():
+            try:
+                queue.put(item, timeout=_POLL)
+                return
+            except Full:
+                continue
+
+    def get(self, queue: Queue):
+        """The next item of queue, or None once the episode stops."""
+        while not self.stop.is_set():
+            try:
+                return queue.get(timeout=_POLL)
+            except Empty:
+                continue
+        return None
+
 
 def _wall_observer(shared: _WallShared, stage: StageLatency, t0: float):
     try:
-        while not shared.stop.is_set():
-            try:
-                req = shared.obs_requests.get(timeout=_POLL)
-            except Empty:
-                continue
-            if req is None:
-                return
+        while (req := shared.get(shared.obs_requests)) is not None:
             snapshot, horizon, first_action = req
             start = (time.monotonic() - t0) * 1e3
             time.sleep(stage.t_obs / 1e3)
             end = (time.monotonic() - t0) * 1e3
             obs = envsim.observe(snapshot, capture_time=start)
             shared.emit(TimelineEvent(STAGE_OBSERVE, first_action, horizon, start, end))
-            while not shared.stop.is_set():
-                try:
-                    shared.obs_slot.put((obs, horizon), timeout=_POLL)
-                    break
-                except Full:
-                    continue
+            shared.put(shared.obs_slot, (obs, horizon))
     except BaseException as exc:  # surfaced by the main thread
         shared.error = exc
         shared.stop.set()
@@ -471,16 +487,14 @@ def _wall_observer(shared: _WallShared, stage: StageLatency, t0: float):
 def _wall_generator(shared: _WallShared, policy: Policy, stage: StageLatency,
                     scheduler: SchedulerConfig, alpha0_norm: np.ndarray, t0: float):
     try:
-        h = scheduler.h
+        h, n_rep = scheduler.h, scheduler.replan
         alpha = alpha0_norm
         base = 0
-        while not shared.stop.is_set():
-            try:
-                obs, horizon = shared.obs_slot.get(timeout=_POLL)
-            except Empty:
-                continue
-            shared.horizon_actions[horizon] = []
+        while (got := shared.get(shared.obs_slot)) is not None:
+            obs, horizon = got
+            made = shared.horizon_actions[horizon] = []
             chunk = _Chunk(policy, alpha, obs.features, h)
+            pending = []
             for i in range(h):
                 if shared.stop.is_set():
                     return
@@ -490,16 +504,15 @@ def _wall_generator(shared: _WallShared, policy: Policy, stage: StageLatency,
                 start = (began - t0) * 1e3
                 end = (time.monotonic() - t0) * 1e3
                 shared.emit(TimelineEvent(STAGE_GENERATE, base + i, horizon, start, end))
-                shared.horizon_actions[horizon].append(a_raw)
-                item = (base + i, i, horizon, a_norm, a_raw)
-                while not shared.stop.is_set():
-                    try:
-                        shared.action_queue.put(item, timeout=_POLL)
-                        break
-                    except Full:
-                        continue
-            alpha = chunk.alpha
-            base += h
+                made.append(a_raw)
+                if i < n_rep:
+                    alpha = chunk.alpha  # the next horizon starts after n_replan actions
+                    pending.append((base + i, i, horizon, a_norm, a_raw))
+                if scheduler.mode == MODE_STREAMING or i == h - 1:
+                    for item in pending:
+                        shared.put(shared.action_queue, item)
+                    pending.clear()
+            base += n_rep
     except BaseException as exc:
         shared.error = exc
         shared.stop.set()
@@ -509,7 +522,7 @@ def _wall_executor(shared: _WallShared, alpha0_norm: np.ndarray, predictor, env:
                    stage: StageLatency, scheduler: SchedulerConfig, t0: float,
                    record_trajectory: bool, out: dict):
     try:
-        h = scheduler.h
+        h, n_rep = scheduler.h, scheduler.replan
         kind = env.kind
         state = env.init_state
         alpha_exec = alpha0_norm
@@ -528,28 +541,25 @@ def _wall_executor(shared: _WallShared, alpha0_norm: np.ndarray, predictor, env:
         shared.obs_requests.put((state, 0, 0))
         decision_idx = h - scheduler.n_eo if scheduler.eo is not None else None
 
-        while not shared.stop.is_set():
-            try:
-                g, i, horizon, a_norm, a_raw = shared.action_queue.get(timeout=_POLL)
-            except Empty:
-                continue
+        while (item := shared.get(shared.action_queue)) is not None:
+            g, i, horizon, a_norm, a_raw = item
             horizons_seen = max(horizons_seen, horizon + 1)
+            next_first = (horizon + 1) * n_rep
 
             if decision_idx is not None and i == decision_idx \
                     and (horizon + 1) * h < env.step_cap:
-                known = shared.horizon_actions.get(horizon, [])
-                remaining = np.asarray(known[i:]) if len(known) > i else a_raw.reshape(1, -1)
+                remaining = np.asarray(shared.horizon_actions[horizon][i:])
                 dec_time = (time.monotonic() - t0) * 1e3
                 dec_obs = envsim.observe(state, capture_time=dec_time)
                 fired, _ = _decide_eo(scheduler, predictor, dec_obs, remaining, ind_rng)
                 eo_decision_count += 1
                 if scheduler.eo.mode == saliency.EO_ADAPTIVE:
                     p_end = (time.monotonic() - t0) * 1e3
-                    shared.emit(TimelineEvent(STAGE_PREDICT, (horizon + 1) * h, horizon, dec_time, p_end))
+                    shared.emit(TimelineEvent(STAGE_PREDICT, next_first, horizon, dec_time, p_end))
                 if fired:
                     eo_count += 1
                     fired_for_horizon = horizon
-                    shared.obs_requests.put((state, horizon + 1, (horizon + 1) * h))
+                    shared.obs_requests.put((state, horizon + 1, next_first))
 
             # tick pacing: period t_exec, or immediately when supply lags
             now = (time.monotonic() - t0) * 1e3
@@ -574,8 +584,8 @@ def _wall_executor(shared: _WallShared, alpha0_norm: np.ndarray, predictor, env:
                 break
             if steps >= env.step_cap:
                 break
-            if i == h - 1 and fired_for_horizon != horizon:
-                shared.obs_requests.put((state, horizon + 1, (horizon + 1) * h))
+            if i == n_rep - 1 and fired_for_horizon != horizon:
+                shared.obs_requests.put((state, horizon + 1, next_first))
 
         out["state"] = state
         out["raw"] = executed_raw
@@ -593,8 +603,9 @@ def _wall_executor(shared: _WallShared, alpha0_norm: np.ndarray, predictor, env:
         shared.stop.set()
 
 
-def _wall_streaming(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
-                    scheduler: SchedulerConfig, record_trajectory: bool) -> EpisodeResult:
+def _wall(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
+          scheduler: SchedulerConfig, record_trajectory: bool) -> EpisodeResult:
+    """The threaded runner for both modes (see the section comment above)."""
     shared = _WallShared(scheduler.h)
     t0 = time.monotonic()
     alpha0_norm = policy.initial_alpha(env.init_state.position)
@@ -626,63 +637,7 @@ def _wall_streaming(policy: Policy, predictor, env: EnvHandle, stage: StageLaten
         traj_parts = (out["record_obs"], envsim.alpha0_for(env.kind, env.init_state))
     return _finish(out["success"], shared.events, out["raw"], out["norm"], out["alpha"],
                    out["state"], out["horizons"], out["eo"], out["steps"], traj_parts,
-                   out.get("eo_decisions", 0))
-
-
-def _wall_sync(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
-               scheduler: SchedulerConfig, record_trajectory: bool) -> EpisodeResult:
-    """Sequential wall-clock sync_chunk: nothing overlaps, so no threads needed."""
-    h, n_rep = scheduler.h, scheduler.replan
-    kind = env.kind
-    state = env.init_state
-    alpha = policy.initial_alpha(state.position)
-    events: list[TimelineEvent] = []
-    executed_raw, executed_norm = [], []
-    record_obs = [] if record_trajectory else None
-    t0 = time.monotonic()
-    now = lambda: (time.monotonic() - t0) * 1e3
-
-    base = 0
-    horizon = 0
-    steps = 0
-    succeeded = False
-    ended = False
-    while not ended:
-        start = now()
-        obs = envsim.observe(state, capture_time=start)
-        time.sleep(stage.t_obs / 1e3)
-        events.append(TimelineEvent(STAGE_OBSERVE, base, horizon, start, now()))
-        chunk = _Chunk(policy, alpha, obs.features, h)
-        for i in range(h):
-            began = time.monotonic()
-            chunk.get(i)
-            _sleep_rest(began, stage.t_gen)
-            events.append(TimelineEvent(STAGE_GENERATE, base + i, horizon, (began - t0) * 1e3, now()))
-        for i in range(n_rep):
-            a_norm, a_raw = chunk.get(i)
-            e_start = now()
-            time.sleep(stage.t_exec / 1e3)
-            events.append(TimelineEvent(STAGE_EXECUTE, base + i, horizon, e_start, now()))
-            if record_obs is not None:
-                record_obs.append(envsim.observe(state, capture_time=float(state.step_count)))
-            state = envsim.step(kind, state, a_raw)
-            executed_raw.append(a_raw)
-            executed_norm.append(a_norm)
-            alpha = alpha + a_norm
-            steps += 1
-            if envsim.success(state):
-                succeeded = True
-                ended = True
-                break
-            if steps >= env.step_cap:
-                ended = True
-                break
-        horizon += 1
-        base += n_rep
-
-    traj_parts = (record_obs, envsim.alpha0_for(kind, env.init_state)) if record_trajectory else None
-    return _finish(succeeded, events, executed_raw, executed_norm, alpha, state,
-                   horizon, 0, steps, traj_parts)
+                   out["eo_decisions"])
 
 
 def run_episode(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
@@ -699,7 +654,5 @@ def run_episode(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
     if clock == "simulated":
         return _simulated(policy, predictor, env, stage, scheduler, record_trajectory)
     if clock == "wall":
-        if scheduler.mode == MODE_STREAMING:
-            return _wall_streaming(policy, predictor, env, stage, scheduler, record_trajectory)
-        return _wall_sync(policy, predictor, env, stage, scheduler, record_trajectory)
+        return _wall(policy, predictor, env, stage, scheduler, record_trajectory)
     raise ValueError(f"unknown clock {clock!r}")

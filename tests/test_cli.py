@@ -3,6 +3,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -199,6 +200,60 @@ def test_step_cap_below_one_exits_2(workdir, tmp_path, capsys, command):
                *(["--out-dir", str(tmp_path / "b")] if command == "bench" else [])])
     assert rc == 2
     assert "--step-cap must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["gen-data", "--episodes", "0"], "--episodes must be at least 1, got 0"),
+    (["gen-data", "--step-cap", "0"], "--step-cap must be at least 1, got 0"),
+    (["train-policy", "--iterations", "0"], "--iterations must be at least 1, got 0"),
+    (["train-policy", "--iterations", "200", "--resume", "{policy}"],
+     "--iterations must be at least 201, got 200"),
+    (["train-predictor", "--iterations", "0"], "iterations and batch_size must be positive"),
+    (["rollout", "--episodes", "0"], "--episodes must be at least 1, got 0"),
+    (["bench", "--episodes", "0"], "--episodes must be at least 1, got 0"),
+], ids=["gen_data", "gen_data_step_cap", "train_policy", "train_policy_resumed",
+       "train_predictor", "rollout", "bench"])
+def test_counts_that_would_run_nothing_exit_2(workdir, tmp_path, capsys, args, message):
+    """Zero episodes, steps or iterations, or resuming a run that is already
+    done, exit 2 with a message and write nothing."""
+    command, out = args[0], tmp_path / "out"
+    extra = {
+        "gen-data": ["--out", str(out)],
+        "train-policy": ["--data", str(workdir / "data" / "demos.jsonl"), "--out", str(out),
+                         "--batch-size", "16", "--hidden", "16,16"],
+        "train-predictor": ["--data", str(workdir / "data" / "demos.jsonl"), "--out", str(out)],
+        "rollout": ["--policy", "{policy}", "--step-cap", "5"],
+        "bench": ["--policy", "{policy}", "--step-cap", "5", "--out-dir", str(out)],
+    }[command]
+    argv = [a.replace("{policy}", str(workdir / "policy" / "policy.ckpt")) for a in args + extra]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["rollout", "--profile", "nan,1,1"],
+    ["rollout", "--profile", "1,inf,1", "--clock", "wall"],
+    ["predict-timing", "--profile", "nan,1,1"],
+], ids=["rollout_nan", "rollout_wall_inf", "predict_timing_nan"])
+def test_non_finite_profile_exits_2(workdir, capsys, args):
+    if args[0] == "rollout":
+        args = args + ["--policy", str(workdir / "policy" / "policy.ckpt"), "--env", "controller",
+                       "--episodes", "1", "--step-cap", "5"]
+    assert main(args) == 2
+    assert "must be finite and non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("profile, message", [
+    ("zero,1", "profile must be"),
+    ("2,4,1", "t_gen <= t_exec"),
+])
+def test_timing_table_script_exits_2_on_a_profile_it_cannot_tabulate(profile, message):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "timing_table.py"
+    proc = subprocess.run([sys.executable, str(script), "--profile", profile],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_adaptive_requires_predictor(workdir, capsys):

@@ -74,6 +74,11 @@ def test_scheduler_validation():
 def test_stage_latency_validation():
     with pytest.raises(ValueError):
         StageLatency(-1.0, 0.0, 0.0)
+    # nan < 0 is False, so a plain sign check would let these through
+    for field in ("t_obs", "t_gen", "t_exec", "t_pred"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                dataclasses.replace(REFERENCE_PROFILE, **{field: bad})
 
 
 def test_streaming_event_causality(null_policy):
@@ -220,12 +225,31 @@ def test_recorded_trajectory_validates(null_policy):
 
 def test_wall_execute_events_never_overlap(null_policy):
     env = make_env(DIRECT, 8, step_cap=22)
-    sched = SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="naive"), n_eo=3)
+    for sched in (SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="naive"), n_eo=3),
+                  SchedulerConfig(mode=MODE_SYNC_CHUNK, n_replan=5)):
+        res = run_episode(null_policy, None, env, FAST_PROFILE, sched, clock="wall")
+        execs = sorted(_by_stage(res.events, STAGE_EXECUTE), key=lambda e: e.start)
+        assert len(execs) == 22
+        for a, b in zip(execs, execs[1:]):
+            assert b.start >= a.end - 1e-9, (sched.mode, a, b)
+
+
+@pytest.mark.parametrize("n_replan", [1, 5, 10])
+def test_wall_sync_chunk_runs_one_stage_at_a_time(null_policy, n_replan):
+    """Nothing in a sync chunk overlaps on the wall clock: the executor gets
+    a chunk's actions only after its last generation and requests the next
+    observation after its last execution. The actions are the simulated
+    clock's."""
+    sched = SchedulerConfig(mode=MODE_SYNC_CHUNK, n_replan=n_replan)
+    env = make_env(DIRECT, 23, step_cap=22)
     res = run_episode(null_policy, None, env, FAST_PROFILE, sched, clock="wall")
-    execs = sorted(_by_stage(res.events, STAGE_EXECUTE), key=lambda e: e.start)
-    assert len(execs) == 22
-    for a, b in zip(execs, execs[1:]):
+    events = sorted(res.events, key=lambda e: e.start)
+    assert len(_by_stage(events, STAGE_GENERATE)) == res.n_horizons * sched.h
+    assert len(_by_stage(events, STAGE_OBSERVE)) == res.n_horizons
+    for a, b in zip(events, events[1:]):
         assert b.start >= a.end - 1e-9, (a, b)
+    sim = run_episode(null_policy, None, env, FAST_PROFILE, sched)
+    _assert_results_identical(res, sim, events=False)
 
 
 @pytest.mark.parametrize("sched", [
@@ -634,7 +658,7 @@ def test_indicator_stream_is_built_only_with_early_observation(monkeypatch, null
     monkeypatch.setattr(streamexec, "make_rng", counting_make_rng)
     run_episode(null_policy, None, make_env(DIRECT, 15, step_cap=23), REFERENCE_PROFILE, sched)
     assert len(made) == calls
-    # the wall runners: the executor of streaming, the sequential sync loop
+    # the wall runner's executor, in both modes
     made.clear()
     run_episode(null_policy, None, make_env(DIRECT, 15, step_cap=23), FAST_PROFILE, sched,
                 clock="wall")
