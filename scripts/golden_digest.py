@@ -9,6 +9,12 @@ raw and normalized actions, the final ledger, the final environment state,
 the counters and the recorded trajectory. Two checkouts that print the same
 digest for the same checkpoints produce the same results on that grid.
 
+Every cell of one episode and cap runs on the same EnvHandle, as `streampolicy
+bench` runs every schedule on its episodes' handles. The grid runs twice: once
+unshared, and once inside one streamexec.shared_horizons() scope, where the
+cells share horizons and env paths. The script exits 1 if the two digests
+differ, and prints the digest only when they agree.
+
 The anao and adaptive thresholds are calibrated at a 50% firing rate on
 zero-latency streaming rollouts of the given policy, so those indicators both
 fire and hold on the grid.
@@ -22,6 +28,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import struct
+import sys
 
 import numpy as np
 
@@ -100,7 +107,27 @@ def feed_result(hasher, res: streamexec.EpisodeResult) -> None:
     _feed_array(hasher, traj.action_states)
 
 
-def main() -> None:
+def grid_digest(policy, predictor, etas, envs, seed) -> tuple[str, int, int]:
+    """(sha256 hex digest, episodes, executed actions) of the whole grid."""
+    hasher = hashlib.sha256()
+    for mode in sorted(etas):
+        hasher.update(struct.pack("<d", etas[mode]))
+    n_episodes = n_actions = 0
+    for label, sched in configs(policy.flow.h, etas, seed):
+        for pname, stage in PROFILES.items():
+            for cap in CAPS:
+                for record in (False, True):
+                    for ep, env in enumerate(envs[cap]):
+                        res = streamexec.run_episode(policy, predictor, env, stage, sched,
+                                                     record_trajectory=record)
+                        hasher.update(f"{label}|{pname}|{cap}|{record}|{ep}|".encode())
+                        feed_result(hasher, res)
+                        n_episodes += 1
+                        n_actions += res.steps
+    return hasher.hexdigest(), n_episodes, n_actions
+
+
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--policy", required=True)
     ap.add_argument("--predictor", required=True)
@@ -114,26 +141,19 @@ def main() -> None:
     predictor = saliency.load_predictor(args.predictor)
     kind = envsim.EnvKind(variant=args.env)
     etas = _calibrated_etas(policy, predictor, kind)
+    envs = {cap: [envsim.make_env(kind, args.seed, ep, step_cap=cap)
+                  for ep in range(args.episodes)] for cap in CAPS}
 
-    hasher = hashlib.sha256()
-    for mode in sorted(etas):
-        hasher.update(struct.pack("<d", etas[mode]))
-    n_episodes = n_actions = 0
-    for label, sched in configs(policy.flow.h, etas, args.seed):
-        for pname, stage in PROFILES.items():
-            for cap in CAPS:
-                for record in (False, True):
-                    for ep in range(args.episodes):
-                        env = envsim.make_env(kind, args.seed, ep, step_cap=cap)
-                        res = streamexec.run_episode(policy, predictor, env, stage, sched,
-                                                     record_trajectory=record)
-                        hasher.update(f"{label}|{pname}|{cap}|{record}|{ep}|".encode())
-                        feed_result(hasher, res)
-                        n_episodes += 1
-                        n_actions += res.steps
+    digest, n_episodes, n_actions = grid_digest(policy, predictor, etas, envs, args.seed)
+    with streamexec.shared_horizons():
+        shared, _, _ = grid_digest(policy, predictor, etas, envs, args.seed)
     print(f"episodes {n_episodes}, executed actions {n_actions}")
-    print(f"sha256 {hasher.hexdigest()}")
+    if shared != digest:
+        print(f"unshared sha256 {digest} != shared-scope sha256 {shared}", file=sys.stderr)
+        return 1
+    print(f"sha256 {digest}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

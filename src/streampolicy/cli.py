@@ -462,6 +462,7 @@ def _cmd_bench(args) -> int:
         calib, _ = _load_trajectories(cfg["calib_data"])
     elif any(EO_NAMES.get(n) in (saliency.EO_ACTION_NORM, saliency.EO_ADAPTIVE)
              for n in names):
+        _check_counts(cfg, "calib_episodes")
         calib = _calib_rollouts(policy, kind, cfg)
 
     configs = _bench_configs(cfg, policy, predictor, calib)

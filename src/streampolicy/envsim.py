@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,8 +88,12 @@ class EnvKind:
             raise ValueError("saturation must be positive")
 
 
-@dataclass(frozen=True)
-class EnvState:
+class EnvState(NamedTuple):
+    """One environment state. A named tuple because the simulated engine
+    builds one per step, and a tuple is about three times cheaper to build
+    than a frozen dataclass. Never mutated: successive states share arrays,
+    and episodes in a streamexec.shared_horizons() scope share states."""
+
     position: np.ndarray
     goal: np.ndarray
     latch: bool
@@ -119,17 +124,16 @@ def step(kind: EnvKind, state: EnvState, action: np.ndarray) -> EnvState:
     if not latch and kind.latch_region.contains(pos):
         latch = True
         goal = goal + LATCH_SHIFT
-    return EnvState(position=pos, goal=goal, latch=latch, step_count=state.step_count + 1)
+    return EnvState(pos, goal, latch, state.step_count + 1)  # positional: the cheaper call
 
 
 def observe(state: EnvState, capture_time: float | None = None) -> Observation:
     """Seven raw features: position, goal, latch flag, goal - position."""
-    feats = np.concatenate([
-        state.position,
-        state.goal,
-        [1.0 if state.latch else 0.0],
-        state.goal - state.position,
-    ])
+    # np.concatenate's features, built from one list of floats: cheaper for
+    # vectors this short
+    pos, goal = state.position.tolist(), state.goal.tolist()
+    feats = np.array(pos + goal + [1.0 if state.latch else 0.0]
+                     + [g - p for g, p in zip(goal, pos)], dtype=np.float64)
     t = float(state.step_count) if capture_time is None else float(capture_time)
     return Observation(features=feats, frame_id=state.step_count, capture_time=t)
 

@@ -43,9 +43,16 @@ its starting ledger and its observation features, so two episodes (of the
 same or of different schedules) that observe the same state plan the same
 chunk. The scope keeps each horizon's _Chunk under those four, and a later
 episode reads the actions an earlier one computed and extends the chunk only
-as far as it executes or scores. Every result is the one an unshared run
-gives, bit for bit; `streampolicy bench` runs its whole matrix in one scope.
-The scope assumes the policy's weights do not change inside it.
+as far as it executes or scores. The env path is shared the same way: the
+chunk keeps the successor states its executed actions lead to from each
+start state (keyed by the identity of that EnvState and of the EnvKind), and
+an episode that executes it from the same start state reads them instead of
+calling envsim.step. Episodes that reuse one EnvHandle start from one state
+object and then step onto the shared states, so identity hits wherever the
+paths repeat. Every result is the one an unshared run gives, bit for bit;
+`streampolicy bench` runs its whole matrix in one scope, with one EnvHandle
+per episode for every schedule. The scope assumes the policy's weights do
+not change inside it.
 
 The wall-clock runner reproduces the same semantics with timestamps from
 the wall clock, for both modes, with three real threads and bounded queues.
@@ -65,6 +72,7 @@ import threading
 import time
 from dataclasses import dataclass
 from queue import Empty, Full, Queue
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,8 +150,11 @@ class SchedulerConfig:
         return self.h if self.n_replan is None else self.n_replan
 
 
-@dataclass(frozen=True)
-class TimelineEvent:
+class TimelineEvent(NamedTuple):
+    """One stage interval of an episode, in milliseconds. A named tuple
+    because the simulated engine builds two or three per action, and a tuple
+    is the cheapest record to build."""
+
     stage: str
     action_index: int
     horizon_index: int
@@ -192,8 +203,9 @@ def _decide_eo(scheduler: SchedulerConfig, predictor, obs, remaining_raw: np.nda
 def _finish(success, events, raw, norm, final_alpha, state, horizons, eo_fired, steps, traj_parts,
             eo_decisions=0):
     """The EpisodeResult; final_alpha is the executed-action ledger, alpha0
-    plus the executed actions summed in execution order."""
-    events = sorted(events, key=event_sort_key)
+    plus the executed actions summed in execution order. Sorts the runner's
+    own events list in place."""
+    events.sort(key=event_sort_key)
     raw_arr = np.asarray(raw).reshape(len(raw), -1)
     norm_arr = np.asarray(norm).reshape(len(norm), -1)
     trajectory = None
@@ -227,15 +239,20 @@ class _Chunk:
     checks and the input row with the observation features in place), so on
     the wall clock that work falls inside its t_gen budget. Every action is
     then one policy.action on the prepared row.
+
+    On the simulated clock the chunk also keeps the environment path its
+    executed actions take from each start state (see path).
     """
 
-    __slots__ = ("policy", "alpha", "features", "h", "norm", "raw", "row")
+    __slots__ = ("policy", "alpha", "features", "h", "norm", "raw", "row", "paths")
 
     def __init__(self, policy: Policy, alpha: np.ndarray, features: np.ndarray, h: int):
         self.policy, self.alpha, self.features, self.h = policy, alpha, features, h
         self.norm: list[np.ndarray] = []  # the actions computed so far, in index order
         self.raw: list[np.ndarray] = []
         self.row = None
+        # (id(start state), id(kind)) -> (start state, kind, successor states)
+        self.paths: dict[tuple[int, int], tuple] = {}
 
     def _fill(self, stop: int) -> None:
         policy, features = self.policy, self.features
@@ -257,6 +274,19 @@ class _Chunk:
         self._fill(self.h)
         return np.asarray(self.raw[i:])
 
+    def path(self, state: envsim.EnvState, kind: envsim.EnvKind) -> list[envsim.EnvState]:
+        """The states that executing actions 0, 1, ... of this chunk from
+        state under kind leads to, in index order, as far as an episode has
+        executed them; the caller appends each state it steps to. The key is
+        the identity of state and kind: it holds both, so neither id can be
+        reused while the chunk lives. A value key would also have to hold
+        the step count, which the observation features leave out."""
+        key = (id(state), id(kind))
+        entry = self.paths.get(key)
+        if entry is None:
+            entry = self.paths[key] = (state, kind, [])
+        return entry[2]
+
 
 # (id(policy), h, starting ledger bytes, observation feature bytes) -> _Chunk,
 # while a shared_horizons() scope is open; a memoized chunk holds its policy,
@@ -270,9 +300,10 @@ _SHARED_HORIZONS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
 @contextlib.contextmanager
 def shared_horizons():
     """Within this scope, simulated episodes compute each distinct horizon
-    once (see the module docstring). A nested scope starts empty and the
-    enclosing one is restored on exit; the memo is freed when the outermost
-    scope exits, whether or not by an exception."""
+    once and step each distinct env path once (see the module docstring).
+    A nested scope starts empty and the enclosing one is restored on exit;
+    the memo is freed when the outermost scope exits, whether or not by an
+    exception."""
     token = _SHARED_HORIZONS.set({})
     try:
         yield
@@ -336,6 +367,7 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
         # the indices the next chunk will execute).
         gen_end: list[float] = []
         chunk = _horizon_chunk(memo, policy, alpha_exec, obs.features, h)
+        path = chunk.path(state, kind)
         lane = max(gen_lane, obs_end)
         for i in range(h):
             g = base + i
@@ -383,7 +415,11 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
             if record_obs is not None:
                 record_obs.append(envsim.observe(state, capture_time=float(state.step_count)))
             a_norm, a_raw = chunk.get(i)
-            state = envsim.step(kind, state, a_raw)
+            if i < len(path):
+                state = path[i]  # an earlier episode stepped here from this start state
+            else:
+                state = envsim.step(kind, state, a_raw)
+                path.append(state)
             executed_raw.append(a_raw)
             executed_norm.append(a_norm)
             alpha_exec = alpha_exec + a_norm

@@ -141,6 +141,32 @@ def test_predict_timing_rejects_what_it_cannot_predict(capsys):
         assert "n_replan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_eo_avg", ["nan", "inf", "-5", "10"])
+def test_predict_timing_rejects_an_impossible_n_eo_avg(capsys, n_eo_avg):
+    """At h=10 an average early observation lies in [0, 10); outside it the
+    closed forms would print nan, inf or a negative o_oe."""
+    assert main(["predict-timing", "--n-eo-avg", n_eo_avg]) == 2
+    captured = capsys.readouterr()
+    assert "n_eo_avg must be finite and in [0, h=10)" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("eo", ["anao", "adaptive"])
+def test_bench_without_calibration_episodes_exits_2(workdir, tmp_path, capsys, monkeypatch, eo):
+    """Without --calib-data, anao and adaptive calibrate on --calib-episodes
+    rollouts; zero of them is named as the fault, before any rollout."""
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("bench ran an episode")
+
+    monkeypatch.setattr(streamexec, "run_episode", no_rollout)
+    out = tmp_path / "b"
+    rc = main(["bench", "--policy", str(workdir / "policy" / "policy.ckpt"), "--eo", eo,
+               "--calib-episodes", "0", "--step-cap", "5", "--out-dir", str(out)])
+    assert rc == 2
+    assert "--calib-episodes must be at least 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rollout_rejects_n_replan_in_streaming(workdir, capsys):
     rc = main(["rollout", "--policy", str(workdir / "policy" / "policy.ckpt"), "--env", "controller",
                "--mode", "streaming", "--n-replan", "5", "--episodes", "1", "--step-cap", "5"])

@@ -114,6 +114,16 @@ def test_closed_form_rejects_what_it_cannot_predict():
     for n in (0, 11):
         with pytest.raises(ValueError, match="n_replan"):
             closed_form(gen_bound, 10, MODE_SYNC_CHUNK, n_replan=n)
+
+
+@pytest.mark.parametrize("mode", [MODE_STREAMING, MODE_SYNC_CHUNK])
+def test_closed_form_rejects_an_n_eo_avg_outside_the_horizon(mode):
+    """An average early observation is finite and in [0, h)."""
+    for n_eo_avg in (float("nan"), float("inf"), -float("inf"), -5.0, -1e-9, 10.0, 12.5):
+        with pytest.raises(ValueError, match=r"n_eo_avg must be finite and in \[0, h=10\)"):
+            closed_form(REFERENCE_PROFILE, 10, mode, n_eo_avg=n_eo_avg)
+    for n_eo_avg in (0.0, 1.54, 9.99):
+        closed_form(REFERENCE_PROFILE, 10, mode, n_eo_avg=n_eo_avg)
     # the boundary t_gen == t_exec is still executor-paced
     even = StageLatency(t_obs=2.0, t_gen=1.0, t_exec=1.0)
     assert closed_form(even, 10, MODE_STREAMING)["t_action"] == pytest.approx(1.3)

@@ -700,15 +700,36 @@ def test_scored_indicator_reads_the_whole_remaining_tail(monkeypatch, null_polic
 
 # ---------------------------------------------------------------------------
 # shared horizons: inside a shared_horizons() scope an identical horizon is
-# computed once, and every result is the unshared one bit for bit
+# computed once, an env path from one start state is stepped once, and every
+# result is the unshared one bit for bit
 # ---------------------------------------------------------------------------
 
-def _grid_cells(etas):
+def _grid_cells(etas, share_envs: bool = False):
+    """The grid's cells. With share_envs every cell of one episode and cap
+    runs on one EnvHandle, as bench's schedules do; otherwise each cell
+    gets a fresh handle."""
+    handles: dict[tuple[int, int], EnvHandle] = {}
     for sched in _grid_schedulers(etas):
         for cap in (7, 23, 42, 120):
             for record in (False, True):
                 for ep in range(2):
-                    yield sched, make_env(CTRL, 0, ep, step_cap=cap), record
+                    env = make_env(CTRL, 0, ep, step_cap=cap)
+                    if share_envs:
+                        env = handles.setdefault((ep, cap), env)
+                    yield sched, env, record
+
+
+def _count_env_steps(monkeypatch) -> list:
+    """Counts envsim.step calls, one list entry each."""
+    calls = []
+    real = envsim.step
+
+    def counting_step(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(envsim, "step", counting_step)
+    return calls
 
 
 @pytest.mark.parametrize("stage", [ZERO_LATENCY, REFERENCE_PROFILE, GENERATOR_BOUND],
@@ -717,19 +738,98 @@ def test_shared_horizons_match_unshared_on_the_grid(monkeypatch, stage, ctrl_pol
                                                     ctrl_predictor, calibrated_etas):
     """The lazy-vs-eager grid (8 schedules, caps 7/23/42/120, recording on
     and off) run once unshared and once in one scope: every EpisodeResult
-    field agrees byte for byte, events included, for fewer forward passes."""
+    field agrees byte for byte, events included, for fewer forward passes.
+    Every cell has its own EnvHandle, so no env path is shared."""
     calls = _count_forward_passes(monkeypatch)
+    steps = _count_env_steps(monkeypatch)
     cells = list(_grid_cells(calibrated_etas))
     want = [run_episode(ctrl_policy, ctrl_predictor, env, stage, sched, record_trajectory=record)
             for sched, env, record in cells]
     unshared = len(calls)
     calls.clear()
+    steps.clear()
     with shared_horizons():
         got = [run_episode(ctrl_policy, ctrl_predictor, env, stage, sched, record_trajectory=record)
                for sched, env, record in cells]
     assert len(calls) < unshared
+    assert len(steps) == sum(r.steps for r in got)
     for a, b in zip(got, want):
         _assert_results_identical(a, b)
+
+
+@pytest.mark.parametrize("stage", [ZERO_LATENCY, REFERENCE_PROFILE, GENERATOR_BOUND],
+                         ids=["zero", "reference", "generator_bound"])
+def test_shared_env_paths_match_unshared_on_the_grid(monkeypatch, stage, ctrl_policy,
+                                                     ctrl_predictor, calibrated_etas):
+    """The same grid with one EnvHandle per (episode, cap) for every
+    schedule, as in bench: in one scope the episodes also share env paths,
+    so envsim.step runs strictly fewer times, and every EpisodeResult field
+    still agrees byte for byte with the unshared run."""
+    steps = _count_env_steps(monkeypatch)
+    cells = list(_grid_cells(calibrated_etas, share_envs=True))
+    assert len({id(env) for _, env, _ in cells}) == 8
+    want = [run_episode(ctrl_policy, ctrl_predictor, env, stage, sched, record_trajectory=record)
+            for sched, env, record in cells]
+    unshared = len(steps)
+    assert unshared == sum(r.steps for r in want)
+    steps.clear()
+    with shared_horizons():
+        got = [run_episode(ctrl_policy, ctrl_predictor, env, stage, sched, record_trajectory=record)
+               for sched, env, record in cells]
+    assert 0 < len(steps) < unshared
+    for a, b in zip(got, want):
+        _assert_results_identical(a, b)
+
+
+def test_an_env_path_is_shared_only_from_the_same_start_state_and_kind(monkeypatch, null_policy):
+    """A chunk executed from another start state, or under another EnvKind,
+    steps its own environment even where it shares the horizon: here the
+    first horizon, whose observation features and starting ledger agree."""
+    env = make_env(DIRECT, 23, step_cap=12)
+    sched = SchedulerConfig(mode=MODE_STREAMING)
+    # the same features, so the same first chunk, but a later step count
+    later = EnvHandle(kind=DIRECT, init_state=env.init_state._replace(step_count=5), step_cap=12)
+    # the same start state object, under other dynamics
+    other_kind = EnvHandle(kind=CTRL, init_state=env.init_state, step_cap=12)
+    # the same dynamics in another EnvKind object
+    same_variant = EnvHandle(kind=EnvKind(variant=KIND_DIRECT), init_state=env.init_state,
+                             step_cap=12)
+    variants = (later, other_kind, same_variant)
+    want = [run_episode(null_policy, None, e, ZERO_LATENCY, sched) for e in variants]
+    steps = _count_env_steps(monkeypatch)
+    calls = _count_forward_passes(monkeypatch)
+    with shared_horizons():
+        run_episode(null_policy, None, env, ZERO_LATENCY, sched)
+        for e, w in zip(variants, want):
+            steps.clear()
+            calls.clear()
+            got = run_episode(null_policy, None, e, ZERO_LATENCY, sched)
+            assert len(steps) == got.steps == 12
+            assert len(calls) < got.steps  # the first horizon is shared
+            _assert_results_identical(got, w)
+    assert later.init_state.step_count == 5 and want[0].final_state.step_count == 17
+    assert want[1].final_state.position.tobytes() != want[2].final_state.position.tobytes()
+
+
+def test_outside_a_scope_every_episode_steps_its_own_env(monkeypatch, null_policy):
+    env = make_env(DIRECT, 24, step_cap=23)
+    sched = SchedulerConfig(mode=MODE_SYNC_CHUNK, n_replan=5)
+    steps = _count_env_steps(monkeypatch)
+    for _ in range(2):
+        steps.clear()
+        res = run_episode(null_policy, None, env, REFERENCE_PROFILE, sched)
+        assert len(steps) == res.steps == 23
+    with shared_horizons():
+        want = run_episode(null_policy, None, env, REFERENCE_PROFILE, sched)
+        steps.clear()
+        got = run_episode(null_policy, None, env, REFERENCE_PROFILE, sched)
+        assert steps == []
+        assert got.final_state is want.final_state  # the scope's own state
+    steps.clear()
+    res = run_episode(null_policy, None, env, REFERENCE_PROFILE, sched)
+    assert len(steps) == res.steps
+    assert res.final_state is not want.final_state
+    _assert_results_identical(res, got)
 
 
 def test_a_horizon_extended_by_another_schedule_gives_the_unshared_values(monkeypatch, null_policy):
