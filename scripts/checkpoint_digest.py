@@ -1,11 +1,15 @@
-"""Train the test suite's controller checkpoints and print their sha256.
+"""Save the test suite's controller demos, train its controller checkpoints
+and print the sha256 of all three files.
 
-Trains ctrl_policy and ctrl_predictor exactly as tests/conftest.py does (the
-RECIPE policy and PredictorConfig(seed=0), both on 600 controller demos at
-seed 11), saves the policy with its Adam state and iteration count and the
-predictor without an iteration, and prints the sha256 of each file. Two
-checkouts that print the same digests train the same weights. Takes about
-20 s on a 2-CPU x86-64 host.
+Generates the 600 controller demos at seed 11 that tests/conftest.py trains
+on and saves them as `streampolicy gen-data --env controller --episodes 600
+--seed 11` does (the `dataset` line). It then reloads them and trains
+ctrl_policy and ctrl_predictor exactly as tests/conftest.py does (the RECIPE
+policy and PredictorConfig(seed=0)) on the reloaded copy, saves the policy
+with its Adam state and iteration count and the predictor without an
+iteration, and prints the sha256 of each file. Two checkouts that print the
+same digests generate, save and reload the same demos and train the same
+weights. Takes about 20 s on a 2-CPU x86-64 host.
 
     PYTHONPATH=src python3 scripts/checkpoint_digest.py
 """
@@ -23,7 +27,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from conftest import CTRL, DEMO_COUNT, DEMO_SEED, RECIPE  # noqa: E402
 
-from streampolicy.envsim import generate_demos  # noqa: E402
+from streampolicy.core import load_dataset, save_dataset  # noqa: E402
+from streampolicy.envsim import env_metadata, generate_demos  # noqa: E402
 from streampolicy.saliency import PredictorConfig, save_predictor, train_predictor  # noqa: E402
 from streampolicy.trainer import train  # noqa: E402
 from streampolicy.velocitynet import save_policy  # noqa: E402
@@ -34,8 +39,15 @@ def _sha256(path: Path) -> str:
 
 
 def main() -> None:
-    demos = generate_demos(CTRL, DEMO_COUNT, seed=DEMO_SEED)
     with tempfile.TemporaryDirectory() as tmp:
+        t0 = time.perf_counter()
+        demos = generate_demos(CTRL, DEMO_COUNT, seed=DEMO_SEED)
+        path = Path(tmp) / "demos.jsonl"
+        save_dataset(path, demos, dim=demos[0].actions.shape[1], env_meta=env_metadata(CTRL),
+                     seed=DEMO_SEED)
+        demos, _ = load_dataset(path)
+        print(f"dataset    {_sha256(path)}  ({time.perf_counter() - t0:.1f} s)", flush=True)
+
         t0 = time.perf_counter()
         policy, adam, _ = train(demos, RECIPE, alpha0_convention="zero")
         path = Path(tmp) / "policy.ckpt"

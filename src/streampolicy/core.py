@@ -4,13 +4,20 @@ Action vectors and action-space states are plain float64 numpy arrays of a
 fixed dimension (2 for the desk environments). The action-space state is the
 running sum of commanded actions; it lives in the same coordinate frame as
 actions, which is what makes shared normalization statistics meaningful.
+
+A dataset file is one JSON header line and one JSON record per episode.
+Loading parses each record's feature, action and state rows into one array
+apiece and checks their shapes and finiteness once per record; a malformed
+record (a missing field, a row of the wrong length, a non-finite value,
+broken prefix sums) raises DatasetError naming the file and the episode.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,9 +47,10 @@ def as_vector(values, dim: int | None = None) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One environment observation.
+class Observation(NamedTuple):
+    """One environment observation. A named tuple, like envsim.EnvState,
+    because demo generation and the executors build one per step; never
+    mutated.
 
     features: raw feature vector (position, goal, latch flag, goal offset).
     frame_id: strictly increasing within an episode.
@@ -101,9 +109,10 @@ def cumulative_states(actions: np.ndarray, alpha0: np.ndarray) -> np.ndarray:
     alpha0 = as_vector(alpha0, actions.shape[1])
     out = np.empty((actions.shape[0] + 1, actions.shape[1]), dtype=np.float64)
     out[0] = alpha0
-    for n in range(actions.shape[0]):
-        out[n + 1] = out[n] + actions[n]
-    return out
+    out[1:] = actions
+    # accumulate is the sequential sum along the axis, row by row, not a
+    # pairwise reduction: out[n + 1] = out[n] + actions[n]
+    return np.add.accumulate(out, axis=0, out=out)
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -128,19 +137,30 @@ STREAM_INDICATOR = 6
 STREAM_MODEL_INIT = 7
 
 
-def _obs_to_json(obs: Observation) -> dict:
+def _record_to_json(traj: Trajectory) -> dict:
+    # ndarray.tolist() yields the same Python floats as float(x) per element
     return {
-        "f": [float(x) for x in obs.features],
-        "id": int(obs.frame_id),
-        "t": float(obs.capture_time),
+        "obs": [{"f": o.features.tolist(), "id": int(o.frame_id), "t": float(o.capture_time)}
+                for o in traj.observations],
+        "act": traj.actions.tolist(),
+        "st": traj.action_states.tolist(),
     }
 
 
-def _obs_from_json(rec: dict, dim_obs: int) -> Observation:
-    return Observation(
-        features=as_vector(rec["f"], dim_obs),
-        frame_id=int(rec["id"]),
-        capture_time=float(rec["t"]),
+def _record_from_json(rec: dict, dim: int, obs_dim: int) -> Trajectory:
+    """One episode record as a Trajectory, not yet validated. Missing fields
+    and rows that do not fit raise KeyError, TypeError or ValueError."""
+    obs = rec["obs"]
+    feats = np.array([o["f"] for o in obs], dtype=np.float64) if obs else np.empty((0, obs_dim))
+    if feats.shape != (len(obs), obs_dim):
+        raise DatasetError(f"feature rows of shape {feats.shape[1:]}, want ({obs_dim},)")
+    if not np.isfinite(feats).all():
+        raise DatasetError("non-finite features")
+    act, st = rec["act"], rec["st"]
+    return Trajectory(
+        observations=[Observation(f, int(o["id"]), float(o["t"])) for f, o in zip(feats, obs)],
+        actions=np.asarray(act, dtype=np.float64).reshape(len(act), dim),
+        action_states=np.asarray(st, dtype=np.float64).reshape(len(st), dim),
     )
 
 
@@ -165,17 +185,13 @@ def save_dataset(path, trajectories: list[Trajectory], *, dim: int, env_meta: di
     }
     lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
     for traj in trajectories:
-        rec = {
-            "obs": [_obs_to_json(o) for o in traj.observations],
-            "act": [[float(x) for x in row] for row in traj.actions],
-            "st": [[float(x) for x in row] for row in traj.action_states],
-        }
-        lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
+        lines.append(json.dumps(_record_to_json(traj), sort_keys=True, separators=(",", ":")))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_dataset(path) -> tuple[list[Trajectory], dict]:
-    """Read a dataset file, validating format, version, and prefix sums."""
+    """Read a dataset file, validating format, version, and every record's
+    fields, shapes, finiteness and prefix sums (DatasetError otherwise)."""
     text = Path(path).read_text()
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -184,30 +200,33 @@ def load_dataset(path) -> tuple[list[Trajectory], dict]:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise DatasetError(f"{path}: unreadable header: {exc}") from exc
-    if header.get("format") != DATASET_FORMAT:
+    if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
         raise DatasetError(f"{path}: not a trajectory dataset")
     if header.get("version") != DATASET_VERSION:
         raise DatasetError(f"{path}: unsupported version {header.get('version')!r}")
-    dim = int(header["dim"])
-    episodes = int(header["episodes"])
+    try:
+        dim = int(header["dim"])
+        episodes = int(header["episodes"])
+        obs_dim = int(header.get("env", {}).get("obs_dim", OBS_DIM))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DatasetError(f"{path}: malformed header: {exc!r}") from exc
     if len(lines) - 1 != episodes:
         raise DatasetError(f"{path}: header claims {episodes} episodes, file has {len(lines) - 1}")
-    obs_dim = int(header.get("env", {}).get("obs_dim", OBS_DIM))
     out = []
     for i, ln in enumerate(lines[1:]):
         try:
             rec = json.loads(ln)
         except json.JSONDecodeError as exc:
             raise DatasetError(f"{path}: bad episode record {i}: {exc}") from exc
-        traj = Trajectory(
-            observations=[_obs_from_json(o, obs_dim) for o in rec["obs"]],
-            actions=np.asarray(rec["act"], dtype=np.float64).reshape(len(rec["act"]), dim),
-            action_states=np.asarray(rec["st"], dtype=np.float64).reshape(len(rec["st"]), dim),
-        )
         try:
+            traj = _record_from_json(rec, dim, obs_dim)
             traj.validate()
         except DatasetError as exc:
             raise DatasetError(f"{path}: episode {i}: {exc}") from exc
+        except KeyError as exc:
+            raise DatasetError(f"{path}: episode {i}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise DatasetError(f"{path}: episode {i}: malformed record: {exc}") from exc
         if not np.all(np.isfinite(traj.actions)) or not np.all(np.isfinite(traj.action_states)):
             raise DatasetError(f"{path}: episode {i}: non-finite values")
         out.append(traj)

@@ -135,7 +135,7 @@ def observe(state: EnvState, capture_time: float | None = None) -> Observation:
     feats = np.array(pos + goal + [1.0 if state.latch else 0.0]
                      + [g - p for g, p in zip(goal, pos)], dtype=np.float64)
     t = float(state.step_count) if capture_time is None else float(capture_time)
-    return Observation(features=feats, frame_id=state.step_count, capture_time=t)
+    return Observation(feats, state.step_count, t)  # positional: the cheaper call
 
 
 def success(state: EnvState) -> bool:
@@ -184,6 +184,7 @@ class GenerationError(RuntimeError):
 # how far the latch waypoint leans toward the episode goal, per axis
 _WAYPOINT_GAIN = np.array([0.4, 0.6])
 _WAYPOINT_MARGIN = 0.12
+_GOAL_MID = 0.5 * (GOAL_BOX[0] + GOAL_BOX[1])
 
 
 def latch_waypoint(kind: EnvKind, goal: np.ndarray) -> np.ndarray:
@@ -195,9 +196,9 @@ def latch_waypoint(kind: EnvKind, goal: np.ndarray) -> np.ndarray:
     continuous in the observation so a cloned policy reproduces the spread.
     """
     box = kind.latch_region
-    goal_mid = 0.5 * (GOAL_BOX[0] + GOAL_BOX[1])
-    w = box.center + _WAYPOINT_GAIN * (goal - goal_mid)
-    return np.clip(w, box.lo + _WAYPOINT_MARGIN, box.hi - _WAYPOINT_MARGIN)
+    w = box.center + _WAYPOINT_GAIN * (goal - _GOAL_MID)
+    # np.clip's result, without its per-call overhead
+    return np.minimum(np.maximum(w, box.lo + _WAYPOINT_MARGIN), box.hi - _WAYPOINT_MARGIN)
 
 
 def expert_action(kind: EnvKind, state: EnvState, rng: np.random.Generator | None = None, noise: float = EXPERT_NOISE) -> np.ndarray:
@@ -208,7 +209,7 @@ def expert_action(kind: EnvKind, state: EnvState, rng: np.random.Generator | Non
         target = latch_waypoint(kind, state.goal)
     d = target - state.position
     a = EXPERT_GAIN * d
-    norm = float(np.linalg.norm(a))
+    norm = math.sqrt(float(a.dot(a)))  # np.linalg.norm of a real 1-D vector
     if norm > EXPERT_MAX_STEP:
         a = a * (EXPERT_MAX_STEP / norm)
     if rng is not None and noise > 0:

@@ -45,9 +45,10 @@ chunk. The scope keeps each horizon's _Chunk under those four, and a later
 episode reads the actions an earlier one computed and extends the chunk only
 as far as it executes or scores. The env path is shared the same way: the
 chunk keeps the successor states its executed actions lead to from each
-start state (keyed by the identity of that EnvState and of the EnvKind), and
-an episode that executes it from the same start state reads them instead of
-calling envsim.step. Episodes that reuse one EnvHandle start from one state
+start state (keyed by the identity of that EnvState and of the EnvKind),
+each with its envsim.success flag, and an episode that executes it from the
+same start state reads them instead of calling envsim.step and
+envsim.success. Episodes that reuse one EnvHandle start from one state
 object and then step onto the shared states, so identity hits wherever the
 paths repeat. Every result is the one an unshared run gives, bit for bit;
 `streampolicy bench` runs its whole matrix in one scope, with one EnvHandle
@@ -251,7 +252,7 @@ class _Chunk:
         self.norm: list[np.ndarray] = []  # the actions computed so far, in index order
         self.raw: list[np.ndarray] = []
         self.row = None
-        # (id(start state), id(kind)) -> (start state, kind, successor states)
+        # (id(start state), id(kind)) -> (start state, kind, [(successor, success)])
         self.paths: dict[tuple[int, int], tuple] = {}
 
     def _fill(self, stop: int) -> None:
@@ -274,13 +275,14 @@ class _Chunk:
         self._fill(self.h)
         return np.asarray(self.raw[i:])
 
-    def path(self, state: envsim.EnvState, kind: envsim.EnvKind) -> list[envsim.EnvState]:
+    def path(self, state: envsim.EnvState, kind: envsim.EnvKind) -> list[tuple[envsim.EnvState, bool]]:
         """The states that executing actions 0, 1, ... of this chunk from
         state under kind leads to, in index order, as far as an episode has
-        executed them; the caller appends each state it steps to. The key is
-        the identity of state and kind: it holds both, so neither id can be
-        reused while the chunk lives. A value key would also have to hold
-        the step count, which the observation features leave out."""
+        executed them, each with its envsim.success flag; the caller appends
+        each (state, success) it steps to. The key is the identity of state
+        and kind: it holds both, so neither id can be reused while the chunk
+        lives. A value key would also have to hold the step count, which the
+        observation features leave out."""
         key = (id(state), id(kind))
         entry = self.paths.get(key)
         if entry is None:
@@ -416,15 +418,17 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
                 record_obs.append(envsim.observe(state, capture_time=float(state.step_count)))
             a_norm, a_raw = chunk.get(i)
             if i < len(path):
-                state = path[i]  # an earlier episode stepped here from this start state
+                # an earlier episode stepped here from this start state
+                state, done = path[i]
             else:
                 state = envsim.step(kind, state, a_raw)
-                path.append(state)
+                done = envsim.success(state)
+                path.append((state, done))
             executed_raw.append(a_raw)
             executed_norm.append(a_norm)
             alpha_exec = alpha_exec + a_norm
             steps += 1
-            if envsim.success(state):
+            if done:
                 succeeded = True
                 ended = True
                 break

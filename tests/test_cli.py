@@ -207,6 +207,22 @@ def test_corrupt_dataset_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_malformed_dataset_record_exits_2(tmp_path, capsys):
+    """A record without its actions is a DatasetError, not a traceback."""
+    demos = tmp_path / "demos.jsonl"
+    assert main(["gen-data", "--env", "controller", "--episodes", "2", "--seed", "3",
+                 "--out", str(demos)]) == 0
+    header, first, second = demos.read_text().splitlines()
+    rec = json.loads(second)
+    del rec["act"]
+    demos.write_text("\n".join([header, first, json.dumps(rec)]) + "\n")
+    rc = main(["train-policy", "--data", str(demos), "--out", str(tmp_path / "p.ckpt"),
+               "--iterations", "10"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "demos.jsonl: episode 1: missing field 'act'" in err
+
+
 def test_missing_required_flag_exits_2(capsys):
     assert main(["train-policy", "--iterations", "10"]) == 2
     assert main(["rollout", "--episodes", "1"]) == 2

@@ -33,6 +33,39 @@ def test_prefix_sum_identity(actions, alpha0):
         assert np.array_equal(states[n + 1], acc)
 
 
+# magnitudes from ulp-sized to huge in one ledger, so rounding depends on the
+# summation order
+_MIXED = st.one_of(st.floats(-1e-9, 1e-9, allow_nan=False), st.floats(-1.0, 1.0),
+                   st.floats(-1e12, 1e12, allow_nan=False))
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+           st.lists(st.lists(_MIXED, min_size=d, max_size=d), min_size=0, max_size=40),
+           st.lists(_MIXED, min_size=d, max_size=d))))
+@settings(max_examples=150, deadline=None)
+def test_cumulative_states_is_the_left_to_right_loop_bitwise(case):
+    """0, 1 and many actions: the same bits as summing row by row."""
+    actions, alpha0 = case
+    acts = np.array(actions, dtype=np.float64).reshape(len(actions), len(alpha0))
+    want = np.empty((len(actions) + 1, len(alpha0)))
+    want[0] = alpha0
+    for n in range(len(actions)):
+        want[n + 1] = want[n] + acts[n]
+    got = cumulative_states(acts, np.array(alpha0))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_observation_is_an_immutable_record():
+    o = Observation(features=np.arange(7.0), frame_id=3, capture_time=1.5)
+    assert isinstance(o, Observation)
+    assert (o.frame_id, o.capture_time) == (3, 1.5)
+    assert np.array_equal(o.features, np.arange(7.0))
+    for name in ("features", "frame_id", "capture_time"):
+        with pytest.raises(AttributeError):
+            setattr(o, name, None)
+    assert Observation(np.zeros(7), 1, 2.0)._fields == ("features", "frame_id", "capture_time")
+
+
 def test_trajectory_validate_catches_tampering():
     t = _traj([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
     t.validate()
@@ -76,6 +109,18 @@ def test_load_rejects_corrupt_header(tmp_path):
         load_dataset(p)
 
 
+@pytest.mark.parametrize("field", ["dim", "episodes"])
+def test_load_rejects_a_header_without_a_field(tmp_path, field):
+    p = tmp_path / "d.jsonl"
+    save_dataset(p, [_traj([[1.0, 0.0]], [0.0, 0.0])], dim=2, env_meta={}, seed=0)
+    header, record = p.read_text().splitlines()
+    head = json.loads(header)
+    del head[field]
+    p.write_text("\n".join([json.dumps(head), record]) + "\n")
+    with pytest.raises(DatasetError, match="malformed header"):
+        load_dataset(p)
+
+
 def test_load_rejects_truncated_record(tmp_path):
     t = _traj([[1.0, 0.0]], [0.0, 0.0])
     p = tmp_path / "t.jsonl"
@@ -93,3 +138,45 @@ def test_make_rng_streams_are_independent_and_stable():
     assert not np.allclose(a, b)
     assert not np.allclose(a, c)
     assert np.array_equal(a, make_rng(7, 1, 0).random(4))
+
+
+def _break_features_length(rec):
+    rec["obs"][1]["f"] = rec["obs"][1]["f"][:-1]
+
+
+def _break_every_features_length(rec):
+    for o in rec["obs"]:
+        o["f"].pop()
+
+
+def _break_features_nan(rec):
+    rec["obs"][0]["f"][3] = float("nan")
+
+
+def _break_action_width(rec):
+    rec["act"][1] = rec["act"][1] + [0.5]
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda rec: rec.pop("obs"),
+    lambda rec: rec.pop("act"),
+    lambda rec: rec.pop("st"),
+    lambda rec: rec["obs"][2].pop("f"),
+    _break_features_length,
+    _break_every_features_length,
+    _break_features_nan,
+    _break_action_width,
+], ids=["no_obs", "no_act", "no_st", "obs_without_f", "feature_row_length",
+        "every_feature_row_length", "nan_feature", "action_row_width"])
+def test_load_reports_a_malformed_record_as_dataset_error(tmp_path, corrupt):
+    """The error names the file and the episode, whatever the record lacks."""
+    trajs = [_traj(np.full((3, 2), 0.25), [0.0, 0.0]) for _ in range(2)]
+    p = tmp_path / "ok.jsonl"
+    save_dataset(p, trajs, dim=2, env_meta={"obs_dim": 7}, seed=0)
+    header, first, second = p.read_text().splitlines()
+    rec = json.loads(second)
+    corrupt(rec)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([header, first, json.dumps(rec)]) + "\n")
+    with pytest.raises(DatasetError, match=r"bad\.jsonl: episode 1: "):
+        load_dataset(bad)

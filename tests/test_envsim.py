@@ -1,13 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streampolicy.core import make_rng
+from streampolicy.core import load_dataset, make_rng, save_dataset
 from streampolicy.envsim import (
     EXPERT_PARK_STEPS, GOAL_BOX, LATCH_SHIFT, START_BOX, SUCCESS_DIST,
     WORKSPACE_HI, WORKSPACE_LO, EnvKind, GenerationError, KIND_CONTROLLER,
-    KIND_DIRECT, EnvHandle, alpha0_for, expert_action, generate_demos, latch_waypoint,
-    make_env, make_initial_state, observe, run_expert_episode, step, success,
+    KIND_DIRECT, EnvHandle, alpha0_for, env_metadata, expert_action, generate_demos,
+    latch_waypoint, make_env, make_initial_state, observe, run_expert_episode, step, success,
 )
 
 
@@ -173,3 +175,18 @@ def test_step_cap_below_one_is_rejected(ctrl_env, cap):
     state = make_env(ctrl_env, 0).init_state
     with pytest.raises(ValueError, match="step_cap"):
         EnvHandle(kind=ctrl_env, init_state=state, step_cap=cap)
+
+
+# sha256 of save_dataset on the small_demos recipe (40 controller demos, seed
+# 21): pins demo generation and the dataset encoding together, byte for byte
+SMALL_DEMOS_SHA256 = "207680f501389c00fb655f26f63de90b744f493568432819b2184febe5db6c1a"
+
+
+def test_saved_demos_are_byte_identical_and_reload_to_the_same_bytes(ctrl_env, small_demos, tmp_path):
+    path = tmp_path / "demos.jsonl"
+    save_dataset(path, small_demos, dim=2, env_meta=env_metadata(ctrl_env), seed=21)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SMALL_DEMOS_SHA256
+    loaded, header = load_dataset(path)
+    again = tmp_path / "again.jsonl"
+    save_dataset(again, loaded, dim=header["dim"], env_meta=header["env"], seed=header["seed"])
+    assert again.read_bytes() == path.read_bytes()

@@ -781,6 +781,42 @@ def test_shared_env_paths_match_unshared_on_the_grid(monkeypatch, stage, ctrl_po
         _assert_results_identical(a, b)
 
 
+def _count_success_tests(monkeypatch) -> list:
+    """Counts envsim.success calls, one list entry (the state) each."""
+    calls = []
+    real = envsim.success
+
+    def counting_success(state):
+        calls.append(state)
+        return real(state)
+
+    monkeypatch.setattr(envsim, "success", counting_success)
+    return calls
+
+
+def test_a_shared_env_path_keeps_each_states_success_flag(monkeypatch, ctrl_policy,
+                                                          ctrl_predictor, calibrated_etas):
+    """envsim.success runs once per executed action outside a scope, and
+    once per newly stepped state inside one: a state read from a shared env
+    path carries its flag. Every EpisodeResult field agrees byte for byte."""
+    steps = _count_env_steps(monkeypatch)
+    tests = _count_success_tests(monkeypatch)
+    cells = list(_grid_cells(calibrated_etas, share_envs=True))
+    want = [run_episode(ctrl_policy, ctrl_predictor, env, REFERENCE_PROFILE, sched,
+                        record_trajectory=record) for sched, env, record in cells]
+    executed = sum(r.steps for r in want)
+    assert len(tests) == len(steps) == executed
+    assert sum(r.success for r in want) > 0
+    steps.clear()
+    tests.clear()
+    with shared_horizons():
+        got = [run_episode(ctrl_policy, ctrl_predictor, env, REFERENCE_PROFILE, sched,
+                           record_trajectory=record) for sched, env, record in cells]
+    assert 0 < len(tests) == len(steps) < executed
+    for a, b in zip(got, want):
+        _assert_results_identical(a, b)
+
+
 def test_an_env_path_is_shared_only_from_the_same_start_state_and_kind(monkeypatch, null_policy):
     """A chunk executed from another start state, or under another EnvKind,
     steps its own environment even where it shares the horizon: here the
