@@ -177,9 +177,12 @@ def closed_form(stage: StageLatency, h: int, mode: str, n_replan: int | None = N
     The streaming forms assume the executor sets the pace (t_gen <= t_exec).
     A generator-bound profile raises ValueError: at 2/4/1 ms and h=10 they
     would give 1.6 ms per action, while the simulated clock runs at the
-    generator's pace, about 4.3. An n_eo_avg that is not finite or lies
-    outside [0, h) raises ValueError: no horizon observes that early.
+    generator's pace, about 4.3. An h below 1 raises ValueError, and so
+    does an n_eo_avg that is not finite or lies outside [0, h): no horizon
+    observes that early.
     """
+    if h < 1:
+        raise ValueError(f"horizon h must be at least 1, got {h}")
     if not (math.isfinite(n_eo_avg) and 0.0 <= n_eo_avg < h):
         raise ValueError(f"n_eo_avg must be finite and in [0, h={h}), got {n_eo_avg:g}")
     if mode == MODE_SYNC_CHUNK:

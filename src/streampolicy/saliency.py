@@ -22,6 +22,7 @@ trunk's hidden pre-activations.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -75,6 +76,9 @@ class Indicator:
             raise ValueError(f"unknown indicator mode {self.mode!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
+        # +-inf stay valid: calibrate_threshold returns them for rates 0 and 1
+        if math.isnan(self.eta):
+            raise ValueError("eta must be a number or +-inf, got nan")
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,12 @@ Euler step of the learned flow, through velocitynet.forward,
 flowmatch.extract_action (the same flow math the trainer regresses on) and
 normkit.denormalize.
 
+One _Episode record keeps the executor side of an episode on both runners:
+the env state, the executed ledger, the indicator stream and the rules the
+clocks share (the decision point, the decision, what an execution records,
+when the episode ends). At a decision the simulated engine scores the
+horizon's whole remaining tail, the wall runner what its generator has made.
+
 On the simulated clock, generate events model the generator lane: every
 planned action of a horizon gets one at its modeled time, because the
 timeline does not depend on action values. The values are computed only when
@@ -228,6 +234,79 @@ def _finish(success, events, raw, norm, final_alpha, state, horizons, eo_fired, 
 _SCORED_MODES = (saliency.EO_ACTION_NORM, saliency.EO_ADAPTIVE)
 
 
+class _Episode:
+    """The executor side of one episode, shared by both runners (see the
+    module docstring); the runners supply only times and actions."""
+
+    __slots__ = ("scheduler", "predictor", "env", "kind", "step_cap", "decision_idx",
+                 "scored", "adaptive", "ind_rng", "state", "alpha", "raw", "norm", "record_obs",
+                 "steps", "succeeded", "horizons", "eo_fired", "eo_decisions")
+
+    def __init__(self, policy: Policy, predictor, env: EnvHandle, scheduler: SchedulerConfig,
+                 record_trajectory: bool):
+        eo = scheduler.eo
+        self.scheduler, self.predictor, self.env = scheduler, predictor, env
+        self.kind, self.step_cap = env.kind, env.step_cap
+        # n_eo executions remain at the decision point; -1 matches no index
+        self.decision_idx = scheduler.h - scheduler.n_eo if eo is not None else -1
+        self.scored = eo is not None and eo.mode in _SCORED_MODES
+        self.adaptive = eo is not None and eo.mode == saliency.EO_ADAPTIVE  # charges t_pred
+        self.ind_rng = (make_rng(scheduler.seed, STREAM_INDICATOR, getattr(env, "episode_id", 0))
+                        if eo is not None else None)
+        self.state = env.init_state
+        # rebound, never updated in place: a horizon's _Chunk keeps the array it starts from
+        self.alpha = policy.initial_alpha(self.state.position)
+        self.raw, self.norm = [], []  # the executed actions
+        self.record_obs = [] if record_trajectory else None
+        self.steps = self.horizons = self.eo_fired = self.eo_decisions = 0
+        self.succeeded = False
+
+    def begin(self, horizon: int) -> int:
+        """Count the horizon, whose first action executes next; returns its
+        decision point's index, or -1 for none, as when the step cap makes it
+        the last horizon: then no boundary is left to hide an observation."""
+        self.horizons = horizon + 1
+        return self.decision_idx if self.horizons * self.scheduler.h < self.step_cap else -1
+
+    def decide(self, t: float, remaining) -> bool:
+        """Score the indicator on the current frame, observed at time t, and
+        on remaining(), the raw actions still to execute, which only the
+        scored modes read; counts the decision and returns whether it fired."""
+        tail = remaining() if self.scored else None
+        obs = envsim.observe(self.state, capture_time=t)
+        fired, _score = _decide_eo(self.scheduler, self.predictor, obs, tail, self.ind_rng)
+        self.eo_decisions += 1
+        self.eo_fired += fired
+        return fired
+
+    def step(self, a_raw: np.ndarray) -> tuple[envsim.EnvState, bool]:
+        """The state executing a_raw leads to, with its envsim.success flag."""
+        state = envsim.step(self.kind, self.state, a_raw)
+        return state, envsim.success(state)
+
+    def execute(self, a_norm: np.ndarray, a_raw: np.ndarray, state: envsim.EnvState,
+                done: bool) -> bool:
+        """Record the execution of (a_norm, a_raw), which led to state with
+        success flag done; returns whether the episode ended, on success or
+        at the step cap."""
+        if self.record_obs is not None:
+            self.record_obs.append(envsim.observe(self.state, capture_time=float(self.state.step_count)))
+        self.state = state
+        self.raw.append(a_raw)
+        self.norm.append(a_norm)
+        self.alpha = self.alpha + a_norm
+        self.steps += 1
+        self.succeeded = done
+        return done or self.steps >= self.step_cap
+
+    def result(self, events: list[TimelineEvent]) -> EpisodeResult:
+        traj_parts = None
+        if self.record_obs is not None:
+            traj_parts = (self.record_obs, envsim.alpha0_for(self.kind, self.env.init_state))
+        return _finish(self.succeeded, events, self.raw, self.norm, self.alpha, self.state,
+                       self.horizons, self.eo_fired, self.steps, traj_parts, self.eo_decisions)
+
+
 class _Chunk:
     """One horizon's h actions from one observation, computed on demand.
 
@@ -330,32 +409,18 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
     """The discrete-event engine for both modes (see the module docstring)."""
     h, n_rep = scheduler.h, scheduler.replan
     sync = scheduler.mode == MODE_SYNC_CHUNK
-    kind = env.kind
-    state = env.init_state
-    ind_rng = (make_rng(scheduler.seed, STREAM_INDICATOR, getattr(env, "episode_id", 0))
-               if scheduler.eo is not None else None)
+    ep = _Episode(policy, predictor, env, scheduler, record_trajectory)
     memo = _SHARED_HORIZONS.get()
-
-    alpha_exec = policy.initial_alpha(state.position)
     events: list[TimelineEvent] = []
-    executed_raw: list[np.ndarray] = []
-    executed_norm: list[np.ndarray] = []
-    record_obs = [] if record_trajectory else None
-    alpha0_raw = envsim.alpha0_for(kind, state)
 
     obs_start = 0.0
-    snapshot = state          # env state visible to the pending observation
+    snapshot = ep.state       # env state visible to the pending observation
     base = 0                  # global index of the horizon's first action
     horizon = 0
     gen_lane = 0.0            # generator availability time
     exec_starts: list[float] = []
     prev_exec_end: float | None = None
-    steps = 0
-    succeeded = False
     ended = False
-    eo_fired_count = 0
-    eo_decision_count = 0
-    decision_idx = h - scheduler.n_eo if scheduler.eo is not None else None
 
     while not ended:
         obs = envsim.observe(snapshot, capture_time=obs_start)
@@ -368,8 +433,8 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
         # planned but replaced by the next chunk (its generate events share
         # the indices the next chunk will execute).
         gen_end: list[float] = []
-        chunk = _horizon_chunk(memo, policy, alpha_exec, obs.features, h)
-        path = chunk.path(state, kind)
+        chunk = _horizon_chunk(memo, policy, ep.alpha, obs.features, h)
+        path = chunk.path(ep.state, ep.kind)
         lane = max(gen_lane, obs_end)
         for i in range(h):
             g = base + i
@@ -382,6 +447,7 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
         fired = False
         next_obs_start: float | None = None
         next_snapshot = None
+        decision = ep.begin(horizon)
 
         for i in range(n_rep):
             g = base + i
@@ -389,50 +455,27 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
             start = ready if prev_exec_end is None else max(ready, prev_exec_end)
             end = start + stage.t_exec
 
-            if decision_idx is not None and i == decision_idx \
-                    and (horizon + 1) * h < env.step_cap:
-                # n_eo executions remain; score against the current frame and
-                # the still-pending actions, launching the next observation
-                # right here when the indicator fires. Skipped when the step
-                # cap makes this horizon the last: there is no boundary for
-                # an early observation to hide.
-                remaining = chunk.tail(i) if scheduler.eo.mode in _SCORED_MODES else None
-                dec_obs = envsim.observe(state, capture_time=start)
-                fired, _score = _decide_eo(scheduler, predictor, dec_obs, remaining, ind_rng)
-                eo_decision_count += 1
+            if i == decision:
+                # a firing indicator launches the next observation here, on this frame
+                fired = ep.decide(start, lambda: chunk.tail(i))
                 launch = start
-                if scheduler.eo.mode == saliency.EO_ADAPTIVE:
+                if ep.adaptive:
                     p_start = max(start - stage.t_pred, gen_end[h - 1])
                     p_end = p_start + stage.t_pred
                     events.append(TimelineEvent(STAGE_PREDICT, base + h, horizon, p_start, p_end))
                     launch = max(launch, p_end)
                 if fired:
-                    eo_fired_count += 1
                     next_obs_start = launch
-                    next_snapshot = state
+                    next_snapshot = ep.state
 
             events.append(TimelineEvent(STAGE_EXECUTE, g, horizon, start, end))
             exec_starts.append(start)
             prev_exec_end = end
-            if record_obs is not None:
-                record_obs.append(envsim.observe(state, capture_time=float(state.step_count)))
             a_norm, a_raw = chunk.get(i)
-            if i < len(path):
-                # an earlier episode stepped here from this start state
-                state, done = path[i]
-            else:
-                state = envsim.step(kind, state, a_raw)
-                done = envsim.success(state)
-                path.append((state, done))
-            executed_raw.append(a_raw)
-            executed_norm.append(a_norm)
-            alpha_exec = alpha_exec + a_norm
-            steps += 1
-            if done:
-                succeeded = True
-                ended = True
-                break
-            if steps >= env.step_cap:
+            if i == len(path):  # no earlier episode stepped here from this start state
+                path.append(ep.step(a_raw))
+            state, done = path[i]
+            if ep.execute(a_norm, a_raw, state, done):
                 ended = True
                 break
 
@@ -441,13 +484,11 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
         if not ended:
             if not fired:
                 next_obs_start = prev_exec_end
-                next_snapshot = state
+                next_snapshot = ep.state
             obs_start = next_obs_start
             snapshot = next_snapshot
 
-    traj_parts = (record_obs, alpha0_raw) if record_trajectory else None
-    return _finish(succeeded, events, executed_raw, executed_norm, alpha_exec, state,
-                   horizon, eo_fired_count, steps, traj_parts, eo_decision_count)
+    return ep.result(events)
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +498,11 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
 # action-state ledger: it makes all h actions of a horizon, each inside its
 # t_gen budget, and queues the first n_replan, each as it is made in
 # streaming and all at once after the horizon's last generation in
-# sync_chunk. The executor owns the environment and the early-observation
-# decision, and requests the next observation after its n_replan-th
-# execution, so in sync_chunk the stages run one at a time.
+# sync_chunk. The executor paces the executions through the episode's
+# _Episode, which holds the environment, the decision and the end rule as on
+# the simulated clock, and requests the next observation when the indicator
+# fires or after its n_replan-th execution, so in sync_chunk the stages run
+# one at a time.
 # ---------------------------------------------------------------------------
 
 _POLL = 0.02
@@ -558,48 +601,31 @@ def _wall_generator(shared: _WallShared, policy: Policy, stage: StageLatency,
         shared.stop.set()
 
 
-def _wall_executor(shared: _WallShared, alpha0_norm: np.ndarray, predictor, env: EnvHandle,
-                   stage: StageLatency, scheduler: SchedulerConfig, t0: float,
-                   record_trajectory: bool, out: dict):
+def _wall_executor(shared: _WallShared, ep: _Episode, stage: StageLatency, t0: float):
     try:
-        h, n_rep = scheduler.h, scheduler.replan
-        kind = env.kind
-        state = env.init_state
-        alpha_exec = alpha0_norm
-        ind_rng = (make_rng(scheduler.seed, STREAM_INDICATOR, getattr(env, "episode_id", 0))
-                   if scheduler.eo is not None else None)
-        executed_raw, executed_norm, record_obs = [], [], ([] if record_trajectory else None)
-        steps = 0
-        succeeded = False
-        horizons_seen = 0
-        eo_count = 0
-        eo_decision_count = 0
+        n_rep = ep.scheduler.replan
         prev_start: float | None = None
-        fired_for_horizon = -1
+        fired_for_horizon = decision = -1
 
         # observation for horizon 0
-        shared.obs_requests.put((state, 0, 0))
-        decision_idx = h - scheduler.n_eo if scheduler.eo is not None else None
+        shared.obs_requests.put((ep.state, 0, 0))
 
         while (item := shared.get(shared.action_queue)) is not None:
             g, i, horizon, a_norm, a_raw = item
-            horizons_seen = max(horizons_seen, horizon + 1)
             next_first = (horizon + 1) * n_rep
+            if i == 0:
+                decision = ep.begin(horizon)
 
-            if decision_idx is not None and i == decision_idx \
-                    and (horizon + 1) * h < env.step_cap:
-                remaining = np.asarray(shared.horizon_actions[horizon][i:])
+            if i == decision:
+                # scores what the generator has made of the horizon by now
                 dec_time = (time.monotonic() - t0) * 1e3
-                dec_obs = envsim.observe(state, capture_time=dec_time)
-                fired, _ = _decide_eo(scheduler, predictor, dec_obs, remaining, ind_rng)
-                eo_decision_count += 1
-                if scheduler.eo.mode == saliency.EO_ADAPTIVE:
+                fired = ep.decide(dec_time, lambda: np.asarray(shared.horizon_actions[horizon][i:]))
+                if ep.adaptive:
                     p_end = (time.monotonic() - t0) * 1e3
                     shared.emit(TimelineEvent(STAGE_PREDICT, next_first, horizon, dec_time, p_end))
                 if fired:
-                    eo_count += 1
                     fired_for_horizon = horizon
-                    shared.obs_requests.put((state, horizon + 1, next_first))
+                    shared.obs_requests.put((ep.state, horizon + 1, next_first))
 
             # tick pacing: period t_exec, or immediately when supply lags
             now = (time.monotonic() - t0) * 1e3
@@ -612,31 +638,11 @@ def _wall_executor(shared: _WallShared, alpha0_norm: np.ndarray, predictor, env:
             prev_start = start
             shared.emit(TimelineEvent(STAGE_EXECUTE, g, horizon, start, end))
 
-            if record_obs is not None:
-                record_obs.append(envsim.observe(state, capture_time=float(state.step_count)))
-            state = envsim.step(kind, state, a_raw)
-            executed_raw.append(a_raw)
-            executed_norm.append(a_norm)
-            alpha_exec = alpha_exec + a_norm
-            steps += 1
-            if envsim.success(state):
-                succeeded = True
-                break
-            if steps >= env.step_cap:
+            state, done = ep.step(a_raw)
+            if ep.execute(a_norm, a_raw, state, done):
                 break
             if i == n_rep - 1 and fired_for_horizon != horizon:
-                shared.obs_requests.put((state, horizon + 1, next_first))
-
-        out["state"] = state
-        out["raw"] = executed_raw
-        out["norm"] = executed_norm
-        out["alpha"] = alpha_exec
-        out["steps"] = steps
-        out["success"] = succeeded
-        out["horizons"] = horizons_seen
-        out["eo"] = eo_count
-        out["eo_decisions"] = eo_decision_count
-        out["record_obs"] = record_obs
+                shared.obs_requests.put((ep.state, horizon + 1, next_first))
     except BaseException as exc:
         shared.error = exc
     finally:
@@ -647,15 +653,14 @@ def _wall(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
           scheduler: SchedulerConfig, record_trajectory: bool) -> EpisodeResult:
     """The threaded runner for both modes (see the section comment above)."""
     shared = _WallShared(scheduler.h)
+    ep = _Episode(policy, predictor, env, scheduler, record_trajectory)
     t0 = time.monotonic()
-    alpha0_norm = policy.initial_alpha(env.init_state.position)
-    out: dict = {}
     threads = [
         threading.Thread(target=_wall_observer, args=(shared, stage, t0), daemon=True,
                          name="observer"),
-        threading.Thread(target=_wall_generator, args=(shared, policy, stage, scheduler, alpha0_norm, t0),
+        threading.Thread(target=_wall_generator, args=(shared, policy, stage, scheduler, ep.alpha, t0),
                          daemon=True, name="generator"),
-        threading.Thread(target=_wall_executor, args=(shared, alpha0_norm, predictor, env, stage, scheduler, t0, record_trajectory, out),
+        threading.Thread(target=_wall_executor, args=(shared, ep, stage, t0),
                          daemon=True, name="executor"),
     ]
     for th in threads:
@@ -671,13 +676,7 @@ def _wall(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
     if stuck:
         raise RuntimeError(f"wall-clock {' and '.join(stuck)} thread still running "
                            f"{_JOIN_TIMEOUT} s after the episode ended")
-
-    traj_parts = None
-    if record_trajectory:
-        traj_parts = (out["record_obs"], envsim.alpha0_for(env.kind, env.init_state))
-    return _finish(out["success"], shared.events, out["raw"], out["norm"], out["alpha"],
-                   out["state"], out["horizons"], out["eo"], out["steps"], traj_parts,
-                   out["eo_decisions"])
+    return ep.result(shared.events)
 
 
 def run_episode(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,

@@ -151,6 +151,29 @@ def test_predict_timing_rejects_an_impossible_n_eo_avg(capsys, n_eo_avg):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("horizon", ["0", "-3"])
+def test_predict_timing_rejects_a_horizon_below_one(capsys, horizon):
+    """The error names the horizon the user set, not the n_eo_avg default
+    that an empty horizon cannot hold."""
+    assert main(["predict-timing", "--horizon", horizon]) == 2
+    captured = capsys.readouterr()
+    assert f"horizon h must be at least 1, got {horizon}" in captured.err
+    assert "n_eo_avg" not in captured.err
+    assert captured.out == ""
+
+
+def test_rollout_rejects_a_nan_eta(workdir, capsys, monkeypatch):
+    """A nan threshold would never fire; it exits 2 before any episode."""
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("rollout ran an episode")
+
+    monkeypatch.setattr(streamexec, "run_episode", no_rollout)
+    rc = main(["rollout", "--policy", str(workdir / "policy" / "policy.ckpt"), "--env", "controller",
+               "--eo", "anao", "--eta", "nan", "--episodes", "1", "--step-cap", "5"])
+    assert rc == 2
+    assert "eta must be a number or +-inf, got nan" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("eo", ["anao", "adaptive"])
 def test_bench_without_calibration_episodes_exits_2(workdir, tmp_path, capsys, monkeypatch, eo):
     """Without --calib-data, anao and adaptive calibrate on --calib-episodes

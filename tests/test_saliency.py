@@ -24,6 +24,16 @@ def test_indicator_validation():
         Indicator(mode="random", p=1.5)
 
 
+@pytest.mark.parametrize("mode", ["action_norm", "adaptive"])
+def test_indicator_rejects_a_nan_eta(mode):
+    """score <= nan is never true, so a nan threshold would hold on every
+    decision; the infinite thresholds calibrate_threshold returns stay valid."""
+    with pytest.raises(ValueError, match="eta must be a number or \\+-inf, got nan"):
+        Indicator(mode=mode, eta=float("nan"))
+    for eta in (float("inf"), float("-inf")):
+        assert Indicator(mode=mode, eta=eta).eta == eta
+
+
 def test_predictor_gradients_match_central_differences():
     cfg = _toy_cfg()
     pred = init_predictor(cfg)

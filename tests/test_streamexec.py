@@ -254,8 +254,9 @@ def test_wall_sync_chunk_runs_one_stage_at_a_time(null_policy, n_replan):
 
 @pytest.mark.parametrize("sched", [
     SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="naive"), n_eo=3),
+    SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="random", p=0.5), n_eo=3),
     SchedulerConfig(mode=MODE_SYNC_CHUNK, n_replan=5),
-], ids=["streaming_naive", "sync_replan5"])
+], ids=["streaming_naive", "streaming_random", "sync_replan5"])
 def test_wall_matches_simulated_actions(null_policy, sched):
     env = make_env(DIRECT, 9, step_cap=22)
     sim = run_episode(null_policy, None, env, FAST_PROFILE, sched)
@@ -263,6 +264,7 @@ def test_wall_matches_simulated_actions(null_policy, sched):
     assert np.array_equal(sim.actions_raw, wall.actions_raw)
     assert np.array_equal(sim.final_alpha, wall.final_alpha)
     assert sim.success == wall.success and sim.steps == wall.steps
+    assert (sim.eo_decisions, sim.eo_fired) == (wall.eo_decisions, wall.eo_fired)
 
 
 def test_wall_overlap_matches_simulated(null_policy):
@@ -696,6 +698,29 @@ def test_scored_indicator_reads_the_whole_remaining_tail(monkeypatch, null_polic
     assert len(scored) == 1
     assert scored[0].tobytes() == res.actions_raw[7:10].tobytes()
     assert len(calls) == res.steps and all(calls)
+
+
+def test_wall_scored_indicator_reads_the_whole_remaining_tail(monkeypatch, null_policy):
+    """On the wall clock an anao decision scores what the generator has made
+    of its horizon by the decision. With generation far faster than
+    execution that is the whole horizon, so it scores exactly the n_eo
+    actions that then execute."""
+    scored = []
+
+    def recording_score(remaining):
+        scored.append(np.array(remaining))
+        return 1.0
+
+    monkeypatch.setattr(saliency, "action_norm_score", recording_score)
+    sched = SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="action_norm", eta=0.0), n_eo=3)
+    stage = StageLatency(t_obs=1.0, t_gen=0.2, t_exec=4.0, t_pred=0.0)
+    # decision at step 7 of horizon 0; the cap leaves horizon 1 without one
+    res = run_episode(null_policy, None, make_env(DIRECT, 12, step_cap=18), stage, sched,
+                      clock="wall")
+    assert res.steps == 18 and res.eo_decisions == 1 and res.eo_fired == 0
+    assert len(scored) == 1
+    assert scored[0].shape == (3, 2)
+    assert scored[0].tobytes() == res.actions_raw[7:10].tobytes()
 
 
 # ---------------------------------------------------------------------------
