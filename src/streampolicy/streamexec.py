@@ -62,12 +62,14 @@ per episode for every schedule. The scope assumes the policy's weights do
 not change inside it.
 
 The wall-clock runner reproduces the same semantics with timestamps from
-the wall clock, for both modes, with three real threads and bounded queues.
-As on the simulated clock, the modes differ only in when a horizon's actions
-are released to the executor: each as it is generated (streaming) or all
-n_replan after the chunk's last generation (sync_chunk), which leaves the
-sync stages strictly serial. It generates every planned action, with each
-forward pass inside its t_gen budget, and never shares a horizon.
+the wall clock, for both modes, with three real threads joined by queues.
+Its executor starts an action at max(release, previous tick + t_exec) on a
+fixed grid, the engine's max(ready, previous end). As on the simulated
+clock, the modes differ only in when a horizon's actions are released to
+the executor: each as it is generated (streaming) or all n_replan after the
+chunk's last generation (sync_chunk), which leaves the sync stages strictly
+serial. It generates every planned action, with each forward pass inside
+its t_gen budget, and never shares a horizon.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass
-from queue import Empty, Full, Queue
+from queue import Empty, Full, Queue, SimpleQueue
 from typing import NamedTuple
 
 import numpy as np
@@ -105,7 +107,10 @@ class StageLatency:
 
     t_obs: one observation (capture plus encoding).
     t_gen: generating one action.
-    t_exec: executing one action; also the executor's tick period.
+    t_exec: executing one action; also the executor's tick period. The
+        wall executor starts an action at max(ready, previous tick + t_exec)
+        on a fixed grid, as the simulated engine starts it at max(ready,
+        previous end); see _next_tick.
     t_pred: one saliency-predictor invocation (charged per decision point).
     """
 
@@ -493,21 +498,42 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
 
 # ---------------------------------------------------------------------------
 # wall-clock runner, for both modes: three threads (observer, generator,
-# executor) joined by bounded queues. The observation slot holds at most one
-# latent; the action buffer holds at most h actions. The generator owns the
+# executor) joined by queues. The observation slot holds at most one latent;
+# the action buffer holds at most h actions. The generator owns the
 # action-state ledger: it makes all h actions of a horizon, each inside its
-# t_gen budget, and queues the first n_replan, each as it is made in
-# streaming and all at once after the horizon's last generation in
-# sync_chunk. The executor paces the executions through the episode's
-# _Episode, which holds the environment, the decision and the end rule as on
-# the simulated clock, and requests the next observation when the indicator
-# fires or after its n_replan-th execution, so in sync_chunk the stages run
-# one at a time.
+# t_gen budget, and queues the first n_replan with their release time, each
+# as it is made in streaming and all at once after the horizon's last
+# generation in sync_chunk. The observer computes each observation inside its
+# t_obs budget. The executor ticks on a fixed grid of period t_exec
+# (_next_tick): an action starts at max(release, previous tick + t_exec), as
+# the simulated engine starts it at max(ready, previous end), and the grid
+# restarts at the executor's clock when the supply ran late or a whole slot
+# went by. The env step and the episode's bookkeeping run inside the slot, so
+# host work does not stretch the period; an execute event can be shorter than
+# t_exec by the executor's own wake-up lateness, never by a late supply. The
+# executor drives the episode's _Episode, which holds the environment, the
+# decision and the end rule as on the simulated clock, and requests the next
+# observation when the indicator fires or after its n_replan-th execution,
+# so in sync_chunk the stages run one at a time.
 # ---------------------------------------------------------------------------
 
 _POLL = 0.02
 # seconds the main thread waits for the observer and generator to stop
 _JOIN_TIMEOUT = 5.0
+
+
+def _next_tick(tick: float | None, release: float, now: float, t_exec: float) -> float:
+    """The planned start of the next execution, in ms: the grid point
+    tick + t_exec after the previous planned start tick, or now when the
+    grid restarts: for the first action (tick None), an action released
+    after its grid point (starved), or a whole slot already gone by, so the
+    executor never catches up with a burst of zero-length executions."""
+    if tick is None:
+        return now
+    on_grid = tick + t_exec
+    if release > on_grid or now >= on_grid + t_exec:
+        return now
+    return on_grid
 
 
 def _sleep_rest(began: float, budget_ms: float) -> None:
@@ -520,7 +546,7 @@ def _sleep_rest(began: float, budget_ms: float) -> None:
 
 class _WallShared:
     def __init__(self, h: int):
-        self.obs_requests: Queue = Queue()
+        self.obs_requests: SimpleQueue = SimpleQueue()
         self.obs_slot: Queue = Queue(maxsize=1)
         self.action_queue: Queue = Queue(maxsize=h)
         self.stop = threading.Event()
@@ -542,7 +568,7 @@ class _WallShared:
             except Full:
                 continue
 
-    def get(self, queue: Queue):
+    def get(self, queue: Queue | SimpleQueue):
         """The next item of queue, or None once the episode stops."""
         while not self.stop.is_set():
             try:
@@ -556,10 +582,11 @@ def _wall_observer(shared: _WallShared, stage: StageLatency, t0: float):
     try:
         while (req := shared.get(shared.obs_requests)) is not None:
             snapshot, horizon, first_action = req
-            start = (time.monotonic() - t0) * 1e3
-            time.sleep(stage.t_obs / 1e3)
-            end = (time.monotonic() - t0) * 1e3
+            began = time.monotonic()
+            start = (began - t0) * 1e3
             obs = envsim.observe(snapshot, capture_time=start)
+            _sleep_rest(began, stage.t_obs)
+            end = (time.monotonic() - t0) * 1e3
             shared.emit(TimelineEvent(STAGE_OBSERVE, first_action, horizon, start, end))
             shared.put(shared.obs_slot, (obs, horizon))
     except BaseException as exc:  # surfaced by the main thread
@@ -592,8 +619,9 @@ def _wall_generator(shared: _WallShared, policy: Policy, stage: StageLatency,
                     alpha = chunk.alpha  # the next horizon starts after n_replan actions
                     pending.append((base + i, i, horizon, a_norm, a_raw))
                 if scheduler.mode == MODE_STREAMING or i == h - 1:
+                    released = (time.monotonic() - t0) * 1e3
                     for item in pending:
-                        shared.put(shared.action_queue, item)
+                        shared.put(shared.action_queue, (*item, released))
                     pending.clear()
             base += n_rep
     except BaseException as exc:
@@ -604,14 +632,14 @@ def _wall_generator(shared: _WallShared, policy: Policy, stage: StageLatency,
 def _wall_executor(shared: _WallShared, ep: _Episode, stage: StageLatency, t0: float):
     try:
         n_rep = ep.scheduler.replan
-        prev_start: float | None = None
+        tick: float | None = None
         fired_for_horizon = decision = -1
 
         # observation for horizon 0
         shared.obs_requests.put((ep.state, 0, 0))
 
         while (item := shared.get(shared.action_queue)) is not None:
-            g, i, horizon, a_norm, a_raw = item
+            g, i, horizon, a_norm, a_raw, released = item
             next_first = (horizon + 1) * n_rep
             if i == 0:
                 decision = ep.begin(horizon)
@@ -627,19 +655,17 @@ def _wall_executor(shared: _WallShared, ep: _Episode, stage: StageLatency, t0: f
                     fired_for_horizon = horizon
                     shared.obs_requests.put((ep.state, horizon + 1, next_first))
 
-            # tick pacing: period t_exec, or immediately when supply lags
             now = (time.monotonic() - t0) * 1e3
-            start = now if prev_start is None else max(now, prev_start + stage.t_exec)
-            if start > now:
-                time.sleep((start - now) / 1e3)
+            tick = _next_tick(tick, released, now, stage.t_exec)
+            _sleep_rest(t0, tick)  # until the slot's start
             start = (time.monotonic() - t0) * 1e3
-            time.sleep(stage.t_exec / 1e3)
+            state, done = ep.step(a_raw)
+            ended = ep.execute(a_norm, a_raw, state, done)
+            _sleep_rest(t0, tick + stage.t_exec)  # until its end
             end = (time.monotonic() - t0) * 1e3
-            prev_start = start
             shared.emit(TimelineEvent(STAGE_EXECUTE, g, horizon, start, end))
 
-            state, done = ep.step(a_raw)
-            if ep.execute(a_norm, a_raw, state, done):
+            if ended:
                 break
             if i == n_rep - 1 and fired_for_horizon != horizon:
                 shared.obs_requests.put((ep.state, horizon + 1, next_first))

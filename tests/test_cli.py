@@ -321,6 +321,20 @@ def test_timing_table_script_exits_2_on_a_profile_it_cannot_tabulate(profile, me
     assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_timing_table_script_names_the_baseline_of_each_ratio():
+    """At the reference profile streaming takes 34.6 ms per action against
+    50.8 (sync_full) and 74.6 (sync_replan5), and halts 76 ms against 238;
+    each ratio is printed closed form / simulated beside its baseline."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "timing_table.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    ratios = {tuple(line.split()[:2]): line.split()[2:] for line in proc.stdout.splitlines()
+              if line.startswith("streaming ")}
+    assert ratios["streaming", "sync_full"] == ["1.47x", "/", "1.47x", "3.13x", "/", "3.13x"]
+    assert ratios["streaming", "sync_replan5"] == ["2.16x", "/", "2.16x", "3.13x", "/", "3.13x"]
+    assert "2.4x per action and 6.5x halt" in proc.stdout
+
+
 def test_adaptive_requires_predictor(workdir, capsys):
     rc = main(["rollout", "--policy", str(workdir / "policy" / "policy.ckpt"), "--env", "controller",
                "--eo", "adaptive", "--episodes", "1", "--step-cap", "5"])

@@ -1036,3 +1036,42 @@ def test_wall_generator_computes_within_t_gen(mode):
     assert len(durations) == 10
     assert min(durations) >= stage.t_gen
     assert float(np.median(durations)) < stage.t_gen + 3.0
+
+
+# the wall executor's tick rule, with t_exec 2.5 and the previous planned
+# start at 10.0: the next grid point is 12.5 and a whole slot is gone at 15.0
+@pytest.mark.parametrize("tick, release, now, planned", [
+    (None, 3.0, 4.0, 4.0),       # the first action starts the grid now
+    (10.0, 11.0, 12.0, 12.5),    # on grid: the executor waits for its grid point
+    (10.0, 12.5, 12.75, 12.5),   # on grid: released at the grid point, executor a little late
+    (10.0, 13.0, 13.25, 13.25),  # starved: released after the grid point
+    (10.0, 11.0, 15.0, 15.0),    # a whole slot missed: the grid restarts, no catch-up burst
+], ids=["first", "early", "late_by_less_than_a_slot", "starved", "slot_missed"])
+def test_next_tick_follows_the_engine_start_rule(tick, release, now, planned):
+    assert streamexec._next_tick(tick, release, now, 2.5) == planned
+
+
+@pytest.mark.parametrize("sched", [
+    SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="naive"), n_eo=3),
+    SchedulerConfig(mode=MODE_SYNC_CHUNK, n_replan=5),
+], ids=["streaming_naive", "sync_replan5"])
+def test_wall_executions_follow_their_release(null_policy, sched):
+    """Causality on the wall clock, with no timing tolerance: every execution
+    lasts a positive time and starts at or after the end of the generation
+    that released its action (its own in streaming, its chunk's last in
+    sync_chunk), and no two executions overlap."""
+    res = run_episode(null_policy, None, make_env(DIRECT, 15, step_cap=22), FAST_PROFILE, sched,
+                      clock="wall")
+    gen_end = {(e.horizon_index, e.action_index): e.end for e in _by_stage(res.events, STAGE_GENERATE)}
+    chunk_end = {}
+    for (horizon, _), end in gen_end.items():
+        chunk_end[horizon] = max(end, chunk_end.get(horizon, end))
+    execs = sorted(_by_stage(res.events, STAGE_EXECUTE), key=lambda e: e.start)
+    assert len(execs) == 22
+    for e in execs:
+        released = (gen_end[e.horizon_index, e.action_index] if sched.mode == MODE_STREAMING
+                    else chunk_end[e.horizon_index])
+        assert e.end > e.start, e
+        assert e.start >= released, e
+    for a, b in zip(execs, execs[1:]):
+        assert b.start >= a.end, (a, b)
