@@ -1,15 +1,17 @@
-"""Save the test suite's controller demos, train its controller checkpoints
-and print the sha256 of all three files.
+"""Save the test suite's demos of both variants, train its controller
+checkpoints and print the sha256 of all four files.
 
 Generates the 600 controller demos at seed 11 that tests/conftest.py trains
 on and saves them as `streampolicy gen-data --env controller --episodes 600
---seed 11` does (the `dataset` line). It then reloads them and trains
-ctrl_policy and ctrl_predictor exactly as tests/conftest.py does (the RECIPE
-policy and PredictorConfig(seed=0)) on the reloaded copy, saves the policy
-with its Adam state and iteration count and the predictor without an
-iteration, and prints the sha256 of each file. Two checkouts that print the
-same digests generate, save and reload the same demos and train the same
-weights. Takes about 20 s on a 2-CPU x86-64 host.
+--seed 11` does (the `dataset` line), then does the same for the direct
+variant (the `direct` line, as `gen-data --env direct` saves it). It then
+reloads the controller demos and trains ctrl_policy and ctrl_predictor
+exactly as tests/conftest.py does (the RECIPE policy and
+PredictorConfig(seed=0)) on the reloaded copy, saves the policy with its
+Adam state and iteration count and the predictor without an iteration, and
+prints the sha256 of each file. Two checkouts that print the
+same digests generate, save and reload the same demos of both variants and
+train the same weights. Takes about 20 s on a 2-CPU x86-64 host.
 
     PYTHONPATH=src python3 scripts/checkpoint_digest.py
 """
@@ -25,7 +27,7 @@ from pathlib import Path
 # the fixtures' module is the recipe; importing it first also applies its
 # BLAS thread settings before numpy loads
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from conftest import CTRL, DEMO_COUNT, DEMO_SEED, RECIPE  # noqa: E402
+from conftest import CTRL, DEMO_COUNT, DEMO_SEED, DIRECT, RECIPE  # noqa: E402
 
 from streampolicy.core import load_dataset, save_dataset  # noqa: E402
 from streampolicy.envsim import env_metadata, generate_demos  # noqa: E402
@@ -38,15 +40,21 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _save_demos(kind, path: Path, label: str) -> None:
+    """Generate and save the fixture demos of one variant as gen-data does."""
+    t0 = time.perf_counter()
+    demos = generate_demos(kind, DEMO_COUNT, seed=DEMO_SEED)
+    save_dataset(path, demos, dim=demos[0].actions.shape[1], env_meta=env_metadata(kind),
+                 seed=DEMO_SEED)
+    print(f"{label:<10} {_sha256(path)}  ({time.perf_counter() - t0:.1f} s)", flush=True)
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        t0 = time.perf_counter()
-        demos = generate_demos(CTRL, DEMO_COUNT, seed=DEMO_SEED)
         path = Path(tmp) / "demos.jsonl"
-        save_dataset(path, demos, dim=demos[0].actions.shape[1], env_meta=env_metadata(CTRL),
-                     seed=DEMO_SEED)
+        _save_demos(CTRL, path, "dataset")
+        _save_demos(DIRECT, Path(tmp) / "direct.jsonl", "direct")
         demos, _ = load_dataset(path)
-        print(f"dataset    {_sha256(path)}  ({time.perf_counter() - t0:.1f} s)", flush=True)
 
         t0 = time.perf_counter()
         policy, adam, _ = train(demos, RECIPE, alpha0_convention="zero")

@@ -584,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--env", choices=[envsim.KIND_DIRECT, envsim.KIND_CONTROLLER])
     p.add_argument("--episodes", type=int)
     p.add_argument("--step-cap", dest="step_cap", type=int)
-    p.add_argument("--noise", type=float)
+    p.add_argument("--noise", type=float, help="expert action noise std: finite, 0 or more")
     p.add_argument("--out")
 
     p = sub.add_parser("train-policy", help="train the streaming flow policy")

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ACTION_DIM, Observation, Trajectory, cumulative_states, make_rng, STREAM_DEMO, STREAM_INIT
+from .core import ACTION_DIM, OBS_DIM, Observation, Trajectory, cumulative_states, make_rng, STREAM_DEMO, STREAM_INIT
 
 WORKSPACE_LO = -5.0
 WORKSPACE_HI = 5.0
@@ -100,24 +100,32 @@ class EnvState(NamedTuple):
     step_count: int
 
 
-def step(kind: EnvKind, state: EnvState, action: np.ndarray) -> EnvState:
-    """Apply one action; returns the successor state.
+def _displacement(kind: EnvKind, action: np.ndarray) -> np.ndarray:
+    """Realized displacement of an action, or of a (B, 2) batch of them.
 
     Controller kind passes the action through c * tanh(a / c), bounding the
-    realized displacement by the saturation constant per axis.
+    displacement by the saturation constant per axis; direct kind returns it.
+    np.tanh gives each row of a batch the bits it gives that row alone.
     """
-    a = np.asarray(action, dtype=np.float64)
     if kind.variant == KIND_CONTROLLER:
         c = kind.saturation
-        delta = c * np.tanh(a / c)
-    else:
-        delta = a
-    pos = state.position + delta
-    # np.clip's result: a position inside the workspace is its own clip, so
-    # the clip runs only when a coordinate left it (or is NaN)
+        return c * np.tanh(action / c)
+    return action
+
+
+def _clip_to_workspace(position: np.ndarray) -> np.ndarray:
+    """np.clip of a position (or a batch) to the workspace, without its
+    per-call overhead; a position inside the workspace is its own clip."""
+    return np.minimum(np.maximum(position, WORKSPACE_LO), WORKSPACE_HI)
+
+
+def step(kind: EnvKind, state: EnvState, action: np.ndarray) -> EnvState:
+    """Apply one action; returns the successor state."""
+    pos = state.position + _displacement(kind, np.asarray(action, dtype=np.float64))
+    # the clip runs only when a coordinate left the workspace (or is NaN)
     for v in pos.tolist():
         if not WORKSPACE_LO <= v <= WORKSPACE_HI:
-            pos = np.minimum(np.maximum(pos, WORKSPACE_LO), WORKSPACE_HI)
+            pos = _clip_to_workspace(pos)
             break
     goal = state.goal
     latch = state.latch
@@ -147,10 +155,15 @@ def success(state: EnvState) -> bool:
     return math.sqrt(float(d.dot(d))) < SUCCESS_DIST
 
 
+# the start box's and then the goal box's bounds, so one uniform call draws
+# the values, in the order, that one call per box draws
+_INIT_LO = np.concatenate((START_BOX[0], GOAL_BOX[0]))
+_INIT_HI = np.concatenate((START_BOX[1], GOAL_BOX[1]))
+
+
 def make_initial_state(rng: np.random.Generator) -> EnvState:
-    position = rng.uniform(START_BOX[0], START_BOX[1])
-    goal = rng.uniform(GOAL_BOX[0], GOAL_BOX[1])
-    return EnvState(position=position, goal=goal, latch=False, step_count=0)
+    u = rng.uniform(_INIT_LO, _INIT_HI)
+    return EnvState(position=u[:ACTION_DIM], goal=u[ACTION_DIM:], latch=False, step_count=0)
 
 
 def alpha0_convention(kind: EnvKind) -> str:
@@ -201,17 +214,24 @@ def latch_waypoint(kind: EnvKind, goal: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(w, box.lo + _WAYPOINT_MARGIN), box.hi - _WAYPOINT_MARGIN)
 
 
+def _expert_commands(kind: EnvKind, position: np.ndarray, goal: np.ndarray, latch: np.ndarray) -> np.ndarray:
+    """The noiseless expert command for each row of (B, 2) positions and goals.
+
+    np.vecdot(a, a) is the row-wise a.dot(a), which np.linalg.norm computes
+    for one real vector, with the same bits per row.
+    """
+    target = np.where(latch[:, None], goal, latch_waypoint(kind, goal))
+    a = EXPERT_GAIN * (target - position)
+    norm = np.sqrt(np.vecdot(a, a))
+    over = norm > EXPERT_MAX_STEP
+    if over.any():
+        a = a * np.divide(EXPERT_MAX_STEP, norm, out=np.ones_like(norm), where=over)[:, None]
+    return a
+
+
 def expert_action(kind: EnvKind, state: EnvState, rng: np.random.Generator | None = None, noise: float = EXPERT_NOISE) -> np.ndarray:
     """Scripted expert: head into the latch region, then to the current goal."""
-    if state.latch:
-        target = state.goal
-    else:
-        target = latch_waypoint(kind, state.goal)
-    d = target - state.position
-    a = EXPERT_GAIN * d
-    norm = math.sqrt(float(a.dot(a)))  # np.linalg.norm of a real 1-D vector
-    if norm > EXPERT_MAX_STEP:
-        a = a * (EXPERT_MAX_STEP / norm)
+    a = _expert_commands(kind, state.position[None], state.goal[None], np.array([state.latch]))[0]
     if rng is not None and noise > 0:
         a = a + rng.normal(0.0, noise, size=a.shape)
     return a
@@ -223,50 +243,146 @@ def expert_action(kind: EnvKind, state: EnvState, rng: np.random.Generator | Non
 # velocities there extrapolate into large overshoots.
 EXPERT_PARK_STEPS = 12
 
+# most attempts generate_demos rolls out in one lockstep round. A round
+# holds about 90 bytes per attempt and step, so a larger step cap than the
+# default 120 takes fewer attempts a round: its buffers stay near 3 MB
+# whatever --episodes and --step-cap are.
+DEMO_BLOCK = 256
+_ROUND_STEPS = DEMO_BLOCK * (120 + EXPERT_PARK_STEPS)
+
+
+def _check_expert_args(step_cap: int, noise: float) -> None:
+    if step_cap < 1:
+        raise ValueError(f"step_cap must be at least 1, got {step_cap}")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be finite and non-negative, got {noise}")
+
+
+def _noise_block(rng: np.random.Generator | None, noise: float, step_cap: int) -> np.ndarray | None:
+    """An episode's expert noise, one row per possible step, drawn up front.
+    A Generator fills the block in order, so row i holds the draws that
+    step i would make on its own. None when there is no noise to add."""
+    if rng is None or noise == 0:
+        return None
+    return rng.normal(0.0, noise, size=(step_cap + EXPERT_PARK_STEPS, ACTION_DIM))
+
+
+def _rollout(kind: EnvKind, states: list[EnvState], noise: np.ndarray | None, step_cap: int):
+    """Roll the expert from each state in lockstep, one row per episode.
+
+    noise is None or (B, step_cap + EXPERT_PARK_STEPS, 2). Each step runs
+    one set of (b, 2) array operations over the b rows still running, with
+    the kernels of the single-state step, observe, success and expert, so
+    every row gets the bits a lone episode gets. A row stops as a lone
+    episode does: once it has held success for EXPERT_PARK_STEPS more steps,
+    at step_cap actions if it has never succeeded, or at the last step.
+
+    Returns features (B, T, 7) and actions (B, T, 2), valid in each row's
+    first lengths[b] steps, with lengths (B,) and ok (B,), the success of
+    each row's last state.
+    """
+    n, steps = len(states), step_cap + EXPERT_PARK_STEPS
+    features = np.empty((n, steps, OBS_DIM))
+    actions = np.empty((n, steps, ACTION_DIM))
+    lengths = np.zeros(n, dtype=np.int64)
+    ok = np.zeros(n, dtype=bool)
+    rows = np.arange(n)
+    pos = np.array([s.position for s in states], dtype=np.float64).reshape(n, ACTION_DIM)
+    goal = np.array([s.goal for s in states], dtype=np.float64).reshape(n, ACTION_DIM)
+    latch = np.array([s.latch for s in states], dtype=bool)
+    park = np.zeros(n, dtype=np.int64)
+    box = kind.latch_region
+    for t in range(steps):
+        features[rows, t] = np.concatenate((pos, goal, latch[:, None], goal - pos), axis=1)
+        a = _expert_commands(kind, pos, goal, latch)
+        if noise is not None:
+            a = a + noise[rows, t]
+        actions[rows, t] = a
+        pos = _clip_to_workspace(pos + _displacement(kind, a))
+        enter = ~latch & ((pos >= box.lo) & (pos <= box.hi)).all(axis=1)
+        if enter.any():
+            goal = np.where(enter[:, None], goal + LATCH_SHIFT, goal)
+            latch = latch | enter
+        d = pos - goal
+        won = latch & (np.sqrt(np.vecdot(d, d)) < SUCCESS_DIST)
+        park += won
+        if t + 1 == steps:
+            stop = np.ones(rows.size, dtype=bool)
+        else:
+            stop = park > EXPERT_PARK_STEPS
+            if t + 1 >= step_cap:
+                stop |= ~won & (park == 0)
+        if stop.any():
+            done = rows[stop]
+            lengths[done] = t + 1
+            ok[done] = won[stop]
+            keep = ~stop
+            rows, pos, goal, latch, park = rows[keep], pos[keep], goal[keep], latch[keep], park[keep]
+            if not rows.size:
+                break
+    return features, actions, lengths, ok
+
+
+def _trajectory(kind: EnvKind, state: EnvState, features: np.ndarray, actions: np.ndarray) -> Trajectory:
+    """One rollout row as a Trajectory: frame ids and capture times count
+    steps from the start state's step_count."""
+    features, actions = features.copy(), actions.copy()
+    ids = range(state.step_count, state.step_count + len(features))
+    observations = list(map(Observation._make, zip(features, ids, map(float, ids))))
+    return Trajectory(observations=observations, actions=actions,
+                      action_states=cumulative_states(actions, alpha0_for(kind, state)))
+
 
 def run_expert_episode(kind: EnvKind, state: EnvState, rng: np.random.Generator, *, step_cap: int = 120, noise: float = EXPERT_NOISE):
     """Roll the expert until success or the step cap; returns (Trajectory, ok).
 
     Successful episodes are extended by EXPERT_PARK_STEPS of hold-position
-    actions so the demonstrations cover the parked end state.
+    actions so the demonstrations cover the parked end state. This is the
+    lockstep rollout of generate_demos on a batch of one. When noise > 0 the
+    episode's whole noise block, step_cap + EXPERT_PARK_STEPS rows, is drawn
+    from rng up front, so rng ends past the block however early the episode
+    stops.
     """
-    observations: list[Observation] = []
-    actions: list[np.ndarray] = []
-    alpha0 = alpha0_for(kind, state)
-    park = 0
-    for _ in range(step_cap + EXPERT_PARK_STEPS):
-        observations.append(observe(state))
-        a = expert_action(kind, state, rng, noise)
-        actions.append(a)
-        state = step(kind, state, a)
-        if success(state):
-            park += 1
-            if park > EXPERT_PARK_STEPS:
-                break
-        elif park == 0 and len(actions) >= step_cap:
-            break
-    act = np.asarray(actions)
-    traj = Trajectory(observations=observations, actions=act, action_states=cumulative_states(act, alpha0))
-    return traj, success(state)
+    _check_expert_args(step_cap, noise)
+    block = _noise_block(rng, noise, step_cap)
+    features, actions, lengths, ok = _rollout(kind, [state], None if block is None else block[None], step_cap)
+    L = lengths[0]
+    return _trajectory(kind, state, features[0, :L], actions[0, :L]), bool(ok[0])
 
 
 def generate_demos(kind: EnvKind, n: int, seed: int, *, step_cap: int = 120, noise: float = EXPERT_NOISE, min_len: int = 1) -> list[Trajectory]:
     """Collect n successful expert episodes; failures are resampled.
 
-    Raises GenerationError after 10 * n attempts, so an unreachable task
-    surfaces as an error instead of an infinite loop.
+    Attempt i draws its start state and then its whole noise block from
+    make_rng(seed, STREAM_DEMO, i). Attempts run in lockstep rounds: each
+    round rolls out the attempts still needed, at most DEMO_BLOCK of them
+    (fewer above the default step cap), and keeps its successes of at least
+    min_len actions in attempt order, so the demos are the ones
+    attempt-by-attempt generation gives, bit for bit.
+
+    Raises ValueError on a step cap below 1 or a negative or non-finite
+    noise, and GenerationError after 10 * n attempts, so an unreachable task surfaces as an error
+    instead of an infinite loop.
     """
+    _check_expert_args(step_cap, noise)
+    per_round = min(DEMO_BLOCK, max(1, _ROUND_STEPS // (step_cap + EXPERT_PARK_STEPS)))
     demos: list[Trajectory] = []
     attempts = 0
     while len(demos) < n:
         if attempts >= 10 * n:
             raise GenerationError(f"only {len(demos)}/{n} episodes succeeded after {attempts} attempts")
-        rng = make_rng(seed, STREAM_DEMO, attempts)
-        state = make_initial_state(rng)
-        traj, ok = run_expert_episode(kind, state, rng, step_cap=step_cap, noise=noise)
-        attempts += 1
-        if ok and len(traj) >= min_len:
-            demos.append(traj)
+        block = min(per_round, n - len(demos), 10 * n - attempts)
+        states, noises = [], []
+        for i in range(attempts, attempts + block):
+            rng = make_rng(seed, STREAM_DEMO, i)
+            states.append(make_initial_state(rng))
+            noises.append(_noise_block(rng, noise, step_cap))
+        attempts += block
+        features, actions, lengths, ok = _rollout(kind, states, None if noise == 0 else np.stack(noises), step_cap)
+        for b, state in enumerate(states):
+            L = lengths[b]
+            if ok[b] and L >= min_len:
+                demos.append(_trajectory(kind, state, features[b, :L], actions[b, :L]))
     return demos
 
 

@@ -1,0 +1,329 @@
+"""Lockstep demo generation against the attempt-by-attempt reference.
+
+generate_demos rolls out a round of attempts as rows of one array. The
+reference below is the per-step loop it replaced: one episode at a time,
+built from envsim.observe, step and success and a single-state expert that
+draws its noise step by step. Every comparison is byte for byte.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from streampolicy import envsim
+from streampolicy.cli import main
+from streampolicy.core import STREAM_DEMO, Observation, Trajectory, cumulative_states, make_rng
+from streampolicy.envsim import (
+    EXPERT_GAIN, EXPERT_MAX_STEP, EXPERT_NOISE, EXPERT_PARK_STEPS, GOAL_BOX, START_BOX, EnvKind,
+    EnvState, GenerationError, KIND_CONTROLLER, KIND_DIRECT, alpha0_for, generate_demos,
+    latch_waypoint, observe, run_expert_episode, step, success,
+)
+
+KINDS = {"controller": EnvKind(variant=KIND_CONTROLLER), "direct": EnvKind(variant=KIND_DIRECT)}
+
+
+# ---------------------------------------------------------------------------
+# the reference: one episode at a time, one step at a time
+# ---------------------------------------------------------------------------
+
+
+def _ref_initial_state(rng):
+    position = rng.uniform(START_BOX[0], START_BOX[1])
+    goal = rng.uniform(GOAL_BOX[0], GOAL_BOX[1])
+    return EnvState(position=position, goal=goal, latch=False, step_count=0)
+
+
+def _ref_expert_action(kind, state, rng, noise):
+    target = state.goal if state.latch else latch_waypoint(kind, state.goal)
+    a = EXPERT_GAIN * (target - state.position)
+    norm = math.sqrt(float(a.dot(a)))
+    if norm > EXPERT_MAX_STEP:
+        a = a * (EXPERT_MAX_STEP / norm)
+    if rng is not None and noise > 0:
+        a = a + rng.normal(0.0, noise, size=a.shape)
+    return a
+
+
+def _ref_episode(kind, state, rng, step_cap=120, noise=EXPERT_NOISE):
+    observations, actions = [], []
+    alpha0 = alpha0_for(kind, state)
+    park = 0
+    for _ in range(step_cap + EXPERT_PARK_STEPS):
+        observations.append(observe(state))
+        a = _ref_expert_action(kind, state, rng, noise)
+        actions.append(a)
+        state = step(kind, state, a)
+        if success(state):
+            park += 1
+            if park > EXPERT_PARK_STEPS:
+                break
+        elif park == 0 and len(actions) >= step_cap:
+            break
+    act = np.asarray(actions)
+    return Trajectory(observations, act, cumulative_states(act, alpha0)), success(state)
+
+
+def _ref_demos(kind, n, seed, step_cap=120, noise=EXPERT_NOISE, min_len=1):
+    demos, attempts = [], 0
+    while len(demos) < n:
+        if attempts >= 10 * n:
+            raise GenerationError(f"only {len(demos)}/{n} episodes succeeded after {attempts} attempts")
+        rng = make_rng(seed, STREAM_DEMO, attempts)
+        traj, ok = _ref_episode(kind, _ref_initial_state(rng), rng, step_cap, noise)
+        attempts += 1
+        if ok and len(traj) >= min_len:
+            demos.append(traj)
+    return demos
+
+
+def _assert_same_trajectory(got, want):
+    assert got.actions.dtype == want.actions.dtype and got.actions.shape == want.actions.shape
+    assert got.actions.tobytes() == want.actions.tobytes()
+    assert got.action_states.tobytes() == want.action_states.tobytes()
+    assert len(got.observations) == len(want.observations)
+    for o, r in zip(got.observations, want.observations):
+        assert type(o) is Observation
+        assert o.features.shape == r.features.shape and o.features.tobytes() == r.features.tobytes()
+        assert type(o.frame_id) is int and o.frame_id == r.frame_id
+        assert type(o.capture_time) is float and o.capture_time == r.capture_time
+
+
+def _assert_same_demos(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        _assert_same_trajectory(g, w)
+
+
+# ---------------------------------------------------------------------------
+# lockstep == reference
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("variant", sorted(KINDS))
+@pytest.mark.parametrize("n, seed", [(5, 123), (40, 21), (17, 3)])
+def test_lockstep_demos_equal_the_reference(variant, n, seed):
+    kind = KINDS[variant]
+    _assert_same_demos(generate_demos(kind, n, seed), _ref_demos(kind, n, seed))
+
+
+@pytest.mark.parametrize("variant", sorted(KINDS))
+@pytest.mark.parametrize("noise", [0.0, 0.2])
+def test_lockstep_demos_equal_the_reference_at_other_noise(variant, noise):
+    kind = KINDS[variant]
+    _assert_same_demos(generate_demos(kind, 12, 8, noise=noise), _ref_demos(kind, 12, 8, noise=noise))
+
+
+@pytest.mark.parametrize("variant, step_cap", [("controller", 32), ("direct", 28)])
+def test_lockstep_demos_equal_the_reference_when_some_attempts_fail(variant, step_cap, monkeypatch):
+    """A step cap that fails some attempts: the failures are dropped and
+    resampled in the reference's order."""
+    kind = KINDS[variant]
+    want = _ref_demos(kind, 12, 4, step_cap=step_cap)
+    streams = _count_demo_streams(monkeypatch)
+    got = generate_demos(kind, 12, 4, step_cap=step_cap)
+    assert len(streams) > 12, "the cap should fail some attempts"
+    _assert_same_demos(got, want)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_lockstep_demos_equal_the_reference_across_rounds(block, monkeypatch):
+    """More demos than one round holds, with a step cap that fails some
+    attempts and a min_len that drops some successes."""
+    kind = KINDS["controller"]
+    want = _ref_demos(kind, 10, 4, step_cap=32, min_len=44)
+    monkeypatch.setattr(envsim, "DEMO_BLOCK", block)
+    _assert_same_demos(generate_demos(kind, 10, 4, step_cap=32, min_len=44), want)
+
+
+def test_lockstep_raises_like_the_reference():
+    kind = KINDS["controller"]
+    with pytest.raises(GenerationError) as want:
+        _ref_demos(kind, 6, 0, step_cap=26)
+    with pytest.raises(GenerationError) as got:
+        generate_demos(kind, 6, 0, step_cap=26)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("variant", sorted(KINDS))
+@pytest.mark.parametrize("noise", [0.0, EXPERT_NOISE])
+def test_expert_episode_equals_the_reference(variant, noise):
+    """run_expert_episode is the lockstep rollout on a batch of one. When it
+    draws noise, it draws the whole block, so its rng ends past the block."""
+    kind = KINDS[variant]
+    for attempt in range(6):
+        rng = make_rng(31, STREAM_DEMO, attempt)
+        ref_rng = make_rng(31, STREAM_DEMO, attempt)
+        state = envsim.make_initial_state(rng)
+        want, want_ok = _ref_episode(kind, _ref_initial_state(ref_rng), ref_rng, noise=noise)
+        got, got_ok = run_expert_episode(kind, state, rng, noise=noise)
+        assert got_ok is want_ok
+        _assert_same_trajectory(got, want)
+        if noise > 0:
+            ref_rng.normal(0.0, noise, size=(120 + EXPERT_PARK_STEPS - len(want), 2))
+        assert rng.random() == ref_rng.random()
+
+
+def test_expert_episode_from_a_latched_mid_episode_state():
+    """A start state that is already latched and counted keeps its latch and
+    numbers its frames from its own step count."""
+    kind = KINDS["controller"]
+    state = EnvState(position=np.array([-0.5, 0.9]), goal=np.array([3.2, 2.0]), latch=True, step_count=17)
+    got, got_ok = run_expert_episode(kind, state, make_rng(2, 9), step_cap=40)
+    want, want_ok = _ref_episode(kind, state, make_rng(2, 9), step_cap=40)
+    assert got_ok is want_ok
+    assert got.observations[0].frame_id == 17 and got.observations[0].features[4] == 1.0
+    _assert_same_trajectory(got, want)
+
+
+def test_expert_action_equals_the_reference():
+    rng = np.random.default_rng(12)
+    for variant, kind in KINDS.items():
+        for _ in range(200):
+            state = EnvState(rng.uniform(-5, 5, size=2), rng.uniform(-5, 5, size=2),
+                             bool(rng.integers(2)), 0)
+            got = envsim.expert_action(kind, state, None, 0.0)
+            assert got.shape == (2,)
+            assert got.tobytes() == _ref_expert_action(kind, state, None, 0.0).tobytes()
+
+
+def test_start_state_matches_one_draw_per_box():
+    for attempt in range(50):
+        got = envsim.make_initial_state(make_rng(7, STREAM_DEMO, attempt))
+        want = _ref_initial_state(make_rng(7, STREAM_DEMO, attempt))
+        assert got.position.tobytes() == want.position.tobytes()
+        assert got.goal.tobytes() == want.goal.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the kernels the rollout relies on for its bits
+# ---------------------------------------------------------------------------
+
+
+def test_row_dot_kernel_matches_the_single_vector_dot():
+    rng = np.random.default_rng(0)
+    rows = rng.normal(0.0, 1.0, size=(4000, 2)) * rng.uniform(1e-3, 10.0, size=(4000, 1))
+    want = [float(r.dot(r)) for r in rows]
+    assert np.vecdot(rows, rows).tolist() == want
+    picked = np.sort(rng.choice(len(rows), 333, replace=False))
+    assert np.vecdot(rows[picked], rows[picked]).tolist() == [want[i] for i in picked]
+
+
+def test_tanh_kernel_gives_each_row_its_own_bits():
+    rng = np.random.default_rng(1)
+    c = KINDS["controller"].saturation
+    rows = rng.normal(0.0, 0.4, size=(4000, 2)) / c
+    batched = np.tanh(rows)
+    for b in (1, 2, 3, 5, 8, 17, 4000):
+        assert np.tanh(rows[:b]).tobytes() == batched[:b].tobytes()
+    assert all(np.tanh(r).tobytes() == batched[i].tobytes() for i, r in enumerate(rows))
+
+
+def test_noise_block_matches_per_step_draws():
+    a, b = make_rng(3, STREAM_DEMO, 0), make_rng(3, STREAM_DEMO, 0)
+    block = a.normal(0.0, EXPERT_NOISE, size=(132, 2))
+    steps = np.array([b.normal(0.0, EXPERT_NOISE, size=2) for _ in range(132)])
+    assert block.tobytes() == steps.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# attempt accounting
+# ---------------------------------------------------------------------------
+
+
+def _count_demo_streams(monkeypatch):
+    """Record the substream of every STREAM_DEMO make_rng call envsim makes."""
+    streams = []
+    real = envsim.make_rng
+
+    def counting(seed, *stream):
+        if stream[:1] == (STREAM_DEMO,):
+            streams.append(stream)
+        return real(seed, *stream)
+
+    monkeypatch.setattr(envsim, "make_rng", counting)
+    return streams
+
+
+@pytest.mark.parametrize("block", [2, 7, 256])
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_generation_error_after_exactly_ten_n_attempts(monkeypatch, n, block):
+    monkeypatch.setattr(envsim, "DEMO_BLOCK", block)
+    streams = _count_demo_streams(monkeypatch)
+    with pytest.raises(GenerationError, match=f"after {10 * n} attempts"):
+        generate_demos(KINDS["controller"], n, seed=0, step_cap=4)
+    assert streams == [(STREAM_DEMO, i) for i in range(10 * n)]
+
+
+def test_rounds_shrink_above_the_default_step_cap(monkeypatch):
+    """A round holds DEMO_BLOCK attempts at the default cap and fewer at a
+    larger one, so its buffers do not grow with the cap."""
+    rounds = []
+    real = envsim._rollout
+
+    def recording(kind, states, noise, step_cap):
+        rounds.append(len(states))
+        return real(kind, states, noise, step_cap)
+
+    monkeypatch.setattr(envsim, "_rollout", recording)
+    kind = KINDS["direct"]
+    generate_demos(kind, 300, 1)
+    assert rounds[:2] == [envsim.DEMO_BLOCK, 300 - envsim.DEMO_BLOCK]
+    rounds.clear()
+    step_cap = 4 * (120 + EXPERT_PARK_STEPS) - EXPERT_PARK_STEPS
+    _assert_same_demos(generate_demos(kind, 150, 1, step_cap=step_cap), _ref_demos(kind, 150, 1, step_cap=step_cap))
+    quarter = envsim.DEMO_BLOCK // 4
+    assert rounds[:3] == [quarter, quarter, 150 - 2 * quarter]
+
+
+def test_min_len_keeps_attempt_order_across_rounds(monkeypatch):
+    """Successes shorter than min_len are dropped and later rounds refill
+    them; the kept demos are the earliest long-enough successes in attempt
+    order."""
+    kind = KINDS["controller"]
+    every = generate_demos(kind, 30, 5)  # 30 successes: no cap failures at the default cap
+    min_len = 44
+    want = [t for t in every if len(t) >= min_len][:6]
+    assert len(want) == 6
+    assert next(i for i, t in enumerate(every) if t is want[-1]) > 5, "some successes should be dropped"
+    monkeypatch.setattr(envsim, "DEMO_BLOCK", 4)
+    streams = _count_demo_streams(monkeypatch)
+    got = generate_demos(kind, 6, 5, min_len=min_len)
+    assert streams == [(STREAM_DEMO, i) for i in range(len(streams))]
+    _assert_same_demos(got, want)
+
+
+# ---------------------------------------------------------------------------
+# noise validation
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("noise", [-0.5, -1e-12, float("nan"), float("inf"), float("-inf")])
+def test_bad_noise_is_rejected(noise):
+    with pytest.raises(ValueError, match="noise must be finite and non-negative"):
+        generate_demos(KINDS["controller"], 2, seed=0, noise=noise)
+    with pytest.raises(ValueError, match="noise must be finite and non-negative"):
+        run_expert_episode(KINDS["direct"], _ref_initial_state(make_rng(0, 1)), make_rng(0, 2), noise=noise)
+
+
+@pytest.mark.parametrize("step_cap", [0, -12, -40])
+def test_step_cap_below_one_is_rejected(step_cap):
+    with pytest.raises(ValueError, match="step_cap must be at least 1"):
+        generate_demos(KINDS["controller"], 2, seed=0, step_cap=step_cap)
+    with pytest.raises(ValueError, match="step_cap must be at least 1"):
+        run_expert_episode(KINDS["direct"], _ref_initial_state(make_rng(0, 1)), make_rng(0, 2), step_cap=step_cap)
+
+
+@pytest.mark.parametrize("noise", ["-0.5", "nan", "inf"])
+def test_gen_data_bad_noise_exits_2(tmp_path, capsys, noise):
+    out = tmp_path / "d" / "demos.jsonl"
+    rc = main(["gen-data", "--env", "controller", "--episodes", "2", "--noise", noise, "--out", str(out)])
+    assert rc == 2
+    assert "noise must be finite and non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_data_zero_noise_is_valid(tmp_path):
+    out = tmp_path / "demos.jsonl"
+    assert main(["gen-data", "--env", "direct", "--episodes", "2", "--noise", "0", "--out", str(out)]) == 0
+    assert out.exists()
