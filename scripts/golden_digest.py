@@ -1,13 +1,14 @@
 """Print one sha256 over simulated episodes on a fixed configuration grid.
 
-Runs run_episode on the simulated clock for every combination of scheduling
-configuration (sync_full, sync_replan1, sync_replan5, and streaming with no
-early observation and with each indicator), stage profile (zero, reference,
-generator-bound), step cap (three of them end mid-horizon) and trajectory
-recording on and off, and hashes every field of every EpisodeResult: events,
-raw and normalized actions, the final ledger, the final environment state,
-the counters and the recorded trajectory. Two checkouts that print the same
-digest for the same checkpoints produce the same results on that grid.
+Runs streamexec.run_episodes on the simulated clock for every combination
+of scheduling configuration (sync_full, sync_replan1, sync_replan5, and
+streaming with no early observation and with each indicator), stage
+profile (zero, reference, generator-bound), step cap (three of them end
+mid-horizon) and trajectory recording on and off, and hashes every field
+of every EpisodeResult: events, raw and normalized actions, the final
+ledger, the final environment state, the counters and the recorded
+trajectory. Two checkouts that print the same digest for the same
+checkpoints produce the same results on that grid.
 
 Every cell of one episode and cap runs on the same EnvHandle, as `streampolicy
 bench` runs every schedule on its episodes' handles. The grid runs twice: once
@@ -16,8 +17,8 @@ cells share horizons and env paths. The script exits 1 if the two digests
 differ, and prints the digest only when they agree.
 
 The anao and adaptive thresholds are calibrated at a 50% firing rate on
-zero-latency streaming rollouts of the given policy, so those indicators both
-fire and hold on the grid.
+streamexec.calibration_trajectories of the given policy, so those indicators
+both fire and hold on the grid.
 
     PYTHONPATH=src python3 scripts/golden_digest.py \\
         --policy policy.ckpt --predictor predictor.ckpt [--env controller] [--episodes 3]
@@ -48,13 +49,7 @@ CALIB_RATE = 0.5
 
 
 def _calibrated_etas(policy, predictor, kind) -> dict[str, float]:
-    sched = streamexec.SchedulerConfig(mode=streamexec.MODE_STREAMING, h=policy.flow.h, seed=0)
-    trajs = []
-    for ep in range(CALIB_EPISODES):
-        env = envsim.make_env(kind, 1, ep, step_cap=CALIB_CAP)
-        res = streamexec.run_episode(policy, None, env, streamexec.ZERO_LATENCY, sched,
-                                     record_trajectory=True)
-        trajs.append(res.trajectory)
+    trajs = streamexec.calibration_trajectories(policy, kind, 1, CALIB_EPISODES, CALIB_CAP)
     etas = {}
     for mode in (saliency.EO_ACTION_NORM, saliency.EO_ADAPTIVE):
         scores = saliency.decision_scores(predictor, trajs, policy.flow.h, N_EO, mode)
@@ -117,9 +112,8 @@ def grid_digest(policy, predictor, etas, envs, seed) -> tuple[str, int, int]:
         for pname, stage in PROFILES.items():
             for cap in CAPS:
                 for record in (False, True):
-                    for ep, env in enumerate(envs[cap]):
-                        res = streamexec.run_episode(policy, predictor, env, stage, sched,
-                                                     record_trajectory=record)
+                    for ep, res in enumerate(streamexec.run_episodes(
+                            policy, predictor, envs[cap], stage, sched, record_trajectory=record)):
                         hasher.update(f"{label}|{pname}|{cap}|{record}|{ep}|".encode())
                         feed_result(hasher, res)
                         n_episodes += 1
@@ -136,6 +130,8 @@ def main() -> int:
     ap.add_argument("--episodes", type=int, default=3, help="episodes per grid cell")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.episodes < 1:
+        ap.error(f"--episodes must be at least 1, got {args.episodes}")
 
     policy, _, _ = load_policy(args.policy)
     predictor = saliency.load_predictor(args.predictor)

@@ -38,8 +38,9 @@ from .streamexec import (
     StageLatency,
     TimelineEvent,
     run_episode,
+    run_episodes,
 )
-from .trainer import TrainConfig, TrainingDivergedError, evaluate, train
+from .trainer import TrainConfig, TrainingDivergedError, train
 from .velocitynet import Policy, load_policy, save_policy
 
 __version__ = "0.1.0"
@@ -81,9 +82,9 @@ __all__ = [
     "StageLatency",
     "TimelineEvent",
     "run_episode",
+    "run_episodes",
     "TrainConfig",
     "TrainingDivergedError",
-    "evaluate",
     "train",
     "Policy",
     "load_policy",

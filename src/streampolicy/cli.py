@@ -296,16 +296,35 @@ def _cmd_train_predictor(args) -> int:
     return 0
 
 
-def _indicator_from(cfg, predictor) -> saliency.Indicator | None:
-    name = cfg["eo"]
-    if name in ("", "none"):
-        return None
+def _eo_mode(name: str, predictor) -> str:
+    """The indicator mode --eo name selects; adaptive needs a predictor."""
     if name not in EO_NAMES:
         raise CliError(f"unknown early-observation mode {name!r}")
     mode = EO_NAMES[name]
     if mode == saliency.EO_ADAPTIVE and predictor is None:
         raise CliError("adaptive early observation needs --predictor")
-    return saliency.Indicator(mode=mode, eta=cfg["eta"], p=cfg["p"])
+    return mode
+
+
+def _indicator_from(cfg, predictor) -> saliency.Indicator | None:
+    if cfg["eo"] in ("", "none"):
+        return None
+    return saliency.Indicator(mode=_eo_mode(cfg["eo"], predictor), eta=cfg["eta"], p=cfg["p"])
+
+
+def _sweep(policy, predictor, envs, stage, scheduler, clock, trace_csv="", trace_json=""):
+    """Run one episode per handle of envs and yield (result, its
+    MetricsReport) as each ends; the first episode's event log is written to
+    trace_csv and trace_json, where given."""
+    results = streamexec.run_episodes(policy, predictor, envs, stage, scheduler, clock=clock)
+    for ep, result in enumerate(results):
+        if ep == 0:
+            for path, writer in ((trace_csv, metrics.write_trace_csv),
+                                 (trace_json, metrics.write_chrome_trace)):
+                if path:
+                    Path(path).parent.mkdir(parents=True, exist_ok=True)
+                    writer(path, result.events)
+        yield result, metrics.measure(result.events, success=result.success)
 
 
 def _cmd_rollout(args) -> int:
@@ -342,25 +361,18 @@ def _cmd_rollout(args) -> int:
         n_eo=cfg["n_eo"], seed=cfg["seed"],
     )
 
+    envs = (envsim.make_env(kind, cfg["seed"], ep, step_cap=cfg["step_cap"])
+            for ep in range(cfg["episodes"]))
+    runs = _sweep(policy, predictor, envs, stage, scheduler, cfg["clock"],
+                  cfg["trace_csv"], cfg["trace_json"])
     reports = []
-    successes = 0
-    for ep in range(cfg["episodes"]):
-        env = envsim.make_env(kind, cfg["seed"], ep, step_cap=cfg["step_cap"])
-        result = streamexec.run_episode(policy, predictor, env, stage, scheduler,
-                                        clock=cfg["clock"])
-        rep = metrics.measure(result.events, success=result.success)
+    for ep, (result, rep) in enumerate(runs):
         reports.append(rep)
-        successes += int(result.success)
-        if ep == 0:
-            for key, writer in (("trace_csv", metrics.write_trace_csv),
-                                ("trace_json", metrics.write_chrome_trace)):
-                if cfg[key]:
-                    Path(cfg[key]).parent.mkdir(parents=True, exist_ok=True)
-                    writer(cfg[key], result.events)
         dist = float(np.linalg.norm(result.final_state.position - result.final_state.goal))
         print(f"episode {ep:>3d}  success={int(result.success)}  steps={result.steps:>3d}  "
               f"dist={dist:.3f}  t_action={rep.t_action:.2f}ms  t_halt={rep.t_halt:.2f}ms  "
               f"eo_fired={result.eo_fired}/{result.n_horizons}")
+    successes = sum(int(r.success) for r in reports)
     print(f"success rate {successes}/{cfg['episodes']} = {successes / cfg['episodes']:.3f}  "
           f"mean t_action {np.mean([r.t_action for r in reports]):.3f}ms  "
           f"mean t_halt {np.mean([r.t_halt for r in reports]):.3f}ms")
@@ -368,27 +380,15 @@ def _cmd_rollout(args) -> int:
 
 
 def _calib_rollouts(policy, kind, cfg) -> list:
-    """On-policy trajectories for threshold calibration: plain streaming, no EO.
-
-    Demonstration datasets over-represent low-saliency frames (they include
-    the parked tail after success), which skews quantile thresholds; scoring
-    the deployed policy's own horizon grid avoids that.
-    """
-    scheduler = streamexec.SchedulerConfig(mode=streamexec.MODE_STREAMING,
-                                           h=policy.flow.h, seed=cfg["seed"])
-    trajs = []
-    for ep in range(cfg["calib_episodes"]):
-        env = envsim.make_env(kind, cfg["calib_seed"], ep, step_cap=cfg["step_cap"])
-        result = streamexec.run_episode(policy, None, env, streamexec.ZERO_LATENCY,
-                                        scheduler, record_trajectory=True)
-        trajs.append(result.trajectory)
-    return trajs
+    """On-policy trajectories for threshold calibration (see streamexec)."""
+    return streamexec.calibration_trajectories(policy, kind, cfg["calib_seed"],
+                                               cfg["calib_episodes"], cfg["step_cap"])
 
 
-def _bench_configs(cfg, policy, predictor, calib) -> dict[str, tuple]:
-    """Label -> (SchedulerConfig, predictor or None) for the requested matrix."""
+def _bench_configs(cfg, policy, predictor, modes, calib) -> dict[str, tuple]:
+    """Label -> (SchedulerConfig, predictor or None) for the requested matrix;
+    modes maps each --eo name to its indicator mode."""
     h = policy.flow.h
-    names = [n.strip() for n in cfg["eo"].split(",") if n.strip()]
     seed = cfg["seed"]
     n_replan = cfg["n_replan"] or max(1, h // 2)
     out: dict[str, tuple] = {}
@@ -402,21 +402,12 @@ def _bench_configs(cfg, policy, predictor, calib) -> dict[str, tuple]:
 
     rate = cfg["target_rate"]
     n_eo = cfg["n_eo"]
-    for name in names:
-        if name == "none":
-            continue
-        if name not in EO_NAMES:
-            raise CliError(f"unknown early-observation mode {name!r}")
-        mode = EO_NAMES[name]
+    for name, mode in modes.items():
         if mode == saliency.EO_NAIVE:
             ind = saliency.Indicator(mode=mode)
         elif mode == saliency.EO_RANDOM:
             ind = saliency.Indicator(mode=mode, p=rate)
         else:
-            if calib is None:
-                raise CliError(f"{name} early observation needs calibration data")
-            if mode == saliency.EO_ADAPTIVE and predictor is None:
-                raise CliError("adaptive early observation needs --predictor")
             scores = saliency.decision_scores(predictor, calib, h, n_eo, mode=mode)
             ind = saliency.Indicator(mode=mode, eta=saliency.calibrate_threshold(scores, rate))
         out[f"streaming+{name}"] = (
@@ -456,16 +447,23 @@ def _cmd_bench(args) -> int:
     kind = _policy_env_kind(cfg, policy)
     stage = _parse_profile(cfg["profile"])
 
-    names = [n.strip() for n in cfg["eo"].split(",") if n.strip()]
+    names = [n.strip() for n in cfg["eo"].split(",") if n.strip() not in ("", "none")]
+    calibrate = not cfg["calib_data"] and any(
+        EO_NAMES.get(n) in (saliency.EO_ACTION_NORM, saliency.EO_ADAPTIVE) for n in names)
+    if calibrate:
+        _check_counts(cfg, "calib_episodes")
+        if cfg["step_cap"] < policy.flow.h:
+            raise CliError(f"--step-cap {cfg['step_cap']} is below the policy's h={policy.flow.h}: "
+                           "calibration rollouts that short hold no decision point")
+    # every indicator is resolved before any calibration rollout
+    modes = {n: _eo_mode(n, predictor) for n in names}
     calib = None
     if cfg["calib_data"]:
         calib, _ = _load_trajectories(cfg["calib_data"])
-    elif any(EO_NAMES.get(n) in (saliency.EO_ACTION_NORM, saliency.EO_ADAPTIVE)
-             for n in names):
-        _check_counts(cfg, "calib_episodes")
+    elif calibrate:
         calib = _calib_rollouts(policy, kind, cfg)
 
-    configs = _bench_configs(cfg, policy, predictor, calib)
+    configs = _bench_configs(cfg, policy, predictor, modes, calib)
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     results: dict[str, list[metrics.MetricsReport]] = {}
@@ -478,21 +476,16 @@ def _cmd_bench(args) -> int:
 
     def run_config(label):
         scheduler, pred = configs[label]
+        traces = ("", "")
+        if cfg["traces"]:
+            traces = (out_dir / f"trace_{label}.csv", out_dir / f"trace_{label}.json")
+            artifacts[f"trace_{label}_csv"], artifacts[f"trace_{label}_json"] = traces
         reports = []
         fired = decisions = 0
-        for ep, env in enumerate(envs):
-            result = streamexec.run_episode(policy, pred, env, stage, scheduler,
-                                            clock=cfg["clock"])
-            reports.append(metrics.measure(result.events, success=result.success))
+        for result, rep in _sweep(policy, pred, envs, stage, scheduler, cfg["clock"], *traces):
+            reports.append(rep)
             fired += result.eo_fired
             decisions += result.eo_decisions
-            if ep == 0 and cfg["traces"]:
-                csv_path = out_dir / f"trace_{label}.csv"
-                json_path = out_dir / f"trace_{label}.json"
-                metrics.write_trace_csv(csv_path, result.events)
-                metrics.write_chrome_trace(json_path, result.events)
-                artifacts[f"trace_{label}_csv"] = csv_path
-                artifacts[f"trace_{label}_json"] = json_path
         results[label] = reports
         rates[label] = fired / max(1, decisions)
         mean_a = np.mean([r.t_action for r in reports])

@@ -81,7 +81,7 @@ import threading
 import time
 from dataclasses import dataclass
 from queue import Empty, Full, Queue, SimpleQueue
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -721,3 +721,28 @@ def run_episode(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
     if clock == "wall":
         return _wall(policy, predictor, env, stage, scheduler, record_trajectory)
     raise ValueError(f"unknown clock {clock!r}")
+
+
+def run_episodes(policy: Policy, predictor, envs: Iterable[EnvHandle], stage: StageLatency,
+                 scheduler: SchedulerConfig, *, clock: str = "simulated",
+                 record_trajectory: bool = False) -> Iterator[EpisodeResult]:
+    """Yield one EpisodeResult per handle of envs, in order, as each episode
+    ends. Each is a call of this module's run_episode, looked up at the call,
+    so a wrapper installed on it sees every episode. No shared_horizons()
+    scope is opened here; callers that share horizons run the sweep in one."""
+    for env in envs:
+        yield run_episode(policy, predictor, env, stage, scheduler, clock=clock,
+                          record_trajectory=record_trajectory)
+
+
+def calibration_trajectories(policy: Policy, kind: envsim.EnvKind, seed: int, episodes: int,
+                             step_cap: int) -> list[Trajectory]:
+    """The policy's own trajectories on episodes 0 .. episodes-1 of seed, for
+    calibrating indicator thresholds: plain streaming at zero latency with no
+    predictor (the scheduler's seed then draws nothing). Demonstrations
+    over-represent the parked low-saliency tail after success, which skews
+    quantile thresholds; the deployed policy's own horizon grid does not."""
+    scheduler = SchedulerConfig(mode=MODE_STREAMING, h=policy.flow.h, seed=seed)
+    envs = (envsim.make_env(kind, seed, ep, step_cap=step_cap) for ep in range(episodes))
+    return [res.trajectory for res in run_episodes(policy, None, envs, ZERO_LATENCY, scheduler,
+                                                   record_trajectory=True)]

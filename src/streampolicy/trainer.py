@@ -204,26 +204,3 @@ def write_train_log(path, rows) -> None:
         fh.write("iteration,loss,wall_ms\n")
         for it, loss, ms in rows:
             fh.write(f"{it},{loss!r},{ms:.3f}\n")
-
-
-def evaluate(policy: Policy, kind, episodes: int, seed: int, *, step_cap: int = 120,
-             scheduler=None, stage=None, predictor=None) -> dict:
-    """Closed-loop success rate over simulated episodes (zero latency default)."""
-    from . import envsim, streamexec
-
-    if scheduler is None:
-        scheduler = streamexec.SchedulerConfig(mode=streamexec.MODE_STREAMING, h=policy.flow.h, seed=seed)
-    if stage is None:
-        stage = streamexec.ZERO_LATENCY
-    wins = 0
-    dists = []
-    for ep in range(episodes):
-        env = envsim.make_env(kind, seed, ep, step_cap=step_cap)
-        result = streamexec.run_episode(policy, predictor, env, stage, scheduler)
-        wins += int(result.success)
-        dists.append(float(np.linalg.norm(result.final_state.position - result.final_state.goal)))
-    return {
-        "episodes": episodes,
-        "success_rate": wins / episodes,
-        "mean_endpoint_error": float(np.mean(dists)),
-    }

@@ -32,9 +32,9 @@ from streampolicy.saliency import (
 )
 from streampolicy.streamexec import (
     MODE_STREAMING, MODE_SYNC_CHUNK, REFERENCE_PROFILE, STAGE_EXECUTE,
-    SchedulerConfig, StageLatency, ZERO_LATENCY, run_episode,
+    SchedulerConfig, StageLatency, ZERO_LATENCY, calibration_trajectories, run_episode,
+    run_episodes,
 )
-from streampolicy.trainer import evaluate
 from streampolicy import velocitynet
 
 H = 10
@@ -181,20 +181,28 @@ def test_05_gradient_checks():
     assert perr < 1e-4, perr
 
 
+def _success_rate(policy, kind, episodes=100, seed=1000, cap=60) -> float:
+    """Closed-loop success over the seed's first episodes: plain streaming at
+    zero latency."""
+    sched = SchedulerConfig(mode=MODE_STREAMING, h=policy.flow.h, seed=seed)
+    envs = (make_env(kind, seed, ep, step_cap=cap) for ep in range(episodes))
+    return sum(r.success for r in run_episodes(policy, None, envs, ZERO_LATENCY, sched)) / episodes
+
+
 def test_06_policy_success_rates(direct_policy, ctrl_policy, direct_env, ctrl_env):
     from conftest import RECIPE
 
     assert RECIPE.iterations <= 20_000
-    direct = evaluate(direct_policy, direct_env, episodes=100, seed=1000, step_cap=60)
-    assert direct["success_rate"] >= 0.95, direct
-    ctrl = evaluate(ctrl_policy, ctrl_env, episodes=100, seed=1000, step_cap=60)
-    assert ctrl["success_rate"] >= 0.90, ctrl
+    direct = _success_rate(direct_policy, direct_env)
+    assert direct >= 0.95, direct
+    ctrl = _success_rate(ctrl_policy, ctrl_env)
+    assert ctrl >= 0.90, ctrl
 
 
 def test_07_state_alignment_ablation(ctrl_policy, misaligned_policy, ctrl_env):
-    aligned = evaluate(ctrl_policy, ctrl_env, episodes=100, seed=1000, step_cap=60)
-    ablated = evaluate(misaligned_policy, ctrl_env, episodes=100, seed=1000, step_cap=60)
-    assert aligned["success_rate"] - ablated["success_rate"] >= 0.15, (aligned, ablated)
+    aligned = _success_rate(ctrl_policy, ctrl_env)
+    ablated = _success_rate(misaligned_policy, ctrl_env)
+    assert aligned - ablated >= 0.15, (aligned, ablated)
 
 
 def test_08_early_observation_ordering_and_halt(ctrl_policy, ctrl_predictor, ctrl_env):
@@ -213,15 +221,11 @@ def test_08_early_observation_ordering_and_halt(ctrl_policy, ctrl_predictor, ctr
     def sched(eo=None):
         return SchedulerConfig(mode=MODE_STREAMING, h=H, eo=eo, n_eo=n_eo, seed=5)
 
-    def run(indicator, pred, *, episodes=episodes, cap=cap, seed=bench_seed,
-            stage=ZERO_LATENCY, record=False):
-        return [run_episode(ctrl_policy, pred,
-                            make_env(ctrl_env, seed, ep, step_cap=cap),
-                            stage, sched(indicator), record_trajectory=record)
-                for ep in range(episodes)]
+    def run(indicator, pred, *, episodes=episodes, stage=ZERO_LATENCY):
+        envs = (make_env(ctrl_env, bench_seed, ep, step_cap=cap) for ep in range(episodes))
+        return list(run_episodes(ctrl_policy, pred, envs, stage, sched(indicator)))
 
-    calib = [r.trajectory for r in
-             run(None, None, episodes=100, cap=80, seed=calib_seed, record=True)]
+    calib = calibration_trajectories(ctrl_policy, ctrl_env, calib_seed, 100, 80)
     eta = calibrate_threshold(decision_scores(ctrl_predictor, calib, H, n_eo), target_rate)
 
     adaptive = run(Indicator(mode=EO_ADAPTIVE, eta=eta), ctrl_predictor)

@@ -75,6 +75,27 @@ def test_rollout_trace_outputs(workdir, tmp_path):
     json.loads(trace_json.read_text())
 
 
+def test_rollout_runs_every_episode_through_run_episode(workdir, capsys, monkeypatch):
+    """A wrapper installed on streamexec.run_episode sees each rollout
+    episode, in order, on the chosen clock and recording no trajectory."""
+    real = streamexec.run_episode
+    seen = []
+
+    def wrapper(policy, predictor, env, stage, scheduler, clock="simulated",
+                record_trajectory=False):
+        seen.append((env.episode_id, clock, record_trajectory))
+        return real(policy, predictor, env, stage, scheduler, clock=clock,
+                    record_trajectory=record_trajectory)
+
+    monkeypatch.setattr(streamexec, "run_episode", wrapper)
+    rc = main(["rollout", "--policy", str(workdir / "policy" / "policy.ckpt"),
+               "--env", "controller", "--episodes", "3", "--step-cap", "15",
+               "--profile", "zero"])
+    assert rc == 0
+    assert seen == [(ep, "simulated", False) for ep in range(3)]
+    assert capsys.readouterr().out.count("episode") == 3
+
+
 def test_bench_writes_results(workdir, tmp_path, capsys):
     out_dir = tmp_path / "bench"
     rc = main(["bench", "--policy", str(workdir / "policy" / "policy.ckpt"),
@@ -187,6 +208,42 @@ def test_bench_without_calibration_episodes_exits_2(workdir, tmp_path, capsys, m
                "--calib-episodes", "0", "--step-cap", "5", "--out-dir", str(out)])
     assert rc == 2
     assert "--calib-episodes must be at least 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eo, message", [
+    ("adaptive", "adaptive early observation needs --predictor"),
+    ("anao,bogus", "unknown early-observation mode 'bogus'"),
+])
+def test_bench_checks_every_indicator_before_calibrating(workdir, tmp_path, capsys, monkeypatch,
+                                                         eo, message):
+    """A bad --eo list exits 2 before the calibration rollouts its anao or
+    adaptive entry would otherwise run first."""
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("bench ran an episode")
+
+    monkeypatch.setattr(streamexec, "run_episode", no_rollout)
+    out = tmp_path / "b"
+    rc = main(["bench", "--policy", str(workdir / "policy" / "policy.ckpt"), "--eo", eo,
+               "--calib-episodes", "7", "--out-dir", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_names_a_step_cap_below_h_before_calibrating(workdir, tmp_path, capsys,
+                                                           monkeypatch):
+    """Calibration rollouts capped below the policy's h=10 hold no decision
+    point; the cap is named as the fault, before any rollout."""
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("bench ran an episode")
+
+    monkeypatch.setattr(streamexec, "run_episode", no_rollout)
+    out = tmp_path / "b"
+    rc = main(["bench", "--policy", str(workdir / "policy" / "policy.ckpt"), "--eo", "anao",
+               "--step-cap", "9", "--out-dir", str(out)])
+    assert rc == 2
+    assert "--step-cap 9 is below the policy's h=10" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -319,6 +376,17 @@ def test_timing_table_script_exits_2_on_a_profile_it_cannot_tabulate(profile, me
                           capture_output=True, text=True)
     assert proc.returncode == 2
     assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("episodes", ["0", "-2"])
+def test_golden_digest_script_rejects_episodes_below_one(episodes):
+    """No episodes would hash an empty grid: a digest that proves nothing."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "golden_digest.py"
+    proc = subprocess.run([sys.executable, str(script), "--policy", "p.ckpt", "--predictor",
+                           "q.ckpt", "--episodes", episodes], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert f"--episodes must be at least 1, got {episodes}" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_timing_table_script_names_the_baseline_of_each_ratio():

@@ -484,9 +484,7 @@ N_EO = 3
 @pytest.fixture(scope="module")
 def calibrated_etas(ctrl_policy, ctrl_predictor):
     """anao and adaptive thresholds that fire on about half the decisions."""
-    sched = SchedulerConfig(mode=MODE_STREAMING, h=ctrl_policy.flow.h)
-    trajs = [run_episode(ctrl_policy, None, make_env(CTRL, 1, ep, step_cap=42), ZERO_LATENCY,
-                         sched, record_trajectory=True).trajectory for ep in range(6)]
+    trajs = streamexec.calibration_trajectories(ctrl_policy, CTRL, 1, 6, 42)
     return {mode: saliency.calibrate_threshold(
                 saliency.decision_scores(ctrl_predictor, trajs, ctrl_policy.flow.h, N_EO, mode), 0.5)
             for mode in (saliency.EO_ACTION_NORM, saliency.EO_ADAPTIVE)}
@@ -545,6 +543,71 @@ def test_lazy_generation_matches_eager_reference(stage, ctrl_policy, ctrl_predic
                     covered["fired"] += got.eo_fired
                     covered["held"] += got.eo_decisions - got.eo_fired
     assert all(covered.values()), covered
+
+
+def test_run_episodes_yields_each_handles_result_in_order(ctrl_policy, ctrl_predictor,
+                                                         calibrated_etas):
+    """The sweep gives, handle by handle and in order, the results of direct
+    run_episode calls on the simulated clock, field for field."""
+    envs = [make_env(CTRL, 5, ep, step_cap=cap) for ep, cap in enumerate((7, 42, 120))]
+    for sched in _grid_schedulers(calibrated_etas):
+        for record in (False, True):
+            want = [run_episode(ctrl_policy, ctrl_predictor, env, REFERENCE_PROFILE, sched,
+                                record_trajectory=record) for env in envs]
+            got = list(streamexec.run_episodes(ctrl_policy, ctrl_predictor, iter(envs),
+                                               REFERENCE_PROFILE, sched, record_trajectory=record))
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                _assert_results_identical(g, w)
+
+
+def _counting_run_episode(monkeypatch, seen):
+    """Install a wrapper on streamexec.run_episode, as a benchmark harness
+    does, that appends (episode id, clock, record_trajectory) to seen."""
+    real = streamexec.run_episode
+
+    def wrapper(policy, predictor, env, stage, scheduler, clock="simulated",
+                record_trajectory=False):
+        seen.append((env.episode_id, clock, record_trajectory))
+        return real(policy, predictor, env, stage, scheduler, clock=clock,
+                    record_trajectory=record_trajectory)
+
+    monkeypatch.setattr(streamexec, "run_episode", wrapper)
+
+
+def test_run_episodes_runs_each_episode_as_its_result_is_taken(null_policy, monkeypatch):
+    """run_episode is looked up at each episode, so a wrapper installed
+    midway through a sweep sees every later one, and each runs only when the
+    caller takes its result."""
+    envs = [make_env(DIRECT, 6, ep, step_cap=12) for ep in range(4)]
+    sweep = streamexec.run_episodes(null_policy, None, envs, ZERO_LATENCY, SchedulerConfig())
+    next(sweep)
+    seen = []
+    _counting_run_episode(monkeypatch, seen)
+    next(sweep)
+    assert seen == [(1, "simulated", False)]
+    assert len(list(sweep)) == 2
+    assert seen == [(ep, "simulated", False) for ep in (1, 2, 3)]
+
+
+def test_calibration_trajectories_record_plain_streaming_at_zero_latency(null_policy,
+                                                                        monkeypatch):
+    """One recorded simulated episode per episode index of the seed, each
+    through streamexec.run_episode: plain streaming at zero latency with no
+    predictor, trajectory for trajectory."""
+    seen = []
+    _counting_run_episode(monkeypatch, seen)
+    trajs = streamexec.calibration_trajectories(null_policy, DIRECT, 4, 3, 23)
+    assert seen == [(ep, "simulated", True) for ep in range(3)]
+    sched = SchedulerConfig(mode=MODE_STREAMING, h=null_policy.flow.h)
+    assert len(trajs) == 3
+    for ep, traj in enumerate(trajs):
+        want = run_episode(null_policy, None, make_env(DIRECT, 4, ep, step_cap=23), ZERO_LATENCY,
+                           sched, record_trajectory=True).trajectory
+        assert traj.actions.tobytes() == want.actions.tobytes()
+        assert traj.action_states.tobytes() == want.action_states.tobytes()
+        assert [o.features.tobytes() for o in traj.observations] == \
+            [o.features.tobytes() for o in want.observations]
 
 
 def _wall_grid_schedulers(etas):

@@ -4,7 +4,7 @@ import pytest
 from streampolicy import normkit
 from streampolicy.core import STREAM_TRAIN, make_rng
 from streampolicy.trainer import (
-    TrainConfig, TrainingDivergedError, _prepare, _sample_batch, evaluate, train,
+    TrainConfig, TrainingDivergedError, _prepare, _sample_batch, train,
     write_train_log,
 )
 from streampolicy.velocitynet import load_policy, save_policy
@@ -244,15 +244,6 @@ def test_cosine_schedule_changes_trajectory(small_demos):
     p2, _, _ = train(small_demos, cos, alpha0_convention="zero")
     assert any(not np.array_equal(p1.model.params[k], p2.model.params[k])
                for k in p1.model.params)
-
-
-def test_evaluate_smoke(small_demos, ctrl_env):
-    cfg = TrainConfig(**{**TINY, "iterations": 0})
-    policy, _, _ = train(small_demos, cfg, alpha0_convention="zero")
-    out = evaluate(policy, ctrl_env, episodes=2, seed=7, step_cap=25)
-    assert out["episodes"] == 2
-    assert 0.0 <= out["success_rate"] <= 1.0
-    assert out["mean_endpoint_error"] > 0
 
 
 def test_train_log_roundtrip(tmp_path, small_demos):
