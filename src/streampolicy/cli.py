@@ -365,17 +365,22 @@ def _cmd_rollout(args) -> int:
             for ep in range(cfg["episodes"]))
     runs = _sweep(policy, predictor, envs, stage, scheduler, cfg["clock"],
                   cfg["trace_csv"], cfg["trace_json"])
-    reports = []
+    # the wall clock also reports its overruns: events whose host work ended late
+    wall = cfg["clock"] == "wall"
+    reports, overruns = [], 0
     for ep, (result, rep) in enumerate(runs):
         reports.append(rep)
+        overruns += result.overruns
         dist = float(np.linalg.norm(result.final_state.position - result.final_state.goal))
         print(f"episode {ep:>3d}  success={int(result.success)}  steps={result.steps:>3d}  "
               f"dist={dist:.3f}  t_action={rep.t_action:.2f}ms  t_halt={rep.t_halt:.2f}ms  "
-              f"eo_fired={result.eo_fired}/{result.n_horizons}")
+              f"eo_fired={result.eo_fired}/{result.n_horizons}"
+              + (f"  overruns={result.overruns}" if wall else ""))
     successes = sum(int(r.success) for r in reports)
     print(f"success rate {successes}/{cfg['episodes']} = {successes / cfg['episodes']:.3f}  "
           f"mean t_action {np.mean([r.t_action for r in reports]):.3f}ms  "
-          f"mean t_halt {np.mean([r.t_halt for r in reports]):.3f}ms")
+          f"mean t_halt {np.mean([r.t_halt for r in reports]):.3f}ms"
+          + (f"  overruns {overruns}" if wall else ""))
     return 0
 
 

@@ -34,7 +34,8 @@ One _Episode record keeps the executor side of an episode on both runners:
 the env state, the executed ledger, the indicator stream and the rules the
 clocks share (the decision point, the decision, what an execution records,
 when the episode ends). At a decision the simulated engine scores the
-horizon's whole remaining tail, the wall runner what its generator has made.
+horizon's whole remaining tail, the wall runner what its generator has
+released by then.
 
 On the simulated clock, generate events model the generator lane: every
 planned action of a horizon gets one at its modeled time, because the
@@ -63,7 +64,10 @@ not change inside it.
 
 The wall-clock runner reproduces the same semantics with timestamps from
 the wall clock, for both modes, with three real threads joined by queues.
-Its executor starts an action at max(release, previous tick + t_exec) on a
+Its observer and generator run deadline to deadline: each event starts when
+its input is released and its thread's previous event has ended, and ends
+its stage latency later, when its result is released to the next stage. Its
+executor starts an action at max(release, previous tick + t_exec) on a
 fixed grid, the engine's max(ready, previous end). As on the simulated
 clock, the modes differ only in when a horizon's actions are released to
 the executor: each as it is generated (streaming) or all n_replan after the
@@ -191,6 +195,8 @@ class EpisodeResult:
     steps: int
     trajectory: Trajectory | None = None
     eo_decisions: int = 0
+    # wall clock: events whose host work ended after their planned end
+    overruns: int = 0
 
 
 def _decide_eo(scheduler: SchedulerConfig, predictor, obs, remaining_raw: np.ndarray,
@@ -499,22 +505,33 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
 # ---------------------------------------------------------------------------
 # wall-clock runner, for both modes: three threads (observer, generator,
 # executor) joined by queues. The observation slot holds at most one latent;
-# the action buffer holds at most h actions. The generator owns the
-# action-state ledger: it makes all h actions of a horizon, each inside its
-# t_gen budget, and queues the first n_replan with their release time, each
-# as it is made in streaming and all at once after the horizon's last
-# generation in sync_chunk. The observer computes each observation inside its
-# t_obs budget. The executor ticks on a fixed grid of period t_exec
-# (_next_tick): an action starts at max(release, previous tick + t_exec), as
-# the simulated engine starts it at max(ready, previous end), and the grid
-# restarts at the executor's clock when the supply ran late or a whole slot
-# went by. The env step and the episode's bookkeeping run inside the slot, so
-# host work does not stretch the period; an execute event can be shorter than
+# the action buffer holds at most h actions. Every queue item carries the
+# time its payload is released, and the observer and the generator run
+# deadline to deadline (_lane_slot): an event starts at max(its input's
+# release, the end of its lane's previous event), the thread sleeps to that
+# start, does its host work and hands the result on at once with the planned
+# end, start + budget, as its release. The thread that takes it sleeps to
+# that release, so neither a thread's wake-up nor a handoff adds to a stage's
+# latency. A thread whose host work ends after the deadline ends the event
+# at the measured time, restarts its lane there and counts one overrun
+# (EpisodeResult.overruns).
+#
+# The observer computes each observation inside t_obs from the time it was
+# requested. The generator owns the action-state ledger: it makes all h
+# actions of a horizon, each inside its t_gen budget, and queues the first
+# n_replan, each as it is made in streaming and all at once after the
+# horizon's last generation in sync_chunk. The executor ticks on a fixed grid
+# of period t_exec (_next_tick): an action starts at max(release, previous
+# tick + t_exec), as the simulated engine starts it at max(ready, previous
+# end), and the grid restarts at max(now, release) when the supply ran late
+# or a whole slot went by. The env step and the episode's bookkeeping run
+# inside the slot, so host work does not stretch the period (when it runs
+# past the slot it counts one overrun); an execute event can be shorter than
 # t_exec by the executor's own wake-up lateness, never by a late supply. The
 # executor drives the episode's _Episode, which holds the environment, the
 # decision and the end rule as on the simulated clock, and requests the next
-# observation when the indicator fires or after its n_replan-th execution,
-# so in sync_chunk the stages run one at a time.
+# observation when the indicator fires (at the decision's end) or at the end
+# of its n_replan-th execution, so in sync_chunk the stages run one at a time.
 # ---------------------------------------------------------------------------
 
 _POLL = 0.02
@@ -524,24 +541,46 @@ _JOIN_TIMEOUT = 5.0
 
 def _next_tick(tick: float | None, release: float, now: float, t_exec: float) -> float:
     """The planned start of the next execution, in ms: the grid point
-    tick + t_exec after the previous planned start tick, or now when the
-    grid restarts: for the first action (tick None), an action released
-    after its grid point (starved), or a whole slot already gone by, so the
-    executor never catches up with a burst of zero-length executions."""
+    tick + t_exec after the previous planned start tick, or max(now, release)
+    when the grid restarts: for the first action (tick None), an action
+    released after its grid point (starved), or a whole slot already gone by,
+    so the executor never catches up with a burst of zero-length executions.
+    An action taken from the queue before its release waits for it."""
     if tick is None:
-        return now
+        return max(now, release)
     on_grid = tick + t_exec
     if release > on_grid or now >= on_grid + t_exec:
-        return now
+        return max(now, release)
     return on_grid
 
 
-def _sleep_rest(began: float, budget_ms: float) -> None:
-    """Sleep what is left of a stage's budget_ms since monotonic time began,
-    so host compute inside the stage counts toward its modeled latency."""
-    left = budget_ms / 1e3 - (time.monotonic() - began)
+def _lane_slot(release: float, lane: float, budget: float, done: float) -> tuple[float, float, bool]:
+    """One observe or generate event on the wall clock, in ms: (start, end,
+    overran). It starts at max(release, lane), when its input is released and
+    its thread's previous event has ended, and ends budget later, never less
+    than budget after start in floats; or at done, when the host work ended
+    after that deadline, which counts one overrun."""
+    start = max(release, lane)
+    end = start + budget
+    while end - start < budget:  # start + budget can round down
+        end = math.nextafter(end, math.inf)
+    if done > end:
+        return start, done, True
+    return start, end, False
+
+
+def _now(t0: float) -> float:
+    """Monotonic milliseconds since t0."""
+    return (time.monotonic() - t0) * 1e3
+
+
+def _sleep_until(t0: float, ms: float) -> float:
+    """Sleep until ms after monotonic time t0; returns the measured time in
+    ms since t0, never below ms."""
+    left = ms / 1e3 - (time.monotonic() - t0)
     if left > 0:
         time.sleep(left)
+    return max(_now(t0), ms)
 
 
 class _WallShared:
@@ -552,21 +591,31 @@ class _WallShared:
         self.stop = threading.Event()
         self.log_lock = threading.Lock()
         self.events: list[TimelineEvent] = []
-        self.horizon_actions: dict[int, list[np.ndarray]] = {}
+        # horizon -> [(release, raw action)], in index order
+        self.horizon_actions: dict[int, list[tuple[float, np.ndarray]]] = {}
+        # overruns per stage; each entry is written by its own thread only
+        self.overruns = dict.fromkeys((STAGE_OBSERVE, STAGE_GENERATE, STAGE_EXECUTE), 0)
         self.error: BaseException | None = None
 
     def emit(self, ev: TimelineEvent) -> None:
         with self.log_lock:
             self.events.append(ev)
 
-    def put(self, queue: Queue, item) -> None:
-        """Put item on queue, giving up once the episode stops."""
+    def put(self, queue: Queue, item) -> bool:
+        """Put item on queue, giving up once the episode stops; returns
+        whether the queue was full, so that the put waited for room."""
+        try:
+            queue.put_nowait(item)
+            return False
+        except Full:
+            pass
         while not self.stop.is_set():
             try:
                 queue.put(item, timeout=_POLL)
-                return
+                break
             except Full:
                 continue
+        return True
 
     def get(self, queue: Queue | SimpleQueue):
         """The next item of queue, or None once the episode stops."""
@@ -580,15 +629,15 @@ class _WallShared:
 
 def _wall_observer(shared: _WallShared, stage: StageLatency, t0: float):
     try:
+        lane = 0.0
         while (req := shared.get(shared.obs_requests)) is not None:
-            snapshot, horizon, first_action = req
-            began = time.monotonic()
-            start = (began - t0) * 1e3
-            obs = envsim.observe(snapshot, capture_time=start)
-            _sleep_rest(began, stage.t_obs)
-            end = (time.monotonic() - t0) * 1e3
-            shared.emit(TimelineEvent(STAGE_OBSERVE, first_action, horizon, start, end))
-            shared.put(shared.obs_slot, (obs, horizon))
+            snapshot, horizon, first_action, requested = req
+            begin = _sleep_until(t0, max(requested, lane))
+            obs = envsim.observe(snapshot, capture_time=begin)
+            start, lane, late = _lane_slot(requested, lane, stage.t_obs, _now(t0))
+            shared.overruns[STAGE_OBSERVE] += late
+            shared.emit(TimelineEvent(STAGE_OBSERVE, first_action, horizon, start, lane))
+            shared.put(shared.obs_slot, (obs, horizon, lane))
     except BaseException as exc:  # surfaced by the main thread
         shared.error = exc
         shared.stop.set()
@@ -600,28 +649,28 @@ def _wall_generator(shared: _WallShared, policy: Policy, stage: StageLatency,
         h, n_rep = scheduler.h, scheduler.replan
         alpha = alpha0_norm
         base = 0
+        lane = 0.0
         while (got := shared.get(shared.obs_slot)) is not None:
-            obs, horizon = got
+            obs, horizon, released = got
             made = shared.horizon_actions[horizon] = []
             chunk = _Chunk(policy, alpha, obs.features, h)
             pending = []
             for i in range(h):
                 if shared.stop.is_set():
                     return
-                began = time.monotonic()
+                _sleep_until(t0, max(released, lane))
                 a_norm, a_raw = chunk.get(i)
-                _sleep_rest(began, stage.t_gen)
-                start = (began - t0) * 1e3
-                end = (time.monotonic() - t0) * 1e3
-                shared.emit(TimelineEvent(STAGE_GENERATE, base + i, horizon, start, end))
-                made.append(a_raw)
+                start, lane, late = _lane_slot(released, lane, stage.t_gen, _now(t0))
+                shared.overruns[STAGE_GENERATE] += late
+                shared.emit(TimelineEvent(STAGE_GENERATE, base + i, horizon, start, lane))
+                made.append((lane, a_raw))
                 if i < n_rep:
                     alpha = chunk.alpha  # the next horizon starts after n_replan actions
                     pending.append((base + i, i, horizon, a_norm, a_raw))
                 if scheduler.mode == MODE_STREAMING or i == h - 1:
-                    released = (time.monotonic() - t0) * 1e3
                     for item in pending:
-                        shared.put(shared.action_queue, (*item, released))
+                        if shared.put(shared.action_queue, (*item, lane)):
+                            lane = max(lane, _now(t0))  # the buffer was full: wait for room
                     pending.clear()
             base += n_rep
     except BaseException as exc:
@@ -636,7 +685,7 @@ def _wall_executor(shared: _WallShared, ep: _Episode, stage: StageLatency, t0: f
         fired_for_horizon = decision = -1
 
         # observation for horizon 0
-        shared.obs_requests.put((ep.state, 0, 0))
+        shared.obs_requests.put((ep.state, 0, 0, _now(t0)))
 
         while (item := shared.get(shared.action_queue)) is not None:
             g, i, horizon, a_norm, a_raw, released = item
@@ -645,30 +694,31 @@ def _wall_executor(shared: _WallShared, ep: _Episode, stage: StageLatency, t0: f
                 decision = ep.begin(horizon)
 
             if i == decision:
-                # scores what the generator has made of the horizon by now
-                dec_time = (time.monotonic() - t0) * 1e3
-                fired = ep.decide(dec_time, lambda: np.asarray(shared.horizon_actions[horizon][i:]))
+                # decides once the action is released, and scores what the
+                # generator has released of the horizon by then
+                dec_time = _sleep_until(t0, released)
+                made = shared.horizon_actions[horizon]
+                fired = ep.decide(dec_time, lambda: np.asarray(
+                    [a for r, a in made[i:] if r <= dec_time]))
+                decided = _now(t0)
                 if ep.adaptive:
-                    p_end = (time.monotonic() - t0) * 1e3
-                    shared.emit(TimelineEvent(STAGE_PREDICT, next_first, horizon, dec_time, p_end))
+                    shared.emit(TimelineEvent(STAGE_PREDICT, next_first, horizon, dec_time, decided))
                 if fired:
                     fired_for_horizon = horizon
-                    shared.obs_requests.put((ep.state, horizon + 1, next_first))
+                    shared.obs_requests.put((ep.state, horizon + 1, next_first, decided))
 
-            now = (time.monotonic() - t0) * 1e3
-            tick = _next_tick(tick, released, now, stage.t_exec)
-            _sleep_rest(t0, tick)  # until the slot's start
-            start = (time.monotonic() - t0) * 1e3
+            tick = _next_tick(tick, released, _now(t0), stage.t_exec)
+            start = _sleep_until(t0, tick)
             state, done = ep.step(a_raw)
             ended = ep.execute(a_norm, a_raw, state, done)
-            _sleep_rest(t0, tick + stage.t_exec)  # until its end
-            end = (time.monotonic() - t0) * 1e3
+            shared.overruns[STAGE_EXECUTE] += _now(t0) > tick + stage.t_exec
+            end = _sleep_until(t0, tick + stage.t_exec)
             shared.emit(TimelineEvent(STAGE_EXECUTE, g, horizon, start, end))
 
             if ended:
                 break
             if i == n_rep - 1 and fired_for_horizon != horizon:
-                shared.obs_requests.put((ep.state, horizon + 1, next_first))
+                shared.obs_requests.put((ep.state, horizon + 1, next_first, end))
     except BaseException as exc:
         shared.error = exc
     finally:
@@ -702,7 +752,9 @@ def _wall(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
     if stuck:
         raise RuntimeError(f"wall-clock {' and '.join(stuck)} thread still running "
                            f"{_JOIN_TIMEOUT} s after the episode ended")
-    return ep.result(shared.events)
+    result = ep.result(shared.events)
+    result.overruns = sum(shared.overruns.values())
+    return result
 
 
 def run_episode(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,

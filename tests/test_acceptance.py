@@ -261,6 +261,7 @@ def test_09_streaming_vs_sync_halting(idle_policy, ctrl_env):
     assert sync.t_halt >= 3.0 * stream.t_halt, (sync.t_halt, stream.t_halt)
 
 
+@pytest.mark.wall_clock
 def test_10_ledger_exactness_and_wall_overlap(idle_policy, ctrl_policy, ctrl_env):
     def check_ledger(res, policy, env):
         alpha = policy.initial_alpha(env.init_state.position).copy()

@@ -64,6 +64,21 @@ def test_rollout_runs(workdir, capsys):
     assert "success rate" in out
 
 
+@pytest.mark.wall_clock
+def test_wall_rollout_reports_overruns(workdir, capsys):
+    """On the wall clock each episode line and the summary line give the
+    overrun count; the simulated clock prints none."""
+    args = ["rollout", "--policy", str(workdir / "policy" / "policy.ckpt"), "--env", "controller",
+            "--episodes", "2", "--step-cap", "12", "--profile", "1,0.3,0.5"]
+    assert main(args) == 0
+    assert "overrun" not in capsys.readouterr().out
+    assert main(args + ["--clock", "wall"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    episodes = [line for line in lines if line.startswith("episode")]
+    assert len(episodes) == 2 and all(" overruns=" in line for line in episodes)
+    assert " overruns " in lines[-1] and lines[-1].startswith("success rate")
+
+
 def test_rollout_trace_outputs(workdir, tmp_path):
     trace_csv = tmp_path / "t.csv"
     trace_json = tmp_path / "t.json"

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import threading
 import time
 
@@ -223,6 +224,7 @@ def test_recorded_trajectory_validates(null_policy):
     assert len(res.trajectory) == res.steps
 
 
+@pytest.mark.wall_clock
 def test_wall_execute_events_never_overlap(null_policy):
     env = make_env(DIRECT, 8, step_cap=22)
     for sched in (SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="naive"), n_eo=3),
@@ -234,6 +236,7 @@ def test_wall_execute_events_never_overlap(null_policy):
             assert b.start >= a.end - 1e-9, (sched.mode, a, b)
 
 
+@pytest.mark.wall_clock
 @pytest.mark.parametrize("n_replan", [1, 5, 10])
 def test_wall_sync_chunk_runs_one_stage_at_a_time(null_policy, n_replan):
     """Nothing in a sync chunk overlaps on the wall clock: the executor gets
@@ -252,6 +255,7 @@ def test_wall_sync_chunk_runs_one_stage_at_a_time(null_policy, n_replan):
     _assert_results_identical(res, sim, events=False)
 
 
+@pytest.mark.wall_clock
 @pytest.mark.parametrize("sched", [
     SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="naive"), n_eo=3),
     SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="random", p=0.5), n_eo=3),
@@ -267,6 +271,7 @@ def test_wall_matches_simulated_actions(null_policy, sched):
     assert (sim.eo_decisions, sim.eo_fired) == (wall.eo_decisions, wall.eo_fired)
 
 
+@pytest.mark.wall_clock
 def test_wall_overlap_matches_simulated(null_policy):
     """Wall-clock overlap accounting lands near the discrete-event schedule.
     Sleep jitter puts a floor on the achievable agreement, hence the loose
@@ -501,8 +506,8 @@ def _grid_schedulers(etas):
 
 
 def _assert_results_identical(a: EpisodeResult, b: EpisodeResult, events: bool = True):
-    """Bitwise equal results; events=False skips the event logs, whose
-    wall-clock times differ from run to run."""
+    """Bitwise equal results; events=False skips the event logs and the
+    overrun count, whose wall-clock times differ from run to run."""
     if events:
         assert a.events == b.events
     for name in ("actions_raw", "actions_norm", "final_alpha"):
@@ -513,6 +518,8 @@ def _assert_results_identical(a: EpisodeResult, b: EpisodeResult, events: bool =
     assert (a.final_state.latch, a.final_state.step_count) == (b.final_state.latch, b.final_state.step_count)
     assert (a.success, a.n_horizons, a.eo_fired, a.eo_decisions, a.steps) == \
         (b.success, b.n_horizons, b.eo_fired, b.eo_decisions, b.steps)
+    if events:
+        assert a.overruns == b.overruns
     assert (a.trajectory is None) == (b.trajectory is None)
     if a.trajectory is not None:
         ta, tb = a.trajectory, b.trajectory
@@ -617,6 +624,7 @@ def _wall_grid_schedulers(etas):
             if s.eo is None or s.eo.mode in (saliency.EO_NAIVE, saliency.EO_RANDOM)]
 
 
+@pytest.mark.wall_clock
 def test_wall_chunk_path_matches_eager_reference(ctrl_policy, ctrl_predictor, calibrated_etas):
     """Both wall runners generate through the same prepared chunk as the
     simulated clock, carrying its ledger from horizon to horizon: everything
@@ -655,9 +663,10 @@ def test_final_alpha_is_the_resummed_ledger_on_every_schedule(ctrl_policy, ctrl_
                 assert res.final_alpha.tobytes() == alpha.tobytes()
 
 
-@pytest.mark.parametrize("clock, mode", [("simulated", MODE_STREAMING),
-                                         ("simulated", MODE_SYNC_CHUNK),
-                                         ("wall", MODE_STREAMING), ("wall", MODE_SYNC_CHUNK)])
+@pytest.mark.parametrize("clock, mode", [
+    ("simulated", MODE_STREAMING), ("simulated", MODE_SYNC_CHUNK),
+    pytest.param("wall", MODE_STREAMING, marks=pytest.mark.wall_clock),
+    pytest.param("wall", MODE_SYNC_CHUNK, marks=pytest.mark.wall_clock)])
 def test_wrong_observation_dimension_raises(null_policy, clock, mode):
     """A policy trained on 5 observation features cannot run on the 7 the
     environment gives; preparing the first horizon says so."""
@@ -673,7 +682,7 @@ def test_assert_results_identical_covers_every_field():
     EpisodeResult field must be added to _assert_results_identical."""
     assert [f.name for f in dataclasses.fields(EpisodeResult)] == [
         "success", "events", "actions_raw", "actions_norm", "final_alpha", "final_state",
-        "n_horizons", "eo_fired", "steps", "trajectory", "eo_decisions"]
+        "n_horizons", "eo_fired", "steps", "trajectory", "eo_decisions", "overruns"]
 
 
 def _count_forward_passes(monkeypatch) -> list:
@@ -708,6 +717,7 @@ def test_simulated_clock_computes_only_executed_actions(monkeypatch, null_policy
     assert len(_by_stage(res.events, STAGE_GENERATE)) == res.n_horizons * sched.h
 
 
+@pytest.mark.wall_clock
 @pytest.mark.parametrize("sched, calls", [
     (SchedulerConfig(mode=MODE_SYNC_CHUNK, n_replan=5), 0),
     (SchedulerConfig(mode=MODE_STREAMING), 0),
@@ -763,9 +773,10 @@ def test_scored_indicator_reads_the_whole_remaining_tail(monkeypatch, null_polic
     assert len(calls) == res.steps and all(calls)
 
 
+@pytest.mark.wall_clock
 def test_wall_scored_indicator_reads_the_whole_remaining_tail(monkeypatch, null_policy):
-    """On the wall clock an anao decision scores what the generator has made
-    of its horizon by the decision. With generation far faster than
+    """On the wall clock an anao decision scores what the generator has
+    released of its horizon by the decision. With generation far faster than
     execution that is the whole horizon, so it scores exactly the n_eo
     actions that then execute."""
     scored = []
@@ -1021,6 +1032,7 @@ def test_outside_a_scope_every_episode_computes_its_own_horizons(monkeypatch, nu
     assert len(calls) == res.steps
 
 
+@pytest.mark.wall_clock
 def test_the_wall_clock_never_shares(monkeypatch, null_policy):
     env = make_env(DIRECT, 22, step_cap=7)
     calls = _count_forward_passes(monkeypatch)
@@ -1059,6 +1071,7 @@ class _BlockingPolicy:
         return np.full(2, 0.001), np.full(2, 0.002)
 
 
+@pytest.mark.wall_clock
 def test_wall_runner_fails_when_a_stage_thread_outlives_the_episode(monkeypatch):
     monkeypatch.setattr(streamexec, "_JOIN_TIMEOUT", 0.2)
     policy = _BlockingPolicy(block_at=3)
@@ -1088,6 +1101,7 @@ class _SlowPolicy:
         return np.full(2, 0.001), np.full(2, 0.002)
 
 
+@pytest.mark.wall_clock
 @pytest.mark.parametrize("mode", [MODE_SYNC_CHUNK, MODE_STREAMING])
 def test_wall_generator_computes_within_t_gen(mode):
     """Host compute counts toward the modeled t_gen: with 4 ms of compute in
@@ -1109,11 +1123,14 @@ def test_wall_generator_computes_within_t_gen(mode):
     (10.0, 12.5, 12.75, 12.5),   # on grid: released at the grid point, executor a little late
     (10.0, 13.0, 13.25, 13.25),  # starved: released after the grid point
     (10.0, 11.0, 15.0, 15.0),    # a whole slot missed: the grid restarts, no catch-up burst
-], ids=["first", "early", "late_by_less_than_a_slot", "starved", "slot_missed"])
+    (10.0, 13.0, 12.75, 13.0),   # starved, taken from the queue before its release: waits for it
+], ids=["first", "early", "late_by_less_than_a_slot", "starved", "slot_missed",
+        "dequeued_before_release"])
 def test_next_tick_follows_the_engine_start_rule(tick, release, now, planned):
     assert streamexec._next_tick(tick, release, now, 2.5) == planned
 
 
+@pytest.mark.wall_clock
 @pytest.mark.parametrize("sched", [
     SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="naive"), n_eo=3),
     SchedulerConfig(mode=MODE_SYNC_CHUNK, n_replan=5),
@@ -1138,3 +1155,73 @@ def test_wall_executions_follow_their_release(null_policy, sched):
         assert e.start >= released, e
     for a, b in zip(execs, execs[1:]):
         assert b.start >= a.end, (a, b)
+
+
+# one observe or generate event on the wall clock, with a 1.8 ms budget and
+# the thread's previous event ending at 10.0: (release, done) -> (start, end,
+# overran), done being the time its host work ended
+@pytest.mark.parametrize("release, done, slot", [
+    (10.0, 10.5, (10.0, 11.8, False)),   # on time: released as the lane frees
+    (10.6, 11.0, (10.6, 12.4, False)),   # input released late: starts at the release
+    (9.0, 10.3, (10.0, 11.8, False)),    # lane still busy at the release: starts when it frees
+    (10.0, 12.5, (10.0, 12.5, True)),    # host work past the deadline: ends at done, one overrun
+], ids=["on_time", "released_late", "lane_busy", "overrun"])
+def test_lane_slot_runs_deadline_to_deadline(release, done, slot):
+    start, end, overran = streamexec._lane_slot(release, 10.0, 1.8, done)
+    assert (start, overran) == (slot[0], slot[2])
+    assert end == pytest.approx(slot[1], abs=1e-12) and end - start >= 1.8
+
+
+def test_lane_slot_never_lasts_less_than_its_budget_in_floats():
+    """start + budget can round to a float less than budget after start;
+    the slot's end then moves up by an ulp."""
+    start, budget = 5.8, 1.8  # (5.8 + 1.8) - 5.8 == 1.8 - 1 ulp
+    assert (start + budget) - start < budget
+    got_start, end, overran = streamexec._lane_slot(start, 0.0, budget, 0.0)
+    assert (got_start, overran) == (start, False)
+    assert end - start >= budget and end == math.nextafter(start + budget, math.inf)
+
+
+@pytest.mark.wall_clock
+@pytest.mark.parametrize("sched", [
+    SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="naive"), n_eo=3),
+    SchedulerConfig(mode=MODE_SYNC_CHUNK, n_replan=5),
+], ids=["streaming_naive", "sync_replan5"])
+def test_wall_observe_and_generate_run_deadline_to_deadline(null_policy, sched):
+    """With no timing tolerance: every observe and generate event lasts at
+    least its budget in floats, each generate event starts no earlier than
+    its horizon's observation ends, and a stage's events follow one another
+    on its lane."""
+    res = run_episode(null_policy, None, make_env(DIRECT, 15, step_cap=22), FAST_PROFILE, sched,
+                      clock="wall")
+    observes = sorted(_by_stage(res.events, STAGE_OBSERVE), key=lambda e: e.start)
+    generates = sorted(_by_stage(res.events, STAGE_GENERATE), key=lambda e: e.start)
+    assert len(observes) == res.n_horizons and len(generates) >= res.steps
+    obs_end = {e.horizon_index: e.end for e in observes}
+    for e in observes:
+        assert e.end - e.start >= FAST_PROFILE.t_obs, e
+    for e in generates:
+        assert e.end - e.start >= FAST_PROFILE.t_gen, e
+        assert e.start >= obs_end[e.horizon_index], e
+    for lane in (observes, generates):
+        for a, b in zip(lane, lane[1:]):
+            assert b.start >= a.end, (a, b)
+
+
+@pytest.mark.wall_clock
+@pytest.mark.parametrize("mode", [MODE_SYNC_CHUNK, MODE_STREAMING])
+def test_wall_generator_overrunning_t_gen_counts_overruns(mode):
+    """A generator whose compute takes longer than t_gen ends each of its
+    events at the measured time and counts an overrun; the episode still
+    executes the simulated clock's actions."""
+    stage = StageLatency(t_obs=1.0, t_gen=1.0, t_exec=1.0, t_pred=0.0)
+    sched = SchedulerConfig(mode=mode)
+    env = make_env(DIRECT, 14, step_cap=10)
+    res = run_episode(_SlowPolicy(0.003), None, env, stage, sched, clock="wall")
+    gens = _by_stage(res.events, STAGE_GENERATE)
+    assert len(gens) == 10
+    assert res.overruns >= len(gens)
+    assert all(e.end - e.start > stage.t_gen for e in gens)
+    sim = run_episode(_SlowPolicy(0.0), None, env, stage, sched)
+    assert sim.overruns == 0
+    _assert_results_identical(res, sim, events=False)
