@@ -18,7 +18,9 @@ differ, and prints the digest only when they agree.
 
 The anao and adaptive thresholds are calibrated at a 50% firing rate on
 streamexec.calibration_trajectories of the given policy, so those indicators
-both fire and hold on the grid.
+both fire and hold on the grid. golden_digest() is the whole computation;
+tests/test_pins.py calls it on the test suite's fixture networks and pins
+the digest for both env variants.
 
     PYTHONPATH=src python3 scripts/golden_digest.py \\
         --policy policy.ckpt --predictor predictor.ckpt [--env controller] [--episodes 3]
@@ -121,6 +123,19 @@ def grid_digest(policy, predictor, etas, envs, seed) -> tuple[str, int, int]:
     return hasher.hexdigest(), n_episodes, n_actions
 
 
+def golden_digest(policy, predictor, kind, episodes: int = 3,
+                  seed: int = 0) -> tuple[str, str, int, int]:
+    """(unshared digest, shared-scope digest, episodes, executed actions) of
+    the grid on episodes episodes per cell of kind, with calibrated thresholds."""
+    etas = _calibrated_etas(policy, predictor, kind)
+    envs = {cap: [envsim.make_env(kind, seed, ep, step_cap=cap) for ep in range(episodes)]
+            for cap in CAPS}
+    digest, n_episodes, n_actions = grid_digest(policy, predictor, etas, envs, seed)
+    with streamexec.shared_horizons():
+        shared, _, _ = grid_digest(policy, predictor, etas, envs, seed)
+    return digest, shared, n_episodes, n_actions
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--policy", required=True)
@@ -135,14 +150,8 @@ def main() -> int:
 
     policy, _, _ = load_policy(args.policy)
     predictor = saliency.load_predictor(args.predictor)
-    kind = envsim.EnvKind(variant=args.env)
-    etas = _calibrated_etas(policy, predictor, kind)
-    envs = {cap: [envsim.make_env(kind, args.seed, ep, step_cap=cap)
-                  for ep in range(args.episodes)] for cap in CAPS}
-
-    digest, n_episodes, n_actions = grid_digest(policy, predictor, etas, envs, args.seed)
-    with streamexec.shared_horizons():
-        shared, _, _ = grid_digest(policy, predictor, etas, envs, args.seed)
+    digest, shared, n_episodes, n_actions = golden_digest(
+        policy, predictor, envsim.EnvKind(variant=args.env), args.episodes, args.seed)
     print(f"episodes {n_episodes}, executed actions {n_actions}")
     if shared != digest:
         print(f"unshared sha256 {digest} != shared-scope sha256 {shared}", file=sys.stderr)

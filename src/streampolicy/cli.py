@@ -4,13 +4,17 @@ Subcommands cover the full workflow: generate demonstrations, train the
 policy and the saliency predictor, roll out episodes under either scheduler,
 benchmark the mode/indicator matrix, and print closed-form timing.
 
+Each subcommand's options are declared once, as rows of _COMMANDS; each row
+gives the flag, the STREAMPOLICY_<OPTION> variable and the config-file key.
 Configuration precedence, lowest to highest: JSON config file (--config),
-environment variables (STREAMPOLICY_<OPTION>), command-line flags. Commands
-that produce artifacts also write a manifest.json recording the resolved
-configuration and sha256 of every artifact.
+environment variables, command-line flags. Values from the file and the
+environment are parsed as the flag's text is. Commands that produce artifacts
+also write a manifest.json recording the resolved configuration and sha256 of
+every artifact.
 
-Exit codes: 0 success, 2 configuration or input errors, 3 runtime failures
-(demo generation exhausted, training diverged).
+Exit codes: 0 success, 2 configuration or input errors (a bad or missing
+option, an unreadable dataset or checkpoint), 3 runtime failures (demo
+generation exhausted, training diverged).
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +37,7 @@ from .trainer import TrainConfig, TrainingDivergedError
 from .velocitynet import CheckpointError, load_policy, save_policy
 
 ENV_PREFIX = "STREAMPOLICY_"
+_ENVS = [envsim.KIND_DIRECT, envsim.KIND_CONTROLLER]
 
 EO_NAMES = {
     "naive": saliency.EO_NAIVE,
@@ -45,21 +51,45 @@ class CliError(Exception):
     """Bad inputs or configuration; maps to exit code 2."""
 
 
+class _Opt(NamedTuple):
+    """One option of a subcommand. A None default marks a required option; a
+    bool one is a switch whose flag flips its default (--name or --no-name)."""
+
+    name: str
+    type: type
+    default: object
+    choices: list | None = None
+    help: str | None = None
+
+
 def _parse_bool(text: str) -> bool:
     t = text.strip().lower()
     if t in ("1", "true", "yes", "on"):
         return True
     if t in ("0", "false", "no", "off"):
         return False
-    raise CliError(f"not a boolean: {text!r}")
+    raise ValueError(f"not a boolean: {text!r}")
 
 
-def _resolve(args: argparse.Namespace, schema: dict[str, tuple]) -> dict:
-    """Merge config file < environment < flags for the given option schema.
+def _parse(opt: _Opt, raw, source: str):
+    """raw, a config-file JSON value or an environment variable's text, parsed
+    as the flag's text is; source names where it came from in the error."""
+    if opt.type is int and isinstance(raw, float) and raw.is_integer():
+        raw = int(raw)
+    # null, a list, an object, or a boolean for a non-bool option has no flag text
+    if isinstance(raw, str) or (isinstance(raw, (int, float))
+                                and (opt.type is bool or not isinstance(raw, bool))):
+        try:
+            return _parse_bool(str(raw)) if opt.type is bool else opt.type(str(raw))
+        except ValueError:
+            pass
+    raise CliError(f"{source}: invalid {opt.type.__name__} value: {json.dumps(raw)}")
 
-    schema maps option name -> (type, default). Flags parsed as None are
-    treated as unset so lower-precedence sources can fill them.
-    """
+
+def _resolve(args: argparse.Namespace) -> dict:
+    """Merge config file < environment < flags for the options of
+    args.command. Flags parsed as None are treated as unset so
+    lower-precedence sources can fill them."""
     file_cfg = {}
     cfg_path = getattr(args, "config", None)
     if cfg_path:
@@ -72,18 +102,18 @@ def _resolve(args: argparse.Namespace, schema: dict[str, tuple]) -> dict:
             raise CliError("config file must hold a JSON object")
 
     resolved = {}
-    for name, (typ, default) in schema.items():
-        value = default
-        if name in file_cfg:
-            raw = file_cfg[name]
-            value = _parse_bool(str(raw)) if typ is bool else typ(raw)
-        env_val = os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"))
-        if env_val is not None:
-            value = _parse_bool(env_val) if typ is bool else typ(env_val)
-        flag_val = getattr(args, name, None)
-        if flag_val is not None:
-            value = flag_val
-        resolved[name] = value
+    for opt in _COMMANDS[args.command][2]:
+        value = opt.default
+        if opt.name in file_cfg:
+            value = _parse(opt, file_cfg[opt.name], f"config key {opt.name!r}")
+        env_name = ENV_PREFIX + opt.name.upper()
+        if env_name in os.environ:
+            value = _parse(opt, os.environ[env_name], env_name)
+        if getattr(args, opt.name) is not None:
+            value = getattr(args, opt.name)
+        if value is None:
+            raise CliError(f"--{opt.name.replace('_', '-')} is required")
+        resolved[opt.name] = value
     return resolved
 
 
@@ -116,7 +146,7 @@ def _write_manifest(directory, command: str, resolved: dict, artifacts: dict[str
 
 
 def _env_kind(name: str) -> envsim.EnvKind:
-    if name not in (envsim.KIND_DIRECT, envsim.KIND_CONTROLLER):
+    if name not in _ENVS:
         raise CliError(f"unknown env {name!r} (expected direct or controller)")
     return envsim.EnvKind(variant=name)
 
@@ -126,7 +156,7 @@ def _policy_env_kind(cfg: dict, policy) -> envsim.EnvKind:
     policy's training data did; without one, the env whose convention matches
     is taken and recorded in cfg."""
     if not cfg["env"]:
-        matching = [n for n in (envsim.KIND_DIRECT, envsim.KIND_CONTROLLER)
+        matching = [n for n in _ENVS
                     if envsim.alpha0_convention(_env_kind(n)) == policy.alpha0_convention]
         if not matching:
             raise CliError(f"no env seeds the action-state ledger with "
@@ -178,16 +208,7 @@ def _load_trajectories(path):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_gen_data(args) -> int:
-    schema = {
-        "env": (str, "direct"),
-        "episodes": (int, 200),
-        "seed": (int, 0),
-        "step_cap": (int, 120),
-        "noise": (float, envsim.EXPERT_NOISE),
-        "out": (str, "demos.jsonl"),
-    }
-    cfg = _resolve(args, schema)
+def _cmd_gen_data(cfg) -> int:
     _check_counts(cfg, "episodes", "step_cap")
     kind = _env_kind(cfg["env"])
     trajectories = envsim.generate_demos(
@@ -204,26 +225,8 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _cmd_train_policy(args) -> int:
-    schema = {
-        "data": (str, None),
-        "out": (str, "policy.ckpt"),
-        "iterations": (int, 20000),
-        "batch_size": (int, 64),
-        "lr": (float, 1e-3),
-        "lr_schedule": (str, "constant"),
-        "seed": (int, 0),
-        "hidden": (str, "128,128"),
-        "horizon": (int, 10),
-        "no_state_alignment": (bool, False),
-        "resume": (str, ""),
-        "log": (str, ""),
-        "log_every": (int, 100),
-    }
-    cfg = _resolve(args, schema)
+def _cmd_train_policy(cfg) -> int:
     _check_counts(cfg, "iterations", "log_every")
-    if not cfg["data"]:
-        raise CliError("--data is required")
     trajectories, header = _load_trajectories(cfg["data"])
     convention = header.get("env", {}).get("alpha0", "zero")
 
@@ -266,18 +269,7 @@ def _cmd_train_policy(args) -> int:
     return 0
 
 
-def _cmd_train_predictor(args) -> int:
-    schema = {
-        "data": (str, None),
-        "out": (str, "predictor.ckpt"),
-        "iterations": (int, 3000),
-        "batch_size": (int, 64),
-        "lr": (float, 1e-4),
-        "seed": (int, 0),
-    }
-    cfg = _resolve(args, schema)
-    if not cfg["data"]:
-        raise CliError("--data is required")
+def _cmd_train_predictor(cfg) -> int:
     trajectories, _header = _load_trajectories(cfg["data"])
     pc = saliency.PredictorConfig(
         iterations=cfg["iterations"], batch_size=cfg["batch_size"],
@@ -327,33 +319,17 @@ def _sweep(policy, predictor, envs, stage, scheduler, clock, trace_csv="", trace
         yield result, metrics.measure(result.events, success=result.success)
 
 
-def _cmd_rollout(args) -> int:
-    schema = {
-        "policy": (str, None),
-        "predictor": (str, ""),
-        "env": (str, ""),
-        "episodes": (int, 20),
-        "seed": (int, 0),
-        "step_cap": (int, 120),
-        "mode": (str, streamexec.MODE_STREAMING),
-        "n_replan": (int, 0),
-        "eo": (str, "none"),
-        "eta": (float, 0.0),
-        "p": (float, 1.0),
-        "n_eo": (int, 2),
-        "profile": (str, "reference"),
-        "clock": (str, "simulated"),
-        "trace_csv": (str, ""),
-        "trace_json": (str, ""),
-    }
-    cfg = _resolve(args, schema)
-    _check_counts(cfg, "episodes", "step_cap")
-    if not cfg["policy"]:
-        raise CliError("--policy is required")
+def _load_run(cfg) -> tuple:
+    """(policy, predictor or None, env kind, stage profile) that rollout and
+    bench run."""
     policy, _adam, _it = load_policy(cfg["policy"])
     predictor = saliency.load_predictor(cfg["predictor"]) if cfg["predictor"] else None
-    kind = _policy_env_kind(cfg, policy)
-    stage = _parse_profile(cfg["profile"])
+    return policy, predictor, _policy_env_kind(cfg, policy), _parse_profile(cfg["profile"])
+
+
+def _cmd_rollout(cfg) -> int:
+    _check_counts(cfg, "episodes", "step_cap")
+    policy, predictor, kind, stage = _load_run(cfg)
     scheduler = streamexec.SchedulerConfig(
         mode=cfg["mode"], h=policy.flow.h,
         n_replan=cfg["n_replan"] or None,
@@ -422,39 +398,13 @@ def _bench_configs(cfg, policy, predictor, modes, calib) -> dict[str, tuple]:
     return out
 
 
-def _cmd_bench(args) -> int:
-    schema = {
-        "policy": (str, None),
-        "predictor": (str, ""),
-        "calib_data": (str, ""),
-        "env": (str, ""),
-        "episodes": (int, 50),
-        "seed": (int, 0),
-        "step_cap": (int, 120),
-        "n_replan": (int, 0),
-        "eo": (str, "naive,random,anao,adaptive"),
-        "n_eo": (int, 3),
-        "target_rate": (float, 0.85),
-        "calib_episodes": (int, 100),
-        "calib_seed": (int, 3000),
-        "match_random": (bool, True),
-        "profile": (str, "reference"),
-        "clock": (str, "simulated"),
-        "out_dir": (str, "bench_out"),
-        "traces": (bool, False),
-    }
-    cfg = _resolve(args, schema)
+def _cmd_bench(cfg) -> int:
     _check_counts(cfg, "episodes", "step_cap")
-    if not cfg["policy"]:
-        raise CliError("--policy is required")
-    policy, _adam, _it = load_policy(cfg["policy"])
-    predictor = saliency.load_predictor(cfg["predictor"]) if cfg["predictor"] else None
-    kind = _policy_env_kind(cfg, policy)
-    stage = _parse_profile(cfg["profile"])
+    policy, predictor, kind, stage = _load_run(cfg)
 
     names = [n.strip() for n in cfg["eo"].split(",") if n.strip() not in ("", "none")]
     calibrate = not cfg["calib_data"] and any(
-        EO_NAMES.get(n) in (saliency.EO_ACTION_NORM, saliency.EO_ADAPTIVE) for n in names)
+        EO_NAMES.get(n) in saliency.SCORED_MODES for n in names)
     if calibrate:
         _check_counts(cfg, "calib_episodes")
         if cfg["step_cap"] < policy.flow.h:
@@ -529,14 +479,7 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_predict_timing(args) -> int:
-    schema = {
-        "profile": (str, "reference"),
-        "horizon": (int, 10),
-        "n_replan": (int, 5),
-        "n_eo_avg": (float, 1.54),
-    }
-    cfg = _resolve(args, schema)
+def _cmd_predict_timing(cfg) -> int:
     stage = _parse_profile(cfg["profile"])
     h, n_rep = cfg["horizon"], cfg["n_replan"]
 
@@ -562,8 +505,98 @@ def _cmd_predict_timing(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# options and parser
 # ---------------------------------------------------------------------------
+
+_SEED = _Opt("seed", int, 0)
+_PROFILE = _Opt("profile", str, "reference",
+                help="'reference', 'zero', or t_obs,t_gen,t_exec[,t_pred]")
+
+
+def _run_options(episodes: int, n_eo: int) -> list[_Opt]:
+    """The options rollout and bench share, with their two defaults that differ."""
+    return [
+        _SEED,
+        _Opt("policy", str, None),
+        _Opt("predictor", str, ""),
+        _Opt("env", str, "", _ENVS,
+             "default: the env whose ledger seeding the policy was trained with"),
+        _Opt("episodes", int, episodes),
+        _Opt("step_cap", int, 120),
+        _Opt("n_eo", int, n_eo),
+        _PROFILE,
+        _Opt("clock", str, "simulated", ["simulated", "wall"]),
+    ]
+
+
+# command -> (handler, help, options); each option's row gives its flag, its
+# STREAMPOLICY_<NAME> variable and its config-file key
+_COMMANDS = {
+    "gen-data": (_cmd_gen_data, "generate scripted demonstrations", [
+        _SEED,
+        _Opt("env", str, envsim.KIND_DIRECT, _ENVS),
+        _Opt("episodes", int, 200),
+        _Opt("step_cap", int, 120),
+        _Opt("noise", float, envsim.EXPERT_NOISE, help="expert action noise std: finite, 0 or more"),
+        _Opt("out", str, "demos.jsonl"),
+    ]),
+    "train-policy": (_cmd_train_policy, "train the streaming flow policy", [
+        _SEED,
+        _Opt("data", str, None),
+        _Opt("out", str, "policy.ckpt"),
+        _Opt("iterations", int, 20000),
+        _Opt("batch_size", int, 64),
+        _Opt("lr", float, 1e-3),
+        _Opt("lr_schedule", str, "constant", ["constant", "cosine"]),
+        _Opt("hidden", str, "128,128", help="comma-separated hidden widths, e.g. 128,128"),
+        _Opt("horizon", int, 10),
+        _Opt("no_state_alignment", bool, False,
+             help="ablation: start every horizon ledger at zero"),
+        _Opt("resume", str, "", help="checkpoint to continue training from"),
+        _Opt("log", str, "", help="training-log csv path"),
+        _Opt("log_every", int, 100),
+    ]),
+    "train-predictor": (_cmd_train_predictor, "train the saliency change predictor", [
+        _SEED,
+        _Opt("data", str, None),
+        _Opt("out", str, "predictor.ckpt"),
+        _Opt("iterations", int, 3000),
+        _Opt("batch_size", int, 64),
+        _Opt("lr", float, 1e-4),
+    ]),
+    "rollout": (_cmd_rollout, "run episodes and report per-episode metrics", [
+        *_run_options(episodes=20, n_eo=2),
+        _Opt("mode", str, streamexec.MODE_STREAMING,
+             [streamexec.MODE_STREAMING, streamexec.MODE_SYNC_CHUNK]),
+        _Opt("n_replan", int, 0),
+        _Opt("eo", str, "none", help="none, naive, random, anao, or adaptive"),
+        _Opt("eta", float, 0.0),
+        _Opt("p", float, 1.0),
+        _Opt("trace_csv", str, ""),
+        _Opt("trace_json", str, ""),
+    ]),
+    "bench": (_cmd_bench, "benchmark the scheduling/indicator matrix", [
+        *_run_options(episodes=50, n_eo=3),
+        _Opt("calib_data", str, "", help="trajectories for threshold calibration "
+                                          "(default: fresh on-policy rollouts)"),
+        _Opt("calib_episodes", int, 100),
+        _Opt("calib_seed", int, 3000),
+        _Opt("n_replan", int, 0),
+        _Opt("eo", str, "naive,random,anao,adaptive",
+             help="comma list drawn from naive,random,anao,adaptive"),
+        _Opt("target_rate", float, 0.85),
+        _Opt("match_random", bool, True, help="keep the random indicator at the target rate "
+                                              "instead of the adaptive one's realized rate"),
+        _Opt("out_dir", str, "bench_out"),
+        _Opt("traces", bool, False, help="write first-episode traces per configuration"),
+    ]),
+    "predict-timing": (_cmd_predict_timing, "closed-form latency for a stage profile", [
+        _PROFILE,
+        _Opt("horizon", int, 10),
+        _Opt("n_replan", int, 5),
+        _Opt("n_eo_avg", float, 1.54),
+    ]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -572,113 +605,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="streaming policy execution: data, training, rollout, benchmarks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, (_handler, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file (lowest precedence)")
-        p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("gen-data", help="generate scripted demonstrations")
-    add_common(p)
-    p.add_argument("--env", choices=[envsim.KIND_DIRECT, envsim.KIND_CONTROLLER])
-    p.add_argument("--episodes", type=int)
-    p.add_argument("--step-cap", dest="step_cap", type=int)
-    p.add_argument("--noise", type=float, help="expert action noise std: finite, 0 or more")
-    p.add_argument("--out")
-
-    p = sub.add_parser("train-policy", help="train the streaming flow policy")
-    add_common(p)
-    p.add_argument("--data")
-    p.add_argument("--out")
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--lr-schedule", dest="lr_schedule", choices=["constant", "cosine"])
-    p.add_argument("--hidden", help="comma-separated hidden widths, e.g. 128,128")
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--no-state-alignment", dest="no_state_alignment",
-                   action="store_const", const=True,
-                   help="ablation: start every horizon ledger at zero")
-    p.add_argument("--resume", help="checkpoint to continue training from")
-    p.add_argument("--log", help="training-log csv path")
-    p.add_argument("--log-every", dest="log_every", type=int)
-
-    p = sub.add_parser("train-predictor", help="train the saliency change predictor")
-    add_common(p)
-    p.add_argument("--data")
-    p.add_argument("--out")
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-
-    def add_exec_opts(p):
-        p.add_argument("--policy")
-        p.add_argument("--predictor")
-        p.add_argument("--env", choices=[envsim.KIND_DIRECT, envsim.KIND_CONTROLLER],
-                       help="default: the env whose ledger seeding the policy was trained with")
-        p.add_argument("--episodes", type=int)
-        p.add_argument("--step-cap", dest="step_cap", type=int)
-        p.add_argument("--n-eo", dest="n_eo", type=int)
-        p.add_argument("--profile", help="'reference', 'zero', or t_obs,t_gen,t_exec[,t_pred]")
-        p.add_argument("--clock", choices=["simulated", "wall"])
-
-    p = sub.add_parser("rollout", help="run episodes and report per-episode metrics")
-    add_common(p)
-    add_exec_opts(p)
-    p.add_argument("--mode", choices=[streamexec.MODE_STREAMING, streamexec.MODE_SYNC_CHUNK])
-    p.add_argument("--n-replan", dest="n_replan", type=int)
-    p.add_argument("--eo", help="none, naive, random, anao, or adaptive")
-    p.add_argument("--eta", type=float)
-    p.add_argument("--p", type=float)
-    p.add_argument("--trace-csv", dest="trace_csv")
-    p.add_argument("--trace-json", dest="trace_json")
-
-    p = sub.add_parser("bench", help="benchmark the scheduling/indicator matrix")
-    add_common(p)
-    add_exec_opts(p)
-    p.add_argument("--calib-data", dest="calib_data",
-                   help="trajectories for threshold calibration "
-                        "(default: fresh on-policy rollouts)")
-    p.add_argument("--calib-episodes", dest="calib_episodes", type=int)
-    p.add_argument("--calib-seed", dest="calib_seed", type=int)
-    p.add_argument("--n-replan", dest="n_replan", type=int)
-    p.add_argument("--eo", help="comma list drawn from naive,random,anao,adaptive")
-    p.add_argument("--target-rate", dest="target_rate", type=float)
-    p.add_argument("--no-match-random", dest="match_random", action="store_const",
-                   const=False, help="keep the random indicator at the target rate "
-                                     "instead of the adaptive one's realized rate")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--traces", action="store_const", const=True,
-                   help="write first-episode traces per configuration")
-
-    p = sub.add_parser("predict-timing", help="closed-form latency for a stage profile")
-    add_common(p)
-    p.add_argument("--profile")
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--n-replan", dest="n_replan", type=int)
-    p.add_argument("--n-eo-avg", dest="n_eo_avg", type=float)
-
+        for opt in options:
+            flag = opt.name.replace("_", "-")
+            if opt.type is bool:
+                p.add_argument(f"--no-{flag}" if opt.default else f"--{flag}", dest=opt.name,
+                               action="store_const", const=not opt.default, help=opt.help)
+            else:
+                # a str option takes the flag's text as it is
+                p.add_argument(f"--{flag}", dest=opt.name, choices=opt.choices, help=opt.help,
+                               type=None if opt.type is str else opt.type)
     return parser
 
 
-_DISPATCH = {
-    "gen-data": _cmd_gen_data,
-    "train-policy": _cmd_train_policy,
-    "train-predictor": _cmd_train_predictor,
-    "rollout": _cmd_rollout,
-    "bench": _cmd_bench,
-    "predict-timing": _cmd_predict_timing,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DatasetError, CheckpointError, ValueError) as exc:
+        return _COMMANDS[args.command][0](_resolve(args))
+    except (CliError, DatasetError, CheckpointError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GenerationError, TrainingDivergedError, FloatingPointError) as exc:

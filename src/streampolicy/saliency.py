@@ -55,6 +55,8 @@ EO_ACTION_NORM = "action_norm"
 EO_ADAPTIVE = "adaptive"
 
 INDICATOR_MODES = (EO_NAIVE, EO_RANDOM, EO_ACTION_NORM, EO_ADAPTIVE)
+# the modes that fire on a score of the remaining actions; naive and random read none
+SCORED_MODES = (EO_ACTION_NORM, EO_ADAPTIVE)
 
 
 @dataclass(frozen=True)
@@ -195,6 +197,19 @@ def saliency_score(predictor: Predictor, obs: Observation | np.ndarray,
 def action_norm_score(remaining: np.ndarray) -> float:
     """Norm of the remaining raw actions; the action-only baseline score."""
     return float(np.linalg.norm(np.asarray(remaining, dtype=float).ravel()))
+
+
+def indicator_score(mode: str, predictor: Predictor | None, obs: Observation | np.ndarray,
+                    remaining: np.ndarray) -> float:
+    """The score a mode of SCORED_MODES fires on: the remaining raw actions'
+    norm (action_norm) or the predicted change over them (adaptive)."""
+    if mode == EO_ACTION_NORM:
+        return action_norm_score(remaining)
+    if mode == EO_ADAPTIVE:
+        if predictor is None:
+            raise ValueError("adaptive early observation requires a predictor")
+        return saliency_score(predictor, obs, remaining)
+    raise ValueError(f"no scores for indicator mode {mode!r}")
 
 
 def loss_and_grad(predictor: Predictor, E: np.ndarray, C: np.ndarray,
@@ -384,13 +399,8 @@ def decision_scores(predictor: Predictor | None, trajectories: list[Trajectory],
     for traj in trajectories:
         for start in range(0, len(traj) - h + 1, h):
             d = start + h - n_eo
-            remaining = traj.actions[d : start + h]
-            if mode == EO_ADAPTIVE:
-                scores.append(saliency_score(predictor, traj.observations[d], remaining))
-            elif mode == EO_ACTION_NORM:
-                scores.append(action_norm_score(remaining))
-            else:
-                raise ValueError(f"no scores for indicator mode {mode!r}")
+            scores.append(indicator_score(mode, predictor, traj.observations[d],
+                                          traj.actions[d : start + h]))
     if not scores:
         raise ValueError("demonstrations too short to produce decision points")
     return np.asarray(scores)

@@ -207,15 +207,8 @@ def _decide_eo(scheduler: SchedulerConfig, predictor, obs, remaining_raw: np.nda
         return True, None
     if ind.mode == saliency.EO_RANDOM:
         return bool(rng.random() < ind.p), None
-    if ind.mode == saliency.EO_ACTION_NORM:
-        score = saliency.action_norm_score(remaining_raw)
-        return bool(score <= ind.eta), score
-    if ind.mode == saliency.EO_ADAPTIVE:
-        if predictor is None:
-            raise ValueError("adaptive early observation requires a predictor")
-        score = saliency.saliency_score(predictor, obs, remaining_raw)
-        return bool(score <= ind.eta), score
-    raise ValueError(f"unknown indicator mode {ind.mode!r}")
+    score = saliency.indicator_score(ind.mode, predictor, obs, remaining_raw)
+    return bool(score <= ind.eta), score
 
 
 def _finish(success, events, raw, norm, final_alpha, state, horizons, eo_fired, steps, traj_parts,
@@ -241,10 +234,6 @@ def _finish(success, events, raw, norm, final_alpha, state, horizons, eo_fired, 
     )
 
 
-# indicators that read the remaining actions' values; naive and random do not
-_SCORED_MODES = (saliency.EO_ACTION_NORM, saliency.EO_ADAPTIVE)
-
-
 class _Episode:
     """The executor side of one episode, shared by both runners (see the
     module docstring); the runners supply only times and actions."""
@@ -260,7 +249,7 @@ class _Episode:
         self.kind, self.step_cap = env.kind, env.step_cap
         # n_eo executions remain at the decision point; -1 matches no index
         self.decision_idx = scheduler.h - scheduler.n_eo if eo is not None else -1
-        self.scored = eo is not None and eo.mode in _SCORED_MODES
+        self.scored = eo is not None and eo.mode in saliency.SCORED_MODES
         self.adaptive = eo is not None and eo.mode == saliency.EO_ADAPTIVE  # charges t_pred
         self.ind_rng = (make_rng(scheduler.seed, STREAM_INDICATOR, getattr(env, "episode_id", 0))
                         if eo is not None else None)

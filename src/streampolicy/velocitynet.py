@@ -333,7 +333,11 @@ def write_container(path, *, tag: int, arrays: list[tuple[str, np.ndarray]], con
 
 def read_container(path, *, expect_tag: int | None = None):
     """Returns (tag, arrays dict, config dict). Raises CheckpointError subtypes."""
-    data = open(path, "rb").read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read checkpoint: {exc.strerror}") from exc
     if len(data) < 20 or data[:8] != CONTAINER_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint container")
     version, tag = struct.unpack_from("<II", data, 8)

@@ -74,9 +74,15 @@ def ragged_demos(small_demos):
 
 
 @pytest.fixture(scope="session")
-def ctrl_policy(ctrl_demos):
-    policy, _, _ = train(ctrl_demos, RECIPE, alpha0_convention="zero")
-    return policy
+def ctrl_training(ctrl_demos):
+    """ctrl_policy with its final Adam state, which its checkpoint pin saves."""
+    policy, adam, _ = train(ctrl_demos, RECIPE, alpha0_convention="zero")
+    return policy, adam
+
+
+@pytest.fixture(scope="session")
+def ctrl_policy(ctrl_training):
+    return ctrl_training[0]
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,14 @@
 import contextlib
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from streampolicy import streamexec
+from streampolicy import cli, streamexec
 from streampolicy.cli import main
 from streampolicy.core import load_dataset
 from streampolicy.velocitynet import load_policy
@@ -494,3 +495,169 @@ def test_bad_config_file_exits_2(tmp_path):
     cfg.write_text("not json")
     rc = main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x.jsonl")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["rollout", "--policy", "{missing}"],
+    ["rollout", "--policy", "{policy}", "--predictor", "{missing}"],
+    ["bench", "--policy", "{missing}", "--out-dir", "{out}"],
+    ["train-policy", "--data", "{demos}", "--resume", "{missing}", "--out", "{out}"],
+], ids=["rollout_policy", "rollout_predictor", "bench_policy", "train_policy_resume"])
+def test_unreadable_checkpoint_exits_2(workdir, tmp_path, capsys, argv):
+    """A checkpoint that cannot be opened is an input error that names the
+    file, not a traceback."""
+    names = {"{missing}": str(tmp_path / "nonexistent.ckpt"), "{out}": str(tmp_path / "out"),
+             "{policy}": str(workdir / "policy" / "policy.ckpt"),
+             "{demos}": str(workdir / "data" / "demos.jsonl")}
+    assert main([names.get(a, a) for a in argv]) == 2
+    assert f"{names['{missing}']}: cannot read checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [None, [3], {"n": 3}, True, 3.9, "3.9", "many"],
+                         ids=["null", "list", "object", "bool", "fraction", "fraction_text",
+                              "word"])
+def test_bad_config_value_exits_2_naming_its_key(tmp_path, capsys, monkeypatch, value):
+    """A config value is parsed as the flag's text would be: what --episodes
+    would refuse exits 2 naming the key, before anything is written."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"episodes": value}))
+    assert main(["gen-data", "--config", str(cfg)]) == 2
+    assert "config key 'episodes': invalid int value" in capsys.readouterr().err
+    assert not (tmp_path / "demos.jsonl").exists()
+
+
+@pytest.mark.parametrize("key, value, kind", [
+    ("out", None, "str"), ("noise", True, "float"), ("noise", [0.1], "float"),
+    ("env", {"variant": "direct"}, "str"),
+])
+def test_null_or_compound_config_value_exits_2(tmp_path, capsys, monkeypatch, key, value, kind):
+    """null, a list, an object, or a boolean for a non-bool option is no value
+    of the option; no file named None is written."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main(["gen-data", "--config", str(cfg), "--episodes", "2"]) == 2
+    assert f"config key {key!r}: invalid {kind} value: {json.dumps(value)}" in \
+        capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_bad_environment_value_exits_2_naming_its_variable(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("STREAMPOLICY_EPISODES", "abc")
+    assert main(["gen-data"]) == 2
+    assert 'STREAMPOLICY_EPISODES: invalid int value: "abc"' in capsys.readouterr().err
+    monkeypatch.setenv("STREAMPOLICY_EPISODES", "2")
+    monkeypatch.setenv("STREAMPOLICY_NOISE", "")
+    assert main(["gen-data"]) == 2
+    assert 'STREAMPOLICY_NOISE: invalid float value: ""' in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _resolved(argv):
+    return cli._resolve(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("values, expected", [
+    ({"episodes": 3.0, "step_cap": "40", "noise": 0, "env": "controller"},
+     {"episodes": 3, "step_cap": 40, "noise": 0.0, "env": "controller"}),
+    ({"noise": "0.25", "seed": " 7 ", "out": 5}, {"noise": 0.25, "seed": 7, "out": "5"}),
+])
+def test_config_values_that_parse_keep_working(tmp_path, monkeypatch, values, expected):
+    """JSON numbers, integral ones for an int option, and the strings the flag
+    accepts all resolve as before."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    resolved = _resolved(["gen-data", "--config", str(cfg)])
+    assert {k: resolved[k] for k in expected} == expected
+    assert all(type(resolved[k]) is type(v) for k, v in expected.items())
+
+
+@pytest.mark.parametrize("raw, expected", [
+    (True, True), (False, False), (1, True), (0, False), ("yes", True), ("Off", False),
+    ("TRUE", True), ("0", False),
+])
+def test_bool_option_spellings(tmp_path, monkeypatch, raw, expected):
+    """A switch takes a JSON boolean, 0 or 1, or any spelling _parse_bool
+    accepts, from the config file and (as text) from the environment."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"traces": raw}))
+    assert _resolved(["bench", "--policy", "p", "--config", str(cfg)])["traces"] is expected
+    monkeypatch.setenv("STREAMPOLICY_MATCH_RANDOM", str(raw))
+    assert _resolved(["bench", "--policy", "p"])["match_random"] is expected
+
+
+def _two_values(opt):
+    """Two distinct values of opt, the first not its default."""
+    if opt.type is bool:
+        return not opt.default, opt.default
+    if opt.choices:
+        first = next(c for c in opt.choices if c != opt.default)
+        return first, next(c for c in opt.choices if c != first)
+    if opt.type is str:
+        return "first", "second"
+    if opt.type is int:
+        return (opt.default or 0) + 1, (opt.default or 0) + 2
+    return opt.default + 0.25, opt.default + 0.5
+
+
+def _options():
+    return [(command, opt) for command, (_h, _help, options) in cli._COMMANDS.items()
+            for opt in options]
+
+
+@pytest.mark.parametrize("command, opt", _options(),
+                         ids=[f"{c}:{o.name}" for c, o in _options()])
+def test_every_option_is_set_by_flag_environment_and_config(tmp_path, monkeypatch, command, opt):
+    """Each row of the option table sets its option from its flag, from
+    STREAMPOLICY_<NAME> and from its config key, and a flag beats the
+    environment, which beats the config file."""
+    for var in [v for v in os.environ if v.startswith(cli.ENV_PREFIX)]:
+        monkeypatch.delenv(var)
+    a, b = _two_values(opt)
+    flag = opt.name.replace("_", "-")
+    flag_argv = ([f"--no-{flag}" if opt.default else f"--{flag}"] if opt.type is bool
+                 else [f"--{flag}", str(a)])
+    env_name = cli.ENV_PREFIX + opt.name.upper()
+    required = {o.name: "given" for o in cli._COMMANDS[command][2]
+                if o.default is None and o.name != opt.name}
+    parser = cli.build_parser()
+
+    def resolve(config=None, env=None, flag=False):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**required, **({opt.name: config} if config is not None
+                                                  else {})}))
+        if env is None:
+            monkeypatch.delenv(env_name, raising=False)
+        else:
+            monkeypatch.setenv(env_name, str(env))
+        args = parser.parse_args([command, "--config", str(cfg), *(flag_argv if flag else [])])
+        return cli._resolve(args)[opt.name]
+
+    assert a != opt.default and a != b
+    assert resolve(flag=True) == a
+    assert resolve(env=a) == a
+    assert resolve(config=a) == a
+    assert resolve(config=b, env=a) == a
+    assert resolve(env=b, flag=True) == a
+    assert resolve(config=b, env=b, flag=True) == a
+
+
+@pytest.mark.parametrize("argv, name, value", [
+    (["train-policy", "--data", "d", "--no-state-alignment"], "no_state_alignment", True),
+    (["bench", "--policy", "p", "--traces"], "traces", True),
+    (["bench", "--policy", "p", "--no-match-random"], "match_random", False),
+])
+def test_switch_flags_flip_their_defaults(argv, name, value):
+    assert _resolved(argv[:-1])[name] is not value
+    assert _resolved(argv)[name] is value
+
+
+def test_predict_timing_takes_no_seed(capsys):
+    """predict-timing is closed form: it has no seed to take."""
+    with pytest.raises(SystemExit) as exc:
+        main(["predict-timing", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err

@@ -1,0 +1,63 @@
+"""Bitwise pins on the fixture networks: the sha256 of ctrl_policy and
+ctrl_predictor saved as scripts/checkpoint_digest.py saves them, and
+scripts/golden_digest.py's grid on each env variant. A change that claims to
+keep every weight and every simulated result bit for bit keeps these pins; a
+change that alters them on purpose updates them and says why.
+
+The pins were taken on PINNED_STACK (x86-64, OpenBLAS at one thread). Another
+numpy or BLAS may round differently: there the tests fail, and the message
+names the stack and the digest it got."""
+
+import hashlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from conftest import CTRL, DIRECT, RECIPE
+from streampolicy.saliency import save_predictor
+from streampolicy.velocitynet import save_policy
+
+PINNED_STACK = "numpy 2.4.6, scipy-openblas 0.3.31.188.0"
+CTRL_POLICY_SHA256 = "3005e448e726b0c3e5341c7d42ea5c8edeaa0791dc633299d1b0253b988bd9cf"
+CTRL_PREDICTOR_SHA256 = "40cafa1747564fe08b769c3b08c462cd55010f6ebca0ff0715c26873ea4502e0"
+# (sha256, episodes, executed actions) of the grid, with ctrl_predictor
+GOLDEN_CTRL = ("50e1a4d7acfd5b8a1827b567cd889ba54416d754536e27c517b65c72c403b44e", 576, 13512)
+GOLDEN_DIRECT = ("b6edb1812bd8681c46706e8b197482152d8a0e92f37118c44ae95d9242772b5d", 576, 12972)
+
+_spec = importlib.util.spec_from_file_location(
+    "golden_digest", Path(__file__).resolve().parent.parent / "scripts" / "golden_digest.py")
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
+
+
+def _stack() -> str:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"numpy {np.__version__}, {blas['name']} {blas['version']}"
+    except (TypeError, KeyError, AttributeError):
+        return f"numpy {np.__version__}, unknown BLAS"
+
+
+def _check_pin(what: str, got, pinned) -> None:
+    assert got == pinned, f"{what}: got {got} on {_stack()}; pinned {pinned} on {PINNED_STACK}"
+
+
+def test_fixture_checkpoints_are_pinned(ctrl_training, ctrl_predictor, tmp_path):
+    policy, adam = ctrl_training
+    save_policy(tmp_path / "policy.ckpt", policy, adam=adam, iteration=RECIPE.iterations)
+    save_predictor(tmp_path / "predictor.ckpt", ctrl_predictor)
+    for name, pinned in (("policy", CTRL_POLICY_SHA256), ("predictor", CTRL_PREDICTOR_SHA256)):
+        digest = hashlib.sha256((tmp_path / f"{name}.ckpt").read_bytes()).hexdigest()
+        _check_pin(f"ctrl_{name} sha256", digest, pinned)
+
+
+def test_golden_grid_is_pinned(ctrl_policy, direct_policy, ctrl_predictor):
+    """Every result field of the grid, unshared and inside one
+    shared_horizons() scope, on both variants."""
+    for what, policy, kind, pinned in (("controller", ctrl_policy, CTRL, GOLDEN_CTRL),
+                                       ("direct", direct_policy, DIRECT, GOLDEN_DIRECT)):
+        digest, shared, n_episodes, n_actions = golden.golden_digest(policy, ctrl_predictor, kind)
+        _check_pin(f"{what} golden grid (sha256, episodes, actions)",
+                   (digest, n_episodes, n_actions), pinned)
+        assert shared == digest, f"{what}: shared-scope sha256 {shared} != unshared {digest}"
