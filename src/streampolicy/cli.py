@@ -410,6 +410,12 @@ def _cmd_bench(cfg) -> int:
         if cfg["step_cap"] < policy.flow.h:
             raise CliError(f"--step-cap {cfg['step_cap']} is below the policy's h={policy.flow.h}: "
                            "calibration rollouts that short hold no decision point")
+    if names:
+        h, n_eo, rate = policy.flow.h, cfg["n_eo"], cfg["target_rate"]
+        if not 1 <= n_eo < h:
+            raise CliError(f"--n-eo must satisfy 1 <= n_eo < h={h}, the policy's horizon; got {n_eo}")
+        if not 0.0 <= rate <= 1.0:
+            raise CliError(f"--target-rate must lie in [0, 1], got {rate}")
     # every indicator is resolved before any calibration rollout
     modes = {n: _eo_mode(n, predictor) for n in names}
     calib = None
@@ -497,10 +503,10 @@ def _cmd_predict_timing(cfg) -> int:
     print(f"{'config':<26s} {'t_action':>10s} {'t_halt':>10s} {'o_ge':>8s} {'o_oe':>8s} "
           f"{'speedup_a':>10s} {'speedup_h':>10s}")
     for name, cf in rows:
-        sa = base["t_action"] / cf["t_action"] if cf["t_action"] else float("inf")
-        sh = base["t_halt"] / cf["t_halt"] if cf["t_halt"] else float("inf")
+        sa = metrics._ratio(base["t_action"], cf["t_action"])
+        sh = metrics._ratio(base["t_halt"], cf["t_halt"])
         print(f"{name:<26s} {cf['t_action']:>10.3f} {cf['t_halt']:>10.3f} "
-              f"{cf['o_ge']:>8.2f} {cf['o_oe']:>8.2f} {sa:>10.2f} {sh:>10.2f}")
+              f"{cf['o_ge']:>8.2f} {cf['o_oe']:>8.2f} {sa:>10s} {sh:>10s}")
     return 0
 
 

@@ -100,8 +100,8 @@ class PredictorConfig:
     def __post_init__(self):
         if self.iterations < 1 or self.batch_size < 1:
             raise ValueError("iterations and batch_size must be positive")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if min(self.gap_choices) < 1:
             raise ValueError("gaps must be at least 1")
         if self.n_eo_max < 1:

@@ -63,12 +63,14 @@ per episode for every schedule. The scope assumes the policy's weights do
 not change inside it.
 
 The wall-clock runner reproduces the same semantics with timestamps from
-the wall clock, for both modes, with three real threads joined by queues.
-Its observer and generator run deadline to deadline: each event starts when
-its input is released and its thread's previous event has ended, and ends
-its stage latency later, when its result is released to the next stage. Its
-executor starts an action at max(release, previous tick + t_exec) on a
-fixed grid, the engine's max(ready, previous end). As on the simulated
+the wall clock, for both modes, on two threads: the calling thread observes
+and executes, one generator thread generates, and a queue in each direction
+joins them. Observe and generate events run deadline to deadline: each starts
+when its input is released and its lane's previous event has ended, and ends
+its stage latency later, when its result is released to the next stage. An
+observation is taken at its request, with the request time as its capture
+time. The executor starts an action at max(release, previous tick + t_exec)
+on a fixed grid, the engine's max(ready, previous end). As on the simulated
 clock, the modes differ only in when a horizon's actions are released to
 the executor: each as it is generated (streaming) or all n_replan after the
 chunk's last generation (sync_chunk), which leaves the sync stages strictly
@@ -492,39 +494,41 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
 
 
 # ---------------------------------------------------------------------------
-# wall-clock runner, for both modes: three threads (observer, generator,
-# executor) joined by queues. The observation slot holds at most one latent;
-# the action buffer holds at most h actions. Every queue item carries the
-# time its payload is released, and the observer and the generator run
-# deadline to deadline (_lane_slot): an event starts at max(its input's
-# release, the end of its lane's previous event), the thread sleeps to that
-# start, does its host work and hands the result on at once with the planned
-# end, start + budget, as its release. The thread that takes it sleeps to
-# that release, so neither a thread's wake-up nor a handoff adds to a stage's
-# latency. A thread whose host work ends after the deadline ends the event
-# at the measured time, restarts its lane there and counts one overrun
-# (EpisodeResult.overruns).
+# wall-clock runner, for both modes: the calling thread observes and
+# executes, one generator thread generates. The observation slot holds at
+# most one observation (the request for horizon k+2 comes only after an
+# action of horizon k+1, made from observation k+1, has executed); the action
+# buffer holds at most h actions. Every queue item carries the time its
+# payload is released. Observe and generate events run deadline to deadline
+# (_lane_slot): an event starts at max(its input's release, the end of its
+# lane's previous event) and ends its budget later, which is its result's
+# release; the thread that takes the result sleeps to that release, so
+# neither a wake-up nor a handoff adds to a stage's latency. A generate event
+# whose host work ends after its deadline ends at the measured time and
+# counts one overrun (EpisodeResult.overruns).
 #
-# The observer computes each observation inside t_obs from the time it was
-# requested. The generator owns the action-state ledger: it makes all h
-# actions of a horizon, each inside its t_gen budget, and queues the first
-# n_replan, each as it is made in streaming and all at once after the
-# horizon's last generation in sync_chunk. The executor ticks on a fixed grid
-# of period t_exec (_next_tick): an action starts at max(release, previous
-# tick + t_exec), as the simulated engine starts it at max(ready, previous
-# end), and the grid restarts at max(now, release) when the supply ran late
-# or a whole slot went by. The env step and the episode's bookkeeping run
-# inside the slot, so host work does not stretch the period (when it runs
-# past the slot it counts one overrun); an execute event can be shorter than
-# t_exec by the executor's own wake-up lateness, never by a late supply. The
-# executor drives the episode's _Episode, which holds the environment, the
-# decision and the end rule as on the simulated clock, and requests the next
-# observation when the indicator fires (at the decision's end) or at the end
-# of its n_replan-th execution, so in sync_chunk the stages run one at a time.
+# The executor requests each observation: at the start, when the indicator
+# fires (at the decision's end) and otherwise at the end of its n_replan-th
+# execution, so in sync_chunk the stages run one at a time. At the request it
+# observes the current state (capture time: the request time), emits the
+# observe event and hands the observation to the generator; that host work
+# runs before the event starts, so an observe event never overruns. The
+# generator owns the action-state ledger: it makes all h actions of a
+# horizon, each inside its t_gen budget, and queues the first n_replan, each
+# as it is made in streaming and all at once after the horizon's last
+# generation in sync_chunk. The executor ticks on a fixed grid of period
+# t_exec (_next_tick): an action starts at max(release, previous tick +
+# t_exec), as the simulated engine starts it at max(ready, previous end), and
+# the grid restarts at max(now, release) when the supply ran late or a whole
+# slot went by. The env step and the _Episode bookkeeping (the decision and
+# the end rule, as on the simulated clock) run inside the slot, so host work
+# does not stretch the period (past the slot it counts one overrun); an
+# execute event can be shorter than t_exec by the executor's own wake-up
+# lateness, never by a late supply.
 # ---------------------------------------------------------------------------
 
 _POLL = 0.02
-# seconds the main thread waits for the observer and generator to stop
+# seconds the calling thread waits for the generator to stop
 _JOIN_TIMEOUT = 5.0
 
 
@@ -546,7 +550,7 @@ def _next_tick(tick: float | None, release: float, now: float, t_exec: float) ->
 def _lane_slot(release: float, lane: float, budget: float, done: float) -> tuple[float, float, bool]:
     """One observe or generate event on the wall clock, in ms: (start, end,
     overran). It starts at max(release, lane), when its input is released and
-    its thread's previous event has ended, and ends budget later, never less
+    its lane's previous event has ended, and ends budget later, never less
     than budget after start in floats; or at done, when the host work ended
     after that deadline, which counts one overrun."""
     start = max(release, lane)
@@ -574,8 +578,7 @@ def _sleep_until(t0: float, ms: float) -> float:
 
 class _WallShared:
     def __init__(self, h: int):
-        self.obs_requests: SimpleQueue = SimpleQueue()
-        self.obs_slot: Queue = Queue(maxsize=1)
+        self.obs_slot: SimpleQueue = SimpleQueue()
         self.action_queue: Queue = Queue(maxsize=h)
         self.stop = threading.Event()
         self.log_lock = threading.Lock()
@@ -583,7 +586,7 @@ class _WallShared:
         # horizon -> [(release, raw action)], in index order
         self.horizon_actions: dict[int, list[tuple[float, np.ndarray]]] = {}
         # overruns per stage; each entry is written by its own thread only
-        self.overruns = dict.fromkeys((STAGE_OBSERVE, STAGE_GENERATE, STAGE_EXECUTE), 0)
+        self.overruns = dict.fromkeys((STAGE_GENERATE, STAGE_EXECUTE), 0)
         self.error: BaseException | None = None
 
     def emit(self, ev: TimelineEvent) -> None:
@@ -616,22 +619,6 @@ class _WallShared:
         return None
 
 
-def _wall_observer(shared: _WallShared, stage: StageLatency, t0: float):
-    try:
-        lane = 0.0
-        while (req := shared.get(shared.obs_requests)) is not None:
-            snapshot, horizon, first_action, requested = req
-            begin = _sleep_until(t0, max(requested, lane))
-            obs = envsim.observe(snapshot, capture_time=begin)
-            start, lane, late = _lane_slot(requested, lane, stage.t_obs, _now(t0))
-            shared.overruns[STAGE_OBSERVE] += late
-            shared.emit(TimelineEvent(STAGE_OBSERVE, first_action, horizon, start, lane))
-            shared.put(shared.obs_slot, (obs, horizon, lane))
-    except BaseException as exc:  # surfaced by the main thread
-        shared.error = exc
-        shared.stop.set()
-
-
 def _wall_generator(shared: _WallShared, policy: Policy, stage: StageLatency,
                     scheduler: SchedulerConfig, alpha0_norm: np.ndarray, t0: float):
     try:
@@ -662,84 +649,77 @@ def _wall_generator(shared: _WallShared, policy: Policy, stage: StageLatency,
                             lane = max(lane, _now(t0))  # the buffer was full: wait for room
                     pending.clear()
             base += n_rep
-    except BaseException as exc:
+    except BaseException as exc:  # surfaced by the calling thread
         shared.error = exc
         shared.stop.set()
 
 
 def _wall_executor(shared: _WallShared, ep: _Episode, stage: StageLatency, t0: float):
-    try:
-        n_rep = ep.scheduler.replan
-        tick: float | None = None
-        fired_for_horizon = decision = -1
+    n_rep = ep.scheduler.replan
+    tick: float | None = None
+    fired_for_horizon = decision = -1
+    obs_lane = 0.0
 
-        # observation for horizon 0
-        shared.obs_requests.put((ep.state, 0, 0, _now(t0)))
+    def observe(horizon: int, requested: float) -> None:
+        nonlocal obs_lane  # done at the request: the host work precedes the slot
+        obs = envsim.observe(ep.state, capture_time=requested)
+        start, obs_lane, _ = _lane_slot(requested, obs_lane, stage.t_obs, requested)
+        shared.emit(TimelineEvent(STAGE_OBSERVE, horizon * n_rep, horizon, start, obs_lane))
+        shared.obs_slot.put((obs, horizon, obs_lane))
 
-        while (item := shared.get(shared.action_queue)) is not None:
-            g, i, horizon, a_norm, a_raw, released = item
-            next_first = (horizon + 1) * n_rep
-            if i == 0:
-                decision = ep.begin(horizon)
+    observe(0, _now(t0))
+    while (item := shared.get(shared.action_queue)) is not None:
+        g, i, horizon, a_norm, a_raw, released = item
+        if i == 0:
+            decision = ep.begin(horizon)
 
-            if i == decision:
-                # decides once the action is released, and scores what the
-                # generator has released of the horizon by then
-                dec_time = _sleep_until(t0, released)
-                made = shared.horizon_actions[horizon]
-                fired = ep.decide(dec_time, lambda: np.asarray(
-                    [a for r, a in made[i:] if r <= dec_time]))
-                decided = _now(t0)
-                if ep.adaptive:
-                    shared.emit(TimelineEvent(STAGE_PREDICT, next_first, horizon, dec_time, decided))
-                if fired:
-                    fired_for_horizon = horizon
-                    shared.obs_requests.put((ep.state, horizon + 1, next_first, decided))
+        if i == decision:
+            # decides once the action is released, and scores what the
+            # generator has released of the horizon by then
+            dec_time = _sleep_until(t0, released)
+            made = shared.horizon_actions[horizon]
+            fired = ep.decide(dec_time, lambda: np.asarray(
+                [a for r, a in made[i:] if r <= dec_time]))
+            decided = _now(t0)
+            if ep.adaptive:
+                shared.emit(TimelineEvent(STAGE_PREDICT, (horizon + 1) * n_rep, horizon,
+                                          dec_time, decided))
+            if fired:
+                fired_for_horizon = horizon
+                observe(horizon + 1, decided)
 
-            tick = _next_tick(tick, released, _now(t0), stage.t_exec)
-            start = _sleep_until(t0, tick)
-            state, done = ep.step(a_raw)
-            ended = ep.execute(a_norm, a_raw, state, done)
-            shared.overruns[STAGE_EXECUTE] += _now(t0) > tick + stage.t_exec
-            end = _sleep_until(t0, tick + stage.t_exec)
-            shared.emit(TimelineEvent(STAGE_EXECUTE, g, horizon, start, end))
+        tick = _next_tick(tick, released, _now(t0), stage.t_exec)
+        start = _sleep_until(t0, tick)
+        state, done = ep.step(a_raw)
+        ended = ep.execute(a_norm, a_raw, state, done)
+        shared.overruns[STAGE_EXECUTE] += _now(t0) > tick + stage.t_exec
+        end = _sleep_until(t0, tick + stage.t_exec)
+        shared.emit(TimelineEvent(STAGE_EXECUTE, g, horizon, start, end))
 
-            if ended:
-                break
-            if i == n_rep - 1 and fired_for_horizon != horizon:
-                shared.obs_requests.put((ep.state, horizon + 1, next_first, end))
-    except BaseException as exc:
-        shared.error = exc
-    finally:
-        shared.stop.set()
+        if ended:
+            break
+        if i == n_rep - 1 and fired_for_horizon != horizon:
+            observe(horizon + 1, end)
 
 
 def _wall(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
           scheduler: SchedulerConfig, record_trajectory: bool) -> EpisodeResult:
-    """The threaded runner for both modes (see the section comment above)."""
+    """The wall-clock runner for both modes (see the section comment above)."""
     shared = _WallShared(scheduler.h)
     ep = _Episode(policy, predictor, env, scheduler, record_trajectory)
     t0 = time.monotonic()
-    threads = [
-        threading.Thread(target=_wall_observer, args=(shared, stage, t0), daemon=True,
-                         name="observer"),
-        threading.Thread(target=_wall_generator, args=(shared, policy, stage, scheduler, ep.alpha, t0),
-                         daemon=True, name="generator"),
-        threading.Thread(target=_wall_executor, args=(shared, ep, stage, t0),
-                         daemon=True, name="executor"),
-    ]
-    for th in threads:
-        th.start()
-    threads[2].join()
-    shared.stop.set()
-    shared.obs_requests.put(None)
-    for th in threads[:2]:
-        th.join(timeout=_JOIN_TIMEOUT)
+    generator = threading.Thread(target=_wall_generator, daemon=True, name="generator",
+                                 args=(shared, policy, stage, scheduler, ep.alpha, t0))
+    generator.start()
+    try:
+        _wall_executor(shared, ep, stage, t0)
+    finally:
+        shared.stop.set()
+        generator.join(timeout=_JOIN_TIMEOUT)
     if shared.error is not None:
         raise shared.error
-    stuck = [th.name for th in threads[:2] if th.is_alive()]
-    if stuck:
-        raise RuntimeError(f"wall-clock {' and '.join(stuck)} thread still running "
+    if generator.is_alive():
+        raise RuntimeError(f"wall-clock generator thread still running "
                            f"{_JOIN_TIMEOUT} s after the episode ended")
     result = ep.result(shared.events)
     result.overruns = sum(shared.overruns.values())

@@ -53,6 +53,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.h < 1 or self.iterations < 0 or self.batch_size < 1:
             raise ValueError("h, iterations, batch_size must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if self.lr_schedule not in ("constant", "cosine"):
             raise ValueError(f"unknown lr schedule {self.lr_schedule!r}")
 

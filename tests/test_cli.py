@@ -168,6 +168,16 @@ def test_predict_timing_reference_values(capsys):
     assert "30.442" in out
 
 
+def test_predict_timing_reads_equal_zero_latencies_as_no_speedup(capsys):
+    """At the zero profile every latency is 0; each speedup is 0/0, which
+    reads 1.00 as bench's table reads it, not inf."""
+    assert main(["predict-timing", "--profile", "zero"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert len(rows) == 4
+    for row in rows:
+        assert row.split()[-2:] == ["1.00", "1.00"], row
+
+
 def test_predict_timing_rejects_what_it_cannot_predict(capsys):
     """The streaming closed forms do not hold when t_gen > t_exec, and a
     chunk cannot replan after 0 or more than h actions."""
@@ -260,6 +270,30 @@ def test_bench_names_a_step_cap_below_h_before_calibrating(workdir, tmp_path, ca
                "--step-cap", "9", "--out-dir", str(out)])
     assert rc == 2
     assert "--step-cap 9 is below the policy's h=10" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--n-eo", "10"], "--n-eo must satisfy 1 <= n_eo < h=10, the policy's horizon; got 10"),
+    (["--n-eo", "0"], "--n-eo must satisfy 1 <= n_eo < h=10, the policy's horizon; got 0"),
+    (["--target-rate", "1.5"], "--target-rate must lie in [0, 1], got 1.5"),
+    (["--target-rate", "nan"], "--target-rate must lie in [0, 1], got nan"),
+], ids=["n_eo_h", "n_eo_0", "target_rate_above_1", "target_rate_nan"])
+@pytest.mark.parametrize("eo", ["anao", "naive"])
+def test_bench_names_a_bad_n_eo_or_target_rate_before_calibrating(workdir, tmp_path, capsys,
+                                                                  monkeypatch, eo, args, message):
+    """An early-observation setting no indicator can use exits 2, naming its
+    flag, before any calibration rollout or episode."""
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("bench ran a rollout")
+
+    monkeypatch.setattr(cli, "_calib_rollouts", no_rollout)
+    monkeypatch.setattr(streamexec, "run_episode", no_rollout)
+    out = tmp_path / "b"
+    rc = main(["bench", "--policy", str(workdir / "policy" / "policy.ckpt"), "--eo", eo,
+               "--calib-episodes", "7", "--out-dir", str(out), *args])
+    assert rc == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -367,6 +401,20 @@ def test_counts_that_would_run_nothing_exit_2(workdir, tmp_path, capsys, args, m
     assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lr", ["0", "-0.01", "nan", "inf"])
+@pytest.mark.parametrize("command", ["train-policy", "train-predictor"])
+def test_a_learning_rate_that_trains_nothing_exits_2(workdir, tmp_path, capsys, command, lr):
+    """A zero, negative or non-finite --lr would leave the weights where
+    they started or walk them uphill; it exits 2 and writes nothing."""
+    out = tmp_path / "out" / "model.ckpt"
+    extra = ["--batch-size", "16", "--hidden", "16,16"] if command == "train-policy" else []
+    rc = main([command, "--data", str(workdir / "data" / "demos.jsonl"), "--out", str(out),
+               "--iterations", "5", "--lr", lr, *extra])
+    assert rc == 2
+    assert f"lr must be finite and positive, got {float(lr)}" in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 @pytest.mark.parametrize("args", [

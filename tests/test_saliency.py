@@ -24,6 +24,12 @@ def test_indicator_validation():
         Indicator(mode="random", p=1.5)
 
 
+@pytest.mark.parametrize("lr", [0.0, -0.01, float("nan"), float("inf")])
+def test_predictor_config_rejects_a_learning_rate_that_trains_nothing(lr):
+    with pytest.raises(ValueError, match="lr must be finite and positive"):
+        PredictorConfig(lr=lr)
+
+
 @pytest.mark.parametrize("mode", ["action_norm", "adaptive"])
 def test_indicator_rejects_a_nan_eta(mode):
     """score <= nan is never true, so a nan threshold would hold on every

@@ -1225,3 +1225,95 @@ def test_wall_generator_overrunning_t_gen_counts_overruns(mode):
     sim = run_episode(_SlowPolicy(0.0), None, env, stage, sched)
     assert sim.overruns == 0
     _assert_results_identical(res, sim, events=False)
+
+
+def _started_threads(monkeypatch) -> list[str]:
+    """Record the name of every thread started from here on."""
+    names, start = [], threading.Thread.start
+
+    def recording_start(thread):
+        names.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return names
+
+
+@pytest.mark.wall_clock
+def test_wall_runner_starts_one_generator_thread(monkeypatch, null_policy):
+    """The calling thread executes and observes; the generator is the only
+    thread the runner starts, and it is joined before run_episode returns."""
+    started = _started_threads(monkeypatch)
+    sched = SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="naive"), n_eo=3)
+    before = set(threading.enumerate())
+    res = run_episode(null_policy, None, make_env(DIRECT, 16, step_cap=22), FAST_PROFILE, sched,
+                      clock="wall")
+    assert res.steps == 22
+    assert started == ["generator"]
+    assert set(threading.enumerate()) == before
+
+
+@pytest.mark.wall_clock
+def test_wall_env_steps_and_observations_run_on_the_calling_thread(monkeypatch, null_policy):
+    """The executor observes and steps the environment on the thread that
+    called run_episode; the generator thread does neither."""
+    threads = {"step": [], "observe": []}
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            threads[name].append(threading.current_thread())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(envsim, "step", recording("step", envsim.step))
+    monkeypatch.setattr(envsim, "observe", recording("observe", envsim.observe))
+    sched = SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="naive"), n_eo=3)
+    res = run_episode(null_policy, None, make_env(DIRECT, 17, step_cap=22), FAST_PROFILE, sched,
+                      clock="wall")
+    assert len(threads["step"]) == res.steps
+    # one observation per horizon, and one more per early-observation decision
+    assert len(threads["observe"]) == res.n_horizons + res.eo_decisions
+    assert set(threads["step"]) | set(threads["observe"]) == {threading.current_thread()}
+
+
+class _PredictorFault(Exception):
+    pass
+
+
+class _BrokenPredictor:
+    """A predictor that raises as soon as the indicator reads it."""
+
+    def __getattr__(self, name):
+        raise _PredictorFault(f"predictor read {name!r}")
+
+
+@pytest.mark.wall_clock
+def test_wall_executor_error_propagates_and_leaves_no_thread(null_policy):
+    """An error on the executor side, here in the indicator's decision, is
+    the one run_episode raises, after the generator thread has stopped."""
+    sched = SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="adaptive", eta=0.0), n_eo=3)
+    before = set(threading.enumerate())
+    with pytest.raises(_PredictorFault, match="predictor read"):
+        run_episode(null_policy, _BrokenPredictor(), make_env(DIRECT, 18, step_cap=22),
+                    FAST_PROFILE, sched, clock="wall")
+    assert set(threading.enumerate()) == before
+
+
+@pytest.mark.wall_clock
+@pytest.mark.parametrize("sched", [
+    SchedulerConfig(mode=MODE_STREAMING),
+    SchedulerConfig(mode=MODE_SYNC_CHUNK, n_replan=5),
+], ids=["streaming", "sync_replan5"])
+def test_wall_observation_is_requested_at_the_end_of_the_last_execution(null_policy, sched):
+    """Without early observation, each observe event after the first starts
+    exactly when the previous horizon's last execute event ends."""
+    res = run_episode(null_policy, None, make_env(DIRECT, 19, step_cap=35), FAST_PROFILE, sched,
+                      clock="wall")
+    last_end = {}
+    for e in _by_stage(res.events, STAGE_EXECUTE):
+        last_end[e.horizon_index] = max(e.end, last_end.get(e.horizon_index, e.end))
+    observes = sorted(_by_stage(res.events, STAGE_OBSERVE), key=lambda e: e.horizon_index)
+    assert [e.horizon_index for e in observes] == list(range(res.n_horizons))
+    assert res.n_horizons >= 4
+    for e in observes[1:]:
+        assert e.start == last_end[e.horizon_index - 1], e

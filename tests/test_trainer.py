@@ -19,6 +19,12 @@ def test_config_validation():
         TrainConfig(lr_schedule="linear")
 
 
+@pytest.mark.parametrize("lr", [0.0, -0.01, float("nan"), float("inf")])
+def test_config_rejects_a_learning_rate_that_trains_nothing(lr):
+    with pytest.raises(ValueError, match="lr must be finite and positive"):
+        TrainConfig(lr=lr)
+
+
 def _reference_sample_batch(trajectories, cfg, rng):
     """The per-episode, per-row sampling loop that _sample_batch vectorizes."""
     usable = [t for t in trajectories if len(t) >= cfg.h]
