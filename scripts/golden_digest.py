@@ -22,6 +22,10 @@ both fire and hold on the grid. golden_digest() is the whole computation;
 tests/test_pins.py calls it on the test suite's fixture networks and pins
 the digest for both env variants.
 
+The script also prints a sha256 of those calibration trajectories
+(calibration_digest()), which no test pins: the grid digest sees a change
+to a calibration rollout only if it moves a threshold, this one sees any.
+
     PYTHONPATH=src python3 scripts/golden_digest.py \\
         --policy policy.ckpt --predictor predictor.ckpt [--env controller] [--episodes 3]
 """
@@ -92,16 +96,33 @@ def feed_result(hasher, res: streamexec.EpisodeResult) -> None:
     _feed_array(hasher, st.goal)
     hasher.update(f"{st.latch}|{st.step_count}|{res.success}|{res.n_horizons}|"
                   f"{res.eo_fired}|{res.eo_decisions}|{res.steps}|".encode())
-    traj = res.trajectory
-    if traj is None:
+    if res.trajectory is None:
         hasher.update(b"no-trajectory")
         return
+    feed_trajectory(hasher, res.trajectory)
+
+
+def feed_trajectory(hasher, traj) -> None:
+    """Every observation, action and ledger state of a Trajectory."""
     for ob in traj.observations:
         _feed_array(hasher, ob.features)
         hasher.update(f"{ob.frame_id}|".encode())
         hasher.update(struct.pack("<d", ob.capture_time))
     _feed_array(hasher, traj.actions)
     _feed_array(hasher, traj.action_states)
+
+
+def calibration_digest(policy, kind) -> tuple[str, int, int]:
+    """(sha256 hex digest, episodes, actions) of the calibration trajectories
+    the grid's thresholds are calibrated on. Apart from the pinned grid
+    digest, it moves on any change to a calibration rollout, also one that
+    moves no order statistic of the scores and so no threshold."""
+    trajs = streamexec.calibration_trajectories(policy, kind, 1, CALIB_EPISODES, CALIB_CAP)
+    hasher = hashlib.sha256()
+    for ep, traj in enumerate(trajs):
+        hasher.update(f"{ep}|".encode())
+        feed_trajectory(hasher, traj)
+    return hasher.hexdigest(), len(trajs), sum(len(t) for t in trajs)
 
 
 def grid_digest(policy, predictor, etas, envs, seed) -> tuple[str, int, int]:
@@ -153,6 +174,8 @@ def main() -> int:
     digest, shared, n_episodes, n_actions = golden_digest(
         policy, predictor, envsim.EnvKind(variant=args.env), args.episodes, args.seed)
     print(f"episodes {n_episodes}, executed actions {n_actions}")
+    calib, calib_episodes, calib_actions = calibration_digest(policy, envsim.EnvKind(variant=args.env))
+    print(f"calibration: episodes {calib_episodes}, actions {calib_actions}, sha256 {calib}")
     if shared != digest:
         print(f"unshared sha256 {digest} != shared-scope sha256 {shared}", file=sys.stderr)
         return 1

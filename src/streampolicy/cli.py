@@ -133,11 +133,17 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(directory, command: str, resolved: dict, artifacts: dict[str, str]) -> None:
+def _write_manifest(directory, command: str, resolved: dict, artifacts: dict[str, str],
+                    digests: dict[str, dict] | None = None) -> None:
+    """manifest.json: the command, its resolved configuration and each
+    artifact's path and sha256, plus the fields digests gives per artifact."""
+    entries = {name: {"path": str(p), "sha256": _sha256(p)} for name, p in artifacts.items()}
+    for name, fields in (digests or {}).items():
+        entries[name].update(fields)
     manifest = {
         "command": command,
         "config": {k: (v if not isinstance(v, Path) else str(v)) for k, v in resolved.items()},
-        "artifacts": {name: {"path": str(p), "sha256": _sha256(p)} for name, p in artifacts.items()},
+        "artifacts": entries,
     }
     path = Path(directory) / "manifest.json"
     with open(path, "w") as fh:
@@ -264,7 +270,9 @@ def _cmd_train_policy(cfg) -> int:
     log_path = Path(cfg["log"]) if cfg["log"] else out.with_suffix(".log.csv")
     trainer.write_train_log(log_path, log)
     artifacts["train_log"] = log_path
-    _write_manifest(out.parent, "train-policy", cfg, artifacts)
+    # the log's wall_ms differ from run to run; its losses do not
+    _write_manifest(out.parent, "train-policy", cfg, artifacts,
+                    {"train_log": {"iteration_loss_sha256": trainer.train_log_digest(log_path)}})
     print(f"saved policy to {out} (final loss {log[-1][1]:.6f})")
     return 0
 

@@ -155,6 +155,42 @@ def success(state: EnvState) -> bool:
     return math.sqrt(float(d.dot(d))) < SUCCESS_DIST
 
 
+def state_rows(states: list[EnvState]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(positions (B, 2), goals (B, 2), latches (B,)) of B states, the rows
+    observe_rows and step_rows take."""
+    n = len(states)
+    pos = np.array([s.position for s in states], dtype=np.float64).reshape(n, ACTION_DIM)
+    goal = np.array([s.goal for s in states], dtype=np.float64).reshape(n, ACTION_DIM)
+    return pos, goal, np.array([s.latch for s in states], dtype=bool)
+
+
+def observe_rows(pos: np.ndarray, goal: np.ndarray, latch: np.ndarray) -> np.ndarray:
+    """observe's features for each row of (B, 2) positions and goals and (B,)
+    latches, shape (B, 7), with the bits observe gives each row alone."""
+    return np.concatenate((pos, goal, latch[:, None], goal - pos), axis=1)
+
+
+def step_rows(kind: EnvKind, pos: np.ndarray, goal: np.ndarray, latch: np.ndarray,
+              action: np.ndarray):
+    """step, then success, for each row: B states as (B, 2) positions and
+    goals and (B,) latches, each taking its row of the (B, 2) actions.
+    Returns the successors' (pos, goal, latch) and their (B,) success flags.
+
+    The displacement, the workspace clip (a position inside is its own clip),
+    latch entry and the goal shift are step's elementwise operations, and
+    np.vecdot(d, d) is success's d.dot(d) row by row, so every row gets the
+    bits a lone step gives it. The step counts are the caller's.
+    """
+    pos = _clip_to_workspace(pos + _displacement(kind, action))
+    box = kind.latch_region
+    enter = ~latch & ((pos >= box.lo) & (pos <= box.hi)).all(axis=1)
+    if enter.any():
+        goal = np.where(enter[:, None], goal + LATCH_SHIFT, goal)
+        latch = latch | enter
+    d = pos - goal
+    return pos, goal, latch, latch & (np.sqrt(np.vecdot(d, d)) < SUCCESS_DIST)
+
+
 # the start box's and then the goal box's bounds, so one uniform call draws
 # the values, in the order, that one call per box draws
 _INIT_LO = np.concatenate((START_BOX[0], GOAL_BOX[0]))
@@ -271,9 +307,8 @@ def _rollout(kind: EnvKind, states: list[EnvState], noise: np.ndarray | None, st
     """Roll the expert from each state in lockstep, one row per episode.
 
     noise is None or (B, step_cap + EXPERT_PARK_STEPS, 2). Each step runs
-    one set of (b, 2) array operations over the b rows still running, with
-    the kernels of the single-state step, observe, success and expert, so
-    every row gets the bits a lone episode gets. A row stops as a lone
+    observe_rows, the expert and step_rows over the b rows still running,
+    so every row gets the bits a lone episode gets. A row stops as a lone
     episode does: once it has held success for EXPERT_PARK_STEPS more steps,
     at step_cap actions if it has never succeeded, or at the last step.
 
@@ -287,24 +322,15 @@ def _rollout(kind: EnvKind, states: list[EnvState], noise: np.ndarray | None, st
     lengths = np.zeros(n, dtype=np.int64)
     ok = np.zeros(n, dtype=bool)
     rows = np.arange(n)
-    pos = np.array([s.position for s in states], dtype=np.float64).reshape(n, ACTION_DIM)
-    goal = np.array([s.goal for s in states], dtype=np.float64).reshape(n, ACTION_DIM)
-    latch = np.array([s.latch for s in states], dtype=bool)
+    pos, goal, latch = state_rows(states)
     park = np.zeros(n, dtype=np.int64)
-    box = kind.latch_region
     for t in range(steps):
-        features[rows, t] = np.concatenate((pos, goal, latch[:, None], goal - pos), axis=1)
+        features[rows, t] = observe_rows(pos, goal, latch)
         a = _expert_commands(kind, pos, goal, latch)
         if noise is not None:
             a = a + noise[rows, t]
         actions[rows, t] = a
-        pos = _clip_to_workspace(pos + _displacement(kind, a))
-        enter = ~latch & ((pos >= box.lo) & (pos <= box.hi)).all(axis=1)
-        if enter.any():
-            goal = np.where(enter[:, None], goal + LATCH_SHIFT, goal)
-            latch = latch | enter
-        d = pos - goal
-        won = latch & (np.sqrt(np.vecdot(d, d)) < SUCCESS_DIST)
+        pos, goal, latch, won = step_rows(kind, pos, goal, latch, a)
         park += won
         if t + 1 == steps:
             stop = np.ones(rows.size, dtype=bool)
@@ -323,7 +349,7 @@ def _rollout(kind: EnvKind, states: list[EnvState], noise: np.ndarray | None, st
     return features, actions, lengths, ok
 
 
-def _trajectory(kind: EnvKind, state: EnvState, features: np.ndarray, actions: np.ndarray) -> Trajectory:
+def rollout_trajectory(kind: EnvKind, state: EnvState, features: np.ndarray, actions: np.ndarray) -> Trajectory:
     """One rollout row as a Trajectory: frame ids and capture times count
     steps from the start state's step_count."""
     features, actions = features.copy(), actions.copy()
@@ -347,7 +373,7 @@ def run_expert_episode(kind: EnvKind, state: EnvState, rng: np.random.Generator,
     block = _noise_block(rng, noise, step_cap)
     features, actions, lengths, ok = _rollout(kind, [state], None if block is None else block[None], step_cap)
     L = lengths[0]
-    return _trajectory(kind, state, features[0, :L], actions[0, :L]), bool(ok[0])
+    return rollout_trajectory(kind, state, features[0, :L], actions[0, :L]), bool(ok[0])
 
 
 def generate_demos(kind: EnvKind, n: int, seed: int, *, step_cap: int = 120, noise: float = EXPERT_NOISE, min_len: int = 1) -> list[Trajectory]:
@@ -382,7 +408,7 @@ def generate_demos(kind: EnvKind, n: int, seed: int, *, step_cap: int = 120, noi
         for b, state in enumerate(states):
             L = lengths[b]
             if ok[b] and L >= min_len:
-                demos.append(_trajectory(kind, state, features[b, :L], actions[b, :L]))
+                demos.append(rollout_trajectory(kind, state, features[b, :L], actions[b, :L]))
     return demos
 
 

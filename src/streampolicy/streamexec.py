@@ -76,6 +76,14 @@ the executor: each as it is generated (streaming) or all n_replan after the
 chunk's last generation (sync_chunk), which leaves the sync stages strictly
 serial. It generates every planned action, with each forward pass inside
 its t_gen budget, and never shares a horizon.
+
+calibration_trajectories, the on-policy rollouts that calibrate indicator
+thresholds, needs neither clock: plain streaming at zero latency with no
+early observation puts every episode at the same action index of its
+horizon. It steps the episodes in lockstep (lockstep_trajectories): one
+Policy.action_rows, a stacked forward over the running episodes, per index,
+then one envsim.step_rows. It builds no timeline events, and each
+trajectory is the one run_episode records for its episode, bit for bit.
 """
 
 from __future__ import annotations
@@ -92,7 +100,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from . import envsim, saliency
-from .core import Trajectory, cumulative_states, make_rng, STREAM_INDICATOR
+from .core import ACTION_DIM, OBS_DIM, Trajectory, cumulative_states, make_rng, STREAM_INDICATOR
 from .envsim import EnvHandle
 from .velocitynet import Policy
 
@@ -756,14 +764,75 @@ def run_episodes(policy: Policy, predictor, envs: Iterable[EnvHandle], stage: St
                           record_trajectory=record_trajectory)
 
 
+# most episodes calibration_trajectories steps in one lockstep round; a round
+# holds about 72 bytes per episode and step, so above a step cap of 128 it
+# takes fewer episodes and its buffers stay near 2.4 MB
+_LOCKSTEP_ROWS = 256
+_LOCKSTEP_STEPS = _LOCKSTEP_ROWS * 128
+
+
 def calibration_trajectories(policy: Policy, kind: envsim.EnvKind, seed: int, episodes: int,
                              step_cap: int) -> list[Trajectory]:
     """The policy's own trajectories on episodes 0 .. episodes-1 of seed, for
-    calibrating indicator thresholds: plain streaming at zero latency with no
-    predictor (the scheduler's seed then draws nothing). Demonstrations
-    over-represent the parked low-saliency tail after success, which skews
-    quantile thresholds; the deployed policy's own horizon grid does not."""
-    scheduler = SchedulerConfig(mode=MODE_STREAMING, h=policy.flow.h, seed=seed)
-    envs = (envsim.make_env(kind, seed, ep, step_cap=step_cap) for ep in range(episodes))
-    return [res.trajectory for res in run_episodes(policy, None, envs, ZERO_LATENCY, scheduler,
-                                                   record_trajectory=True)]
+    calibrating indicator thresholds: each is the trajectory run_episode
+    records for that episode under plain streaming at zero latency with no
+    predictor (the scheduler's seed then draws nothing), bit for bit.
+    Demonstrations over-represent the parked low-saliency tail after success,
+    which skews quantile thresholds; the deployed policy's own horizon grid
+    does not.
+
+    The episodes run in lockstep rounds (see lockstep_trajectories) and build
+    no timeline events. Raises ValueError on a negative episode count or a
+    step cap below 1, whether or not any episode runs.
+    """
+    if episodes < 0:
+        raise ValueError(f"episodes must be at least 0, got {episodes}")
+    if step_cap < 1:
+        raise ValueError(f"step_cap must be at least 1, got {step_cap}")
+    states = [envsim.make_env(kind, seed, ep, step_cap=step_cap).init_state for ep in range(episodes)]
+    per_round = min(_LOCKSTEP_ROWS, max(1, _LOCKSTEP_STEPS // step_cap))
+    out: list[Trajectory] = []
+    for first in range(0, episodes, per_round):
+        out += lockstep_trajectories(policy, kind, states[first:first + per_round], step_cap)
+    return out
+
+
+def lockstep_trajectories(policy: Policy, kind: envsim.EnvKind, states: list[envsim.EnvState],
+                          step_cap: int) -> list[Trajectory]:
+    """The trajectory run_episode records from each start state under plain
+    streaming at zero latency with no early observation, all of them in
+    lockstep, one row per episode.
+
+    Every running episode sits at the same action index of its horizon, so
+    each step is one Policy.action_rows over the running rows (a horizon's
+    input rows are prepared once, at its first index, from the state then
+    observed), then one envsim.step_rows. A row stops on success or at
+    step_cap actions. Each row gets the bits its lone episode gets.
+    """
+    n, h = len(states), policy.flow.h
+    if not n:
+        return []
+    features = np.empty((n, step_cap, OBS_DIM))
+    actions = np.empty((n, step_cap, ACTION_DIM))
+    lengths = np.full(n, step_cap)
+    rows = np.arange(n)
+    pos, goal, latch = envsim.state_rows(states)
+    alpha = np.array([policy.initial_alpha(s.position) for s in states])
+    for t in range(step_cap):
+        obs = envsim.observe_rows(pos, goal, latch)
+        features[rows, t] = obs
+        if t % h == 0:
+            inputs = policy.prepare_rows(alpha, obs)
+        a_norm, a_raw = policy.action_rows(inputs, alpha, t % h)
+        actions[rows, t] = a_raw
+        alpha = alpha + a_norm
+        pos, goal, latch, won = envsim.step_rows(kind, pos, goal, latch, a_raw)
+        if won.any():
+            lengths[rows[won]] = t + 1
+            keep = ~won
+            rows, pos, goal, latch, alpha, inputs = (
+                rows[keep], pos[keep], goal[keep], latch[keep], alpha[keep], inputs[keep])
+            if not rows.size:
+                break
+    return [envsim.rollout_trajectory(kind, state, features[b, :lengths[b]], actions[b, :lengths[b]])
+            for b, state in enumerate(states)]

@@ -10,6 +10,7 @@ training-time and execution-time state distributions.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 from dataclasses import dataclass
@@ -206,3 +207,14 @@ def write_train_log(path, rows) -> None:
         fh.write("iteration,loss,wall_ms\n")
         for it, loss, ms in rows:
             fh.write(f"{it},{loss!r},{ms:.3f}\n")
+
+
+def train_log_digest(path) -> str:
+    """sha256 over the iteration and loss columns of a log write_train_log
+    wrote, header included, one "iteration,loss" line each: two runs that
+    log the same losses give the same digest whatever their wall_ms."""
+    digest = hashlib.sha256()
+    with open(path) as fh:
+        for line in fh:
+            digest.update((",".join(line.rstrip("\n").split(",")[:2]) + "\n").encode())
+    return digest.hexdigest()

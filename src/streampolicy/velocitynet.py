@@ -152,6 +152,36 @@ def forward(model: VelocityModel, x: np.ndarray, t: float, obs_feat: np.ndarray,
     return z
 
 
+def input_rows(model: VelocityModel, x: np.ndarray, obs_feat: np.ndarray) -> np.ndarray:
+    """A stack of network input rows, shape (B, 1, input_dim), for B states
+    x (B, action_dim) and observations obs_feat (B, obs_dim): each row is
+    [x | zeros for the time features | obs features], as InputRow lays it out."""
+    x, obs_feat = _check_dims(model, x, obs_feat)
+    if x.ndim != 2 or obs_feat.ndim != 2 or len(x) != len(obs_feat):
+        raise DimensionMismatchError("input rows take one state and one observation per row")
+    return np.concatenate([x, np.zeros((len(x), TIME_DIM)), obs_feat], axis=1)[:, None, :]
+
+
+def forward_rows(model: VelocityModel, rows: np.ndarray) -> np.ndarray:
+    """Velocity predictions for a stack of assembled input rows, shape
+    (B, 1, input_dim) as input_rows builds them; returns (B, 1, action_dim).
+
+    Each layer is one stacked (B, 1, d) @ (d, k) product, with the bias added
+    and tanh applied in place as forward does, so every row gets the bits
+    forward gives it alone (a 2-D (B, d) @ (d, k) product does not: its
+    rows can differ in the last ulp). rows itself is not written.
+    """
+    p = model.params
+    n = model.n_layers()
+    z = rows
+    for i in range(n):
+        z = z @ p[f"w{i}"]
+        z += p[f"b{i}"]
+        if i < n - 1:
+            np.tanh(z, out=z)
+    return z
+
+
 def forward_batch(model: VelocityModel, X: np.ndarray, T: np.ndarray, OBS: np.ndarray) -> np.ndarray:
     inp = _assemble_inputs(model, X, np.asarray(T, dtype=np.float64), OBS)
     out, _ = _mlp_forward(model.params, inp, model.n_layers())
@@ -436,6 +466,24 @@ class Policy:
         """Generate one action: returns (normalized, raw) pair. prepared, when
         given, is the row prepare() built for obs_features."""
         v = self.velocity(alpha_norm, T, obs_features, prepared)
+        a_norm = flowmatch.extract_action(v, self.flow.h)
+        return a_norm, normkit.denormalize(a_norm, self.stats)
+
+    def prepare_rows(self, alpha_norm: np.ndarray, obs_features: np.ndarray) -> np.ndarray:
+        """prepare for B observations at once: the (B, 1, input_dim) input
+        rows (velocitynet.input_rows) of B horizons, one row per ledger
+        alpha_norm[b] and observation obs_features[b]."""
+        return input_rows(self.model, alpha_norm, obs_features)
+
+    def action_rows(self, rows: np.ndarray, alpha_norm: np.ndarray, T: int):
+        """action for B horizons at the same index T: writes each ledger
+        alpha_norm[b] and time_table()[T] into rows, the stack prepare_rows
+        built, and returns the (normalized, raw) actions, one row each, with
+        the bits action gives each row alone."""
+        d = self.model.action_dim
+        rows[:, 0, :d] = alpha_norm
+        rows[:, 0, d:d + TIME_DIM] = self.time_table()[T]
+        v = forward_rows(self.model, rows)[:, 0]
         a_norm = flowmatch.extract_action(v, self.flow.h)
         return a_norm, normkit.denormalize(a_norm, self.stats)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from streampolicy import cli, streamexec
+from streampolicy import cli, envsim, streamexec
 from streampolicy.cli import main
 from streampolicy.core import load_dataset
 from streampolicy.velocitynet import load_policy
@@ -53,6 +53,27 @@ def test_trained_policy_loads(workdir):
     manifest = json.loads((workdir / "policy" / "manifest.json").read_text())
     assert manifest["artifacts"]["policy"]["sha256"] == \
         hashlib.sha256(ckpt.read_bytes()).hexdigest()
+
+
+def test_train_policy_manifest_digests_the_logged_losses(workdir, tmp_path):
+    """Two identical train-policy runs log the same losses at different
+    wall times: the manifest's iteration,loss digest of the log agrees, and
+    it is the sha256 of those two columns as the log holds them."""
+    manifests = []
+    for run in ("a", "b"):
+        out = tmp_path / run / "policy.ckpt"
+        rc = main(["train-policy", "--data", str(workdir / "data" / "demos.jsonl"),
+                   "--out", str(out), "--iterations", "30", "--batch-size", "16",
+                   "--hidden", "16,16", "--log-every", "10"])
+        assert rc == 0
+        manifests.append(json.loads((out.parent / "manifest.json").read_text()))
+    logs = [m["artifacts"]["train_log"] for m in manifests]
+    assert logs[0]["iteration_loss_sha256"] == logs[1]["iteration_loss_sha256"]
+    text = Path(logs[0]["path"]).read_text()
+    columns = "".join(",".join(line.split(",")[:2]) + "\n" for line in text.splitlines())
+    assert columns.startswith("iteration,loss\n")
+    assert logs[0]["iteration_loss_sha256"] == hashlib.sha256(columns.encode()).hexdigest()
+    assert manifests[0]["artifacts"]["policy"]["sha256"] == manifests[1]["artifacts"]["policy"]["sha256"]
 
 
 def test_rollout_runs(workdir, capsys):
@@ -128,11 +149,12 @@ def test_bench_writes_results(workdir, tmp_path, capsys):
 
 def test_bench_runs_every_episode_through_run_episode(workdir, tmp_path, monkeypatch):
     """A benchmark harness may swap streamexec.run_episode for a wrapper with
-    exactly these parameters and count what it sees: every calibration and
-    matrix episode must pass through it. Sharing horizons across the matrix
-    must not change a byte of the results."""
+    exactly these parameters and count what it sees: every matrix episode
+    must pass through it. The calibration rollouts run in lockstep instead,
+    and must equal the trajectories run_episode records for them. Sharing
+    horizons across the matrix must not change a byte of the results."""
     real = streamexec.run_episode
-    seen = []
+    seen, calibrations = [], []
 
     def wrapper(policy, predictor, env, stage, scheduler, clock="simulated",
                 record_trajectory=False):
@@ -140,20 +162,41 @@ def test_bench_runs_every_episode_through_run_episode(workdir, tmp_path, monkeyp
         return real(policy, predictor, env, stage, scheduler, clock=clock,
                     record_trajectory=record_trajectory)
 
+    real_calib = cli._calib_rollouts
+
+    def calib_wrapper(policy, kind, cfg):
+        trajs = real_calib(policy, kind, cfg)
+        calibrations.append((policy, kind, cfg, trajs))
+        return trajs
+
     monkeypatch.setattr(streamexec, "run_episode", wrapper)
+    monkeypatch.setattr(cli, "_calib_rollouts", calib_wrapper)
     outputs = {}
     for shared in (True, False):
         if not shared:
             monkeypatch.setattr(streamexec, "shared_horizons", contextlib.nullcontext)
         seen.clear()
+        calibrations.clear()
         out_dir = tmp_path / f"shared_{shared}"
         rc = main(["bench", "--policy", str(workdir / "policy" / "policy.ckpt"),
                    "--env", "controller", "--episodes", "4", "--step-cap", "30",
                    "--eo", "naive,random,anao", "--calib-episodes", "3", "--seed", "3",
                    "--out-dir", str(out_dir)])
         assert rc == 0
-        # 3 calibration rollouts record trajectories; 6 configurations x 4 episodes
-        assert seen.count(True) == 3 and seen.count(False) == 6 * 4
+        # 6 configurations x 4 episodes
+        assert seen == [False] * (6 * 4)
+        # 3 calibration rollouts, each the trajectory run_episode records
+        (policy, kind, cfg, trajs), = calibrations
+        sched = streamexec.SchedulerConfig(mode=streamexec.MODE_STREAMING, h=policy.flow.h)
+        assert len(trajs) == 3
+        for ep, traj in enumerate(trajs):
+            env = envsim.make_env(kind, cfg["calib_seed"], ep, step_cap=cfg["step_cap"])
+            want = real(policy, None, env, streamexec.ZERO_LATENCY, sched,
+                        record_trajectory=True).trajectory
+            assert traj.actions.tobytes() == want.actions.tobytes()
+            assert traj.action_states.tobytes() == want.action_states.tobytes()
+            assert [(o.features.tobytes(), o.frame_id, o.capture_time) for o in traj.observations] == \
+                [(o.features.tobytes(), o.frame_id, o.capture_time) for o in want.observations]
         outputs[shared] = [(out_dir / name).read_bytes() for name in ("results.csv", "results.txt")]
     assert outputs[True] == outputs[False]
 

@@ -8,8 +8,9 @@ from streampolicy.core import load_dataset, make_rng, save_dataset
 from streampolicy.envsim import (
     EXPERT_PARK_STEPS, GOAL_BOX, LATCH_SHIFT, START_BOX, SUCCESS_DIST,
     WORKSPACE_HI, WORKSPACE_LO, EnvKind, GenerationError, KIND_CONTROLLER,
-    KIND_DIRECT, EnvHandle, alpha0_for, env_metadata, expert_action, generate_demos,
-    latch_waypoint, make_env, make_initial_state, observe, run_expert_episode, step, success,
+    KIND_DIRECT, EnvHandle, EnvState, alpha0_for, env_metadata, expert_action, generate_demos,
+    latch_waypoint, make_env, make_initial_state, observe, observe_rows, run_expert_episode,
+    state_rows, step, step_rows, success,
 )
 
 
@@ -190,3 +191,29 @@ def test_saved_demos_are_byte_identical_and_reload_to_the_same_bytes(ctrl_env, s
     again = tmp_path / "again.jsonl"
     save_dataset(again, loaded, dim=header["dim"], env_meta=header["env"], seed=header["seed"])
     assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("variant", [KIND_DIRECT, KIND_CONTROLLER])
+def test_step_rows_give_each_row_the_bits_of_a_lone_step(variant):
+    """step_rows and observe_rows on a batch equal step, success and observe
+    row by row, bit for bit: rows that leave the workspace, enter the latch
+    region, stay latched, and land on either side of the success radius."""
+    kind = EnvKind(variant=variant)
+    rng = make_rng(12, 3, 0)
+    n = 400
+    goals = rng.uniform(-4.0, 4.0, size=(n, 2))
+    positions = np.where(rng.random((n, 1)) < 0.5, goals + rng.normal(scale=0.2, size=(n, 2)),
+                         rng.uniform(-5.0, 5.0, size=(n, 2)))
+    states = [EnvState(positions[b], goals[b], bool(rng.random() < 0.5), b) for b in range(n)]
+    actions = rng.normal(scale=0.6, size=(n, 2))
+    pos, goal, latch = state_rows(states)
+    feats = observe_rows(pos, goal, latch)
+    new_pos, new_goal, new_latch, won = step_rows(kind, pos, goal, latch, actions)
+    for b, state in enumerate(states):
+        assert feats[b].tobytes() == observe(state).features.tobytes(), b
+        want = step(kind, state, actions[b])
+        assert new_pos[b].tobytes() == want.position.tobytes(), b
+        assert new_goal[b].tobytes() == want.goal.tobytes(), b
+        assert (bool(new_latch[b]), bool(won[b])) == (want.latch, success(want)), b
+    assert 0 < won.sum() < n and 0 < (new_latch & ~latch).sum()
+    assert ((pos + actions < WORKSPACE_LO) | (pos + actions > WORKSPACE_HI)).any()

@@ -597,24 +597,73 @@ def test_run_episodes_runs_each_episode_as_its_result_is_taken(null_policy, monk
     assert seen == [(ep, "simulated", False) for ep in (1, 2, 3)]
 
 
-def test_calibration_trajectories_record_plain_streaming_at_zero_latency(null_policy,
-                                                                        monkeypatch):
-    """One recorded simulated episode per episode index of the seed, each
-    through streamexec.run_episode: plain streaming at zero latency with no
-    predictor, trajectory for trajectory."""
-    seen = []
-    _counting_run_episode(monkeypatch, seen)
-    trajs = streamexec.calibration_trajectories(null_policy, DIRECT, 4, 3, 23)
-    assert seen == [(ep, "simulated", True) for ep in range(3)]
-    sched = SchedulerConfig(mode=MODE_STREAMING, h=null_policy.flow.h)
-    assert len(trajs) == 3
-    for ep, traj in enumerate(trajs):
-        want = run_episode(null_policy, None, make_env(DIRECT, 4, ep, step_cap=23), ZERO_LATENCY,
-                           sched, record_trajectory=True).trajectory
-        assert traj.actions.tobytes() == want.actions.tobytes()
-        assert traj.action_states.tobytes() == want.action_states.tobytes()
-        assert [o.features.tobytes() for o in traj.observations] == \
-            [o.features.tobytes() for o in want.observations]
+def _assert_same_trajectories(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.actions.shape == w.actions.shape and g.actions.tobytes() == w.actions.tobytes()
+        assert g.action_states.tobytes() == w.action_states.tobytes()
+        assert [o.features.tobytes() for o in g.observations] == \
+            [o.features.tobytes() for o in w.observations]
+        assert [(o.frame_id, o.capture_time) for o in g.observations] == \
+            [(o.frame_id, o.capture_time) for o in w.observations]
+
+
+def _recorded_plain_streaming(policy, envs):
+    """The trajectories run_episode records for envs under plain streaming at
+    zero latency, the reference calibration rollouts must equal."""
+    sched = SchedulerConfig(mode=MODE_STREAMING, h=policy.flow.h)
+    return [run_episode(policy, None, env, ZERO_LATENCY, sched, record_trajectory=True).trajectory
+            for env in envs]
+
+
+def test_calibration_trajectories_record_plain_streaming_at_zero_latency(ctrl_policy, direct_policy):
+    """The lockstep calibration rollouts are, episode for episode and byte
+    for byte, the trajectories run_episode records under plain streaming at
+    zero latency with no predictor: on both variants, at caps below h, at h
+    multiples and mid-horizon, for 0, 1 and 100 episodes."""
+    covered = {"success": 0, "capped": 0}
+    for policy, kind in ((ctrl_policy, CTRL), (direct_policy, DIRECT)):
+        for cap in (1, 7, 23, 42, 120):
+            for episodes in (0, 1, 100):
+                got = streamexec.calibration_trajectories(policy, kind, 4, episodes, cap)
+                want = _recorded_plain_streaming(
+                    policy, [make_env(kind, 4, ep, step_cap=cap) for ep in range(episodes)])
+                _assert_same_trajectories(got, want)
+                covered["success"] += sum(len(t) < cap for t in got)
+                covered["capped"] += sum(len(t) == cap for t in got)
+    assert all(covered.values()), covered
+
+
+def test_lockstep_rows_that_succeed_inside_their_first_horizon_drop_out(direct_policy):
+    """Rows that succeed before index h leave the batch mid-horizon, and the
+    rows still running keep their bits: two latched start states short of
+    the goal next to ordinary ones."""
+    h = direct_policy.flow.h
+    starts = [make_env(DIRECT, 8, ep, step_cap=42).init_state for ep in range(6)]
+    for b, offset in ((1, 0.1), (4, 0.8)):
+        goal = starts[b].goal + envsim.LATCH_SHIFT
+        starts[b] = envsim.EnvState(goal - offset, goal, True, 0)
+    got = streamexec.lockstep_trajectories(direct_policy, DIRECT, starts, 42)
+    want = _recorded_plain_streaming(direct_policy, [EnvHandle(DIRECT, s, step_cap=42) for s in starts])
+    _assert_same_trajectories(got, want)
+    assert len(got[1]) < len(got[4]) < h
+    assert all(len(got[b]) > h for b in (0, 2, 3, 5))
+
+
+def test_calibration_rounds_do_not_change_trajectories(ctrl_policy, monkeypatch):
+    """Episodes beyond one round's budget run in later rounds, with the
+    trajectories one round gives."""
+    whole = streamexec.calibration_trajectories(ctrl_policy, CTRL, 2, 20, 42)
+    monkeypatch.setattr(streamexec, "_LOCKSTEP_STEPS", 42 * 6)
+    _assert_same_trajectories(streamexec.calibration_trajectories(ctrl_policy, CTRL, 2, 20, 42), whole)
+
+
+@pytest.mark.parametrize("episodes,cap", [(-1, 10), (0, 0), (3, 0), (0, -5)])
+def test_calibration_trajectories_reject_bad_counts(null_policy, episodes, cap):
+    """A negative episode count or a step cap below 1 raises, also when no
+    episode would run."""
+    with pytest.raises(ValueError):
+        streamexec.calibration_trajectories(null_policy, DIRECT, 0, episodes, cap)
 
 
 def _wall_grid_schedulers(etas):

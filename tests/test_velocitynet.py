@@ -9,8 +9,8 @@ from streampolicy.saliency import loss_and_grad as predictor_loss_and_grad
 from streampolicy.velocitynet import (
     AdamState, CheckpointError, InputRow, Policy, adam_step, forward, forward_batch,
     init_adam, init_velocity_model, load_policy, loss_and_grad, read_container,
-    save_policy, time_features, write_container, TAG_VELOCITY_POLICY, TIME_DIM,
-    _assemble_inputs, _mlp_forward,
+    forward_rows, input_rows, save_policy, time_features, write_container,
+    TAG_VELOCITY_POLICY, TIME_DIM, _assemble_inputs, _mlp_forward,
 )
 
 
@@ -341,3 +341,43 @@ def test_input_row_checks_dimensions():
         InputRow(model, np.zeros(3), np.zeros(7))
     with pytest.raises(DimensionMismatchError, match="one state and one observation"):
         InputRow(model, np.zeros((4, 2)), np.zeros((4, 7)))
+
+
+@pytest.mark.parametrize("policy_name", ["ctrl_policy", "direct_policy"])
+def test_stacked_rows_match_single_row_forward_bitwise(policy_name, request):
+    """The stacked kernel on this BLAS: each row of a (B, 1, d) stack gets
+    the bits forward and Policy.action give it alone, for every batch size
+    a lockstep rollout meets, on the trained fixture networks."""
+    policy = request.getfixturevalue(policy_name)
+    model, h = policy.model, policy.flow.h
+    rng = make_rng(9, 4, 0)
+    for B in (1, 2, 7, 100, 128):
+        alpha = rng.normal(scale=0.5, size=(B, 2))
+        obs = rng.uniform(-5.0, 5.0, size=(B, 7))
+        T = B % h
+        rows = input_rows(model, alpha, obs)
+        rows[:, 0, 2:2 + TIME_DIM] = policy.time_table()[T]
+        before = rows.copy()
+        got = forward_rows(model, rows)
+        assert got.shape == (B, 1, 2)
+        assert rows.tobytes() == before.tobytes()
+        for b in range(B):
+            want = forward(model, alpha[b], T / float(h), obs[b], policy.time_table()[T])
+            assert got[b, 0].tobytes() == want.tobytes(), (B, b)
+
+        got_norm, got_raw = policy.action_rows(policy.prepare_rows(alpha, obs), alpha, T)
+        for b in range(B):
+            want_norm, want_raw = policy.action(alpha[b], T, obs[b])
+            assert got_norm[b].tobytes() == want_norm.tobytes(), (B, b)
+            assert got_raw[b].tobytes() == want_raw.tobytes(), (B, b)
+
+
+def test_input_rows_check_dimensions():
+    model = _small_model()
+    assert input_rows(model, np.zeros((3, 2)), np.ones((3, 7))).shape == (3, 1, 2 + TIME_DIM + 7)
+    with pytest.raises(DimensionMismatchError, match="obs dim 6 != 7"):
+        input_rows(model, np.zeros((3, 2)), np.zeros((3, 6)))
+    with pytest.raises(DimensionMismatchError, match="one state and one observation per row"):
+        input_rows(model, np.zeros((3, 2)), np.zeros((4, 7)))
+    with pytest.raises(DimensionMismatchError, match="one state and one observation per row"):
+        input_rows(model, np.zeros(2), np.zeros(7))
