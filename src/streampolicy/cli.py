@@ -133,17 +133,18 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(directory, command: str, resolved: dict, artifacts: dict[str, str],
-                    digests: dict[str, dict] | None = None) -> None:
+def _artifact(path) -> dict:
+    """A manifest entry: the artifact's path and sha256."""
+    return {"path": str(path), "sha256": _sha256(path)}
+
+
+def _write_manifest(directory, command: str, resolved: dict, artifacts: dict[str, dict]) -> None:
     """manifest.json: the command, its resolved configuration and each
-    artifact's path and sha256, plus the fields digests gives per artifact."""
-    entries = {name: {"path": str(p), "sha256": _sha256(p)} for name, p in artifacts.items()}
-    for name, fields in (digests or {}).items():
-        entries[name].update(fields)
+    artifact's entry (see _artifact)."""
     manifest = {
         "command": command,
         "config": {k: (v if not isinstance(v, Path) else str(v)) for k, v in resolved.items()},
-        "artifacts": entries,
+        "artifacts": artifacts,
     }
     path = Path(directory) / "manifest.json"
     with open(path, "w") as fh:
@@ -224,7 +225,7 @@ def _cmd_gen_data(cfg) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(out, trajectories, dim=trajectories[0].actions.shape[1],
                  env_meta=envsim.env_metadata(kind), seed=cfg["seed"])
-    _write_manifest(out.parent, "gen-data", cfg, {"dataset": out})
+    _write_manifest(out.parent, "gen-data", cfg, {"dataset": _artifact(out)})
     lengths = [len(t) for t in trajectories]
     print(f"wrote {len(trajectories)} episodes to {out} "
           f"(steps min/mean/max = {min(lengths)}/{np.mean(lengths):.1f}/{max(lengths)})")
@@ -266,13 +267,11 @@ def _cmd_train_policy(cfg) -> int:
     out = Path(cfg["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     save_policy(out, policy, adam=adam, iteration=tc.iterations)
-    artifacts = {"policy": out}
     log_path = Path(cfg["log"]) if cfg["log"] else out.with_suffix(".log.csv")
     trainer.write_train_log(log_path, log)
-    artifacts["train_log"] = log_path
     # the log's wall_ms differ from run to run; its losses do not
-    _write_manifest(out.parent, "train-policy", cfg, artifacts,
-                    {"train_log": {"iteration_loss_sha256": trainer.train_log_digest(log_path)}})
+    train_log = {**_artifact(log_path), "iteration_loss_sha256": trainer.train_log_digest(log_path)}
+    _write_manifest(out.parent, "train-policy", cfg, {"policy": _artifact(out), "train_log": train_log})
     print(f"saved policy to {out} (final loss {log[-1][1]:.6f})")
     return 0
 
@@ -291,7 +290,7 @@ def _cmd_train_predictor(cfg) -> int:
     out = Path(cfg["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     saliency.save_predictor(out, predictor, iteration=pc.iterations)
-    _write_manifest(out.parent, "train-predictor", cfg, {"predictor": out})
+    _write_manifest(out.parent, "train-predictor", cfg, {"predictor": _artifact(out)})
     print(f"saved predictor to {out} (final loss {log[-1][1]:.6f})")
     return 0
 
@@ -487,7 +486,7 @@ def _cmd_bench(cfg) -> int:
     table_path.write_text(table)
     artifacts["results_csv"] = csv_path
     artifacts["results_txt"] = table_path
-    _write_manifest(out_dir, "bench", cfg, artifacts)
+    _write_manifest(out_dir, "bench", cfg, {name: _artifact(p) for name, p in artifacts.items()})
     print()
     print(table, end="")
     return 0

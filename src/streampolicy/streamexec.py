@@ -102,7 +102,7 @@ import numpy as np
 from . import envsim, saliency
 from .core import ACTION_DIM, OBS_DIM, Trajectory, cumulative_states, make_rng, STREAM_INDICATOR
 from .envsim import EnvHandle
-from .velocitynet import Policy
+from .velocitynet import Policy, input_rows
 
 STAGE_OBSERVE = "observe"
 STAGE_PREDICT = "predict"
@@ -764,13 +764,6 @@ def run_episodes(policy: Policy, predictor, envs: Iterable[EnvHandle], stage: St
                           record_trajectory=record_trajectory)
 
 
-# most episodes calibration_trajectories steps in one lockstep round; a round
-# holds about 72 bytes per episode and step, so above a step cap of 128 it
-# takes fewer episodes and its buffers stay near 2.4 MB
-_LOCKSTEP_ROWS = 256
-_LOCKSTEP_STEPS = _LOCKSTEP_ROWS * 128
-
-
 def calibration_trajectories(policy: Policy, kind: envsim.EnvKind, seed: int, episodes: int,
                              step_cap: int) -> list[Trajectory]:
     """The policy's own trajectories on episodes 0 .. episodes-1 of seed, for
@@ -781,8 +774,8 @@ def calibration_trajectories(policy: Policy, kind: envsim.EnvKind, seed: int, ep
     which skews quantile thresholds; the deployed policy's own horizon grid
     does not.
 
-    The episodes run in lockstep rounds (see lockstep_trajectories) and build
-    no timeline events. Raises ValueError on a negative episode count or a
+    The episodes run in lockstep (see lockstep_trajectories) and build no
+    timeline events. Raises ValueError on a negative episode count or a
     step cap below 1, whether or not any episode runs.
     """
     if episodes < 0:
@@ -790,11 +783,7 @@ def calibration_trajectories(policy: Policy, kind: envsim.EnvKind, seed: int, ep
     if step_cap < 1:
         raise ValueError(f"step_cap must be at least 1, got {step_cap}")
     states = [envsim.make_env(kind, seed, ep, step_cap=step_cap).init_state for ep in range(episodes)]
-    per_round = min(_LOCKSTEP_ROWS, max(1, _LOCKSTEP_STEPS // step_cap))
-    out: list[Trajectory] = []
-    for first in range(0, episodes, per_round):
-        out += lockstep_trajectories(policy, kind, states[first:first + per_round], step_cap)
-    return out
+    return lockstep_trajectories(policy, kind, states, step_cap)
 
 
 def lockstep_trajectories(policy: Policy, kind: envsim.EnvKind, states: list[envsim.EnvState],
@@ -805,8 +794,8 @@ def lockstep_trajectories(policy: Policy, kind: envsim.EnvKind, states: list[env
 
     Every running episode sits at the same action index of its horizon, so
     each step is one Policy.action_rows over the running rows (a horizon's
-    input rows are prepared once, at its first index, from the state then
-    observed), then one envsim.step_rows. A row stops on success or at
+    input rows are built once by velocitynet.input_rows, at its first index,
+    from the state then observed), then one envsim.step_rows. A row stops on success or at
     step_cap actions. Each row gets the bits its lone episode gets.
     """
     n, h = len(states), policy.flow.h
@@ -822,7 +811,7 @@ def lockstep_trajectories(policy: Policy, kind: envsim.EnvKind, states: list[env
         obs = envsim.observe_rows(pos, goal, latch)
         features[rows, t] = obs
         if t % h == 0:
-            inputs = policy.prepare_rows(alpha, obs)
+            inputs = input_rows(policy.model, alpha, obs)
         a_norm, a_raw = policy.action_rows(inputs, alpha, t % h)
         actions[rows, t] = a_raw
         alpha = alpha + a_norm

@@ -167,9 +167,12 @@ def forward_rows(model: VelocityModel, rows: np.ndarray) -> np.ndarray:
     (B, 1, input_dim) as input_rows builds them; returns (B, 1, action_dim).
 
     Each layer is one stacked (B, 1, d) @ (d, k) product, with the bias added
-    and tanh applied in place as forward does, so every row gets the bits
-    forward gives it alone (a 2-D (B, d) @ (d, k) product does not: its
-    rows can differ in the last ulp). rows itself is not written.
+    and tanh applied in place as forward does. numpy's matmul makes one
+    vector-matrix BLAS call per (1, d) item of the stack, the call forward
+    makes for its lone row, so every row gets the bits forward gives it
+    alone, whatever B is (a 2-D (B, d) @ (d, k) product does not: it is one
+    matrix-matrix call, whose rows can differ in the last ulp). rows itself
+    is not written.
     """
     p = model.params
     n = model.n_layers()
@@ -469,17 +472,12 @@ class Policy:
         a_norm = flowmatch.extract_action(v, self.flow.h)
         return a_norm, normkit.denormalize(a_norm, self.stats)
 
-    def prepare_rows(self, alpha_norm: np.ndarray, obs_features: np.ndarray) -> np.ndarray:
-        """prepare for B observations at once: the (B, 1, input_dim) input
-        rows (velocitynet.input_rows) of B horizons, one row per ledger
-        alpha_norm[b] and observation obs_features[b]."""
-        return input_rows(self.model, alpha_norm, obs_features)
-
     def action_rows(self, rows: np.ndarray, alpha_norm: np.ndarray, T: int):
         """action for B horizons at the same index T: writes each ledger
-        alpha_norm[b] and time_table()[T] into rows, the stack prepare_rows
-        built, and returns the (normalized, raw) actions, one row each, with
-        the bits action gives each row alone."""
+        alpha_norm[b] and time_table()[T] into rows, the (B, 1, input_dim)
+        stack input_rows built for the horizons' observations, and returns
+        the (normalized, raw) actions, one row each, with the bits action
+        gives each row alone."""
         d = self.model.action_dim
         rows[:, 0, :d] = alpha_norm
         rows[:, 0, d:d + TIME_DIM] = self.time_table()[T]

@@ -650,14 +650,6 @@ def test_lockstep_rows_that_succeed_inside_their_first_horizon_drop_out(direct_p
     assert all(len(got[b]) > h for b in (0, 2, 3, 5))
 
 
-def test_calibration_rounds_do_not_change_trajectories(ctrl_policy, monkeypatch):
-    """Episodes beyond one round's budget run in later rounds, with the
-    trajectories one round gives."""
-    whole = streamexec.calibration_trajectories(ctrl_policy, CTRL, 2, 20, 42)
-    monkeypatch.setattr(streamexec, "_LOCKSTEP_STEPS", 42 * 6)
-    _assert_same_trajectories(streamexec.calibration_trajectories(ctrl_policy, CTRL, 2, 20, 42), whole)
-
-
 @pytest.mark.parametrize("episodes,cap", [(-1, 10), (0, 0), (3, 0), (0, -5)])
 def test_calibration_trajectories_reject_bad_counts(null_policy, episodes, cap):
     """A negative episode count or a step cap below 1 raises, also when no

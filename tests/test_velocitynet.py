@@ -346,12 +346,14 @@ def test_input_row_checks_dimensions():
 @pytest.mark.parametrize("policy_name", ["ctrl_policy", "direct_policy"])
 def test_stacked_rows_match_single_row_forward_bitwise(policy_name, request):
     """The stacked kernel on this BLAS: each row of a (B, 1, d) stack gets
-    the bits forward and Policy.action give it alone, for every batch size
-    a lockstep rollout meets, on the trained fixture networks."""
+    the bits forward and Policy.action give it alone, on the trained fixture
+    networks, for small stacks and for B = 1000, ten times the calibration
+    episodes bench and perfbench run (the bits do not depend on B: each
+    row is its own vector-matrix product)."""
     policy = request.getfixturevalue(policy_name)
     model, h = policy.model, policy.flow.h
     rng = make_rng(9, 4, 0)
-    for B in (1, 2, 7, 100, 128):
+    for B in (1, 2, 7, 100, 128, 1000):
         alpha = rng.normal(scale=0.5, size=(B, 2))
         obs = rng.uniform(-5.0, 5.0, size=(B, 7))
         T = B % h
@@ -365,7 +367,7 @@ def test_stacked_rows_match_single_row_forward_bitwise(policy_name, request):
             want = forward(model, alpha[b], T / float(h), obs[b], policy.time_table()[T])
             assert got[b, 0].tobytes() == want.tobytes(), (B, b)
 
-        got_norm, got_raw = policy.action_rows(policy.prepare_rows(alpha, obs), alpha, T)
+        got_norm, got_raw = policy.action_rows(input_rows(model, alpha, obs), alpha, T)
         for b in range(B):
             want_norm, want_raw = policy.action(alpha[b], T, obs[b])
             assert got_norm[b].tobytes() == want_norm.tobytes(), (B, b)
