@@ -139,16 +139,24 @@ def _artifact(path) -> dict:
 
 
 def _write_manifest(directory, command: str, resolved: dict, artifacts: dict[str, dict]) -> None:
-    """manifest.json: the command, its resolved configuration and each
-    artifact's entry (see _artifact)."""
-    manifest = {
-        "command": command,
+    """manifest.json: for each command that wrote into directory, its
+    resolved configuration and each artifact's entry (see _artifact), under
+    "commands". A command replaces only its own entry, so commands that share
+    a directory keep each other's. A manifest that cannot be read in this
+    layout is replaced."""
+    path = Path(directory) / "manifest.json"
+    try:
+        commands = json.loads(path.read_text())["commands"]
+    except (OSError, ValueError, KeyError, TypeError):
+        commands = None
+    if not isinstance(commands, dict):
+        commands = {}
+    commands[command] = {
         "config": {k: (v if not isinstance(v, Path) else str(v)) for k, v in resolved.items()},
         "artifacts": artifacts,
     }
-    path = Path(directory) / "manifest.json"
     with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump({"commands": commands}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

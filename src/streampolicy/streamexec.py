@@ -23,12 +23,12 @@ Event logs are deterministic for fixed seeds, with ties ordered
 observe < predict < generate < execute, then by action index.
 
 One _Chunk computes a horizon's actions on both runners (the simulated
-engine and the wall-clock runner). It prepares the horizon once
-(Policy.prepare, from its observation and starting ledger) and then computes
-each action in index order as one Policy.action on the prepared row: one
-Euler step of the learned flow, through velocitynet.forward,
-flowmatch.extract_action (the same flow math the trainer regresses on) and
-normkit.denormalize.
+engine and the wall-clock runner). It builds the horizon's network inputs
+once (Policy.inputs, from its observation) and then computes each action in
+index order as one Policy.action on them: the ledger and the time features
+written in place, one Euler step of the learned flow through
+velocitynet.forward, flowmatch.extract_action (the same flow math the
+trainer regresses on) and normkit.denormalize.
 
 One _Episode record keeps the executor side of an episode on both runners:
 the env state, the executed ledger, the indicator stream and the rules the
@@ -80,10 +80,12 @@ its t_gen budget, and never shares a horizon.
 calibration_trajectories, the on-policy rollouts that calibrate indicator
 thresholds, needs neither clock: plain streaming at zero latency with no
 early observation puts every episode at the same action index of its
-horizon. It steps the episodes in lockstep (lockstep_trajectories): one
-Policy.action_rows, a stacked forward over the running episodes, per index,
-then one envsim.step_rows. It builds no timeline events, and each
-trajectory is the one run_episode records for its episode, bit for bit.
+horizon. It steps the episodes in lockstep (lockstep_trajectories) through
+the two Policy methods _Chunk calls: a horizon's inputs are a stack of one
+row per running episode, and each action index is one Policy.action, a
+stacked velocitynet.forward, then one envsim.step_rows. It builds no
+timeline events, and each trajectory is the one run_episode records for its
+episode, bit for bit.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ import numpy as np
 from . import envsim, saliency
 from .core import ACTION_DIM, OBS_DIM, Trajectory, cumulative_states, make_rng, STREAM_INDICATOR
 from .envsim import EnvHandle
-from .velocitynet import Policy, input_rows
+from .velocitynet import Policy
 
 STAGE_OBSERVE = "observe"
 STAGE_PREDICT = "predict"
@@ -325,22 +327,22 @@ class _Chunk:
     indicator score reads them. The results are the ones generating the whole
     chunk up front gives.
 
-    The first action prepares the horizon (policy.prepare: the dimension
-    checks and the input row with the observation features in place), so on
-    the wall clock that work falls inside its t_gen budget. Every action is
-    then one policy.action on the prepared row.
+    The first action builds the horizon's inputs (policy.inputs: the
+    dimension checks and the input row with the observation features in
+    place), so on the wall clock that work falls inside its t_gen budget.
+    Every action is then one policy.action on them.
 
     On the simulated clock the chunk also keeps the environment path its
     executed actions take from each start state (see path).
     """
 
-    __slots__ = ("policy", "alpha", "features", "h", "norm", "raw", "row", "paths")
+    __slots__ = ("policy", "alpha", "features", "h", "norm", "raw", "inputs", "paths")
 
     def __init__(self, policy: Policy, alpha: np.ndarray, features: np.ndarray, h: int):
         self.policy, self.alpha, self.features, self.h = policy, alpha, features, h
         self.norm: list[np.ndarray] = []  # the actions computed so far, in index order
         self.raw: list[np.ndarray] = []
-        self.row = None
+        self.inputs = None
         # (id(start state), id(kind)) -> (start state, kind, [(successor, success)])
         self.paths: dict[tuple[int, int], tuple] = {}
 
@@ -348,8 +350,8 @@ class _Chunk:
         policy, features = self.policy, self.features
         for n in range(len(self.norm), stop):
             if n == 0:
-                self.row = policy.prepare(self.alpha, features)
-            a_norm, a_raw = policy.action(self.alpha, n, features, prepared=self.row)
+                self.inputs = policy.inputs(self.alpha, features)
+            a_norm, a_raw = policy.action(self.inputs, self.alpha, n)
             self.alpha = self.alpha + a_norm
             self.norm.append(a_norm)
             self.raw.append(a_raw)
@@ -793,10 +795,11 @@ def lockstep_trajectories(policy: Policy, kind: envsim.EnvKind, states: list[env
     lockstep, one row per episode.
 
     Every running episode sits at the same action index of its horizon, so
-    each step is one Policy.action_rows over the running rows (a horizon's
-    input rows are built once by velocitynet.input_rows, at its first index,
-    from the state then observed), then one envsim.step_rows. A row stops on success or at
-    step_cap actions. Each row gets the bits its lone episode gets.
+    each step is one Policy.action over the running rows, then one
+    envsim.step_rows. A horizon's inputs are built once by Policy.inputs, at
+    its first index, from the states then observed, one row per episode, as
+    _Chunk builds a lone episode's. A row stops on success or at step_cap
+    actions. Each row gets the bits its lone episode gets.
     """
     n, h = len(states), policy.flow.h
     if not n:
@@ -811,8 +814,8 @@ def lockstep_trajectories(policy: Policy, kind: envsim.EnvKind, states: list[env
         obs = envsim.observe_rows(pos, goal, latch)
         features[rows, t] = obs
         if t % h == 0:
-            inputs = input_rows(policy.model, alpha, obs)
-        a_norm, a_raw = policy.action_rows(inputs, alpha, t % h)
+            inputs = policy.inputs(alpha, obs)
+        a_norm, a_raw = policy.action(inputs, alpha, t % h)
         actions[rows, t] = a_raw
         alpha = alpha + a_norm
         pos, goal, latch, won = envsim.step_rows(kind, pos, goal, latch, a_raw)
@@ -820,7 +823,7 @@ def lockstep_trajectories(policy: Policy, kind: envsim.EnvKind, states: list[env
             lengths[rows[won]] = t + 1
             keep = ~won
             rows, pos, goal, latch, alpha, inputs = (
-                rows[keep], pos[keep], goal[keep], latch[keep], alpha[keep], inputs[keep])
+                rows[keep], pos[keep], goal[keep], latch[keep], alpha[keep], inputs.take(keep))
             if not rows.size:
                 break
     return [envsim.rollout_trajectory(kind, state, features[b, :lengths[b]], actions[b, :lengths[b]])

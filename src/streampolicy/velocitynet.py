@@ -99,96 +99,63 @@ def _mlp_forward(params: dict[str, np.ndarray], inp: np.ndarray, n_layers: int):
     return h, acts
 
 
-class InputRow:
-    """One network input row, [x | time features | obs features], kept for
-    the forward passes of one observation (a horizon's actions).
+class Inputs:
+    """Network inputs [x | time features | obs features] for the actions
+    generated from one observation (a horizon's actions): one 1-D row, or a
+    (B, 1, input_dim) stack of B such rows, one per horizon.
 
-    Building it checks the dimensions of x and obs_feat, writes the
-    observation features once and holds the layer weights. A forward pass
-    through it writes x and the time features and runs the layers in place.
+    Building them checks the dimensions of x and obs_feat (shapes
+    (action_dim,) and (obs_dim,), or (B, action_dim) and (B, obs_dim)),
+    writes the observation features once and looks up the layer weights.
+    Each action then writes x and the time features in place (Policy.action)
+    and runs forward on them.
     """
 
-    __slots__ = ("model", "obs", "row", "x", "tf", "hidden", "out")
+    __slots__ = ("rows", "x", "tf", "hidden", "out")
 
     def __init__(self, model: VelocityModel, x, obs_feat):
-        self.model, self.obs = model, obs_feat
         x, obs_feat = _check_dims(model, x, obs_feat)
-        if x.ndim != 1 or obs_feat.ndim != 1:
-            raise DimensionMismatchError("an input row takes one state and one observation")
-        self.row = np.concatenate([x, np.zeros(TIME_DIM), obs_feat])
-        d = model.action_dim
-        self.x = self.row[:d]
-        self.tf = self.row[d:d + TIME_DIM]
+        if x.ndim not in (1, 2) or x.shape[:-1] != obs_feat.shape[:-1]:
+            raise DimensionMismatchError("inputs take one state and one observation, or one of each per row")
+        rows = np.concatenate([x, np.zeros(x.shape[:-1] + (TIME_DIM,)), obs_feat], axis=-1)
         p = model.params
         layers = [(p[f"w{i}"], p[f"b{i}"]) for i in range(model.n_layers())]
-        self.hidden, self.out = tuple(layers[:-1]), layers[-1]
+        self._bind(rows if rows.ndim == 1 else rows[:, None, :], tuple(layers[:-1]), layers[-1])
+
+    def _bind(self, rows: np.ndarray, hidden: tuple, out: tuple) -> None:
+        self.rows, self.hidden, self.out = rows, hidden, out
+        flat = rows if rows.ndim == 1 else rows[:, 0]
+        d = out[1].shape[0]
+        self.x, self.tf = flat[..., :d], flat[..., d:d + TIME_DIM]
+
+    def take(self, keep: np.ndarray) -> Inputs:
+        """The inputs of the stack's rows that keep selects."""
+        kept = object.__new__(Inputs)
+        kept._bind(self.rows[keep], self.hidden, self.out)
+        return kept
 
 
-def forward(model: VelocityModel, x: np.ndarray, t: float, obs_feat: np.ndarray,
-            time_feat: np.ndarray | None = None, *, prepared: InputRow | None = None) -> np.ndarray:
-    """Velocity prediction for a single state/time/observation triple.
+def forward(inputs: Inputs) -> np.ndarray:
+    """Velocity predictions for inputs: (action_dim,) for a lone row,
+    (B, action_dim) for a stack. inputs itself is not written.
 
-    time_feat, when given, must be time_features(t); it saves recomputing a
-    row the caller already holds. prepared, when given, is the InputRow built
-    for this model and this obs_feat array (Policy.prepare), which saves
-    checking and assembling the inputs again; a row built for another model
-    or observation array raises ValueError. Each layer adds its bias and
-    applies tanh in place, giving the batched forward's rows bit for bit.
+    Each layer is one product, with the bias added and tanh applied in place,
+    which gives the training forward's rows (_mlp_forward) bit for bit. On a
+    stack each layer is one (B, 1, d) @ (d, k) product: numpy makes one
+    vector-matrix BLAS call per (1, d) item, the call a lone row makes, so
+    every row gets the bits it gets alone, whatever B is (a 2-D (B, d) @
+    (d, k) product does not: it is one matrix-matrix call, whose rows can
+    differ in the last ulp).
     """
-    if prepared is None:
-        prepared = InputRow(model, x, obs_feat)
-    elif prepared.model is not model or prepared.obs is not obs_feat:
-        raise ValueError("the prepared input row was built for another model or observation")
-    prepared.x[...] = x
-    prepared.tf[...] = time_features(float(t)) if time_feat is None else time_feat
-    z = prepared.row
-    for w, b in prepared.hidden:
+    z = inputs.rows
+    for w, b in inputs.hidden:
         z = z @ w
         z += b
         np.tanh(z, out=z)
-    w, b = prepared.out
+    w, b = inputs.out
     z = z @ w
     z += b
-    return z
-
-
-def input_rows(model: VelocityModel, x: np.ndarray, obs_feat: np.ndarray) -> np.ndarray:
-    """A stack of network input rows, shape (B, 1, input_dim), for B states
-    x (B, action_dim) and observations obs_feat (B, obs_dim): each row is
-    [x | zeros for the time features | obs features], as InputRow lays it out."""
-    x, obs_feat = _check_dims(model, x, obs_feat)
-    if x.ndim != 2 or obs_feat.ndim != 2 or len(x) != len(obs_feat):
-        raise DimensionMismatchError("input rows take one state and one observation per row")
-    return np.concatenate([x, np.zeros((len(x), TIME_DIM)), obs_feat], axis=1)[:, None, :]
-
-
-def forward_rows(model: VelocityModel, rows: np.ndarray) -> np.ndarray:
-    """Velocity predictions for a stack of assembled input rows, shape
-    (B, 1, input_dim) as input_rows builds them; returns (B, 1, action_dim).
-
-    Each layer is one stacked (B, 1, d) @ (d, k) product, with the bias added
-    and tanh applied in place as forward does. numpy's matmul makes one
-    vector-matrix BLAS call per (1, d) item of the stack, the call forward
-    makes for its lone row, so every row gets the bits forward gives it
-    alone, whatever B is (a 2-D (B, d) @ (d, k) product does not: it is one
-    matrix-matrix call, whose rows can differ in the last ulp). rows itself
-    is not written.
-    """
-    p = model.params
-    n = model.n_layers()
-    z = rows
-    for i in range(n):
-        z = z @ p[f"w{i}"]
-        z += p[f"b{i}"]
-        if i < n - 1:
-            np.tanh(z, out=z)
-    return z
-
-
-def forward_batch(model: VelocityModel, X: np.ndarray, T: np.ndarray, OBS: np.ndarray) -> np.ndarray:
-    inp = _assemble_inputs(model, X, np.asarray(T, dtype=np.float64), OBS)
-    out, _ = _mlp_forward(model.params, inp, model.n_layers())
-    return out
+    return z if z.ndim == 1 else z[:, 0]
 
 
 def loss_and_grad(model: VelocityModel, X: np.ndarray, T: np.ndarray, OBS: np.ndarray, V_target: np.ndarray):
@@ -448,41 +415,22 @@ class Policy:
             self._time_table = (h, np.stack([time_features(T / float(h)) for T in range(h)]))
         return self._time_table[1]
 
-    def prepare(self, alpha_norm: np.ndarray, obs_features: np.ndarray) -> InputRow:
-        """The input row for the actions generated from one observation.
+    def inputs(self, alpha_norm: np.ndarray, obs_features: np.ndarray) -> Inputs:
+        """The inputs for the actions generated from one observation, or from
+        one observation per row (see Inputs); pass them to each action."""
+        return Inputs(self.model, alpha_norm, obs_features)
 
-        Checks the dimensions of alpha_norm and obs_features; pass the row
-        and the same obs_features array to each of those action calls.
-        """
-        return InputRow(self.model, alpha_norm, obs_features)
-
-    def velocity(self, alpha_norm: np.ndarray, T: int, obs_features: np.ndarray,
-                 prepared: InputRow | None = None) -> np.ndarray:
+    def action(self, inputs: Inputs, alpha_norm: np.ndarray, T: int):
+        """Generate the action at index T, 0 <= T < h, of the horizon inputs
+        were built for, from the ledger alpha_norm (one row per stack row):
+        writes alpha_norm and time_table()[T] into inputs and returns the
+        (normalized, raw) pair. A stack's rows get the bits each gets alone."""
         h = self.flow.h
-        row = None
-        if isinstance(T, (int, np.integer)) and 0 <= T < h:
-            row = self.time_table()[T]
-        return forward(self.model, alpha_norm, T / float(h), obs_features, row, prepared=prepared)
-
-    def action(self, alpha_norm: np.ndarray, T: int, obs_features: np.ndarray,
-               prepared: InputRow | None = None):
-        """Generate one action: returns (normalized, raw) pair. prepared, when
-        given, is the row prepare() built for obs_features."""
-        v = self.velocity(alpha_norm, T, obs_features, prepared)
-        a_norm = flowmatch.extract_action(v, self.flow.h)
-        return a_norm, normkit.denormalize(a_norm, self.stats)
-
-    def action_rows(self, rows: np.ndarray, alpha_norm: np.ndarray, T: int):
-        """action for B horizons at the same index T: writes each ledger
-        alpha_norm[b] and time_table()[T] into rows, the (B, 1, input_dim)
-        stack input_rows built for the horizons' observations, and returns
-        the (normalized, raw) actions, one row each, with the bits action
-        gives each row alone."""
-        d = self.model.action_dim
-        rows[:, 0, :d] = alpha_norm
-        rows[:, 0, d:d + TIME_DIM] = self.time_table()[T]
-        v = forward_rows(self.model, rows)[:, 0]
-        a_norm = flowmatch.extract_action(v, self.flow.h)
+        if not 0 <= T < h:
+            raise ValueError(f"action index {T} outside the horizon [0, {h})")
+        inputs.x[...] = alpha_norm
+        inputs.tf[...] = self.time_table()[T]
+        a_norm = flowmatch.extract_action(forward(inputs), h)
         return a_norm, normkit.denormalize(a_norm, self.stats)
 
 

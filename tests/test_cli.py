@@ -30,6 +30,12 @@ def workdir(tmp_path_factory):
     return d
 
 
+def _manifest(directory, command=None) -> dict:
+    """The commands' entries of directory's manifest.json, or command's."""
+    commands = json.loads((Path(directory) / "manifest.json").read_text())["commands"]
+    return commands if command is None else commands[command]
+
+
 def test_gen_data_writes_dataset_and_manifest(workdir):
     demos = workdir / "data" / "demos.jsonl"
     trajs, header = load_dataset(demos)
@@ -37,7 +43,7 @@ def test_gen_data_writes_dataset_and_manifest(workdir):
     assert header["env"]["variant"] == "controller"
     assert header["seed"] == 7
 
-    manifest = json.loads((workdir / "data" / "manifest.json").read_text())
+    manifest = _manifest(workdir / "data", "gen-data")
     entry = manifest["artifacts"]["dataset"]
     assert entry["sha256"] == hashlib.sha256(demos.read_bytes()).hexdigest()
     assert manifest["config"]["episodes"] == 25
@@ -50,7 +56,7 @@ def test_trained_policy_loads(workdir):
     assert adam is not None
     assert policy.alpha0_convention == "zero"
     assert (workdir / "policy" / "policy.log.csv").exists()
-    manifest = json.loads((workdir / "policy" / "manifest.json").read_text())
+    manifest = _manifest(workdir / "policy", "train-policy")
     assert manifest["artifacts"]["policy"]["sha256"] == \
         hashlib.sha256(ckpt.read_bytes()).hexdigest()
 
@@ -66,7 +72,7 @@ def test_train_policy_manifest_digests_the_logged_losses(workdir, tmp_path):
                    "--out", str(out), "--iterations", "30", "--batch-size", "16",
                    "--hidden", "16,16", "--log-every", "10"])
         assert rc == 0
-        manifests.append(json.loads((out.parent / "manifest.json").read_text()))
+        manifests.append(_manifest(out.parent, "train-policy"))
     logs = [m["artifacts"]["train_log"] for m in manifests]
     assert logs[0]["iteration_loss_sha256"] == logs[1]["iteration_loss_sha256"]
     text = Path(logs[0]["path"]).read_text()
@@ -74,6 +80,52 @@ def test_train_policy_manifest_digests_the_logged_losses(workdir, tmp_path):
     assert columns.startswith("iteration,loss\n")
     assert logs[0]["iteration_loss_sha256"] == hashlib.sha256(columns.encode()).hexdigest()
     assert manifests[0]["artifacts"]["policy"]["sha256"] == manifests[1]["artifacts"]["policy"]["sha256"]
+
+
+def test_commands_sharing_a_directory_keep_every_manifest_entry(tmp_path):
+    """gen-data, train-policy and train-predictor into one directory, as
+    scripts/run_pipeline.sh runs them: the manifest keeps every command's
+    digests, and a re-run replaces only its own entry."""
+    demos, policy, predictor = (tmp_path / n for n in ("demos.jsonl", "policy.ckpt", "predictor.ckpt"))
+
+    def gen_data(seed):
+        return main(["gen-data", "--env", "controller", "--episodes", "12", "--seed", str(seed),
+                     "--out", str(demos)])
+
+    assert gen_data(3) == 0
+    assert main(["train-policy", "--data", str(demos), "--out", str(policy), "--iterations", "20",
+                 "--batch-size", "8", "--hidden", "8", "--log-every", "10"]) == 0
+    assert main(["train-predictor", "--data", str(demos), "--out", str(predictor),
+                 "--iterations", "20"]) == 0
+
+    def digests():
+        return {cmd: {name: a["sha256"] for name, a in entry["artifacts"].items()}
+                for cmd, entry in _manifest(tmp_path).items()}
+
+    def sha(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    first = digests()
+    assert set(first) == {"gen-data", "train-policy", "train-predictor"}
+    assert first["gen-data"] == {"dataset": sha(demos)}
+    assert first["train-policy"]["policy"] == sha(policy)
+    assert first["train-predictor"] == {"predictor": sha(predictor)}
+
+    assert gen_data(4) == 0
+    again = digests()
+    assert again["gen-data"] == {"dataset": sha(demos)} != first["gen-data"]
+    assert {k: v for k, v in again.items() if k != "gen-data"} == \
+        {k: v for k, v in first.items() if k != "gen-data"}
+    assert _manifest(tmp_path, "gen-data")["config"]["seed"] == 4
+
+
+def test_an_unreadable_manifest_is_replaced(tmp_path):
+    """A manifest.json that is not JSON, or not in the per-command layout
+    (the old one-command layout included), gives way to a fresh one."""
+    for old in ("not json", "[1, 2]", '{"commands": [1]}', '{"command": "bench"}'):
+        (tmp_path / "manifest.json").write_text(old)
+        assert main(["gen-data", "--episodes", "2", "--out", str(tmp_path / "demos.jsonl")]) == 0
+        assert set(_manifest(tmp_path)) == {"gen-data"}, old
 
 
 def test_rollout_runs(workdir, capsys):
@@ -144,7 +196,7 @@ def test_bench_writes_results(workdir, tmp_path, capsys):
         assert label in table
     csv_lines = (out_dir / "results.csv").read_text().strip().splitlines()
     assert len(csv_lines) == 5
-    assert json.loads((out_dir / "manifest.json").read_text())["command"] == "bench"
+    assert set(_manifest(out_dir)) == {"bench"}
 
 
 def test_bench_runs_every_episode_through_run_episode(workdir, tmp_path, monkeypatch):
@@ -544,7 +596,7 @@ def test_env_defaults_to_the_one_the_policy_was_trained_on(workdir, tmp_path, ca
     out_dir = tmp_path / "bench"
     assert main(["bench", "--policy", policy, "--episodes", "1", "--step-cap", "10",
                  "--eo", "naive", "--out-dir", str(out_dir)]) == 0
-    assert json.loads((out_dir / "manifest.json").read_text())["config"]["env"] == "controller"
+    assert _manifest(out_dir, "bench")["config"]["env"] == "controller"
 
 
 def test_legacy_norm_flag_is_gone(workdir, tmp_path, capsys):

@@ -35,12 +35,12 @@ class _ConstPolicy:
     def initial_alpha(self, position):
         return np.zeros(2)
 
-    def prepare(self, alpha_norm, obs_features):
-        return None
+    def inputs(self, alpha_norm, obs_features):
+        return obs_features
 
-    def action(self, alpha_norm, T, obs_features, prepared=None):
+    def action(self, inputs, alpha_norm, T):
         if T == 0:
-            self.seen.append(obs_features.copy())
+            self.seen.append(inputs.copy())
         return 0.5 * self.raw, self.raw.copy()
 
 
@@ -339,7 +339,7 @@ def _eager_streaming(policy: Policy, predictor, env: EnvHandle, stage: StageLate
                 start = max(start, exec_starts[g - h])
             end = start + stage.t_gen
             events.append(TimelineEvent(STAGE_GENERATE, g, horizon, start, end))
-            a_norm, a_raw = policy.action(gen_alpha, i, obs.features)
+            a_norm, a_raw = policy.action(policy.inputs(gen_alpha, obs.features), gen_alpha, i)
             gen_alpha = gen_alpha + a_norm
             acts_norm[i] = a_norm
             acts_raw[i] = a_raw
@@ -447,7 +447,7 @@ def _eager_sync(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
         for i in range(h):
             end = lane + stage.t_gen
             events.append(TimelineEvent(STAGE_GENERATE, base + i, horizon, lane, end))
-            a_norm, a_raw = policy.action(gen_alpha, i, obs.features)
+            a_norm, a_raw = policy.action(policy.inputs(gen_alpha, obs.features), gen_alpha, i)
             gen_alpha = gen_alpha + a_norm
             acts_norm[i] = a_norm
             acts_raw[i] = a_raw
@@ -650,6 +650,17 @@ def test_lockstep_rows_that_succeed_inside_their_first_horizon_drop_out(direct_p
     assert all(len(got[b]) > h for b in (0, 2, 3, 5))
 
 
+def test_lockstep_calibration_makes_one_forward_call_per_action_index(monkeypatch, ctrl_policy):
+    """Calibration's actions go through velocitynet.forward, the attribute
+    the traced benchmark wraps: one stacked call per action index, over the
+    episodes still running at that index."""
+    calls = _count_forward_passes(monkeypatch)
+    trajs = streamexec.calibration_trajectories(ctrl_policy, CTRL, 4, 30, 42)
+    lengths = [len(t) for t in trajs]
+    assert min(lengths) < max(lengths)  # some rows drop out before others
+    assert calls == [(sum(n > t for n in lengths), 2) for t in range(max(lengths))]
+
+
 @pytest.mark.parametrize("episodes,cap", [(-1, 10), (0, 0), (3, 0), (0, -5)])
 def test_calibration_trajectories_reject_bad_counts(null_policy, episodes, cap):
     """A negative episode count or a step cap below 1 raises, also when no
@@ -726,15 +737,19 @@ def test_assert_results_identical_covers_every_field():
         "n_horizons", "eo_fired", "steps", "trajectory", "eo_decisions", "overruns"]
 
 
+LONE_ROW = (2,)
+
+
 def _count_forward_passes(monkeypatch) -> list:
-    """Counts velocitynet.forward calls, the one forward pass of each
-    computed action on the prepared path every Policy takes."""
+    """Records each velocitynet.forward call, the one forward pass of each
+    computed action, by the shape of its ledger: LONE_ROW for one episode's
+    1-D row, (B, 2) for a lockstep stack of B rows."""
     calls = []
     real = velocitynet.forward
 
-    def counting_forward(*args, **kwargs):
-        calls.append(kwargs.get("prepared") is not None)
-        return real(*args, **kwargs)
+    def counting_forward(inputs):
+        calls.append(inputs.x.shape)
+        return real(inputs)
 
     monkeypatch.setattr(velocitynet, "forward", counting_forward)
     return calls
@@ -754,7 +769,7 @@ def test_simulated_clock_computes_only_executed_actions(monkeypatch, null_policy
     calls = _count_forward_passes(monkeypatch)
     res = run_episode(null_policy, None, make_env(DIRECT, 11, step_cap=cap), REFERENCE_PROFILE, sched)
     assert res.steps == cap
-    assert len(calls) == res.steps and all(calls)
+    assert calls == [LONE_ROW] * res.steps
     assert len(_by_stage(res.events, STAGE_GENERATE)) == res.n_horizons * sched.h
 
 
@@ -811,7 +826,7 @@ def test_scored_indicator_reads_the_whole_remaining_tail(monkeypatch, null_polic
     assert res.steps == 18 and res.eo_decisions == 1 and res.eo_fired == 0
     assert len(scored) == 1
     assert scored[0].tobytes() == res.actions_raw[7:10].tobytes()
-    assert len(calls) == res.steps and all(calls)
+    assert calls == [LONE_ROW] * res.steps
 
 
 @pytest.mark.wall_clock
@@ -1102,10 +1117,10 @@ class _BlockingPolicy:
     def initial_alpha(self, position):
         return np.zeros(2)
 
-    def prepare(self, alpha_norm, obs_features):
+    def inputs(self, alpha_norm, obs_features):
         return None
 
-    def action(self, alpha_norm, T, obs_features, prepared=None):
+    def action(self, inputs, alpha_norm, T):
         self.calls += 1
         if self.calls > self.block_at:
             self.release.wait(timeout=30.0)
@@ -1134,10 +1149,10 @@ class _SlowPolicy:
     def initial_alpha(self, position):
         return np.zeros(2)
 
-    def prepare(self, alpha_norm, obs_features):
+    def inputs(self, alpha_norm, obs_features):
         return None
 
-    def action(self, alpha_norm, T, obs_features, prepared=None):
+    def action(self, inputs, alpha_norm, T):
         time.sleep(self.compute_s)
         return np.full(2, 0.001), np.full(2, 0.002)
 

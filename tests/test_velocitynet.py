@@ -7,9 +7,9 @@ from streampolicy.normkit import NormStats
 from streampolicy.saliency import PredictorConfig, init_predictor
 from streampolicy.saliency import loss_and_grad as predictor_loss_and_grad
 from streampolicy.velocitynet import (
-    AdamState, CheckpointError, InputRow, Policy, adam_step, forward, forward_batch,
+    AdamState, CheckpointError, Inputs, Policy, adam_step, forward,
     init_adam, init_velocity_model, load_policy, loss_and_grad, read_container,
-    forward_rows, input_rows, save_policy, time_features, write_container,
+    save_policy, time_features, write_container,
     TAG_VELOCITY_POLICY, TIME_DIM, _assemble_inputs, _mlp_forward,
 )
 
@@ -47,12 +47,21 @@ def test_gradient_matches_central_differences(rng):
     assert worst < 1e-4, worst
 
 
+def _forward_at(model, x, t, obs):
+    """The kernel on fresh inputs for one state, time and observation."""
+    inputs = Inputs(model, x, obs)
+    inputs.tf[...] = time_features(t)
+    return forward(inputs)
+
+
 def test_forward_batch_agrees_with_single(rng):
+    """The training forward on a batch agrees with the action kernel on each
+    of its rows."""
     model = _small_model()
     X, T, OBS, _ = _batch(rng)
-    batched = forward_batch(model, X, T, OBS)
+    batched, _ = _mlp_forward(model.params, _assemble_inputs(model, X, T, OBS), model.n_layers())
     for i in range(X.shape[0]):
-        assert np.allclose(batched[i], forward(model, X[i], float(T[i]), OBS[i]), atol=1e-12)
+        assert np.allclose(batched[i], _forward_at(model, X[i], float(T[i]), OBS[i]), atol=1e-12)
 
 
 def test_time_features_shape_and_range():
@@ -205,14 +214,15 @@ def test_policy_save_load_identical(tmp_path):
     assert loaded.flow == policy.flow
     x = np.array([0.1, -0.2])
     obs = np.linspace(-1, 1, 7)
-    assert np.array_equal(loaded.velocity(x, 3, obs), policy.velocity(x, 3, obs))
+    for got, want in zip(loaded.action(loaded.inputs(x, obs), x, 3), policy.action(policy.inputs(x, obs), x, 3)):
+        assert np.array_equal(got, want)
 
 
 def test_policy_action_pair_consistent():
     policy = _toy_policy()
-    a_norm, a_raw = policy.action(np.zeros(2), 0, np.zeros(7))
+    a_norm, a_raw = policy.action(policy.inputs(np.zeros(2), np.zeros(7)), np.zeros(2), 0)
     assert np.allclose(a_raw, a_norm * policy.stats.scale)
-    v = policy.velocity(np.zeros(2), 0, np.zeros(7))
+    v = _forward_at(policy.model, np.zeros(2), 0.0, np.zeros(7))
     assert np.allclose(a_norm, v / policy.flow.h)
 
 
@@ -236,30 +246,39 @@ def test_time_table_follows_horizon_change():
 
 def _action_via_forward(policy, alpha, T, obs):
     h = float(policy.flow.h)
-    a_norm = forward(policy.model, alpha, T / h, obs) / h
+    a_norm = _forward_at(policy.model, alpha, T / h, obs) / h
     return a_norm, a_norm * policy.stats.scale
 
 
 @pytest.mark.parametrize("h", [1, 5, 10])
 def test_policy_action_matches_forward_bitwise(h):
-    """Every T, including T = h and T = -1 outside the table, gives the
-    per-call forward result bit for bit."""
+    """Every T of the horizon, an int or a numpy integer, gives the kernel
+    on time_features(T / h) bit for bit."""
     policy = _toy_policy()
     policy.flow = FlowParams(h=h)
     rng = make_rng(5, 1, h)
     alpha = rng.normal(size=2)
     obs = rng.normal(size=7)
-    for T in [*range(h), np.int64(h - 1), h, -1]:
-        got = policy.action(alpha, T, obs)
+    for T in [*range(h), np.int64(h - 1)]:
+        got = policy.action(policy.inputs(alpha, obs), alpha, T)
         want = _action_via_forward(policy, alpha, T, obs)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes(), T
 
 
+@pytest.mark.parametrize("T", [-1, 10, 11, np.int64(10)])
+def test_policy_action_rejects_an_index_outside_the_horizon(T):
+    policy = _toy_policy()
+    assert policy.flow.h == 10
+    inputs = policy.inputs(np.zeros(2), np.zeros(7))
+    with pytest.raises(ValueError, match=r"action index -?\d+ outside the horizon \[0, 10\)"):
+        policy.action(inputs, np.zeros(2), T)
+
+
 def test_policy_action_goes_through_forward(monkeypatch):
-    """Single-row calls keep passing through velocitynet.forward (what the
-    traced benchmark counts) and take their action from
-    flowmatch.extract_action; time_features runs only to build the table."""
+    """Actions pass through velocitynet.forward (what the traced benchmark
+    counts) and take their action from flowmatch.extract_action;
+    time_features runs only to build the table."""
     from streampolicy import flowmatch, velocitynet
 
     calls = {"forward": 0, "time_features": 0, "extract_action": 0}
@@ -278,78 +297,79 @@ def test_policy_action_goes_through_forward(monkeypatch):
     policy = _toy_policy()
     h = policy.flow.h
     for _ in range(3):
+        inputs = policy.inputs(np.zeros(2), np.zeros(7))
         for T in range(h):
-            policy.action(np.zeros(2), T, np.zeros(7))
+            policy.action(inputs, np.zeros(2), T)
     assert calls == {"forward": 3 * h, "time_features": h, "extract_action": 3 * h}
-    policy.action(np.zeros(2), h, np.zeros(7))
-    assert calls == {"forward": 3 * h + 1, "time_features": h + 1, "extract_action": 3 * h + 1}
+    policy.action(policy.inputs(np.zeros((4, 2)), np.zeros((4, 7))), np.zeros((4, 2)), 0)
+    assert calls == {"forward": 3 * h + 1, "time_features": h, "extract_action": 3 * h + 1}
 
 
 @pytest.mark.parametrize("hidden", [(16, 12), (8,), (5, 6, 7)])
 def test_forward_on_a_prepared_row_matches_the_batched_layers_bitwise(hidden):
-    """One InputRow serves many forward passes on its observation: each
-    gives the training path's layers, run on that one row, bit for bit, with
-    the time features passed in or computed from t; so does a forward that
-    builds its own row."""
+    """One lone row of Inputs serves many forward passes on its observation:
+    each gives the training path's layers, run on that one row, bit for bit,
+    and leaves the observation features as they were written."""
     model = init_velocity_model(2, 7, hidden=hidden, rng=make_rng(3, 7, len(hidden)))
     rng = make_rng(5, 2, len(hidden))
     for k, b in model.params.items():
         if k.startswith("b"):  # initialized to zero, which would hide the bias add
             b[...] = rng.normal(size=b.shape)
     obs = rng.normal(size=7)
-    row = InputRow(model, np.zeros(2), obs)
+    inputs = Inputs(model, np.zeros(2), obs)
     for T in range(12):
         x = rng.normal(size=2)
         t = T / 10.0
-        inp = _assemble_inputs(model, x, t, obs)
-        want = _mlp_forward(model.params, inp, model.n_layers())[0]
-        assert forward(model, x, t, obs).tobytes() == want.tobytes(), T
-        for tf in (time_features(t), None):
-            got = forward(model, x, t, obs, tf, prepared=row)
-            assert got.tobytes() == want.tobytes(), (T, tf is None)
-    assert row.row[2 + TIME_DIM:].tobytes() == obs.tobytes()
-
-
-def test_forward_rejects_a_row_prepared_for_another_input():
-    model = _small_model()
-    obs = np.linspace(-1, 1, 7)
-    row = InputRow(model, np.zeros(2), obs)
-    with pytest.raises(ValueError, match="another model or observation"):
-        forward(model, np.zeros(2), 0.0, obs.copy(), prepared=row)
-    with pytest.raises(ValueError, match="another model or observation"):
-        forward(_small_model(1), np.zeros(2), 0.0, obs, prepared=row)
+        want = _mlp_forward(model.params, _assemble_inputs(model, x, t, obs), model.n_layers())[0]
+        inputs.x[...] = x
+        inputs.tf[...] = time_features(t)
+        assert forward(inputs).tobytes() == want.tobytes(), T
+        assert _forward_at(model, x, t, obs).tobytes() == want.tobytes(), T
+    assert inputs.rows[2 + TIME_DIM:].tobytes() == obs.tobytes()
 
 
 def test_policy_action_on_a_prepared_row_matches_action_bitwise():
+    """One Inputs serves a whole horizon: each action on it gives the bits
+    of the same action on inputs built for it alone."""
     policy = _toy_policy()
     rng = make_rng(5, 3, 0)
     alpha, obs = rng.normal(size=2), rng.normal(size=7)
-    row = policy.prepare(alpha, obs)
-    for T in [*range(policy.flow.h), policy.flow.h]:
+    inputs = policy.inputs(alpha, obs)
+    for T in range(policy.flow.h):
         alpha = alpha + 0.01 * T
-        got = policy.action(alpha, T, obs, prepared=row)
-        want = policy.action(alpha, T, obs)
+        got = policy.action(inputs, alpha, T)
+        want = policy.action(policy.inputs(alpha, obs), alpha, T)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes(), T
 
 
-def test_input_row_checks_dimensions():
+def test_inputs_check_dimensions():
+    """One builder checks a lone row and a stack alike."""
     model = _small_model()
-    with pytest.raises(DimensionMismatchError, match="obs dim 6 != 7"):
-        InputRow(model, np.zeros(2), np.zeros(6))
-    with pytest.raises(DimensionMismatchError, match="state dim 3 != 2"):
-        InputRow(model, np.zeros(3), np.zeros(7))
-    with pytest.raises(DimensionMismatchError, match="one state and one observation"):
-        InputRow(model, np.zeros((4, 2)), np.zeros((4, 7)))
+    assert Inputs(model, np.zeros(2), np.ones(7)).rows.shape == (2 + TIME_DIM + 7,)
+    assert Inputs(model, np.zeros((3, 2)), np.ones((3, 7))).rows.shape == (3, 1, 2 + TIME_DIM + 7)
+    for x, obs, match in [
+        (np.zeros(3), np.zeros(7), "state dim 3 != 2"),
+        (np.zeros((3, 3)), np.zeros((3, 7)), "state dim 3 != 2"),
+        (np.zeros(2), np.zeros(6), "obs dim 6 != 7"),
+        (np.zeros((3, 2)), np.zeros((3, 6)), "obs dim 6 != 7"),
+        (np.zeros((3, 2)), np.zeros((4, 7)), "one of each per row"),
+        (np.zeros(2), np.zeros((1, 7)), "one of each per row"),
+        (np.zeros((1, 2)), np.zeros(7), "one of each per row"),
+        (np.zeros((2, 1, 2)), np.zeros((2, 1, 7)), "one of each per row"),
+    ]:
+        with pytest.raises(DimensionMismatchError, match=match):
+            Inputs(model, x, obs)
 
 
 @pytest.mark.parametrize("policy_name", ["ctrl_policy", "direct_policy"])
 def test_stacked_rows_match_single_row_forward_bitwise(policy_name, request):
     """The stacked kernel on this BLAS: each row of a (B, 1, d) stack gets
-    the bits forward and Policy.action give it alone, on the trained fixture
-    networks, for small stacks and for B = 1000, ten times the calibration
-    episodes bench and perfbench run (the bits do not depend on B: each
-    row is its own vector-matrix product)."""
+    the bits the kernel and Policy.action give it as a lone 1-D row, on the
+    trained fixture networks, for small stacks and for B = 1000, ten times
+    the calibration episodes bench and perfbench run (the bits do not depend
+    on B: each row is its own vector-matrix product). Rows a stack keeps
+    (Inputs.take) keep their bits too."""
     policy = request.getfixturevalue(policy_name)
     model, h = policy.model, policy.flow.h
     rng = make_rng(9, 4, 0)
@@ -357,29 +377,24 @@ def test_stacked_rows_match_single_row_forward_bitwise(policy_name, request):
         alpha = rng.normal(scale=0.5, size=(B, 2))
         obs = rng.uniform(-5.0, 5.0, size=(B, 7))
         T = B % h
-        rows = input_rows(model, alpha, obs)
-        rows[:, 0, 2:2 + TIME_DIM] = policy.time_table()[T]
-        before = rows.copy()
-        got = forward_rows(model, rows)
-        assert got.shape == (B, 1, 2)
-        assert rows.tobytes() == before.tobytes()
+        stack = Inputs(model, alpha, obs)
+        stack.tf[...] = policy.time_table()[T]
+        before = stack.rows.copy()
+        got = forward(stack)
+        assert got.shape == (B, 2)
+        assert stack.rows.tobytes() == before.tobytes()
         for b in range(B):
-            want = forward(model, alpha[b], T / float(h), obs[b], policy.time_table()[T])
-            assert got[b, 0].tobytes() == want.tobytes(), (B, b)
+            lone = Inputs(model, alpha[b], obs[b])
+            lone.tf[...] = policy.time_table()[T]
+            assert got[b].tobytes() == forward(lone).tobytes(), (B, b)
 
-        got_norm, got_raw = policy.action_rows(input_rows(model, alpha, obs), alpha, T)
+        got_norm, got_raw = policy.action(policy.inputs(alpha, obs), alpha, T)
+        assert got_norm.shape == got_raw.shape == (B, 2)
         for b in range(B):
-            want_norm, want_raw = policy.action(alpha[b], T, obs[b])
+            want_norm, want_raw = policy.action(policy.inputs(alpha[b], obs[b]), alpha[b], T)
             assert got_norm[b].tobytes() == want_norm.tobytes(), (B, b)
             assert got_raw[b].tobytes() == want_raw.tobytes(), (B, b)
 
-
-def test_input_rows_check_dimensions():
-    model = _small_model()
-    assert input_rows(model, np.zeros((3, 2)), np.ones((3, 7))).shape == (3, 1, 2 + TIME_DIM + 7)
-    with pytest.raises(DimensionMismatchError, match="obs dim 6 != 7"):
-        input_rows(model, np.zeros((3, 2)), np.zeros((3, 6)))
-    with pytest.raises(DimensionMismatchError, match="one state and one observation per row"):
-        input_rows(model, np.zeros((3, 2)), np.zeros((4, 7)))
-    with pytest.raises(DimensionMismatchError, match="one state and one observation per row"):
-        input_rows(model, np.zeros(2), np.zeros(7))
+        keep = np.arange(B) % 3 != 1
+        kept_norm, _ = policy.action(policy.inputs(alpha, obs).take(keep), alpha[keep], T)
+        assert kept_norm.tobytes() == got_norm[keep].tobytes(), B
