@@ -343,19 +343,28 @@ def test_policy_action_on_a_prepared_row_matches_action_bitwise():
             assert g.tobytes() == w.tobytes(), T
 
 
-def test_inputs_check_dimensions():
-    """One builder checks a lone row and a stack alike."""
+def test_input_row_checks_dimensions():
+    """Inputs checks a lone row: a 1-D state and a 1-D observation."""
     model = _small_model()
     assert Inputs(model, np.zeros(2), np.ones(7)).rows.shape == (2 + TIME_DIM + 7,)
-    assert Inputs(model, np.zeros((3, 2)), np.ones((3, 7))).rows.shape == (3, 1, 2 + TIME_DIM + 7)
     for x, obs, match in [
         (np.zeros(3), np.zeros(7), "state dim 3 != 2"),
-        (np.zeros((3, 3)), np.zeros((3, 7)), "state dim 3 != 2"),
         (np.zeros(2), np.zeros(6), "obs dim 6 != 7"),
-        (np.zeros((3, 2)), np.zeros((3, 6)), "obs dim 6 != 7"),
-        (np.zeros((3, 2)), np.zeros((4, 7)), "one of each per row"),
         (np.zeros(2), np.zeros((1, 7)), "one of each per row"),
         (np.zeros((1, 2)), np.zeros(7), "one of each per row"),
+    ]:
+        with pytest.raises(DimensionMismatchError, match=match):
+            Inputs(model, x, obs)
+
+
+def test_input_rows_check_dimensions():
+    """Inputs checks a stack: one state and one observation per row."""
+    model = _small_model()
+    assert Inputs(model, np.zeros((3, 2)), np.ones((3, 7))).rows.shape == (3, 1, 2 + TIME_DIM + 7)
+    for x, obs, match in [
+        (np.zeros((3, 3)), np.zeros((3, 7)), "state dim 3 != 2"),
+        (np.zeros((3, 2)), np.zeros((3, 6)), "obs dim 6 != 7"),
+        (np.zeros((3, 2)), np.zeros((4, 7)), "one of each per row"),
         (np.zeros((2, 1, 2)), np.zeros((2, 1, 7)), "one of each per row"),
     ]:
         with pytest.raises(DimensionMismatchError, match=match):
