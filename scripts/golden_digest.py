@@ -23,8 +23,9 @@ tests/test_pins.py calls it on the test suite's fixture networks and pins
 the digest for both env variants.
 
 The script also prints a sha256 of those calibration trajectories
-(calibration_digest()), which no test pins: the grid digest sees a change
-to a calibration rollout only if it moves a threshold, this one sees any.
+(calibration_digest()), which tests/test_pins.py pins too: the grid digest
+sees a change to a calibration rollout only if it moves a threshold, this
+one sees any.
 
     PYTHONPATH=src python3 scripts/golden_digest.py \\
         --policy policy.ckpt --predictor predictor.ckpt [--env controller] [--episodes 3]

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import envsim, metrics, saliency, streamexec, trainer
-from .core import DatasetError, load_dataset, save_dataset
+from .core import ALPHA0_ZERO, DatasetError, load_dataset, save_dataset
 from .envsim import GenerationError
 from .trainer import TrainConfig, TrainingDivergedError
 from .velocitynet import CheckpointError, load_policy, save_policy
@@ -243,7 +243,7 @@ def _cmd_gen_data(cfg) -> int:
 def _cmd_train_policy(cfg) -> int:
     _check_counts(cfg, "iterations", "log_every")
     trajectories, header = _load_trajectories(cfg["data"])
-    convention = header.get("env", {}).get("alpha0", "zero")
+    convention = header.get("env", {}).get("alpha0", ALPHA0_ZERO)
 
     tc = TrainConfig(
         h=cfg["horizon"],

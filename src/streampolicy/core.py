@@ -25,6 +25,10 @@ ACTION_DIM = 2
 OBS_DIM = 7
 DATASET_FORMAT = "streampolicy-trajectories"
 DATASET_VERSION = 1
+# how an episode seeds its action-state ledger: at zero (a pure action
+# accumulator) or at the initial position (a ledger that tracks position)
+ALPHA0_ZERO = "zero"
+ALPHA0_INITIAL_POSITION = "initial_position"
 
 
 class DimensionMismatchError(ValueError):

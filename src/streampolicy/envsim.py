@@ -19,7 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ACTION_DIM, OBS_DIM, Observation, Trajectory, cumulative_states, make_rng, STREAM_DEMO, STREAM_INIT
+from .core import (ACTION_DIM, ALPHA0_INITIAL_POSITION, ALPHA0_ZERO, OBS_DIM, Observation, Trajectory,
+                   cumulative_states, make_rng, STREAM_DEMO, STREAM_INIT)
 
 WORKSPACE_LO = -5.0
 WORKSPACE_HI = 5.0
@@ -206,11 +207,11 @@ def alpha0_convention(kind: EnvKind) -> str:
     # Direct dynamics make the action-state ledger equal physical position
     # when seeded with the start position; the controller ledger is a pure
     # action accumulator and starts at zero.
-    return "initial_position" if kind.variant == KIND_DIRECT else "zero"
+    return ALPHA0_INITIAL_POSITION if kind.variant == KIND_DIRECT else ALPHA0_ZERO
 
 
 def alpha0_for(kind: EnvKind, state: EnvState) -> np.ndarray:
-    if alpha0_convention(kind) == "initial_position":
+    if alpha0_convention(kind) == ALPHA0_INITIAL_POSITION:
         return state.position.copy()
     return np.zeros(ACTION_DIM)
 
@@ -251,7 +252,8 @@ def latch_waypoint(kind: EnvKind, goal: np.ndarray) -> np.ndarray:
 
 
 def _expert_commands(kind: EnvKind, position: np.ndarray, goal: np.ndarray, latch: np.ndarray) -> np.ndarray:
-    """The noiseless expert command for each row of (B, 2) positions and goals.
+    """The scripted expert's noiseless command for each row of (B, 2)
+    positions and goals: head into the latch region, then to the current goal.
 
     np.vecdot(a, a) is the row-wise a.dot(a), which np.linalg.norm computes
     for one real vector, with the same bits per row.
@@ -262,14 +264,6 @@ def _expert_commands(kind: EnvKind, position: np.ndarray, goal: np.ndarray, latc
     over = norm > EXPERT_MAX_STEP
     if over.any():
         a = a * np.divide(EXPERT_MAX_STEP, norm, out=np.ones_like(norm), where=over)[:, None]
-    return a
-
-
-def expert_action(kind: EnvKind, state: EnvState, rng: np.random.Generator | None = None, noise: float = EXPERT_NOISE) -> np.ndarray:
-    """Scripted expert: head into the latch region, then to the current goal."""
-    a = _expert_commands(kind, state.position[None], state.goal[None], np.array([state.latch]))[0]
-    if rng is not None and noise > 0:
-        a = a + rng.normal(0.0, noise, size=a.shape)
     return a
 
 

@@ -22,6 +22,7 @@ trunk's hidden pre-activations.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
@@ -39,6 +40,7 @@ from .core import (
 )
 from .velocitynet import (
     AdamState,
+    CheckpointError,
     TAG_SALIENCY_PREDICTOR,
     adam_step,
     init_adam,
@@ -427,40 +429,23 @@ def calibrate_threshold(scores: np.ndarray, target_rate: float) -> float:
 
 
 def save_predictor(path, predictor: Predictor, iteration: int | None = None) -> None:
-    cfg = predictor.config
     arrays = [(name, predictor.params[name]) for name in sorted(predictor.params)]
-    meta = {
-        "kind": "saliency_predictor",
-        "obs_dim": cfg.obs_dim,
-        "action_dim": cfg.action_dim,
-        "embed_dim": cfg.embed_dim,
-        "hidden": cfg.hidden,
-        "cond_hidden": cfg.cond_hidden,
-        "n_eo_max": cfg.n_eo_max,
-        "iterations": cfg.iterations,
-        "batch_size": cfg.batch_size,
-        "lr": cfg.lr,
-        "gap_choices": list(cfg.gap_choices),
-        "seed": cfg.seed,
-    }
+    meta = {"kind": "saliency_predictor", **dataclasses.asdict(predictor.config)}
     if iteration is not None:
         meta["iteration"] = int(iteration)
     write_container(path, tag=TAG_SALIENCY_PREDICTOR, arrays=arrays, config=meta)
 
 
 def load_predictor(path) -> Predictor:
+    """The predictor save_predictor wrote. Each PredictorConfig field is read
+    back as its default's type, gap_choices as a tuple of ints; a missing or
+    ill-typed field raises CheckpointError naming the file."""
     _tag, arrays, meta = read_container(path, expect_tag=TAG_SALIENCY_PREDICTOR)
-    cfg = PredictorConfig(
-        obs_dim=int(meta["obs_dim"]),
-        action_dim=int(meta["action_dim"]),
-        embed_dim=int(meta["embed_dim"]),
-        hidden=int(meta["hidden"]),
-        cond_hidden=int(meta["cond_hidden"]),
-        n_eo_max=int(meta["n_eo_max"]),
-        iterations=int(meta["iterations"]),
-        batch_size=int(meta["batch_size"]),
-        lr=float(meta["lr"]),
-        gap_choices=tuple(int(g) for g in meta["gap_choices"]),
-        seed=int(meta["seed"]),
-    )
+    try:
+        cfg = PredictorConfig(**{
+            f.name: (tuple(int(g) for g in meta[f.name]) if f.name == "gap_choices"
+                     else type(f.default)(meta[f.name]))
+            for f in dataclasses.fields(PredictorConfig)})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: missing or ill-typed predictor metadata: {exc!r}") from exc
     return Predictor(config=cfg, params=dict(arrays))

@@ -35,7 +35,9 @@ the env state, the executed ledger, the indicator stream and the rules the
 clocks share (the decision point, the decision, what an execution records,
 when the episode ends). At a decision the simulated engine scores the
 horizon's whole remaining tail, the wall runner what its generator has
-released by then.
+released by then. A recorded trajectory is built at the end, from the state
+before each execution and the executed actions, by envsim.rollout_trajectory,
+which also builds every demo and calibration trajectory.
 
 On the simulated clock, generate events model the generator lane: every
 planned action of a horizon gets one at its modeled time, because the
@@ -82,10 +84,11 @@ thresholds, needs neither clock: plain streaming at zero latency with no
 early observation puts every episode at the same action index of its
 horizon. It steps the episodes in lockstep (lockstep_trajectories) through
 the two Policy methods _Chunk calls: a horizon's inputs are a stack of one
-row per running episode, and each action index is one Policy.action, a
-stacked velocitynet.forward, then one envsim.step_rows. It builds no
-timeline events, and each trajectory is the one run_episode records for its
-episode, bit for bit.
+row per running episode, built by Policy.inputs at the horizon's first
+index and again whenever episodes stop, and each action index is one
+Policy.action, a stacked velocitynet.forward, then one envsim.step_rows. It
+builds no timeline events, and each trajectory is the one run_episode
+records for its episode, bit for bit.
 """
 
 from __future__ import annotations
@@ -102,7 +105,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from . import envsim, saliency
-from .core import ACTION_DIM, OBS_DIM, Trajectory, cumulative_states, make_rng, STREAM_INDICATOR
+from .core import ACTION_DIM, OBS_DIM, Trajectory, make_rng, STREAM_INDICATOR
 from .envsim import EnvHandle
 from .velocitynet import Policy
 
@@ -223,35 +226,13 @@ def _decide_eo(scheduler: SchedulerConfig, predictor, obs, remaining_raw: np.nda
     return bool(score <= ind.eta), score
 
 
-def _finish(success, events, raw, norm, final_alpha, state, horizons, eo_fired, steps, traj_parts,
-            eo_decisions=0):
-    """The EpisodeResult; final_alpha is the executed-action ledger, alpha0
-    plus the executed actions summed in execution order. Sorts the runner's
-    own events list in place."""
-    events.sort(key=event_sort_key)
-    raw_arr = np.asarray(raw).reshape(len(raw), -1)
-    norm_arr = np.asarray(norm).reshape(len(norm), -1)
-    trajectory = None
-    if traj_parts is not None:
-        observations, alpha0_raw = traj_parts
-        trajectory = Trajectory(
-            observations=observations,
-            actions=raw_arr,
-            action_states=cumulative_states(raw_arr, alpha0_raw),
-        )
-    return EpisodeResult(
-        success=success, events=events, actions_raw=raw_arr, actions_norm=norm_arr,
-        final_alpha=final_alpha, final_state=state, n_horizons=horizons, eo_fired=eo_fired,
-        steps=steps, trajectory=trajectory, eo_decisions=eo_decisions,
-    )
-
-
 class _Episode:
     """The executor side of one episode, shared by both runners (see the
-    module docstring); the runners supply only times and actions."""
+    module docstring); the runners supply only times and actions. When it
+    records a trajectory it keeps the state before each execution."""
 
     __slots__ = ("scheduler", "predictor", "env", "kind", "step_cap", "decision_idx",
-                 "scored", "adaptive", "ind_rng", "state", "alpha", "raw", "norm", "record_obs",
+                 "scored", "adaptive", "ind_rng", "state", "alpha", "raw", "norm", "visited",
                  "steps", "succeeded", "horizons", "eo_fired", "eo_decisions")
 
     def __init__(self, policy: Policy, predictor, env: EnvHandle, scheduler: SchedulerConfig,
@@ -269,7 +250,7 @@ class _Episode:
         # rebound, never updated in place: a horizon's _Chunk keeps the array it starts from
         self.alpha = policy.initial_alpha(self.state.position)
         self.raw, self.norm = [], []  # the executed actions
-        self.record_obs = [] if record_trajectory else None
+        self.visited = [] if record_trajectory else None  # the state before each execution
         self.steps = self.horizons = self.eo_fired = self.eo_decisions = 0
         self.succeeded = False
 
@@ -301,8 +282,8 @@ class _Episode:
         """Record the execution of (a_norm, a_raw), which led to state with
         success flag done; returns whether the episode ended, on success or
         at the step cap."""
-        if self.record_obs is not None:
-            self.record_obs.append(envsim.observe(self.state, capture_time=float(self.state.step_count)))
+        if self.visited is not None:
+            self.visited.append(self.state)
         self.state = state
         self.raw.append(a_raw)
         self.norm.append(a_norm)
@@ -312,11 +293,22 @@ class _Episode:
         return done or self.steps >= self.step_cap
 
     def result(self, events: list[TimelineEvent]) -> EpisodeResult:
-        traj_parts = None
-        if self.record_obs is not None:
-            traj_parts = (self.record_obs, envsim.alpha0_for(self.kind, self.env.init_state))
-        return _finish(self.succeeded, events, self.raw, self.norm, self.alpha, self.state,
-                       self.horizons, self.eo_fired, self.steps, traj_parts, self.eo_decisions)
+        """The EpisodeResult; final_alpha is the executed ledger, alpha0 plus
+        the executed actions summed in execution order, and a recorded
+        trajectory is envsim.rollout_trajectory's, from the kept states and
+        the executed raw actions. Sorts the runner's own events list in place."""
+        events.sort(key=event_sort_key)
+        raw = np.asarray(self.raw).reshape(self.steps, -1)
+        trajectory = None
+        if self.visited is not None:
+            features = envsim.observe_rows(*envsim.state_rows(self.visited))
+            trajectory = envsim.rollout_trajectory(self.kind, self.env.init_state, features, raw)
+        return EpisodeResult(
+            success=self.succeeded, events=events, actions_raw=raw,
+            actions_norm=np.asarray(self.norm).reshape(self.steps, -1), final_alpha=self.alpha,
+            final_state=self.state, n_horizons=self.horizons, eo_fired=self.eo_fired,
+            steps=self.steps, trajectory=trajectory, eo_decisions=self.eo_decisions,
+        )
 
 
 class _Chunk:
@@ -796,10 +788,11 @@ def lockstep_trajectories(policy: Policy, kind: envsim.EnvKind, states: list[env
 
     Every running episode sits at the same action index of its horizon, so
     each step is one Policy.action over the running rows, then one
-    envsim.step_rows. A horizon's inputs are built once by Policy.inputs, at
-    its first index, from the states then observed, one row per episode, as
-    _Chunk builds a lone episode's. A row stops on success or at step_cap
-    actions. Each row gets the bits its lone episode gets.
+    envsim.step_rows. A horizon's inputs are built by Policy.inputs from the
+    features observed at its first index, one row per episode, as _Chunk
+    builds a lone episode's; when rows stop mid-horizon, the inputs are built
+    again from the running rows' first-index features. A row stops on success
+    or at step_cap actions. Each row gets the bits its lone episode gets.
     """
     n, h = len(states), policy.flow.h
     if not n:
@@ -814,7 +807,7 @@ def lockstep_trajectories(policy: Policy, kind: envsim.EnvKind, states: list[env
         obs = envsim.observe_rows(pos, goal, latch)
         features[rows, t] = obs
         if t % h == 0:
-            inputs = policy.inputs(alpha, obs)
+            first, inputs = obs, policy.inputs(alpha, obs)
         a_norm, a_raw = policy.action(inputs, alpha, t % h)
         actions[rows, t] = a_raw
         alpha = alpha + a_norm
@@ -822,9 +815,10 @@ def lockstep_trajectories(policy: Policy, kind: envsim.EnvKind, states: list[env
         if won.any():
             lengths[rows[won]] = t + 1
             keep = ~won
-            rows, pos, goal, latch, alpha, inputs = (
-                rows[keep], pos[keep], goal[keep], latch[keep], alpha[keep], inputs.take(keep))
+            rows, pos, goal, latch, alpha, first = (
+                rows[keep], pos[keep], goal[keep], latch[keep], alpha[keep], first[keep])
             if not rows.size:
                 break
+            inputs = policy.inputs(alpha, first)
     return [envsim.rollout_trajectory(kind, state, features[b, :lengths[b]], actions[b, :lengths[b]])
             for b, state in enumerate(states)]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import flowmatch, normkit
-from .core import DimensionMismatchError
+from .core import ALPHA0_INITIAL_POSITION, ALPHA0_ZERO, DimensionMismatchError
 from .flowmatch import FlowParams
 from .normkit import NormStats
 
@@ -117,22 +117,13 @@ class Inputs:
         x, obs_feat = _check_dims(model, x, obs_feat)
         if x.ndim not in (1, 2) or x.shape[:-1] != obs_feat.shape[:-1]:
             raise DimensionMismatchError("inputs take one state and one observation, or one of each per row")
-        rows = np.concatenate([x, np.zeros(x.shape[:-1] + (TIME_DIM,)), obs_feat], axis=-1)
+        flat = np.concatenate([x, np.zeros(x.shape[:-1] + (TIME_DIM,)), obs_feat], axis=-1)
+        self.rows = flat if flat.ndim == 1 else flat[:, None, :]
+        d = model.action_dim
+        self.x, self.tf = flat[..., :d], flat[..., d:d + TIME_DIM]
         p = model.params
         layers = [(p[f"w{i}"], p[f"b{i}"]) for i in range(model.n_layers())]
-        self._bind(rows if rows.ndim == 1 else rows[:, None, :], tuple(layers[:-1]), layers[-1])
-
-    def _bind(self, rows: np.ndarray, hidden: tuple, out: tuple) -> None:
-        self.rows, self.hidden, self.out = rows, hidden, out
-        flat = rows if rows.ndim == 1 else rows[:, 0]
-        d = out[1].shape[0]
-        self.x, self.tf = flat[..., :d], flat[..., d:d + TIME_DIM]
-
-    def take(self, keep: np.ndarray) -> Inputs:
-        """The inputs of the stack's rows that keep selects."""
-        kept = object.__new__(Inputs)
-        kept._bind(self.rows[keep], self.hidden, self.out)
-        return kept
+        self.hidden, self.out = tuple(layers[:-1]), layers[-1]
 
 
 def forward(inputs: Inputs) -> np.ndarray:
@@ -351,7 +342,15 @@ def read_container(path, *, expect_tag: int | None = None):
         meta = json.loads(data[20:meta_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt metadata: {exc}") from exc
-    total = sum(int(np.prod(shape)) for _, shape in meta["arrays"])
+    # the checksum covers only the blob, so the metadata is checked here
+    if not (isinstance(meta, dict) and isinstance(meta.get("arrays"), list)
+            and isinstance(meta.get("config"), dict)):
+        raise CheckpointError(f"{path}: metadata is not an object with an arrays list and a config object")
+    try:
+        layout = [(name, [int(n) for n in shape]) for name, shape in meta["arrays"]]
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed array list in metadata: {exc}") from exc
+    total = sum(math.prod(shape) for _, shape in layout)
     blob_end = meta_end + 8 * total
     if blob_end + 4 > len(data):
         raise CheckpointError(f"{path}: truncated parameter blob")
@@ -364,9 +363,9 @@ def read_container(path, *, expect_tag: int | None = None):
     arrays: dict[str, np.ndarray] = {}
     offset = 0
     flat = np.frombuffer(blob, dtype="<f8")
-    for name, shape in meta["arrays"]:
-        n = int(np.prod(shape))
-        arrays[name] = flat[offset:offset + n].reshape([int(s) for s in shape]).astype(np.float64)
+    for name, shape in layout:
+        n = math.prod(shape)
+        arrays[name] = flat[offset:offset + n].reshape(shape).astype(np.float64)
         offset += n
     return tag, arrays, meta["config"]
 
@@ -374,10 +373,6 @@ def read_container(path, *, expect_tag: int | None = None):
 # ---------------------------------------------------------------------------
 # policy bundle: model + normalization + flow parameters + state convention
 # ---------------------------------------------------------------------------
-
-ALPHA0_ZERO = "zero"
-ALPHA0_INITIAL_POSITION = "initial_position"
-
 
 @dataclass
 class Policy:
@@ -464,20 +459,22 @@ def save_policy(path, policy: Policy, *, adam: AdamState | None = None, iteratio
 def load_policy(path):
     """Returns (Policy, AdamState | None, iteration | None)."""
     _, arrays, config = read_container(path, expect_tag=TAG_VELOCITY_POLICY)
-    stats = NormStats(q_min=arrays["norm.q_min"], q_max=arrays["norm.q_max"], scale=arrays["norm.scale"])
-    flow = FlowParams(k=config["flow"]["k"], sigma0=config["flow"]["sigma0"], h=int(config["flow"]["h"]))
-    params = {k[len("model."):]: v for k, v in arrays.items() if k.startswith("model.")}
-    model = VelocityModel(
-        action_dim=int(config["action_dim"]),
-        obs_dim=int(config["obs_dim"]),
-        hidden=tuple(int(x) for x in config["hidden"]),
-        params=params,
-    )
-    policy = Policy(model=model, stats=stats, flow=flow, alpha0_convention=config["alpha0"])
-    adam = None
-    if "adam" in config:
-        a = config["adam"]
-        adam = AdamState(lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"], eps=a["eps"], step=int(a["step"]))
+    try:
+        stats = NormStats(q_min=arrays["norm.q_min"], q_max=arrays["norm.q_max"], scale=arrays["norm.scale"])
+        flow = FlowParams(k=config["flow"]["k"], sigma0=config["flow"]["sigma0"], h=int(config["flow"]["h"]))
+        model = VelocityModel(
+            action_dim=int(config["action_dim"]),
+            obs_dim=int(config["obs_dim"]),
+            hidden=tuple(int(x) for x in config["hidden"]),
+            params={k[len("model."):]: v for k, v in arrays.items() if k.startswith("model.")},
+        )
+        policy = Policy(model=model, stats=stats, flow=flow, alpha0_convention=config["alpha0"])
+        a = config.get("adam")
+        adam = None if a is None else AdamState(lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"],
+                                                eps=a["eps"], step=int(a["step"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: missing or ill-typed policy metadata: {exc!r}") from exc
+    if adam is not None:
         adam.m = {k[len("adam_m."):]: v for k, v in arrays.items() if k.startswith("adam_m.")}
         adam.v = {k[len("adam_v."):]: v for k, v in arrays.items() if k.startswith("adam_v.")}
     return policy, adam, config.get("iteration")

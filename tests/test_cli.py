@@ -2,13 +2,14 @@ import contextlib
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from streampolicy import cli, envsim, streamexec
+from streampolicy import cli, envsim, saliency, streamexec
 from streampolicy.cli import main
 from streampolicy.core import load_dataset
 from streampolicy.velocitynet import load_policy
@@ -654,6 +655,54 @@ def test_unreadable_checkpoint_exits_2(workdir, tmp_path, capsys, argv):
              "{demos}": str(workdir / "data" / "demos.jsonl")}
     assert main([names.get(a, a) for a in argv]) == 2
     assert f"{names['{missing}']}: cannot read checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _rewrite_metadata(src: Path, dst: Path, edit) -> None:
+    """Copy checkpoint src to dst with its metadata JSON replaced by
+    edit(metadata). The checksum covers only the array blob, so dst passes it."""
+    data = src.read_bytes()
+    (meta_len,) = struct.unpack_from("<I", data, 16)
+    meta = json.dumps(edit(json.loads(data[20:20 + meta_len]))).encode()
+    dst.write_bytes(data[:16] + struct.pack("<I", len(meta)) + meta + data[20 + meta_len:])
+
+
+def _drop(*path):
+    def edit(meta):
+        parent = meta
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        return meta
+    return edit
+
+
+@pytest.mark.parametrize("command, which, edit", [
+    ("rollout", "policy", _drop("config", "flow")),
+    ("rollout", "policy", _drop("arrays")),
+    ("rollout", "policy", lambda meta: []),
+    ("rollout", "policy", lambda meta: {**meta, "arrays": [["norm.q_min"]]}),
+    ("bench", "predictor", _drop("config", "hidden")),
+], ids=["policy_without_flow", "without_arrays", "not_an_object", "array_without_shape",
+        "predictor_without_hidden"])
+def test_damaged_checkpoint_metadata_exits_2(workdir, tmp_path, capsys, command, which, edit):
+    """Metadata that passes the blob's checksum but lacks a field the loader
+    reads is an unreadable checkpoint: exit 2 naming the file, no traceback."""
+    policy = workdir / "policy" / "policy.ckpt"
+    damaged = tmp_path / "damaged.ckpt"
+    argv = [command, "--env", "controller", "--episodes", "1", "--step-cap", "5"]
+    if which == "policy":
+        _rewrite_metadata(policy, damaged, edit)
+        argv += ["--policy", str(damaged)]
+    else:
+        sound = tmp_path / "predictor.ckpt"
+        saliency.save_predictor(sound, saliency.init_predictor(saliency.PredictorConfig()))
+        _rewrite_metadata(sound, damaged, edit)
+        argv += ["--policy", str(policy), "--predictor", str(damaged)]
+    if command == "bench":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert f"error: {damaged}: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -182,7 +182,8 @@ def test_expert_action_equals_the_reference():
         for _ in range(200):
             state = EnvState(rng.uniform(-5, 5, size=2), rng.uniform(-5, 5, size=2),
                              bool(rng.integers(2)), 0)
-            got = envsim.expert_action(kind, state, None, 0.0)
+            got = envsim._expert_commands(kind, state.position[None], state.goal[None],
+                                          np.array([state.latch]))[0]
             assert got.shape == (2,)
             assert got.tobytes() == _ref_expert_action(kind, state, None, 0.0).tobytes()
 

@@ -8,7 +8,7 @@ from streampolicy.core import load_dataset, make_rng, save_dataset
 from streampolicy.envsim import (
     EXPERT_PARK_STEPS, GOAL_BOX, LATCH_SHIFT, START_BOX, SUCCESS_DIST,
     WORKSPACE_HI, WORKSPACE_LO, EnvKind, GenerationError, KIND_CONTROLLER,
-    KIND_DIRECT, EnvHandle, EnvState, alpha0_for, env_metadata, expert_action, generate_demos,
+    KIND_DIRECT, EnvHandle, EnvState, _expert_commands, alpha0_for, env_metadata, generate_demos,
     latch_waypoint, make_env, make_initial_state, observe, observe_rows, run_expert_episode,
     state_rows, step, step_rows, success,
 )
@@ -158,8 +158,8 @@ def test_start_and_goal_boxes_inside_workspace(rng):
 
 def test_expert_action_zero_noise_is_deterministic(ctrl_env, rng):
     state = make_initial_state(rng)
-    a1 = expert_action(ctrl_env, state, None, 0.0)
-    a2 = expert_action(ctrl_env, state, None, 0.0)
+    a1 = _expert_commands(ctrl_env, state.position[None], state.goal[None], np.array([state.latch]))[0]
+    a2 = _expert_commands(ctrl_env, state.position[None], state.goal[None], np.array([state.latch]))[0]
     assert np.array_equal(a1, a2)
 
 

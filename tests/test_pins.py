@@ -1,6 +1,8 @@
 """Bitwise pins on the fixture networks: the sha256 of ctrl_policy and
 ctrl_predictor saved as scripts/checkpoint_digest.py saves them, and
-scripts/golden_digest.py's grid on each env variant. A change that claims to
+scripts/golden_digest.py's grid and calibration digests on each env variant.
+The calibration digest moves on any change to a calibration rollout; the
+grid digest sees one only if it moves a threshold. A change that claims to
 keep every weight and every simulated result bit for bit keeps these pins; a
 change that alters them on purpose updates them and says why.
 
@@ -24,6 +26,9 @@ CTRL_PREDICTOR_SHA256 = "40cafa1747564fe08b769c3b08c462cd55010f6ebca0ff0715c2687
 # (sha256, episodes, executed actions) of the grid, with ctrl_predictor
 GOLDEN_CTRL = ("50e1a4d7acfd5b8a1827b567cd889ba54416d754536e27c517b65c72c403b44e", 576, 13512)
 GOLDEN_DIRECT = ("b6edb1812bd8681c46706e8b197482152d8a0e92f37118c44ae95d9242772b5d", 576, 12972)
+# (sha256, episodes, actions) of the calibration trajectories behind the grid's thresholds
+CALIB_CTRL = ("2332671995b7c58f36bbe843f989b42b6c2bdc1e7ba1b0eb882ed9649d1894e0", 10, 315)
+CALIB_DIRECT = ("8e3e763f21d2d4565ce6b5f76c1811d1b09a285a9dec4eea53e52468af3c3909", 10, 286)
 
 _spec = importlib.util.spec_from_file_location(
     "golden_digest", Path(__file__).resolve().parent.parent / "scripts" / "golden_digest.py")
@@ -61,3 +66,12 @@ def test_golden_grid_is_pinned(ctrl_policy, direct_policy, ctrl_predictor):
         _check_pin(f"{what} golden grid (sha256, episodes, actions)",
                    (digest, n_episodes, n_actions), pinned)
         assert shared == digest, f"{what}: shared-scope sha256 {shared} != unshared {digest}"
+
+
+def test_calibration_trajectories_are_pinned(ctrl_policy, direct_policy):
+    """Every observation, action and ledger state of the rollouts the grid's
+    thresholds are calibrated on, on both variants."""
+    for what, policy, kind, pinned in (("controller", ctrl_policy, CTRL, CALIB_CTRL),
+                                       ("direct", direct_policy, DIRECT, CALIB_DIRECT)):
+        _check_pin(f"{what} calibration (sha256, episodes, actions)",
+                   golden.calibration_digest(policy, kind), pinned)

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from streampolicy import envsim, metrics, saliency, streamexec, velocitynet
-from streampolicy.core import STREAM_INDICATOR, DimensionMismatchError, make_rng
+from streampolicy.core import STREAM_INDICATOR, DimensionMismatchError, Trajectory, cumulative_states, make_rng
 from streampolicy.envsim import EnvHandle, EnvKind, KIND_CONTROLLER, KIND_DIRECT, make_env, step as env_step
 from streampolicy.saliency import Indicator
 from streampolicy.streamexec import (
     MODE_STREAMING, MODE_SYNC_CHUNK, REFERENCE_PROFILE, STAGE_EXECUTE,
     STAGE_GENERATE, STAGE_OBSERVE, STAGE_PREDICT, EpisodeResult, SchedulerConfig,
-    StageLatency, TimelineEvent, ZERO_LATENCY, _decide_eo, _finish, run_episode,
+    StageLatency, TimelineEvent, ZERO_LATENCY, _decide_eo, event_sort_key, run_episode,
     shared_horizons,
 )
 from streampolicy.velocitynet import Policy, init_velocity_model
@@ -288,8 +288,28 @@ def test_wall_overlap_matches_simulated(null_policy):
 # lazy generation on the simulated clock against the eager reference: the
 # two engine loops below generate every horizon's h actions up front, as the
 # simulated clock once did. The engines now compute an action only when it is
-# executed or scored, and must give the same results bit for bit.
+# executed or scored, and must give the same results bit for bit. They build
+# their own results, independent of the engines' envsim.rollout_trajectory:
+# a recorded trajectory's observations come from envsim.observe at each
+# execution and its ledger from cumulative_states.
 # ---------------------------------------------------------------------------
+
+def _eager_finish(success, events, raw, norm, final_alpha, state, horizons, eo_fired, steps,
+                  traj_parts, eo_decisions=0):
+    events.sort(key=event_sort_key)
+    raw_arr = np.asarray(raw).reshape(len(raw), -1)
+    norm_arr = np.asarray(norm).reshape(len(norm), -1)
+    trajectory = None
+    if traj_parts is not None:
+        observations, alpha0_raw = traj_parts
+        trajectory = Trajectory(observations=observations, actions=raw_arr,
+                                action_states=cumulative_states(raw_arr, alpha0_raw))
+    return EpisodeResult(
+        success=success, events=events, actions_raw=raw_arr, actions_norm=norm_arr,
+        final_alpha=final_alpha, final_state=state, n_horizons=horizons, eo_fired=eo_fired,
+        steps=steps, trajectory=trajectory, eo_decisions=eo_decisions,
+    )
+
 
 def _eager_streaming(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
                      scheduler: SchedulerConfig, record_trajectory: bool) -> EpisodeResult:
@@ -407,8 +427,8 @@ def _eager_streaming(policy: Policy, predictor, env: EnvHandle, stage: StageLate
             snapshot = next_snapshot
 
     traj_parts = (record_obs, alpha0_raw) if record_trajectory else None
-    return _finish(succeeded, events, executed_raw, executed_norm, alpha_exec, state,
-                   horizon, eo_fired_count, steps, traj_parts, eo_decision_count)
+    return _eager_finish(succeeded, events, executed_raw, executed_norm, alpha_exec, state,
+                         horizon, eo_fired_count, steps, traj_parts, eo_decision_count)
 
 
 def _eager_sync(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
@@ -478,8 +498,8 @@ def _eager_sync(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
         base += n_rep
 
     traj_parts = (record_obs, alpha0_raw) if record_trajectory else None
-    return _finish(succeeded, events, executed_raw, executed_norm, alpha_exec, state,
-                   horizon, 0, steps, traj_parts)
+    return _eager_finish(succeeded, events, executed_raw, executed_norm, alpha_exec, state,
+                         horizon, 0, steps, traj_parts)
 
 
 GENERATOR_BOUND = StageLatency(t_obs=2.0, t_gen=4.0, t_exec=1.0, t_pred=0.5)

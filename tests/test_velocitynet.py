@@ -378,7 +378,7 @@ def test_stacked_rows_match_single_row_forward_bitwise(policy_name, request):
     trained fixture networks, for small stacks and for B = 1000, ten times
     the calibration episodes bench and perfbench run (the bits do not depend
     on B: each row is its own vector-matrix product). Rows a stack keeps
-    (Inputs.take) keep their bits too."""
+    (inputs rebuilt from the kept rows) keep their bits too."""
     policy = request.getfixturevalue(policy_name)
     model, h = policy.model, policy.flow.h
     rng = make_rng(9, 4, 0)
@@ -405,5 +405,5 @@ def test_stacked_rows_match_single_row_forward_bitwise(policy_name, request):
             assert got_raw[b].tobytes() == want_raw.tobytes(), (B, b)
 
         keep = np.arange(B) % 3 != 1
-        kept_norm, _ = policy.action(policy.inputs(alpha, obs).take(keep), alpha[keep], T)
+        kept_norm, _ = policy.action(policy.inputs(alpha[keep], obs[keep]), alpha[keep], T)
         assert kept_norm.tobytes() == got_norm[keep].tobytes(), B
