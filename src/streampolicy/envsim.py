@@ -281,36 +281,33 @@ DEMO_BLOCK = 256
 _ROUND_STEPS = DEMO_BLOCK * (120 + EXPERT_PARK_STEPS)
 
 
-def _check_expert_args(step_cap: int, noise: float) -> None:
-    if step_cap < 1:
-        raise ValueError(f"step_cap must be at least 1, got {step_cap}")
-    if not (math.isfinite(noise) and noise >= 0):
-        raise ValueError(f"noise must be finite and non-negative, got {noise}")
+def _expert_act(kind: EnvKind, noise: np.ndarray | None):
+    """The expert as rollout_rows' action rule: its commands for the running
+    rows, read off their observed positions, goals and latches, plus their
+    noise[rows, t] unless noise is None."""
+    def act(t: int, rows: np.ndarray, features: np.ndarray) -> np.ndarray:
+        a = _expert_commands(kind, features[:, :2], features[:, 2:4], features[:, 4] != 0)
+        return a if noise is None else a + noise[rows, t]
+    return act
 
 
-def _noise_block(rng: np.random.Generator | None, noise: float, step_cap: int) -> np.ndarray | None:
-    """An episode's expert noise, one row per possible step, drawn up front.
-    A Generator fills the block in order, so row i holds the draws that
-    step i would make on its own. None when there is no noise to add."""
-    if rng is None or noise == 0:
-        return None
-    return rng.normal(0.0, noise, size=(step_cap + EXPERT_PARK_STEPS, ACTION_DIM))
+def rollout_rows(kind: EnvKind, states: list[EnvState], act, step_cap: int, park_steps: int):
+    """Roll one episode from each state in lockstep, one row per episode.
 
-
-def _rollout(kind: EnvKind, states: list[EnvState], noise: np.ndarray | None, step_cap: int):
-    """Roll the expert from each state in lockstep, one row per episode.
-
-    noise is None or (B, step_cap + EXPERT_PARK_STEPS, 2). Each step runs
-    observe_rows, the expert and step_rows over the b rows still running,
-    so every row gets the bits a lone episode gets. A row stops as a lone
-    episode does: once it has held success for EXPERT_PARK_STEPS more steps,
-    at step_cap actions if it has never succeeded, or at the last step.
+    Each step observes the running rows (observe_rows), asks act(t, rows,
+    features) for their (b, 2) raw actions, rows being their indices into
+    states and features their (b, 7) observations, and steps them
+    (step_rows), so every row gets the bits its lone episode gets if act
+    gives it the bits it gets alone. A row stops once it has held success
+    for park_steps more steps, at step_cap actions if it has never
+    succeeded, or at step step_cap + park_steps. With park_steps 0 that is
+    the first success, or else step_cap.
 
     Returns features (B, T, 7) and actions (B, T, 2), valid in each row's
     first lengths[b] steps, with lengths (B,) and ok (B,), the success of
     each row's last state.
     """
-    n, steps = len(states), step_cap + EXPERT_PARK_STEPS
+    n, steps = len(states), step_cap + park_steps
     features = np.empty((n, steps, OBS_DIM))
     actions = np.empty((n, steps, ACTION_DIM))
     lengths = np.zeros(n, dtype=np.int64)
@@ -319,17 +316,18 @@ def _rollout(kind: EnvKind, states: list[EnvState], noise: np.ndarray | None, st
     pos, goal, latch = state_rows(states)
     park = np.zeros(n, dtype=np.int64)
     for t in range(steps):
-        features[rows, t] = observe_rows(pos, goal, latch)
-        a = _expert_commands(kind, pos, goal, latch)
-        if noise is not None:
-            a = a + noise[rows, t]
+        if not rows.size:
+            break
+        obs = observe_rows(pos, goal, latch)
+        features[rows, t] = obs
+        a = act(t, rows, obs)
         actions[rows, t] = a
         pos, goal, latch, won = step_rows(kind, pos, goal, latch, a)
         park += won
         if t + 1 == steps:
             stop = np.ones(rows.size, dtype=bool)
         else:
-            stop = park > EXPERT_PARK_STEPS
+            stop = park > park_steps
             if t + 1 >= step_cap:
                 stop |= ~won & (park == 0)
         if stop.any():
@@ -338,8 +336,6 @@ def _rollout(kind: EnvKind, states: list[EnvState], noise: np.ndarray | None, st
             ok[done] = won[stop]
             keep = ~stop
             rows, pos, goal, latch, park = rows[keep], pos[keep], goal[keep], latch[keep], park[keep]
-            if not rows.size:
-                break
     return features, actions, lengths, ok
 
 
@@ -353,39 +349,28 @@ def rollout_trajectory(kind: EnvKind, state: EnvState, features: np.ndarray, act
                       action_states=cumulative_states(actions, alpha0_for(kind, state)))
 
 
-def run_expert_episode(kind: EnvKind, state: EnvState, rng: np.random.Generator, *, step_cap: int = 120, noise: float = EXPERT_NOISE):
-    """Roll the expert until success or the step cap; returns (Trajectory, ok).
-
-    Successful episodes are extended by EXPERT_PARK_STEPS of hold-position
-    actions so the demonstrations cover the parked end state. This is the
-    lockstep rollout of generate_demos on a batch of one. When noise > 0 the
-    episode's whole noise block, step_cap + EXPERT_PARK_STEPS rows, is drawn
-    from rng up front, so rng ends past the block however early the episode
-    stops.
-    """
-    _check_expert_args(step_cap, noise)
-    block = _noise_block(rng, noise, step_cap)
-    features, actions, lengths, ok = _rollout(kind, [state], None if block is None else block[None], step_cap)
-    L = lengths[0]
-    return rollout_trajectory(kind, state, features[0, :L], actions[0, :L]), bool(ok[0])
-
-
-def generate_demos(kind: EnvKind, n: int, seed: int, *, step_cap: int = 120, noise: float = EXPERT_NOISE, min_len: int = 1) -> list[Trajectory]:
+def generate_demos(kind: EnvKind, n: int, seed: int, *, step_cap: int = 120, noise: float = EXPERT_NOISE) -> list[Trajectory]:
     """Collect n successful expert episodes; failures are resampled.
 
-    Attempt i draws its start state and then its whole noise block from
-    make_rng(seed, STREAM_DEMO, i). Attempts run in lockstep rounds: each
-    round rolls out the attempts still needed, at most DEMO_BLOCK of them
-    (fewer above the default step cap), and keeps its successes of at least
-    min_len actions in attempt order, so the demos are the ones
-    attempt-by-attempt generation gives, bit for bit.
+    Attempt i draws its start state and then its whole noise block, one
+    (2,) row per possible step, from make_rng(seed, STREAM_DEMO, i). Attempts
+    run in lockstep rounds: each round rolls out the attempts still needed,
+    at most DEMO_BLOCK of them (fewer above the default step cap), through
+    rollout_rows with the expert's commands plus each row's noise and
+    EXPERT_PARK_STEPS park steps, and keeps its successes in attempt order,
+    so the demos are the ones attempt-by-attempt generation gives, bit for
+    bit.
 
     Raises ValueError on a step cap below 1 or a negative or non-finite
     noise, and GenerationError after 10 * n attempts, so an unreachable task surfaces as an error
     instead of an infinite loop.
     """
-    _check_expert_args(step_cap, noise)
-    per_round = min(DEMO_BLOCK, max(1, _ROUND_STEPS // (step_cap + EXPERT_PARK_STEPS)))
+    if step_cap < 1:
+        raise ValueError(f"step_cap must be at least 1, got {step_cap}")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be finite and non-negative, got {noise}")
+    steps = step_cap + EXPERT_PARK_STEPS
+    per_round = min(DEMO_BLOCK, max(1, _ROUND_STEPS // steps))
     demos: list[Trajectory] = []
     attempts = 0
     while len(demos) < n:
@@ -396,13 +381,14 @@ def generate_demos(kind: EnvKind, n: int, seed: int, *, step_cap: int = 120, noi
         for i in range(attempts, attempts + block):
             rng = make_rng(seed, STREAM_DEMO, i)
             states.append(make_initial_state(rng))
-            noises.append(_noise_block(rng, noise, step_cap))
+            if noise:
+                # a Generator fills the block in order: row t holds step t's draws
+                noises.append(rng.normal(0.0, noise, size=(steps, ACTION_DIM)))
         attempts += block
-        features, actions, lengths, ok = _rollout(kind, states, None if noise == 0 else np.stack(noises), step_cap)
-        for b, state in enumerate(states):
-            L = lengths[b]
-            if ok[b] and L >= min_len:
-                demos.append(rollout_trajectory(kind, state, features[b, :L], actions[b, :L]))
+        act = _expert_act(kind, np.stack(noises) if noises else None)
+        features, actions, lengths, ok = rollout_rows(kind, states, act, step_cap, EXPERT_PARK_STEPS)
+        demos.extend(rollout_trajectory(kind, state, features[b, :lengths[b]], actions[b, :lengths[b]])
+                     for b, state in enumerate(states) if ok[b])
     return demos
 
 

@@ -82,13 +82,16 @@ its t_gen budget, and never shares a horizon.
 calibration_trajectories, the on-policy rollouts that calibrate indicator
 thresholds, needs neither clock: plain streaming at zero latency with no
 early observation puts every episode at the same action index of its
-horizon. It steps the episodes in lockstep (lockstep_trajectories) through
-the two Policy methods _Chunk calls: a horizon's inputs are a stack of one
-row per running episode, built by Policy.inputs at the horizon's first
-index and again whenever episodes stop, and each action index is one
-Policy.action, a stacked velocitynet.forward, then one envsim.step_rows. It
-builds no timeline events, and each trajectory is the one run_episode
-records for its episode, bit for bit.
+horizon. lockstep_trajectories runs the episodes as rows of
+envsim.rollout_rows, the lockstep loop that also rolls out the expert's
+demos, with no park steps, so a row stops on success or at the step cap.
+It supplies only the horizon's action rule, through the two Policy methods
+_Chunk calls: a horizon's inputs are a stack of one row per running
+episode, built by Policy.inputs at the horizon's first index and again
+whenever episodes stop, and each action index is one Policy.action, a
+stacked velocitynet.forward, then the ledger update. It builds no timeline
+events, and each trajectory is the one run_episode records for its
+episode, bit for bit.
 """
 
 from __future__ import annotations
@@ -105,7 +108,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from . import envsim, saliency
-from .core import ACTION_DIM, OBS_DIM, Trajectory, make_rng, STREAM_INDICATOR
+from .core import OBS_DIM, Trajectory, make_rng, STREAM_INDICATOR
 from .envsim import EnvHandle
 from .velocitynet import Policy
 
@@ -784,41 +787,35 @@ def lockstep_trajectories(policy: Policy, kind: envsim.EnvKind, states: list[env
                           step_cap: int) -> list[Trajectory]:
     """The trajectory run_episode records from each start state under plain
     streaming at zero latency with no early observation, all of them in
-    lockstep, one row per episode.
+    lockstep, one row per episode, by envsim.rollout_rows with no park
+    steps: a row stops on success or at step_cap actions.
 
     Every running episode sits at the same action index of its horizon, so
-    each step is one Policy.action over the running rows, then one
-    envsim.step_rows. A horizon's inputs are built by Policy.inputs from the
-    features observed at its first index, one row per episode, as _Chunk
-    builds a lone episode's; when rows stop mid-horizon, the inputs are built
-    again from the running rows' first-index features. A row stops on success
-    or at step_cap actions. Each row gets the bits its lone episode gets.
+    the action rule is the horizon's: one Policy.action over the running
+    rows, then their ledger update. A horizon's inputs are built by
+    Policy.inputs from the features observed at its first index, one row
+    per episode, as _Chunk builds a lone episode's; when rows stop
+    mid-horizon, the inputs are built again from the running rows'
+    first-index features. Each row gets the bits its lone episode gets.
     """
-    n, h = len(states), policy.flow.h
-    if not n:
-        return []
-    features = np.empty((n, step_cap, OBS_DIM))
-    actions = np.empty((n, step_cap, ACTION_DIM))
-    lengths = np.full(n, step_cap)
-    rows = np.arange(n)
-    pos, goal, latch = envsim.state_rows(states)
+    h = policy.flow.h
     alpha = np.array([policy.initial_alpha(s.position) for s in states])
-    for t in range(step_cap):
-        obs = envsim.observe_rows(pos, goal, latch)
-        features[rows, t] = obs
+    first = np.empty((len(states), OBS_DIM))
+    inputs, running = None, 0
+
+    def act(t: int, rows: np.ndarray, features: np.ndarray) -> np.ndarray:
+        nonlocal inputs, running
+        a = alpha[rows]
         if t % h == 0:
-            first, inputs = obs, policy.inputs(alpha, obs)
-        a_norm, a_raw = policy.action(inputs, alpha, t % h)
-        actions[rows, t] = a_raw
-        alpha = alpha + a_norm
-        pos, goal, latch, won = envsim.step_rows(kind, pos, goal, latch, a_raw)
-        if won.any():
-            lengths[rows[won]] = t + 1
-            keep = ~won
-            rows, pos, goal, latch, alpha, first = (
-                rows[keep], pos[keep], goal[keep], latch[keep], alpha[keep], first[keep])
-            if not rows.size:
-                break
-            inputs = policy.inputs(alpha, first)
+            first[rows] = features
+            inputs = policy.inputs(a, features)
+        elif rows.size < running:
+            inputs = policy.inputs(a, first[rows])
+        running = rows.size
+        a_norm, a_raw = policy.action(inputs, a, t % h)
+        alpha[rows] = a + a_norm
+        return a_raw
+
+    features, actions, lengths, _ = envsim.rollout_rows(kind, states, act, step_cap, 0)
     return [envsim.rollout_trajectory(kind, state, features[b, :lengths[b]], actions[b, :lengths[b]])
             for b, state in enumerate(states)]

@@ -56,6 +56,8 @@ class TrainConfig:
             raise ValueError("h, iterations, batch_size must be positive")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
+        if any(w < 1 for w in self.hidden):
+            raise ValueError(f"hidden widths must be at least 1, got {tuple(self.hidden)}")
         if self.lr_schedule not in ("constant", "cosine"):
             raise ValueError(f"unknown lr schedule {self.lr_schedule!r}")
 
@@ -105,13 +107,13 @@ def _sample_batch(prep: _Prepared, cfg: TrainConfig, rng: np.random.Generator):
     return OBS, ALPHA, XI
 
 
-def training_step(model: VelocityModel, adam: AdamState, stats: NormStats, cfg: TrainConfig,
+def training_step(model: VelocityModel, adam: AdamState, stats: NormStats,
                   OBS: np.ndarray, ALPHA: np.ndarray, XI: np.ndarray,
                   rng: np.random.Generator, *, flow: FlowParams, iteration: int = 0,
                   lr: float | None = None, last_finite: float | None = None) -> float:
     """One gradient step on a sampled batch; returns the batch loss.
 
-    flow holds cfg's k, sigma0 and h, built once by the caller. Raises
+    flow holds the config's k, sigma0 and h, built once by the caller. Raises
     TrainingDivergedError instead of silently carrying non-finite losses
     forward.
     """
@@ -191,7 +193,7 @@ def train(trajectories: list[Trajectory], cfg: TrainConfig, *, alpha0_convention
     for i in range(start, cfg.iterations):
         rng = make_rng(cfg.seed, STREAM_TRAIN, i)
         OBS, ALPHA, XI = _sample_batch(prep, cfg, rng)
-        loss = training_step(model, adam, stats, cfg, OBS, ALPHA, XI, rng, flow=fp,
+        loss = training_step(model, adam, stats, OBS, ALPHA, XI, rng, flow=fp,
                              iteration=i, lr=_lr_at(cfg, i), last_finite=last_finite)
         last_finite = loss
         if i % cfg.log_every == 0 or i == cfg.iterations - 1:

@@ -51,10 +51,6 @@ class VelocityModel:
     hidden: tuple[int, ...]
     params: dict[str, np.ndarray]
 
-    @property
-    def input_dim(self) -> int:
-        return self.action_dim + TIME_DIM + self.obs_dim
-
     def n_layers(self) -> int:
         return len(self.hidden) + 1
 

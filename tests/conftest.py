@@ -18,8 +18,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from streampolicy import envsim  # noqa: E402
 from streampolicy.core import Trajectory  # noqa: E402
-from streampolicy.envsim import EnvKind, KIND_CONTROLLER, KIND_DIRECT, generate_demos  # noqa: E402
+from streampolicy.envsim import (  # noqa: E402
+    EXPERT_NOISE, EXPERT_PARK_STEPS, EnvKind, KIND_CONTROLLER, KIND_DIRECT, generate_demos,
+)
 from streampolicy.saliency import PredictorConfig, train_predictor  # noqa: E402
 from streampolicy.trainer import TrainConfig, train  # noqa: E402
 
@@ -32,6 +35,18 @@ RECIPE = TrainConfig(iterations=16000, batch_size=128, lr=2e-3,
                      lr_schedule="cosine", seed=0, hidden=(128, 128))
 DEMO_COUNT = 600
 DEMO_SEED = 11
+
+
+def expert_episode(kind, state, rng, step_cap=120, noise=EXPERT_NOISE):
+    """The expert's episode from state: envsim.rollout_rows on a batch of one
+    with the action rule generate_demos gives an attempt, the whole noise
+    block drawn from rng first. Returns (Trajectory, ok)."""
+    steps = step_cap + EXPERT_PARK_STEPS
+    block = rng.normal(0.0, noise, size=(1, steps, 2)) if noise else None
+    features, actions, lengths, ok = envsim.rollout_rows(
+        kind, [state], envsim._expert_act(kind, block), step_cap, EXPERT_PARK_STEPS)
+    n = lengths[0]
+    return envsim.rollout_trajectory(kind, state, features[0, :n], actions[0, :n]), bool(ok[0])
 
 
 @pytest.fixture(scope="session")

@@ -513,6 +513,19 @@ def test_a_learning_rate_that_trains_nothing_exits_2(workdir, tmp_path, capsys, 
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("hidden, widths", [("0", "(0,)"), ("16,-3", "(16, -3)")])
+def test_a_hidden_width_below_one_exits_2(workdir, tmp_path, capsys, hidden, widths):
+    """A zero width would divide by zero when the weights are drawn and a
+    negative one fails in numpy; either exits 2 naming hidden and writes
+    nothing."""
+    out = tmp_path / "out" / "policy.ckpt"
+    rc = main(["train-policy", "--data", str(workdir / "data" / "demos.jsonl"), "--out", str(out),
+               "--iterations", "5", "--batch-size", "16", f"--hidden={hidden}"])
+    assert rc == 2
+    assert f"hidden widths must be at least 1, got {widths}" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["rollout", "--profile", "nan,1,1"],
     ["rollout", "--profile", "1,inf,1", "--clock", "wall"],

@@ -11,13 +11,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import expert_episode
 from streampolicy import envsim
 from streampolicy.cli import main
 from streampolicy.core import STREAM_DEMO, Observation, Trajectory, cumulative_states, make_rng
 from streampolicy.envsim import (
     EXPERT_GAIN, EXPERT_MAX_STEP, EXPERT_NOISE, EXPERT_PARK_STEPS, GOAL_BOX, START_BOX, EnvKind,
     EnvState, GenerationError, KIND_CONTROLLER, KIND_DIRECT, alpha0_for, generate_demos,
-    latch_waypoint, observe, run_expert_episode, step, success,
+    latch_waypoint, observe, step, success,
 )
 
 KINDS = {"controller": EnvKind(variant=KIND_CONTROLLER), "direct": EnvKind(variant=KIND_DIRECT)}
@@ -64,7 +65,7 @@ def _ref_episode(kind, state, rng, step_cap=120, noise=EXPERT_NOISE):
     return Trajectory(observations, act, cumulative_states(act, alpha0)), success(state)
 
 
-def _ref_demos(kind, n, seed, step_cap=120, noise=EXPERT_NOISE, min_len=1):
+def _ref_demos(kind, n, seed, step_cap=120, noise=EXPERT_NOISE):
     demos, attempts = [], 0
     while len(demos) < n:
         if attempts >= 10 * n:
@@ -72,7 +73,7 @@ def _ref_demos(kind, n, seed, step_cap=120, noise=EXPERT_NOISE, min_len=1):
         rng = make_rng(seed, STREAM_DEMO, attempts)
         traj, ok = _ref_episode(kind, _ref_initial_state(rng), rng, step_cap, noise)
         attempts += 1
-        if ok and len(traj) >= min_len:
+        if ok:
             demos.append(traj)
     return demos
 
@@ -129,11 +130,15 @@ def test_lockstep_demos_equal_the_reference_when_some_attempts_fail(variant, ste
 @pytest.mark.parametrize("block", [1, 3, 7])
 def test_lockstep_demos_equal_the_reference_across_rounds(block, monkeypatch):
     """More demos than one round holds, with a step cap that fails some
-    attempts and a min_len that drops some successes."""
+    attempts: later rounds refill the failures in attempt order."""
     kind = KINDS["controller"]
-    want = _ref_demos(kind, 10, 4, step_cap=32, min_len=44)
+    want = _ref_demos(kind, 10, 4, step_cap=32)
     monkeypatch.setattr(envsim, "DEMO_BLOCK", block)
-    _assert_same_demos(generate_demos(kind, 10, 4, step_cap=32, min_len=44), want)
+    streams = _count_demo_streams(monkeypatch)
+    got = generate_demos(kind, 10, 4, step_cap=32)
+    assert streams == [(STREAM_DEMO, i) for i in range(len(streams))]
+    assert len(streams) > 10, "the cap should fail some attempts"
+    _assert_same_demos(got, want)
 
 
 def test_lockstep_raises_like_the_reference():
@@ -148,20 +153,16 @@ def test_lockstep_raises_like_the_reference():
 @pytest.mark.parametrize("variant", sorted(KINDS))
 @pytest.mark.parametrize("noise", [0.0, EXPERT_NOISE])
 def test_expert_episode_equals_the_reference(variant, noise):
-    """run_expert_episode is the lockstep rollout on a batch of one. When it
-    draws noise, it draws the whole block, so its rng ends past the block."""
+    """The lockstep rollout with the expert's action rule, on a batch of one."""
     kind = KINDS[variant]
     for attempt in range(6):
         rng = make_rng(31, STREAM_DEMO, attempt)
         ref_rng = make_rng(31, STREAM_DEMO, attempt)
         state = envsim.make_initial_state(rng)
         want, want_ok = _ref_episode(kind, _ref_initial_state(ref_rng), ref_rng, noise=noise)
-        got, got_ok = run_expert_episode(kind, state, rng, noise=noise)
+        got, got_ok = expert_episode(kind, state, rng, noise=noise)
         assert got_ok is want_ok
         _assert_same_trajectory(got, want)
-        if noise > 0:
-            ref_rng.normal(0.0, noise, size=(120 + EXPERT_PARK_STEPS - len(want), 2))
-        assert rng.random() == ref_rng.random()
 
 
 def test_expert_episode_from_a_latched_mid_episode_state():
@@ -169,7 +170,7 @@ def test_expert_episode_from_a_latched_mid_episode_state():
     numbers its frames from its own step count."""
     kind = KINDS["controller"]
     state = EnvState(position=np.array([-0.5, 0.9]), goal=np.array([3.2, 2.0]), latch=True, step_count=17)
-    got, got_ok = run_expert_episode(kind, state, make_rng(2, 9), step_cap=40)
+    got, got_ok = expert_episode(kind, state, make_rng(2, 9), step_cap=40)
     want, want_ok = _ref_episode(kind, state, make_rng(2, 9), step_cap=40)
     assert got_ok is want_ok
     assert got.observations[0].frame_id == 17 and got.observations[0].features[4] == 1.0
@@ -260,13 +261,13 @@ def test_rounds_shrink_above_the_default_step_cap(monkeypatch):
     """A round holds DEMO_BLOCK attempts at the default cap and fewer at a
     larger one, so its buffers do not grow with the cap."""
     rounds = []
-    real = envsim._rollout
+    real = envsim.rollout_rows
 
-    def recording(kind, states, noise, step_cap):
+    def recording(kind, states, *args):
         rounds.append(len(states))
-        return real(kind, states, noise, step_cap)
+        return real(kind, states, *args)
 
-    monkeypatch.setattr(envsim, "_rollout", recording)
+    monkeypatch.setattr(envsim, "rollout_rows", recording)
     kind = KINDS["direct"]
     generate_demos(kind, 300, 1)
     assert rounds[:2] == [envsim.DEMO_BLOCK, 300 - envsim.DEMO_BLOCK]
@@ -275,23 +276,6 @@ def test_rounds_shrink_above_the_default_step_cap(monkeypatch):
     _assert_same_demos(generate_demos(kind, 150, 1, step_cap=step_cap), _ref_demos(kind, 150, 1, step_cap=step_cap))
     quarter = envsim.DEMO_BLOCK // 4
     assert rounds[:3] == [quarter, quarter, 150 - 2 * quarter]
-
-
-def test_min_len_keeps_attempt_order_across_rounds(monkeypatch):
-    """Successes shorter than min_len are dropped and later rounds refill
-    them; the kept demos are the earliest long-enough successes in attempt
-    order."""
-    kind = KINDS["controller"]
-    every = generate_demos(kind, 30, 5)  # 30 successes: no cap failures at the default cap
-    min_len = 44
-    want = [t for t in every if len(t) >= min_len][:6]
-    assert len(want) == 6
-    assert next(i for i, t in enumerate(every) if t is want[-1]) > 5, "some successes should be dropped"
-    monkeypatch.setattr(envsim, "DEMO_BLOCK", 4)
-    streams = _count_demo_streams(monkeypatch)
-    got = generate_demos(kind, 6, 5, min_len=min_len)
-    assert streams == [(STREAM_DEMO, i) for i in range(len(streams))]
-    _assert_same_demos(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -303,16 +287,12 @@ def test_min_len_keeps_attempt_order_across_rounds(monkeypatch):
 def test_bad_noise_is_rejected(noise):
     with pytest.raises(ValueError, match="noise must be finite and non-negative"):
         generate_demos(KINDS["controller"], 2, seed=0, noise=noise)
-    with pytest.raises(ValueError, match="noise must be finite and non-negative"):
-        run_expert_episode(KINDS["direct"], _ref_initial_state(make_rng(0, 1)), make_rng(0, 2), noise=noise)
 
 
 @pytest.mark.parametrize("step_cap", [0, -12, -40])
 def test_step_cap_below_one_is_rejected(step_cap):
     with pytest.raises(ValueError, match="step_cap must be at least 1"):
         generate_demos(KINDS["controller"], 2, seed=0, step_cap=step_cap)
-    with pytest.raises(ValueError, match="step_cap must be at least 1"):
-        run_expert_episode(KINDS["direct"], _ref_initial_state(make_rng(0, 1)), make_rng(0, 2), step_cap=step_cap)
 
 
 @pytest.mark.parametrize("noise", ["-0.5", "nan", "inf"])

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import expert_episode
 from streampolicy.core import load_dataset, make_rng, save_dataset
 from streampolicy.envsim import (
     EXPERT_PARK_STEPS, GOAL_BOX, LATCH_SHIFT, START_BOX, SUCCESS_DIST,
     WORKSPACE_HI, WORKSPACE_LO, EnvKind, GenerationError, KIND_CONTROLLER,
     KIND_DIRECT, EnvHandle, EnvState, _expert_commands, alpha0_for, env_metadata, generate_demos,
-    latch_waypoint, make_env, make_initial_state, observe, observe_rows, run_expert_episode,
+    latch_waypoint, make_env, make_initial_state, observe, observe_rows,
     state_rows, step, step_rows, success,
 )
 
@@ -27,7 +28,7 @@ def test_direct_action_state_equals_position(direct_env, rng):
     """With direct dynamics and an in-bounds trajectory, the action-state
     ledger reproduces the physical position bitwise."""
     state = make_initial_state(rng)
-    traj, ok = run_expert_episode(direct_env, state, rng)
+    traj, ok = expert_episode(direct_env, state, rng)
     assert ok
     pos = state.position
     for i, a in enumerate(traj.actions):
@@ -100,7 +101,7 @@ def test_expert_reaches_goal_both_variants():
         n_ok = 0
         for ep in range(20):
             rng = make_rng(99, 1, ep)
-            traj, ok = run_expert_episode(kind, make_initial_state(rng), rng)
+            traj, ok = expert_episode(kind, make_initial_state(rng), rng)
             n_ok += ok
             traj.validate()
         assert n_ok >= 19, f"{variant}: {n_ok}/20"
@@ -110,7 +111,7 @@ def test_expert_parks_after_success(ctrl_env):
     """Successful demos must include near-zero hold actions at the tail so
     cloning windows cover the parked state."""
     rng = make_rng(5, 1, 0)
-    traj, ok = run_expert_episode(ctrl_env, make_initial_state(rng), rng)
+    traj, ok = expert_episode(ctrl_env, make_initial_state(rng), rng)
     assert ok
     tail = traj.actions[-EXPERT_PARK_STEPS // 2:]
     assert np.all(np.linalg.norm(tail, axis=1) < 0.2)

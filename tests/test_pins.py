@@ -1,6 +1,7 @@
-"""Bitwise pins on the fixture networks: the sha256 of ctrl_policy and
-ctrl_predictor saved as scripts/checkpoint_digest.py saves them, and
-scripts/golden_digest.py's grid and calibration digests on each env variant.
+"""Bitwise pins on the fixture demos and networks: the sha256 of both
+variants' demo datasets and of ctrl_policy and ctrl_predictor saved as
+scripts/checkpoint_digest.py saves them, and scripts/golden_digest.py's grid
+and calibration digests on each env variant.
 The calibration digest moves on any change to a calibration rollout; the
 grid digest sees one only if it moves a threshold. A change that claims to
 keep every weight and every simulated result bit for bit keeps these pins; a
@@ -16,11 +17,15 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import CTRL, DIRECT, RECIPE
+from conftest import CTRL, DEMO_SEED, DIRECT, RECIPE
+from streampolicy.core import save_dataset
+from streampolicy.envsim import env_metadata
 from streampolicy.saliency import save_predictor
 from streampolicy.velocitynet import save_policy
 
 PINNED_STACK = "numpy 2.4.6, scipy-openblas 0.3.31.188.0"
+CTRL_DATASET_SHA256 = "68b3e341ce0c82fa850732e01b9fdfef14247b81b78c0902dd4fd88df217300e"
+DIRECT_DATASET_SHA256 = "f3329f7d7fa9a94d83d159c24ade053b9148dda807e7c9e71c3f9510011de004"
 CTRL_POLICY_SHA256 = "3005e448e726b0c3e5341c7d42ea5c8edeaa0791dc633299d1b0253b988bd9cf"
 CTRL_PREDICTOR_SHA256 = "40cafa1747564fe08b769c3b08c462cd55010f6ebca0ff0715c26873ea4502e0"
 # (sha256, episodes, executed actions) of the grid, with ctrl_predictor
@@ -46,6 +51,17 @@ def _stack() -> str:
 
 def _check_pin(what: str, got, pinned) -> None:
     assert got == pinned, f"{what}: got {got} on {_stack()}; pinned {pinned} on {PINNED_STACK}"
+
+
+def test_fixture_datasets_are_pinned(ctrl_demos, direct_demos, tmp_path):
+    """The file bytes of both variants' fixture demos, saved as gen-data
+    saves them."""
+    for what, demos, kind, pinned in (("controller", ctrl_demos, CTRL, CTRL_DATASET_SHA256),
+                                      ("direct", direct_demos, DIRECT, DIRECT_DATASET_SHA256)):
+        path = tmp_path / f"{what}.jsonl"
+        save_dataset(path, demos, dim=demos[0].actions.shape[1], env_meta=env_metadata(kind),
+                     seed=DEMO_SEED)
+        _check_pin(f"{what} dataset sha256", hashlib.sha256(path.read_bytes()).hexdigest(), pinned)
 
 
 def test_fixture_checkpoints_are_pinned(ctrl_training, ctrl_predictor, tmp_path):

@@ -25,6 +25,12 @@ def test_config_rejects_a_learning_rate_that_trains_nothing(lr):
         TrainConfig(lr=lr)
 
 
+@pytest.mark.parametrize("hidden", [(0,), (16, -3), (128, 0, 128)])
+def test_config_rejects_a_hidden_width_below_one(hidden):
+    with pytest.raises(ValueError, match="hidden widths must be at least 1"):
+        TrainConfig(hidden=hidden)
+
+
 def _reference_sample_batch(trajectories, cfg, rng):
     """The per-episode, per-row sampling loop that _sample_batch vectorizes."""
     usable = [t for t in trajectories if len(t) >= cfg.h]
@@ -235,7 +241,7 @@ def test_training_step_flow_math_matches_inline_formulas(monkeypatch, small_demo
     monkeypatch.setattr(velocitynet, "loss_and_grad", capture)
     for name in ("marginal_sample", "discrete_xi_dot", "target_velocity"):
         monkeypatch.setattr(flowmatch, name, counted(name, getattr(flowmatch, name)))
-    trainer.training_step(policy.model, adam, policy.stats, cfg, OBS, ALPHA, XI, make_rng(1, 2),
+    trainer.training_step(policy.model, adam, policy.stats, OBS, ALPHA, XI, make_rng(1, 2),
                           flow=FlowParams(k=cfg.k, sigma0=cfg.sigma0, h=cfg.h))
     assert calls == ["marginal_sample", "discrete_xi_dot", "target_velocity"]
     assert seen["x"].tobytes() == x.tobytes()
