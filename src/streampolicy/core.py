@@ -173,12 +173,22 @@ def save_dataset(path, trajectories: list[Trajectory], *, dim: int, env_meta: di
 
     Floats round-trip exactly (shortest-repr encoding), so saving and
     reloading reproduces arrays bitwise and rewriting an unchanged dataset
-    produces a byte-identical file.
+    produces a byte-identical file. An episode that load_dataset would reject
+    (non-finite features, actions or states, broken prefix sums, another
+    dim) raises DatasetError naming it, and nothing is written.
     """
-    for traj in trajectories:
-        traj.validate()
+    for i, traj in enumerate(trajectories):
+        features = [o.features for o in traj.observations]
+        for name, values in (("features", np.concatenate(features) if features else ()),
+                             ("actions", traj.actions), ("action_states", traj.action_states)):
+            if not np.isfinite(values).all():
+                raise DatasetError(f"episode {i}: non-finite {name}")
+        try:
+            traj.validate()
+        except DatasetError as exc:
+            raise DatasetError(f"episode {i}: {exc}") from exc
         if traj.actions.shape[1] != dim:
-            raise DatasetError(f"trajectory dim {traj.actions.shape[1]} != header dim {dim}")
+            raise DatasetError(f"episode {i}: trajectory dim {traj.actions.shape[1]} != header dim {dim}")
     header = {
         "format": DATASET_FORMAT,
         "version": DATASET_VERSION,

@@ -61,20 +61,23 @@ class MetricsReport:
     success: bool | None = None
 
 
-def _intervals(events: list[TimelineEvent]) -> list[tuple[float, float]]:
-    """(start, end) of each event in ascending order; list.sort makes a
-    single pass over input already in that order."""
-    iv = [(e.start, e.end) for e in events]
-    iv.sort()
-    return iv
+def _overlap_sweep(ia: list[tuple[float, float, int]], ib: list[tuple[float, float]],
+                   first_h: int) -> tuple[float, float]:
+    """Total pairwise intersection time of ia's (start, end, horizon)
+    intervals with ib's (start, end), both ascending: over all of ia, and
+    over ia's intervals outside horizon first_h (the tail).
 
-
-def _overlap_total(ia: list[tuple[float, float]], ib: list[tuple[float, float]]) -> float:
-    """Total pairwise intersection time between two ascending interval lists."""
-    total = 0.0
+    Each intersection d > 0 is added to the total, and to the tail when its
+    interval is outside first_h, in (a order, b order): the tail adds the
+    values a separate sweep over ia's tail alone would add, in that order.
+    Skipping fewer b intervals than that sweep skips adds nothing, since the
+    extra ones end before the a interval starts.
+    """
+    total = tail = 0.0
     n = len(ib)
     j = 0
-    for s, e in ia:
+    for s, e, h in ia:
+        later = h != first_h
         while j < n and ib[j][1] <= s:
             j += 1
         for k in range(j, n):
@@ -86,7 +89,9 @@ def _overlap_total(ia: list[tuple[float, float]], ib: list[tuple[float, float]])
             d = (be if be < e else e) - (bs if bs > s else s)
             if d > 0.0:
                 total += d
-    return total
+                if later:
+                    tail += d
+    return total, tail
 
 
 def _in_execution_order(execs: list[TimelineEvent]) -> list[TimelineEvent]:
@@ -105,46 +110,73 @@ def measure(events: list[TimelineEvent], success: bool | None = None) -> Metrics
     Per-horizon overlap means use horizons >= 1 where available: the first
     horizon's observation has no execution to overlap, so including it would
     understate the steady state the closed forms describe.
+
+    One walk over the log splits it by stage and finds its start; one walk
+    over the executions, in event order, finds the end, the horizons, the
+    boundary gaps and the first horizon's end; each overlap is one sweep
+    (_overlap_sweep) that sums the whole log's and the later horizons' terms
+    together. Every minimum, maximum and sum sees its terms in the order the
+    per-quantity passes did, so the report is theirs bit for bit.
     """
     if not events:
         raise ValueError("empty event log")
-    execs = _in_execution_order([e for e in events if e.stage == STAGE_EXECUTE])
+    execs, gens, obs = [], [], []  # gens and obs as (start, end, horizon)
+    start = events[0].start
+    for e in events:
+        if e.start < start:
+            start = e.start
+        stage = e.stage
+        if stage == STAGE_EXECUTE:
+            execs.append(e)
+        elif stage == STAGE_GENERATE:
+            gens.append((e.start, e.end, e.horizon_index))
+        elif stage == STAGE_OBSERVE:
+            obs.append((e.start, e.end, e.horizon_index))
     if not execs:
         raise ValueError("no execute events in log")
-    gens = [e for e in events if e.stage == STAGE_GENERATE]
-    obs = [e for e in events if e.stage == STAGE_OBSERVE]
+    execs = _in_execution_order(execs)
 
-    start = min(e.start for e in events)
-    end = max(e.end for e in execs)
+    # first_h ends as the lowest horizon, head_end as its executions' latest
+    # end and n_head as their count
+    prev = execs[0]
+    end = head_end = prev.end
+    first_h = prev.horizon_index
+    n_head = 0
+    horizons = set()
+    gaps = []
+    for e in execs:
+        h = e.horizon_index
+        horizons.add(h)
+        if e.end > end:
+            end = e.end
+        if h == first_h:
+            n_head += 1
+            if e.end > head_end:
+                head_end = e.end
+        elif h < first_h:
+            first_h, head_end, n_head = h, e.end, 1
+        if h != prev.horizon_index:
+            gaps.append(max(0.0, e.start - prev.end))
+        prev = e
     duration = end - start
     n_actions = len(execs)
-    horizons = sorted({e.horizon_index for e in execs})
     n_horizons = len(horizons)
-
-    gaps = []
-    for prev, nxt in zip(execs, execs[1:]):
-        if nxt.horizon_index != prev.horizon_index:
-            gaps.append(max(0.0, nxt.start - prev.end))
-    t_halt = float(np.mean(gaps)) if gaps else 0.0
+    # np.mean's float64 sum and division, without its per-call overhead
+    t_halt = float(np.add.reduce(np.array(gaps))) / len(gaps) if gaps else 0.0
 
     # steady-state per-action time: drop the warmup horizon
-    first_h = horizons[0]
-    tail = [e for e in execs if e.horizon_index != first_h]
-    if tail:
-        head_end = max(e.end for e in execs if e.horizon_index == first_h)
-        t_action_steady = (end - head_end) / len(tail)
-    else:
-        t_action_steady = duration / n_actions
+    n_tail = n_actions - n_head
+    t_action_steady = (end - head_end) / n_tail if n_tail else duration / n_actions
 
-    exec_iv = _intervals(execs)
-    o_ge_total = _overlap_total(_intervals(gens), exec_iv)
-    o_oe_total = _overlap_total(_intervals(obs), exec_iv)
-    later = [h for h in horizons if h != first_h]
-    if later:
-        ge_tail = _overlap_total(_intervals([e for e in gens if e.horizon_index != first_h]), exec_iv)
-        oe_tail = _overlap_total(_intervals([e for e in obs if e.horizon_index != first_h]), exec_iv)
-        o_ge_ph = ge_tail / len(later)
-        o_oe_ph = oe_tail / len(later)
+    exec_iv = [(e.start, e.end) for e in execs]
+    exec_iv.sort()
+    gens.sort()
+    obs.sort()
+    o_ge_total, ge_tail = _overlap_sweep(gens, exec_iv, first_h)
+    o_oe_total, oe_tail = _overlap_sweep(obs, exec_iv, first_h)
+    if n_horizons > 1:
+        o_ge_ph = ge_tail / (n_horizons - 1)
+        o_oe_ph = oe_tail / (n_horizons - 1)
     else:
         o_ge_ph = o_ge_total
         o_oe_ph = o_oe_total

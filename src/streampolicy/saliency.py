@@ -12,7 +12,9 @@ without access to the future frame:
 Firing rule: observe early when score <= eta. The threshold eta is an order
 statistic of scores collected on held-out demonstrations, chosen to hit a
 target firing rate, so all indicator variants can be compared at matched
-observation budgets.
+observation budgets. decision_scores scores all of a calibration set's
+decision points in one stacked forward pass that gives each the bits of a
+lone saliency_score call, so the calibrated eta is the per-decision one.
 
 The embedding is a frozen random projection of the observation features
 followed by tanh; only the change-prediction head trains. Conditioning on the
@@ -43,6 +45,7 @@ from .velocitynet import (
     CheckpointError,
     TAG_SALIENCY_PREDICTOR,
     adam_step,
+    check_shapes,
     init_adam,
     read_container,
     write_container,
@@ -124,35 +127,42 @@ class Predictor:
         return {k: v for k, v in self.params.items() if not k.startswith("enc_")}
 
 
-def init_predictor(cfg: PredictorConfig) -> Predictor:
-    rng = make_rng(cfg.seed, STREAM_MODEL_INIT, 2)
-
-    def w(rows, cols):
-        return rng.standard_normal((rows, cols)) / np.sqrt(cols)
-
+def _param_shapes(cfg: PredictorConfig) -> dict[str, tuple[int, ...]]:
+    """Each parameter's shape under cfg, in init_predictor's draw order."""
     n_mod = 4 * cfg.hidden  # gamma0, beta0, gamma1, beta1
-    params = {
-        "enc_w": w(cfg.embed_dim, cfg.obs_dim),
-        "enc_b": np.zeros(cfg.embed_dim),
-        "tw0": w(cfg.hidden, cfg.embed_dim),
-        "tb0": np.zeros(cfg.hidden),
-        "tw1": w(cfg.hidden, cfg.hidden),
-        "tb1": np.zeros(cfg.hidden),
-        "tw2": w(cfg.embed_dim, cfg.hidden),
-        "tb2": np.zeros(cfg.embed_dim),
-        "cw0": w(cfg.cond_hidden, cfg.cond_dim),
-        "cb0": np.zeros(cfg.cond_hidden),
-        "cw1": w(n_mod, cfg.cond_hidden),
-        "cb1": np.zeros(n_mod),
+    return {
+        "enc_w": (cfg.embed_dim, cfg.obs_dim),
+        "enc_b": (cfg.embed_dim,),
+        "tw0": (cfg.hidden, cfg.embed_dim),
+        "tb0": (cfg.hidden,),
+        "tw1": (cfg.hidden, cfg.hidden),
+        "tb1": (cfg.hidden,),
+        "tw2": (cfg.embed_dim, cfg.hidden),
+        "tb2": (cfg.embed_dim,),
+        "cw0": (cfg.cond_hidden, cfg.cond_dim),
+        "cb0": (cfg.cond_hidden,),
+        "cw1": (n_mod, cfg.cond_hidden),
+        "cb1": (n_mod,),
     }
+
+
+def init_predictor(cfg: PredictorConfig) -> Predictor:
+    """Weights drawn standard normal over sqrt(fan-in), biases zero."""
+    rng = make_rng(cfg.seed, STREAM_MODEL_INIT, 2)
+    params = {name: (rng.standard_normal(shape) / np.sqrt(shape[1]) if len(shape) == 2
+                     else np.zeros(shape))
+              for name, shape in _param_shapes(cfg).items()}
     return Predictor(config=cfg, params=params)
 
 
 def embed(predictor: Predictor, obs_features: np.ndarray) -> np.ndarray:
-    """Frozen random-projection embedding of observation features."""
-    x = np.atleast_2d(np.asarray(obs_features, dtype=float))
-    e = np.tanh(x @ predictor.params["enc_w"].T + predictor.params["enc_b"])
-    return e[0] if np.asarray(obs_features).ndim == 1 else e
+    """Frozen random-projection embedding of observation features: one row
+    (obs_dim,) embedded as a (1, obs_dim) product, or a stack (..., obs_dim)
+    of rows."""
+    x = np.asarray(obs_features, dtype=float)
+    e = np.tanh((x[None] if x.ndim == 1 else x) @ predictor.params["enc_w"].T
+                + predictor.params["enc_b"])
+    return e[0] if x.ndim == 1 else e
 
 
 def pad_actions(remaining: np.ndarray, cfg: PredictorConfig) -> np.ndarray:
@@ -168,11 +178,18 @@ def pad_actions(remaining: np.ndarray, cfg: PredictorConfig) -> np.ndarray:
 
 
 def _forward(params: dict, E: np.ndarray, C: np.ndarray):
+    """Predicted change for embeddings E and padded conditions C, row by
+    row: (B, d) batches in training, (n, 1, d) stacks in decision_scores.
+
+    A stack's products are one vector-matrix BLAS call per (1, d) item, the
+    call a lone (1, d) row makes, and the rest is elementwise, so every item
+    gets the bits it gets alone, whatever n is (see velocitynet.forward).
+    """
     hidden = params["tb0"].shape[0]
     ch = np.tanh(C @ params["cw0"].T + params["cb0"])
     mod = ch @ params["cw1"].T + params["cb1"]
-    g0, b0 = mod[:, :hidden], mod[:, hidden : 2 * hidden]
-    g1, b1 = mod[:, 2 * hidden : 3 * hidden], mod[:, 3 * hidden :]
+    g0, b0 = mod[..., :hidden], mod[..., hidden : 2 * hidden]
+    g1, b1 = mod[..., 2 * hidden : 3 * hidden], mod[..., 3 * hidden :]
     z0 = E @ params["tw0"].T + params["tb0"]
     h0 = np.tanh((1.0 + g0) * z0 + b0)
     z1 = h0 @ params["tw1"].T + params["tb1"]
@@ -393,19 +410,27 @@ def decision_scores(predictor: Predictor | None, trajectories: list[Trajectory],
     """Scores at every horizon decision point of the given demonstrations.
 
     Decision points sit n_eo actions before each non-overlapping horizon
-    boundary, mirroring where the executor consults the indicator.
+    boundary, mirroring where the executor consults the indicator. Each score
+    is the one indicator_score gives at that point, bit for bit: adaptive
+    scores run as one stacked _forward over (n, 1, d) rows, and each
+    prediction's norm is taken alone, as saliency_score takes it.
     """
     if not 1 <= n_eo < h:
         raise ValueError("n_eo must satisfy 1 <= n_eo < h")
-    scores = []
-    for traj in trajectories:
-        for start in range(0, len(traj) - h + 1, h):
-            d = start + h - n_eo
-            scores.append(indicator_score(mode, predictor, traj.observations[d],
-                                          traj.actions[d : start + h]))
-    if not scores:
+    points = [(traj, start + h - n_eo, start + h) for traj in trajectories
+              for start in range(0, len(traj) - h + 1, h)]
+    if not points:
         raise ValueError("demonstrations too short to produce decision points")
-    return np.asarray(scores)
+    if mode != EO_ADAPTIVE:
+        return np.asarray([indicator_score(mode, predictor, traj.observations[d], traj.actions[d:end])
+                           for traj, d, end in points])
+    if predictor is None:
+        raise ValueError("adaptive early observation requires a predictor")
+    cfg = predictor.config
+    E = embed(predictor, np.stack([traj.observations[d].features for traj, d, _ in points])[:, None])
+    C = np.stack([pad_actions(traj.actions[d:end], cfg) for traj, d, end in points])[:, None]
+    out, _ = _forward(predictor.params, E, C)
+    return np.asarray([float(np.linalg.norm(row)) for row in out[:, 0]])
 
 
 def calibrate_threshold(scores: np.ndarray, target_rate: float) -> float:
@@ -439,7 +464,8 @@ def save_predictor(path, predictor: Predictor, iteration: int | None = None) -> 
 def load_predictor(path) -> Predictor:
     """The predictor save_predictor wrote. Each PredictorConfig field is read
     back as its default's type, gap_choices as a tuple of ints; a missing or
-    ill-typed field raises CheckpointError naming the file."""
+    ill-typed field, or a config whose parameter shapes are not the stored
+    arrays' shapes, raises CheckpointError naming the file."""
     _tag, arrays, meta = read_container(path, expect_tag=TAG_SALIENCY_PREDICTOR)
     try:
         cfg = PredictorConfig(**{
@@ -448,4 +474,5 @@ def load_predictor(path) -> Predictor:
             for f in dataclasses.fields(PredictorConfig)})
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: missing or ill-typed predictor metadata: {exc!r}") from exc
+    check_shapes(path, "predictor", _param_shapes(cfg), arrays)
     return Predictor(config=cfg, params=dict(arrays))

@@ -55,8 +55,13 @@ class VelocityModel:
         return len(self.hidden) + 1
 
 
+def _layer_sizes(action_dim: int, obs_dim: int, hidden) -> list[int]:
+    """Widths of the network's input, hidden and output layers."""
+    return [action_dim + TIME_DIM + obs_dim, *hidden, action_dim]
+
+
 def init_velocity_model(action_dim: int, obs_dim: int, hidden=(128, 128), *, rng: np.random.Generator) -> VelocityModel:
-    sizes = [action_dim + TIME_DIM + obs_dim, *hidden, action_dim]
+    sizes = _layer_sizes(action_dim, obs_dim, hidden)
     params: dict[str, np.ndarray] = {}
     for i in range(len(sizes) - 1):
         fan_in = sizes[i]
@@ -302,6 +307,18 @@ class CheckpointVersionError(CheckpointError):
     """Checkpoint has an unsupported container version."""
 
 
+def check_shapes(path, kind: str, want: dict[str, tuple[int, ...]],
+                 arrays: dict[str, np.ndarray]) -> None:
+    """Raise CheckpointError naming path unless arrays holds exactly the
+    arrays want names, each of the shape want gives it: the sizes a
+    checkpoint's metadata states must be the sizes of its stored arrays."""
+    for name in sorted(want.keys() | arrays.keys()):
+        got = arrays[name].shape if name in arrays else None
+        if got != want.get(name):
+            raise CheckpointError(f"{path}: {kind} metadata does not fit the stored arrays: "
+                                  f"{name} is stored as {got}, the metadata gives {want.get(name)}")
+
+
 def write_container(path, *, tag: int, arrays: list[tuple[str, np.ndarray]], config: dict) -> None:
     meta = {
         "arrays": [[name, list(a.shape)] for name, a in arrays],
@@ -453,7 +470,9 @@ def save_policy(path, policy: Policy, *, adam: AdamState | None = None, iteratio
 
 
 def load_policy(path):
-    """Returns (Policy, AdamState | None, iteration | None)."""
+    """Returns (Policy, AdamState | None, iteration | None). Raises
+    CheckpointError naming the file when the metadata lacks a field or its
+    sizes (action_dim, obs_dim, hidden) do not give the stored layer shapes."""
     _, arrays, config = read_container(path, expect_tag=TAG_VELOCITY_POLICY)
     try:
         stats = NormStats(q_min=arrays["norm.q_min"], q_max=arrays["norm.q_max"], scale=arrays["norm.scale"])
@@ -470,6 +489,11 @@ def load_policy(path):
                                                 eps=a["eps"], step=int(a["step"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: missing or ill-typed policy metadata: {exc!r}") from exc
+    sizes = _layer_sizes(model.action_dim, model.obs_dim, model.hidden)
+    want = {}
+    for i in range(len(sizes) - 1):
+        want[f"w{i}"], want[f"b{i}"] = (sizes[i], sizes[i + 1]), (sizes[i + 1],)
+    check_shapes(path, "policy", want, model.params)
     if adam is not None:
         adam.m = {k[len("adam_m."):]: v for k, v in arrays.items() if k.startswith("adam_m.")}
         adam.v = {k[len("adam_v."):]: v for k, v in arrays.items() if k.startswith("adam_v.")}

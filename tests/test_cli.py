@@ -690,17 +690,30 @@ def _drop(*path):
     return edit
 
 
+def _set_hidden(value):
+    def edit(meta):
+        meta["config"]["hidden"] = value
+        return meta
+    return edit
+
+
 @pytest.mark.parametrize("command, which, edit", [
     ("rollout", "policy", _drop("config", "flow")),
     ("rollout", "policy", _drop("arrays")),
     ("rollout", "policy", lambda meta: []),
     ("rollout", "policy", lambda meta: {**meta, "arrays": [["norm.q_min"]]}),
     ("bench", "predictor", _drop("config", "hidden")),
+    ("rollout", "policy", _set_hidden([0])),
+    ("rollout", "policy", _set_hidden([16, 16, 16])),
+    ("rollout", "predictor", _set_hidden(3)),
+    ("rollout", "predictor", _set_hidden(0)),
 ], ids=["policy_without_flow", "without_arrays", "not_an_object", "array_without_shape",
-        "predictor_without_hidden"])
+        "predictor_without_hidden", "policy_hidden_0", "policy_extra_hidden_layer",
+        "predictor_hidden_3", "predictor_hidden_0"])
 def test_damaged_checkpoint_metadata_exits_2(workdir, tmp_path, capsys, command, which, edit):
     """Metadata that passes the blob's checksum but lacks a field the loader
-    reads is an unreadable checkpoint: exit 2 naming the file, no traceback."""
+    reads, or gives widths that are not the stored weights' shapes, is an
+    unreadable checkpoint: exit 2 naming the file, no traceback."""
     policy = workdir / "policy" / "policy.ckpt"
     damaged = tmp_path / "damaged.ckpt"
     argv = [command, "--env", "controller", "--episodes", "1", "--step-cap", "5"]

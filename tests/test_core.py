@@ -180,3 +180,37 @@ def test_load_reports_a_malformed_record_as_dataset_error(tmp_path, corrupt):
     bad.write_text("\n".join([header, first, json.dumps(rec)]) + "\n")
     with pytest.raises(DatasetError, match=r"bad\.jsonl: episode 1: "):
         load_dataset(bad)
+
+
+def _nan_feature(t):
+    t.observations[1].features[3] = np.nan
+    return "features"
+
+
+def _inf_action(t):
+    # the states stay the exact prefix sums, so only finiteness can catch it
+    t.actions[1, 0] = np.inf
+    t.action_states = cumulative_states(t.actions, t.action_states[0])
+    return "actions"
+
+
+def _nan_action(t):
+    t.actions[2, 1] = np.nan
+    return "actions"
+
+
+def _inf_state(t):
+    t.action_states[-1, 1] = -np.inf
+    return "action_states"
+
+
+@pytest.mark.parametrize("corrupt", [_nan_feature, _inf_action, _nan_action, _inf_state],
+                         ids=["nan_feature", "inf_action", "nan_action", "inf_state"])
+def test_save_rejects_non_finite_values_naming_the_episode(tmp_path, corrupt):
+    """What load_dataset would reject as non-finite is never written."""
+    trajs = [_traj(np.full((3, 2), 0.25), [0.0, 0.0]) for _ in range(3)]
+    field = corrupt(trajs[1])
+    p = tmp_path / "d.jsonl"
+    with pytest.raises(DatasetError, match=f"^episode 1: non-finite {field}$"):
+        save_dataset(p, trajs, dim=2, env_meta={}, seed=0)
+    assert not p.exists()

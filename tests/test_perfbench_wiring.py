@@ -37,6 +37,17 @@ def test_wrap_layers_installs_on_the_package_and_restores():
         assert ("streampolicy.flowmatch", "cfm_residual") in wrapped
         assert ("streampolicy.trainer", "training_step") in wrapped
         assert ("streampolicy.streamexec", "run_episode") in wrapped
+        assert ("streampolicy.metrics", "measure") in wrapped
+        assert ("streampolicy.saliency", "decision_scores") in wrapped
+        assert ("streampolicy.saliency", "saliency_score") in wrapped
     finally:
         tracer.restore()
     assert _snapshot(modules.values()) == before
+
+
+def test_cli_measures_through_the_metrics_module():
+    """perfbench's bench-sim EpisodeLog replaces metrics.measure on the module
+    to see each episode's report; the CLI must look it up there per call,
+    not hold its own reference."""
+    assert cli.metrics is metrics
+    assert "measure" not in vars(cli)

@@ -210,15 +210,66 @@ def test_decision_scores_alignment(small_demos, ctrl_predictor):
     t0 = small_demos[0]
     d = h - n_eo
     manual = saliency_score(ctrl_predictor, t0.observations[d], t0.actions[d:h])
-    assert scores[0] == pytest.approx(manual, rel=1e-12)
+    assert scores[0] == manual
 
 
 def test_decision_scores_action_norm(small_demos):
     scores = decision_scores(None, small_demos, 10, 2, mode=EO_ACTION_NORM)
     t0 = small_demos[0]
-    assert scores[0] == pytest.approx(action_norm_score(t0.actions[8:10]), rel=1e-12)
+    assert scores[0] == action_norm_score(t0.actions[8:10])
     with pytest.raises(ValueError):
         decision_scores(None, small_demos, 10, 0)
+
+
+def _per_decision_scores(mode, predictor, trajectories, h, n_eo):
+    """The scores decision_scores gives, one lone score call per point."""
+    out = []
+    for t in trajectories:
+        for start in range(0, len(t) - h + 1, h):
+            d = start + h - n_eo
+            out.append(saliency_score(predictor, t.observations[d], t.actions[d:start + h])
+                       if mode == EO_ADAPTIVE else action_norm_score(t.actions[d:start + h]))
+    return np.asarray(out)
+
+
+@pytest.mark.parametrize("source", ["small_demos", "calibration"])
+def test_stacked_decision_scores_match_per_decision_scores_bitwise(source, request, ctrl_predictor):
+    """The stacked pass scores every decision point as a lone saliency_score
+    or action_norm_score call does, bit for bit: one ulp can move a
+    calibrated eta. The calibration set is the on-policy rollouts bench
+    calibrates on."""
+    if source == "small_demos":
+        trajs = request.getfixturevalue("small_demos")
+    else:
+        from streampolicy.envsim import EnvKind, KIND_CONTROLLER
+        from streampolicy.streamexec import calibration_trajectories
+        trajs = calibration_trajectories(request.getfixturevalue("ctrl_policy"),
+                                         EnvKind(variant=KIND_CONTROLLER), 5, 30, 120)
+    for n_eo in (1, 2, 3, 4, 6, 9):
+        for mode in (EO_ADAPTIVE, EO_ACTION_NORM):
+            got = decision_scores(ctrl_predictor, trajs, 10, n_eo, mode=mode)
+            want = _per_decision_scores(mode, ctrl_predictor, trajs, 10, n_eo)
+            assert got.dtype == want.dtype and got.shape == want.shape and len(got) > 30
+            assert got.tobytes() == want.tobytes(), (mode, n_eo)
+
+
+def test_predictor_stack_matches_lone_rows_bitwise(ctrl_predictor):
+    """_forward on an (n, 1, d) stack gives each item the bits the lone
+    (1, d) row of predict_change gets, for any n: each item is its own
+    vector-matrix product."""
+    cfg = ctrl_predictor.config
+    rng = make_rng(9, 4, 1)
+    for B in (1, 7, 299, 1000):
+        feats = rng.uniform(-5.0, 5.0, size=(B, cfg.obs_dim))
+        remaining = rng.normal(scale=0.3, size=(B, 3, cfg.action_dim))
+        E = embed(ctrl_predictor, feats[:, None])
+        C = np.stack([pad_actions(r, cfg) for r in remaining])[:, None]
+        out, _ = saliency._forward(ctrl_predictor.params, E, C)
+        assert E.shape == (B, 1, cfg.embed_dim) and out.shape == (B, 1, cfg.embed_dim)
+        for b in range(B):
+            assert E[b, 0].tobytes() == embed(ctrl_predictor, feats[b]).tobytes(), (B, b)
+            lone = predict_change(ctrl_predictor, feats[b], remaining[b])
+            assert out[b, 0].tobytes() == lone.tobytes(), (B, b)
 
 
 def test_trained_predictor_separates_latch_crossings(ctrl_demos, ctrl_predictor):
