@@ -20,9 +20,11 @@ generation exhausted, training diverged).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
+import platform
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -30,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import envsim, metrics, saliency, streamexec, trainer
+from . import __version__, envsim, metrics, saliency, streamexec, trainer
 from .core import ALPHA0_ZERO, DatasetError, load_dataset, save_dataset
 from .envsim import GenerationError
 from .trainer import TrainConfig, TrainingDivergedError
@@ -53,13 +55,17 @@ class CliError(Exception):
 
 class _Opt(NamedTuple):
     """One option of a subcommand. A None default marks a required option; a
-    bool one is a switch whose flag flips its default (--name or --no-name)."""
+    bool one is a switch whose flag flips its default (--name or --no-name).
+    A value below least (a count that would run nothing, a negative seed),
+    from any source, is refused when the options are resolved, naming the
+    source."""
 
     name: str
     type: type
     default: object
     choices: list | None = None
     help: str | None = None
+    least: int | None = None
 
 
 def _parse_bool(text: str) -> bool:
@@ -103,23 +109,31 @@ def _resolve(args: argparse.Namespace) -> dict:
 
     resolved = {}
     for opt in _COMMANDS[args.command][2]:
-        value = opt.default
+        flag = f"--{opt.name.replace('_', '-')}"
+        value, source = opt.default, None
         if opt.name in file_cfg:
-            value = _parse(opt, file_cfg[opt.name], f"config key {opt.name!r}")
+            source = f"config key {opt.name!r}"
+            value = _parse(opt, file_cfg[opt.name], source)
         env_name = ENV_PREFIX + opt.name.upper()
         if env_name in os.environ:
+            source = env_name
             value = _parse(opt, os.environ[env_name], env_name)
         if getattr(args, opt.name) is not None:
+            source = flag
             value = getattr(args, opt.name)
         if value is None:
-            raise CliError(f"--{opt.name.replace('_', '-')} is required")
+            raise CliError(f"{flag} is required")
+        if opt.least is not None and value < opt.least:
+            raise CliError(f"{source} must be at least {opt.least}, got {value}")
         resolved[opt.name] = value
     return resolved
 
 
 def _check_counts(cfg: dict, *names: str, least: int = 1) -> None:
-    """Each named count must be at least least; a smaller one would run
-    nothing (no episodes, no training iterations) or divide by zero."""
+    """Each named count must be at least least, a bound that depends on the
+    command's other inputs (an option's own bound is its _Opt.least); a
+    smaller one would run nothing (no episodes, no training iterations) or
+    divide by zero."""
     for name in names:
         if cfg[name] < least:
             raise CliError(f"--{name.replace('_', '-')} must be at least {least}, got {cfg[name]}")
@@ -138,12 +152,26 @@ def _artifact(path) -> dict:
     return {"path": str(path), "sha256": _sha256(path)}
 
 
+@functools.cache
+def _software() -> dict:
+    """The package, Python, numpy and BLAS versions and the CPU count of
+    this process, for its manifest entries; computed once per process.
+    Callers must not modify the result."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError, AttributeError):  # a numpy without the dicts mode
+        blas = {"name": None, "version": None}
+    return {"streampolicy": __version__, "python": platform.python_version(),
+            "numpy": np.__version__, "blas": blas, "cpu_count": os.cpu_count()}
+
+
 def _write_manifest(directory, command: str, resolved: dict, artifacts: dict[str, dict]) -> None:
     """manifest.json: for each command that wrote into directory, its
-    resolved configuration and each artifact's entry (see _artifact), under
-    "commands". A command replaces only its own entry, so commands that share
-    a directory keep each other's. A manifest that cannot be read in this
-    layout is replaced."""
+    resolved configuration, each artifact's entry (see _artifact) and the
+    software it ran on (see _software), under "commands". A command replaces
+    only its own entry, so commands that share a directory keep each
+    other's. A manifest that cannot be read in this layout is replaced."""
     path = Path(directory) / "manifest.json"
     try:
         commands = json.loads(path.read_text())["commands"]
@@ -154,6 +182,7 @@ def _write_manifest(directory, command: str, resolved: dict, artifacts: dict[str
     commands[command] = {
         "config": {k: (v if not isinstance(v, Path) else str(v)) for k, v in resolved.items()},
         "artifacts": artifacts,
+        "software": _software(),
     }
     with open(path, "w") as fh:
         json.dump({"commands": commands}, fh, indent=2, sort_keys=True)
@@ -224,7 +253,6 @@ def _load_trajectories(path):
 
 
 def _cmd_gen_data(cfg) -> int:
-    _check_counts(cfg, "episodes", "step_cap")
     kind = _env_kind(cfg["env"])
     trajectories = envsim.generate_demos(
         kind, cfg["episodes"], cfg["seed"], step_cap=cfg["step_cap"], noise=cfg["noise"]
@@ -241,7 +269,6 @@ def _cmd_gen_data(cfg) -> int:
 
 
 def _cmd_train_policy(cfg) -> int:
-    _check_counts(cfg, "iterations", "log_every")
     trajectories, header = _load_trajectories(cfg["data"])
     convention = header.get("env", {}).get("alpha0", ALPHA0_ZERO)
 
@@ -343,7 +370,6 @@ def _load_run(cfg) -> tuple:
 
 
 def _cmd_rollout(cfg) -> int:
-    _check_counts(cfg, "episodes", "step_cap")
     policy, predictor, kind, stage = _load_run(cfg)
     scheduler = streamexec.SchedulerConfig(
         mode=cfg["mode"], h=policy.flow.h,
@@ -414,7 +440,6 @@ def _bench_configs(cfg, policy, predictor, modes, calib) -> dict[str, tuple]:
 
 
 def _cmd_bench(cfg) -> int:
-    _check_counts(cfg, "episodes", "step_cap")
     policy, predictor, kind, stage = _load_run(cfg)
 
     names = [n.strip() for n in cfg["eo"].split(",") if n.strip() not in ("", "none")]
@@ -529,7 +554,7 @@ def _cmd_predict_timing(cfg) -> int:
 # options and parser
 # ---------------------------------------------------------------------------
 
-_SEED = _Opt("seed", int, 0)
+_SEED = _Opt("seed", int, 0, least=0)
 _PROFILE = _Opt("profile", str, "reference",
                 help="'reference', 'zero', or t_obs,t_gen,t_exec[,t_pred]")
 
@@ -542,8 +567,8 @@ def _run_options(episodes: int, n_eo: int) -> list[_Opt]:
         _Opt("predictor", str, ""),
         _Opt("env", str, "", _ENVS,
              "default: the env whose ledger seeding the policy was trained with"),
-        _Opt("episodes", int, episodes),
-        _Opt("step_cap", int, 120),
+        _Opt("episodes", int, episodes, least=1),
+        _Opt("step_cap", int, 120, least=1),
         _Opt("n_eo", int, n_eo),
         _PROFILE,
         _Opt("clock", str, "simulated", ["simulated", "wall"]),
@@ -556,8 +581,8 @@ _COMMANDS = {
     "gen-data": (_cmd_gen_data, "generate scripted demonstrations", [
         _SEED,
         _Opt("env", str, envsim.KIND_DIRECT, _ENVS),
-        _Opt("episodes", int, 200),
-        _Opt("step_cap", int, 120),
+        _Opt("episodes", int, 200, least=1),
+        _Opt("step_cap", int, 120, least=1),
         _Opt("noise", float, envsim.EXPERT_NOISE, help="expert action noise std: finite, 0 or more"),
         _Opt("out", str, "demos.jsonl"),
     ]),
@@ -565,7 +590,7 @@ _COMMANDS = {
         _SEED,
         _Opt("data", str, None),
         _Opt("out", str, "policy.ckpt"),
-        _Opt("iterations", int, 20000),
+        _Opt("iterations", int, 20000, least=1),
         _Opt("batch_size", int, 64),
         _Opt("lr", float, 1e-3),
         _Opt("lr_schedule", str, "constant", ["constant", "cosine"]),
@@ -575,7 +600,7 @@ _COMMANDS = {
              help="ablation: start every horizon ledger at zero"),
         _Opt("resume", str, "", help="checkpoint to continue training from"),
         _Opt("log", str, "", help="training-log csv path"),
-        _Opt("log_every", int, 100),
+        _Opt("log_every", int, 100, least=1),
     ]),
     "train-predictor": (_cmd_train_predictor, "train the saliency change predictor", [
         _SEED,
@@ -601,7 +626,7 @@ _COMMANDS = {
         _Opt("calib_data", str, "", help="trajectories for threshold calibration "
                                           "(default: fresh on-policy rollouts)"),
         _Opt("calib_episodes", int, 100),
-        _Opt("calib_seed", int, 3000),
+        _Opt("calib_seed", int, 3000, least=0),
         _Opt("n_replan", int, 0),
         _Opt("eo", str, "naive,random,anao,adaptive",
              help="comma list drawn from naive,random,anao,adaptive"),

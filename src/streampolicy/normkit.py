@@ -63,9 +63,14 @@ def fit_stats(trajectories: list[Trajectory]) -> NormStats:
     return NormStats(q_min=q_min, q_max=q_max, scale=scale)
 
 
+_F64 = np.dtype(np.float64)
+
+
 def _check_dim(v: np.ndarray, stats: NormStats) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape[-1] != stats.dim:
+    # a float64 array, as each generated action is, needs no conversion
+    if type(v) is not np.ndarray or v.dtype is not _F64:
+        v = np.asarray(v, dtype=np.float64)
+    if v.shape[-1] != stats.scale.shape[0]:
         raise DimensionMismatchError(f"trailing dim {v.shape[-1]} != stats dim {stats.dim}")
     return v
 

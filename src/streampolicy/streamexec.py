@@ -28,16 +28,20 @@ once (Policy.inputs, from its observation) and then computes each action in
 index order as one Policy.action on them: the ledger and the time features
 written in place, one Euler step of the learned flow through
 velocitynet.forward, flowmatch.extract_action (the same flow math the
-trainer regresses on) and normkit.denormalize.
+trainer regresses on) and normkit.denormalize. It keeps the running ledger
+after each action.
 
 One _Episode record keeps the executor side of an episode on both runners:
-the env state, the executed ledger, the indicator stream and the rules the
-clocks share (the decision point, the decision, what an execution records,
-when the episode ends). At a decision the simulated engine scores the
-horizon's whole remaining tail, the wall runner what its generator has
-released by then. A recorded trajectory is built at the end, from the state
-before each execution and the executed actions, by envsim.rollout_trajectory,
-which also builds every demo and calibration trajectory.
+the env state, the executed ledger (read from the chunk's running ledger,
+which sums the same actions in the same order), the indicator stream (only
+the random indicator has one) and the rules the clocks share (the decision
+point, the decision, what an execution records, when the episode ends). At
+a decision the simulated engine scores the horizon's whole remaining tail,
+the wall runner what its generator has released by then; only the adaptive
+indicator observes the frame there. A recorded trajectory is built at the
+end, from the state before each execution and the executed actions, by
+envsim.rollout_trajectory, which also builds every demo and calibration
+trajectory.
 
 On the simulated clock, generate events model the generator lane: every
 planned action of a horizon gets one at its modeled time, because the
@@ -218,8 +222,9 @@ class EpisodeResult:
 
 
 def _decide_eo(scheduler: SchedulerConfig, predictor, obs, remaining_raw: np.ndarray,
-               rng: np.random.Generator) -> tuple[bool, float | None]:
-    """Evaluate the early-observation indicator; returns (fired, score or None)."""
+               rng: np.random.Generator | None) -> tuple[bool, float | None]:
+    """Evaluate the early-observation indicator; returns (fired, score or None).
+    Only the random mode draws from rng, and only the adaptive one reads obs."""
     ind = scheduler.eo
     if ind.mode == saliency.EO_NAIVE:
         return True, None
@@ -231,8 +236,16 @@ def _decide_eo(scheduler: SchedulerConfig, predictor, obs, remaining_raw: np.nda
 
 class _Episode:
     """The executor side of one episode, shared by both runners (see the
-    module docstring); the runners supply only times and actions. When it
-    records a trajectory it keeps the state before each execution."""
+    module docstring); the runners supply only times, actions and ledgers.
+
+    Each execution's ledger is the generator's running ledger after that
+    action (_Chunk.get): the chunk starts from the executed ledger's bytes
+    and sums the same actions in the same order, so it is the sum the
+    executor would make, without a second add per action. An episode builds
+    its indicator stream only for the random indicator, the one mode that
+    draws from it, and observes the frame at a decision only for the
+    adaptive one, the one mode that scores it. When it records a trajectory
+    it keeps the state before each execution."""
 
     __slots__ = ("scheduler", "predictor", "env", "kind", "step_cap", "decision_idx",
                  "scored", "adaptive", "ind_rng", "state", "alpha", "raw", "norm", "visited",
@@ -248,7 +261,7 @@ class _Episode:
         self.scored = eo is not None and eo.mode in saliency.SCORED_MODES
         self.adaptive = eo is not None and eo.mode == saliency.EO_ADAPTIVE  # charges t_pred
         self.ind_rng = (make_rng(scheduler.seed, STREAM_INDICATOR, getattr(env, "episode_id", 0))
-                        if eo is not None else None)
+                        if eo is not None and eo.mode == saliency.EO_RANDOM else None)
         self.state = env.init_state
         # rebound, never updated in place: a horizon's _Chunk keeps the array it starts from
         self.alpha = policy.initial_alpha(self.state.position)
@@ -265,11 +278,12 @@ class _Episode:
         return self.decision_idx if self.horizons * self.scheduler.h < self.step_cap else -1
 
     def decide(self, t: float, remaining) -> bool:
-        """Score the indicator on the current frame, observed at time t, and
-        on remaining(), the raw actions still to execute, which only the
-        scored modes read; counts the decision and returns whether it fired."""
+        """Score the indicator on remaining(), the raw actions still to
+        execute, which only the scored modes read, and (adaptive only) on the
+        current frame, observed at time t; counts the decision and returns
+        whether it fired."""
         tail = remaining() if self.scored else None
-        obs = envsim.observe(self.state, capture_time=t)
+        obs = envsim.observe(self.state, capture_time=t) if self.adaptive else None
         fired, _score = _decide_eo(self.scheduler, self.predictor, obs, tail, self.ind_rng)
         self.eo_decisions += 1
         self.eo_fired += fired
@@ -280,37 +294,42 @@ class _Episode:
         state = envsim.step(self.kind, self.state, a_raw)
         return state, envsim.success(state)
 
-    def execute(self, a_norm: np.ndarray, a_raw: np.ndarray, state: envsim.EnvState,
-                done: bool) -> bool:
-        """Record the execution of (a_norm, a_raw), which led to state with
-        success flag done; returns whether the episode ended, on success or
-        at the step cap."""
+    def execute(self, a_norm: np.ndarray, a_raw: np.ndarray, alpha: np.ndarray,
+                state: envsim.EnvState, done: bool) -> bool:
+        """Record the execution of (a_norm, a_raw), after which the ledger is
+        alpha and which led to state with success flag done; returns whether
+        the episode ended, on success or at the step cap."""
         if self.visited is not None:
             self.visited.append(self.state)
         self.state = state
         self.raw.append(a_raw)
         self.norm.append(a_norm)
-        self.alpha = self.alpha + a_norm
+        self.alpha = alpha
         self.steps += 1
         self.succeeded = done
         return done or self.steps >= self.step_cap
 
     def result(self, events: list[TimelineEvent]) -> EpisodeResult:
-        """The EpisodeResult; final_alpha is the executed ledger, alpha0 plus
-        the executed actions summed in execution order, and a recorded
-        trajectory is envsim.rollout_trajectory's, from the kept states and
-        the executed raw actions. Sorts the runner's own events list in place."""
+        """The EpisodeResult; final_alpha is a copy of the executed ledger,
+        alpha0 plus the executed actions summed in execution order (the
+        ledger arrays are the chunks', which episodes in a shared_horizons()
+        scope share), and a recorded trajectory is
+        envsim.rollout_trajectory's, from the kept states and the executed
+        raw actions. Sorts the runner's own events list in place."""
         events.sort(key=event_sort_key)
-        raw = np.asarray(self.raw).reshape(self.steps, -1)
+        # an episode executes at least one action; concatenating the rows
+        # copies their bytes at about half np.asarray's cost on a list of arrays
+        raw = np.concatenate(self.raw).reshape(self.steps, -1)
         trajectory = None
         if self.visited is not None:
             features = envsim.observe_rows(*envsim.state_rows(self.visited))
             trajectory = envsim.rollout_trajectory(self.kind, self.env.init_state, features, raw)
         return EpisodeResult(
             success=self.succeeded, events=events, actions_raw=raw,
-            actions_norm=np.asarray(self.norm).reshape(self.steps, -1), final_alpha=self.alpha,
-            final_state=self.state, n_horizons=self.horizons, eo_fired=self.eo_fired,
-            steps=self.steps, trajectory=trajectory, eo_decisions=self.eo_decisions,
+            actions_norm=np.concatenate(self.norm).reshape(self.steps, -1),
+            final_alpha=self.alpha.copy(), final_state=self.state, n_horizons=self.horizons,
+            eo_fired=self.eo_fired, steps=self.steps, trajectory=trajectory,
+            eo_decisions=self.eo_decisions,
         )
 
 
@@ -320,7 +339,9 @@ class _Chunk:
     The values are computed in index order, with the generator's ledger
     alpha summed left to right, and only as far as an execution or an
     indicator score reads them. The results are the ones generating the whole
-    chunk up front gives.
+    chunk up front gives. The ledger after each action is kept with it: it
+    is the executed ledger of an episode that executes the chunk from its
+    start (see _Episode).
 
     The first action builds the horizon's inputs (policy.inputs: the
     dimension checks and the input row with the observation features in
@@ -331,35 +352,35 @@ class _Chunk:
     executed actions take from each start state (see path).
     """
 
-    __slots__ = ("policy", "alpha", "features", "h", "norm", "raw", "inputs", "paths")
+    __slots__ = ("policy", "alpha", "features", "h", "actions", "inputs", "paths")
 
     def __init__(self, policy: Policy, alpha: np.ndarray, features: np.ndarray, h: int):
         self.policy, self.alpha, self.features, self.h = policy, alpha, features, h
-        self.norm: list[np.ndarray] = []  # the actions computed so far, in index order
-        self.raw: list[np.ndarray] = []
+        # (normalized, raw, ledger after it) of each action computed so far, in index order
+        self.actions: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.inputs = None
         # (id(start state), id(kind)) -> (start state, kind, [(successor, success)])
         self.paths: dict[tuple[int, int], tuple] = {}
 
     def _fill(self, stop: int) -> None:
         policy, features = self.policy, self.features
-        for n in range(len(self.norm), stop):
+        for n in range(len(self.actions), stop):
             if n == 0:
                 self.inputs = policy.inputs(self.alpha, features)
             a_norm, a_raw = policy.action(self.inputs, self.alpha, n)
             self.alpha = self.alpha + a_norm
-            self.norm.append(a_norm)
-            self.raw.append(a_raw)
+            self.actions.append((a_norm, a_raw, self.alpha))
 
-    def get(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(normalized, raw) action i."""
-        self._fill(i + 1)
-        return self.norm[i], self.raw[i]
+    def get(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(normalized action, raw action, the ledger after it) of action i."""
+        if i >= len(self.actions):
+            self._fill(i + 1)
+        return self.actions[i]
 
     def tail(self, i: int) -> np.ndarray:
         """Raw actions i..h-1, one row each."""
         self._fill(self.h)
-        return np.asarray(self.raw[i:])
+        return np.asarray([raw for _, raw, _ in self.actions[i:]])
 
     def path(self, state: envsim.EnvState, kind: envsim.EnvKind) -> list[tuple[envsim.EnvState, bool]]:
         """The states that executing actions 0, 1, ... of this chunk from
@@ -416,9 +437,12 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
     """The discrete-event engine for both modes (see the module docstring)."""
     h, n_rep = scheduler.h, scheduler.replan
     sync = scheduler.mode == MODE_SYNC_CHUNK
+    t_obs, t_gen, t_exec, t_pred = stage.t_obs, stage.t_gen, stage.t_exec, stage.t_pred
     ep = _Episode(policy, predictor, env, scheduler, record_trajectory)
     memo = _SHARED_HORIZONS.get()
     events: list[TimelineEvent] = []
+    emit = events.append
+    event = TimelineEvent._make  # from one tuple: cheaper than binding five arguments
 
     obs_start = 0.0
     snapshot = ep.state       # env state visible to the pending observation
@@ -426,13 +450,13 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
     horizon = 0
     gen_lane = 0.0            # generator availability time
     exec_starts: list[float] = []
-    prev_exec_end: float | None = None
+    prev_exec_end = -math.inf  # max(ready, -inf) is ready: the first action starts when ready
     ended = False
 
     while not ended:
         obs = envsim.observe(snapshot, capture_time=obs_start)
-        obs_end = obs_start + stage.t_obs
-        events.append(TimelineEvent(STAGE_OBSERVE, base, horizon, obs_start, obs_end))
+        obs_end = obs_start + t_obs
+        emit(event((STAGE_OBSERVE, base, horizon, obs_start, obs_end)))
 
         # schedule all h actions of the horizon on the serial generator lane;
         # the queue-capacity constraint keeps the lane from running more than
@@ -443,13 +467,12 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
         chunk = _horizon_chunk(memo, policy, ep.alpha, obs.features, h)
         path = chunk.path(ep.state, ep.kind)
         lane = max(gen_lane, obs_end)
-        for i in range(h):
-            g = base + i
+        for g in range(base, base + h):
             start = lane if g < h else max(lane, exec_starts[g - h])
-            lane = start + stage.t_gen
-            events.append(TimelineEvent(STAGE_GENERATE, g, horizon, start, lane))
+            lane = start + t_gen
+            emit(event((STAGE_GENERATE, g, horizon, start, lane)))
             gen_end.append(lane)
-        gen_lane = lane
+        gen_lane = lane           # a sync chunk's actions are all ready here
 
         fired = False
         next_obs_start: float | None = None
@@ -457,32 +480,30 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
         decision = ep.begin(horizon)
 
         for i in range(n_rep):
-            g = base + i
-            ready = gen_end[h - 1] if sync else gen_end[i]
-            start = ready if prev_exec_end is None else max(ready, prev_exec_end)
-            end = start + stage.t_exec
+            start = max(gen_lane if sync else gen_end[i], prev_exec_end)
+            end = start + t_exec
 
             if i == decision:
                 # a firing indicator launches the next observation here, on this frame
                 fired = ep.decide(start, lambda: chunk.tail(i))
                 launch = start
                 if ep.adaptive:
-                    p_start = max(start - stage.t_pred, gen_end[h - 1])
-                    p_end = p_start + stage.t_pred
-                    events.append(TimelineEvent(STAGE_PREDICT, base + h, horizon, p_start, p_end))
+                    p_start = max(start - t_pred, gen_lane)
+                    p_end = p_start + t_pred
+                    emit(event((STAGE_PREDICT, base + h, horizon, p_start, p_end)))
                     launch = max(launch, p_end)
                 if fired:
                     next_obs_start = launch
                     next_snapshot = ep.state
 
-            events.append(TimelineEvent(STAGE_EXECUTE, g, horizon, start, end))
+            emit(event((STAGE_EXECUTE, base + i, horizon, start, end)))
             exec_starts.append(start)
             prev_exec_end = end
-            a_norm, a_raw = chunk.get(i)
+            a_norm, a_raw, alpha = chunk.get(i)
             if i == len(path):  # no earlier episode stepped here from this start state
                 path.append(ep.step(a_raw))
             state, done = path[i]
-            if ep.execute(a_norm, a_raw, state, done):
+            if ep.execute(a_norm, a_raw, alpha, state, done):
                 ended = True
                 break
 
@@ -640,14 +661,14 @@ def _wall_generator(shared: _WallShared, policy: Policy, stage: StageLatency,
                 if shared.stop.is_set():
                     return
                 _sleep_until(t0, max(released, lane))
-                a_norm, a_raw = chunk.get(i)
+                a_norm, a_raw, ledger = chunk.get(i)
                 start, lane, late = _lane_slot(released, lane, stage.t_gen, _now(t0))
                 shared.overruns[STAGE_GENERATE] += late
                 shared.emit(TimelineEvent(STAGE_GENERATE, base + i, horizon, start, lane))
                 made.append((lane, a_raw))
                 if i < n_rep:
-                    alpha = chunk.alpha  # the next horizon starts after n_replan actions
-                    pending.append((base + i, i, horizon, a_norm, a_raw))
+                    alpha = ledger  # the next horizon starts after n_replan actions
+                    pending.append((base + i, i, horizon, a_norm, a_raw, ledger))
                 if scheduler.mode == MODE_STREAMING or i == h - 1:
                     for item in pending:
                         if shared.put(shared.action_queue, (*item, lane)):
@@ -674,7 +695,7 @@ def _wall_executor(shared: _WallShared, ep: _Episode, stage: StageLatency, t0: f
 
     observe(0, _now(t0))
     while (item := shared.get(shared.action_queue)) is not None:
-        g, i, horizon, a_norm, a_raw, released = item
+        g, i, horizon, a_norm, a_raw, ledger, released = item
         if i == 0:
             decision = ep.begin(horizon)
 
@@ -696,7 +717,7 @@ def _wall_executor(shared: _WallShared, ep: _Episode, stage: StageLatency, t0: f
         tick = _next_tick(tick, released, _now(t0), stage.t_exec)
         start = _sleep_until(t0, tick)
         state, done = ep.step(a_raw)
-        ended = ep.execute(a_norm, a_raw, state, done)
+        ended = ep.execute(a_norm, a_raw, ledger, state, done)
         shared.overruns[STAGE_EXECUTE] += _now(t0) > tick + stage.t_exec
         end = _sleep_until(t0, tick + stage.t_exec)
         shared.emit(TimelineEvent(STAGE_EXECUTE, g, horizon, start, end))

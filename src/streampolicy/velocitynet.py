@@ -132,20 +132,23 @@ def forward(inputs: Inputs) -> np.ndarray:
     (B, action_dim) for a stack. inputs itself is not written.
 
     Each layer is one product, with the bias added and tanh applied in place,
-    which gives the training forward's rows (_mlp_forward) bit for bit. On a
-    stack each layer is one (B, 1, d) @ (d, k) product: numpy makes one
-    vector-matrix BLAS call per (1, d) item, the call a lone row makes, so
-    every row gets the bits it gets alone, whatever B is (a 2-D (B, d) @
-    (d, k) product does not: it is one matrix-matrix call, whose rows can
-    differ in the last ulp).
+    which gives the training forward's rows (_mlp_forward) bit for bit. A
+    lone row's product is np.dot(z, w): the same vector-matrix BLAS call
+    z @ w makes, with the same bits, but without the matmul ufunc's dispatch,
+    about a tenth of a lone row's cost. On a stack each layer is one
+    (B, 1, d) @ (d, k) matmul: numpy makes that vector-matrix call per
+    (1, d) item, so every row gets the bits it gets alone, whatever B is (a
+    2-D (B, d) @ (d, k) product does not: it is one matrix-matrix call,
+    whose rows can differ in the last ulp).
     """
     z = inputs.rows
+    product = np.dot if z.ndim == 1 else np.matmul
     for w, b in inputs.hidden:
-        z = z @ w
+        z = product(z, w)
         z += b
         np.tanh(z, out=z)
     w, b = inputs.out
-    z = z @ w
+    z = product(z, w)
     z += b
     return z if z.ndim == 1 else z[:, 0]
 

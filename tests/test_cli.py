@@ -2,13 +2,16 @@ import contextlib
 import hashlib
 import json
 import os
+import platform
 import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import streampolicy
 from streampolicy import cli, envsim, saliency, streamexec
 from streampolicy.cli import main
 from streampolicy.core import load_dataset
@@ -127,6 +130,67 @@ def test_an_unreadable_manifest_is_replaced(tmp_path):
         (tmp_path / "manifest.json").write_text(old)
         assert main(["gen-data", "--episodes", "2", "--out", str(tmp_path / "demos.jsonl")]) == 0
         assert set(_manifest(tmp_path)) == {"gen-data"}, old
+
+
+def test_every_manifest_entry_records_the_software_it_ran_on(workdir, tmp_path, monkeypatch):
+    """Each command's entry names the package, Python and numpy versions,
+    the BLAS and the CPU count. They are looked up once per process, so a
+    second command does not ask numpy for its build configuration again."""
+    cli._software.cache_clear()
+    real, asked = np.show_config, []
+    monkeypatch.setattr(np, "show_config", lambda *a, **kw: asked.append(kw) or real(*a, **kw))
+    policy = workdir / "policy" / "policy.ckpt"
+    assert main(["train-predictor", "--data", str(workdir / "data" / "demos.jsonl"),
+                 "--out", str(tmp_path / "predictor.ckpt"), "--iterations", "5"]) == 0
+    assert main(["bench", "--policy", str(policy), "--env", "controller", "--episodes", "1",
+                 "--step-cap", "12", "--eo", "naive", "--out-dir", str(tmp_path)]) == 0
+    assert asked == [{"mode": "dicts"}]
+
+    entries = [*_manifest(tmp_path).values(), _manifest(workdir / "data", "gen-data"),
+               _manifest(workdir / "policy", "train-policy")]
+    assert set(_manifest(tmp_path)) == {"train-predictor", "bench"}
+    blas = real(mode="dicts")["Build Dependencies"]["blas"]
+    for entry in entries:
+        assert set(entry) == {"config", "artifacts", "software"}
+        assert entry["software"] == {
+            "streampolicy": streampolicy.__version__, "python": platform.python_version(),
+            "numpy": np.__version__, "blas": {"name": blas["name"], "version": blas["version"]},
+            "cpu_count": os.cpu_count()}
+        assert all(isinstance(v, str) and v for v in entry["software"]["blas"].values())
+        assert isinstance(entry["software"]["cpu_count"], int)
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("gen-data", ["--seed", "-1"]),
+    ("train-policy", ["--data", "demos.jsonl", "--seed", "-1"]),
+    ("train-predictor", ["--data", "demos.jsonl", "--seed", "-3"]),
+    ("rollout", ["--policy", "policy.ckpt", "--seed", "-1"]),
+    ("bench", ["--policy", "policy.ckpt", "--seed", "-1"]),
+    ("bench", ["--policy", "policy.ckpt", "--calib-seed", "-1"]),
+], ids=["gen-data", "train-policy", "train-predictor", "rollout", "bench", "bench-calib-seed"])
+def test_a_negative_seed_exits_2_naming_its_option(tmp_path, capsys, monkeypatch, command, argv):
+    """A seed below 0 seeds no random stream; it is refused when the options
+    are resolved, before any input is read or output written, naming the
+    flag, the config key or the environment variable it came from."""
+    monkeypatch.chdir(tmp_path)
+    flag = next(a for a in argv if a.endswith("seed"))
+    value = argv[argv.index(flag) + 1]
+    assert main([command, *argv]) == 2
+    assert f"error: {flag} must be at least 0, got {value}\n" == capsys.readouterr().err
+
+    key = flag[2:].replace("-", "_")
+    rest = argv[:argv.index(flag)] + argv[argv.index(flag) + 2:]
+    (tmp_path / "cfg.json").write_text(json.dumps({key: int(value)}))
+    assert main([command, "--config", "cfg.json", *rest]) == 2
+    assert f"error: config key {key!r} must be at least 0, got {value}\n" == capsys.readouterr().err
+
+    monkeypatch.setenv(f"STREAMPOLICY_{key.upper()}", value)
+    assert main([command, *rest]) == 2
+    assert (f"error: STREAMPOLICY_{key.upper()} must be at least 0, got {value}\n"
+            == capsys.readouterr().err)
+    # a valid flag overrides the bad variable, and resolution goes on
+    assert cli._resolve(cli.build_parser().parse_args([command, *rest, flag, "0"]))[key] == 0
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
 
 def test_rollout_runs(workdir, capsys):

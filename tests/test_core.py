@@ -140,6 +140,22 @@ def test_make_rng_streams_are_independent_and_stable():
     assert np.array_equal(a, make_rng(7, 1, 0).random(4))
 
 
+@pytest.mark.parametrize("key, words", [
+    ((0,), (0x399e5b222b82fa9, 0x41fd08c1f00f3bc5, 0x78b8824162ee4d04)),
+    ((0, 1, 0), (0xe0142d5981f313be, 0xd22aeafad1bfb762, 0xa2f97b1960b5b213)),
+    ((11, 1, 599), (0x92373753f7635830, 0xa97b11d1edb8874, 0xba946366b6fb4f63)),
+    ((2000, 2, 49), (0xbaf1d89639889b94, 0x60601af9762f9bbc, 0x722d5fbe7ef45fa)),
+    ((3000, 6, 7), (0xb030c583e9bc35d9, 0xc9ae1c790c4fc90a, 0x716362a585ba5ee2)),
+    ((5, 3, 15999), (0x4ed3947e75d57eb9, 0x4f33a3b1da38c377, 0x40b015e2440942ac)),
+    ((2**40 + 3, 7, 0), (0x6ebfbe3befd3df45, 0xb9191fede8b20329, 0x85151032c53364ee)),
+])
+def test_make_rng_first_words_are_pinned(key, words):
+    """The first raw words of make_rng's generator for (seed, *stream) keys
+    of the demo, init, train, indicator and model-init streams. A cheaper
+    construction of the same streams must give these words first."""
+    assert tuple(make_rng(*key).bit_generator.random_raw(3).tolist()) == words
+
+
 def _break_features_length(rec):
     rec["obs"][1]["f"] = rec["obs"][1]["f"][:-1]
 

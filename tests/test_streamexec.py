@@ -797,23 +797,61 @@ def test_simulated_clock_computes_only_executed_actions(monkeypatch, null_policy
 @pytest.mark.parametrize("sched, calls", [
     (SchedulerConfig(mode=MODE_SYNC_CHUNK, n_replan=5), 0),
     (SchedulerConfig(mode=MODE_STREAMING), 0),
-    (SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="naive"), n_eo=3), 1),
-], ids=["sync_replan5", "streaming", "streaming_naive"])
+    (SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="naive"), n_eo=3), 0),
+    (SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="random", p=0.5), n_eo=3), 1),
+    (SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="action_norm", eta=0.1), n_eo=3), 0),
+    (SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="adaptive", eta=0.1), n_eo=3), 0),
+], ids=["sync_replan5", "streaming", "streaming_naive", "streaming_random", "streaming_anao",
+        "streaming_adaptive"])
 def test_indicator_stream_is_built_only_with_early_observation(monkeypatch, null_policy, sched, calls):
+    """Only the random indicator draws from the episode's indicator stream,
+    so only its episodes build one, on both clocks."""
     made = []
 
     def counting_make_rng(*key):
         made.append(key)
         return make_rng(*key)
 
+    predictor = saliency.init_predictor(saliency.PredictorConfig())
     monkeypatch.setattr(streamexec, "make_rng", counting_make_rng)
-    run_episode(null_policy, None, make_env(DIRECT, 15, step_cap=23), REFERENCE_PROFILE, sched)
-    assert len(made) == calls
+    res = run_episode(null_policy, predictor, make_env(DIRECT, 15, step_cap=23), REFERENCE_PROFILE,
+                      sched)
+    assert res.eo_decisions == (2 if sched.eo is not None else 0)
+    assert made == [(sched.seed, STREAM_INDICATOR, 0)] * calls
     # the wall runner's executor, in both modes
     made.clear()
-    run_episode(null_policy, None, make_env(DIRECT, 15, step_cap=23), FAST_PROFILE, sched,
+    run_episode(null_policy, predictor, make_env(DIRECT, 15, step_cap=23), FAST_PROFILE, sched,
                 clock="wall")
     assert len(made) == calls
+
+
+@pytest.mark.parametrize("mode", ["naive", "random", "action_norm", "adaptive"])
+def test_a_decision_observes_the_frame_only_for_the_adaptive_indicator(monkeypatch, null_policy,
+                                                                        mode):
+    """Only the adaptive indicator scores the frame, so only its decisions
+    observe one: at the decision's time, on the executor's current state.
+    A simulated episode observes once per horizon, plus once per decision
+    when adaptive."""
+    predictor = saliency.init_predictor(saliency.PredictorConfig())
+    sched = SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode=mode, eta=0.1, p=0.5), n_eo=3)
+    seen = []
+    real_observe = envsim.observe
+
+    def recording_observe(state, capture_time=None):
+        seen.append((state, capture_time))
+        return real_observe(state, capture_time=capture_time)
+
+    monkeypatch.setattr(envsim, "observe", recording_observe)
+    ep = streamexec._Episode(null_policy, predictor, make_env(DIRECT, 3), sched, False)
+    ep.decide(12.5, lambda: np.zeros((3, 2)))
+    assert ep.eo_decisions == 1
+    assert seen == ([(ep.state, 12.5)] if mode == "adaptive" else [])
+
+    seen.clear()
+    res = run_episode(null_policy, predictor, make_env(DIRECT, 15, step_cap=33), REFERENCE_PROFILE,
+                      sched)
+    assert res.eo_decisions == 3
+    assert len(seen) == res.n_horizons + (res.eo_decisions if mode == "adaptive" else 0)
 
 
 @pytest.mark.parametrize("sched", [
@@ -1055,10 +1093,10 @@ def test_a_horizon_extended_by_another_schedule_gives_the_unshared_values(monkey
     with shared_horizons():
         run_episode(null_policy, None, env, REFERENCE_PROFILE, replan5)
         first = next(iter(streamexec._SHARED_HORIZONS.get().values()))
-        assert len(first.norm) == 5
+        assert len(first.actions) == 5
         calls.clear()
         got = run_episode(null_policy, None, env, REFERENCE_PROFILE, streaming)
-        assert len(first.norm) == 10
+        assert len(first.actions) == 10
     # the rest of the streaming episode observes states sync_replan5 never did
     assert got.steps == 23 and len(calls) == got.steps - 5
     _assert_results_identical(got, want)
@@ -1332,7 +1370,9 @@ def test_wall_runner_starts_one_generator_thread(monkeypatch, null_policy):
 @pytest.mark.wall_clock
 def test_wall_env_steps_and_observations_run_on_the_calling_thread(monkeypatch, null_policy):
     """The executor observes and steps the environment on the thread that
-    called run_episode; the generator thread does neither."""
+    called run_episode; the generator thread does neither. The adaptive
+    indicator (fed an untrained predictor, and firing at every decision)
+    observes at its decisions too."""
     threads = {"step": [], "observe": []}
 
     def recording(name, fn):
@@ -1343,9 +1383,11 @@ def test_wall_env_steps_and_observations_run_on_the_calling_thread(monkeypatch, 
 
     monkeypatch.setattr(envsim, "step", recording("step", envsim.step))
     monkeypatch.setattr(envsim, "observe", recording("observe", envsim.observe))
-    sched = SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="naive"), n_eo=3)
-    res = run_episode(null_policy, None, make_env(DIRECT, 17, step_cap=22), FAST_PROFILE, sched,
-                      clock="wall")
+    sched = SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="adaptive", eta=math.inf), n_eo=3)
+    predictor = saliency.init_predictor(saliency.PredictorConfig())
+    res = run_episode(null_policy, predictor, make_env(DIRECT, 17, step_cap=22), FAST_PROFILE,
+                      sched, clock="wall")
+    assert res.eo_decisions == res.eo_fired == 2
     assert len(threads["step"]) == res.steps
     # one observation per horizon, and one more per early-observation decision
     assert len(threads["observe"]) == res.n_horizons + res.eo_decisions

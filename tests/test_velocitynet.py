@@ -407,3 +407,26 @@ def test_stacked_rows_match_single_row_forward_bitwise(policy_name, request):
         keep = np.arange(B) % 3 != 1
         kept_norm, _ = policy.action(policy.inputs(alpha[keep], obs[keep]), alpha[keep], T)
         assert kept_norm.tobytes() == got_norm[keep].tobytes(), B
+
+
+@pytest.mark.parametrize("policy_name", ["ctrl_policy", "direct_policy"])
+def test_lone_row_forward_matches_the_matmul_reference_bitwise(policy_name, request):
+    """A lone row's layers are np.dot products; on this BLAS each gives the
+    bits of the lone-row matmul z @ w, with the bias added and tanh applied
+    out of place, on the trained fixture networks at every action index of
+    the horizon and on 3,000 random rows, some far outside the training
+    range."""
+    policy = request.getfixturevalue(policy_name)
+    model, h = policy.model, policy.flow.h
+    p, n_layers = model.params, model.n_layers()
+    rng = make_rng(9, 4, 1)
+    for n in range(3000):
+        scale = 50.0 if n % 10 == 0 else 1.0
+        inputs = Inputs(model, rng.normal(scale=scale, size=2), rng.uniform(-5, 5, size=7) * scale)
+        inputs.tf[...] = policy.time_table()[n % h]
+        z = inputs.rows
+        for i in range(n_layers):
+            z = z @ p[f"w{i}"] + p[f"b{i}"]
+            if i < n_layers - 1:
+                z = np.tanh(z)
+        assert forward(inputs).tobytes() == z.tobytes(), n
