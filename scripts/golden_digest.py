@@ -23,9 +23,10 @@ tests/test_pins.py calls it on the test suite's fixture networks and pins
 the digest for both env variants.
 
 The script also prints a sha256 of those calibration trajectories
-(calibration_digest()), which tests/test_pins.py pins too: the grid digest
-sees a change to a calibration rollout only if it moves a threshold, this
-one sees any.
+(calibration_digest()) and one of every decision score on them
+(score_digest()), which tests/test_pins.py pins too: the grid digest sees a
+change to a calibration rollout or a one-ulp change to a score only if it
+moves a threshold, these see any.
 
     PYTHONPATH=src python3 scripts/golden_digest.py \\
         --policy policy.ckpt --predictor predictor.ckpt [--env controller] [--episodes 3]
@@ -53,10 +54,16 @@ N_EO = 3
 CALIB_EPISODES = 10
 CALIB_CAP = 42
 CALIB_RATE = 0.5
+SCORE_N_EO = (1, 2, 3, 4)
+
+
+def calibration_set(policy, kind) -> list:
+    """The rollouts the grid's thresholds are calibrated on."""
+    return streamexec.calibration_trajectories(policy, kind, 1, CALIB_EPISODES, CALIB_CAP)
 
 
 def _calibrated_etas(policy, predictor, kind) -> dict[str, float]:
-    trajs = streamexec.calibration_trajectories(policy, kind, 1, CALIB_EPISODES, CALIB_CAP)
+    trajs = calibration_set(policy, kind)
     etas = {}
     for mode in (saliency.EO_ACTION_NORM, saliency.EO_ADAPTIVE):
         scores = saliency.decision_scores(predictor, trajs, policy.flow.h, N_EO, mode)
@@ -118,12 +125,27 @@ def calibration_digest(policy, kind) -> tuple[str, int, int]:
     the grid's thresholds are calibrated on. Apart from the pinned grid
     digest, it moves on any change to a calibration rollout, also one that
     moves no order statistic of the scores and so no threshold."""
-    trajs = streamexec.calibration_trajectories(policy, kind, 1, CALIB_EPISODES, CALIB_CAP)
+    trajs = calibration_set(policy, kind)
     hasher = hashlib.sha256()
     for ep, traj in enumerate(trajs):
         hasher.update(f"{ep}|".encode())
         feed_trajectory(hasher, traj)
     return hasher.hexdigest(), len(trajs), sum(len(t) for t in trajs)
+
+
+def score_digest(predictor, trajs, h: int) -> tuple[str, int]:
+    """(sha256 hex digest, scores) of saliency.decision_scores' bytes on
+    trajs at horizon h, for each scored mode (outer) and each n_eo of
+    SCORE_N_EO. Apart from the grid digest, it moves on a one-ulp change to
+    any score, also one that flips no decision."""
+    hasher = hashlib.sha256()
+    n_scores = 0
+    for mode in saliency.SCORED_MODES:
+        for n_eo in SCORE_N_EO:
+            scores = saliency.decision_scores(predictor, trajs, h, n_eo, mode)
+            hasher.update(scores.tobytes())
+            n_scores += scores.size
+    return hasher.hexdigest(), n_scores
 
 
 def grid_digest(policy, predictor, etas, envs, seed) -> tuple[str, int, int]:
@@ -172,11 +194,14 @@ def main() -> int:
 
     policy, _, _ = load_policy(args.policy)
     predictor = saliency.load_predictor(args.predictor)
-    digest, shared, n_episodes, n_actions = golden_digest(
-        policy, predictor, envsim.EnvKind(variant=args.env), args.episodes, args.seed)
+    kind = envsim.EnvKind(variant=args.env)
+    digest, shared, n_episodes, n_actions = golden_digest(policy, predictor, kind, args.episodes,
+                                                          args.seed)
     print(f"episodes {n_episodes}, executed actions {n_actions}")
-    calib, calib_episodes, calib_actions = calibration_digest(policy, envsim.EnvKind(variant=args.env))
+    calib, calib_episodes, calib_actions = calibration_digest(policy, kind)
     print(f"calibration: episodes {calib_episodes}, actions {calib_actions}, sha256 {calib}")
+    scores, n_scores = score_digest(predictor, calibration_set(policy, kind), policy.flow.h)
+    print(f"calibration scores: {n_scores} scores, sha256 {scores}")
     if shared != digest:
         print(f"unshared sha256 {digest} != shared-scope sha256 {shared}", file=sys.stderr)
         return 1

@@ -92,7 +92,11 @@ def _parse(opt: _Opt, raw, source: str):
     raise CliError(f"{source}: invalid {opt.type.__name__} value: {json.dumps(raw)}")
 
 
-def _resolve(args: argparse.Namespace) -> dict:
+class _Resolved(dict):
+    """Option values by name; .sources names each one's flag, config key or variable."""
+
+
+def _resolve(args: argparse.Namespace) -> _Resolved:
     """Merge config file < environment < flags for the options of
     args.command. Flags parsed as None are treated as unset so
     lower-precedence sources can fill them."""
@@ -107,10 +111,11 @@ def _resolve(args: argparse.Namespace) -> dict:
         if not isinstance(file_cfg, dict):
             raise CliError("config file must hold a JSON object")
 
-    resolved = {}
+    resolved = _Resolved()
+    resolved.sources = {}
     for opt in _COMMANDS[args.command][2]:
         flag = f"--{opt.name.replace('_', '-')}"
-        value, source = opt.default, None
+        value, source = opt.default, flag
         if opt.name in file_cfg:
             source = f"config key {opt.name!r}"
             value = _parse(opt, file_cfg[opt.name], source)
@@ -126,17 +131,18 @@ def _resolve(args: argparse.Namespace) -> dict:
         if opt.least is not None and value < opt.least:
             raise CliError(f"{source} must be at least {opt.least}, got {value}")
         resolved[opt.name] = value
+        resolved.sources[opt.name] = source
     return resolved
 
 
-def _check_counts(cfg: dict, *names: str, least: int = 1) -> None:
+def _check_counts(cfg: _Resolved, *names: str, least: int = 1) -> None:
     """Each named count must be at least least, a bound that depends on the
-    command's other inputs (an option's own bound is its _Opt.least); a
-    smaller one would run nothing (no episodes, no training iterations) or
-    divide by zero."""
+    command's other inputs (an option's own bound is its _Opt.least, and the
+    error names the source as its does); a smaller one would run nothing (no
+    episodes, no training iterations) or divide by zero."""
     for name in names:
         if cfg[name] < least:
-            raise CliError(f"--{name.replace('_', '-')} must be at least {least}, got {cfg[name]}")
+            raise CliError(f"{cfg.sources[name]} must be at least {least}, got {cfg[name]}")
 
 
 def _sha256(path) -> str:

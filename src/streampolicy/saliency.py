@@ -12,9 +12,10 @@ without access to the future frame:
 Firing rule: observe early when score <= eta. The threshold eta is an order
 statistic of scores collected on held-out demonstrations, chosen to hit a
 target firing rate, so all indicator variants can be compared at matched
-observation budgets. decision_scores scores all of a calibration set's
-decision points in one stacked forward pass that gives each the bits of a
-lone saliency_score call, so the calibrated eta is the per-decision one.
+observation budgets. One function, score_decisions, scores the executor's
+lone decisions and a calibration set's stack of decision points
+(decision_scores) alike, giving a stacked decision the bits it gets alone,
+so the calibrated eta is the per-decision one.
 
 The embedding is a frozen random projection of the observation features
 followed by tanh; only the change-prediction head trains. Conditioning on the
@@ -36,7 +37,6 @@ from .core import (
     OBS_DIM,
     STREAM_MODEL_INIT,
     STREAM_PREDICTOR,
-    Observation,
     Trajectory,
     make_rng,
 )
@@ -156,13 +156,10 @@ def init_predictor(cfg: PredictorConfig) -> Predictor:
 
 
 def embed(predictor: Predictor, obs_features: np.ndarray) -> np.ndarray:
-    """Frozen random-projection embedding of observation features: one row
-    (obs_dim,) embedded as a (1, obs_dim) product, or a stack (..., obs_dim)
-    of rows."""
-    x = np.asarray(obs_features, dtype=float)
-    e = np.tanh((x[None] if x.ndim == 1 else x) @ predictor.params["enc_w"].T
-                + predictor.params["enc_b"])
-    return e[0] if x.ndim == 1 else e
+    """Frozen random-projection embedding of observation features, a stack
+    (..., obs_dim) of rows."""
+    return np.tanh(np.asarray(obs_features, dtype=float) @ predictor.params["enc_w"].T
+                   + predictor.params["enc_b"])
 
 
 def pad_actions(remaining: np.ndarray, cfg: PredictorConfig) -> np.ndarray:
@@ -179,7 +176,7 @@ def pad_actions(remaining: np.ndarray, cfg: PredictorConfig) -> np.ndarray:
 
 def _forward(params: dict, E: np.ndarray, C: np.ndarray):
     """Predicted change for embeddings E and padded conditions C, row by
-    row: (B, d) batches in training, (n, 1, d) stacks in decision_scores.
+    row: (B, d) batches in training, (n, 1, d) stacks in saliency_score.
 
     A stack's products are one vector-matrix BLAS call per (1, d) item, the
     call a lone (1, d) row makes, and the rest is elementwise, so every item
@@ -198,37 +195,31 @@ def _forward(params: dict, E: np.ndarray, C: np.ndarray):
     return out, (ch, g0, g1, z0, h0, z1, h1)
 
 
-def predict_change(predictor: Predictor, obs_features: np.ndarray,
-                   remaining: np.ndarray) -> np.ndarray:
-    """Predicted embedding delta over the span of the remaining actions."""
-    E = np.atleast_2d(embed(predictor, obs_features))
-    C = np.atleast_2d(pad_actions(remaining, predictor.config))
-    out, _ = _forward(predictor.params, E, C)
-    return out[0]
+def saliency_score(predictor: Predictor, features: np.ndarray, tails) -> np.ndarray:
+    """The norm of the predicted embedding change over each of n tails of raw
+    actions, from n frames' features (n, obs_dim). One decision runs as a lone
+    (1, d) row and n > 1 as one (n, 1, d) stack, whose items get their lone
+    rows' bits (see _forward); each norm is taken alone, as a lone one is."""
+    F = np.asarray(features, dtype=float)
+    C = np.array([pad_actions(t, predictor.config) for t in tails])
+    if len(C) > 1:
+        F, C = F[:, None], C[:, None]
+    out, _ = _forward(predictor.params, embed(predictor, F), C)
+    return np.array([np.linalg.norm(row) for row in out.reshape(len(C), -1)])
 
 
-def saliency_score(predictor: Predictor, obs: Observation | np.ndarray,
-                   remaining: np.ndarray) -> float:
-    features = obs.features if isinstance(obs, Observation) else np.asarray(obs, dtype=float)
-    return float(np.linalg.norm(predict_change(predictor, features, remaining)))
-
-
-def action_norm_score(remaining: np.ndarray) -> float:
-    """Norm of the remaining raw actions; the action-only baseline score."""
-    return float(np.linalg.norm(np.asarray(remaining, dtype=float).ravel()))
-
-
-def indicator_score(mode: str, predictor: Predictor | None, obs: Observation | np.ndarray,
-                    remaining: np.ndarray) -> float:
-    """The score a mode of SCORED_MODES fires on: the remaining raw actions'
-    norm (action_norm) or the predicted change over them (adaptive)."""
+def score_decisions(mode: str, predictor: Predictor | None, features, tails) -> np.ndarray:
+    """The scores n decisions of a mode of SCORED_MODES fire on: each tail's
+    norm (action_norm) or saliency_score (adaptive, the one mode that reads
+    features). Tails may differ in length; a lone decision and an item of a
+    stack get the same bits."""
     if mode == EO_ACTION_NORM:
-        return action_norm_score(remaining)
-    if mode == EO_ADAPTIVE:
-        if predictor is None:
-            raise ValueError("adaptive early observation requires a predictor")
-        return saliency_score(predictor, obs, remaining)
-    raise ValueError(f"no scores for indicator mode {mode!r}")
+        return np.array([np.linalg.norm(np.asarray(t, dtype=float).ravel()) for t in tails])
+    if mode != EO_ADAPTIVE:
+        raise ValueError(f"no scores for indicator mode {mode!r}")
+    if predictor is None:
+        raise ValueError("adaptive early observation requires a predictor")
+    return saliency_score(predictor, features, tails)
 
 
 def loss_and_grad(predictor: Predictor, E: np.ndarray, C: np.ndarray,
@@ -407,30 +398,18 @@ def train_predictor(trajectories: list[Trajectory], cfg: PredictorConfig,
 
 def decision_scores(predictor: Predictor | None, trajectories: list[Trajectory],
                     h: int, n_eo: int, mode: str = EO_ADAPTIVE) -> np.ndarray:
-    """Scores at every horizon decision point of the given demonstrations.
-
-    Decision points sit n_eo actions before each non-overlapping horizon
-    boundary, mirroring where the executor consults the indicator. Each score
-    is the one indicator_score gives at that point, bit for bit: adaptive
-    scores run as one stacked _forward over (n, 1, d) rows, and each
-    prediction's norm is taken alone, as saliency_score takes it.
-    """
+    """Scores at every horizon decision point of the given demonstrations,
+    n_eo actions before each non-overlapping horizon boundary, where the
+    executor consults the indicator: one score_decisions stack, which gives
+    each point the bits of the executor's lone decision there."""
     if not 1 <= n_eo < h:
         raise ValueError("n_eo must satisfy 1 <= n_eo < h")
     points = [(traj, start + h - n_eo, start + h) for traj in trajectories
               for start in range(0, len(traj) - h + 1, h)]
     if not points:
         raise ValueError("demonstrations too short to produce decision points")
-    if mode != EO_ADAPTIVE:
-        return np.asarray([indicator_score(mode, predictor, traj.observations[d], traj.actions[d:end])
-                           for traj, d, end in points])
-    if predictor is None:
-        raise ValueError("adaptive early observation requires a predictor")
-    cfg = predictor.config
-    E = embed(predictor, np.stack([traj.observations[d].features for traj, d, _ in points])[:, None])
-    C = np.stack([pad_actions(traj.actions[d:end], cfg) for traj, d, end in points])[:, None]
-    out, _ = _forward(predictor.params, E, C)
-    return np.asarray([float(np.linalg.norm(row)) for row in out[:, 0]])
+    features = np.stack([traj.observations[d].features for traj, d, _ in points])
+    return score_decisions(mode, predictor, features, [traj.actions[d:end] for traj, d, end in points])
 
 
 def calibrate_threshold(scores: np.ndarray, target_rate: float) -> float:

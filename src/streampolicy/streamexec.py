@@ -221,17 +221,18 @@ class EpisodeResult:
     overruns: int = 0
 
 
-def _decide_eo(scheduler: SchedulerConfig, predictor, obs, remaining_raw: np.ndarray,
+def _decide_eo(scheduler: SchedulerConfig, predictor, features, remaining_raw: np.ndarray,
                rng: np.random.Generator | None) -> tuple[bool, float | None]:
     """Evaluate the early-observation indicator; returns (fired, score or None).
-    Only the random mode draws from rng, and only the adaptive one reads obs."""
+    Only the random mode draws from rng, and only the adaptive one reads the
+    frame's features (1, obs_dim)."""
     ind = scheduler.eo
     if ind.mode == saliency.EO_NAIVE:
         return True, None
     if ind.mode == saliency.EO_RANDOM:
         return bool(rng.random() < ind.p), None
-    score = saliency.indicator_score(ind.mode, predictor, obs, remaining_raw)
-    return bool(score <= ind.eta), score
+    score = float(saliency.score_decisions(ind.mode, predictor, features, [remaining_raw])[0])
+    return score <= ind.eta, score
 
 
 class _Episode:
@@ -283,8 +284,8 @@ class _Episode:
         current frame, observed at time t; counts the decision and returns
         whether it fired."""
         tail = remaining() if self.scored else None
-        obs = envsim.observe(self.state, capture_time=t) if self.adaptive else None
-        fired, _score = _decide_eo(self.scheduler, self.predictor, obs, tail, self.ind_rng)
+        features = envsim.observe(self.state, capture_time=t).features[None] if self.adaptive else None
+        fired, _score = _decide_eo(self.scheduler, self.predictor, features, tail, self.ind_rng)
         self.eo_decisions += 1
         self.eo_fired += fired
         return fired

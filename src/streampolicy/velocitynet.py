@@ -55,18 +55,20 @@ class VelocityModel:
         return len(self.hidden) + 1
 
 
-def _layer_sizes(action_dim: int, obs_dim: int, hidden) -> list[int]:
-    """Widths of the network's input, hidden and output layers."""
-    return [action_dim + TIME_DIM + obs_dim, *hidden, action_dim]
+def _param_shapes(action_dim: int, obs_dim: int, hidden) -> dict[str, tuple[int, ...]]:
+    """Each parameter's shape, in init_velocity_model's draw order: w0, b0, w1, ..."""
+    sizes = [action_dim + TIME_DIM + obs_dim, *hidden, action_dim]
+    shapes = {}
+    for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+        shapes[f"w{i}"], shapes[f"b{i}"] = (fan_in, fan_out), (fan_out,)
+    return shapes
 
 
 def init_velocity_model(action_dim: int, obs_dim: int, hidden=(128, 128), *, rng: np.random.Generator) -> VelocityModel:
-    sizes = _layer_sizes(action_dim, obs_dim, hidden)
-    params: dict[str, np.ndarray] = {}
-    for i in range(len(sizes) - 1):
-        fan_in = sizes[i]
-        params[f"w{i}"] = rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=(sizes[i], sizes[i + 1]))
-        params[f"b{i}"] = np.zeros(sizes[i + 1])
+    """Weights drawn normal with standard deviation 1/sqrt(fan-in), biases zero."""
+    params = {name: (rng.normal(0.0, 1.0 / math.sqrt(shape[0]), size=shape) if len(shape) == 2
+                     else np.zeros(shape))
+              for name, shape in _param_shapes(action_dim, obs_dim, hidden).items()}
     return VelocityModel(action_dim=action_dim, obs_dim=obs_dim, hidden=tuple(hidden), params=params)
 
 
@@ -492,11 +494,8 @@ def load_policy(path):
                                                 eps=a["eps"], step=int(a["step"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: missing or ill-typed policy metadata: {exc!r}") from exc
-    sizes = _layer_sizes(model.action_dim, model.obs_dim, model.hidden)
-    want = {}
-    for i in range(len(sizes) - 1):
-        want[f"w{i}"], want[f"b{i}"] = (sizes[i], sizes[i + 1]), (sizes[i + 1],)
-    check_shapes(path, "policy", want, model.params)
+    check_shapes(path, "policy", _param_shapes(model.action_dim, model.obs_dim, model.hidden),
+                 model.params)
     if adam is not None:
         adam.m = {k[len("adam_m."):]: v for k, v in arrays.items() if k.startswith("adam_m.")}
         adam.v = {k[len("adam_v."):]: v for k, v in arrays.items() if k.startswith("adam_v.")}

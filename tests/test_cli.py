@@ -563,6 +563,37 @@ def test_counts_that_would_run_nothing_exit_2(workdir, tmp_path, capsys, args, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["config", "environment"])
+@pytest.mark.parametrize("command", ["bench", "train-policy"])
+def test_a_bound_on_other_inputs_names_the_source_of_its_value(workdir, tmp_path, capsys,
+                                                                monkeypatch, command, source):
+    """The bounds that depend on other inputs (calibration episodes when
+    bench calibrates, iterations past a resumed checkpoint's) name the config
+    key or environment variable the value came from, as an option's own
+    bound does, and the command writes nothing. A flag's value names the
+    flag (test_counts_that_would_run_nothing_exit_2)."""
+    monkeypatch.chdir(tmp_path)
+    policy = str(workdir / "policy" / "policy.ckpt")
+    name, value, least, argv = {
+        "bench": ("calib_episodes", 0, 1,
+                  ["bench", "--policy", policy, "--eo", "anao", "--step-cap", "5", "--out-dir", "b"]),
+        # the workdir policy was trained for 200 iterations
+        "train-policy": ("iterations", 5, 201,
+                         ["train-policy", "--data", str(workdir / "data" / "demos.jsonl"),
+                          "--out", "p/policy.ckpt", "--resume", policy,
+                          "--batch-size", "16", "--hidden", "16,16"]),
+    }[command]
+    if source == "config":
+        (tmp_path / "cfg.json").write_text(json.dumps({name: value}))
+        argv, named = [*argv, "--config", "cfg.json"], f"config key {name!r}"
+    else:
+        named = f"STREAMPOLICY_{name.upper()}"
+        monkeypatch.setenv(named, str(value))
+    assert main(argv) == 2
+    assert f"error: {named} must be at least {least}, got {value}\n" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists() and not (tmp_path / "p").exists()
+
+
 @pytest.mark.parametrize("lr", ["0", "-0.01", "nan", "inf"])
 @pytest.mark.parametrize("command", ["train-policy", "train-predictor"])
 def test_a_learning_rate_that_trains_nothing_exits_2(workdir, tmp_path, capsys, command, lr):

@@ -1,9 +1,11 @@
 """Bitwise pins on the fixture demos and networks: the sha256 of both
 variants' demo datasets and of ctrl_policy and ctrl_predictor saved as
-scripts/checkpoint_digest.py saves them, and scripts/golden_digest.py's grid
-and calibration digests on each env variant.
-The calibration digest moves on any change to a calibration rollout; the
-grid digest sees one only if it moves a threshold. A change that claims to
+scripts/checkpoint_digest.py saves them, scripts/golden_digest.py's grid
+and calibration digests on each env variant, and its score digest of
+ctrl_predictor's decision scores on both calibration sets and ctrl_demos.
+The calibration digest moves on any change to a calibration rollout and the
+score digest on a one-ulp change to any score; the grid digest sees either
+only if it moves a threshold. A change that claims to
 keep every weight and every simulated result bit for bit keeps these pins; a
 change that alters them on purpose updates them and says why.
 
@@ -34,6 +36,10 @@ GOLDEN_DIRECT = ("b6edb1812bd8681c46706e8b197482152d8a0e92f37118c44ae95d9242772b
 # (sha256, episodes, actions) of the calibration trajectories behind the grid's thresholds
 CALIB_CTRL = ("2332671995b7c58f36bbe843f989b42b6c2bdc1e7ba1b0eb882ed9649d1894e0", 10, 315)
 CALIB_DIRECT = ("8e3e763f21d2d4565ce6b5f76c1811d1b09a285a9dec4eea53e52468af3c3909", 10, 286)
+# (sha256, scores) of ctrl_predictor's decision scores, both scored modes, n_eo 1 to 4
+SCORES_CTRL = ("f8f0eccf3b48dee10eb0afb5af6af5ef84aa1871d3434e2651a5a2cc52a7873e", 240)
+SCORES_DIRECT = ("0158e94b6f70feffb560f57b2b8775719cba31a2f7860cb8dff9b33caf23164b", 168)
+SCORES_DEMOS = ("b4204ebae8d15a23bd83e9690af42819e3733b7efa5fc046178a012caf854c2d", 19200)
 
 _spec = importlib.util.spec_from_file_location(
     "golden_digest", Path(__file__).resolve().parent.parent / "scripts" / "golden_digest.py")
@@ -91,3 +97,15 @@ def test_calibration_trajectories_are_pinned(ctrl_policy, direct_policy):
                                        ("direct", direct_policy, DIRECT, CALIB_DIRECT)):
         _check_pin(f"{what} calibration (sha256, episodes, actions)",
                    golden.calibration_digest(policy, kind), pinned)
+
+
+def test_decision_scores_are_pinned(ctrl_policy, direct_policy, ctrl_demos, ctrl_predictor):
+    """The bytes of every early-observation score ctrl_predictor's
+    calibration gives, on both variants' calibration sets and on ctrl_demos."""
+    h = ctrl_policy.flow.h
+    for what, trajs, pinned in (
+            ("controller calibration", golden.calibration_set(ctrl_policy, CTRL), SCORES_CTRL),
+            ("direct calibration", golden.calibration_set(direct_policy, DIRECT), SCORES_DIRECT),
+            ("ctrl_demos", ctrl_demos, SCORES_DEMOS)):
+        _check_pin(f"{what} scores (sha256, scores)", golden.score_digest(ctrl_predictor, trajs, h),
+                   pinned)

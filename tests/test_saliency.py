@@ -6,9 +6,8 @@ from streampolicy import saliency
 from streampolicy.core import STREAM_PREDICTOR, make_rng
 from streampolicy.saliency import (
     EO_ACTION_NORM, EO_ADAPTIVE, Indicator, PredictorConfig, _prepare_pairs, _sample_pairs,
-    action_norm_score, calibrate_threshold, decision_scores, embed, init_predictor,
-    load_predictor, loss_and_grad, pad_actions, predict_change, saliency_score,
-    save_predictor,
+    calibrate_threshold, decision_scores, embed, init_predictor, load_predictor, loss_and_grad,
+    pad_actions, saliency_score, save_predictor, score_decisions,
 )
 
 
@@ -209,26 +208,35 @@ def test_decision_scores_alignment(small_demos, ctrl_predictor):
     # first score comes from the first episode's first decision point
     t0 = small_demos[0]
     d = h - n_eo
-    manual = saliency_score(ctrl_predictor, t0.observations[d], t0.actions[d:h])
-    assert scores[0] == manual
+    manual = saliency_score(ctrl_predictor, t0.observations[d].features[None], [t0.actions[d:h]])
+    assert scores[0] == manual[0]
 
 
 def test_decision_scores_action_norm(small_demos):
     scores = decision_scores(None, small_demos, 10, 2, mode=EO_ACTION_NORM)
     t0 = small_demos[0]
-    assert scores[0] == action_norm_score(t0.actions[8:10])
+    assert scores[0] == np.linalg.norm(t0.actions[8:10].ravel())
     with pytest.raises(ValueError):
         decision_scores(None, small_demos, 10, 0)
 
 
+def test_scoring_needs_a_scored_mode_and_adaptive_a_predictor():
+    tails = [np.ones((2, 2))]
+    with pytest.raises(ValueError, match="requires a predictor"):
+        score_decisions(EO_ADAPTIVE, None, np.zeros((1, 7)), tails)
+    with pytest.raises(ValueError, match="no scores for indicator mode 'naive'"):
+        score_decisions("naive", None, None, tails)
+
+
 def _per_decision_scores(mode, predictor, trajectories, h, n_eo):
-    """The scores decision_scores gives, one lone score call per point."""
+    """The scores decision_scores gives, one lone score_decisions call per
+    point, as the executor makes it."""
     out = []
     for t in trajectories:
         for start in range(0, len(t) - h + 1, h):
             d = start + h - n_eo
-            out.append(saliency_score(predictor, t.observations[d], t.actions[d:start + h])
-                       if mode == EO_ADAPTIVE else action_norm_score(t.actions[d:start + h]))
+            out.extend(score_decisions(mode, predictor, t.observations[d].features[None],
+                                       [t.actions[d:start + h]]))
     return np.asarray(out)
 
 
@@ -254,22 +262,24 @@ def test_stacked_decision_scores_match_per_decision_scores_bitwise(source, reque
 
 
 def test_predictor_stack_matches_lone_rows_bitwise(ctrl_predictor):
-    """_forward on an (n, 1, d) stack gives each item the bits the lone
-    (1, d) row of predict_change gets, for any n: each item is its own
-    vector-matrix product."""
+    """Each item of an n-decision stack gets the score a lone (n = 1) call of
+    score_decisions gives it, in both scored modes, bit for bit, whatever n
+    is, with tails of 1 to n_eo_max + 2 actions mixed in one stack: the wall
+    clock scores only the actions released by the decision, and a tail
+    longer than n_eo_max is truncated."""
     cfg = ctrl_predictor.config
     rng = make_rng(9, 4, 1)
-    for B in (1, 7, 299, 1000):
-        feats = rng.uniform(-5.0, 5.0, size=(B, cfg.obs_dim))
-        remaining = rng.normal(scale=0.3, size=(B, 3, cfg.action_dim))
-        E = embed(ctrl_predictor, feats[:, None])
-        C = np.stack([pad_actions(r, cfg) for r in remaining])[:, None]
-        out, _ = saliency._forward(ctrl_predictor.params, E, C)
-        assert E.shape == (B, 1, cfg.embed_dim) and out.shape == (B, 1, cfg.embed_dim)
-        for b in range(B):
-            assert E[b, 0].tobytes() == embed(ctrl_predictor, feats[b]).tobytes(), (B, b)
-            lone = predict_change(ctrl_predictor, feats[b], remaining[b])
-            assert out[b, 0].tobytes() == lone.tobytes(), (B, b)
+    for n in (7, 299, 1000):
+        feats = rng.uniform(-5.0, 5.0, size=(n, cfg.obs_dim))
+        lengths = 1 + rng.permutation(n) % (cfg.n_eo_max + 2)
+        tails = [rng.normal(scale=0.3, size=(k, cfg.action_dim)) for k in lengths]
+        for mode in (EO_ADAPTIVE, EO_ACTION_NORM):
+            stacked = score_decisions(mode, ctrl_predictor, feats, tails)
+            assert stacked.shape == (n,) and stacked.dtype == np.float64
+            for b in range(n):
+                lone = score_decisions(mode, ctrl_predictor, feats[b:b + 1], tails[b:b + 1])
+                assert lone.shape == (1,), (mode, n, b)
+                assert stacked[b].tobytes() == lone[0].tobytes(), (mode, n, b)
 
 
 def test_trained_predictor_separates_latch_crossings(ctrl_demos, ctrl_predictor):
@@ -282,8 +292,8 @@ def test_trained_predictor_separates_latch_crossings(ctrl_demos, ctrl_predictor)
         latched = np.array([o.features[4] > 0.5 for o in traj.observations])
         for start in range(0, len(traj) - h + 1, h):
             d = start + h - n_eo
-            s = saliency_score(ctrl_predictor, traj.observations[d],
-                               traj.actions[d:start + h])
+            s = saliency_score(ctrl_predictor, traj.observations[d].features[None],
+                               [traj.actions[d:start + h]])[0]
             will_cross = (not latched[d]) and (
                 latched[min(len(latched) - 1, start + h - 1)]
                 or (d + 1 < len(latched) and latched[d + 1:start + h].any()))
@@ -298,15 +308,14 @@ def test_latch_toggle_moves_prediction(ctrl_predictor, rng):
     toggled = feats.copy()
     toggled[4] = 1.0
     acts = 0.1 * rng.normal(size=(3, 2))
-    a = predict_change(ctrl_predictor, feats, acts)
-    b = predict_change(ctrl_predictor, toggled, acts)
-    assert np.linalg.norm(a - b) > 0
+    a, b = saliency_score(ctrl_predictor, np.stack([feats, toggled]), [acts, acts])
+    assert a != b
 
 
 def test_embed_is_frozen_projection():
     pred = init_predictor(_toy_cfg())
     x = np.linspace(-1, 1, 7)
-    e = embed(pred, x)
+    e = embed(pred, x[None])[0]
     manual = np.tanh(pred.params["enc_w"] @ x + pred.params["enc_b"])
     assert np.allclose(e, manual, atol=1e-15)
     batch = embed(pred, np.stack([x, x * 2]))
@@ -321,4 +330,5 @@ def test_predictor_save_load_roundtrip(tmp_path, ctrl_predictor):
     rng = np.random.default_rng(0)
     feats = rng.normal(size=7)
     acts = rng.normal(size=(2, 2))
-    assert saliency_score(loaded, feats, acts) == saliency_score(ctrl_predictor, feats, acts)
+    assert (saliency_score(loaded, feats[None], [acts]).tobytes()
+            == saliency_score(ctrl_predictor, feats[None], [acts]).tobytes())

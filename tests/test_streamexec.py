@@ -386,7 +386,8 @@ def _eager_streaming(policy: Policy, predictor, env: EnvHandle, stage: StageLate
                 # an early observation to hide.
                 remaining = acts_raw[i:]
                 dec_obs = envsim.observe(state, capture_time=start)
-                fired, _score = _decide_eo(scheduler, predictor, dec_obs, remaining, ind_rng)
+                fired, _score = _decide_eo(scheduler, predictor, dec_obs.features[None], remaining,
+                                           ind_rng)
                 eo_decision_count += 1
                 launch = start
                 if scheduler.eo.mode == saliency.EO_ADAPTIVE:
@@ -872,11 +873,11 @@ def test_scored_indicator_reads_the_whole_remaining_tail(monkeypatch, null_polic
     computed before they execute, with the values that then execute."""
     scored = []
 
-    def recording_score(remaining):
-        scored.append(np.array(remaining))
-        return 1.0
+    def recording_score(mode, predictor, features, tails):
+        scored.extend(np.array(t) for t in tails)
+        return np.ones(len(tails))
 
-    monkeypatch.setattr(saliency, "action_norm_score", recording_score)
+    monkeypatch.setattr(saliency, "score_decisions", recording_score)
     sched = SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="action_norm", eta=0.0), n_eo=3)
     calls = _count_forward_passes(monkeypatch)
     # decision at step 7 of horizon 0; the cap leaves horizon 1 without one
@@ -895,11 +896,11 @@ def test_wall_scored_indicator_reads_the_whole_remaining_tail(monkeypatch, null_
     actions that then execute."""
     scored = []
 
-    def recording_score(remaining):
-        scored.append(np.array(remaining))
-        return 1.0
+    def recording_score(mode, predictor, features, tails):
+        scored.extend(np.array(t) for t in tails)
+        return np.ones(len(tails))
 
-    monkeypatch.setattr(saliency, "action_norm_score", recording_score)
+    monkeypatch.setattr(saliency, "score_decisions", recording_score)
     sched = SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="action_norm", eta=0.0), n_eo=3)
     stage = StageLatency(t_obs=1.0, t_gen=0.2, t_exec=4.0, t_pred=0.0)
     # decision at step 7 of horizon 0; the cap leaves horizon 1 without one
