@@ -413,23 +413,19 @@ def _calib_rollouts(policy, kind, cfg) -> list:
                                                cfg["calib_episodes"], cfg["step_cap"])
 
 
-def _bench_configs(cfg, policy, predictor, modes, calib) -> dict[str, tuple]:
-    """Label -> (SchedulerConfig, predictor or None) for the requested matrix;
-    modes maps each --eo name to its indicator mode."""
-    h = policy.flow.h
-    seed = cfg["seed"]
+def _bench_configs(cfg, policy, predictor, modes, calib) -> dict[str, streamexec.SchedulerConfig]:
+    """Label -> SchedulerConfig for the requested matrix; modes maps each
+    --eo name to its indicator mode. Every configuration runs with the
+    loaded predictor, which only the adaptive indicator reads."""
+    h, seed = policy.flow.h, cfg["seed"]
     n_replan = cfg["n_replan"] or max(1, h // 2)
-    out: dict[str, tuple] = {}
-    out[f"sync_replan{n_replan}"] = (
-        streamexec.SchedulerConfig(mode=streamexec.MODE_SYNC_CHUNK, h=h,
-                                   n_replan=n_replan, seed=seed), None)
-    out["sync_full"] = (
-        streamexec.SchedulerConfig(mode=streamexec.MODE_SYNC_CHUNK, h=h, seed=seed), None)
-    out["streaming"] = (
-        streamexec.SchedulerConfig(mode=streamexec.MODE_STREAMING, h=h, seed=seed), None)
-
-    rate = cfg["target_rate"]
-    n_eo = cfg["n_eo"]
+    out = {
+        f"sync_replan{n_replan}": streamexec.SchedulerConfig(
+            mode=streamexec.MODE_SYNC_CHUNK, h=h, n_replan=n_replan, seed=seed),
+        "sync_full": streamexec.SchedulerConfig(mode=streamexec.MODE_SYNC_CHUNK, h=h, seed=seed),
+        "streaming": streamexec.SchedulerConfig(mode=streamexec.MODE_STREAMING, h=h, seed=seed),
+    }
+    rate, n_eo = cfg["target_rate"], cfg["n_eo"]
     for name, mode in modes.items():
         if mode == saliency.EO_NAIVE:
             ind = saliency.Indicator(mode=mode)
@@ -438,10 +434,8 @@ def _bench_configs(cfg, policy, predictor, modes, calib) -> dict[str, tuple]:
         else:
             scores = saliency.decision_scores(predictor, calib, h, n_eo, mode=mode)
             ind = saliency.Indicator(mode=mode, eta=saliency.calibrate_threshold(scores, rate))
-        out[f"streaming+{name}"] = (
-            streamexec.SchedulerConfig(mode=streamexec.MODE_STREAMING, h=h, eo=ind,
-                                       n_eo=n_eo, seed=seed),
-            predictor if mode == saliency.EO_ADAPTIVE else None)
+        out[f"streaming+{name}"] = streamexec.SchedulerConfig(
+            mode=streamexec.MODE_STREAMING, h=h, eo=ind, n_eo=n_eo, seed=seed)
     return out
 
 
@@ -482,14 +476,14 @@ def _cmd_bench(cfg) -> int:
             for ep in range(cfg["episodes"])]
 
     def run_config(label):
-        scheduler, pred = configs[label]
+        scheduler = configs[label]
         traces = ("", "")
         if cfg["traces"]:
             traces = (out_dir / f"trace_{label}.csv", out_dir / f"trace_{label}.json")
             artifacts[f"trace_{label}_csv"], artifacts[f"trace_{label}_json"] = traces
         reports = []
         fired = decisions = 0
-        for result, rep in _sweep(policy, pred, envs, stage, scheduler, cfg["clock"], *traces):
+        for result, rep in _sweep(policy, predictor, envs, stage, scheduler, cfg["clock"], *traces):
             reports.append(rep)
             fired += result.eo_fired
             decisions += result.eo_decisions
@@ -511,9 +505,8 @@ def _cmd_bench(cfg) -> int:
         if random_label in configs:
             adaptive_label = "streaming+adaptive"
             if cfg["match_random"] and adaptive_label in rates:
-                scheduler, _ = configs[random_label]
                 ind = saliency.Indicator(mode=saliency.EO_RANDOM, p=rates[adaptive_label])
-                configs[random_label] = (replace(scheduler, eo=ind), None)
+                configs[random_label] = replace(configs[random_label], eo=ind)
             run_config(random_label)
     results = {label: results[label] for label in configs if label in results}
 

@@ -6,10 +6,10 @@ running sum of commanded actions; it lives in the same coordinate frame as
 actions, which is what makes shared normalization statistics meaningful.
 
 A dataset file is one JSON header line and one JSON record per episode.
-Loading parses each record's feature, action and state rows into one array
-apiece and checks their shapes and finiteness once per record; a malformed
-record (a missing field, a row of the wrong length, a non-finite value,
-broken prefix sums) raises DatasetError naming the file and the episode.
+Saving and loading check each episode by one rule (_check_record), so what
+save_dataset writes load_dataset reads; a malformed record (a missing field,
+a row of the wrong length, a non-finite value, broken prefix sums) raises
+DatasetError naming the episode, and on load the file.
 """
 
 from __future__ import annotations
@@ -151,16 +151,11 @@ def _record_to_json(traj: Trajectory) -> dict:
     }
 
 
-def _record_from_json(rec: dict, dim: int, obs_dim: int) -> Trajectory:
-    """One episode record as a Trajectory, not yet validated. Missing fields
-    and rows that do not fit raise KeyError, TypeError or ValueError."""
-    obs = rec["obs"]
-    feats = np.array([o["f"] for o in obs], dtype=np.float64) if obs else np.empty((0, obs_dim))
-    if feats.shape != (len(obs), obs_dim):
-        raise DatasetError(f"feature rows of shape {feats.shape[1:]}, want ({obs_dim},)")
-    if not np.isfinite(feats).all():
-        raise DatasetError("non-finite features")
-    act, st = rec["act"], rec["st"]
+def _record_from_json(rec: dict, dim: int) -> Trajectory:
+    """One episode record as a Trajectory, not yet checked. Missing fields
+    and rows that do not parse raise KeyError, TypeError or ValueError."""
+    obs, act, st = rec["obs"], rec["act"], rec["st"]
+    feats = np.array([o["f"] for o in obs], dtype=np.float64)
     return Trajectory(
         observations=[Observation(f, int(o["id"]), float(o["t"])) for f, o in zip(feats, obs)],
         actions=np.asarray(act, dtype=np.float64).reshape(len(act), dim),
@@ -168,27 +163,41 @@ def _record_from_json(rec: dict, dim: int, obs_dim: int) -> Trajectory:
     )
 
 
+def _check_record(traj: Trajectory, dim: int, obs_dim: int) -> None:
+    """The one rule for a stored episode, on save and load alike: frames of obs_dim
+    features, finite values, actions of dim, Trajectory.validate (DatasetError)."""
+    frames = [o.features for o in traj.observations]
+    try:
+        features = np.array(frames, dtype=np.float64) if frames else np.empty((0, obs_dim))
+    except ValueError:  # frames of unequal shapes, or not numbers
+        features = np.empty((0, 0))
+    if features.shape != (len(frames), obs_dim):
+        bad = next((np.shape(f) for f in frames if np.shape(f) != (obs_dim,)), None)
+        raise DatasetError("non-numeric features" if bad is None
+                           else f"feature rows of shape {bad}, want ({obs_dim},)")
+    for name, values in (("features", features), ("actions", traj.actions),
+                         ("action_states", traj.action_states)):
+        if not np.isfinite(values).all():
+            raise DatasetError(f"non-finite {name}")
+    if traj.actions.ndim != 2 or traj.actions.shape[1] != dim:
+        raise DatasetError(f"actions of shape {traj.actions.shape}, want (L, {dim})")
+    traj.validate()
+
+
 def save_dataset(path, trajectories: list[Trajectory], *, dim: int, env_meta: dict, seed: int) -> None:
     """Write trajectories as a line-delimited JSON file with a header record.
 
     Floats round-trip exactly (shortest-repr encoding), so saving and
     reloading reproduces arrays bitwise and rewriting an unchanged dataset
-    produces a byte-identical file. An episode that load_dataset would reject
-    (non-finite features, actions or states, broken prefix sums, another
-    dim) raises DatasetError naming it, and nothing is written.
-    """
+    produces a byte-identical file. An episode that breaks load_dataset's rule
+    (_check_record, frames of env_meta's obs_dim or OBS_DIM) raises DatasetError
+    naming it, and nothing is written."""
+    obs_dim = int(env_meta.get("obs_dim", OBS_DIM))
     for i, traj in enumerate(trajectories):
-        features = [o.features for o in traj.observations]
-        for name, values in (("features", np.concatenate(features) if features else ()),
-                             ("actions", traj.actions), ("action_states", traj.action_states)):
-            if not np.isfinite(values).all():
-                raise DatasetError(f"episode {i}: non-finite {name}")
         try:
-            traj.validate()
+            _check_record(traj, dim, obs_dim)
         except DatasetError as exc:
             raise DatasetError(f"episode {i}: {exc}") from exc
-        if traj.actions.shape[1] != dim:
-            raise DatasetError(f"episode {i}: trajectory dim {traj.actions.shape[1]} != header dim {dim}")
     header = {
         "format": DATASET_FORMAT,
         "version": DATASET_VERSION,
@@ -233,15 +242,13 @@ def load_dataset(path) -> tuple[list[Trajectory], dict]:
         except json.JSONDecodeError as exc:
             raise DatasetError(f"{path}: bad episode record {i}: {exc}") from exc
         try:
-            traj = _record_from_json(rec, dim, obs_dim)
-            traj.validate()
+            traj = _record_from_json(rec, dim)
+            _check_record(traj, dim, obs_dim)
         except DatasetError as exc:
             raise DatasetError(f"{path}: episode {i}: {exc}") from exc
         except KeyError as exc:
             raise DatasetError(f"{path}: episode {i}: missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise DatasetError(f"{path}: episode {i}: malformed record: {exc}") from exc
-        if not np.all(np.isfinite(traj.actions)) or not np.all(np.isfinite(traj.action_states)):
-            raise DatasetError(f"{path}: episode {i}: non-finite values")
         out.append(traj)
     return out, header

@@ -19,6 +19,8 @@ The engine computes exact event times from the stage-latency algebra and
 advances the environment causally: an observation launched when n_eo
 executions remain captures the state after exactly h - n_eo steps of that
 horizon, which is precisely the staleness early observation trades away.
+The next observation is one pending (start, state), set by a fired
+decision or by the horizon's last execution.
 Event logs are deterministic for fixed seeds, with ties ordered
 observe < predict < generate < execute, then by action index.
 
@@ -445,16 +447,16 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
     emit = events.append
     event = TimelineEvent._make  # from one tuple: cheaper than binding five arguments
 
-    obs_start = 0.0
-    snapshot = ep.state       # env state visible to the pending observation
+    pending = (0.0, ep.state)  # (start, env state) of the next observation
     base = 0                  # global index of the horizon's first action
     horizon = 0
     gen_lane = 0.0            # generator availability time
     exec_starts: list[float] = []
     prev_exec_end = -math.inf  # max(ready, -inf) is ready: the first action starts when ready
-    ended = False
 
-    while not ended:
+    while True:
+        obs_start, snapshot = pending
+        pending = None
         obs = envsim.observe(snapshot, capture_time=obs_start)
         obs_end = obs_start + t_obs
         emit(event((STAGE_OBSERVE, base, horizon, obs_start, obs_end)))
@@ -475,27 +477,21 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
             gen_end.append(lane)
         gen_lane = lane           # a sync chunk's actions are all ready here
 
-        fired = False
-        next_obs_start: float | None = None
-        next_snapshot = None
         decision = ep.begin(horizon)
-
         for i in range(n_rep):
             start = max(gen_lane if sync else gen_end[i], prev_exec_end)
             end = start + t_exec
 
             if i == decision:
                 # a firing indicator launches the next observation here, on this frame
-                fired = ep.decide(start, lambda: chunk.tail(i))
                 launch = start
                 if ep.adaptive:
                     p_start = max(start - t_pred, gen_lane)
                     p_end = p_start + t_pred
                     emit(event((STAGE_PREDICT, base + h, horizon, p_start, p_end)))
                     launch = max(launch, p_end)
-                if fired:
-                    next_obs_start = launch
-                    next_snapshot = ep.state
+                if ep.decide(start, lambda: chunk.tail(i)):
+                    pending = (launch, ep.state)
 
             emit(event((STAGE_EXECUTE, base + i, horizon, start, end)))
             exec_starts.append(start)
@@ -505,19 +501,12 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
                 path.append(ep.step(a_raw))
             state, done = path[i]
             if ep.execute(a_norm, a_raw, alpha, state, done):
-                ended = True
-                break
+                return ep.result(events)
 
+        if pending is None:
+            pending = (prev_exec_end, ep.state)
         horizon += 1
         base += n_rep
-        if not ended:
-            if not fired:
-                next_obs_start = prev_exec_end
-                next_snapshot = ep.state
-            obs_start = next_obs_start
-            snapshot = next_snapshot
-
-    return ep.result(events)
 
 
 # ---------------------------------------------------------------------------

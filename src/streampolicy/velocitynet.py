@@ -1,7 +1,8 @@
 """Velocity network: a small float64 MLP with hand-written gradients.
 
 The network maps (action-space state x, horizon clock t, observation features)
-to a velocity in action space. Gradients are analytic (no autodiff dependency)
+to a velocity in action space. One layer pass serves acting (forward) and
+training (loss_and_grad). Gradients are analytic (no autodiff dependency)
 and are validated against central differences in the test suite. The same
 file also provides the Adam update and the binary checkpoint container shared
 with the saliency predictor.
@@ -82,24 +83,33 @@ def _check_dims(model: VelocityModel, x, obs_feat) -> tuple[np.ndarray, np.ndarr
     return x, obs_feat
 
 
-def _assemble_inputs(model: VelocityModel, x: np.ndarray, t, obs_feat: np.ndarray) -> np.ndarray:
-    """Network input rows for a batch."""
-    x, obs_feat = _check_dims(model, x, obs_feat)
-    # observation features enter unscaled: the goal-position channels carry the
-    # fine corrections near the target, and downweighting them measurably hurts
-    # final-approach precision on the controller-mediated variant
-    return np.concatenate([x, time_features(t), obs_feat], axis=-1)
+def _layers(model: VelocityModel) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (w, b) pair of each layer, from the input layer to the output."""
+    p = model.params
+    return [(p[f"w{i}"], p[f"b{i}"]) for i in range(model.n_layers())]
 
 
-def _mlp_forward(params: dict[str, np.ndarray], inp: np.ndarray, n_layers: int):
-    """Returns (output, activations). Hidden activations use tanh."""
-    acts = [inp]
-    h = inp
-    for i in range(n_layers):
-        z = h @ params[f"w{i}"] + params[f"b{i}"]
-        h = np.tanh(z) if i < n_layers - 1 else z
-        acts.append(h)
-    return h, acts
+def _layer_pass(z: np.ndarray, hidden, out, acts: list | None = None) -> np.ndarray:
+    """The tanh layers hidden and the linear layer out, each a (w, b) pair,
+    on a lone 1-D row z, a (B, d) batch or a (B, 1, d) stack; appends each
+    hidden activation to acts, if given. Each layer is one product, with the
+    bias added and tanh applied in place. A lone row's product is np.dot: the
+    vector-matrix BLAS call z @ w makes, with its bits, without the matmul
+    ufunc's dispatch. Others take np.matmul, which makes that call per (1, d)
+    item of a stack, so each row gets its lone bits whatever B is; a (B, d)
+    batch is one matrix-matrix call, whose rows can differ in the last ulp.
+    """
+    product = np.dot if z.ndim == 1 else np.matmul
+    for w, b in hidden:
+        z = product(z, w)
+        z += b
+        np.tanh(z, out=z)
+        if acts is not None:
+            acts.append(z)
+    w, b = out
+    z = product(z, w)
+    z += b
+    return z
 
 
 class Inputs:
@@ -124,34 +134,14 @@ class Inputs:
         self.rows = flat if flat.ndim == 1 else flat[:, None, :]
         d = model.action_dim
         self.x, self.tf = flat[..., :d], flat[..., d:d + TIME_DIM]
-        p = model.params
-        layers = [(p[f"w{i}"], p[f"b{i}"]) for i in range(model.n_layers())]
+        layers = _layers(model)
         self.hidden, self.out = tuple(layers[:-1]), layers[-1]
 
 
 def forward(inputs: Inputs) -> np.ndarray:
     """Velocity predictions for inputs: (action_dim,) for a lone row,
-    (B, action_dim) for a stack. inputs itself is not written.
-
-    Each layer is one product, with the bias added and tanh applied in place,
-    which gives the training forward's rows (_mlp_forward) bit for bit. A
-    lone row's product is np.dot(z, w): the same vector-matrix BLAS call
-    z @ w makes, with the same bits, but without the matmul ufunc's dispatch,
-    about a tenth of a lone row's cost. On a stack each layer is one
-    (B, 1, d) @ (d, k) matmul: numpy makes that vector-matrix call per
-    (1, d) item, so every row gets the bits it gets alone, whatever B is (a
-    2-D (B, d) @ (d, k) product does not: it is one matrix-matrix call,
-    whose rows can differ in the last ulp).
-    """
-    z = inputs.rows
-    product = np.dot if z.ndim == 1 else np.matmul
-    for w, b in inputs.hidden:
-        z = product(z, w)
-        z += b
-        np.tanh(z, out=z)
-    w, b = inputs.out
-    z = product(z, w)
-    z += b
+    (B, action_dim) for a stack. inputs itself is not written."""
+    z = _layer_pass(inputs.rows, inputs.hidden, inputs.out)
     return z if z.ndim == 1 else z[:, 0]
 
 
@@ -159,23 +149,29 @@ def loss_and_grad(model: VelocityModel, X: np.ndarray, T: np.ndarray, OBS: np.nd
     """Mean squared-L2 velocity error over a batch, with analytic gradients.
 
     loss = mean_b ||v_pred_b - v_target_b||^2. Gradient layout matches
-    model.params key for key.
+    model.params key for key. The rows [x | time_features(T) | obs] run
+    through _layer_pass, not forward, which only acting calls.
     """
-    n_layers = model.n_layers()
-    inp = _assemble_inputs(model, X, np.asarray(T, dtype=np.float64), OBS)
-    out, acts = _mlp_forward(model.params, inp, n_layers)
+    X, OBS = _check_dims(model, X, OBS)
+    # observation features enter unscaled: the goal-position channels carry the
+    # fine corrections near the target, and downweighting them measurably hurts
+    # final-approach precision on the controller-mediated variant
+    inp = np.concatenate([X, time_features(np.asarray(T, dtype=np.float64)), OBS], axis=-1)
+    layers = _layers(model)
+    acts = [inp]
+    out = _layer_pass(inp, layers[:-1], layers[-1], acts)
     B = out.shape[0]
     diff = out - np.asarray(V_target, dtype=np.float64)
     loss = float(np.sum(diff * diff)) / B
 
     grads: dict[str, np.ndarray] = {}
     delta = 2.0 * diff / B
-    for i in reversed(range(n_layers)):
+    for i in reversed(range(len(layers))):
         a_prev = acts[i]
         grads[f"w{i}"] = a_prev.T @ delta
         grads[f"b{i}"] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ model.params[f"w{i}"].T) * (1.0 - acts[i] * acts[i])
+            delta = (delta @ layers[i][0].T) * (1.0 - acts[i] * acts[i])
     return loss, grads
 
 

@@ -230,3 +230,50 @@ def test_save_rejects_non_finite_values_naming_the_episode(tmp_path, corrupt):
     with pytest.raises(DatasetError, match=f"^episode 1: non-finite {field}$"):
         save_dataset(p, trajs, dim=2, env_meta={}, seed=0)
     assert not p.exists()
+
+
+def _six_wide_frames(t):
+    for i, o in enumerate(t.observations):
+        t.observations[i] = o._replace(features=o.features[:6])
+    return r"feature rows of shape \(6,\), want \(7,\)"
+
+
+def _one_ragged_frame(t):
+    t.observations[1] = t.observations[1]._replace(features=t.observations[1].features[:6])
+    return r"feature rows of shape \(6,\), want \(7,\)"
+
+
+def _one_word_frame(t):
+    t.observations[2] = t.observations[2]._replace(features=np.array(["x"] * 7))
+    return "non-numeric features"
+
+
+@pytest.mark.parametrize("corrupt", [_six_wide_frames, _one_ragged_frame, _one_word_frame],
+                         ids=["six_wide_frames", "one_ragged_frame", "one_word_frame"])
+def test_save_rejects_frames_load_would_reject_naming_the_episode(tmp_path, corrupt):
+    """Frames that are not obs_dim numbers (the header's obs_dim, OBS_DIM by
+    default) are never written: load_dataset would reject them."""
+    trajs = [_traj(np.full((3, 2), 0.25), [0.0, 0.0]) for _ in range(3)]
+    message = corrupt(trajs[1])
+    p = tmp_path / "d.jsonl"
+    with pytest.raises(DatasetError, match=f"^episode 1: {message}$"):
+        save_dataset(p, trajs, dim=2, env_meta={}, seed=0)
+    assert not p.exists()
+
+
+def test_save_and_load_take_the_frame_width_from_the_header(tmp_path):
+    trajs = [_traj(np.full((3, 2), 0.25), [0.0, 0.0]) for _ in range(2)]
+    for t in trajs:
+        _six_wide_frames(t)
+    p = tmp_path / "d.jsonl"
+    save_dataset(p, trajs, dim=2, env_meta={"obs_dim": 6}, seed=0)
+    loaded, _ = load_dataset(p)
+    assert [o.features.shape for o in loaded[1].observations] == [(6,)] * 3
+
+
+def test_save_rejects_actions_of_another_dim_naming_the_episode(tmp_path):
+    trajs = [_traj(np.full((3, 2), 0.25), [0.0, 0.0]) for _ in range(2)]
+    p = tmp_path / "d.jsonl"
+    with pytest.raises(DatasetError, match=r"^episode 0: actions of shape \(3, 2\), want \(L, 3\)$"):
+        save_dataset(p, trajs, dim=3, env_meta={}, seed=0)
+    assert not p.exists()

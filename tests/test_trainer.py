@@ -249,6 +249,26 @@ def test_training_step_flow_math_matches_inline_formulas(monkeypatch, small_demo
     assert seen["target"].tobytes() == target.tobytes()
 
 
+def test_training_step_does_not_call_forward(monkeypatch, small_demos):
+    """Training runs the layer pass through loss_and_grad, never through
+    velocitynet.forward, so the acting calls a benchmark counts on forward
+    hold no training batches."""
+    from streampolicy import trainer, velocitynet
+    from streampolicy.flowmatch import FlowParams
+
+    cfg = TrainConfig(**{**TINY, "iterations": 0})
+    policy, adam, _ = train(small_demos, cfg, alpha0_convention="zero")
+    OBS, ALPHA, XI = _sample_batch(_prepare(small_demos, cfg.h), cfg, make_rng(0, STREAM_TRAIN, 5))
+
+    def refuse(inputs):
+        raise AssertionError("training called velocitynet.forward")
+
+    monkeypatch.setattr(velocitynet, "forward", refuse)
+    loss = trainer.training_step(policy.model, adam, policy.stats, OBS, ALPHA, XI, make_rng(1, 2),
+                                 flow=FlowParams(k=cfg.k, sigma0=cfg.sigma0, h=cfg.h))
+    assert np.isfinite(loss)
+
+
 def test_cosine_schedule_changes_trajectory(small_demos):
     base = TrainConfig(**TINY)
     cos = TrainConfig(**{**TINY, "lr_schedule": "cosine"})

@@ -10,7 +10,7 @@ from streampolicy.velocitynet import (
     AdamState, CheckpointError, Inputs, Policy, adam_step, forward,
     init_adam, init_velocity_model, load_policy, loss_and_grad, read_container,
     save_policy, time_features, write_container,
-    TAG_VELOCITY_POLICY, TIME_DIM, _assemble_inputs, _mlp_forward,
+    TAG_VELOCITY_POLICY, TIME_DIM, _layer_pass, _layers,
 )
 
 
@@ -54,14 +54,23 @@ def _forward_at(model, x, t, obs):
     return forward(inputs)
 
 
+def _batch_pass(model, rows):
+    """The layer pass on a 2-D batch of input rows, as training runs it."""
+    layers = _layers(model)
+    return _layer_pass(rows, layers[:-1], layers[-1])
+
+
 def test_forward_batch_agrees_with_single(rng):
-    """The training forward on a batch agrees with the action kernel on each
-    of its rows."""
+    """The layer pass on a batch agrees with the action kernel on each of its
+    rows, and on a (1, d) batch (np.matmul) gives a lone row's bits (np.dot)."""
     model = _small_model()
     X, T, OBS, _ = _batch(rng)
-    batched, _ = _mlp_forward(model.params, _assemble_inputs(model, X, T, OBS), model.n_layers())
+    rows = np.concatenate([X, time_features(T), OBS], axis=-1)
+    batched = _batch_pass(model, rows)
     for i in range(X.shape[0]):
-        assert np.allclose(batched[i], _forward_at(model, X[i], float(T[i]), OBS[i]), atol=1e-12)
+        lone = _forward_at(model, X[i], float(T[i]), OBS[i])
+        assert np.allclose(batched[i], lone, atol=1e-12)
+        assert _batch_pass(model, rows[i:i + 1])[0].tobytes() == lone.tobytes(), i
 
 
 def test_time_features_shape_and_range():
@@ -308,8 +317,9 @@ def test_policy_action_goes_through_forward(monkeypatch):
 @pytest.mark.parametrize("hidden", [(16, 12), (8,), (5, 6, 7)])
 def test_forward_on_a_prepared_row_matches_the_batched_layers_bitwise(hidden):
     """One lone row of Inputs serves many forward passes on its observation:
-    each gives the training path's layers, run on that one row, bit for bit,
-    and leaves the observation features as they were written."""
+    each gives the layer pass on that row as a (1, d) batch, the product
+    training takes, bit for bit, and leaves the observation features as they
+    were written."""
     model = init_velocity_model(2, 7, hidden=hidden, rng=make_rng(3, 7, len(hidden)))
     rng = make_rng(5, 2, len(hidden))
     for k, b in model.params.items():
@@ -320,7 +330,7 @@ def test_forward_on_a_prepared_row_matches_the_batched_layers_bitwise(hidden):
     for T in range(12):
         x = rng.normal(size=2)
         t = T / 10.0
-        want = _mlp_forward(model.params, _assemble_inputs(model, x, t, obs), model.n_layers())[0]
+        want = _batch_pass(model, np.concatenate([x, time_features(t), obs])[None])[0]
         inputs.x[...] = x
         inputs.tf[...] = time_features(t)
         assert forward(inputs).tobytes() == want.tobytes(), T
