@@ -111,11 +111,13 @@ def feed_result(hasher, res: streamexec.EpisodeResult) -> None:
 
 
 def feed_trajectory(hasher, traj) -> None:
-    """Every observation, action and ledger state of a Trajectory."""
-    for ob in traj.observations:
-        _feed_array(hasher, ob.features)
-        hasher.update(f"{ob.frame_id}|".encode())
-        hasher.update(struct.pack("<d", ob.capture_time))
+    """Every frame (its features, id and capture time), action and ledger
+    state of a Trajectory."""
+    for features, frame_id, t in zip(traj.features, traj.frame_ids.tolist(),
+                                     traj.capture_times.tolist()):
+        _feed_array(hasher, features)
+        hasher.update(f"{frame_id}|".encode())
+        hasher.update(struct.pack("<d", t))
     _feed_array(hasher, traj.actions)
     _feed_array(hasher, traj.action_states)
 

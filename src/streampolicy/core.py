@@ -52,15 +52,10 @@ def as_vector(values, dim: int | None = None) -> np.ndarray:
 
 
 class Observation(NamedTuple):
-    """One environment observation. A named tuple, like envsim.EnvState,
-    because demo generation and the executors build one per step; never
-    mutated.
-
-    features: raw feature vector (position, goal, latch flag, goal offset).
-    frame_id: strictly increasing within an episode.
-    capture_time: clock value at capture; step index in recorded datasets,
-        simulation or wall milliseconds inside the executors.
-    """
+    """One frame of a Trajectory as its observations view gives it: raw
+    features (position, goal, latch flag, goal offset), the frame's id
+    (strictly increasing within an episode) and its capture time (the step
+    index). Never mutated."""
 
     features: np.ndarray
     frame_id: int
@@ -69,23 +64,35 @@ class Observation(NamedTuple):
 
 @dataclass
 class Trajectory:
-    """One episode: observations (length L), actions (L, D), states (L+1, D).
+    """One episode: L frames as features (L, obs_dim), frame_ids (L,) int and
+    capture_times (L,) float, one per action; actions (L, D) and states (L+1, D).
 
     action_states[0] is the episode's alpha_0 and action_states[n] is the
     exact left-to-right running sum of actions 0..n-1 on top of it.
     """
 
-    observations: list[Observation]
+    features: np.ndarray
+    frame_ids: np.ndarray
+    capture_times: np.ndarray
     actions: np.ndarray
     action_states: np.ndarray
 
     def __len__(self) -> int:
         return self.actions.shape[0]
 
+    @property
+    def observations(self) -> list[Observation]:
+        """The frames as Observation rows, built on each access: a read-only view."""
+        return list(map(Observation._make, zip(self.features, self.frame_ids.tolist(),
+                                               self.capture_times.tolist())))
+
     def validate(self) -> None:
         L, D = self.actions.shape
-        if len(self.observations) != L:
-            raise DatasetError(f"{len(self.observations)} observations for {L} actions")
+        if (len(self.features), *self.frame_ids.shape, *self.capture_times.shape) != (L, L, L):
+            raise DatasetError(f"{len(self.features)} frames, frame ids {self.frame_ids.shape} "
+                               f"and capture times {self.capture_times.shape} for {L} actions")
+        if self.frame_ids.dtype.kind not in "iu" or self.capture_times.dtype.kind != "f":
+            raise DatasetError("frame ids must be integers and capture times floats")
         if self.action_states.shape != (L + 1, D):
             raise DatasetError(f"action_states shape {self.action_states.shape}, want {(L + 1, D)}")
         expect = cumulative_states(self.actions, self.action_states[0])
@@ -93,11 +100,8 @@ class Trajectory:
         # defined as this summation order
         if not np.array_equal(expect, self.action_states):
             raise DatasetError("action_states is not the exact prefix sum of actions")
-        last = None
-        for obs in self.observations:
-            if last is not None and obs.frame_id <= last:
-                raise DatasetError("frame_id not strictly increasing")
-            last = obs.frame_id
+        if (np.diff(self.frame_ids) <= 0).any():
+            raise DatasetError("frame_id not strictly increasing")
 
 
 def cumulative_states(actions: np.ndarray, alpha0: np.ndarray) -> np.ndarray:
@@ -142,37 +146,37 @@ STREAM_MODEL_INIT = 7
 
 
 def _record_to_json(traj: Trajectory) -> dict:
-    # ndarray.tolist() yields the same Python floats as float(x) per element
+    # ndarray.tolist() yields the Python ints and floats int(x) and float(x) give
     return {
-        "obs": [{"f": o.features.tolist(), "id": int(o.frame_id), "t": float(o.capture_time)}
-                for o in traj.observations],
+        "obs": [{"f": f, "id": i, "t": t} for f, i, t in
+                zip(traj.features.tolist(), traj.frame_ids.tolist(), traj.capture_times.tolist())],
         "act": traj.actions.tolist(),
         "st": traj.action_states.tolist(),
     }
 
 
-def _record_from_json(rec: dict, dim: int) -> Trajectory:
+def _record_from_json(rec: dict, dim: int, obs_dim: int) -> Trajectory:
     """One episode record as a Trajectory, not yet checked. Missing fields
     and rows that do not parse raise KeyError, TypeError or ValueError."""
     obs, act, st = rec["obs"], rec["act"], rec["st"]
-    feats = np.array([o["f"] for o in obs], dtype=np.float64)
     return Trajectory(
-        observations=[Observation(f, int(o["id"]), float(o["t"])) for f, o in zip(feats, obs)],
+        features=np.array([o["f"] for o in obs], dtype=np.float64) if obs else np.empty((0, obs_dim)),
+        frame_ids=np.array([o["id"] for o in obs], dtype=np.int64),
+        capture_times=np.array([o["t"] for o in obs], dtype=np.float64),
         actions=np.asarray(act, dtype=np.float64).reshape(len(act), dim),
         action_states=np.asarray(st, dtype=np.float64).reshape(len(st), dim),
     )
 
 
 def _check_record(traj: Trajectory, dim: int, obs_dim: int) -> None:
-    """The one rule for a stored episode, on save and load alike: frames of obs_dim
-    features, finite values, actions of dim, Trajectory.validate (DatasetError)."""
-    frames = [o.features for o in traj.observations]
+    """The one rule for a stored episode, on save and load alike: an (L, obs_dim)
+    array of finite features, actions of dim, Trajectory.validate (DatasetError)."""
     try:
-        features = np.array(frames, dtype=np.float64) if frames else np.empty((0, obs_dim))
-    except ValueError:  # frames of unequal shapes, or not numbers
-        features = np.empty((0, 0))
-    if features.shape != (len(frames), obs_dim):
-        bad = next((np.shape(f) for f in frames if np.shape(f) != (obs_dim,)), None)
+        features = np.asarray(traj.features, dtype=np.float64)
+    except ValueError:  # rows of unequal shapes, or not numbers
+        features = None
+    if features is None or features.ndim != 2 or features.shape[1] != obs_dim:
+        bad = next((np.shape(f) for f in traj.features if np.shape(f) != (obs_dim,)), None)
         raise DatasetError("non-numeric features" if bad is None
                            else f"feature rows of shape {bad}, want ({obs_dim},)")
     for name, values in (("features", features), ("actions", traj.actions),
@@ -242,7 +246,7 @@ def load_dataset(path) -> tuple[list[Trajectory], dict]:
         except json.JSONDecodeError as exc:
             raise DatasetError(f"{path}: bad episode record {i}: {exc}") from exc
         try:
-            traj = _record_from_json(rec, dim)
+            traj = _record_from_json(rec, dim, obs_dim)
             _check_record(traj, dim, obs_dim)
         except DatasetError as exc:
             raise DatasetError(f"{path}: episode {i}: {exc}") from exc

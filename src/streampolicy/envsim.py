@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (ACTION_DIM, ALPHA0_INITIAL_POSITION, ALPHA0_ZERO, OBS_DIM, Observation, Trajectory,
+from .core import (ACTION_DIM, ALPHA0_INITIAL_POSITION, ALPHA0_ZERO, OBS_DIM, Trajectory,
                    cumulative_states, make_rng, STREAM_DEMO, STREAM_INIT)
 
 WORKSPACE_LO = -5.0
@@ -148,15 +148,14 @@ def step(kind: EnvKind, state: EnvState, action: np.ndarray) -> EnvState:
     return EnvState(pos, goal, latch, state.step_count + 1)  # positional: the cheaper call
 
 
-def observe(state: EnvState, capture_time: float | None = None) -> Observation:
-    """Seven raw features: position, goal, latch flag, goal - position."""
+def observe(state: EnvState) -> np.ndarray:
+    """The state's frame: seven raw features, (position, goal, latch flag,
+    goal - position), with the bits observe_rows gives its row."""
     # np.concatenate's features, built from one list of floats: cheaper for
     # vectors this short
     pos, goal = state.position.tolist(), state.goal.tolist()
-    feats = np.array(pos + goal + [1.0 if state.latch else 0.0]
-                     + [g - p for g, p in zip(goal, pos)], dtype=np.float64)
-    t = float(state.step_count) if capture_time is None else float(capture_time)
-    return Observation(feats, state.step_count, t)  # positional: the cheaper call
+    return np.array(pos + goal + [1.0 if state.latch else 0.0]
+                    + [g - p for g, p in zip(goal, pos)], dtype=np.float64)
 
 
 def success(state: EnvState) -> bool:
@@ -354,10 +353,9 @@ def rollout_rows(kind: EnvKind, states: list[EnvState], act, step_cap: int, park
 def rollout_trajectory(kind: EnvKind, state: EnvState, features: np.ndarray, actions: np.ndarray) -> Trajectory:
     """One rollout row as a Trajectory: frame ids and capture times count
     steps from the start state's step_count."""
-    features, actions = features.copy(), actions.copy()
-    ids = range(state.step_count, state.step_count + len(features))
-    observations = list(map(Observation._make, zip(features, ids, map(float, ids))))
-    return Trajectory(observations=observations, actions=actions,
+    ids = np.arange(state.step_count, state.step_count + len(features))
+    return Trajectory(features=features.copy(), frame_ids=ids, capture_times=ids.astype(np.float64),
+                      actions=actions.copy(),
                       action_states=cumulative_states(actions, alpha0_for(kind, state)))
 
 

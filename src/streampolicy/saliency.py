@@ -197,13 +197,11 @@ def _forward(params: dict, E: np.ndarray, C: np.ndarray):
 
 def saliency_score(predictor: Predictor, features: np.ndarray, tails) -> np.ndarray:
     """The norm of the predicted embedding change over each of n tails of raw
-    actions, from n frames' features (n, obs_dim). One decision runs as a lone
-    (1, d) row and n > 1 as one (n, 1, d) stack, whose items get their lone
-    rows' bits (see _forward); each norm is taken alone, as a lone one is."""
-    F = np.asarray(features, dtype=float)
-    C = np.array([pad_actions(t, predictor.config) for t in tails])
-    if len(C) > 1:
-        F, C = F[:, None], C[:, None]
+    actions, from n frames' features (n, obs_dim). The n decisions, n = 1
+    included, run as one (n, 1, d) stack, whose items get the bits a lone
+    (1, d) row gets (see _forward); each norm is taken alone."""
+    F = np.asarray(features, dtype=float)[:, None]
+    C = np.array([pad_actions(t, predictor.config) for t in tails])[:, None]
     out, _ = _forward(predictor.params, embed(predictor, F), C)
     return np.array([np.linalg.norm(row) for row in out.reshape(len(C), -1)])
 
@@ -297,7 +295,7 @@ def _prepare_pairs(trajectories: list[Trajectory], cfg: PredictorConfig) -> _Pai
         lengths=lengths,
         n_gaps=n_gaps,
         gaps=gaps,
-        features=np.stack([o.features for t in usable for o in t.observations]),
+        features=np.concatenate([t.features for t in usable]),
         actions=np.concatenate([part for t in usable for part in (t.actions, pad)]),
         offsets=np.concatenate([[0], np.cumsum(lengths)[:-1]]),
     )
@@ -408,7 +406,7 @@ def decision_scores(predictor: Predictor | None, trajectories: list[Trajectory],
               for start in range(0, len(traj) - h + 1, h)]
     if not points:
         raise ValueError("demonstrations too short to produce decision points")
-    features = np.stack([traj.observations[d].features for traj, d, _ in points])
+    features = np.stack([traj.features[d] for traj, d, _ in points])
     return score_decisions(mode, predictor, features, [traj.actions[d:end] for traj, d, end in points])
 
 

@@ -76,14 +76,14 @@ and executes, one generator thread generates, and a queue in each direction
 joins them. Observe and generate events run deadline to deadline: each starts
 when its input is released and its lane's previous event has ended, and ends
 its stage latency later, when its result is released to the next stage. An
-observation is taken at its request, with the request time as its capture
-time. The executor starts an action at max(release, previous tick + t_exec)
-on a fixed grid, the engine's max(ready, previous end). As on the simulated
-clock, the modes differ only in when a horizon's actions are released to
-the executor: each as it is generated (streaming) or all n_replan after the
-chunk's last generation (sync_chunk), which leaves the sync stages strictly
-serial. It generates every planned action, with each forward pass inside
-its t_gen budget, and never shares a horizon.
+observation is taken at its request. The executor starts an action at
+max(release, previous tick + t_exec) on a fixed grid, the engine's
+max(ready, previous end). As on the simulated clock, the modes differ only
+in when a horizon's actions are released to the executor: each as it is
+generated (streaming) or all n_replan after the chunk's last generation
+(sync_chunk), which leaves the sync stages strictly serial. It generates
+every planned action, with each forward pass inside its t_gen budget, and
+never shares a horizon.
 
 calibration_trajectories, the on-policy rollouts that calibrate indicator
 thresholds, needs neither clock: plain streaming at zero latency with no
@@ -280,13 +280,12 @@ class _Episode:
         self.horizons = horizon + 1
         return self.decision_idx if self.horizons * self.scheduler.h < self.step_cap else -1
 
-    def decide(self, t: float, remaining) -> bool:
+    def decide(self, remaining) -> bool:
         """Score the indicator on remaining(), the raw actions still to
         execute, which only the scored modes read, and (adaptive only) on the
-        current frame, observed at time t; counts the decision and returns
-        whether it fired."""
+        current frame; counts the decision and returns whether it fired."""
         tail = remaining() if self.scored else None
-        features = envsim.observe(self.state, capture_time=t).features[None] if self.adaptive else None
+        features = envsim.observe(self.state)[None] if self.adaptive else None
         fired, _score = _decide_eo(self.scheduler, self.predictor, features, tail, self.ind_rng)
         self.eo_decisions += 1
         self.eo_fired += fired
@@ -457,7 +456,7 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
     while True:
         obs_start, snapshot = pending
         pending = None
-        obs = envsim.observe(snapshot, capture_time=obs_start)
+        features = envsim.observe(snapshot)
         obs_end = obs_start + t_obs
         emit(event((STAGE_OBSERVE, base, horizon, obs_start, obs_end)))
 
@@ -467,7 +466,7 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
         # planned but replaced by the next chunk (its generate events share
         # the indices the next chunk will execute).
         gen_end: list[float] = []
-        chunk = _horizon_chunk(memo, policy, ep.alpha, obs.features, h)
+        chunk = _horizon_chunk(memo, policy, ep.alpha, features, h)
         path = chunk.path(ep.state, ep.kind)
         lane = max(gen_lane, obs_end)
         for g in range(base, base + h):
@@ -490,7 +489,7 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
                     p_end = p_start + t_pred
                     emit(event((STAGE_PREDICT, base + h, horizon, p_start, p_end)))
                     launch = max(launch, p_end)
-                if ep.decide(start, lambda: chunk.tail(i)):
+                if ep.decide(lambda: chunk.tail(i)):
                     pending = (launch, ep.state)
 
             emit(event((STAGE_EXECUTE, base + i, horizon, start, end)))
@@ -526,13 +525,13 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
 # The executor requests each observation: at the start, when the indicator
 # fires (at the decision's end) and otherwise at the end of its n_replan-th
 # execution, so in sync_chunk the stages run one at a time. At the request it
-# observes the current state (capture time: the request time), emits the
-# observe event and hands the observation to the generator; that host work
-# runs before the event starts, so an observe event never overruns. The
-# generator owns the action-state ledger: it makes all h actions of a
-# horizon, each inside its t_gen budget, and queues the first n_replan, each
-# as it is made in streaming and all at once after the horizon's last
-# generation in sync_chunk. The executor ticks on a fixed grid of period
+# observes the current state's features, emits the observe event and hands
+# the features to the generator; that host work runs before the event
+# starts, so an observe event never overruns. The generator owns the
+# action-state ledger: it makes all h actions of a horizon, each inside
+# its t_gen budget, and queues the first n_replan, each as it is made in
+# streaming and all at once after the horizon's last generation in
+# sync_chunk. The executor ticks on a fixed grid of period
 # t_exec (_next_tick): an action starts at max(release, previous tick +
 # t_exec), as the simulated engine starts it at max(ready, previous end), and
 # the grid restarts at max(now, release) when the supply ran late or a whole
@@ -643,9 +642,9 @@ def _wall_generator(shared: _WallShared, policy: Policy, stage: StageLatency,
         base = 0
         lane = 0.0
         while (got := shared.get(shared.obs_slot)) is not None:
-            obs, horizon, released = got
+            features, horizon, released = got
             made = shared.horizon_actions[horizon] = []
-            chunk = _Chunk(policy, alpha, obs.features, h)
+            chunk = _Chunk(policy, alpha, features, h)
             pending = []
             for i in range(h):
                 if shared.stop.is_set():
@@ -678,10 +677,10 @@ def _wall_executor(shared: _WallShared, ep: _Episode, stage: StageLatency, t0: f
 
     def observe(horizon: int, requested: float) -> None:
         nonlocal obs_lane  # done at the request: the host work precedes the slot
-        obs = envsim.observe(ep.state, capture_time=requested)
+        features = envsim.observe(ep.state)
         start, obs_lane, _ = _lane_slot(requested, obs_lane, stage.t_obs, requested)
         shared.emit(TimelineEvent(STAGE_OBSERVE, horizon * n_rep, horizon, start, obs_lane))
-        shared.obs_slot.put((obs, horizon, obs_lane))
+        shared.obs_slot.put((features, horizon, obs_lane))
 
     observe(0, _now(t0))
     while (item := shared.get(shared.action_queue)) is not None:
@@ -694,7 +693,7 @@ def _wall_executor(shared: _WallShared, ep: _Episode, stage: StageLatency, t0: f
             # generator has released of the horizon by then
             dec_time = _sleep_until(t0, released)
             made = shared.horizon_actions[horizon]
-            fired = ep.decide(dec_time, lambda: np.asarray(
+            fired = ep.decide(lambda: np.asarray(
                 [a for r, a in made[i:] if r <= dec_time]))
             decided = _now(t0)
             if ep.adaptive:

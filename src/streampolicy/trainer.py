@@ -83,7 +83,7 @@ def _prepare(trajectories: list[Trajectory], h: int) -> _Prepared:
         raise ValueError(f"no episode has at least h={h} actions")
     lengths = np.array([len(t) for t in usable])
     return _Prepared(
-        obs=np.stack([o.features for t in usable for o in t.observations]),
+        obs=np.concatenate([t.features for t in usable]),
         actions=np.concatenate([t.actions for t in usable]),
         states=np.concatenate([t.action_states for t in usable]),
         offsets=np.concatenate([[0], np.cumsum(lengths)[:-1]]),

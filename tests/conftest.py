@@ -1,4 +1,4 @@
-"""Shared fixtures. The trained-policy fixtures are expensive (about 17 s each,
+"""Shared fixtures. The trained-policy fixtures are expensive (about 21 s each,
 the predictor about 2 s, on a 2-CPU x86-64 host with OpenBLAS at one thread)
 and session-scoped; everything that needs a competent policy shares them. Seeds
 are frozen so every run trains byte-identical models.
@@ -83,7 +83,8 @@ def ragged_demos(small_demos):
     out = []
     for i, t in enumerate(small_demos):
         n = cuts[(i // 2) % len(cuts)] if i % 2 else len(t)
-        out.append(Trajectory(observations=t.observations[:n], actions=t.actions[:n],
+        out.append(Trajectory(features=t.features[:n], frame_ids=t.frame_ids[:n],
+                              capture_times=t.capture_times[:n], actions=t.actions[:n],
                               action_states=t.action_states[:n + 1]))
     return out
 

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import json
+import math
 import os
 import platform
 import struct
@@ -310,12 +311,48 @@ def test_bench_runs_every_episode_through_run_episode(workdir, tmp_path, monkeyp
             env = envsim.make_env(kind, cfg["calib_seed"], ep, step_cap=cfg["step_cap"])
             want = real(policy, None, env, streamexec.ZERO_LATENCY, sched,
                         record_trajectory=True).trajectory
-            assert traj.actions.tobytes() == want.actions.tobytes()
-            assert traj.action_states.tobytes() == want.action_states.tobytes()
-            assert [(o.features.tobytes(), o.frame_id, o.capture_time) for o in traj.observations] == \
-                [(o.features.tobytes(), o.frame_id, o.capture_time) for o in want.observations]
+            for name in ("features", "frame_ids", "capture_times", "actions", "action_states"):
+                x, y = getattr(traj, name), getattr(want, name)
+                assert (x.dtype, x.shape) == (y.dtype, y.shape) and x.tobytes() == y.tobytes(), name
         outputs[shared] = [(out_dir / name).read_bytes() for name in ("results.csv", "results.txt")]
     assert outputs[True] == outputs[False]
+
+
+def test_bench_calibrates_on_a_dataset_without_rollouts(workdir, tmp_path, monkeypatch):
+    """--calib-data takes the thresholds from the file's trajectories: no
+    calibration rollout runs, and each scored indicator's eta is
+    calibrate_threshold of decision_scores on the loaded file."""
+    demos = workdir / "data" / "demos.jsonl"
+    predictor_path = tmp_path / "predictor.ckpt"
+    assert main(["train-predictor", "--data", str(demos), "--out", str(predictor_path),
+                 "--iterations", "5"]) == 0
+
+    def no_rollouts(*args, **kwargs):
+        raise AssertionError("a calibration rollout ran")
+
+    real_configs, built = cli._bench_configs, []
+
+    def configs_wrapper(cfg, policy, predictor, modes, calib):
+        configs = real_configs(cfg, policy, predictor, modes, calib)
+        built.append((cfg, policy, configs))
+        return configs
+
+    monkeypatch.setattr(cli, "_calib_rollouts", no_rollouts)
+    monkeypatch.setattr(streamexec, "calibration_trajectories", no_rollouts)
+    monkeypatch.setattr(cli, "_bench_configs", configs_wrapper)
+    assert main(["bench", "--policy", str(workdir / "policy" / "policy.ckpt"),
+                 "--predictor", str(predictor_path), "--env", "controller", "--episodes", "2",
+                 "--step-cap", "20", "--eo", "anao,adaptive", "--calib-data", str(demos),
+                 "--out-dir", str(tmp_path / "bench")]) == 0
+    (cfg, policy, configs), = built
+    loaded, _ = load_dataset(demos)
+    predictor = saliency.load_predictor(predictor_path)
+    for label, mode in (("streaming+anao", saliency.EO_ACTION_NORM),
+                        ("streaming+adaptive", saliency.EO_ADAPTIVE)):
+        scores = saliency.decision_scores(predictor, loaded, policy.flow.h, cfg["n_eo"], mode=mode)
+        eta = saliency.calibrate_threshold(scores, cfg["target_rate"])
+        assert math.isfinite(eta)
+        assert configs[label].eo.mode == mode and configs[label].eo.eta == eta, label
 
 
 def test_predict_timing_reference_values(capsys):
@@ -329,13 +366,13 @@ def test_predict_timing_reference_values(capsys):
 
 
 def test_predict_timing_reads_equal_zero_latencies_as_no_speedup(capsys):
-    """At the zero profile every latency is 0; each speedup is 0/0, which
-    reads 1.00 as bench's table reads it, not inf."""
+    """At the zero profile every latency is 0; each speedup, over either
+    baseline, is 0/0, which reads 1.00 as bench's table reads it, not inf."""
     assert main(["predict-timing", "--profile", "zero"]) == 0
     rows = capsys.readouterr().out.splitlines()[2:]
     assert len(rows) == 4
     for row in rows:
-        assert row.split()[-2:] == ["1.00", "1.00"], row
+        assert row.split()[-4:] == ["1.00"] * 4, row
 
 
 def test_predict_timing_rejects_what_it_cannot_predict(capsys):
@@ -638,12 +675,11 @@ def test_non_finite_profile_exits_2(workdir, capsys, args):
     ("zero,1", "profile must be"),
     ("2,4,1", "t_gen <= t_exec"),
 ])
-def test_timing_table_script_exits_2_on_a_profile_it_cannot_tabulate(profile, message):
-    script = Path(__file__).resolve().parent.parent / "scripts" / "timing_table.py"
-    proc = subprocess.run([sys.executable, str(script), "--profile", profile],
-                          capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert message in proc.stderr and "Traceback" not in proc.stderr
+def test_predict_timing_exits_2_on_a_profile_it_cannot_tabulate(capsys, profile, message):
+    assert main(["predict-timing", "--profile", profile]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("episodes", ["0", "-2"])
@@ -657,18 +693,16 @@ def test_golden_digest_script_rejects_episodes_below_one(episodes):
     assert proc.stdout == ""
 
 
-def test_timing_table_script_names_the_baseline_of_each_ratio():
+def test_predict_timing_names_the_baseline_of_each_ratio(capsys):
     """At the reference profile streaming takes 34.6 ms per action against
     50.8 (sync_full) and 74.6 (sync_replan5), and halts 76 ms against 238;
-    each ratio is printed closed form / simulated beside its baseline."""
-    script = Path(__file__).resolve().parent.parent / "scripts" / "timing_table.py"
-    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    ratios = {tuple(line.split()[:2]): line.split()[2:] for line in proc.stdout.splitlines()
-              if line.startswith("streaming ")}
-    assert ratios["streaming", "sync_full"] == ["1.47x", "/", "1.47x", "3.13x", "/", "3.13x"]
-    assert ratios["streaming", "sync_replan5"] == ["2.16x", "/", "2.16x", "3.13x", "/", "3.13x"]
-    assert "2.4x per action and 6.5x halt" in proc.stdout
+    each speedup is printed under its baseline, beside the paper's."""
+    assert main(["predict-timing"]) == 0
+    head, columns, *rows = capsys.readouterr().out.splitlines()
+    assert columns.split()[-4:] == ["act/full", "halt/full", "act/replan5", "halt/replan5"]
+    ratios = {row.split()[0]: row.split()[-4:] for row in rows}
+    assert ratios["streaming"] == ["1.47", "3.13", "2.16", "3.13"]
+    assert "2.4x per action and 6.5x halt" in head
 
 
 def test_adaptive_requires_predictor(workdir, capsys):

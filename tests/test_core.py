@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,17 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CTRL, DEMO_SEED, DIRECT
 from streampolicy.core import (
     DatasetError, Observation, Trajectory, cumulative_states, load_dataset,
     make_rng, save_dataset,
 )
+from streampolicy.envsim import env_metadata
+from test_pins import CTRL_DATASET_SHA256, DIRECT_DATASET_SHA256
 
 
 def _traj(actions, alpha0):
     actions = np.asarray(actions, dtype=np.float64)
-    obs = [Observation(features=np.zeros(7), frame_id=i, capture_time=float(i))
-           for i in range(actions.shape[0])]
-    return Trajectory(observations=obs, actions=actions,
+    L = actions.shape[0]
+    return Trajectory(features=np.zeros((L, 7)), frame_ids=np.arange(L),
+                      capture_times=np.arange(L, dtype=np.float64), actions=actions,
                       action_states=cumulative_states(actions, alpha0))
 
 
@@ -76,8 +80,8 @@ def test_trajectory_validate_catches_tampering():
 
 def test_trajectory_validate_frame_ids():
     t = _traj([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
-    t.observations[1] = Observation(features=np.zeros(7), frame_id=0, capture_time=1.0)
-    with pytest.raises(DatasetError):
+    t.frame_ids[1] = 0
+    with pytest.raises(DatasetError, match="frame_id not strictly increasing"):
         t.validate()
 
 
@@ -93,13 +97,44 @@ def test_dataset_roundtrip_bitwise(tmp_path):
     for a, b in zip(trajs, loaded):
         assert np.array_equal(a.actions, b.actions)
         assert np.array_equal(a.action_states, b.action_states)
-        for oa, ob in zip(a.observations, b.observations):
-            assert np.array_equal(oa.features, ob.features)
-            assert oa.frame_id == ob.frame_id
+        for name in ("features", "frame_ids", "capture_times"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
     # saving the loaded copy reproduces the file byte for byte
     p2 = tmp_path / "d2.jsonl"
     save_dataset(p2, loaded, dim=2, env_meta={"variant": "direct"}, seed=3)
     assert p.read_bytes() == p2.read_bytes()
+
+
+def test_observations_view_builds_rows_from_the_arrays():
+    t = _traj([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]], [0.0, 0.0])
+    t.features[:] = np.arange(21.0).reshape(3, 7)
+    rows = t.observations
+    assert [type(o) for o in rows] == [Observation] * 3
+    assert [(type(o.frame_id), type(o.capture_time)) for o in rows] == [(int, float)] * 3
+    assert [(o.frame_id, o.capture_time) for o in rows] == [(0, 0.0), (1, 1.0), (2, 2.0)]
+    assert all(o.features.tobytes() == f.tobytes() for o, f in zip(rows, t.features))
+    with pytest.raises(AttributeError):
+        t.observations = rows
+
+
+@pytest.mark.parametrize("variant", ["controller", "direct"])
+def test_fixture_demos_round_trip_bitwise(variant, request, tmp_path):
+    """Both variants' fixture demos load back array for array, bit for bit
+    and in their dtypes, and the loaded set saves to the pinned bytes."""
+    demos = request.getfixturevalue(f"{'ctrl' if variant == 'controller' else 'direct'}_demos")
+    kind, pinned = (CTRL, CTRL_DATASET_SHA256) if variant == "controller" else \
+        (DIRECT, DIRECT_DATASET_SHA256)
+    meta = env_metadata(kind)
+    save_dataset(tmp_path / "a.jsonl", demos, dim=2, env_meta=meta, seed=DEMO_SEED)
+    loaded, _ = load_dataset(tmp_path / "a.jsonl")
+    assert len(loaded) == len(demos)
+    for got, want in zip(loaded, demos):
+        assert got.frame_ids.dtype == np.int64 and got.capture_times.dtype == np.float64
+        for name in ("features", "frame_ids", "capture_times", "actions", "action_states"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert (g.dtype, g.shape) == (w.dtype, w.shape) and g.tobytes() == w.tobytes(), name
+    save_dataset(tmp_path / "b.jsonl", loaded, dim=2, env_meta=meta, seed=DEMO_SEED)
+    assert hashlib.sha256((tmp_path / "b.jsonl").read_bytes()).hexdigest() == pinned
 
 
 def test_load_rejects_corrupt_header(tmp_path):
@@ -199,7 +234,7 @@ def test_load_reports_a_malformed_record_as_dataset_error(tmp_path, corrupt):
 
 
 def _nan_feature(t):
-    t.observations[1].features[3] = np.nan
+    t.features[1, 3] = np.nan
     return "features"
 
 
@@ -233,18 +268,19 @@ def test_save_rejects_non_finite_values_naming_the_episode(tmp_path, corrupt):
 
 
 def _six_wide_frames(t):
-    for i, o in enumerate(t.observations):
-        t.observations[i] = o._replace(features=o.features[:6])
+    t.features = t.features[:, :6]
     return r"feature rows of shape \(6,\), want \(7,\)"
 
 
 def _one_ragged_frame(t):
-    t.observations[1] = t.observations[1]._replace(features=t.observations[1].features[:6])
+    # frames as a list of rows, one of them short: no (L, 7) array holds them
+    t.features = [t.features[0], t.features[1, :6], t.features[2]]
     return r"feature rows of shape \(6,\), want \(7,\)"
 
 
 def _one_word_frame(t):
-    t.observations[2] = t.observations[2]._replace(features=np.array(["x"] * 7))
+    t.features = t.features.astype(object)
+    t.features[2] = "x"
     return "non-numeric features"
 
 
@@ -261,6 +297,21 @@ def test_save_rejects_frames_load_would_reject_naming_the_episode(tmp_path, corr
     assert not p.exists()
 
 
+@pytest.mark.parametrize("field, values", [("frame_ids", np.arange(3.0)),
+                                           ("capture_times", np.arange(3))],
+                         ids=["float_ids", "int_times"])
+def test_save_rejects_frame_arrays_of_another_dtype_naming_the_episode(tmp_path, field, values):
+    """Float frame ids or integer capture times would be written as JSON
+    numbers of the other kind, and the loaded copy would not save to the
+    same bytes."""
+    trajs = [_traj(np.full((3, 2), 0.25), [0.0, 0.0]) for _ in range(2)]
+    setattr(trajs[1], field, values)
+    p = tmp_path / "d.jsonl"
+    with pytest.raises(DatasetError, match="^episode 1: frame ids must be integers and capture times floats$"):
+        save_dataset(p, trajs, dim=2, env_meta={}, seed=0)
+    assert not p.exists()
+
+
 def test_save_and_load_take_the_frame_width_from_the_header(tmp_path):
     trajs = [_traj(np.full((3, 2), 0.25), [0.0, 0.0]) for _ in range(2)]
     for t in trajs:
@@ -268,7 +319,7 @@ def test_save_and_load_take_the_frame_width_from_the_header(tmp_path):
     p = tmp_path / "d.jsonl"
     save_dataset(p, trajs, dim=2, env_meta={"obs_dim": 6}, seed=0)
     loaded, _ = load_dataset(p)
-    assert [o.features.shape for o in loaded[1].observations] == [(6,)] * 3
+    assert loaded[1].features.shape == (3, 6)
 
 
 def test_save_rejects_actions_of_another_dim_naming_the_episode(tmp_path):

@@ -14,7 +14,7 @@ import pytest
 from conftest import expert_episode
 from streampolicy import envsim
 from streampolicy.cli import main
-from streampolicy.core import STREAM_DEMO, Observation, Trajectory, cumulative_states, make_rng
+from streampolicy.core import STREAM_DEMO, Trajectory, cumulative_states, make_rng
 from streampolicy.envsim import (
     EXPERT_GAIN, EXPERT_MAX_STEP, EXPERT_NOISE, EXPERT_PARK_STEPS, GOAL_BOX, START_BOX, EnvKind,
     EnvState, GenerationError, KIND_CONTROLLER, KIND_DIRECT, alpha0_for, generate_demos,
@@ -47,11 +47,12 @@ def _ref_expert_action(kind, state, rng, noise):
 
 
 def _ref_episode(kind, state, rng, step_cap=120, noise=EXPERT_NOISE):
-    observations, actions = [], []
+    frames, ids, actions = [], [], []
     alpha0 = alpha0_for(kind, state)
     park = 0
     for _ in range(step_cap + EXPERT_PARK_STEPS):
-        observations.append(observe(state))
+        frames.append(observe(state))
+        ids.append(state.step_count)
         a = _ref_expert_action(kind, state, rng, noise)
         actions.append(a)
         state = step(kind, state, a)
@@ -62,7 +63,9 @@ def _ref_episode(kind, state, rng, step_cap=120, noise=EXPERT_NOISE):
         elif park == 0 and len(actions) >= step_cap:
             break
     act = np.asarray(actions)
-    return Trajectory(observations, act, cumulative_states(act, alpha0)), success(state)
+    return Trajectory(features=np.array(frames), frame_ids=np.array(ids),
+                      capture_times=np.array(ids, dtype=np.float64), actions=act,
+                      action_states=cumulative_states(act, alpha0)), success(state)
 
 
 def _ref_demos(kind, n, seed, step_cap=120, noise=EXPERT_NOISE):
@@ -79,15 +82,10 @@ def _ref_demos(kind, n, seed, step_cap=120, noise=EXPERT_NOISE):
 
 
 def _assert_same_trajectory(got, want):
-    assert got.actions.dtype == want.actions.dtype and got.actions.shape == want.actions.shape
-    assert got.actions.tobytes() == want.actions.tobytes()
-    assert got.action_states.tobytes() == want.action_states.tobytes()
-    assert len(got.observations) == len(want.observations)
-    for o, r in zip(got.observations, want.observations):
-        assert type(o) is Observation
-        assert o.features.shape == r.features.shape and o.features.tobytes() == r.features.tobytes()
-        assert type(o.frame_id) is int and o.frame_id == r.frame_id
-        assert type(o.capture_time) is float and o.capture_time == r.capture_time
+    assert got.frame_ids.dtype == np.int64 and got.capture_times.dtype == np.float64
+    for name in ("features", "frame_ids", "capture_times", "actions", "action_states"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g.dtype, g.shape) == (w.dtype, w.shape) and g.tobytes() == w.tobytes(), name
 
 
 def _assert_same_demos(got, want):
@@ -173,7 +171,7 @@ def test_expert_episode_from_a_latched_mid_episode_state():
     got, got_ok = expert_episode(kind, state, make_rng(2, 9), step_cap=40)
     want, want_ok = _ref_episode(kind, state, make_rng(2, 9), step_cap=40)
     assert got_ok is want_ok
-    assert got.observations[0].frame_id == 17 and got.observations[0].features[4] == 1.0
+    assert got.frame_ids[0] == 17 and got.features[0, 4] == 1.0
     _assert_same_trajectory(got, want)
 
 

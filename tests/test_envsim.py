@@ -77,13 +77,12 @@ def test_latch_fires_once_and_sticks(seed):
 
 def test_observe_feature_layout(rng):
     state = make_initial_state(rng)
-    o = observe(state)
-    assert o.features.shape == (7,)
-    assert np.array_equal(o.features[:2], state.position)
-    assert np.array_equal(o.features[2:4], state.goal)
-    assert o.features[4] == 0.0
-    assert np.array_equal(o.features[5:7], state.goal - state.position)
-    assert o.frame_id == state.step_count
+    f = observe(state)
+    assert f.shape == (7,) and f.dtype == np.float64
+    assert np.array_equal(f[:2], state.position)
+    assert np.array_equal(f[2:4], state.goal)
+    assert f[4] == 0.0
+    assert np.array_equal(f[5:7], state.goal - state.position)
 
 
 def test_success_requires_latch(rng):
@@ -211,7 +210,7 @@ def test_step_rows_give_each_row_the_bits_of_a_lone_step(variant):
     feats = observe_rows(pos, goal, latch)
     new_pos, new_goal, new_latch, won = step_rows(kind, pos, goal, latch, actions)
     for b, state in enumerate(states):
-        assert feats[b].tobytes() == observe(state).features.tobytes(), b
+        assert feats[b].tobytes() == observe(state).tobytes(), b
         want = step(kind, state, actions[b])
         assert new_pos[b].tobytes() == want.position.tobytes(), b
         assert new_goal[b].tobytes() == want.goal.tobytes(), b

@@ -65,11 +65,10 @@ def test_fit_stats_covers_actions_and_states(small_demos):
 
 
 def test_fit_stats_degenerate_dim_gets_unit_scale():
-    from streampolicy.core import Observation, Trajectory, cumulative_states
+    from streampolicy.core import Trajectory, cumulative_states
     actions = np.array([[0.0, 1.0], [0.0, -1.0]])
-    obs = [Observation(features=np.zeros(7), frame_id=i, capture_time=float(i))
-           for i in range(2)]
-    t = Trajectory(observations=obs, actions=actions,
+    t = Trajectory(features=np.zeros((2, 7)), frame_ids=np.arange(2),
+                   capture_times=np.arange(2.0), actions=actions,
                    action_states=cumulative_states(actions, np.zeros(2)))
     stats = fit_stats([t])
     assert stats.scale[0] == 1.0

@@ -8,6 +8,7 @@ from pathlib import Path
 
 from streampolicy import (cli, core, envsim, flowmatch, metrics, normkit, saliency,
                           streamexec, trainer, velocitynet)
+from streampolicy.envsim import EnvKind, KIND_CONTROLLER
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -51,3 +52,20 @@ def test_cli_measures_through_the_metrics_module():
     not hold its own reference."""
     assert cli.metrics is metrics
     assert "measure" not in vars(cli)
+
+
+def test_train_gate_reads_trajectories_through_the_observations_view(small_demos, tmp_path,
+                                                                     monkeypatch):
+    """perfbench's train workload gates the dataset round trip with
+    wl_train._same_trajectories, which reads each Trajectory's observations
+    view: it must hold on a saved-and-loaded copy and fail on a copy with one
+    feature changed."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # for wl_train's `from common import ...`
+    same = _load("wl_train")._same_trajectories
+    path = tmp_path / "demos.jsonl"
+    core.save_dataset(path, small_demos, dim=core.ACTION_DIM,
+                      env_meta=envsim.env_metadata(EnvKind(variant=KIND_CONTROLLER)), seed=21)
+    loaded, _ = core.load_dataset(path)
+    assert same(small_demos, loaded) is True
+    loaded[3].features[5, 2] += 0.5
+    assert same(small_demos, loaded) is False

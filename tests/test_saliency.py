@@ -94,8 +94,8 @@ def _reference_sample_pairs(trajectories, cfg, rng):
         feasible = gaps[gaps < len(traj)]
         gap = int(feasible[int(rng.integers(len(feasible)))])
         f = int(rng.integers(len(traj) - gap))
-        early[b] = traj.observations[f].features
-        late[b] = traj.observations[f + gap].features
+        early[b] = traj.features[f]
+        late[b] = traj.features[f + gap]
         cond[b] = pad_actions(traj.actions[f : f + gap], cfg)
     return early, late, cond
 
@@ -208,7 +208,7 @@ def test_decision_scores_alignment(small_demos, ctrl_predictor):
     # first score comes from the first episode's first decision point
     t0 = small_demos[0]
     d = h - n_eo
-    manual = saliency_score(ctrl_predictor, t0.observations[d].features[None], [t0.actions[d:h]])
+    manual = saliency_score(ctrl_predictor, t0.features[d:d + 1], [t0.actions[d:h]])
     assert scores[0] == manual[0]
 
 
@@ -235,7 +235,7 @@ def _per_decision_scores(mode, predictor, trajectories, h, n_eo):
     for t in trajectories:
         for start in range(0, len(t) - h + 1, h):
             d = start + h - n_eo
-            out.extend(score_decisions(mode, predictor, t.observations[d].features[None],
+            out.extend(score_decisions(mode, predictor, t.features[d:d + 1],
                                        [t.actions[d:start + h]]))
     return np.asarray(out)
 
@@ -266,7 +266,9 @@ def test_predictor_stack_matches_lone_rows_bitwise(ctrl_predictor):
     score_decisions gives it, in both scored modes, bit for bit, whatever n
     is, with tails of 1 to n_eo_max + 2 actions mixed in one stack: the wall
     clock scores only the actions released by the decision, and a tail
-    longer than n_eo_max is truncated."""
+    longer than n_eo_max is truncated. An adaptive item's score is also the
+    norm of a lone (1, d) _forward row's output: the stack's items get the
+    bits of unstacked rows."""
     cfg = ctrl_predictor.config
     rng = make_rng(9, 4, 1)
     for n in (7, 299, 1000):
@@ -280,6 +282,13 @@ def test_predictor_stack_matches_lone_rows_bitwise(ctrl_predictor):
                 lone = score_decisions(mode, ctrl_predictor, feats[b:b + 1], tails[b:b + 1])
                 assert lone.shape == (1,), (mode, n, b)
                 assert stacked[b].tobytes() == lone[0].tobytes(), (mode, n, b)
+            if mode == EO_ADAPTIVE:
+                for b in range(n):
+                    C = pad_actions(tails[b], cfg)[None]
+                    row, _ = saliency._forward(ctrl_predictor.params,
+                                               embed(ctrl_predictor, feats[b:b + 1]), C)
+                    assert row.shape == (1, cfg.embed_dim)
+                    assert stacked[b].tobytes() == np.linalg.norm(row[0]).tobytes(), (n, b)
 
 
 def test_trained_predictor_separates_latch_crossings(ctrl_demos, ctrl_predictor):
@@ -289,10 +298,10 @@ def test_trained_predictor_separates_latch_crossings(ctrl_demos, ctrl_predictor)
     h, n_eo = 10, 3
     crossing, clear = [], []
     for traj in ctrl_demos[:150]:
-        latched = np.array([o.features[4] > 0.5 for o in traj.observations])
+        latched = traj.features[:, 4] > 0.5
         for start in range(0, len(traj) - h + 1, h):
             d = start + h - n_eo
-            s = saliency_score(ctrl_predictor, traj.observations[d].features[None],
+            s = saliency_score(ctrl_predictor, traj.features[d:d + 1],
                                [traj.actions[d:start + h]])[0]
             will_cross = (not latched[d]) and (
                 latched[min(len(latched) - 1, start + h - 1)]

@@ -290,8 +290,9 @@ def test_wall_overlap_matches_simulated(null_policy):
 # simulated clock once did. The engines now compute an action only when it is
 # executed or scored, and must give the same results bit for bit. They build
 # their own results, independent of the engines' envsim.rollout_trajectory:
-# a recorded trajectory's observations come from envsim.observe at each
-# execution and its ledger from cumulative_states.
+# a recorded trajectory's frames come from envsim.observe at each
+# execution, numbered by the state's step count, and its ledger from
+# cumulative_states.
 # ---------------------------------------------------------------------------
 
 def _eager_finish(success, events, raw, norm, final_alpha, state, horizons, eo_fired, steps,
@@ -301,8 +302,10 @@ def _eager_finish(success, events, raw, norm, final_alpha, state, horizons, eo_f
     norm_arr = np.asarray(norm).reshape(len(norm), -1)
     trajectory = None
     if traj_parts is not None:
-        observations, alpha0_raw = traj_parts
-        trajectory = Trajectory(observations=observations, actions=raw_arr,
+        frames, alpha0_raw = traj_parts
+        ids = np.array([i for _, i in frames])
+        trajectory = Trajectory(features=np.array([f for f, _ in frames]), frame_ids=ids,
+                                capture_times=ids.astype(np.float64), actions=raw_arr,
                                 action_states=cumulative_states(raw_arr, alpha0_raw))
     return EpisodeResult(
         success=success, events=events, actions_raw=raw_arr, actions_norm=norm_arr,
@@ -340,7 +343,7 @@ def _eager_streaming(policy: Policy, predictor, env: EnvHandle, stage: StageLate
     eo_decision_count = 0
 
     while not ended:
-        obs = envsim.observe(snapshot, capture_time=obs_start)
+        features = envsim.observe(snapshot)
         obs_end = obs_start + stage.t_obs
         events.append(TimelineEvent(STAGE_OBSERVE, base, horizon, obs_start, obs_end))
 
@@ -359,7 +362,7 @@ def _eager_streaming(policy: Policy, predictor, env: EnvHandle, stage: StageLate
                 start = max(start, exec_starts[g - h])
             end = start + stage.t_gen
             events.append(TimelineEvent(STAGE_GENERATE, g, horizon, start, end))
-            a_norm, a_raw = policy.action(policy.inputs(gen_alpha, obs.features), gen_alpha, i)
+            a_norm, a_raw = policy.action(policy.inputs(gen_alpha, features), gen_alpha, i)
             gen_alpha = gen_alpha + a_norm
             acts_norm[i] = a_norm
             acts_raw[i] = a_raw
@@ -385,9 +388,8 @@ def _eager_streaming(policy: Policy, predictor, env: EnvHandle, stage: StageLate
                 # cap makes this horizon the last: there is no boundary for
                 # an early observation to hide.
                 remaining = acts_raw[i:]
-                dec_obs = envsim.observe(state, capture_time=start)
-                fired, _score = _decide_eo(scheduler, predictor, dec_obs.features[None], remaining,
-                                           ind_rng)
+                fired, _score = _decide_eo(scheduler, predictor, envsim.observe(state)[None],
+                                           remaining, ind_rng)
                 eo_decision_count += 1
                 launch = start
                 if scheduler.eo.mode == saliency.EO_ADAPTIVE:
@@ -404,7 +406,7 @@ def _eager_streaming(policy: Policy, predictor, env: EnvHandle, stage: StageLate
             exec_starts.append(start)
             prev_exec_end = end
             if record_obs is not None:
-                record_obs.append(envsim.observe(state, capture_time=float(state.step_count)))
+                record_obs.append((envsim.observe(state), state.step_count))
             state = envsim.step(kind, state, acts_raw[i])
             executed_raw.append(acts_raw[i])
             executed_norm.append(acts_norm[i])
@@ -454,7 +456,7 @@ def _eager_sync(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
     ended = False
 
     while not ended:
-        obs = envsim.observe(state, capture_time=t)
+        features = envsim.observe(state)
         obs_end = t + stage.t_obs
         events.append(TimelineEvent(STAGE_OBSERVE, base, horizon, t, obs_end))
 
@@ -468,7 +470,7 @@ def _eager_sync(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
         for i in range(h):
             end = lane + stage.t_gen
             events.append(TimelineEvent(STAGE_GENERATE, base + i, horizon, lane, end))
-            a_norm, a_raw = policy.action(policy.inputs(gen_alpha, obs.features), gen_alpha, i)
+            a_norm, a_raw = policy.action(policy.inputs(gen_alpha, features), gen_alpha, i)
             gen_alpha = gen_alpha + a_norm
             acts_norm[i] = a_norm
             acts_raw[i] = a_raw
@@ -479,7 +481,7 @@ def _eager_sync(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
             end = exec_start + stage.t_exec
             events.append(TimelineEvent(STAGE_EXECUTE, base + i, horizon, exec_start, end))
             if record_obs is not None:
-                record_obs.append(envsim.observe(state, capture_time=float(state.step_count)))
+                record_obs.append((envsim.observe(state), state.step_count))
             state = envsim.step(kind, state, acts_raw[i])
             executed_raw.append(acts_raw[i])
             executed_norm.append(acts_norm[i])
@@ -546,10 +548,9 @@ def _assert_results_identical(a: EpisodeResult, b: EpisodeResult, events: bool =
         ta, tb = a.trajectory, b.trajectory
         assert ta.actions.tobytes() == tb.actions.tobytes()
         assert ta.action_states.tobytes() == tb.action_states.tobytes()
-        assert len(ta.observations) == len(tb.observations)
-        for oa, ob in zip(ta.observations, tb.observations):
-            assert oa.features.tobytes() == ob.features.tobytes()
-            assert (oa.frame_id, oa.capture_time) == (ob.frame_id, ob.capture_time)
+        for name in ("features", "frame_ids", "capture_times"):
+            x, y = getattr(ta, name), getattr(tb, name)
+            assert (x.dtype, x.shape) == (y.dtype, y.shape) and x.tobytes() == y.tobytes(), name
 
 
 @pytest.mark.parametrize("stage", [ZERO_LATENCY, REFERENCE_PROFILE, GENERATOR_BOUND],
@@ -623,10 +624,9 @@ def _assert_same_trajectories(got, want):
     for g, w in zip(got, want):
         assert g.actions.shape == w.actions.shape and g.actions.tobytes() == w.actions.tobytes()
         assert g.action_states.tobytes() == w.action_states.tobytes()
-        assert [o.features.tobytes() for o in g.observations] == \
-            [o.features.tobytes() for o in w.observations]
-        assert [(o.frame_id, o.capture_time) for o in g.observations] == \
-            [(o.frame_id, o.capture_time) for o in w.observations]
+        for name in ("features", "frame_ids", "capture_times"):
+            x, y = getattr(g, name), getattr(w, name)
+            assert (x.dtype, x.shape) == (y.dtype, y.shape) and x.tobytes() == y.tobytes(), name
 
 
 def _recorded_plain_streaming(policy, envs):
@@ -830,7 +830,7 @@ def test_indicator_stream_is_built_only_with_early_observation(monkeypatch, null
 def test_a_decision_observes_the_frame_only_for_the_adaptive_indicator(monkeypatch, null_policy,
                                                                         mode):
     """Only the adaptive indicator scores the frame, so only its decisions
-    observe one: at the decision's time, on the executor's current state.
+    observe one, on the executor's current state.
     A simulated episode observes once per horizon, plus once per decision
     when adaptive."""
     predictor = saliency.init_predictor(saliency.PredictorConfig())
@@ -838,15 +838,15 @@ def test_a_decision_observes_the_frame_only_for_the_adaptive_indicator(monkeypat
     seen = []
     real_observe = envsim.observe
 
-    def recording_observe(state, capture_time=None):
-        seen.append((state, capture_time))
-        return real_observe(state, capture_time=capture_time)
+    def recording_observe(state):
+        seen.append(state)
+        return real_observe(state)
 
     monkeypatch.setattr(envsim, "observe", recording_observe)
     ep = streamexec._Episode(null_policy, predictor, make_env(DIRECT, 3), sched, False)
-    ep.decide(12.5, lambda: np.zeros((3, 2)))
+    ep.decide(lambda: np.zeros((3, 2)))
     assert ep.eo_decisions == 1
-    assert seen == ([(ep.state, 12.5)] if mode == "adaptive" else [])
+    assert seen == ([ep.state] if mode == "adaptive" else [])
 
     seen.clear()
     res = run_episode(null_policy, predictor, make_env(DIRECT, 15, step_cap=33), REFERENCE_PROFILE,

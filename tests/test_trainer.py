@@ -34,7 +34,7 @@ def test_config_rejects_a_hidden_width_below_one(hidden):
 def _reference_sample_batch(trajectories, cfg, rng):
     """The per-episode, per-row sampling loop that _sample_batch vectorizes."""
     usable = [t for t in trajectories if len(t) >= cfg.h]
-    obs = [np.stack([o.features for o in t.observations]) for t in usable]
+    obs = [t.features for t in usable]
     n_windows = np.asarray([len(t) - cfg.h + 1 for t in usable])
     B, h = cfg.batch_size, cfg.h
     eps = rng.integers(len(usable), size=B)
@@ -79,7 +79,7 @@ def test_sampled_window_alignment(ragged_demos, rng):
     assert XI.shape == (64, h, 2)
     for b in range(cfg.batch_size):
         assert any(np.array_equal(t.action_states[s], ALPHA[b])
-                   and np.array_equal(t.observations[s].features, OBS[b])
+                   and np.array_equal(t.features[s], OBS[b])
                    for t, s in sources.get(XI[b].tobytes(), [])), \
             "window does not align with any episode's ledger"
     assert np.any(ALPHA != 0.0)
