@@ -3,8 +3,9 @@ checkpoints and print the sha256 of all four files.
 
 Generates the 600 controller demos at seed 11 that tests/conftest.py trains
 on and saves them as `streampolicy gen-data --env controller --episodes 600
---seed 11` does (the `dataset` line), then does the same for the direct
-variant (the `direct` line, as `gen-data --env direct` saves it). It then
+--seed 11` does, a version-2 dataset in the binary container (the `dataset`
+line), then does the same for the direct variant (the `direct` line, as
+`gen-data --env direct` saves it). It then
 reloads the controller demos and trains ctrl_policy and ctrl_predictor
 exactly as tests/conftest.py does (the RECIPE policy and
 PredictorConfig(seed=0)) on the reloaded copy, saves the policy with its
@@ -52,9 +53,9 @@ def _save_demos(kind, path: Path, label: str) -> None:
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "demos.jsonl"
+        path = Path(tmp) / "demos.bin"
         _save_demos(CTRL, path, "dataset")
-        _save_demos(DIRECT, Path(tmp) / "direct.jsonl", "direct")
+        _save_demos(DIRECT, Path(tmp) / "direct.bin", "direct")
         demos, _ = load_dataset(path)
 
         t0 = time.perf_counter()

@@ -9,15 +9,15 @@ OUT=${1:-runs/pipeline}
 mkdir -p "$OUT"
 
 python3 -m streampolicy.cli gen-data \
-    --env controller --episodes 600 --seed 11 --out "$OUT/demos.jsonl"
+    --env controller --episodes 600 --seed 11 --out "$OUT/demos.bin"
 
 python3 -m streampolicy.cli train-policy \
-    --data "$OUT/demos.jsonl" --out "$OUT/policy.ckpt" \
+    --data "$OUT/demos.bin" --out "$OUT/policy.ckpt" \
     --iterations 16000 --batch-size 128 --lr 2e-3 --lr-schedule cosine \
     --seed 0 --log-every 1000
 
 python3 -m streampolicy.cli train-predictor \
-    --data "$OUT/demos.jsonl" --out "$OUT/predictor.ckpt" --seed 0
+    --data "$OUT/demos.bin" --out "$OUT/predictor.ckpt" --seed 0
 
 python3 -m streampolicy.cli rollout \
     --policy "$OUT/policy.ckpt" --env controller --episodes 10 --seed 1000 \

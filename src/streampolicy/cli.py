@@ -33,10 +33,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, envsim, metrics, saliency, streamexec, trainer
-from .core import ALPHA0_ZERO, DatasetError, load_dataset, save_dataset
+from .core import ALPHA0_ZERO, CheckpointError, DatasetError, load_dataset, save_dataset
 from .envsim import GenerationError
 from .trainer import TrainConfig, TrainingDivergedError
-from .velocitynet import CheckpointError, load_policy, save_policy
+from .velocitynet import load_policy, save_policy
 
 ENV_PREFIX = "STREAMPOLICY_"
 _ENVS = [envsim.KIND_DIRECT, envsim.KIND_CONTROLLER]
@@ -246,13 +246,6 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _load_trajectories(path):
-    try:
-        return load_dataset(path)
-    except FileNotFoundError as exc:
-        raise CliError(f"dataset not found: {path}") from exc
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -275,7 +268,7 @@ def _cmd_gen_data(cfg) -> int:
 
 
 def _cmd_train_policy(cfg) -> int:
-    trajectories, header = _load_trajectories(cfg["data"])
+    trajectories, header = load_dataset(cfg["data"])
     convention = header.get("env", {}).get("alpha0", ALPHA0_ZERO)
 
     tc = TrainConfig(
@@ -318,7 +311,7 @@ def _cmd_train_policy(cfg) -> int:
 
 
 def _cmd_train_predictor(cfg) -> int:
-    trajectories, _header = _load_trajectories(cfg["data"])
+    trajectories, _header = load_dataset(cfg["data"])
     pc = saliency.PredictorConfig(
         iterations=cfg["iterations"], batch_size=cfg["batch_size"],
         lr=cfg["lr"], seed=cfg["seed"],
@@ -460,7 +453,7 @@ def _cmd_bench(cfg) -> int:
     modes = {n: _eo_mode(n, predictor) for n in names}
     calib = None
     if cfg["calib_data"]:
-        calib, _ = _load_trajectories(cfg["calib_data"])
+        calib, _ = load_dataset(cfg["calib_data"])
     elif calibrate:
         calib = _calib_rollouts(policy, kind, cfg)
 
@@ -584,7 +577,7 @@ _COMMANDS = {
         _Opt("episodes", int, 200, least=1),
         _Opt("step_cap", int, 120, least=1),
         _Opt("noise", float, envsim.EXPERT_NOISE, help="expert action noise std: finite, 0 or more"),
-        _Opt("out", str, "demos.jsonl"),
+        _Opt("out", str, "demos.bin"),
     ]),
     "train-policy": (_cmd_train_policy, "train the streaming flow policy", [
         _SEED,

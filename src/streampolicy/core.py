@@ -1,22 +1,28 @@
-"""Shared domain types, deterministic RNG streams, and the trajectory dataset format.
+"""Shared domain types, deterministic RNG streams, the binary container, and
+the trajectory dataset format.
 
 Action vectors and action-space states are plain float64 numpy arrays of a
 fixed dimension (2 for the desk environments). The action-space state is the
 running sum of commanded actions; it lives in the same coordinate frame as
 actions, which is what makes shared normalization statistics meaningful.
 
-A dataset file is one JSON header line and one JSON record per episode.
+One checksummed float64 container (write_container/read_container) holds
+datasets, policy checkpoints and predictor checkpoints, each under its own
+type tag. A dataset file (version 2) is the header as the container's config
+and the episodes concatenated: lengths (E,), features (N, obs_dim), frame_ids
+(N,), capture_times (N,), actions (N, dim) and action_states (N+E, dim).
 Saving and loading check each episode by one rule (_check_record), so what
-save_dataset writes load_dataset reads; a malformed record (a missing field,
-a row of the wrong length, a non-finite value, broken prefix sums) raises
-DatasetError naming the episode, and on load the file.
+save_dataset writes load_dataset reads. A broken file raises DatasetError
+naming the file, and a broken episode names the episode too.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import struct
+import zlib
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -24,7 +30,7 @@ import numpy as np
 ACTION_DIM = 2
 OBS_DIM = 7
 DATASET_FORMAT = "streampolicy-trajectories"
-DATASET_VERSION = 1
+DATASET_VERSION = 2
 # how an episode seeds its action-state ledger: at zero (a pure action
 # accumulator) or at the initial position (a ledger that tracks position)
 ALPHA0_ZERO = "zero"
@@ -37,6 +43,12 @@ class DimensionMismatchError(ValueError):
 
 class DatasetError(ValueError):
     """Dataset file is malformed or violates a structural invariant."""
+    noun = "dataset"
+
+
+class CheckpointError(ValueError):
+    """Checkpoint file is unreadable, truncated, or corrupt."""
+    noun = "checkpoint"
 
 
 def as_vector(values, dim: int | None = None) -> np.ndarray:
@@ -145,32 +157,10 @@ STREAM_INDICATOR = 6
 STREAM_MODEL_INIT = 7
 
 
-def _record_to_json(traj: Trajectory) -> dict:
-    # ndarray.tolist() yields the Python ints and floats int(x) and float(x) give
-    return {
-        "obs": [{"f": f, "id": i, "t": t} for f, i, t in
-                zip(traj.features.tolist(), traj.frame_ids.tolist(), traj.capture_times.tolist())],
-        "act": traj.actions.tolist(),
-        "st": traj.action_states.tolist(),
-    }
-
-
-def _record_from_json(rec: dict, dim: int, obs_dim: int) -> Trajectory:
-    """One episode record as a Trajectory, not yet checked. Missing fields
-    and rows that do not parse raise KeyError, TypeError or ValueError."""
-    obs, act, st = rec["obs"], rec["act"], rec["st"]
-    return Trajectory(
-        features=np.array([o["f"] for o in obs], dtype=np.float64) if obs else np.empty((0, obs_dim)),
-        frame_ids=np.array([o["id"] for o in obs], dtype=np.int64),
-        capture_times=np.array([o["t"] for o in obs], dtype=np.float64),
-        actions=np.asarray(act, dtype=np.float64).reshape(len(act), dim),
-        action_states=np.asarray(st, dtype=np.float64).reshape(len(st), dim),
-    )
-
-
 def _check_record(traj: Trajectory, dim: int, obs_dim: int) -> None:
     """The one rule for a stored episode, on save and load alike: an (L, obs_dim)
-    array of finite features, actions of dim, Trajectory.validate (DatasetError)."""
+    array of finite features, actions of dim, Trajectory.validate, and frame
+    ids that float64 holds exactly (DatasetError)."""
     try:
         features = np.asarray(traj.features, dtype=np.float64)
     except ValueError:  # rows of unequal shapes, or not numbers
@@ -186,16 +176,124 @@ def _check_record(traj: Trajectory, dim: int, obs_dim: int) -> None:
     if traj.actions.ndim != 2 or traj.actions.shape[1] != dim:
         raise DatasetError(f"actions of shape {traj.actions.shape}, want (L, {dim})")
     traj.validate()
+    if ((traj.frame_ids < -2**53) | (traj.frame_ids > 2**53)).any():
+        raise DatasetError("frame ids beyond 2**53 in magnitude, which float64 does not hold exactly")
+
+
+# ---------------------------------------------------------------------------
+# binary container: trajectory datasets, policy and predictor checkpoints
+#
+# layout: magic(8) | version u32 | type tag u32 | meta_len u32 | meta JSON |
+#         float64-LE array blob | crc32(blob) u32
+# meta lists array names and shapes in blob order plus a free-form config
+# dict. All scalars in config survive JSON round-trips exactly (shortest-repr
+# floats), so reloading reproduces values bitwise.
+# ---------------------------------------------------------------------------
+
+CONTAINER_MAGIC = b"SPCONT01"
+CONTAINER_VERSION = 1
+TAG_VELOCITY_POLICY = 1
+TAG_SALIENCY_PREDICTOR = 2
+TAG_TRAJECTORY_DATASET = 3
+CONTAINER_KINDS = {TAG_VELOCITY_POLICY: "velocity policy",
+                   TAG_SALIENCY_PREDICTOR: "saliency predictor",
+                   TAG_TRAJECTORY_DATASET: "trajectory dataset"}
+
+
+def check_shapes(path, kind: str, want: dict[str, tuple[int, ...]],
+                 arrays: dict[str, np.ndarray], error: type[ValueError] = CheckpointError) -> None:
+    """Raise error naming path unless arrays holds exactly the arrays want
+    names, each of the shape want gives it: the sizes a container's metadata
+    states must be the sizes of its stored arrays. Checks in want's order,
+    then any array want does not name."""
+    for name in [*want, *sorted(arrays.keys() - want.keys())]:
+        got = arrays[name].shape if name in arrays else None
+        if got != want.get(name):
+            raise error(f"{path}: {kind} metadata does not fit the stored arrays: "
+                        f"{name} is stored as {got}, the metadata gives {want.get(name)}")
+
+
+def write_container(path, *, tag: int, arrays: list[tuple[str, np.ndarray]], config: dict) -> None:
+    meta = {
+        "arrays": [[name, list(a.shape)] for name, a in arrays],
+        "config": config,
+    }
+    meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in arrays)
+    with open(path, "wb") as fh:
+        fh.write(CONTAINER_MAGIC)
+        fh.write(struct.pack("<II", CONTAINER_VERSION, tag))
+        fh.write(struct.pack("<I", len(meta_bytes)))
+        fh.write(meta_bytes)
+        fh.write(blob)
+        fh.write(struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF))
+
+
+def read_container(path, *, expect_tag: int | None = None, error: type[ValueError] = CheckpointError):
+    """Returns (tag, arrays dict, config dict). Raises error, whose noun names
+    the kind of file in its messages, when path is unreadable, truncated,
+    corrupt or of a tag other than expect_tag."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise error(f"{path}: cannot read {error.noun}: {exc.strerror}") from exc
+    if len(data) < 20 or data[:8] != CONTAINER_MAGIC:
+        raise error(f"{path}: not a {error.noun} container")
+    version, tag = struct.unpack_from("<II", data, 8)
+    if version != CONTAINER_VERSION:
+        raise error(f"{path}: container version {version}, supported {CONTAINER_VERSION}")
+    (meta_len,) = struct.unpack_from("<I", data, 16)
+    meta_end = 20 + meta_len
+    if meta_end > len(data):
+        raise error(f"{path}: truncated metadata")
+    try:
+        meta = json.loads(data[20:meta_end].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"{path}: corrupt metadata: {exc}") from exc
+    # the checksum covers only the blob, so the metadata is checked here
+    if not (isinstance(meta, dict) and isinstance(meta.get("arrays"), list)
+            and isinstance(meta.get("config"), dict)):
+        raise error(f"{path}: metadata is not an object with an arrays list and a config object")
+    try:
+        layout = [(name, [int(n) for n in shape]) for name, shape in meta["arrays"]]
+    except (TypeError, ValueError) as exc:
+        raise error(f"{path}: malformed array list in metadata: {exc}") from exc
+    total = sum(math.prod(shape) for _, shape in layout)
+    blob_end = meta_end + 8 * total
+    if blob_end + 4 > len(data):
+        raise error(f"{path}: truncated array blob")
+    blob = data[meta_end:blob_end]
+    (crc,) = struct.unpack_from("<I", data, blob_end)
+    if crc != (zlib.crc32(blob) & 0xFFFFFFFF):
+        raise error(f"{path}: array blob fails checksum")
+    if expect_tag is not None and tag != expect_tag:
+        raise error(f"{path}: container tag {tag} ({CONTAINER_KINDS.get(tag, 'unknown kind')}), "
+                    f"expected {expect_tag} ({CONTAINER_KINDS[expect_tag]})")
+    arrays: dict[str, np.ndarray] = {}
+    offset = 0
+    flat = np.frombuffer(blob, dtype="<f8")
+    for name, shape in layout:
+        n = math.prod(shape)
+        arrays[name] = flat[offset:offset + n].reshape(shape).astype(np.float64)
+        offset += n
+    return tag, arrays, meta["config"]
+
+
+def _whole(values: np.ndarray) -> bool:
+    """Every value is an integer that float64 holds exactly."""
+    return bool((np.abs(values) <= 2.0**53).all() and (np.floor(values) == values).all())
 
 
 def save_dataset(path, trajectories: list[Trajectory], *, dim: int, env_meta: dict, seed: int) -> None:
-    """Write trajectories as a line-delimited JSON file with a header record.
+    """Write trajectories as a container (TAG_TRAJECTORY_DATASET): the header
+    as its config, and the episodes' arrays concatenated beside their lengths.
 
-    Floats round-trip exactly (shortest-repr encoding), so saving and
-    reloading reproduces arrays bitwise and rewriting an unchanged dataset
-    produces a byte-identical file. An episode that breaks load_dataset's rule
-    (_check_record, frames of env_meta's obs_dim or OBS_DIM) raises DatasetError
-    naming it, and nothing is written."""
+    float64 holds every stored value exactly, so saving and reloading
+    reproduces arrays bitwise and rewriting an unchanged dataset produces a
+    byte-identical file. An episode that breaks load_dataset's rule
+    (_check_record, frames of env_meta's obs_dim or OBS_DIM) raises
+    DatasetError naming it, and nothing is written."""
     obs_dim = int(env_meta.get("obs_dim", OBS_DIM))
     for i, traj in enumerate(trajectories):
         try:
@@ -210,49 +308,70 @@ def save_dataset(path, trajectories: list[Trajectory], *, dim: int, env_meta: di
         "env": env_meta,
         "seed": int(seed),
     }
-    lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-    for traj in trajectories:
-        lines.append(json.dumps(_record_to_json(traj), sort_keys=True, separators=(",", ":")))
-    Path(path).write_text("\n".join(lines) + "\n")
+
+    def joined(name, *row_shape):
+        # the empty head gives zero episodes their shape
+        return np.concatenate([np.empty((0, *row_shape)), *(getattr(t, name) for t in trajectories)])
+
+    write_container(path, tag=TAG_TRAJECTORY_DATASET, config=header, arrays=[
+        ("lengths", np.array([len(t) for t in trajectories], dtype=np.float64)),
+        ("features", joined("features", obs_dim)),
+        ("frame_ids", joined("frame_ids")),
+        ("capture_times", joined("capture_times")),
+        ("actions", joined("actions", dim)),
+        ("action_states", joined("action_states", dim)),
+    ])
 
 
 def load_dataset(path) -> tuple[list[Trajectory], dict]:
-    """Read a dataset file, validating format, version, and every record's
-    fields, shapes, finiteness and prefix sums (DatasetError otherwise)."""
-    text = Path(path).read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise DatasetError(f"{path}: empty dataset file")
+    """Read a dataset file, raising DatasetError naming it unless the
+    file can be read, the container is sound, the header's format, version
+    and sizes fit the arrays, the lengths are non-negative integers that
+    cover every row, the frame ids are integers, and every episode passes
+    _check_record."""
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"{path}: unreadable header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
-        raise DatasetError(f"{path}: not a trajectory dataset")
-    if header.get("version") != DATASET_VERSION:
-        raise DatasetError(f"{path}: unsupported version {header.get('version')!r}")
+        with open(path, "rb") as fh:
+            first = fh.read(1)
+    except OSError as exc:
+        raise DatasetError(f"{path}: cannot read dataset: {exc.strerror}") from exc
+    if first == b"{":
+        raise DatasetError(f"{path}: a version-1 JSON-lines dataset, which version "
+                           f"{DATASET_VERSION} does not read; regenerate it with gen-data")
+    _, arrays, header = read_container(path, expect_tag=TAG_TRAJECTORY_DATASET, error=DatasetError)
+    if (header.get("format"), header.get("version")) != (DATASET_FORMAT, DATASET_VERSION):
+        raise DatasetError(f"{path}: not a version-{DATASET_VERSION} trajectory dataset: format "
+                           f"{header.get('format')!r}, version {header.get('version')!r}")
     try:
         dim = int(header["dim"])
         episodes = int(header["episodes"])
         obs_dim = int(header.get("env", {}).get("obs_dim", OBS_DIM))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DatasetError(f"{path}: malformed header: {exc!r}") from exc
-    if len(lines) - 1 != episodes:
-        raise DatasetError(f"{path}: header claims {episodes} episodes, file has {len(lines) - 1}")
+    # the frame ids give the row count that every other array and the lengths must fit
+    ids = arrays.get("frame_ids", np.empty(0))
+    n = len(ids) if ids.ndim else 0
+    check_shapes(path, "dataset", {"lengths": (episodes,), "features": (n, obs_dim),
+                                   "frame_ids": (n,), "capture_times": (n,), "actions": (n, dim),
+                                   "action_states": (n + episodes, dim)}, arrays, error=DatasetError)
+    lengths = arrays["lengths"]
+    if not (_whole(lengths) and (lengths >= 0).all() and lengths.sum() == n):
+        raise DatasetError(f"{path}: episode lengths must be non-negative integers that sum "
+                           f"to the {n} stored rows")
+    if not _whole(ids):
+        raise DatasetError(f"{path}: frame ids must be integers")
+    ids = ids.astype(np.int64)
     out = []
-    for i, ln in enumerate(lines[1:]):
+    start = 0
+    for i, end in enumerate(lengths.astype(np.int64).cumsum().tolist()):
+        # episode i's L + 1 states follow the i states of the episodes before it
+        traj = Trajectory(features=arrays["features"][start:end], frame_ids=ids[start:end],
+                          capture_times=arrays["capture_times"][start:end],
+                          actions=arrays["actions"][start:end],
+                          action_states=arrays["action_states"][start + i:end + i + 1])
         try:
-            rec = json.loads(ln)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"{path}: bad episode record {i}: {exc}") from exc
-        try:
-            traj = _record_from_json(rec, dim, obs_dim)
             _check_record(traj, dim, obs_dim)
         except DatasetError as exc:
             raise DatasetError(f"{path}: episode {i}: {exc}") from exc
-        except KeyError as exc:
-            raise DatasetError(f"{path}: episode {i}: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise DatasetError(f"{path}: episode {i}: malformed record: {exc}") from exc
         out.append(traj)
+        start = end
     return out, header

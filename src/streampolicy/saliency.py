@@ -32,24 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    ACTION_DIM,
-    OBS_DIM,
-    STREAM_MODEL_INIT,
-    STREAM_PREDICTOR,
-    Trajectory,
-    make_rng,
-)
-from .velocitynet import (
-    AdamState,
-    CheckpointError,
-    TAG_SALIENCY_PREDICTOR,
-    adam_step,
-    check_shapes,
-    init_adam,
-    read_container,
-    write_container,
-)
+from .core import (ACTION_DIM, OBS_DIM, STREAM_MODEL_INIT, STREAM_PREDICTOR, TAG_SALIENCY_PREDICTOR,
+                   CheckpointError, Trajectory, check_shapes, make_rng, read_container,
+                   write_container)
+from .velocitynet import AdamState, adam_step, init_adam
 
 N_EO_MAX = 4
 EMBED_DIM = 16

@@ -4,22 +4,20 @@ The network maps (action-space state x, horizon clock t, observation features)
 to a velocity in action space. One layer pass serves acting (forward) and
 training (loss_and_grad). Gradients are analytic (no autodiff dependency)
 and are validated against central differences in the test suite. The same
-file also provides the Adam update and the binary checkpoint container shared
-with the saliency predictor.
+file also provides the Adam update and the policy checkpoint, which is stored
+in core's binary container, as predictor checkpoints and datasets are.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import struct
-import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import flowmatch, normkit
-from .core import ALPHA0_INITIAL_POSITION, ALPHA0_ZERO, DimensionMismatchError
+from .core import (ALPHA0_INITIAL_POSITION, ALPHA0_ZERO, TAG_VELOCITY_POLICY, CheckpointError,
+                   DimensionMismatchError, check_shapes, read_container, write_container)
 from .flowmatch import FlowParams
 from .normkit import NormStats
 
@@ -282,106 +280,6 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
     g += state.eps
     tmp /= g
     flat.p -= tmp
-
-
-# ---------------------------------------------------------------------------
-# checkpoint container
-#
-# layout: magic(8) | version u32 | type tag u32 | meta_len u32 | meta JSON |
-#         float64-LE array blob | crc32(blob) u32
-# meta lists array names and shapes in blob order plus a free-form config
-# dict. All scalars in config survive JSON round-trips exactly (shortest-repr
-# floats), so reloading reproduces values bitwise.
-# ---------------------------------------------------------------------------
-
-CONTAINER_MAGIC = b"SPCONT01"
-CONTAINER_VERSION = 1
-TAG_VELOCITY_POLICY = 1
-TAG_SALIENCY_PREDICTOR = 2
-
-
-class CheckpointError(ValueError):
-    """Checkpoint file is unreadable, truncated, or corrupt."""
-
-
-class CheckpointVersionError(CheckpointError):
-    """Checkpoint has an unsupported container version."""
-
-
-def check_shapes(path, kind: str, want: dict[str, tuple[int, ...]],
-                 arrays: dict[str, np.ndarray]) -> None:
-    """Raise CheckpointError naming path unless arrays holds exactly the
-    arrays want names, each of the shape want gives it: the sizes a
-    checkpoint's metadata states must be the sizes of its stored arrays."""
-    for name in sorted(want.keys() | arrays.keys()):
-        got = arrays[name].shape if name in arrays else None
-        if got != want.get(name):
-            raise CheckpointError(f"{path}: {kind} metadata does not fit the stored arrays: "
-                                  f"{name} is stored as {got}, the metadata gives {want.get(name)}")
-
-
-def write_container(path, *, tag: int, arrays: list[tuple[str, np.ndarray]], config: dict) -> None:
-    meta = {
-        "arrays": [[name, list(a.shape)] for name, a in arrays],
-        "config": config,
-    }
-    meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in arrays)
-    with open(path, "wb") as fh:
-        fh.write(CONTAINER_MAGIC)
-        fh.write(struct.pack("<II", CONTAINER_VERSION, tag))
-        fh.write(struct.pack("<I", len(meta_bytes)))
-        fh.write(meta_bytes)
-        fh.write(blob)
-        fh.write(struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF))
-
-
-def read_container(path, *, expect_tag: int | None = None):
-    """Returns (tag, arrays dict, config dict). Raises CheckpointError subtypes."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise CheckpointError(f"{path}: cannot read checkpoint: {exc.strerror}") from exc
-    if len(data) < 20 or data[:8] != CONTAINER_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint container")
-    version, tag = struct.unpack_from("<II", data, 8)
-    if version != CONTAINER_VERSION:
-        raise CheckpointVersionError(f"{path}: container version {version}, supported {CONTAINER_VERSION}")
-    (meta_len,) = struct.unpack_from("<I", data, 16)
-    meta_end = 20 + meta_len
-    if meta_end > len(data):
-        raise CheckpointError(f"{path}: truncated metadata")
-    try:
-        meta = json.loads(data[20:meta_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: corrupt metadata: {exc}") from exc
-    # the checksum covers only the blob, so the metadata is checked here
-    if not (isinstance(meta, dict) and isinstance(meta.get("arrays"), list)
-            and isinstance(meta.get("config"), dict)):
-        raise CheckpointError(f"{path}: metadata is not an object with an arrays list and a config object")
-    try:
-        layout = [(name, [int(n) for n in shape]) for name, shape in meta["arrays"]]
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: malformed array list in metadata: {exc}") from exc
-    total = sum(math.prod(shape) for _, shape in layout)
-    blob_end = meta_end + 8 * total
-    if blob_end + 4 > len(data):
-        raise CheckpointError(f"{path}: truncated parameter blob")
-    blob = data[meta_end:blob_end]
-    (crc,) = struct.unpack_from("<I", data, blob_end)
-    if crc != (zlib.crc32(blob) & 0xFFFFFFFF):
-        raise CheckpointError(f"{path}: parameter blob fails checksum")
-    if expect_tag is not None and tag != expect_tag:
-        raise CheckpointError(f"{path}: container tag {tag}, expected {expect_tag}")
-    arrays: dict[str, np.ndarray] = {}
-    offset = 0
-    flat = np.frombuffer(blob, dtype="<f8")
-    for name, shape in layout:
-        n = math.prod(shape)
-        arrays[name] = flat[offset:offset + n].reshape(shape).astype(np.float64)
-        offset += n
-    return tag, arrays, meta["config"]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import platform
+import re
 import struct
 import subprocess
 import sys
@@ -15,7 +16,9 @@ import pytest
 import streampolicy
 from streampolicy import cli, envsim, saliency, streamexec
 from streampolicy.cli import main
-from streampolicy.core import load_dataset
+from streampolicy.core import (
+    TAG_TRAJECTORY_DATASET, CheckpointError, load_dataset, read_container, write_container,
+)
 from streampolicy.velocitynet import load_policy
 
 
@@ -23,7 +26,7 @@ from streampolicy.velocitynet import load_policy
 def workdir(tmp_path_factory):
     """gen-data + train-policy pipeline shared by the rollout/bench tests."""
     d = tmp_path_factory.mktemp("cli")
-    demos = d / "data" / "demos.jsonl"
+    demos = d / "data" / "demos.bin"
     rc = main(["gen-data", "--env", "controller", "--episodes", "25",
                "--seed", "7", "--out", str(demos)])
     assert rc == 0
@@ -42,7 +45,7 @@ def _manifest(directory, command=None) -> dict:
 
 
 def test_gen_data_writes_dataset_and_manifest(workdir):
-    demos = workdir / "data" / "demos.jsonl"
+    demos = workdir / "data" / "demos.bin"
     trajs, header = load_dataset(demos)
     assert len(trajs) == 25
     assert header["env"]["variant"] == "controller"
@@ -73,7 +76,7 @@ def test_train_policy_manifest_digests_the_logged_losses(workdir, tmp_path):
     manifests = []
     for run in ("a", "b"):
         out = tmp_path / run / "policy.ckpt"
-        rc = main(["train-policy", "--data", str(workdir / "data" / "demos.jsonl"),
+        rc = main(["train-policy", "--data", str(workdir / "data" / "demos.bin"),
                    "--out", str(out), "--iterations", "30", "--batch-size", "16",
                    "--hidden", "16,16", "--log-every", "10"])
         assert rc == 0
@@ -91,7 +94,7 @@ def test_commands_sharing_a_directory_keep_every_manifest_entry(tmp_path):
     """gen-data, train-policy and train-predictor into one directory, as
     scripts/run_pipeline.sh runs them: the manifest keeps every command's
     digests, and a re-run replaces only its own entry."""
-    demos, policy, predictor = (tmp_path / n for n in ("demos.jsonl", "policy.ckpt", "predictor.ckpt"))
+    demos, policy, predictor = (tmp_path / n for n in ("demos.bin", "policy.ckpt", "predictor.ckpt"))
 
     def gen_data(seed):
         return main(["gen-data", "--env", "controller", "--episodes", "12", "--seed", str(seed),
@@ -129,7 +132,7 @@ def test_an_unreadable_manifest_is_replaced(tmp_path):
     (the old one-command layout included), gives way to a fresh one."""
     for old in ("not json", "[1, 2]", '{"commands": [1]}', '{"command": "bench"}'):
         (tmp_path / "manifest.json").write_text(old)
-        assert main(["gen-data", "--episodes", "2", "--out", str(tmp_path / "demos.jsonl")]) == 0
+        assert main(["gen-data", "--episodes", "2", "--out", str(tmp_path / "demos.bin")]) == 0
         assert set(_manifest(tmp_path)) == {"gen-data"}, old
 
 
@@ -141,7 +144,7 @@ def test_every_manifest_entry_records_the_software_it_ran_on(workdir, tmp_path, 
     real, asked = np.show_config, []
     monkeypatch.setattr(np, "show_config", lambda *a, **kw: asked.append(kw) or real(*a, **kw))
     policy = workdir / "policy" / "policy.ckpt"
-    assert main(["train-predictor", "--data", str(workdir / "data" / "demos.jsonl"),
+    assert main(["train-predictor", "--data", str(workdir / "data" / "demos.bin"),
                  "--out", str(tmp_path / "predictor.ckpt"), "--iterations", "5"]) == 0
     assert main(["bench", "--policy", str(policy), "--env", "controller", "--episodes", "1",
                  "--step-cap", "12", "--eo", "naive", "--out-dir", str(tmp_path)]) == 0
@@ -163,8 +166,8 @@ def test_every_manifest_entry_records_the_software_it_ran_on(workdir, tmp_path, 
 
 @pytest.mark.parametrize("command, argv", [
     ("gen-data", ["--seed", "-1"]),
-    ("train-policy", ["--data", "demos.jsonl", "--seed", "-1"]),
-    ("train-predictor", ["--data", "demos.jsonl", "--seed", "-3"]),
+    ("train-policy", ["--data", "demos.bin", "--seed", "-1"]),
+    ("train-predictor", ["--data", "demos.bin", "--seed", "-3"]),
     ("rollout", ["--policy", "policy.ckpt", "--seed", "-1"]),
     ("bench", ["--policy", "policy.ckpt", "--seed", "-1"]),
     ("bench", ["--policy", "policy.ckpt", "--calib-seed", "-1"]),
@@ -322,7 +325,7 @@ def test_bench_calibrates_on_a_dataset_without_rollouts(workdir, tmp_path, monke
     """--calib-data takes the thresholds from the file's trajectories: no
     calibration rollout runs, and each scored indicator's eta is
     calibrate_threshold of decision_scores on the loaded file."""
-    demos = workdir / "data" / "demos.jsonl"
+    demos = workdir / "data" / "demos.bin"
     predictor_path = tmp_path / "predictor.ckpt"
     assert main(["train-predictor", "--data", str(demos), "--out", str(predictor_path),
                  "--iterations", "5"]) == 0
@@ -503,7 +506,7 @@ def test_rollout_rejects_n_replan_in_streaming(workdir, capsys):
 
 def test_resume_with_another_horizon_exits_2(workdir, tmp_path, capsys):
     out = tmp_path / "resumed.ckpt"
-    rc = main(["train-policy", "--data", str(workdir / "data" / "demos.jsonl"),
+    rc = main(["train-policy", "--data", str(workdir / "data" / "demos.bin"),
                "--out", str(out), "--resume", str(workdir / "policy" / "policy.ckpt"),
                "--iterations", "210", "--batch-size", "16", "--hidden", "16,16",
                "--horizon", "5"])
@@ -521,33 +524,82 @@ def test_module_entry_point():
 
 def test_gen_data_exhaustion_exits_3(tmp_path):
     rc = main(["gen-data", "--env", "controller", "--episodes", "3",
-               "--step-cap", "4", "--out", str(tmp_path / "d.jsonl")])
+               "--step-cap", "4", "--out", str(tmp_path / "d.bin")])
     assert rc == 3
 
 
 def test_corrupt_dataset_exits_2(tmp_path, capsys):
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"format":"nope"}\n')
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"not a container at all")
     rc = main(["train-policy", "--data", str(bad), "--out", str(tmp_path / "p.ckpt"),
                "--iterations", "10"])
     assert rc == 2
-    assert "error" in capsys.readouterr().err
+    assert f"error: {bad}: not a dataset container" in capsys.readouterr().err
+
+
+def test_missing_dataset_exits_2_naming_the_file(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.bin"
+    rc = main(["train-policy", "--data", str(missing), "--out", str(tmp_path / "p.ckpt"),
+               "--iterations", "10"])
+    assert rc == 2
+    assert f"error: {missing}: cannot read dataset: " in capsys.readouterr().err
+
+
+def test_version_1_dataset_exits_2_naming_gen_data(tmp_path, capsys):
+    old = tmp_path / "demos.jsonl"
+    old.write_text('{"dim":2,"env":{},"episodes":0,"format":"streampolicy-trajectories",'
+                   '"seed":0,"version":1}\n')
+    rc = main(["train-policy", "--data", str(old), "--out", str(tmp_path / "p.ckpt"),
+               "--iterations", "10"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: {old}: a version-1 JSON-lines dataset" in err
+    assert "regenerate it with gen-data" in err
 
 
 def test_malformed_dataset_record_exits_2(tmp_path, capsys):
-    """A record without its actions is a DatasetError, not a traceback."""
-    demos = tmp_path / "demos.jsonl"
+    """A dataset without its actions is a DatasetError naming the file, not a
+    traceback. The file keeps a valid checksum."""
+    demos = tmp_path / "demos.bin"
     assert main(["gen-data", "--env", "controller", "--episodes", "2", "--seed", "3",
                  "--out", str(demos)]) == 0
-    header, first, second = demos.read_text().splitlines()
-    rec = json.loads(second)
-    del rec["act"]
-    demos.write_text("\n".join([header, first, json.dumps(rec)]) + "\n")
+    _, arrays, header = read_container(demos, expect_tag=TAG_TRAJECTORY_DATASET)
+    del arrays["actions"]
+    write_container(demos, tag=TAG_TRAJECTORY_DATASET, arrays=list(arrays.items()), config=header)
     rc = main(["train-policy", "--data", str(demos), "--out", str(tmp_path / "p.ckpt"),
                "--iterations", "10"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "demos.jsonl: episode 1: missing field 'act'" in err
+    assert f"{demos}: dataset metadata does not fit the stored arrays: actions is stored as None" in err
+
+
+@pytest.mark.parametrize("which", ["policy", "predictor"])
+def test_checkpoint_given_as_data_exits_2_naming_its_tag(workdir, tmp_path, capsys, which):
+    if which == "policy":
+        ckpt, found = workdir / "policy" / "policy.ckpt", "container tag 1 (velocity policy)"
+    else:
+        ckpt, found = tmp_path / "predictor.ckpt", "container tag 2 (saliency predictor)"
+        saliency.save_predictor(ckpt, saliency.init_predictor(saliency.PredictorConfig()))
+    rc = main(["train-policy", "--data", str(ckpt), "--out", str(tmp_path / "p.ckpt"),
+               "--iterations", "10"])
+    assert rc == 2
+    assert f"error: {ckpt}: {found}, expected 3 (trajectory dataset)" in capsys.readouterr().err
+    assert not (tmp_path / "p.ckpt").exists()
+
+
+@pytest.mark.parametrize("flag", ["--policy", "--predictor"])
+def test_dataset_given_as_checkpoint_exits_2(workdir, capsys, flag):
+    demos = workdir / "data" / "demos.bin"
+    policy = workdir / "policy" / "policy.ckpt"
+    with pytest.raises(CheckpointError, match=re.escape(str(demos))):
+        (load_policy if flag == "--policy" else saliency.load_predictor)(demos)
+    argv = ["rollout", "--env", "controller", "--episodes", "1", "--step-cap", "5"]
+    argv += ["--policy", str(demos)] if flag == "--policy" else \
+        ["--policy", str(policy), "--predictor", str(demos)]
+    assert main(argv) == 2
+    want = "1 (velocity policy)" if flag == "--policy" else "2 (saliency predictor)"
+    assert (f"error: {demos}: container tag 3 (trajectory dataset), expected {want}"
+            in capsys.readouterr().err)
 
 
 def test_missing_required_flag_exits_2(capsys):
@@ -588,9 +640,9 @@ def test_counts_that_would_run_nothing_exit_2(workdir, tmp_path, capsys, args, m
     command, out = args[0], tmp_path / "out"
     extra = {
         "gen-data": ["--out", str(out)],
-        "train-policy": ["--data", str(workdir / "data" / "demos.jsonl"), "--out", str(out),
+        "train-policy": ["--data", str(workdir / "data" / "demos.bin"), "--out", str(out),
                          "--batch-size", "16", "--hidden", "16,16"],
-        "train-predictor": ["--data", str(workdir / "data" / "demos.jsonl"), "--out", str(out)],
+        "train-predictor": ["--data", str(workdir / "data" / "demos.bin"), "--out", str(out)],
         "rollout": ["--policy", "{policy}", "--step-cap", "5"],
         "bench": ["--policy", "{policy}", "--step-cap", "5", "--out-dir", str(out)],
     }[command]
@@ -616,7 +668,7 @@ def test_a_bound_on_other_inputs_names_the_source_of_its_value(workdir, tmp_path
                   ["bench", "--policy", policy, "--eo", "anao", "--step-cap", "5", "--out-dir", "b"]),
         # the workdir policy was trained for 200 iterations
         "train-policy": ("iterations", 5, 201,
-                         ["train-policy", "--data", str(workdir / "data" / "demos.jsonl"),
+                         ["train-policy", "--data", str(workdir / "data" / "demos.bin"),
                           "--out", "p/policy.ckpt", "--resume", policy,
                           "--batch-size", "16", "--hidden", "16,16"]),
     }[command]
@@ -638,7 +690,7 @@ def test_a_learning_rate_that_trains_nothing_exits_2(workdir, tmp_path, capsys, 
     they started or walk them uphill; it exits 2 and writes nothing."""
     out = tmp_path / "out" / "model.ckpt"
     extra = ["--batch-size", "16", "--hidden", "16,16"] if command == "train-policy" else []
-    rc = main([command, "--data", str(workdir / "data" / "demos.jsonl"), "--out", str(out),
+    rc = main([command, "--data", str(workdir / "data" / "demos.bin"), "--out", str(out),
                "--iterations", "5", "--lr", lr, *extra])
     assert rc == 2
     assert f"lr must be finite and positive, got {float(lr)}" in capsys.readouterr().err
@@ -651,7 +703,7 @@ def test_a_hidden_width_below_one_exits_2(workdir, tmp_path, capsys, hidden, wid
     negative one fails in numpy; either exits 2 naming hidden and writes
     nothing."""
     out = tmp_path / "out" / "policy.ckpt"
-    rc = main(["train-policy", "--data", str(workdir / "data" / "demos.jsonl"), "--out", str(out),
+    rc = main(["train-policy", "--data", str(workdir / "data" / "demos.bin"), "--out", str(out),
                "--iterations", "5", "--batch-size", "16", f"--hidden={hidden}"])
     assert rc == 2
     assert f"hidden widths must be at least 1, got {widths}" in capsys.readouterr().err
@@ -744,7 +796,7 @@ def test_env_defaults_to_the_one_the_policy_was_trained_on(workdir, tmp_path, ca
 
 def test_legacy_norm_flag_is_gone(workdir, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["train-policy", "--data", str(workdir / "data" / "demos.jsonl"),
+        main(["train-policy", "--data", str(workdir / "data" / "demos.bin"),
               "--out", str(tmp_path / "p.ckpt"), "--iterations", "10", "--legacy-norm"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --legacy-norm" in capsys.readouterr().err
@@ -756,20 +808,20 @@ def test_env_var_and_flag_precedence(tmp_path, monkeypatch):
     cfg.write_text(json.dumps({"episodes": 4, "step_cap": 60}))
 
     # config file fills unset options
-    out1 = tmp_path / "a.jsonl"
+    out1 = tmp_path / "a.bin"
     rc = main(["gen-data", "--config", str(cfg), "--out", str(out1), "--seed", "1"])
     assert rc == 0
     assert len(load_dataset(out1)[0]) == 4
 
     # environment beats the config file
     monkeypatch.setenv("STREAMPOLICY_EPISODES", "3")
-    out2 = tmp_path / "b.jsonl"
+    out2 = tmp_path / "b.bin"
     rc = main(["gen-data", "--config", str(cfg), "--out", str(out2), "--seed", "1"])
     assert rc == 0
     assert len(load_dataset(out2)[0]) == 3
 
     # explicit flag beats both
-    out3 = tmp_path / "c.jsonl"
+    out3 = tmp_path / "c.bin"
     rc = main(["gen-data", "--config", str(cfg), "--out", str(out3), "--seed", "1",
                "--episodes", "2"])
     assert rc == 0
@@ -779,7 +831,7 @@ def test_env_var_and_flag_precedence(tmp_path, monkeypatch):
 def test_bad_config_file_exits_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("not json")
-    rc = main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x.jsonl")])
+    rc = main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x.bin")])
     assert rc == 2
 
 
@@ -794,7 +846,7 @@ def test_unreadable_checkpoint_exits_2(workdir, tmp_path, capsys, argv):
     file, not a traceback."""
     names = {"{missing}": str(tmp_path / "nonexistent.ckpt"), "{out}": str(tmp_path / "out"),
              "{policy}": str(workdir / "policy" / "policy.ckpt"),
-             "{demos}": str(workdir / "data" / "demos.jsonl")}
+             "{demos}": str(workdir / "data" / "demos.bin")}
     assert main([names.get(a, a) for a in argv]) == 2
     assert f"{names['{missing}']}: cannot read checkpoint" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -872,7 +924,7 @@ def test_bad_config_value_exits_2_naming_its_key(tmp_path, capsys, monkeypatch, 
     cfg.write_text(json.dumps({"episodes": value}))
     assert main(["gen-data", "--config", str(cfg)]) == 2
     assert "config key 'episodes': invalid int value" in capsys.readouterr().err
-    assert not (tmp_path / "demos.jsonl").exists()
+    assert not (tmp_path / "demos.bin").exists()
 
 
 @pytest.mark.parametrize("key, value, kind", [

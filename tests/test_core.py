@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import CTRL, DEMO_SEED, DIRECT
 from streampolicy.core import (
-    DatasetError, Observation, Trajectory, cumulative_states, load_dataset,
-    make_rng, save_dataset,
+    TAG_TRAJECTORY_DATASET, DatasetError, Observation, Trajectory, cumulative_states,
+    load_dataset, make_rng, read_container, save_dataset, write_container,
 )
 from streampolicy.envsim import env_metadata
 from test_pins import CTRL_DATASET_SHA256, DIRECT_DATASET_SHA256
@@ -88,7 +89,7 @@ def test_trajectory_validate_frame_ids():
 def test_dataset_roundtrip_bitwise(tmp_path):
     rng = make_rng(3, 9)
     trajs = [_traj(rng.normal(size=(n, 2)) * 0.3, rng.normal(size=2)) for n in (5, 1, 17)]
-    p = tmp_path / "d.jsonl"
+    p = tmp_path / "d.bin"
     save_dataset(p, trajs, dim=2, env_meta={"variant": "direct"}, seed=3)
     loaded, header = load_dataset(p)
     assert header["env"]["variant"] == "direct"
@@ -100,9 +101,24 @@ def test_dataset_roundtrip_bitwise(tmp_path):
         for name in ("features", "frame_ids", "capture_times"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
     # saving the loaded copy reproduces the file byte for byte
-    p2 = tmp_path / "d2.jsonl"
+    p2 = tmp_path / "d2.bin"
     save_dataset(p2, loaded, dim=2, env_meta={"variant": "direct"}, seed=3)
     assert p.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("lengths", [(), (2, 0, 3)], ids=["no_episodes", "empty_episode"])
+def test_dataset_roundtrip_of_no_episodes_and_an_empty_episode(tmp_path, lengths):
+    trajs = [_traj(np.full((n, 2), 0.5), [1.0, -1.0]) for n in lengths]
+    p = tmp_path / "d.bin"
+    save_dataset(p, trajs, dim=2, env_meta={}, seed=0)
+    loaded, header = load_dataset(p)
+    assert header["episodes"] == len(lengths) and [len(t) for t in loaded] == list(lengths)
+    for a, b in zip(trajs, loaded):
+        for name in ("features", "frame_ids", "capture_times", "actions", "action_states"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+    save_dataset(tmp_path / "d2.bin", loaded, dim=2, env_meta={}, seed=0)
+    assert (tmp_path / "d2.bin").read_bytes() == p.read_bytes()
 
 
 def test_observations_view_builds_rows_from_the_arrays():
@@ -125,45 +141,90 @@ def test_fixture_demos_round_trip_bitwise(variant, request, tmp_path):
     kind, pinned = (CTRL, CTRL_DATASET_SHA256) if variant == "controller" else \
         (DIRECT, DIRECT_DATASET_SHA256)
     meta = env_metadata(kind)
-    save_dataset(tmp_path / "a.jsonl", demos, dim=2, env_meta=meta, seed=DEMO_SEED)
-    loaded, _ = load_dataset(tmp_path / "a.jsonl")
+    save_dataset(tmp_path / "a.bin", demos, dim=2, env_meta=meta, seed=DEMO_SEED)
+    loaded, _ = load_dataset(tmp_path / "a.bin")
     assert len(loaded) == len(demos)
     for got, want in zip(loaded, demos):
         assert got.frame_ids.dtype == np.int64 and got.capture_times.dtype == np.float64
         for name in ("features", "frame_ids", "capture_times", "actions", "action_states"):
             g, w = getattr(got, name), getattr(want, name)
             assert (g.dtype, g.shape) == (w.dtype, w.shape) and g.tobytes() == w.tobytes(), name
-    save_dataset(tmp_path / "b.jsonl", loaded, dim=2, env_meta=meta, seed=DEMO_SEED)
-    assert hashlib.sha256((tmp_path / "b.jsonl").read_bytes()).hexdigest() == pinned
+    save_dataset(tmp_path / "b.bin", loaded, dim=2, env_meta=meta, seed=DEMO_SEED)
+    assert hashlib.sha256((tmp_path / "b.bin").read_bytes()).hexdigest() == pinned
+
+
+def _dataset_parts(tmp_path):
+    """The arrays (in file order) and header save_dataset writes for two
+    3-step episodes: episode 1 is rows 3-5, and its states rows 4-7."""
+    trajs = [_traj(np.full((3, 2), 0.25), [0.0, 0.0]) for _ in range(2)]
+    p = tmp_path / "ok.bin"
+    save_dataset(p, trajs, dim=2, env_meta={"obs_dim": 7}, seed=0)
+    _, arrays, header = read_container(p, expect_tag=TAG_TRAJECTORY_DATASET)
+    return arrays, header
+
+
+def _write_dataset(path, arrays, header):
+    """A dataset container with a valid checksum, whatever its contents."""
+    write_container(path, tag=TAG_TRAJECTORY_DATASET, arrays=list(arrays.items()), config=header)
 
 
 def test_load_rejects_corrupt_header(tmp_path):
-    p = tmp_path / "bad.jsonl"
-    p.write_text(json.dumps({"format": "something-else", "version": 1}) + "\n")
-    with pytest.raises(DatasetError):
+    arrays, header = _dataset_parts(tmp_path)
+    p = tmp_path / "bad.bin"
+    _write_dataset(p, arrays, {**header, "format": "something-else"})
+    with pytest.raises(DatasetError, match=r"bad\.bin: not a version-2 trajectory dataset: "
+                                           r"format 'something-else', version 2$"):
+        load_dataset(p)
+
+
+def test_load_rejects_another_dataset_version(tmp_path):
+    arrays, header = _dataset_parts(tmp_path)
+    p = tmp_path / "bad.bin"
+    _write_dataset(p, arrays, {**header, "version": 3})
+    with pytest.raises(DatasetError, match=r"bad\.bin: not a version-2 trajectory dataset: "
+                                           r"format 'streampolicy-trajectories', version 3$"):
         load_dataset(p)
 
 
 @pytest.mark.parametrize("field", ["dim", "episodes"])
 def test_load_rejects_a_header_without_a_field(tmp_path, field):
-    p = tmp_path / "d.jsonl"
-    save_dataset(p, [_traj([[1.0, 0.0]], [0.0, 0.0])], dim=2, env_meta={}, seed=0)
-    header, record = p.read_text().splitlines()
-    head = json.loads(header)
-    del head[field]
-    p.write_text("\n".join([json.dumps(head), record]) + "\n")
-    with pytest.raises(DatasetError, match="malformed header"):
+    arrays, header = _dataset_parts(tmp_path)
+    del header[field]
+    p = tmp_path / "d.bin"
+    _write_dataset(p, arrays, header)
+    with pytest.raises(DatasetError, match=r"d\.bin: malformed header"):
         load_dataset(p)
 
 
 def test_load_rejects_truncated_record(tmp_path):
-    t = _traj([[1.0, 0.0]], [0.0, 0.0])
-    p = tmp_path / "t.jsonl"
-    save_dataset(p, [t], dim=2, env_meta={}, seed=0)
-    text = p.read_text().splitlines()
-    (p2 := tmp_path / "cut.jsonl").write_text("\n".join([text[0], text[1][: len(text[1]) // 2]]))
-    with pytest.raises(DatasetError):
+    """A file cut inside its array blob."""
+    p = tmp_path / "t.bin"
+    save_dataset(p, [_traj([[1.0, 0.0]], [0.0, 0.0])], dim=2, env_meta={}, seed=0)
+    data = p.read_bytes()
+    (p2 := tmp_path / "cut.bin").write_bytes(data[:len(data) - 30])
+    with pytest.raises(DatasetError, match=r"cut\.bin: truncated array blob$"):
         load_dataset(p2)
+
+
+def test_load_rejects_a_bad_checksum_without_calling_the_file_a_checkpoint(tmp_path):
+    p = tmp_path / "d.bin"
+    save_dataset(p, [_traj([[1.0, 0.0]], [0.0, 0.0])], dim=2, env_meta={}, seed=0)
+    raw = bytearray(p.read_bytes())
+    raw[-10] ^= 0x01  # inside the last stored array, before the crc
+    p.write_bytes(bytes(raw))
+    with pytest.raises(DatasetError, match=r"d\.bin: array blob fails checksum$") as exc:
+        load_dataset(p)
+    assert "checkpoint" not in str(exc.value)
+
+
+def test_load_names_a_version_1_file_and_gen_data(tmp_path):
+    """A JSON-lines file of the first dataset version is refused by name, not parsed."""
+    p = tmp_path / "demos.jsonl"
+    p.write_text(json.dumps({"format": "streampolicy-trajectories", "version": 1, "dim": 2,
+                             "episodes": 0, "env": {}, "seed": 0}) + "\n")
+    with pytest.raises(DatasetError, match=re.escape(str(p)) + ": a version-1 JSON-lines dataset"
+                       r".*; regenerate it with gen-data$"):
+        load_dataset(p)
 
 
 def test_make_rng_streams_are_independent_and_stable():
@@ -191,46 +252,93 @@ def test_make_rng_first_words_are_pinned(key, words):
     assert tuple(make_rng(*key).bit_generator.random_raw(3).tolist()) == words
 
 
-def _break_features_length(rec):
-    rec["obs"][1]["f"] = rec["obs"][1]["f"][:-1]
+def _drop(name):
+    def corrupt(arrays, header):
+        del arrays[name]
+    return corrupt
 
 
-def _break_every_features_length(rec):
-    for o in rec["obs"]:
-        o["f"].pop()
+def _set(name, value):
+    def corrupt(arrays, header):
+        arrays[name] = np.asarray(value, dtype=np.float64)
+    return corrupt
 
 
-def _break_features_nan(rec):
-    rec["obs"][0]["f"][3] = float("nan")
+def _poke(name, index, value):
+    def corrupt(arrays, header):
+        arrays[name][index] = value
+    return corrupt
 
 
-def _break_action_width(rec):
-    rec["act"][1] = rec["act"][1] + [0.5]
+def _features_one_row_short(arrays, header):
+    arrays["features"] = arrays["features"][:-1]
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda rec: rec.pop("obs"),
-    lambda rec: rec.pop("act"),
-    lambda rec: rec.pop("st"),
-    lambda rec: rec["obs"][2].pop("f"),
-    _break_features_length,
-    _break_every_features_length,
-    _break_features_nan,
-    _break_action_width,
-], ids=["no_obs", "no_act", "no_st", "obs_without_f", "feature_row_length",
-        "every_feature_row_length", "nan_feature", "action_row_width"])
-def test_load_reports_a_malformed_record_as_dataset_error(tmp_path, corrupt):
-    """The error names the file and the episode, whatever the record lacks."""
-    trajs = [_traj(np.full((3, 2), 0.25), [0.0, 0.0]) for _ in range(2)]
-    p = tmp_path / "ok.jsonl"
-    save_dataset(p, trajs, dim=2, env_meta={"obs_dim": 7}, seed=0)
-    header, first, second = p.read_text().splitlines()
-    rec = json.loads(second)
-    corrupt(rec)
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text("\n".join([header, first, json.dumps(rec)]) + "\n")
-    with pytest.raises(DatasetError, match=r"bad\.jsonl: episode 1: "):
+def _features_one_wider(arrays, header):
+    arrays["features"] = np.hstack([arrays["features"], np.zeros((6, 1))])
+
+
+def _features_one_narrower(arrays, header):
+    arrays["features"] = arrays["features"][:, :6]
+
+
+def _actions_one_wider(arrays, header):
+    arrays["actions"] = np.hstack([arrays["actions"], np.full((6, 1), 0.5)])
+
+
+def _three_episodes_claimed(arrays, header):
+    header["episodes"] = 3
+
+
+_LENGTHS = "episode lengths must be non-negative integers that sum to the 6 stored rows"
+# (id, corruption, the error after "<file>: "); the per-episode cases name episode 1
+_MALFORMED = [
+    ("no_obs", _drop("features"), r"dataset metadata does not fit the stored arrays: "
+                                  r"features is stored as None, the metadata gives \(6, 7\)"),
+    ("no_act", _drop("actions"), r"dataset metadata .*: actions is stored as None, the metadata gives \(6, 2\)"),
+    ("no_st", _drop("action_states"), r"dataset metadata .*: action_states is stored as None, "
+              r"the metadata gives \(8, 2\)"),
+    ("obs_without_f", _features_one_row_short,
+     r"dataset metadata .*: features is stored as \(5, 7\), the metadata gives \(6, 7\)"),
+    # a single row of another width has no form in one (N, obs_dim) array
+    ("feature_row_length", _features_one_wider,
+     r"dataset metadata .*: features is stored as \(6, 8\), the metadata gives \(6, 7\)"),
+    ("every_feature_row_length", _features_one_narrower,
+     r"dataset metadata .*: features is stored as \(6, 6\), the metadata gives \(6, 7\)"),
+    ("nan_feature", _poke("features", (3, 3), np.nan), r"episode 1: non-finite features"),
+    ("action_row_width", _actions_one_wider,
+     r"dataset metadata .*: actions is stored as \(6, 3\), the metadata gives \(6, 2\)"),
+    ("broken_prefix_sum", _poke("action_states", (6, 0), 0.5 + 1e-9),
+     r"episode 1: action_states is not the exact prefix sum of actions"),
+    ("frame_ids_not_increasing", _poke("frame_ids", 4, 0.0),
+     r"episode 1: frame_id not strictly increasing"),
+    ("no_lengths", _drop("lengths"),
+     r"dataset metadata .*: lengths is stored as None, the metadata gives \(2,\)"),
+    ("episodes_disagree", _three_episodes_claimed,
+     r"dataset metadata .*: lengths is stored as \(2,\), the metadata gives \(3,\)"),
+    ("negative_length", _set("lengths", [7, -1]), _LENGTHS),
+    ("fractional_length", _set("lengths", [2.5, 3.5]), _LENGTHS),
+    ("nan_length", _set("lengths", [np.nan, 3]), _LENGTHS),
+    ("lengths_short_of_rows", _set("lengths", [3, 2]), _LENGTHS),
+    ("fractional_frame_id", _poke("frame_ids", 4, 1.5), r"frame ids must be integers"),
+    ("unknown_array", _set("extra", [1.0]),
+     r"dataset metadata .*: extra is stored as \(1,\), the metadata gives None"),
+]
+
+
+@pytest.mark.parametrize("corrupt, message", [case[1:] for case in _MALFORMED],
+                         ids=[case[0] for case in _MALFORMED])
+def test_load_reports_a_malformed_record_as_dataset_error(tmp_path, corrupt, message):
+    """The error names the file, and the episode where one episode breaks
+    the record rule; none calls the file a checkpoint. Each file is written
+    with a valid checksum, so only the dataset's own checks can catch it."""
+    arrays, header = _dataset_parts(tmp_path)
+    corrupt(arrays, header)
+    bad = tmp_path / "bad.bin"
+    _write_dataset(bad, arrays, header)
+    with pytest.raises(DatasetError, match=rf"bad\.bin: {message}$") as exc:
         load_dataset(bad)
+    assert "checkpoint" not in str(exc.value)
 
 
 def _nan_feature(t):
@@ -261,7 +369,7 @@ def test_save_rejects_non_finite_values_naming_the_episode(tmp_path, corrupt):
     """What load_dataset would reject as non-finite is never written."""
     trajs = [_traj(np.full((3, 2), 0.25), [0.0, 0.0]) for _ in range(3)]
     field = corrupt(trajs[1])
-    p = tmp_path / "d.jsonl"
+    p = tmp_path / "d.bin"
     with pytest.raises(DatasetError, match=f"^episode 1: non-finite {field}$"):
         save_dataset(p, trajs, dim=2, env_meta={}, seed=0)
     assert not p.exists()
@@ -291,7 +399,7 @@ def test_save_rejects_frames_load_would_reject_naming_the_episode(tmp_path, corr
     default) are never written: load_dataset would reject them."""
     trajs = [_traj(np.full((3, 2), 0.25), [0.0, 0.0]) for _ in range(3)]
     message = corrupt(trajs[1])
-    p = tmp_path / "d.jsonl"
+    p = tmp_path / "d.bin"
     with pytest.raises(DatasetError, match=f"^episode 1: {message}$"):
         save_dataset(p, trajs, dim=2, env_meta={}, seed=0)
     assert not p.exists()
@@ -301,13 +409,21 @@ def test_save_rejects_frames_load_would_reject_naming_the_episode(tmp_path, corr
                                            ("capture_times", np.arange(3))],
                          ids=["float_ids", "int_times"])
 def test_save_rejects_frame_arrays_of_another_dtype_naming_the_episode(tmp_path, field, values):
-    """Float frame ids or integer capture times would be written as JSON
-    numbers of the other kind, and the loaded copy would not save to the
-    same bytes."""
+    """Float frame ids or integer capture times would load back in the other
+    dtype, and the loaded copy would not match what was saved."""
     trajs = [_traj(np.full((3, 2), 0.25), [0.0, 0.0]) for _ in range(2)]
     setattr(trajs[1], field, values)
-    p = tmp_path / "d.jsonl"
+    p = tmp_path / "d.bin"
     with pytest.raises(DatasetError, match="^episode 1: frame ids must be integers and capture times floats$"):
+        save_dataset(p, trajs, dim=2, env_meta={}, seed=0)
+    assert not p.exists()
+
+
+def test_save_rejects_frame_ids_float64_cannot_hold_naming_the_episode(tmp_path):
+    trajs = [_traj(np.full((3, 2), 0.25), [0.0, 0.0]) for _ in range(2)]
+    trajs[1].frame_ids = np.array([0, 1, 2**53 + 1])
+    p = tmp_path / "d.bin"
+    with pytest.raises(DatasetError, match=r"^episode 1: frame ids beyond 2\*\*53 in magnitude"):
         save_dataset(p, trajs, dim=2, env_meta={}, seed=0)
     assert not p.exists()
 
@@ -316,7 +432,7 @@ def test_save_and_load_take_the_frame_width_from_the_header(tmp_path):
     trajs = [_traj(np.full((3, 2), 0.25), [0.0, 0.0]) for _ in range(2)]
     for t in trajs:
         _six_wide_frames(t)
-    p = tmp_path / "d.jsonl"
+    p = tmp_path / "d.bin"
     save_dataset(p, trajs, dim=2, env_meta={"obs_dim": 6}, seed=0)
     loaded, _ = load_dataset(p)
     assert loaded[1].features.shape == (3, 6)
@@ -324,7 +440,7 @@ def test_save_and_load_take_the_frame_width_from_the_header(tmp_path):
 
 def test_save_rejects_actions_of_another_dim_naming_the_episode(tmp_path):
     trajs = [_traj(np.full((3, 2), 0.25), [0.0, 0.0]) for _ in range(2)]
-    p = tmp_path / "d.jsonl"
+    p = tmp_path / "d.bin"
     with pytest.raises(DatasetError, match=r"^episode 0: actions of shape \(3, 2\), want \(L, 3\)$"):
         save_dataset(p, trajs, dim=3, env_meta={}, seed=0)
     assert not p.exists()

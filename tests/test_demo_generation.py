@@ -295,7 +295,7 @@ def test_step_cap_below_one_is_rejected(step_cap):
 
 @pytest.mark.parametrize("noise", ["-0.5", "nan", "inf"])
 def test_gen_data_bad_noise_exits_2(tmp_path, capsys, noise):
-    out = tmp_path / "d" / "demos.jsonl"
+    out = tmp_path / "d" / "demos.bin"
     rc = main(["gen-data", "--env", "controller", "--episodes", "2", "--noise", noise, "--out", str(out)])
     assert rc == 2
     assert "noise must be finite and non-negative" in capsys.readouterr().err
@@ -303,6 +303,6 @@ def test_gen_data_bad_noise_exits_2(tmp_path, capsys, noise):
 
 
 def test_gen_data_zero_noise_is_valid(tmp_path):
-    out = tmp_path / "demos.jsonl"
+    out = tmp_path / "demos.bin"
     assert main(["gen-data", "--env", "direct", "--episodes", "2", "--noise", "0", "--out", str(out)]) == 0
     assert out.exists()

@@ -180,15 +180,15 @@ def test_step_cap_below_one_is_rejected(ctrl_env, cap):
 
 # sha256 of save_dataset on the small_demos recipe (40 controller demos, seed
 # 21): pins demo generation and the dataset encoding together, byte for byte
-SMALL_DEMOS_SHA256 = "207680f501389c00fb655f26f63de90b744f493568432819b2184febe5db6c1a"
+SMALL_DEMOS_SHA256 = "ca3031ac4efdb3d8729e84de7a1e85849a8fce31b0721fecbff4006059174389"
 
 
 def test_saved_demos_are_byte_identical_and_reload_to_the_same_bytes(ctrl_env, small_demos, tmp_path):
-    path = tmp_path / "demos.jsonl"
+    path = tmp_path / "demos.bin"
     save_dataset(path, small_demos, dim=2, env_meta=env_metadata(ctrl_env), seed=21)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SMALL_DEMOS_SHA256
     loaded, header = load_dataset(path)
-    again = tmp_path / "again.jsonl"
+    again = tmp_path / "again.bin"
     save_dataset(again, loaded, dim=header["dim"], env_meta=header["env"], seed=header["seed"])
     assert again.read_bytes() == path.read_bytes()
 

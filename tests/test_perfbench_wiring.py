@@ -62,7 +62,7 @@ def test_train_gate_reads_trajectories_through_the_observations_view(small_demos
     feature changed."""
     monkeypatch.syspath_prepend(str(PERFBENCH))  # for wl_train's `from common import ...`
     same = _load("wl_train")._same_trajectories
-    path = tmp_path / "demos.jsonl"
+    path = tmp_path / "demos.bin"
     core.save_dataset(path, small_demos, dim=core.ACTION_DIM,
                       env_meta=envsim.env_metadata(EnvKind(variant=KIND_CONTROLLER)), seed=21)
     loaded, _ = core.load_dataset(path)

@@ -26,8 +26,8 @@ from streampolicy.saliency import save_predictor
 from streampolicy.velocitynet import save_policy
 
 PINNED_STACK = "numpy 2.4.6, scipy-openblas 0.3.31.188.0"
-CTRL_DATASET_SHA256 = "68b3e341ce0c82fa850732e01b9fdfef14247b81b78c0902dd4fd88df217300e"
-DIRECT_DATASET_SHA256 = "f3329f7d7fa9a94d83d159c24ade053b9148dda807e7c9e71c3f9510011de004"
+CTRL_DATASET_SHA256 = "9b0467c7a58c97e4b94798df77b38152089bec475353fe932d8b1f32b576ecb9"
+DIRECT_DATASET_SHA256 = "943766a3a8e8008a808df24de47b6464b99827413d4c33e3c960283d2c45e5fb"
 CTRL_POLICY_SHA256 = "3005e448e726b0c3e5341c7d42ea5c8edeaa0791dc633299d1b0253b988bd9cf"
 CTRL_PREDICTOR_SHA256 = "40cafa1747564fe08b769c3b08c462cd55010f6ebca0ff0715c26873ea4502e0"
 # (sha256, episodes, executed actions) of the grid, with ctrl_predictor
@@ -64,7 +64,7 @@ def test_fixture_datasets_are_pinned(ctrl_demos, direct_demos, tmp_path):
     saves them."""
     for what, demos, kind, pinned in (("controller", ctrl_demos, CTRL, CTRL_DATASET_SHA256),
                                       ("direct", direct_demos, DIRECT, DIRECT_DATASET_SHA256)):
-        path = tmp_path / f"{what}.jsonl"
+        path = tmp_path / f"{what}.bin"
         save_dataset(path, demos, dim=demos[0].actions.shape[1], env_meta=env_metadata(kind),
                      seed=DEMO_SEED)
         _check_pin(f"{what} dataset sha256", hashlib.sha256(path.read_bytes()).hexdigest(), pinned)

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from streampolicy.core import DimensionMismatchError, make_rng
+from streampolicy.core import (
+    TAG_VELOCITY_POLICY, CheckpointError, DimensionMismatchError, make_rng, read_container,
+    write_container,
+)
 from streampolicy.flowmatch import FlowParams
 from streampolicy.normkit import NormStats
 from streampolicy.saliency import PredictorConfig, init_predictor
 from streampolicy.saliency import loss_and_grad as predictor_loss_and_grad
 from streampolicy.velocitynet import (
-    AdamState, CheckpointError, Inputs, Policy, adam_step, forward,
-    init_adam, init_velocity_model, load_policy, loss_and_grad, read_container,
-    save_policy, time_features, write_container,
-    TAG_VELOCITY_POLICY, TIME_DIM, _layer_pass, _layers,
+    AdamState, Inputs, Policy, adam_step, forward, init_adam, init_velocity_model,
+    load_policy, loss_and_grad, save_policy, time_features, TIME_DIM, _layer_pass, _layers,
 )
 
 
