@@ -584,11 +584,11 @@ _COMMANDS = {
         _Opt("data", str, None),
         _Opt("out", str, "policy.ckpt"),
         _Opt("iterations", int, 20000, least=1),
-        _Opt("batch_size", int, 64),
+        _Opt("batch_size", int, 64, least=1),
         _Opt("lr", float, 1e-3),
         _Opt("lr_schedule", str, "constant", ["constant", "cosine"]),
         _Opt("hidden", str, "128,128", help="comma-separated hidden widths, e.g. 128,128"),
-        _Opt("horizon", int, 10),
+        _Opt("horizon", int, 10, least=1),
         _Opt("no_state_alignment", bool, False,
              help="ablation: start every horizon ledger at zero"),
         _Opt("resume", str, "", help="checkpoint to continue training from"),
@@ -599,15 +599,15 @@ _COMMANDS = {
         _SEED,
         _Opt("data", str, None),
         _Opt("out", str, "predictor.ckpt"),
-        _Opt("iterations", int, 3000),
-        _Opt("batch_size", int, 64),
+        _Opt("iterations", int, 3000, least=1),
+        _Opt("batch_size", int, 64, least=1),
         _Opt("lr", float, 1e-4),
     ]),
     "rollout": (_cmd_rollout, "run episodes and report per-episode metrics", [
         *_run_options(episodes=20, n_eo=2),
         _Opt("mode", str, streamexec.MODE_STREAMING,
              [streamexec.MODE_STREAMING, streamexec.MODE_SYNC_CHUNK]),
-        _Opt("n_replan", int, 0),
+        _Opt("n_replan", int, 0, least=0),
         _Opt("eo", str, "none", help="none, naive, random, anao, or adaptive"),
         _Opt("eta", float, 0.0),
         _Opt("p", float, 1.0),
@@ -620,7 +620,7 @@ _COMMANDS = {
                                           "(default: fresh on-policy rollouts)"),
         _Opt("calib_episodes", int, 100),
         _Opt("calib_seed", int, 3000, least=0),
-        _Opt("n_replan", int, 0),
+        _Opt("n_replan", int, 0, least=0),
         _Opt("eo", str, "naive,random,anao,adaptive",
              help="comma list drawn from naive,random,anao,adaptive"),
         _Opt("target_rate", float, 0.85),

@@ -73,12 +73,13 @@ not change inside it.
 The wall-clock runner reproduces the same semantics with timestamps from
 the wall clock, for both modes, on two threads: the calling thread observes
 and executes, one generator thread generates, and a queue in each direction
-joins them. Observe and generate events run deadline to deadline: each starts
-when its input is released and its lane's previous event has ended, and ends
-its stage latency later, when its result is released to the next stage. An
-observation is taken at its request. The executor starts an action at
-max(release, previous tick + t_exec) on a fixed grid, the engine's
-max(ready, previous end). As on the simulated clock, the modes differ only
+joins them. Every observe, generate and execute event follows the engine's
+rule: it starts when its input is released and its lane's previous event has
+ended, and ends its stage latency later, when its result is released to the
+next stage. An observation is taken at its request. A run whose host work
+never overruns a budget logs the simulated engine's timeline, apart from the
+adaptive indicator's predict event and the observation it launches, which
+are timed by the host. As on the simulated clock, the modes differ only
 in when a horizon's actions are released to the executor: each as it is
 generated (streaming) or all n_replan after the chunk's last generation
 (sync_chunk), which leaves the sync stages strictly serial. It generates
@@ -135,10 +136,9 @@ class StageLatency:
 
     t_obs: one observation (capture plus encoding).
     t_gen: generating one action.
-    t_exec: executing one action; also the executor's tick period. The
-        wall executor starts an action at max(ready, previous tick + t_exec)
-        on a fixed grid, as the simulated engine starts it at max(ready,
-        previous end); see _next_tick.
+    t_exec: executing one action. Both clocks start an action at
+        max(ready, previous end) and end it t_exec later (on the wall, see
+        _lane_slot).
     t_pred: one saliency-predictor invocation (charged per decision point).
     """
 
@@ -514,32 +514,30 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
 # most one observation (the request for horizon k+2 comes only after an
 # action of horizon k+1, made from observation k+1, has executed); the action
 # buffer holds at most h actions. Every queue item carries the time its
-# payload is released. Observe and generate events run deadline to deadline
-# (_lane_slot): an event starts at max(its input's release, the end of its
-# lane's previous event) and ends its budget later, which is its result's
-# release; the thread that takes the result sleeps to that release, so
-# neither a wake-up nor a handoff adds to a stage's latency. A generate event
-# whose host work ends after its deadline ends at the measured time and
-# counts one overrun (EpisodeResult.overruns).
+# payload is released. Every event runs deadline to deadline (_lane_slot):
+# it starts at max(its input's release, the end of its lane's previous
+# event) and ends its budget later, which is its result's release; the
+# thread that takes the result sleeps to that release, so neither a wake-up
+# nor a handoff adds to a stage's latency. A generate or execute event whose
+# host work ends after its deadline ends at the measured time and counts one
+# overrun (EpisodeResult.overruns). Each thread logs its events in its own
+# list.
 #
-# The executor requests each observation: at the start, when the indicator
-# fires (at the decision's end) and otherwise at the end of its n_replan-th
-# execution, so in sync_chunk the stages run one at a time. At the request it
-# observes the current state's features, emits the observe event and hands
-# the features to the generator; that host work runs before the event
-# starts, so an observe event never overruns. The generator owns the
-# action-state ledger: it makes all h actions of a horizon, each inside
-# its t_gen budget, and queues the first n_replan, each as it is made in
-# streaming and all at once after the horizon's last generation in
-# sync_chunk. The executor ticks on a fixed grid of period
-# t_exec (_next_tick): an action starts at max(release, previous tick +
-# t_exec), as the simulated engine starts it at max(ready, previous end), and
-# the grid restarts at max(now, release) when the supply ran late or a whole
-# slot went by. The env step and the _Episode bookkeeping (the decision and
-# the end rule, as on the simulated clock) run inside the slot, so host work
-# does not stretch the period (past the slot it counts one overrun); an
-# execute event can be shorter than t_exec by the executor's own wake-up
-# lateness, never by a late supply.
+# The executor requests each observation: at 0.0, at a fired decision and
+# otherwise at the end of its n_replan-th execution, so in sync_chunk the
+# stages run one at a time. At the request it observes the current state's
+# features, logs the observe event and hands the features to the generator;
+# that host work runs before the event starts, so an observe event never
+# overruns. The generator owns the action-state ledger: it makes all h
+# actions of a horizon, each inside its t_gen budget, and queues the first
+# n_replan, each as it is made in streaming and all at once after the
+# horizon's last generation in sync_chunk. The executor sleeps to each
+# action's planned start, max(release, previous end), and runs the _Episode
+# bookkeeping there (the decision and the end rule, as on the simulated
+# clock) and the env step inside the slot. A decision scores what the
+# generator has released by the planned start; a fired naive, random or anao
+# decision requests the next observation at that start, as the simulated
+# engine launches it, and an adaptive one when its predictor has run.
 # ---------------------------------------------------------------------------
 
 _POLL = 0.02
@@ -547,27 +545,12 @@ _POLL = 0.02
 _JOIN_TIMEOUT = 5.0
 
 
-def _next_tick(tick: float | None, release: float, now: float, t_exec: float) -> float:
-    """The planned start of the next execution, in ms: the grid point
-    tick + t_exec after the previous planned start tick, or max(now, release)
-    when the grid restarts: for the first action (tick None), an action
-    released after its grid point (starved), or a whole slot already gone by,
-    so the executor never catches up with a burst of zero-length executions.
-    An action taken from the queue before its release waits for it."""
-    if tick is None:
-        return max(now, release)
-    on_grid = tick + t_exec
-    if release > on_grid or now >= on_grid + t_exec:
-        return max(now, release)
-    return on_grid
-
-
 def _lane_slot(release: float, lane: float, budget: float, done: float) -> tuple[float, float, bool]:
-    """One observe or generate event on the wall clock, in ms: (start, end,
-    overran). It starts at max(release, lane), when its input is released and
-    its lane's previous event has ended, and ends budget later, never less
-    than budget after start in floats; or at done, when the host work ended
-    after that deadline, which counts one overrun."""
+    """One wall-clock event, in ms: (start, end, overran). It starts at
+    max(release, lane), when its input is released and its lane's previous
+    event has ended, and ends budget later, never less than budget after
+    start in floats; or at done, when the host work ended after that
+    deadline, which counts one overrun."""
     start = max(release, lane)
     end = start + budget
     while end - start < budget:  # start + budget can round down
@@ -582,13 +565,11 @@ def _now(t0: float) -> float:
     return (time.monotonic() - t0) * 1e3
 
 
-def _sleep_until(t0: float, ms: float) -> float:
-    """Sleep until ms after monotonic time t0; returns the measured time in
-    ms since t0, never below ms."""
+def _sleep_until(t0: float, ms: float) -> None:
+    """Sleep until ms after monotonic time t0."""
     left = ms / 1e3 - (time.monotonic() - t0)
     if left > 0:
         time.sleep(left)
-    return max(_now(t0), ms)
 
 
 class _WallShared:
@@ -596,17 +577,11 @@ class _WallShared:
         self.obs_slot: SimpleQueue = SimpleQueue()
         self.action_queue: Queue = Queue(maxsize=h)
         self.stop = threading.Event()
-        self.log_lock = threading.Lock()
-        self.events: list[TimelineEvent] = []
         # horizon -> [(release, raw action)], in index order
         self.horizon_actions: dict[int, list[tuple[float, np.ndarray]]] = {}
         # overruns per stage; each entry is written by its own thread only
         self.overruns = dict.fromkeys((STAGE_GENERATE, STAGE_EXECUTE), 0)
         self.error: BaseException | None = None
-
-    def emit(self, ev: TimelineEvent) -> None:
-        with self.log_lock:
-            self.events.append(ev)
 
     def put(self, queue: Queue, item) -> bool:
         """Put item on queue, giving up once the episode stops; returns
@@ -634,8 +609,9 @@ class _WallShared:
         return None
 
 
-def _wall_generator(shared: _WallShared, policy: Policy, stage: StageLatency,
-                    scheduler: SchedulerConfig, alpha0_norm: np.ndarray, t0: float):
+def _wall_generator(shared: _WallShared, events: list[TimelineEvent], policy: Policy,
+                    stage: StageLatency, scheduler: SchedulerConfig, alpha0_norm: np.ndarray,
+                    t0: float):
     try:
         h, n_rep = scheduler.h, scheduler.replan
         alpha = alpha0_norm
@@ -653,7 +629,7 @@ def _wall_generator(shared: _WallShared, policy: Policy, stage: StageLatency,
                 a_norm, a_raw, ledger = chunk.get(i)
                 start, lane, late = _lane_slot(released, lane, stage.t_gen, _now(t0))
                 shared.overruns[STAGE_GENERATE] += late
-                shared.emit(TimelineEvent(STAGE_GENERATE, base + i, horizon, start, lane))
+                events.append(TimelineEvent(STAGE_GENERATE, base + i, horizon, start, lane))
                 made.append((lane, a_raw))
                 if i < n_rep:
                     alpha = ledger  # the next horizon starts after n_replan actions
@@ -669,52 +645,51 @@ def _wall_generator(shared: _WallShared, policy: Policy, stage: StageLatency,
         shared.stop.set()
 
 
-def _wall_executor(shared: _WallShared, ep: _Episode, stage: StageLatency, t0: float):
+def _wall_executor(shared: _WallShared, events: list[TimelineEvent], ep: _Episode,
+                   stage: StageLatency, t0: float):
     n_rep = ep.scheduler.replan
-    tick: float | None = None
     fired_for_horizon = decision = -1
-    obs_lane = 0.0
+    obs_lane = exec_lane = 0.0
 
     def observe(horizon: int, requested: float) -> None:
         nonlocal obs_lane  # done at the request: the host work precedes the slot
         features = envsim.observe(ep.state)
         start, obs_lane, _ = _lane_slot(requested, obs_lane, stage.t_obs, requested)
-        shared.emit(TimelineEvent(STAGE_OBSERVE, horizon * n_rep, horizon, start, obs_lane))
+        events.append(TimelineEvent(STAGE_OBSERVE, horizon * n_rep, horizon, start, obs_lane))
         shared.obs_slot.put((features, horizon, obs_lane))
 
-    observe(0, _now(t0))
+    observe(0, 0.0)
     while (item := shared.get(shared.action_queue)) is not None:
         g, i, horizon, a_norm, a_raw, ledger, released = item
         if i == 0:
             decision = ep.begin(horizon)
+        planned = max(released, exec_lane)
+        _sleep_until(t0, planned)
 
         if i == decision:
-            # decides once the action is released, and scores what the
-            # generator has released of the horizon by then
-            dec_time = _sleep_until(t0, released)
+            # decides at the slot's planned start, on what the generator has
+            # released of the horizon by then
             made = shared.horizon_actions[horizon]
-            fired = ep.decide(lambda: np.asarray(
-                [a for r, a in made[i:] if r <= dec_time]))
-            decided = _now(t0)
+            fired = ep.decide(lambda: np.asarray([a for r, a in made[i:] if r <= planned]))
+            launch = planned
             if ep.adaptive:
-                shared.emit(TimelineEvent(STAGE_PREDICT, (horizon + 1) * n_rep, horizon,
-                                          dec_time, decided))
+                launch = _now(t0)
+                events.append(TimelineEvent(STAGE_PREDICT, (horizon + 1) * n_rep, horizon,
+                                            planned, launch))
             if fired:
                 fired_for_horizon = horizon
-                observe(horizon + 1, decided)
+                observe(horizon + 1, launch)
 
-        tick = _next_tick(tick, released, _now(t0), stage.t_exec)
-        start = _sleep_until(t0, tick)
         state, done = ep.step(a_raw)
         ended = ep.execute(a_norm, a_raw, ledger, state, done)
-        shared.overruns[STAGE_EXECUTE] += _now(t0) > tick + stage.t_exec
-        end = _sleep_until(t0, tick + stage.t_exec)
-        shared.emit(TimelineEvent(STAGE_EXECUTE, g, horizon, start, end))
-
+        start, exec_lane, late = _lane_slot(released, exec_lane, stage.t_exec, _now(t0))
+        shared.overruns[STAGE_EXECUTE] += late
+        events.append(TimelineEvent(STAGE_EXECUTE, g, horizon, start, exec_lane))
         if ended:
             break
         if i == n_rep - 1 and fired_for_horizon != horizon:
-            observe(horizon + 1, end)
+            _sleep_until(t0, exec_lane)  # observes once the slot has ended
+            observe(horizon + 1, exec_lane)
 
 
 def _wall(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
@@ -722,12 +697,14 @@ def _wall(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
     """The wall-clock runner for both modes (see the section comment above)."""
     shared = _WallShared(scheduler.h)
     ep = _Episode(policy, predictor, env, scheduler, record_trajectory)
+    generated: list[TimelineEvent] = []
+    executed: list[TimelineEvent] = []
     t0 = time.monotonic()
     generator = threading.Thread(target=_wall_generator, daemon=True, name="generator",
-                                 args=(shared, policy, stage, scheduler, ep.alpha, t0))
+                                 args=(shared, generated, policy, stage, scheduler, ep.alpha, t0))
     generator.start()
     try:
-        _wall_executor(shared, ep, stage, t0)
+        _wall_executor(shared, executed, ep, stage, t0)
     finally:
         shared.stop.set()
         generator.join(timeout=_JOIN_TIMEOUT)
@@ -736,7 +713,7 @@ def _wall(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
     if generator.is_alive():
         raise RuntimeError(f"wall-clock generator thread still running "
                            f"{_JOIN_TIMEOUT} s after the episode ended")
-    result = ep.result(shared.events)
+    result = ep.result(generated + executed)
     result.overruns = sum(shared.overruns.values())
     return result
 

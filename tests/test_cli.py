@@ -623,20 +623,33 @@ def test_step_cap_below_one_exits_2(workdir, tmp_path, capsys, command):
     assert "--step-cap must be at least 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("args, message", [
-    (["gen-data", "--episodes", "0"], "--episodes must be at least 1, got 0"),
-    (["gen-data", "--step-cap", "0"], "--step-cap must be at least 1, got 0"),
-    (["train-policy", "--iterations", "0"], "--iterations must be at least 1, got 0"),
-    (["train-policy", "--iterations", "200", "--resume", "{policy}"],
+@pytest.mark.parametrize("args, setting, message", [
+    (["gen-data", "--episodes", "0"], None, "--episodes must be at least 1, got 0"),
+    (["gen-data", "--step-cap", "0"], None, "--step-cap must be at least 1, got 0"),
+    (["train-policy", "--iterations", "0"], None, "--iterations must be at least 1, got 0"),
+    (["train-policy", "--iterations", "200", "--resume", "{policy}"], None,
      "--iterations must be at least 201, got 200"),
-    (["train-predictor", "--iterations", "0"], "iterations and batch_size must be positive"),
-    (["rollout", "--episodes", "0"], "--episodes must be at least 1, got 0"),
-    (["bench", "--episodes", "0"], "--episodes must be at least 1, got 0"),
+    (["train-policy", "--batch-size", "0"], None, "--batch-size must be at least 1, got 0"),
+    (["train-policy", "--horizon", "0"], None, "--horizon must be at least 1, got 0"),
+    (["train-predictor", "--iterations", "0"], None, "--iterations must be at least 1, got 0"),
+    (["train-predictor", "--batch-size", "0"], None, "--batch-size must be at least 1, got 0"),
+    (["train-predictor"], ("environment", "STREAMPOLICY_BATCH_SIZE", "0"),
+     "STREAMPOLICY_BATCH_SIZE must be at least 1, got 0"),
+    (["rollout", "--episodes", "0"], None, "--episodes must be at least 1, got 0"),
+    (["rollout", "--n-replan", "-1"], None, "--n-replan must be at least 0, got -1"),
+    (["bench", "--episodes", "0"], None, "--episodes must be at least 1, got 0"),
+    (["bench", "--n-replan", "-2"], None, "--n-replan must be at least 0, got -2"),
+    (["bench"], ("config", "n_replan", -2), "config key 'n_replan' must be at least 0, got -2"),
 ], ids=["gen_data", "gen_data_step_cap", "train_policy", "train_policy_resumed",
-       "train_predictor", "rollout", "bench"])
-def test_counts_that_would_run_nothing_exit_2(workdir, tmp_path, capsys, args, message):
-    """Zero episodes, steps or iterations, or resuming a run that is already
-    done, exit 2 with a message and write nothing."""
+       "train_policy_batch_size", "train_policy_horizon", "train_predictor",
+       "train_predictor_batch_size", "train_predictor_batch_size_env", "rollout",
+       "rollout_n_replan", "bench", "bench_n_replan", "bench_n_replan_config"])
+def test_counts_that_would_run_nothing_exit_2(workdir, tmp_path, capsys, monkeypatch, args,
+                                              setting, message):
+    """Zero episodes, steps, iterations, a zero batch or horizon, a negative
+    n_replan, or resuming a run that is already done, exit 2 with a message
+    naming the flag, config key or environment variable the value came from,
+    and write nothing."""
     command, out = args[0], tmp_path / "out"
     extra = {
         "gen-data": ["--out", str(out)],
@@ -646,7 +659,16 @@ def test_counts_that_would_run_nothing_exit_2(workdir, tmp_path, capsys, args, m
         "rollout": ["--policy", "{policy}", "--step-cap", "5"],
         "bench": ["--policy", "{policy}", "--step-cap", "5", "--out-dir", str(out)],
     }[command]
-    argv = [a.replace("{policy}", str(workdir / "policy" / "policy.ckpt")) for a in args + extra]
+    if setting is not None:
+        source, name, value = setting
+        if source == "config":
+            (tmp_path / "cfg.json").write_text(json.dumps({name: value}))
+            extra = [*extra, "--config", str(tmp_path / "cfg.json")]
+        else:
+            monkeypatch.setenv(name, value)
+    # the case's own flags come last, so they override the command's defaults above
+    argv = [a.replace("{policy}", str(workdir / "policy" / "policy.ckpt"))
+            for a in [command, *extra, *args[1:]]]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()

@@ -284,6 +284,39 @@ def test_wall_overlap_matches_simulated(null_policy):
     assert wall.o_oe_per_horizon == pytest.approx(sim.o_oe_per_horizon, rel=0.2, abs=2.0)
 
 
+@pytest.mark.wall_clock
+@pytest.mark.parametrize("sched", [
+    SchedulerConfig(mode=MODE_STREAMING),
+    SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="naive"), n_eo=3),
+    SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="random", p=0.5), n_eo=3),
+    SchedulerConfig(mode=MODE_SYNC_CHUNK, n_replan=5),
+    SchedulerConfig(mode=MODE_SYNC_CHUNK),
+], ids=["streaming", "streaming_naive", "streaming_random", "sync_replan5", "sync_full"])
+def test_wall_logs_the_simulated_timeline(null_policy, sched):
+    """Every wall event follows the engine's slot rule, so until the host
+    first overruns a budget the wall log is the simulated one: each event
+    that starts before the first overrun (an event longer than its budget)
+    has the times of the simulated event of its stage, horizon and action."""
+    env = make_env(DIRECT, 20, step_cap=40)
+    wall = run_episode(null_policy, None, env, FAST_PROFILE, sched, clock="wall")
+    sim = run_episode(null_policy, None, env, FAST_PROFILE, sched)
+    budget = {STAGE_OBSERVE: FAST_PROFILE.t_obs, STAGE_GENERATE: FAST_PROFILE.t_gen,
+              STAGE_EXECUTE: FAST_PROFILE.t_exec, STAGE_PREDICT: FAST_PROFILE.t_pred}
+    first_overrun = min((e.start for e in wall.events if e.end - e.start > budget[e.stage] + 1e-9),
+                        default=math.inf)
+
+    def before(events):  # the margin keeps float rounding from splitting a tie at the overrun
+        return {(e.stage, e.horizon_index, e.action_index): e for e in events
+                if e.start < first_overrun - 1e-9}
+
+    planned = before(sim.events)
+    logged = before(wall.events)
+    assert logged.keys() == planned.keys()
+    for key, e in logged.items():
+        assert e.start == pytest.approx(planned[key].start, abs=1e-9), (e, planned[key])
+        assert e.end == pytest.approx(planned[key].end, abs=1e-9), (e, planned[key])
+
+
 # ---------------------------------------------------------------------------
 # lazy generation on the simulated clock against the eager reference: the
 # two engine loops below generate every horizon's h actions up front, as the
@@ -1230,21 +1263,6 @@ def test_wall_generator_computes_within_t_gen(mode):
     assert float(np.median(durations)) < stage.t_gen + 3.0
 
 
-# the wall executor's tick rule, with t_exec 2.5 and the previous planned
-# start at 10.0: the next grid point is 12.5 and a whole slot is gone at 15.0
-@pytest.mark.parametrize("tick, release, now, planned", [
-    (None, 3.0, 4.0, 4.0),       # the first action starts the grid now
-    (10.0, 11.0, 12.0, 12.5),    # on grid: the executor waits for its grid point
-    (10.0, 12.5, 12.75, 12.5),   # on grid: released at the grid point, executor a little late
-    (10.0, 13.0, 13.25, 13.25),  # starved: released after the grid point
-    (10.0, 11.0, 15.0, 15.0),    # a whole slot missed: the grid restarts, no catch-up burst
-    (10.0, 13.0, 12.75, 13.0),   # starved, taken from the queue before its release: waits for it
-], ids=["first", "early", "late_by_less_than_a_slot", "starved", "slot_missed",
-        "dequeued_before_release"])
-def test_next_tick_follows_the_engine_start_rule(tick, release, now, planned):
-    assert streamexec._next_tick(tick, release, now, 2.5) == planned
-
-
 @pytest.mark.wall_clock
 @pytest.mark.parametrize("sched", [
     SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="naive"), n_eo=3),
@@ -1272,19 +1290,30 @@ def test_wall_executions_follow_their_release(null_policy, sched):
         assert b.start >= a.end, (a, b)
 
 
-# one observe or generate event on the wall clock, with a 1.8 ms budget and
-# the thread's previous event ending at 10.0: (release, done) -> (start, end,
-# overran), done being the time its host work ended
-@pytest.mark.parametrize("release, done, slot", [
-    (10.0, 10.5, (10.0, 11.8, False)),   # on time: released as the lane frees
-    (10.6, 11.0, (10.6, 12.4, False)),   # input released late: starts at the release
-    (9.0, 10.3, (10.0, 11.8, False)),    # lane still busy at the release: starts when it frees
-    (10.0, 12.5, (10.0, 12.5, True)),    # host work past the deadline: ends at done, one overrun
-], ids=["on_time", "released_late", "lane_busy", "overrun"])
-def test_lane_slot_runs_deadline_to_deadline(release, done, slot):
-    start, end, overran = streamexec._lane_slot(release, 10.0, 1.8, done)
+# one event on the wall clock: (release, lane, budget, done) -> (start, end,
+# overran), lane being the end of the thread's previous event on its lane and
+# done the time the event's host work ended. The first four are generate
+# events (t_gen 1.8), the rest executions (t_exec 2.5), the engine's
+# max(ready, previous end) + t_exec.
+@pytest.mark.parametrize("release, lane, budget, done, slot", [
+    (10.0, 10.0, 1.8, 10.5, (10.0, 11.8, False)),   # on time: released as the lane frees
+    (10.6, 10.0, 1.8, 11.0, (10.6, 12.4, False)),   # input released late: starts at the release
+    (9.0, 10.0, 1.8, 10.3, (10.0, 11.8, False)),    # lane still busy at the release: starts when it frees
+    (10.0, 10.0, 1.8, 12.5, (10.0, 12.5, True)),    # host work past the deadline: ends at done, one overrun
+    (3.0, 0.0, 2.5, 3.25, (3.0, 5.5, False)),       # the first action starts at its release
+    (11.0, 12.5, 2.5, 12.9, (12.5, 15.0, False)),   # released early: waits for the previous end
+    (12.5, 12.5, 2.5, 13.0, (12.5, 15.0, False)),   # the executor wakes late: the slot keeps its plan
+    (13.0, 12.5, 2.5, 13.25, (13.0, 15.5, False)),  # starved: released after the previous end
+    (13.0, 12.5, 2.5, 13.1, (13.0, 15.5, False)),   # taken from the queue at 12.75, before its release
+    (10.0, 10.0, 2.5, 15.0, (10.0, 15.0, True)),    # a stall longer than a slot: ends at done
+    (11.0, 15.0, 2.5, 15.2, (15.0, 17.5, False)),   # the next slot starts at the stall's end: no burst
+], ids=["on_time", "released_late", "lane_busy", "overrun", "first_execution",
+        "released_early", "woken_late", "starved", "dequeued_before_release", "stall",
+        "after_stall"])
+def test_lane_slot_runs_deadline_to_deadline(release, lane, budget, done, slot):
+    start, end, overran = streamexec._lane_slot(release, lane, budget, done)
     assert (start, overran) == (slot[0], slot[2])
-    assert end == pytest.approx(slot[1], abs=1e-12) and end - start >= 1.8
+    assert end == pytest.approx(slot[1], abs=1e-12) and end - start >= budget
 
 
 def test_lane_slot_never_lasts_less_than_its_budget_in_floats():
