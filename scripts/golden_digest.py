@@ -14,7 +14,8 @@ Every cell of one episode and cap runs on the same EnvHandle, as `streampolicy
 bench` runs every schedule on its episodes' handles. The grid runs twice: once
 unshared, and once inside one streamexec.shared_horizons() scope, where the
 cells share horizons and env paths. The script exits 1 if the two digests
-differ, and prints the digest only when they agree.
+differ (or the two timeline digests below), and prints the digest only when
+they agree.
 
 The anao and adaptive thresholds are calibrated at a 50% firing rate on
 streamexec.calibration_trajectories of the given policy, so those indicators
@@ -26,7 +27,11 @@ The script also prints a sha256 of those calibration trajectories
 (calibration_digest()) and one of every decision score on them
 (score_digest()), which tests/test_pins.py pins too: the grid digest sees a
 change to a calibration rollout or a one-ulp change to a score only if it
-moves a threshold, these see any.
+moves a threshold, these see any. The grid's profiles add exactly in binary,
+so no grid event time can move by an ulp; timeline_digest(), pinned too,
+hashes the event logs of the grid's configurations and caps at the wall
+workload's profile (WALL_PROFILE, whose decimal latencies round when
+added), unshared and in one shared_horizons() scope, and sees any such move.
 
     PYTHONPATH=src python3 scripts/golden_digest.py \\
         --policy policy.ckpt --predictor predictor.ckpt [--env controller] [--episodes 3]
@@ -50,6 +55,10 @@ PROFILES = {
     "generator_bound": streamexec.StageLatency(t_obs=2.0, t_gen=4.0, t_exec=1.0, t_pred=0.5),
 }
 CAPS = (7, 23, 42, 120)
+# the reference profile at the wall workload's 1/10 scale (perfbench/wl_wall.py)
+_REF = streamexec.REFERENCE_PROFILE
+WALL_PROFILE = streamexec.StageLatency(_REF.t_obs * 0.1, _REF.t_gen * 0.1, _REF.t_exec * 0.1,
+                                       _REF.t_pred * 0.1)
 N_EO = 3
 CALIB_EPISODES = 10
 CALIB_CAP = 42
@@ -91,11 +100,16 @@ def _feed_array(hasher, a) -> None:
     hasher.update(a.tobytes())
 
 
-def feed_result(hasher, res: streamexec.EpisodeResult) -> None:
-    """Every field of an EpisodeResult, floats by their exact bytes."""
-    for ev in res.events:
+def feed_events(hasher, events) -> None:
+    """Every field of each TimelineEvent, times by their exact bytes."""
+    for ev in events:
         hasher.update(f"{ev.stage}|{ev.action_index}|{ev.horizon_index}|".encode())
         hasher.update(struct.pack("<dd", ev.start, ev.end))
+
+
+def feed_result(hasher, res: streamexec.EpisodeResult) -> None:
+    """Every field of an EpisodeResult, floats by their exact bytes."""
+    feed_events(hasher, res.events)
     _feed_array(hasher, res.actions_raw)
     _feed_array(hasher, res.actions_norm)
     _feed_array(hasher, res.final_alpha)
@@ -169,17 +183,48 @@ def grid_digest(policy, predictor, etas, envs, seed) -> tuple[str, int, int]:
     return hasher.hexdigest(), n_episodes, n_actions
 
 
+def _events_digest(policy, predictor, etas, envs, seed) -> tuple[str, int, int]:
+    """(sha256 hex digest, episodes, events) of the event logs of every
+    configuration and cap of the grid at WALL_PROFILE."""
+    hasher = hashlib.sha256()
+    n_episodes = n_events = 0
+    for label, sched in configs(policy.flow.h, etas, seed):
+        for cap in CAPS:
+            for ep, res in enumerate(streamexec.run_episodes(
+                    policy, predictor, envs[cap], WALL_PROFILE, sched)):
+                hasher.update(f"{label}|{cap}|{ep}|".encode())
+                feed_events(hasher, res.events)
+                n_episodes += 1
+                n_events += len(res.events)
+    return hasher.hexdigest(), n_episodes, n_events
+
+
+def _both_scopes(digest, policy, predictor, kind, episodes: int, seed: int) -> tuple[str, str, int, int]:
+    """(unshared digest, shared-scope digest, episodes, count) of
+    digest(policy, predictor, etas, envs, seed) on episodes episodes per cap
+    of kind, with calibrated thresholds."""
+    etas = _calibrated_etas(policy, predictor, kind)
+    envs = {cap: [envsim.make_env(kind, seed, ep, step_cap=cap) for ep in range(episodes)]
+            for cap in CAPS}
+    unshared, n_episodes, count = digest(policy, predictor, etas, envs, seed)
+    with streamexec.shared_horizons():
+        shared, _, _ = digest(policy, predictor, etas, envs, seed)
+    return unshared, shared, n_episodes, count
+
+
 def golden_digest(policy, predictor, kind, episodes: int = 3,
                   seed: int = 0) -> tuple[str, str, int, int]:
     """(unshared digest, shared-scope digest, episodes, executed actions) of
     the grid on episodes episodes per cell of kind, with calibrated thresholds."""
-    etas = _calibrated_etas(policy, predictor, kind)
-    envs = {cap: [envsim.make_env(kind, seed, ep, step_cap=cap) for ep in range(episodes)]
-            for cap in CAPS}
-    digest, n_episodes, n_actions = grid_digest(policy, predictor, etas, envs, seed)
-    with streamexec.shared_horizons():
-        shared, _, _ = grid_digest(policy, predictor, etas, envs, seed)
-    return digest, shared, n_episodes, n_actions
+    return _both_scopes(grid_digest, policy, predictor, kind, episodes, seed)
+
+
+def timeline_digest(policy, predictor, kind, episodes: int = 3,
+                    seed: int = 0) -> tuple[str, str, int, int]:
+    """(unshared digest, shared-scope digest, episodes, events) of the event
+    logs of the grid's configurations and caps at WALL_PROFILE, on episodes
+    episodes per cap of kind, with calibrated thresholds."""
+    return _both_scopes(_events_digest, policy, predictor, kind, episodes, seed)
 
 
 def main() -> int:
@@ -204,9 +249,13 @@ def main() -> int:
     print(f"calibration: episodes {calib_episodes}, actions {calib_actions}, sha256 {calib}")
     scores, n_scores = score_digest(predictor, calibration_set(policy, kind), policy.flow.h)
     print(f"calibration scores: {n_scores} scores, sha256 {scores}")
-    if shared != digest:
-        print(f"unshared sha256 {digest} != shared-scope sha256 {shared}", file=sys.stderr)
+    timeline, timeline_shared, t_episodes, n_events = timeline_digest(
+        policy, predictor, kind, args.episodes, args.seed)
+    if (shared, timeline_shared) != (digest, timeline):
+        print(f"unshared sha256 {digest}, timeline {timeline} != shared-scope sha256 {shared}, "
+              f"timeline {timeline_shared}", file=sys.stderr)
         return 1
+    print(f"timeline at the wall profile: episodes {t_episodes}, events {n_events}, sha256 {timeline}")
     print(f"sha256 {digest}")
     return 0
 

@@ -15,12 +15,13 @@ One simulated engine runs both: each horizon observes, plans h actions on
 the serial generator lane and executes the first n_replan of them (all h in
 streaming). The modes differ only in when an action is ready to execute: at
 the end of its own generation (streaming) or of the whole chunk (sync_chunk).
-The engine computes exact event times from the stage-latency algebra and
-advances the environment causally: an observation launched when n_eo
-executions remain captures the state after exactly h - n_eo steps of that
-horizon, which is precisely the staleness early observation trades away.
-The next observation is one pending (start, state), set by a fired
-decision or by the horizon's last execution.
+One slot rule on both clocks: every event starts when its input is released
+and its lane's previous event has ended and lasts its stage latency
+(_lane_slot). The engine advances the environment causally: an observation
+launched when n_eo executions remain captures the state after exactly
+h - n_eo steps of that horizon, which is precisely the staleness early
+observation trades away. The next observation is one pending (release,
+state), set by a fired decision or by the horizon's last execution.
 Event logs are deterministic for fixed seeds, with ties ordered
 observe < predict < generate < execute, then by action index.
 
@@ -73,16 +74,16 @@ not change inside it.
 The wall-clock runner reproduces the same semantics with timestamps from
 the wall clock, for both modes, on two threads: the calling thread observes
 and executes, one generator thread generates, and a queue in each direction
-joins them. Every observe, generate and execute event follows the engine's
-rule: it starts when its input is released and its lane's previous event has
-ended, and ends its stage latency later, when its result is released to the
-next stage. An observation is taken at its request. A run whose host work
-never overruns a budget logs the simulated engine's timeline, apart from the
-adaptive indicator's predict event and the observation it launches, which
-are timed by the host. As on the simulated clock, the modes differ only
-in when a horizon's actions are released to the executor: each as it is
-generated (streaming) or all n_replan after the chunk's last generation
-(sync_chunk), which leaves the sync stages strictly serial. It generates
+joins them. Every observe, generate and execute event is planned by the
+same _lane_slot as on the simulated clock and ends when its result is
+released to the next stage. An observation is taken at its request. Until
+the host first overruns a budget, the wall logs the simulated engine's
+timeline bit for bit, apart from the adaptive indicator's predict event and
+the observation it launches, which are timed by the host. As on the
+simulated clock, the modes differ only in when a horizon's actions are
+released to the executor: each as it is generated (streaming) or all
+n_replan after the chunk's last generation (sync_chunk), which leaves the
+sync stages strictly serial. It generates
 every planned action, with each forward pass inside its t_gen budget, and
 never shares a horizon.
 
@@ -136,10 +137,10 @@ class StageLatency:
 
     t_obs: one observation (capture plus encoding).
     t_gen: generating one action.
-    t_exec: executing one action. Both clocks start an action at
-        max(ready, previous end) and end it t_exec later (on the wall, see
-        _lane_slot).
+    t_exec: executing one action.
     t_pred: one saliency-predictor invocation (charged per decision point).
+    One slot rule on both clocks: every event lasts its stage's latency, on
+    the simulated clock and on the wall, see _lane_slot.
     """
 
     t_obs: float
@@ -157,6 +158,18 @@ class StageLatency:
 ZERO_LATENCY = StageLatency(0.0, 0.0, 0.0, 0.0)
 # desk-scale reference profile used throughout the benchmarks
 REFERENCE_PROFILE = StageLatency(t_obs=58.0, t_gen=18.0, t_exec=27.0, t_pred=10.0)
+
+
+def _lane_slot(release: float, lane: float, budget: float) -> tuple[float, float]:
+    """One event on either clock, in ms: (start, end). It starts when its
+    input is released and its lane's previous event has ended, the later of
+    release and lane (max's value, bit for bit), and ends budget later, never
+    less than budget after start in floats."""
+    start = lane if lane > release else release
+    end = start + budget
+    while end - start < budget:  # start + budget can round down
+        end = math.nextafter(end, math.inf)
+    return start, end
 
 
 @dataclass(frozen=True)
@@ -446,55 +459,50 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
     emit = events.append
     event = TimelineEvent._make  # from one tuple: cheaper than binding five arguments
 
-    pending = (0.0, ep.state)  # (start, env state) of the next observation
+    pending = (0.0, ep.state)  # (release, env state) of the next observation
     base = 0                  # global index of the horizon's first action
     horizon = 0
-    gen_lane = 0.0            # generator availability time
+    # each lane's previous end, all free at 0.0 as on the wall: one slot rule
+    # on both clocks, every event's (start, end) is a _lane_slot
+    obs_lane = gen_lane = exec_lane = 0.0
     exec_starts: list[float] = []
-    prev_exec_end = -math.inf  # max(ready, -inf) is ready: the first action starts when ready
 
     while True:
-        obs_start, snapshot = pending
+        release, snapshot = pending
         pending = None
         features = envsim.observe(snapshot)
-        obs_end = obs_start + t_obs
-        emit(event((STAGE_OBSERVE, base, horizon, obs_start, obs_end)))
+        obs_start, obs_lane = _lane_slot(release, obs_lane, t_obs)
+        emit(event((STAGE_OBSERVE, base, horizon, obs_start, obs_lane)))
 
-        # schedule all h actions of the horizon on the serial generator lane;
-        # the queue-capacity constraint keeps the lane from running more than
-        # h actions ahead of execution. A sync chunk's tail beyond n_replan is
+        # plan all h actions of the horizon on the serial generator lane, each
+        # released by the observation and, for the buffer's capacity of h, by
+        # the start of execution g - h. A sync chunk's tail beyond n_replan is
         # planned but replaced by the next chunk (its generate events share
         # the indices the next chunk will execute).
         gen_end: list[float] = []
         chunk = _horizon_chunk(memo, policy, ep.alpha, features, h)
         path = chunk.path(ep.state, ep.kind)
-        lane = max(gen_lane, obs_end)
         for g in range(base, base + h):
-            start = lane if g < h else max(lane, exec_starts[g - h])
-            lane = start + t_gen
-            emit(event((STAGE_GENERATE, g, horizon, start, lane)))
-            gen_end.append(lane)
-        gen_lane = lane           # a sync chunk's actions are all ready here
+            release = obs_lane if g < h else max(obs_lane, exec_starts[g - h])
+            start, gen_lane = _lane_slot(release, gen_lane, t_gen)
+            emit(event((STAGE_GENERATE, g, horizon, start, gen_lane)))
+            gen_end.append(gen_lane)
 
         decision = ep.begin(horizon)
         for i in range(n_rep):
-            start = max(gen_lane if sync else gen_end[i], prev_exec_end)
-            end = start + t_exec
-
+            start, exec_lane = _lane_slot(gen_lane if sync else gen_end[i], exec_lane, t_exec)
             if i == decision:
                 # a firing indicator launches the next observation here, on this frame
                 launch = start
                 if ep.adaptive:
-                    p_start = max(start - t_pred, gen_lane)
-                    p_end = p_start + t_pred
+                    p_start, p_end = _lane_slot(start - t_pred, gen_lane, t_pred)
                     emit(event((STAGE_PREDICT, base + h, horizon, p_start, p_end)))
                     launch = max(launch, p_end)
                 if ep.decide(lambda: chunk.tail(i)):
                     pending = (launch, ep.state)
 
-            emit(event((STAGE_EXECUTE, base + i, horizon, start, end)))
+            emit(event((STAGE_EXECUTE, base + i, horizon, start, exec_lane)))
             exec_starts.append(start)
-            prev_exec_end = end
             a_norm, a_raw, alpha = chunk.get(i)
             if i == len(path):  # no earlier episode stepped here from this start state
                 path.append(ep.step(a_raw))
@@ -503,7 +511,7 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
                 return ep.result(events)
 
         if pending is None:
-            pending = (prev_exec_end, ep.state)
+            pending = (exec_lane, ep.state)
         horizon += 1
         base += n_rep
 
@@ -514,14 +522,14 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
 # most one observation (the request for horizon k+2 comes only after an
 # action of horizon k+1, made from observation k+1, has executed); the action
 # buffer holds at most h actions. Every queue item carries the time its
-# payload is released. Every event runs deadline to deadline (_lane_slot):
-# it starts at max(its input's release, the end of its lane's previous
-# event) and ends its budget later, which is its result's release; the
-# thread that takes the result sleeps to that release, so neither a wake-up
-# nor a handoff adds to a stage's latency. A generate or execute event whose
-# host work ends after its deadline ends at the measured time and counts one
-# overrun (EpisodeResult.overruns). Each thread logs its events in its own
-# list.
+# payload is released. One slot rule on both clocks: every event is planned
+# by _lane_slot, as on the simulated clock, before its host work runs; it
+# ends at its planned end, which is its result's release, and the thread that
+# takes the result sleeps to that release, so neither a wake-up nor a handoff
+# adds to a stage's latency. A generate or execute event whose host work ends
+# after its planned end ends at the measured time and counts one overrun
+# (EpisodeResult.overruns, see _ended). Each thread logs its events in its
+# own list.
 #
 # The executor requests each observation: at 0.0, at a fired decision and
 # otherwise at the end of its n_replan-th execution, so in sync_chunk the
@@ -532,9 +540,9 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
 # actions of a horizon, each inside its t_gen budget, and queues the first
 # n_replan, each as it is made in streaming and all at once after the
 # horizon's last generation in sync_chunk. The executor sleeps to each
-# action's planned start, max(release, previous end), and runs the _Episode
-# bookkeeping there (the decision and the end rule, as on the simulated
-# clock) and the env step inside the slot. A decision scores what the
+# action's planned start and runs the _Episode bookkeeping there (the
+# decision and the end rule, as on the simulated clock) and the env step
+# inside the slot. A decision scores what the
 # generator has released by the planned start; a fired naive, random or anao
 # decision requests the next observation at that start, as the simulated
 # engine launches it, and an adaptive one when its predictor has run.
@@ -545,19 +553,10 @@ _POLL = 0.02
 _JOIN_TIMEOUT = 5.0
 
 
-def _lane_slot(release: float, lane: float, budget: float, done: float) -> tuple[float, float, bool]:
-    """One wall-clock event, in ms: (start, end, overran). It starts at
-    max(release, lane), when its input is released and its lane's previous
-    event has ended, and ends budget later, never less than budget after
-    start in floats; or at done, when the host work ended after that
-    deadline, which counts one overrun."""
-    start = max(release, lane)
-    end = start + budget
-    while end - start < budget:  # start + budget can round down
-        end = math.nextafter(end, math.inf)
-    if done > end:
-        return start, done, True
-    return start, end, False
+def _ended(end: float, done: float) -> tuple[float, bool]:
+    """(end, overran) of a wall event planned to end at end whose host work
+    ended at done: past that deadline it ends at done, one overrun."""
+    return (done, True) if done > end else (end, False)
 
 
 def _now(t0: float) -> float:
@@ -625,9 +624,10 @@ def _wall_generator(shared: _WallShared, events: list[TimelineEvent], policy: Po
             for i in range(h):
                 if shared.stop.is_set():
                     return
-                _sleep_until(t0, max(released, lane))
+                start, end = _lane_slot(released, lane, stage.t_gen)
+                _sleep_until(t0, start)
                 a_norm, a_raw, ledger = chunk.get(i)
-                start, lane, late = _lane_slot(released, lane, stage.t_gen, _now(t0))
+                lane, late = _ended(end, _now(t0))
                 shared.overruns[STAGE_GENERATE] += late
                 events.append(TimelineEvent(STAGE_GENERATE, base + i, horizon, start, lane))
                 made.append((lane, a_raw))
@@ -652,9 +652,9 @@ def _wall_executor(shared: _WallShared, events: list[TimelineEvent], ep: _Episod
     obs_lane = exec_lane = 0.0
 
     def observe(horizon: int, requested: float) -> None:
-        nonlocal obs_lane  # done at the request: the host work precedes the slot
+        nonlocal obs_lane  # the host work runs at the request, before the slot
         features = envsim.observe(ep.state)
-        start, obs_lane, _ = _lane_slot(requested, obs_lane, stage.t_obs, requested)
+        start, obs_lane = _lane_slot(requested, obs_lane, stage.t_obs)
         events.append(TimelineEvent(STAGE_OBSERVE, horizon * n_rep, horizon, start, obs_lane))
         shared.obs_slot.put((features, horizon, obs_lane))
 
@@ -663,26 +663,26 @@ def _wall_executor(shared: _WallShared, events: list[TimelineEvent], ep: _Episod
         g, i, horizon, a_norm, a_raw, ledger, released = item
         if i == 0:
             decision = ep.begin(horizon)
-        planned = max(released, exec_lane)
-        _sleep_until(t0, planned)
+        start, end = _lane_slot(released, exec_lane, stage.t_exec)
+        _sleep_until(t0, start)
 
         if i == decision:
             # decides at the slot's planned start, on what the generator has
             # released of the horizon by then
             made = shared.horizon_actions[horizon]
-            fired = ep.decide(lambda: np.asarray([a for r, a in made[i:] if r <= planned]))
-            launch = planned
+            fired = ep.decide(lambda: np.asarray([a for r, a in made[i:] if r <= start]))
+            launch = start
             if ep.adaptive:
                 launch = _now(t0)
                 events.append(TimelineEvent(STAGE_PREDICT, (horizon + 1) * n_rep, horizon,
-                                            planned, launch))
+                                            start, launch))
             if fired:
                 fired_for_horizon = horizon
                 observe(horizon + 1, launch)
 
         state, done = ep.step(a_raw)
         ended = ep.execute(a_norm, a_raw, ledger, state, done)
-        start, exec_lane, late = _lane_slot(released, exec_lane, stage.t_exec, _now(t0))
+        exec_lane, late = _ended(end, _now(t0))
         shared.overruns[STAGE_EXECUTE] += late
         events.append(TimelineEvent(STAGE_EXECUTE, g, horizon, start, exec_lane))
         if ended:

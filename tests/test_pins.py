@@ -1,11 +1,13 @@
 """Bitwise pins on the fixture demos and networks: the sha256 of both
 variants' demo datasets and of ctrl_policy and ctrl_predictor saved as
-scripts/checkpoint_digest.py saves them, scripts/golden_digest.py's grid
-and calibration digests on each env variant, and its score digest of
-ctrl_predictor's decision scores on both calibration sets and ctrl_demos.
+scripts/checkpoint_digest.py saves them, scripts/golden_digest.py's grid,
+timeline and calibration digests on each env variant, and its score digest
+of ctrl_predictor's decision scores on both calibration sets and ctrl_demos.
 The calibration digest moves on any change to a calibration rollout and the
 score digest on a one-ulp change to any score; the grid digest sees either
-only if it moves a threshold. A change that claims to
+only if it moves a threshold. The grid's profiles add exactly in binary;
+the timeline digest, at the wall workload's profile, moves on a one-ulp
+change to any event time. A change that claims to
 keep every weight and every simulated result bit for bit keeps these pins; a
 change that alters them on purpose updates them and says why.
 
@@ -33,6 +35,9 @@ CTRL_PREDICTOR_SHA256 = "40cafa1747564fe08b769c3b08c462cd55010f6ebca0ff0715c2687
 # (sha256, episodes, executed actions) of the grid, with ctrl_predictor
 GOLDEN_CTRL = ("50e1a4d7acfd5b8a1827b567cd889ba54416d754536e27c517b65c72c403b44e", 576, 13512)
 GOLDEN_DIRECT = ("b6edb1812bd8681c46706e8b197482152d8a0e92f37118c44ae95d9242772b5d", 576, 12972)
+# (sha256, episodes, events) of the grid's event logs at golden.WALL_PROFILE, with ctrl_predictor
+TIMELINE_CTRL = ("777273b4943f0f4b6613ee79e2bb8a6f86c76317a1a306b0d3055e66d7bd310f", 96, 8095)
+TIMELINE_DIRECT = ("94686677b0698195f49d7ab31aef34b178ae978dc89f00a6c5460688a72787f6", 96, 7785)
 # (sha256, episodes, actions) of the calibration trajectories behind the grid's thresholds
 CALIB_CTRL = ("2332671995b7c58f36bbe843f989b42b6c2bdc1e7ba1b0eb882ed9649d1894e0", 10, 315)
 CALIB_DIRECT = ("8e3e763f21d2d4565ce6b5f76c1811d1b09a285a9dec4eea53e52468af3c3909", 10, 286)
@@ -87,6 +92,18 @@ def test_golden_grid_is_pinned(ctrl_policy, direct_policy, ctrl_predictor):
         digest, shared, n_episodes, n_actions = golden.golden_digest(policy, ctrl_predictor, kind)
         _check_pin(f"{what} golden grid (sha256, episodes, actions)",
                    (digest, n_episodes, n_actions), pinned)
+        assert shared == digest, f"{what}: shared-scope sha256 {shared} != unshared {digest}"
+
+
+def test_timeline_at_the_wall_profile_is_pinned(ctrl_policy, direct_policy, ctrl_predictor):
+    """Every event time of the grid's configurations and caps at the wall
+    workload's profile, whose latencies round when added, unshared and
+    inside one shared_horizons() scope, on both variants."""
+    for what, policy, kind, pinned in (("controller", ctrl_policy, CTRL, TIMELINE_CTRL),
+                                       ("direct", direct_policy, DIRECT, TIMELINE_DIRECT)):
+        digest, shared, n_episodes, n_events = golden.timeline_digest(policy, ctrl_predictor, kind)
+        _check_pin(f"{what} timeline (sha256, episodes, events)",
+                   (digest, n_episodes, n_events), pinned)
         assert shared == digest, f"{what}: shared-scope sha256 {shared} != unshared {digest}"
 
 

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from streampolicy import envsim, metrics, saliency, streamexec, velocitynet
 from streampolicy.core import STREAM_INDICATOR, DimensionMismatchError, Trajectory, cumulative_states, make_rng
@@ -233,7 +234,7 @@ def test_wall_execute_events_never_overlap(null_policy):
         execs = sorted(_by_stage(res.events, STAGE_EXECUTE), key=lambda e: e.start)
         assert len(execs) == 22
         for a, b in zip(execs, execs[1:]):
-            assert b.start >= a.end - 1e-9, (sched.mode, a, b)
+            assert b.start >= a.end, (sched.mode, a, b)
 
 
 @pytest.mark.wall_clock
@@ -250,7 +251,7 @@ def test_wall_sync_chunk_runs_one_stage_at_a_time(null_policy, n_replan):
     assert len(_by_stage(events, STAGE_GENERATE)) == res.n_horizons * sched.h
     assert len(_by_stage(events, STAGE_OBSERVE)) == res.n_horizons
     for a, b in zip(events, events[1:]):
-        assert b.start >= a.end - 1e-9, (a, b)
+        assert b.start >= a.end, (a, b)
     sim = run_episode(null_policy, None, env, FAST_PROFILE, sched)
     _assert_results_identical(res, sim, events=False)
 
@@ -284,19 +285,24 @@ def test_wall_overlap_matches_simulated(null_policy):
     assert wall.o_oe_per_horizon == pytest.approx(sim.o_oe_per_horizon, rel=0.2, abs=2.0)
 
 
+# the schedules whose wall log is compared with the simulated one
+TIMELINE_SCHEDULES = {
+    "streaming": SchedulerConfig(mode=MODE_STREAMING),
+    "streaming_naive": SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="naive"), n_eo=3),
+    "streaming_random": SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="random", p=0.5),
+                                        n_eo=3),
+    "sync_replan5": SchedulerConfig(mode=MODE_SYNC_CHUNK, n_replan=5),
+    "sync_full": SchedulerConfig(mode=MODE_SYNC_CHUNK),
+}
+
+
 @pytest.mark.wall_clock
-@pytest.mark.parametrize("sched", [
-    SchedulerConfig(mode=MODE_STREAMING),
-    SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="naive"), n_eo=3),
-    SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="random", p=0.5), n_eo=3),
-    SchedulerConfig(mode=MODE_SYNC_CHUNK, n_replan=5),
-    SchedulerConfig(mode=MODE_SYNC_CHUNK),
-], ids=["streaming", "streaming_naive", "streaming_random", "sync_replan5", "sync_full"])
+@pytest.mark.parametrize("sched", TIMELINE_SCHEDULES.values(), ids=TIMELINE_SCHEDULES.keys())
 def test_wall_logs_the_simulated_timeline(null_policy, sched):
-    """Every wall event follows the engine's slot rule, so until the host
-    first overruns a budget the wall log is the simulated one: each event
-    that starts before the first overrun (an event longer than its budget)
-    has the times of the simulated event of its stage, horizon and action."""
+    """One slot rule on both clocks, so until the host first overruns a
+    budget the wall log is the simulated one bit for bit: each event that
+    starts before the first overrun (an event longer than its budget) has the
+    times of the simulated event of its stage, horizon and action."""
     env = make_env(DIRECT, 20, step_cap=40)
     wall = run_episode(null_policy, None, env, FAST_PROFILE, sched, clock="wall")
     sim = run_episode(null_policy, None, env, FAST_PROFILE, sched)
@@ -313,8 +319,43 @@ def test_wall_logs_the_simulated_timeline(null_policy, sched):
     logged = before(wall.events)
     assert logged.keys() == planned.keys()
     for key, e in logged.items():
-        assert e.start == pytest.approx(planned[key].start, abs=1e-9), (e, planned[key])
-        assert e.end == pytest.approx(planned[key].end, abs=1e-9), (e, planned[key])
+        assert (e.start, e.end) == (planned[key].start, planned[key].end), (e, planned[key])
+
+
+# stage latencies in ms: tenths such as 5.8 and 1.8, whose sums round, and any float
+_STAGE_MS = st.one_of(st.integers(0, 1000).map(lambda n: n / 10), st.floats(0.0, 100.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(stage=st.builds(StageLatency, _STAGE_MS, _STAGE_MS, _STAGE_MS, _STAGE_MS),
+       sched=st.sampled_from(list(TIMELINE_SCHEDULES.values())), seed=st.integers(0, 30),
+       cap=st.integers(1, 40))
+@example(stage=FAST_PROFILE, sched=TIMELINE_SCHEDULES["streaming"], seed=20, cap=40)
+def test_simulated_timeline_keeps_the_slot_rule_in_floats(null_policy, stage, sched, seed, cap):
+    """On any stage profile, with no tolerance: every simulated event lasts
+    at least its budget, each generate event starts at or after its
+    horizon's observation ends, each execution at or after its release (its
+    own generation's end in streaming, its chunk's last in sync_chunk), no
+    two executions overlap, and the episode stops by its step cap."""
+    res = run_episode(null_policy, None, make_env(DIRECT, seed, step_cap=cap), stage, sched)
+    budget = {STAGE_OBSERVE: stage.t_obs, STAGE_GENERATE: stage.t_gen,
+              STAGE_EXECUTE: stage.t_exec, STAGE_PREDICT: stage.t_pred}
+    for e in res.events:
+        assert e.end - e.start >= budget[e.stage], e
+    obs_end = {e.horizon_index: e.end for e in _by_stage(res.events, STAGE_OBSERVE)}
+    gen_end, chunk_end = {}, {}
+    for e in _by_stage(res.events, STAGE_GENERATE):
+        assert e.start >= obs_end[e.horizon_index], e
+        gen_end[e.horizon_index, e.action_index] = e.end
+        chunk_end[e.horizon_index] = max(e.end, chunk_end.get(e.horizon_index, e.end))
+    execs = sorted(_by_stage(res.events, STAGE_EXECUTE), key=lambda e: e.start)
+    for e in execs:
+        released = (gen_end[e.horizon_index, e.action_index] if sched.mode == MODE_STREAMING
+                    else chunk_end[e.horizon_index])
+        assert e.start >= released, e
+    for a, b in zip(execs, execs[1:]):
+        assert b.start >= a.end, (a, b)
+    assert 1 <= res.steps == len(execs) <= cap
 
 
 # ---------------------------------------------------------------------------
@@ -1292,8 +1333,9 @@ def test_wall_executions_follow_their_release(null_policy, sched):
 
 # one event on the wall clock: (release, lane, budget, done) -> (start, end,
 # overran), lane being the end of the thread's previous event on its lane and
-# done the time the event's host work ended. The first four are generate
-# events (t_gen 1.8), the rest executions (t_exec 2.5), the engine's
+# done the time the event's host work ended; _lane_slot plans the slot on both
+# clocks and _ended ends it on the wall. The first four are generate events
+# (t_gen 1.8), the rest executions (t_exec 2.5), the engine's
 # max(ready, previous end) + t_exec.
 @pytest.mark.parametrize("release, lane, budget, done, slot", [
     (10.0, 10.0, 1.8, 10.5, (10.0, 11.8, False)),   # on time: released as the lane frees
@@ -1311,7 +1353,8 @@ def test_wall_executions_follow_their_release(null_policy, sched):
         "released_early", "woken_late", "starved", "dequeued_before_release", "stall",
         "after_stall"])
 def test_lane_slot_runs_deadline_to_deadline(release, lane, budget, done, slot):
-    start, end, overran = streamexec._lane_slot(release, lane, budget, done)
+    start, end = streamexec._lane_slot(release, lane, budget)
+    end, overran = streamexec._ended(end, done)
     assert (start, overran) == (slot[0], slot[2])
     assert end == pytest.approx(slot[1], abs=1e-12) and end - start >= budget
 
@@ -1321,8 +1364,8 @@ def test_lane_slot_never_lasts_less_than_its_budget_in_floats():
     the slot's end then moves up by an ulp."""
     start, budget = 5.8, 1.8  # (5.8 + 1.8) - 5.8 == 1.8 - 1 ulp
     assert (start + budget) - start < budget
-    got_start, end, overran = streamexec._lane_slot(start, 0.0, budget, 0.0)
-    assert (got_start, overran) == (start, False)
+    got_start, end = streamexec._lane_slot(start, 0.0, budget)
+    assert got_start == start
     assert end - start >= budget and end == math.nextafter(start + budget, math.inf)
 
 
