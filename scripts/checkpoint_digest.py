@@ -13,7 +13,7 @@ Adam state and iteration count and the predictor without an iteration, and
 prints the sha256 of each file. Two checkouts that print the
 same digests generate, save and reload the same demos of both variants and
 train the same weights. tests/test_pins.py pins all four digests. Takes
-about 20 s on a 2-CPU x86-64 host.
+about 12 s on a 2-CPU x86-64 host.
 
     PYTHONPATH=src python3 scripts/checkpoint_digest.py
 """

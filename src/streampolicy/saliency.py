@@ -35,7 +35,7 @@ import numpy as np
 from .core import (ACTION_DIM, OBS_DIM, STREAM_MODEL_INIT, STREAM_PREDICTOR, TAG_SALIENCY_PREDICTOR,
                    CheckpointError, Trajectory, check_shapes, make_rng, read_container,
                    write_container)
-from .velocitynet import AdamState, adam_step, init_adam
+from .velocitynet import TRAIN_DTYPE, AdamState, adam_step, astype, init_adam
 
 N_EO_MAX = 4
 EMBED_DIM = 16
@@ -208,8 +208,13 @@ def score_decisions(mode: str, predictor: Predictor | None, features, tails) -> 
 
 def loss_and_grad(predictor: Predictor, E: np.ndarray, C: np.ndarray,
                   target: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean per-sample squared error in embedding space, with analytic grads."""
+    """Mean per-sample squared error in embedding space, with analytic grads.
+
+    Runs in the trunk weights' dtype: E, C and target are cast to it once.
+    """
     p = predictor.params
+    dtype = p["tw0"].dtype
+    E, C, target = (np.asarray(a, dtype=dtype) for a in (E, C, target))
     B = E.shape[0]
     out, (ch, g0, g1, z0, h0, z1, h1) = _forward(p, E, C)
     diff = out - target
@@ -354,11 +359,14 @@ def train_predictor(trajectories: list[Trajectory], cfg: PredictorConfig,
     """Train the change predictor; cosine-decayed Adam from cfg.lr.
 
     Returns the predictor and a (iteration, loss, wall_ms) log. Per-iteration
-    RNG streams keyed by the seed make runs reproducible.
+    RNG streams keyed by the seed make runs reproducible. The trainable
+    weights, drawn in float64, train in float32 and are returned cast back
+    to float64, which is exact; the frozen encoder and the embedding stay
+    float64.
     """
     pool = _prepare_pairs(trajectories, cfg)
     predictor = init_predictor(cfg)
-    trainable = predictor.trainable()
+    trainable = astype(predictor.trainable(), TRAIN_DTYPE)
     adam = init_adam(trainable, lr=cfg.lr)
     predictor.params.update(trainable)  # the trained tensors are now Adam's flat views
     log: list[tuple[int, float, float]] = []
@@ -371,12 +379,14 @@ def train_predictor(trajectories: list[Trajectory], cfg: PredictorConfig,
         loss, grads = loss_and_grad(predictor, E, cond, target)
         if not np.isfinite(loss):
             raise FloatingPointError(f"predictor loss diverged at iteration {i}")
-        lr = cfg.lr * 0.5 * (1.0 + np.cos(np.pi * i / cfg.iterations))
+        # a Python float: a numpy float64 rate would run float32 Adam in float64
+        lr = float(cfg.lr * 0.5 * (1.0 + np.cos(np.pi * i / cfg.iterations)))
         adam_step(trainable, grads, adam, lr=lr)
         if i % 50 == 0 or i == cfg.iterations - 1:
             log.append((i, loss, (time.perf_counter() - t0) * 1e3))
             if progress is not None:
                 progress(i, loss)
+    predictor.params.update(astype(trainable, np.float64))
     return predictor, log
 
 

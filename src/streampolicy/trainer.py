@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from . import flowmatch, normkit, velocitynet
 from .core import Trajectory, make_rng, STREAM_MODEL_INIT, STREAM_TRAIN
 from .flowmatch import FlowParams
 from .normkit import NormStats
-from .velocitynet import AdamState, Policy, VelocityModel
+from .velocitynet import TRAIN_DTYPE, AdamState, Policy, VelocityModel
 
 
 class TrainingDivergedError(RuntimeError):
@@ -169,23 +169,35 @@ def train(trajectories: list[Trajectory], cfg: TrainConfig, *, alpha0_convention
     resuming from a checkpoint continues the identical sequence. Raises
     ValueError when cfg's h, k, sigma0 or hidden differ from the resumed
     policy's, which the returned policy would otherwise keep.
+
+    The network, its gradients and Adam run in float32; the window sampling
+    and flow math stay float64. The initial weights are drawn in float64 and
+    rounded to float32 once, and the returned policy holds the trained
+    float32 weights cast to float64, which is exact, so it acts in float64.
+    A resumed run casts the weights and Adam's moments to float32: exact for
+    a checkpoint this code wrote, while a float64-trained checkpoint resumes
+    from its weights and moments rounded to float32, once.
     """
     prep = _prepare(trajectories, cfg.h)
     fp = FlowParams(k=cfg.k, sigma0=cfg.sigma0, h=cfg.h)
     if resume is None:
-        stats = normkit.fit_stats(trajectories)
         obs_dim = prep.obs.shape[1]
         action_dim = prep.actions.shape[1]
-        model = velocitynet.init_velocity_model(
+        drawn = velocitynet.init_velocity_model(
             action_dim, obs_dim, cfg.hidden, rng=make_rng(cfg.seed, STREAM_MODEL_INIT))
-        adam = velocitynet.init_adam(model.params, cfg.lr)
+        policy = Policy(model=drawn, stats=normkit.fit_stats(trajectories), flow=fp,
+                        alpha0_convention=alpha0_convention)
         start = 0
-        policy = Policy(model=model, stats=stats, flow=fp, alpha0_convention=alpha0_convention)
     else:
         # a resumed run keeps the normalization it was trained and is saved with
         policy, adam, start = resume
         _check_resume(policy, cfg)
-        model, stats = policy.model, policy.stats
+    stats = policy.stats
+    model = replace(policy.model, params=velocitynet.astype(policy.model.params, TRAIN_DTYPE))
+    if resume is None:
+        adam = velocitynet.init_adam(model.params, cfg.lr)
+    else:
+        adam.m, adam.v = velocitynet.astype(adam.m, TRAIN_DTYPE), velocitynet.astype(adam.v, TRAIN_DTYPE)
 
     log: list[tuple[int, float, float]] = []
     t0 = time.perf_counter()
@@ -201,7 +213,8 @@ def train(trajectories: list[Trajectory], cfg: TrainConfig, *, alpha0_convention
             log.append((i, loss, wall_ms))
             if progress is not None:
                 progress(i, loss, wall_ms)
-    return policy, adam, log
+    trained = replace(model, params=velocitynet.astype(model.params, np.float64))
+    return replace(policy, model=trained), adam, log
 
 
 def write_train_log(path, rows) -> None:

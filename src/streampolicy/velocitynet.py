@@ -1,11 +1,13 @@
-"""Velocity network: a small float64 MLP with hand-written gradients.
+"""Velocity network: a small MLP with hand-written gradients.
 
 The network maps (action-space state x, horizon clock t, observation features)
 to a velocity in action space. One layer pass serves acting (forward) and
-training (loss_and_grad). Gradients are analytic (no autodiff dependency)
-and are validated against central differences in the test suite. The same
-file also provides the Adam update and the policy checkpoint, which is stored
-in core's binary container, as predictor checkpoints and datasets are.
+training (loss_and_grad). Acting runs in float64; training and the Adam
+update run in the weights' dtype, TRAIN_DTYPE (float32) for the trainers'
+master weights. Gradients are analytic (no autodiff dependency) and are
+validated against central differences in the test suite, in float64. The
+same file also provides the policy checkpoint, which is stored in core's
+binary container, as predictor checkpoints and datasets are.
 """
 
 from __future__ import annotations
@@ -147,19 +149,22 @@ def loss_and_grad(model: VelocityModel, X: np.ndarray, T: np.ndarray, OBS: np.nd
     """Mean squared-L2 velocity error over a batch, with analytic gradients.
 
     loss = mean_b ||v_pred_b - v_target_b||^2. Gradient layout matches
-    model.params key for key. The rows [x | time_features(T) | obs] run
-    through _layer_pass, not forward, which only acting calls.
+    model.params key for key, and everything runs in the weights' dtype:
+    the rows [x | time_features(T) | obs] and V_target are cast to it once.
+    The rows run through _layer_pass, not forward, which only acting calls.
     """
     X, OBS = _check_dims(model, X, OBS)
+    dtype = model.params["w0"].dtype
     # observation features enter unscaled: the goal-position channels carry the
     # fine corrections near the target, and downweighting them measurably hurts
     # final-approach precision on the controller-mediated variant
-    inp = np.concatenate([X, time_features(np.asarray(T, dtype=np.float64)), OBS], axis=-1)
+    inp = np.concatenate([X, time_features(np.asarray(T, dtype=np.float64)), OBS], axis=-1,
+                         dtype=dtype)
     layers = _layers(model)
     acts = [inp]
     out = _layer_pass(inp, layers[:-1], layers[-1], acts)
     B = out.shape[0]
-    diff = out - np.asarray(V_target, dtype=np.float64)
+    diff = out - np.asarray(V_target, dtype=dtype)
     loss = float(np.sum(diff * diff)) / B
 
     grads: dict[str, np.ndarray] = {}
@@ -171,6 +176,15 @@ def loss_and_grad(model: VelocityModel, X: np.ndarray, T: np.ndarray, OBS: np.nd
         if i > 0:
             delta = (delta @ layers[i][0].T) * (1.0 - acts[i] * acts[i])
     return loss, grads
+
+
+# what both trainers keep their weights, gradients and Adam moments in
+TRAIN_DTYPE = np.float32
+
+
+def astype(arrays: dict[str, np.ndarray], dtype) -> dict[str, np.ndarray]:
+    """A copy of each array of a parameter dict, in dtype."""
+    return {k: a.astype(dtype) for k, a in arrays.items()}
 
 
 @dataclass
@@ -210,11 +224,13 @@ class AdamState:
 
 
 def _bind_flat(params: dict[str, np.ndarray], state: AdamState) -> _FlatAdam:
-    """Copy params, m and v into flat buffers and point every dict entry at
-    its view, so the dicts stay the source of truth after any update."""
+    """Copy params, m and v into flat buffers of the params' dtype and point
+    every dict entry at its view, so the dicts stay the source of truth after
+    any update."""
     keys = tuple(params)
     n = sum(params[k].size for k in keys)
-    p, m, v = np.empty(n), np.empty(n), np.empty(n)
+    dtype = np.result_type(*params.values())
+    p, m, v = np.empty(n, dtype), np.empty(n, dtype), np.empty(n, dtype)
     views = []
     off = 0
     for k in keys:
@@ -227,7 +243,8 @@ def _bind_flat(params: dict[str, np.ndarray], state: AdamState) -> _FlatAdam:
             triple.append(view)
         views.append(tuple(triple))
         off += size
-    return _FlatAdam(keys=keys, views=tuple(views), p=p, m=m, v=v, g=np.empty(n), tmp=np.empty(n))
+    return _FlatAdam(keys=keys, views=tuple(views), p=p, m=m, v=v, g=np.empty(n, dtype),
+                     tmp=np.empty(n, dtype))
 
 
 def _is_bound(flat: _FlatAdam | None, params: dict[str, np.ndarray], state: AdamState) -> bool:

@@ -30,21 +30,21 @@ from streampolicy.velocitynet import save_policy
 PINNED_STACK = "numpy 2.4.6, scipy-openblas 0.3.31.188.0"
 CTRL_DATASET_SHA256 = "9b0467c7a58c97e4b94798df77b38152089bec475353fe932d8b1f32b576ecb9"
 DIRECT_DATASET_SHA256 = "943766a3a8e8008a808df24de47b6464b99827413d4c33e3c960283d2c45e5fb"
-CTRL_POLICY_SHA256 = "3005e448e726b0c3e5341c7d42ea5c8edeaa0791dc633299d1b0253b988bd9cf"
-CTRL_PREDICTOR_SHA256 = "40cafa1747564fe08b769c3b08c462cd55010f6ebca0ff0715c26873ea4502e0"
+CTRL_POLICY_SHA256 = "01be65c80937c340ebbe6adbe6d14338dfb8be2f03c9793d39d520bd9c7f01bc"
+CTRL_PREDICTOR_SHA256 = "2e368ec1ff9e9b57ad922049b099e3012bed33cefba81c1f98aa1a4edd09edad"
 # (sha256, episodes, executed actions) of the grid, with ctrl_predictor
-GOLDEN_CTRL = ("50e1a4d7acfd5b8a1827b567cd889ba54416d754536e27c517b65c72c403b44e", 576, 13512)
-GOLDEN_DIRECT = ("b6edb1812bd8681c46706e8b197482152d8a0e92f37118c44ae95d9242772b5d", 576, 12972)
+GOLDEN_CTRL = ("408ae533bd0320119a2899e7df4a818de11f5678dece387885ce3596a2a76dca", 576, 13512)
+GOLDEN_DIRECT = ("130e7ad58392f77eeef5724e68f1e40c101f104e3b54b374e5368c80ecade69e", 576, 12972)
 # (sha256, episodes, events) of the grid's event logs at golden.WALL_PROFILE, with ctrl_predictor
 TIMELINE_CTRL = ("777273b4943f0f4b6613ee79e2bb8a6f86c76317a1a306b0d3055e66d7bd310f", 96, 8095)
 TIMELINE_DIRECT = ("94686677b0698195f49d7ab31aef34b178ae978dc89f00a6c5460688a72787f6", 96, 7785)
 # (sha256, episodes, actions) of the calibration trajectories behind the grid's thresholds
-CALIB_CTRL = ("2332671995b7c58f36bbe843f989b42b6c2bdc1e7ba1b0eb882ed9649d1894e0", 10, 315)
-CALIB_DIRECT = ("8e3e763f21d2d4565ce6b5f76c1811d1b09a285a9dec4eea53e52468af3c3909", 10, 286)
+CALIB_CTRL = ("0edce00b8707bb409419a4222b362b4be88a66d3fa970d21ed3eb3ed73ffe58e", 10, 315)
+CALIB_DIRECT = ("e849953143f30d780543cec197cca87e3bb75a050b0b2c25877639cd595afd05", 10, 286)
 # (sha256, scores) of ctrl_predictor's decision scores, both scored modes, n_eo 1 to 4
-SCORES_CTRL = ("f8f0eccf3b48dee10eb0afb5af6af5ef84aa1871d3434e2651a5a2cc52a7873e", 240)
-SCORES_DIRECT = ("0158e94b6f70feffb560f57b2b8775719cba31a2f7860cb8dff9b33caf23164b", 168)
-SCORES_DEMOS = ("b4204ebae8d15a23bd83e9690af42819e3733b7efa5fc046178a012caf854c2d", 19200)
+SCORES_CTRL = ("b143385dcf9c4b34fb6d9f8008acdb8558276aa8b2029991855160218c6caff7", 240)
+SCORES_DIRECT = ("7cf1f7a9bbbeb449715f7d1bcaa37cd967b4ae94727a19cc8194dc6387b128e1", 168)
+SCORES_DEMOS = ("983b690b47f5f3af532bce09ecd338f471a15c18417d9bcccb14a56c6ece4f6d", 19200)
 
 _spec = importlib.util.spec_from_file_location(
     "golden_digest", Path(__file__).resolve().parent.parent / "scripts" / "golden_digest.py")

@@ -289,3 +289,36 @@ def test_train_log_roundtrip(tmp_path, small_demos):
     it, loss, _ = lines[1].split(",")
     assert int(it) == log[0][0]
     assert float(loss) == log[0][1]
+
+
+def test_both_trainers_train_in_float32_and_return_float64(monkeypatch, small_demos):
+    """Every gradient and every flat Adam buffer of both trainers is float32,
+    and each rate is a Python float, which keeps the update in float32. The
+    returned weights are float64 holding exact float32 values, and the
+    predictor's frozen encoder keeps the bits init_predictor drew."""
+    from streampolicy import saliency, velocitynet
+
+    seen = []
+    real_step = velocitynet.adam_step
+
+    def capture(params, grads, state, lr=None):
+        real_step(params, grads, state, lr=lr)
+        flat = state.flat
+        seen.append(({g.dtype for g in grads.values()},
+                     {b.dtype for b in (flat.p, flat.m, flat.v, flat.g, flat.tmp)}, type(lr)))
+
+    monkeypatch.setattr(velocitynet, "adam_step", capture)
+    monkeypatch.setattr(saliency, "adam_step", capture)
+    policy, _, _ = train(small_demos, TrainConfig(**{**TINY, "iterations": 3}),
+                         alpha0_convention="zero")
+    pred_cfg = saliency.PredictorConfig(iterations=3, batch_size=16, seed=0)
+    predictor, _ = saliency.train_predictor(small_demos, pred_cfg)
+
+    f32 = np.dtype(np.float32)
+    assert seen == [({f32}, {f32}, float)] * 6
+    drawn = saliency.init_predictor(pred_cfg).params
+    for name, p in [*policy.model.params.items(), *predictor.trainable().items()]:
+        assert p.dtype == np.float64, name
+        assert p.astype(np.float32).astype(np.float64).tobytes() == p.tobytes(), name
+    for name in ("enc_w", "enc_b"):
+        assert predictor.params[name].tobytes() == drawn[name].tobytes(), name

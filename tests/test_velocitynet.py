@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,44 @@ def test_adam_step_rebinds_replaced_arrays(rng):
         assert state.m[k].tobytes() == ref_m[k].tobytes(), k
         assert state.v[k].tobytes() == ref_v[k].tobytes(), k
         assert np.shares_memory(params[k], state.flat.p)
+
+
+def _policy_loss(rng):
+    """The policy's loss_and_grad on one batch, as a function of the weights,
+    and its weights."""
+    model = _small_model()
+    X, T, OBS, V = _batch(rng, n=32)
+    return lambda params: loss_and_grad(replace(model, params=params), X, T, OBS, V), model.params
+
+
+def _predictor_loss(rng):
+    """The predictor's loss_and_grad on one batch, as a function of the
+    trainable weights, and those weights."""
+    pred = init_predictor(PredictorConfig(obs_dim=7, action_dim=2, embed_dim=8, hidden=12,
+                                          cond_hidden=6, iterations=1, seed=3))
+    E = rng.normal(size=(32, 8))
+    C = rng.normal(size=(32, pred.config.cond_dim))
+    target = rng.normal(size=(32, 8))
+    return (lambda params: predictor_loss_and_grad(replace(pred, params={**pred.params, **params}),
+                                                   E, C, target), pred.trainable())
+
+
+@pytest.mark.parametrize("make", [_policy_loss, _predictor_loss])
+def test_float32_gradients_match_float64(rng, make):
+    """On weights that float32 represents exactly, the float32 model computes
+    in float32 and its loss and gradients match the float64 model's: each
+    entry within rtol 1e-4, with an absolute floor of 1e-4 times its
+    tensor's largest float64 entry for entries that cancel to near zero."""
+    loss_of, params = make(rng)
+    f32 = {k: p.astype(np.float32) for k, p in params.items()}
+    loss64, grads64 = loss_of({k: p.astype(np.float64) for k, p in f32.items()})
+    loss32, grads32 = loss_of(f32)
+    assert loss32 == pytest.approx(loss64, rel=1e-4)
+    assert grads64.keys() == grads32.keys()
+    for k, g in grads64.items():
+        assert g.dtype == np.float64 and grads32[k].dtype == np.float32, k
+        np.testing.assert_allclose(grads32[k], g, rtol=1e-4, atol=1e-4 * np.abs(g).max(),
+                                   err_msg=k)
 
 
 def test_container_roundtrip(tmp_path):
