@@ -89,14 +89,15 @@ class PredictorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.iterations < 1 or self.batch_size < 1:
-            raise ValueError("iterations and batch_size must be positive")
+        for name in ("obs_dim", "action_dim", "embed_dim", "hidden", "cond_hidden", "n_eo_max",
+                     "iterations", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
-        if min(self.gap_choices) < 1:
-            raise ValueError("gaps must be at least 1")
-        if self.n_eo_max < 1:
-            raise ValueError("n_eo_max must be at least 1")
+        if not self.gap_choices or min(self.gap_choices) < 1:
+            raise ValueError(f"gap_choices must be one or more gaps of at least 1, "
+                             f"got {tuple(self.gap_choices)}")
 
     @property
     def cond_dim(self) -> int:
@@ -256,20 +257,23 @@ class _PairPool:
     The three bounds of a row's draws are read from lengths, n_gaps and gaps:
     trajectory i holds n_gaps[i] configured gaps shorter than lengths[i],
     listed in configuration order in gaps[i, :n_gaps[i]] (zero-padded after).
-    Trajectory i's frames start at offsets[i] in features; its actions start
-    at offsets[i] + i * n_eo_max in actions, each trajectory followed by
+    Trajectory i's frames start at offsets[i] in embeddings, which holds
+    embed(predictor, features) of every frame: the encoder is frozen, so
+    one pass per run serves every iteration. Its actions start at
+    offsets[i] + i * n_eo_max in actions, each trajectory followed by
     n_eo_max zero rows so a condition window never reads the next one.
     """
 
     lengths: np.ndarray         # (n_traj,) int64
     n_gaps: np.ndarray          # (n_traj,) int64, each >= 1
     gaps: np.ndarray            # (n_traj, len(gap_choices)) int64
-    features: np.ndarray        # (sum L, obs_dim)
+    embeddings: np.ndarray      # (sum L, embed_dim) float64
     actions: np.ndarray         # (sum (L + n_eo_max), D)
     offsets: np.ndarray
 
 
-def _prepare_pairs(trajectories: list[Trajectory], cfg: PredictorConfig) -> _PairPool:
+def _prepare_pairs(trajectories: list[Trajectory], predictor: Predictor) -> _PairPool:
+    cfg = predictor.config
     gmin = min(cfg.gap_choices)
     usable = [t for t in trajectories if len(t) > gmin]
     if not usable:
@@ -286,7 +290,7 @@ def _prepare_pairs(trajectories: list[Trajectory], cfg: PredictorConfig) -> _Pai
         lengths=lengths,
         n_gaps=n_gaps,
         gaps=gaps,
-        features=np.concatenate([t.features for t in usable]),
+        embeddings=embed(predictor, np.concatenate([t.features for t in usable])),
         actions=np.concatenate([part for t in usable for part in (t.actions, pad)]),
         offsets=np.concatenate([[0], np.cumsum(lengths)[:-1]]),
     )
@@ -322,7 +326,9 @@ def _scalar_draws(pool: _PairPool, B: int, rng: np.random.Generator):
 
 
 def _sample_pairs(pool: _PairPool, cfg: PredictorConfig, rng: np.random.Generator):
-    """Frame pairs (f, f+gap) with the actions executed in between.
+    """Frame pairs (f, f+gap) with the actions executed in between: returns
+    (E, target, cond), the embedding of frame f, the embedding change to
+    frame f+gap and the padded actions, one row per pair.
 
     Each row draws a trajectory, then a gap it can hold, then a start frame:
     three dependent draws in that order, defined as _scalar_draws' loop of
@@ -345,13 +351,13 @@ def _sample_pairs(pool: _PairPool, cfg: PredictorConfig, rng: np.random.Generato
         rng.bit_generator.state = saved
         traj, gap, f = _scalar_draws(pool, B, rng)
     rows = pool.offsets[traj] + f
-    early = pool.features[rows]
-    late = pool.features[rows + gap]
+    E = pool.embeddings[rows]
+    target = pool.embeddings[rows + gap] - E
     # pad_actions: the first min(gap, n_eo_max) actions from f, zeros after
     slots = np.arange(cfg.n_eo_max)
     window = pool.actions[(rows + traj * cfg.n_eo_max)[:, None] + slots]
     cond = np.where((slots < gap[:, None])[:, :, None], window, 0.0).reshape(B, cfg.cond_dim)
-    return early, late, cond
+    return E, target, cond
 
 
 def train_predictor(trajectories: list[Trajectory], cfg: PredictorConfig,
@@ -362,10 +368,11 @@ def train_predictor(trajectories: list[Trajectory], cfg: PredictorConfig,
     RNG streams keyed by the seed make runs reproducible. The trainable
     weights, drawn in float64, train in float32 and are returned cast back
     to float64, which is exact; the frozen encoder and the embedding stay
-    float64.
+    float64. Every frame is embedded once, before the first iteration
+    (_prepare_pairs).
     """
-    pool = _prepare_pairs(trajectories, cfg)
     predictor = init_predictor(cfg)
+    pool = _prepare_pairs(trajectories, predictor)
     trainable = astype(predictor.trainable(), TRAIN_DTYPE)
     adam = init_adam(trainable, lr=cfg.lr)
     predictor.params.update(trainable)  # the trained tensors are now Adam's flat views
@@ -373,9 +380,7 @@ def train_predictor(trajectories: list[Trajectory], cfg: PredictorConfig,
     t0 = time.perf_counter()
     for i in range(cfg.iterations):
         rng = make_rng(cfg.seed, STREAM_PREDICTOR, i)
-        early, late, cond = _sample_pairs(pool, cfg, rng)
-        E = embed(predictor, early)
-        target = embed(predictor, late) - E
+        E, target, cond = _sample_pairs(pool, cfg, rng)
         loss, grads = loss_and_grad(predictor, E, cond, target)
         if not np.isfinite(loss):
             raise FloatingPointError(f"predictor loss diverged at iteration {i}")

@@ -1,11 +1,20 @@
 """Training loop for the velocity network on demonstration windows.
 
-Each step samples h-action windows from the demos, seeds the window ledger
-with the precomputed action-space state at the window start (state alignment),
-perturbs a grid state with the flow marginal's noise, and regresses the
-network onto the reference velocity at that point. Disabling state alignment
-re-seeds every window ledger at zero, which reproduces the mismatch between
+Each step samples h-action windows from the demos, perturbs a point of each
+window's ledger with the flow marginal's noise, and regresses the network
+onto the reference velocity at that point. A window's ledger is its
+normalized state at the window start (state alignment) followed by the
+running sums of its normalized actions. Disabling state alignment re-seeds
+every window ledger at zero, which reproduces the mismatch between
 training-time and execution-time state distributions.
+
+What does not depend on the iteration is built once per run, after the
+normalization stats are fixed (_prepare): every training window's ledger,
+an (n_windows, h+1, D) float64 table of (h+1) * D * 8 bytes per window
+(176 bytes at h=10, D=2; about 3.7 MB over the 600 controller demos), and
+its observation row. Each iteration gathers B windows from it and reads the
+time features from Policy.time_table(), the acting table, built with h
+time_features calls.
 """
 
 from __future__ import annotations
@@ -52,8 +61,9 @@ class TrainConfig:
     log_every: int = 100
 
     def __post_init__(self):
-        if self.h < 1 or self.iterations < 0 or self.batch_size < 1:
-            raise ValueError("h, iterations, batch_size must be positive")
+        for name, least in (("h", 1), ("iterations", 0), ("batch_size", 1), ("log_every", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if any(w < 1 for w in self.hidden):
@@ -64,69 +74,69 @@ class TrainConfig:
 
 @dataclass
 class _Prepared:
-    """Usable episodes (at least h actions) stacked end to end.
+    """Every training window of the usable episodes (at least h actions),
+    episode by episode in start order: episode e's windows are rows
+    first[e] to first[e] + n_windows[e] - 1 of obs and ledgers.
 
-    Episode e's rows start at offsets[e] in obs and actions and at
-    offsets[e] + e in states, which carries one more row per episode.
+    A window's ledger row 0 is its normalized start state (zero without
+    state alignment) and row j its normalized state after j actions: the
+    left-to-right cumulative sum (add.accumulate) of the start state and
+    the window's normalized actions.
     """
 
-    obs: np.ndarray             # (sum L, obs_dim)
-    actions: np.ndarray         # (sum L, D)
-    states: np.ndarray          # (sum (L+1), D)
-    offsets: np.ndarray         # first row of each episode in obs/actions
+    obs: np.ndarray             # (total windows, obs_dim), the frame at each window start
+    ledgers: np.ndarray         # (total windows, h+1, D) float64
+    first: np.ndarray           # first window of each episode
     n_windows: np.ndarray       # windows per episode
 
 
-def _prepare(trajectories: list[Trajectory], h: int) -> _Prepared:
+def _prepare(trajectories: list[Trajectory], cfg: TrainConfig, stats: NormStats) -> _Prepared:
+    h = cfg.h
     usable = [t for t in trajectories if len(t) >= h]
     if not usable:
         raise ValueError(f"no episode has at least h={h} actions")
     lengths = np.array([len(t) for t in usable])
-    return _Prepared(
-        obs=np.concatenate([t.features for t in usable]),
-        actions=np.concatenate([t.actions for t in usable]),
-        states=np.concatenate([t.action_states for t in usable]),
-        offsets=np.concatenate([[0], np.cumsum(lengths)[:-1]]),
-        n_windows=lengths - h + 1,
-    )
+    n_windows = lengths - h + 1
+    first = np.concatenate([[0], np.cumsum(n_windows)[:-1]])
+    # window s of episode e starts s rows into e's actions; states carry one
+    # more row per episode, so its start state is e rows further on
+    eps = np.repeat(np.arange(len(usable)), n_windows)
+    s = np.arange(n_windows.sum()) - first[eps]
+    rows = np.concatenate([[0], np.cumsum(lengths)[:-1]])[eps] + s
+    actions = np.concatenate([t.actions for t in usable])
+    ledgers = np.empty((len(rows), h + 1, actions.shape[1]))
+    if cfg.use_state_alignment:
+        states = np.concatenate([t.action_states for t in usable])
+        ledgers[:, 0] = normkit.normalize(states[rows + eps], stats)
+    else:
+        ledgers[:, 0] = 0.0
+    ledgers[:, 1:] = normkit.normalize(actions[rows[:, None] + np.arange(h)], stats)
+    np.cumsum(ledgers, axis=1, out=ledgers)
+    return _Prepared(obs=np.concatenate([t.features for t in usable])[rows], ledgers=ledgers,
+                     first=first, n_windows=n_windows)
 
 
 def _sample_batch(prep: _Prepared, cfg: TrainConfig, rng: np.random.Generator):
     """B windows: an episode each, then a start within it (one draw per row,
-    in row order); returns (OBS, ALPHA, XI)."""
-    B, h = cfg.batch_size, cfg.h
-    eps = rng.integers(len(prep.n_windows), size=B)
-    s = rng.integers(prep.n_windows[eps])
-    rows = prep.offsets[eps] + s
-    OBS = prep.obs[rows]
-    if cfg.use_state_alignment:
-        ALPHA = prep.states[rows + eps]
-    else:
-        ALPHA = np.zeros((B, prep.states.shape[1]))
-    XI = prep.actions[rows[:, None] + np.arange(h)]
-    return OBS, ALPHA, XI
+    in row order); returns their (OBS, ledgers), (B, obs_dim) and (B, h+1, D)."""
+    eps = rng.integers(len(prep.n_windows), size=cfg.batch_size)
+    w = prep.first[eps] + rng.integers(prep.n_windows[eps])
+    return prep.obs[w], prep.ledgers[w]
 
 
-def training_step(model: VelocityModel, adam: AdamState, stats: NormStats,
-                  OBS: np.ndarray, ALPHA: np.ndarray, XI: np.ndarray,
-                  rng: np.random.Generator, *, flow: FlowParams, iteration: int = 0,
-                  lr: float | None = None, last_finite: float | None = None) -> float:
-    """One gradient step on a sampled batch; returns the batch loss.
+def training_step(model: VelocityModel, adam: AdamState, OBS: np.ndarray, W: np.ndarray,
+                  rng: np.random.Generator, *, flow: FlowParams, times: np.ndarray,
+                  iteration: int = 0, lr: float | None = None,
+                  last_finite: float | None = None) -> float:
+    """One gradient step on sampled windows' observations and ledgers W
+    (B, h+1, D); returns the batch loss.
 
-    flow holds the config's k, sigma0 and h, built once by the caller. Raises
+    flow holds the config's k, sigma0 and h, built once by the caller, and
+    times is Policy.time_table(): row T holds time_features(T / h). Raises
     TrainingDivergedError instead of silently carrying non-finite losses
     forward.
     """
     B, h = OBS.shape[0], flow.h
-    a0 = normkit.normalize(ALPHA, stats)
-    steps = normkit.normalize(XI, stats)
-
-    # window ledger, summed left to right (add.accumulate); W[:, 0] is alpha exactly
-    W = np.empty((B, h + 1, ALPHA.shape[1]))
-    W[:, 0] = a0
-    W[:, 1:] = steps
-    np.cumsum(W, axis=1, out=W)
-
     t = rng.random(B)                      # U[0, 1), so T <= h-1 always
     Tn = np.floor(t * h).astype(np.int64)
     t_node = Tn / float(h)
@@ -135,7 +145,7 @@ def training_step(model: VelocityModel, adam: AdamState, stats: NormStats,
     xi_dot = flowmatch.discrete_xi_dot(W, Tn, h)
     target = flowmatch.target_velocity(mean, xi_dot, x, flow.k)
 
-    loss, grads = velocitynet.loss_and_grad(model, x, t_node, OBS, target)
+    loss, grads = velocitynet.loss_and_grad(model, x, times[Tn], OBS, target)
     if not math.isfinite(loss):
         raise TrainingDivergedError(iteration, loss, last_finite)
     velocitynet.adam_step(model.params, grads, adam, lr=lr)
@@ -178,21 +188,20 @@ def train(trajectories: list[Trajectory], cfg: TrainConfig, *, alpha0_convention
     a checkpoint this code wrote, while a float64-trained checkpoint resumes
     from its weights and moments rounded to float32, once.
     """
-    prep = _prepare(trajectories, cfg.h)
     fp = FlowParams(k=cfg.k, sigma0=cfg.sigma0, h=cfg.h)
     if resume is None:
-        obs_dim = prep.obs.shape[1]
-        action_dim = prep.actions.shape[1]
-        drawn = velocitynet.init_velocity_model(
-            action_dim, obs_dim, cfg.hidden, rng=make_rng(cfg.seed, STREAM_MODEL_INIT))
-        policy = Policy(model=drawn, stats=normkit.fit_stats(trajectories), flow=fp,
-                        alpha0_convention=alpha0_convention)
+        stats = normkit.fit_stats(trajectories)  # raises on an empty list
+        dims = (trajectories[0].actions.shape[1], trajectories[0].features.shape[1])
+        drawn = velocitynet.init_velocity_model(*dims, cfg.hidden,
+                                                rng=make_rng(cfg.seed, STREAM_MODEL_INIT))
+        policy = Policy(model=drawn, stats=stats, flow=fp, alpha0_convention=alpha0_convention)
         start = 0
     else:
         # a resumed run keeps the normalization it was trained and is saved with
         policy, adam, start = resume
         _check_resume(policy, cfg)
-    stats = policy.stats
+    prep = _prepare(trajectories, cfg, policy.stats)
+    times = policy.time_table()
     model = replace(policy.model, params=velocitynet.astype(policy.model.params, TRAIN_DTYPE))
     if resume is None:
         adam = velocitynet.init_adam(model.params, cfg.lr)
@@ -204,9 +213,9 @@ def train(trajectories: list[Trajectory], cfg: TrainConfig, *, alpha0_convention
     last_finite: float | None = None
     for i in range(start, cfg.iterations):
         rng = make_rng(cfg.seed, STREAM_TRAIN, i)
-        OBS, ALPHA, XI = _sample_batch(prep, cfg, rng)
-        loss = training_step(model, adam, stats, OBS, ALPHA, XI, rng, flow=fp,
-                             iteration=i, lr=_lr_at(cfg, i), last_finite=last_finite)
+        OBS, W = _sample_batch(prep, cfg, rng)
+        loss = training_step(model, adam, OBS, W, rng, flow=fp, times=times, iteration=i,
+                             lr=_lr_at(cfg, i), last_finite=last_finite)
         last_finite = loss
         if i % cfg.log_every == 0 or i == cfg.iterations - 1:
             wall_ms = (time.perf_counter() - t0) * 1000.0

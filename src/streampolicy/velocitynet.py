@@ -145,21 +145,24 @@ def forward(inputs: Inputs) -> np.ndarray:
     return z if z.ndim == 1 else z[:, 0]
 
 
-def loss_and_grad(model: VelocityModel, X: np.ndarray, T: np.ndarray, OBS: np.ndarray, V_target: np.ndarray):
+def loss_and_grad(model: VelocityModel, X: np.ndarray, TF: np.ndarray, OBS: np.ndarray, V_target: np.ndarray):
     """Mean squared-L2 velocity error over a batch, with analytic gradients.
 
-    loss = mean_b ||v_pred_b - v_target_b||^2. Gradient layout matches
-    model.params key for key, and everything runs in the weights' dtype:
-    the rows [x | time_features(T) | obs] and V_target are cast to it once.
-    The rows run through _layer_pass, not forward, which only acting calls.
+    TF holds each row's time features, time_features(T) (the trainer
+    gathers them from Policy.time_table()). loss = mean_b ||v_pred_b -
+    v_target_b||^2. Gradient layout matches model.params key for key, and
+    everything runs in the weights' dtype: the rows [x | TF | obs] and
+    V_target are cast to it once. The rows run through _layer_pass, not
+    forward, which only acting calls.
     """
     X, OBS = _check_dims(model, X, OBS)
+    if np.shape(TF)[-1] != TIME_DIM:
+        raise DimensionMismatchError(f"time feature dim {np.shape(TF)[-1]} != {TIME_DIM}")
     dtype = model.params["w0"].dtype
     # observation features enter unscaled: the goal-position channels carry the
     # fine corrections near the target, and downweighting them measurably hurts
     # final-approach precision on the controller-mediated variant
-    inp = np.concatenate([X, time_features(np.asarray(T, dtype=np.float64)), OBS], axis=-1,
-                         dtype=dtype)
+    inp = np.concatenate([X, TF, OBS], axis=-1, dtype=dtype)
     layers = _layers(model)
     acts = [inp]
     out = _layer_pass(inp, layers[:-1], layers[-1], acts)
@@ -329,7 +332,9 @@ class Policy:
         return normkit.normalize(raw, self.stats)
 
     def time_table(self) -> np.ndarray:
-        """Row T is time_features(T / h), the only times a horizon visits.
+        """Row T is time_features(T / h), the only times a horizon visits:
+        action T reads it, and training gathers the rows of its sampled
+        grid times.
 
         Built one row at a time through time_features, so every row is the
         one a per-call computation gives, bit for bit.

@@ -1,4 +1,4 @@
-"""Shared fixtures. The trained-policy fixtures are expensive (about 11 s each,
+"""Shared fixtures. The trained-policy fixtures are expensive (about 9 s each,
 the predictor about 1.3 s, on a 2-CPU x86-64 host with OpenBLAS at one thread)
 and session-scoped; everything that needs a competent policy shares them. Seeds
 are frozen so every run trains byte-identical models.
@@ -33,6 +33,10 @@ DIRECT = EnvKind(variant=KIND_DIRECT)
 # iteration budget while reaching full success on both env variants
 RECIPE = TrainConfig(iterations=16000, batch_size=128, lr=2e-3,
                      lr_schedule="cosine", seed=0, hidden=(128, 128))
+# RECIPE with every window ledger seeded at zero: the alignment ablation
+MISALIGNED = TrainConfig(iterations=RECIPE.iterations, batch_size=RECIPE.batch_size,
+                         lr=RECIPE.lr, lr_schedule=RECIPE.lr_schedule, seed=RECIPE.seed,
+                         hidden=RECIPE.hidden, use_state_alignment=False)
 DEMO_COUNT = 600
 DEMO_SEED = 11
 
@@ -108,14 +112,17 @@ def direct_policy(direct_demos):
 
 
 @pytest.fixture(scope="session")
-def misaligned_policy(ctrl_demos):
+def misaligned_training(ctrl_demos):
     """Identical budget and seeds, but training windows seed their ledgers at
-    zero instead of the precomputed prefix sums."""
-    cfg = TrainConfig(iterations=RECIPE.iterations, batch_size=RECIPE.batch_size,
-                      lr=RECIPE.lr, lr_schedule=RECIPE.lr_schedule, seed=RECIPE.seed,
-                      hidden=RECIPE.hidden, use_state_alignment=False)
-    policy, _, _ = train(ctrl_demos, cfg, alpha0_convention="zero")
-    return policy
+    zero instead of the precomputed prefix sums; with the final Adam state,
+    which its checkpoint pin saves."""
+    policy, adam, _ = train(ctrl_demos, MISALIGNED, alpha0_convention="zero")
+    return policy, adam
+
+
+@pytest.fixture(scope="session")
+def misaligned_policy(misaligned_training):
+    return misaligned_training[0]
 
 
 @pytest.fixture(scope="session")

@@ -164,8 +164,9 @@ def test_05_gradient_checks():
     T = rng.uniform(0, 1, size=6)
     OBS = rng.normal(size=(6, 7))
     V = rng.normal(size=(6, 2))
-    _, grads = velocitynet.loss_and_grad(model, X, T, OBS, V)
-    err = _max_grad_error(lambda: velocitynet.loss_and_grad(model, X, T, OBS, V)[0],
+    TF = velocitynet.time_features(T)
+    _, grads = velocitynet.loss_and_grad(model, X, TF, OBS, V)
+    err = _max_grad_error(lambda: velocitynet.loss_and_grad(model, X, TF, OBS, V)[0],
                           model.params, grads)
     assert err < 1e-4, err
 

@@ -36,7 +36,10 @@ def test_wrap_layers_installs_on_the_package_and_restores():
         wrapped = {key for key, fn in during.items() if fn is not before[key]}
         assert ("streampolicy.flowmatch", "discrete_xi_dot") in wrapped
         assert ("streampolicy.flowmatch", "cfm_residual") in wrapped
-        assert ("streampolicy.trainer", "training_step") in wrapped
+        for module, name in (("trainer", "_sample_batch"), ("trainer", "training_step"),
+                             ("velocitynet", "time_features"), ("velocitynet", "loss_and_grad"),
+                             ("saliency", "_sample_pairs"), ("saliency", "loss_and_grad")):
+            assert (f"streampolicy.{module}", name) in wrapped, name
         assert ("streampolicy.streamexec", "run_episode") in wrapped
         assert ("streampolicy.metrics", "measure") in wrapped
         assert ("streampolicy.saliency", "decision_scores") in wrapped
@@ -69,3 +72,24 @@ def test_train_gate_reads_trajectories_through_the_observations_view(small_demos
     assert same(small_demos, loaded) is True
     loaded[3].features[5, 2] += 0.5
     assert same(small_demos, loaded) is False
+
+
+class _CountingContext:
+    def __init__(self):
+        self.counts = {}
+
+    def count(self, name, n=1):
+        self.counts[name] = self.counts.get(name, 0) + n
+
+
+def test_train_workload_counts_windows_through_sample_batch(small_demos, monkeypatch):
+    """wl_train._counting wraps trainer._sample_batch(prep, cfg, rng) and
+    counts the rows of its first output as windows: a short training with
+    the wrapper installed counts batch_size windows per iteration."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    ctx = _CountingContext()
+    monkeypatch.setattr(trainer, "_sample_batch", _load("wl_train")._counting(
+        ctx, trainer._sample_batch))
+    cfg = trainer.TrainConfig(iterations=3, batch_size=24, hidden=(8, 8))
+    trainer.train(small_demos, cfg, alpha0_convention="zero")
+    assert ctx.counts == {"trainer.iterations": 3, "trainer.windows": 3 * 24}

@@ -1,7 +1,8 @@
 """Bitwise pins on the fixture demos and networks: the sha256 of both
-variants' demo datasets and of ctrl_policy and ctrl_predictor saved as
-scripts/checkpoint_digest.py saves them, scripts/golden_digest.py's grid,
-timeline and calibration digests on each env variant, and its score digest
+variants' demo datasets, of ctrl_policy and ctrl_predictor saved as
+scripts/checkpoint_digest.py saves them and of misaligned_policy (the
+unaligned-ledger path) saved as ctrl_policy is, scripts/golden_digest.py's
+grid, timeline and calibration digests on each env variant, and its score digest
 of ctrl_predictor's decision scores on both calibration sets and ctrl_demos.
 The calibration digest moves on any change to a calibration rollout and the
 score digest on a one-ulp change to any score; the grid digest sees either
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import CTRL, DEMO_SEED, DIRECT, RECIPE
+from conftest import CTRL, DEMO_SEED, DIRECT, MISALIGNED, RECIPE
 from streampolicy.core import save_dataset
 from streampolicy.envsim import env_metadata
 from streampolicy.saliency import save_predictor
@@ -32,6 +33,8 @@ CTRL_DATASET_SHA256 = "9b0467c7a58c97e4b94798df77b38152089bec475353fe932d8b1f32b
 DIRECT_DATASET_SHA256 = "943766a3a8e8008a808df24de47b6464b99827413d4c33e3c960283d2c45e5fb"
 CTRL_POLICY_SHA256 = "01be65c80937c340ebbe6adbe6d14338dfb8be2f03c9793d39d520bd9c7f01bc"
 CTRL_PREDICTOR_SHA256 = "2e368ec1ff9e9b57ad922049b099e3012bed33cefba81c1f98aa1a4edd09edad"
+# saved with its Adam state and iteration count, as ctrl_policy is
+MISALIGNED_POLICY_SHA256 = "5be746348e85d570b1daf45172fc98854018c806bb8a6cfaee7d4a8fc8534193"
 # (sha256, episodes, executed actions) of the grid, with ctrl_predictor
 GOLDEN_CTRL = ("408ae533bd0320119a2899e7df4a818de11f5678dece387885ce3596a2a76dca", 576, 13512)
 GOLDEN_DIRECT = ("130e7ad58392f77eeef5724e68f1e40c101f104e3b54b374e5368c80ecade69e", 576, 12972)
@@ -82,6 +85,16 @@ def test_fixture_checkpoints_are_pinned(ctrl_training, ctrl_predictor, tmp_path)
     for name, pinned in (("policy", CTRL_POLICY_SHA256), ("predictor", CTRL_PREDICTOR_SHA256)):
         digest = hashlib.sha256((tmp_path / f"{name}.ckpt").read_bytes()).hexdigest()
         _check_pin(f"ctrl_{name} sha256", digest, pinned)
+
+
+def test_misaligned_checkpoint_is_pinned(misaligned_training, tmp_path):
+    """The alignment ablation's weights and Adam state: every training window
+    ledger seeded at zero instead of its start state."""
+    policy, adam = misaligned_training
+    path = tmp_path / "misaligned.ckpt"
+    save_policy(path, policy, adam=adam, iteration=MISALIGNED.iterations)
+    _check_pin("misaligned_policy sha256", hashlib.sha256(path.read_bytes()).hexdigest(),
+               MISALIGNED_POLICY_SHA256)
 
 
 def test_golden_grid_is_pinned(ctrl_policy, direct_policy, ctrl_predictor):

@@ -29,6 +29,20 @@ def test_predictor_config_rejects_a_learning_rate_that_trains_nothing(lr):
         PredictorConfig(lr=lr)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("obs_dim", 0), ("action_dim", 0), ("embed_dim", 0), ("hidden", 0), ("cond_hidden", -1),
+    ("n_eo_max", 0), ("iterations", 0), ("batch_size", 0)])
+def test_predictor_config_rejects_a_size_below_one_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be at least 1, got {value}$"):
+        PredictorConfig(**{field: value})
+
+
+@pytest.mark.parametrize("gaps", [(), (0, 2), (1, -1)])
+def test_predictor_config_rejects_gap_choices_naming_the_field(gaps):
+    with pytest.raises(ValueError, match="^gap_choices must be one or more gaps of at least 1"):
+        PredictorConfig(gap_choices=gaps)
+
+
 @pytest.mark.parametrize("mode", ["action_norm", "adaptive"])
 def test_indicator_rejects_a_nan_eta(mode):
     """score <= nan is never true, so a nan threshold would hold on every
@@ -81,23 +95,33 @@ def test_pad_actions_shapes():
     assert np.array_equal(crowded, np.arange(float(cfg.cond_dim)))
 
 
-def _reference_sample_pairs(trajectories, cfg, rng):
-    """The per-row loop that _sample_pairs replaces with gathers."""
-    usable = [t for t in trajectories if len(t) > min(cfg.gap_choices)]
+def _reference_frames(trajectories, predictor):
+    """The usable trajectories and every usable frame's embedding, stacked
+    trajectory by trajectory, with each trajectory's first row."""
+    usable = [t for t in trajectories if len(t) > min(predictor.config.gap_choices)]
+    table = embed(predictor, np.concatenate([t.features for t in usable]))
+    return usable, table, np.cumsum([0] + [len(t) for t in usable])
+
+
+def _reference_sample_pairs(frames, cfg, rng):
+    """The per-row loop that _sample_pairs replaces with gathers, reading each
+    pair's embeddings from _reference_frames' table."""
+    usable, table, first = frames
     B = cfg.batch_size
-    early = np.empty((B, cfg.obs_dim))
-    late = np.empty((B, cfg.obs_dim))
+    E = np.empty((B, cfg.embed_dim))
+    target = np.empty((B, cfg.embed_dim))
     cond = np.empty((B, cfg.cond_dim))
     gaps = np.asarray(cfg.gap_choices)
     for b in range(B):
-        traj = usable[int(rng.integers(len(usable)))]
+        i = int(rng.integers(len(usable)))
+        traj = usable[i]
         feasible = gaps[gaps < len(traj)]
         gap = int(feasible[int(rng.integers(len(feasible)))])
         f = int(rng.integers(len(traj) - gap))
-        early[b] = traj.features[f]
-        late[b] = traj.features[f + gap]
+        E[b] = table[first[i] + f]
+        target[b] = table[first[i] + f + gap] - E[b]
         cond[b] = pad_actions(traj.actions[f : f + gap], cfg)
-    return early, late, cond
+    return E, target, cond
 
 
 def _rng_state(rng):
@@ -106,9 +130,9 @@ def _rng_state(rng):
             s["buffer_pos"], s["has_uint32"], s["uinteger"])
 
 
-def _assert_same_pairs(pool, trajectories, cfg, rng, ref_rng, label):
+def _assert_same_pairs(pool, frames, cfg, rng, ref_rng, label):
     got = _sample_pairs(pool, cfg, rng)
-    want = _reference_sample_pairs(trajectories, cfg, ref_rng)
+    want = _reference_sample_pairs(frames, cfg, ref_rng)
     for g, w in zip(got, want):
         assert g.shape == w.shape and g.dtype == w.dtype
         assert g.tobytes() == w.tobytes(), label
@@ -133,11 +157,12 @@ def test_sample_pairs_block_draw_matches_scalar_draws(small_demos, scalar_calls)
     """Every bound is at least 2 on full-length demos, so each batch comes from
     the one block of raw words: the same pairs and the same generator end
     state as the scalar loop, over 2000 streams."""
-    cfg = PredictorConfig()
-    pool = _prepare_pairs(small_demos, cfg)
+    predictor = init_predictor(PredictorConfig())
+    pool = _prepare_pairs(small_demos, predictor)
+    frames = _reference_frames(small_demos, predictor)
     n = 2000
     for i in range(n):
-        _assert_same_pairs(pool, small_demos, cfg, make_rng(9, STREAM_PREDICTOR, i),
+        _assert_same_pairs(pool, frames, predictor.config, make_rng(9, STREAM_PREDICTOR, i),
                            make_rng(9, STREAM_PREDICTOR, i), i)
     assert not scalar_calls
 
@@ -152,10 +177,12 @@ def test_sample_pairs_matches_reference_loop(ragged_demos, scalar_calls, gaps, n
     assert any(min(gaps) < len(t) <= max(gaps) for t in ragged_demos)
     n = 150
     for batch in (48, 8):
-        cfg = PredictorConfig(gap_choices=gaps, n_eo_max=n_eo_max, batch_size=batch)
-        pool = _prepare_pairs(ragged_demos, cfg)
+        predictor = init_predictor(PredictorConfig(gap_choices=gaps, n_eo_max=n_eo_max,
+                                                   batch_size=batch))
+        pool = _prepare_pairs(ragged_demos, predictor)
+        frames = _reference_frames(ragged_demos, predictor)
         for i in range(n):
-            _assert_same_pairs(pool, ragged_demos, cfg, make_rng(9, STREAM_PREDICTOR, i),
+            _assert_same_pairs(pool, frames, predictor.config, make_rng(9, STREAM_PREDICTOR, i),
                                make_rng(9, STREAM_PREDICTOR, i), (batch, i))
     assert 0 < len(scalar_calls) < 2 * n
 
@@ -163,19 +190,42 @@ def test_sample_pairs_matches_reference_loop(ragged_demos, scalar_calls, gaps, n
 def test_sample_pairs_falls_back_on_a_rejected_word(small_demos, scalar_calls):
     """A raw word of 0 is rejected for any bound that is not a power of two
     (40 trajectories here): numpy draws again, and so must _sample_pairs."""
-    cfg = PredictorConfig()
-    pool = _prepare_pairs(small_demos, cfg)
+    predictor = init_predictor(PredictorConfig())
+    pool = _prepare_pairs(small_demos, predictor)
     rngs = [make_rng(3, 5, 7), make_rng(3, 5, 7)]
     for r in rngs:
         state = r.bit_generator.state
         r.bit_generator.state = {**state, "has_uint32": 1, "uinteger": 0}
-    _assert_same_pairs(pool, small_demos, cfg, *rngs, "forced rejection")
+    _assert_same_pairs(pool, _reference_frames(small_demos, predictor), predictor.config, *rngs,
+                       "forced rejection")
     assert len(scalar_calls) == 1
 
 
 def test_sample_pairs_needs_a_long_enough_trajectory(ragged_demos):
     with pytest.raises(ValueError):
-        _prepare_pairs([t for t in ragged_demos if len(t) <= 2], PredictorConfig(gap_choices=(2, 3)))
+        _prepare_pairs([t for t in ragged_demos if len(t) <= 2],
+                       init_predictor(PredictorConfig(gap_choices=(2, 3))))
+
+
+def test_pair_pool_embeds_every_frame_once(monkeypatch, ragged_demos):
+    """The pool holds each usable frame's embedding, computed once per run:
+    train_predictor calls embed only to build it, whatever the iteration
+    count, and the rows agree with embedding each trajectory's frames alone."""
+    predictor = init_predictor(PredictorConfig(gap_choices=(2, 3)))
+    pool = _prepare_pairs(ragged_demos, predictor)
+    usable = [t for t in ragged_demos if len(t) > 2]
+    assert pool.embeddings.shape == (sum(len(t) for t in usable), predictor.config.embed_dim)
+    for t, start in zip(usable, pool.offsets):
+        np.testing.assert_allclose(pool.embeddings[start:start + len(t)],
+                                   embed(predictor, t.features), rtol=1e-13, atol=1e-15)
+
+    calls = []
+    real_embed = saliency.embed
+    monkeypatch.setattr(saliency, "embed", lambda *args: calls.append(1) or real_embed(*args))
+    for iterations in (1, 20):
+        calls.clear()
+        saliency.train_predictor(ragged_demos, PredictorConfig(iterations=iterations, batch_size=8))
+        assert len(calls) == 1, iterations
 
 
 @settings(max_examples=80, deadline=None)

@@ -25,6 +25,14 @@ def test_config_rejects_a_learning_rate_that_trains_nothing(lr):
         TrainConfig(lr=lr)
 
 
+@pytest.mark.parametrize("field, value, least", [
+    ("h", 0, 1), ("iterations", -1, 0), ("batch_size", 0, 1), ("log_every", 0, 1)])
+def test_config_rejects_a_count_below_its_least_naming_the_field(field, value, least):
+    with pytest.raises(ValueError, match=f"^{field} must be at least {least}, got {value}$"):
+        TrainConfig(**{field: value})
+    TrainConfig(**{field: least})
+
+
 @pytest.mark.parametrize("hidden", [(0,), (16, -3), (128, 0, 128)])
 def test_config_rejects_a_hidden_width_below_one(hidden):
     with pytest.raises(ValueError, match="hidden widths must be at least 1"):
@@ -32,7 +40,8 @@ def test_config_rejects_a_hidden_width_below_one(hidden):
 
 
 def _reference_sample_batch(trajectories, cfg, rng):
-    """The per-episode, per-row sampling loop that _sample_batch vectorizes."""
+    """The per-episode, per-row sampling loop that _sample_batch vectorizes:
+    each window's observation, start state and actions."""
     usable = [t for t in trajectories if len(t) >= cfg.h]
     obs = [t.features for t in usable]
     n_windows = np.asarray([len(t) - cfg.h + 1 for t in usable])
@@ -51,53 +60,95 @@ def _reference_sample_batch(trajectories, cfg, rng):
     return OBS, ALPHA, XI
 
 
+def _ledgers(ALPHA, XI, stats):
+    """Window ledgers as training once built them per batch: the normalized
+    start state, then the running sums of the normalized actions."""
+    return np.cumsum(np.concatenate([normkit.normalize(ALPHA, stats)[:, None],
+                                     normkit.normalize(XI, stats)], axis=1), axis=1)
+
+
 @pytest.mark.parametrize("aligned", [True, False])
 def test_sample_batch_matches_reference_loop(ragged_demos, aligned):
-    """Bitwise the same windows as the scalar loop, from the same streams,
-    on a dataset where some episodes are shorter than h."""
+    """Bitwise the same observations, and the same ledgers as normalizing
+    and summing the scalar loop's windows, from the same streams, on a
+    dataset where some episodes are shorter than h."""
     cfg = TrainConfig(batch_size=48, use_state_alignment=aligned)
     assert any(len(t) < cfg.h for t in ragged_demos)
-    prep = _prepare(ragged_demos, cfg.h)
+    stats = normkit.fit_stats(ragged_demos)
+    prep = _prepare(ragged_demos, cfg, stats)
     for i in range(200):
         got = _sample_batch(prep, cfg, make_rng(5, STREAM_TRAIN, i))
-        want = _reference_sample_batch(ragged_demos, cfg, make_rng(5, STREAM_TRAIN, i))
-        for g, w in zip(got, want):
+        OBS, ALPHA, XI = _reference_sample_batch(ragged_demos, cfg, make_rng(5, STREAM_TRAIN, i))
+        for g, w in zip(got, (OBS, _ledgers(ALPHA, XI, stats))):
             assert g.shape == w.shape and g.dtype == w.dtype
             assert g.tobytes() == w.tobytes(), i
 
 
 def test_sampled_window_alignment(ragged_demos, rng):
-    """Each window's starting ledger value must be its episode's prefix sum
-    at the window start, not a fresh zero, next to that frame's observation."""
+    """Each window's ledger must start at the normalized prefix sum of its
+    episode's actions at the window start, not a fresh zero, next to that
+    frame's observation, and go on with the normalized actions' running sums."""
     cfg = TrainConfig(batch_size=64)
     h = cfg.h
+    stats = normkit.fit_stats(ragged_demos)
     sources = {}
     for t in ragged_demos:
+        prefix = np.cumsum(np.concatenate([t.action_states[:1], t.actions]), axis=0)
         for s in range(len(t) - h + 1):
-            sources.setdefault(t.actions[s:s + h].tobytes(), []).append((t, s))
-    OBS, ALPHA, XI = _sample_batch(_prepare(ragged_demos, h), cfg, rng)
-    assert XI.shape == (64, h, 2)
+            ledger = _ledgers(prefix[s][None], t.actions[None, s:s + h], stats)[0]
+            sources.setdefault(ledger.tobytes(), []).append((t, s, prefix[s]))
+    OBS, W = _sample_batch(_prepare(ragged_demos, cfg, stats), cfg, rng)
+    assert W.shape == (64, h + 1, 2)
     for b in range(cfg.batch_size):
-        assert any(np.array_equal(t.action_states[s], ALPHA[b])
+        assert any(normkit.normalize(start, stats).tobytes() == W[b, 0].tobytes()
                    and np.array_equal(t.features[s], OBS[b])
-                   for t, s in sources.get(XI[b].tobytes(), [])), \
+                   for t, s, start in sources.get(W[b].tobytes(), [])), \
             "window does not align with any episode's ledger"
-    assert np.any(ALPHA != 0.0)
+    assert np.any(W[:, 0] != 0.0)
 
 
 def test_sampled_window_misaligned_is_zero(small_demos, rng):
     cfg = TrainConfig(batch_size=64, use_state_alignment=False)
-    _, ALPHA, _ = _sample_batch(_prepare(small_demos, cfg.h), cfg, rng)
-    assert ALPHA.shape == (64, 2)
-    assert np.array_equal(ALPHA, np.zeros_like(ALPHA))
+    stats = normkit.fit_stats(small_demos)
+    _, W = _sample_batch(_prepare(small_demos, cfg, stats), cfg, rng)
+    assert W.shape == (64, cfg.h + 1, 2)
+    assert np.array_equal(W[:, 0], np.zeros((64, 2)))
+    assert np.any(W[:, 1:] != 0.0)
 
 
 def test_sample_skips_short_episodes(small_demos):
     longest = max(len(t) for t in small_demos)
+    stats = normkit.fit_stats(small_demos)
     with pytest.raises(ValueError):
-        _prepare(small_demos, longest + 1)
-    prep = _prepare(small_demos, longest)
+        _prepare(small_demos, TrainConfig(h=longest + 1), stats)
+    prep = _prepare(small_demos, TrainConfig(h=longest), stats)
     assert len(prep.n_windows) == sum(len(t) == longest for t in small_demos)
+    assert prep.ledgers.shape == (len(prep.n_windows), longest + 1, 2)
+
+
+@pytest.mark.parametrize("aligned", [True, False])
+def test_train_builds_its_tables_once(monkeypatch, small_demos, aligned):
+    """train calls time_features only to build the time table, h times, and
+    normalizes only to build the ledger table, whatever the iteration count."""
+    from streampolicy import velocitynet
+
+    calls = {}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(velocitynet, "time_features")
+    counted(normkit, "normalize")
+    for iterations in (0, 1, 30):
+        calls.clear()
+        cfg = TrainConfig(**{**TINY, "iterations": iterations, "use_state_alignment": aligned})
+        train(small_demos, cfg, alpha0_convention="zero")
+        assert calls == {"time_features": cfg.h, "normalize": 2 if aligned else 1}, iterations
 
 
 def test_loss_decreases(small_demos):
@@ -177,8 +228,9 @@ def test_resume_rejects_a_config_the_checkpoint_was_not_trained_with(small_demos
 
 
 def test_resume_trains_with_the_checkpoint_stats(monkeypatch, small_demos):
-    """Resuming on other demonstrations keeps the loaded normalization: every
-    resumed step normalizes with the stats the returned policy carries."""
+    """Resuming on other demonstrations keeps the loaded normalization: the
+    one ledger table every resumed step reads is normalized with the stats
+    the returned policy carries."""
     from streampolicy import envsim, trainer
 
     cfg = TrainConfig(**{**TINY, "iterations": 20})
@@ -188,35 +240,34 @@ def test_resume_trains_with_the_checkpoint_stats(monkeypatch, small_demos):
     assert not np.array_equal(normkit.fit_stats(other).scale, loaded_stats.scale)
 
     seen = []
-    step = trainer.training_step
+    prepare = trainer._prepare
 
-    def recording_step(model, adam, stats, *args, **kwargs):
+    def recording_prepare(trajectories, cfg, stats):
         seen.append(stats)
-        return step(model, adam, stats, *args, **kwargs)
+        return prepare(trajectories, cfg, stats)
 
-    monkeypatch.setattr(trainer, "training_step", recording_step)
+    monkeypatch.setattr(trainer, "_prepare", recording_prepare)
     resumed, _, _ = train(other, TrainConfig(**{**TINY, "iterations": 40}),
                           alpha0_convention="zero", resume=(policy, adam, 20))
-    assert len(seen) == 20
     assert resumed.stats is loaded_stats
-    assert all(s is resumed.stats for s in seen)
+    assert len(seen) == 1 and seen[0] is resumed.stats
 
 
 def test_training_step_flow_math_matches_inline_formulas(monkeypatch, small_demos):
     """training_step samples and regresses through flowmatch, once each per
-    step, and hands the network the x, t and target of the formulas written
-    out here, bit for bit."""
+    step, and hands the network the x, time features and target of the
+    formulas written out here, bit for bit: the rows gathered from the time
+    table are time_features of the batch's times."""
     from streampolicy import flowmatch, trainer, velocitynet
     from streampolicy.flowmatch import FlowParams
 
     cfg = TrainConfig(**{**TINY, "iterations": 0})
     policy, adam, _ = train(small_demos, cfg, alpha0_convention="zero")
-    OBS, ALPHA, XI = _sample_batch(_prepare(small_demos, cfg.h), cfg, make_rng(0, STREAM_TRAIN, 5))
+    OBS, W = _sample_batch(_prepare(small_demos, cfg, policy.stats), cfg,
+                           make_rng(0, STREAM_TRAIN, 5))
 
     rng = make_rng(1, 2)
     B, h = OBS.shape[0], cfg.h
-    W = np.cumsum(np.concatenate([normkit.normalize(ALPHA, policy.stats)[:, None],
-                                  normkit.normalize(XI, policy.stats)], axis=1), axis=1)
     t = rng.random(B)
     Tn = np.floor(t * h).astype(np.int64)
     t_node = Tn / float(h)
@@ -228,9 +279,9 @@ def test_training_step_flow_math_matches_inline_formulas(monkeypatch, small_demo
     seen, calls = {}, []
     real_loss_and_grad = velocitynet.loss_and_grad
 
-    def capture(model, X, T, obs, V_target):
-        seen.update(x=X, t=T, target=V_target)
-        return real_loss_and_grad(model, X, T, obs, V_target)
+    def capture(model, X, TF, obs, V_target):
+        seen.update(x=X, tf=TF, target=V_target)
+        return real_loss_and_grad(model, X, TF, obs, V_target)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -241,11 +292,12 @@ def test_training_step_flow_math_matches_inline_formulas(monkeypatch, small_demo
     monkeypatch.setattr(velocitynet, "loss_and_grad", capture)
     for name in ("marginal_sample", "discrete_xi_dot", "target_velocity"):
         monkeypatch.setattr(flowmatch, name, counted(name, getattr(flowmatch, name)))
-    trainer.training_step(policy.model, adam, policy.stats, OBS, ALPHA, XI, make_rng(1, 2),
-                          flow=FlowParams(k=cfg.k, sigma0=cfg.sigma0, h=cfg.h))
+    trainer.training_step(policy.model, adam, OBS, W, make_rng(1, 2),
+                          flow=FlowParams(k=cfg.k, sigma0=cfg.sigma0, h=cfg.h),
+                          times=policy.time_table())
     assert calls == ["marginal_sample", "discrete_xi_dot", "target_velocity"]
     assert seen["x"].tobytes() == x.tobytes()
-    assert seen["t"].tobytes() == t_node.tobytes()
+    assert seen["tf"].tobytes() == velocitynet.time_features(t_node).tobytes()
     assert seen["target"].tobytes() == target.tobytes()
 
 
@@ -258,14 +310,16 @@ def test_training_step_does_not_call_forward(monkeypatch, small_demos):
 
     cfg = TrainConfig(**{**TINY, "iterations": 0})
     policy, adam, _ = train(small_demos, cfg, alpha0_convention="zero")
-    OBS, ALPHA, XI = _sample_batch(_prepare(small_demos, cfg.h), cfg, make_rng(0, STREAM_TRAIN, 5))
+    OBS, W = _sample_batch(_prepare(small_demos, cfg, policy.stats), cfg,
+                           make_rng(0, STREAM_TRAIN, 5))
 
     def refuse(inputs):
         raise AssertionError("training called velocitynet.forward")
 
     monkeypatch.setattr(velocitynet, "forward", refuse)
-    loss = trainer.training_step(policy.model, adam, policy.stats, OBS, ALPHA, XI, make_rng(1, 2),
-                                 flow=FlowParams(k=cfg.k, sigma0=cfg.sigma0, h=cfg.h))
+    loss = trainer.training_step(policy.model, adam, OBS, W, make_rng(1, 2),
+                                 flow=FlowParams(k=cfg.k, sigma0=cfg.sigma0, h=cfg.h),
+                                 times=policy.time_table())
     assert np.isfinite(loss)
 
 

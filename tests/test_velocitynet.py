@@ -31,7 +31,7 @@ def test_gradient_matches_central_differences(rng):
     parameter tensor, a handful of entries each."""
     model = _small_model()
     X, T, OBS, V = _batch(rng)
-    _, grads = loss_and_grad(model, X, T, OBS, V)
+    _, grads = loss_and_grad(model, X, time_features(T), OBS, V)
     eps = 1e-6
     worst = 0.0
     for name, g in grads.items():
@@ -40,14 +40,23 @@ def test_gradient_matches_central_differences(rng):
         for idx in range(0, flat.size, max(1, flat.size // 7)):
             orig = flat[idx]
             flat[idx] = orig + eps
-            lp, _ = loss_and_grad(model, X, T, OBS, V)
+            lp, _ = loss_and_grad(model, X, time_features(T), OBS, V)
             flat[idx] = orig - eps
-            lm, _ = loss_and_grad(model, X, T, OBS, V)
+            lm, _ = loss_and_grad(model, X, time_features(T), OBS, V)
             flat[idx] = orig
             fd = (lp - lm) / (2 * eps)
             denom = max(abs(fd), abs(gflat[idx]), 1e-8)
             worst = max(worst, abs(fd - gflat[idx]) / denom)
     assert worst < 1e-4, worst
+
+
+def test_loss_and_grad_takes_time_features_not_times(rng):
+    """loss_and_grad reads time feature rows; a batch of raw times is refused
+    rather than fed to the network as features."""
+    model = _small_model()
+    X, T, OBS, V = _batch(rng)
+    with pytest.raises(DimensionMismatchError, match="time feature dim 6 != 9"):
+        loss_and_grad(model, X, T, OBS, V)
 
 
 def _forward_at(model, x, t, obs):
@@ -87,11 +96,11 @@ def test_adam_descends(rng):
     model = _small_model()
     X, T, OBS, V = _batch(rng, n=32)
     state = init_adam(model.params, lr=1e-2)
-    first, _ = loss_and_grad(model, X, T, OBS, V)
+    first, _ = loss_and_grad(model, X, time_features(T), OBS, V)
     for _ in range(60):
-        loss, grads = loss_and_grad(model, X, T, OBS, V)
+        loss, grads = loss_and_grad(model, X, time_features(T), OBS, V)
         adam_step(model.params, grads, state, lr=1e-2)
-    final, _ = loss_and_grad(model, X, T, OBS, V)
+    final, _ = loss_and_grad(model, X, time_features(T), OBS, V)
     assert final < 0.5 * first
 
 
@@ -111,7 +120,7 @@ def _reference_adam_step(params, grads, m, v, step, lr, b1=0.9, b2=0.999, eps=1e
 def _policy_params(rng):
     model = _small_model()
     X, T, OBS, V = _batch(rng, n=16)
-    return model.params, lambda: loss_and_grad(model, X, T, OBS, V)[1]
+    return model.params, lambda: loss_and_grad(model, X, time_features(T), OBS, V)[1]
 
 
 def _predictor_trainable(rng):
@@ -175,7 +184,8 @@ def _policy_loss(rng):
     and its weights."""
     model = _small_model()
     X, T, OBS, V = _batch(rng, n=32)
-    return lambda params: loss_and_grad(replace(model, params=params), X, T, OBS, V), model.params
+    TF = time_features(T)
+    return lambda params: loss_and_grad(replace(model, params=params), X, TF, OBS, V), model.params
 
 
 def _predictor_loss(rng):
