@@ -666,7 +666,7 @@ def main(argv=None) -> int:
     except (CliError, DatasetError, CheckpointError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GenerationError, TrainingDivergedError, FloatingPointError) as exc:
+    except (GenerationError, TrainingDivergedError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 3
 

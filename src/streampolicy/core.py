@@ -51,6 +51,17 @@ class CheckpointError(ValueError):
     noun = "checkpoint"
 
 
+class TrainingDivergedError(RuntimeError):
+    """A trainer's loss became non-finite; carries the iteration and last finite loss."""
+
+    def __init__(self, iteration: int, loss: float, last_finite: float | None):
+        self.iteration = iteration
+        self.loss = loss
+        self.last_finite = last_finite
+        tail = "" if last_finite is None else f" (last finite loss {last_finite:.6g})"
+        super().__init__(f"non-finite loss {loss!r} at iteration {iteration}{tail}")
+
+
 def as_vector(values, dim: int | None = None) -> np.ndarray:
     """Coerce to a finite 1-D float64 vector, checking dimension if given."""
     v = np.asarray(values, dtype=np.float64)

@@ -19,8 +19,9 @@ so the calibrated eta is the per-decision one.
 
 The embedding is a frozen random projection of the observation features
 followed by tanh; only the change-prediction head trains. Conditioning on the
-remaining actions enters through per-layer scale-shift modulation of the
-trunk's hidden pre-activations.
+remaining actions enters through per-layer scale-shift (FiLM) modulation of
+the trunk's hidden pre-activations; both MLPs run velocitynet's layer pass
+and backward pass.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (ACTION_DIM, OBS_DIM, STREAM_MODEL_INIT, STREAM_PREDICTOR, TAG_SALIENCY_PREDICTOR,
-                   CheckpointError, Trajectory, check_shapes, make_rng, read_container,
-                   write_container)
-from .velocitynet import TRAIN_DTYPE, AdamState, adam_step, astype, init_adam
+                   CheckpointError, TrainingDivergedError, Trajectory, check_shapes, make_rng,
+                   read_container, write_container)
+from .velocitynet import TRAIN_DTYPE, _backward, _layer_pass, adam_step, astype, init_adam
 
 N_EO_MAX = 4
 EMBED_DIM = 16
@@ -163,23 +164,20 @@ def pad_actions(remaining: np.ndarray, cfg: PredictorConfig) -> np.ndarray:
 
 def _forward(params: dict, E: np.ndarray, C: np.ndarray):
     """Predicted change for embeddings E and padded conditions C, row by
-    row: (B, d) batches in training, (n, 1, d) stacks in saliency_score.
-
-    A stack's products are one vector-matrix BLAS call per (1, d) item, the
-    call a lone (1, d) row makes, and the rest is elementwise, so every item
-    gets the bits it gets alone, whatever n is (see velocitynet.forward).
-    """
-    hidden = params["tb0"].shape[0]
-    ch = np.tanh(C @ params["cw0"].T + params["cb0"])
-    mod = ch @ params["cw1"].T + params["cb1"]
-    g0, b0 = mod[..., :hidden], mod[..., hidden : 2 * hidden]
-    g1, b1 = mod[..., 2 * hidden : 3 * hidden], mod[..., 3 * hidden :]
-    z0 = E @ params["tw0"].T + params["tb0"]
-    h0 = np.tanh((1.0 + g0) * z0 + b0)
-    z1 = h0 @ params["tw1"].T + params["tb1"]
-    h1 = np.tanh((1.0 + g1) * z1 + b1)
-    out = h1 @ params["tw2"].T + params["tb2"]
-    return out, (ch, g0, g1, z0, h0, z1, h1)
+    row: (B, d) batches in training, (n, 1, d) stacks in saliency_score,
+    and the tape loss_and_grad's backward reads. The conditioning MLP gives
+    the trunk's FiLM pairs; both run _layer_pass on (w.T, b) views. A
+    stack's products are one vector-matrix BLAS call per (1, d) item, as a
+    lone row's are, and the rest is elementwise, so every item gets its
+    lone bits whatever n is (see velocitynet.forward)."""
+    cond = [(params[w].T, params[b]) for w, b in (("cw0", "cb0"), ("cw1", "cb1"))]
+    trunk = [(params[w].T, params[b]) for w, b in (("tw0", "tb0"), ("tw1", "tb1"), ("tw2", "tb2"))]
+    cacts, tacts, pres = [C], [E], []
+    mod = _layer_pass(C, cond[:1], cond[1], cacts)
+    H = params["tb0"].shape[0]  # mod holds gamma0, beta0, gamma1, beta1
+    mods = [(1.0 + mod[..., j * H:(j + 1) * H], mod[..., (j + 1) * H:(j + 2) * H]) for j in (0, 2)]
+    out = _layer_pass(E, trunk[:2], trunk[2], tacts, mods, pres)
+    return out, (cond, trunk, cacts, tacts, mods, pres)
 
 
 def saliency_score(predictor: Predictor, features: np.ndarray, tails) -> np.ndarray:
@@ -213,40 +211,16 @@ def loss_and_grad(predictor: Predictor, E: np.ndarray, C: np.ndarray,
 
     Runs in the trunk weights' dtype: E, C and target are cast to it once.
     """
-    p = predictor.params
-    dtype = p["tw0"].dtype
+    dtype = predictor.params["tw0"].dtype
     E, C, target = (np.asarray(a, dtype=dtype) for a in (E, C, target))
     B = E.shape[0]
-    out, (ch, g0, g1, z0, h0, z1, h1) = _forward(p, E, C)
+    out, (cond, trunk, cacts, tacts, mods, pres) = _forward(predictor.params, E, C)
     diff = out - target
     loss = float(np.sum(diff * diff) / B)
-
-    d_out = 2.0 * diff / B
-    grads = {}
-    grads["tw2"] = d_out.T @ h1
-    grads["tb2"] = d_out.sum(axis=0)
-    d_h1 = d_out @ p["tw2"]
-    d_m1 = d_h1 * (1.0 - h1 * h1)
-    d_g1 = d_m1 * z1
-    d_b1 = d_m1
-    d_z1 = d_m1 * (1.0 + g1)
-    grads["tw1"] = d_z1.T @ h0
-    grads["tb1"] = d_z1.sum(axis=0)
-    d_h0 = d_z1 @ p["tw1"]
-    d_m0 = d_h0 * (1.0 - h0 * h0)
-    d_g0 = d_m0 * z0
-    d_b0 = d_m0
-    d_z0 = d_m0 * (1.0 + g0)
-    grads["tw0"] = d_z0.T @ E
-    grads["tb0"] = d_z0.sum(axis=0)
-    d_mod = np.concatenate([d_g0, d_b0, d_g1, d_b1], axis=1)
-    grads["cw1"] = d_mod.T @ ch
-    grads["cb1"] = d_mod.sum(axis=0)
-    d_ch = d_mod @ p["cw1"]
-    d_cpre = d_ch * (1.0 - ch * ch)
-    grads["cw0"] = d_cpre.T @ C
-    grads["cb0"] = d_cpre.sum(axis=0)
-    return loss, grads
+    grads, dmods = _backward(trunk, tacts, 2.0 * diff / B, "t", mods, pres)
+    d_mod = np.concatenate([d for pair in dmods for d in pair], axis=-1)
+    grads.update(_backward(cond, cacts, d_mod, "c")[0])
+    return loss, {k: g.T if g.ndim == 2 else g for k, g in grads.items()}  # as stored, (out, in)
 
 
 @dataclass
@@ -365,11 +339,11 @@ def train_predictor(trajectories: list[Trajectory], cfg: PredictorConfig,
     """Train the change predictor; cosine-decayed Adam from cfg.lr.
 
     Returns the predictor and a (iteration, loss, wall_ms) log. Per-iteration
-    RNG streams keyed by the seed make runs reproducible. The trainable
-    weights, drawn in float64, train in float32 and are returned cast back
-    to float64, which is exact; the frozen encoder and the embedding stay
-    float64. Every frame is embedded once, before the first iteration
-    (_prepare_pairs).
+    RNG streams keyed by the seed make runs reproducible; a non-finite loss
+    raises TrainingDivergedError. The trainable weights, drawn in float64,
+    train in float32 and are returned cast back to float64, which is exact;
+    the frozen encoder and the embedding stay float64. Every frame is
+    embedded once, before the first iteration (_prepare_pairs).
     """
     predictor = init_predictor(cfg)
     pool = _prepare_pairs(trajectories, predictor)
@@ -378,12 +352,14 @@ def train_predictor(trajectories: list[Trajectory], cfg: PredictorConfig,
     predictor.params.update(trainable)  # the trained tensors are now Adam's flat views
     log: list[tuple[int, float, float]] = []
     t0 = time.perf_counter()
+    last_finite: float | None = None
     for i in range(cfg.iterations):
         rng = make_rng(cfg.seed, STREAM_PREDICTOR, i)
         E, target, cond = _sample_pairs(pool, cfg, rng)
         loss, grads = loss_and_grad(predictor, E, cond, target)
-        if not np.isfinite(loss):
-            raise FloatingPointError(f"predictor loss diverged at iteration {i}")
+        if not math.isfinite(loss):
+            raise TrainingDivergedError(i, loss, last_finite)
+        last_finite = loss
         # a Python float: a numpy float64 rate would run float32 Adam in float64
         lr = float(cfg.lr * 0.5 * (1.0 + np.cos(np.pi * i / cfg.iterations)))
         adam_step(trainable, grads, adam, lr=lr)

@@ -27,23 +27,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import flowmatch, normkit, velocitynet
-from .core import Trajectory, make_rng, STREAM_MODEL_INIT, STREAM_TRAIN
+from .core import Trajectory, TrainingDivergedError, make_rng, STREAM_MODEL_INIT, STREAM_TRAIN
 from .flowmatch import FlowParams
 from .normkit import NormStats
 from .velocitynet import TRAIN_DTYPE, AdamState, Policy, VelocityModel
-
-
-class TrainingDivergedError(RuntimeError):
-    """Loss became non-finite; carries the iteration and last finite loss."""
-
-    def __init__(self, iteration: int, loss: float, last_finite: float | None):
-        self.iteration = iteration
-        self.loss = loss
-        self.last_finite = last_finite
-        super().__init__(
-            f"non-finite loss {loss!r} at iteration {iteration}"
-            + ("" if last_finite is None else f" (last finite loss {last_finite:.6g})")
-        )
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """Velocity network: a small MLP with hand-written gradients.
 
 The network maps (action-space state x, horizon clock t, observation features)
-to a velocity in action space. One layer pass serves acting (forward) and
-training (loss_and_grad). Acting runs in float64; training and the Adam
+to a velocity in action space. One layer pass (_layer_pass) and one backward
+pass (_backward) serve acting (forward), training (loss_and_grad) and both of
+the saliency predictor's MLPs. Acting runs in float64; training and the Adam
 update run in the weights' dtype, TRAIN_DTYPE (float32) for the trainers'
 master weights. Gradients are analytic (no autodiff dependency) and are
 validated against central differences in the test suite, in float64. The
@@ -89,7 +90,7 @@ def _layers(model: VelocityModel) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(p[f"w{i}"], p[f"b{i}"]) for i in range(model.n_layers())]
 
 
-def _layer_pass(z: np.ndarray, hidden, out, acts: list | None = None) -> np.ndarray:
+def _layer_pass(z: np.ndarray, hidden, out, acts: list | None = None, mods=None, pres=None) -> np.ndarray:
     """The tanh layers hidden and the linear layer out, each a (w, b) pair,
     on a lone 1-D row z, a (B, d) batch or a (B, 1, d) stack; appends each
     hidden activation to acts, if given. Each layer is one product, with the
@@ -98,11 +99,19 @@ def _layer_pass(z: np.ndarray, hidden, out, acts: list | None = None) -> np.ndar
     ufunc's dispatch. Others take np.matmul, which makes that call per (1, d)
     item of a stack, so each row gets its lone bits whatever B is; a (B, d)
     batch is one matrix-matrix call, whose rows can differ in the last ulp.
+
+    Given mods, a FiLM pair (1 + gamma, beta) per hidden layer, each appends
+    its pre-activation z to pres (given empty) and computes tanh((1 + gamma) * z + beta).
     """
     product = np.dot if z.ndim == 1 else np.matmul
     for w, b in hidden:
         z = product(z, w)
         z += b
+        if mods is not None:
+            scale, shift = mods[len(pres)]  # this layer's: pres holds one per layer before it
+            pres.append(z)
+            z = z * scale
+            z += shift
         np.tanh(z, out=z)
         if acts is not None:
             acts.append(z)
@@ -110,6 +119,30 @@ def _layer_pass(z: np.ndarray, hidden, out, acts: list | None = None) -> np.ndar
     z = product(z, w)
     z += b
     return z
+
+
+def _backward(layers, acts, delta: np.ndarray, prefix: str = "", mods=None, pres=None):
+    """The one backward pass: of a _layer_pass over layers (hidden, then
+    out) that recorded acts (its input, then each activation) and, if
+    modulated by mods, pres; delta is the loss's gradient at its output.
+    Returns {prefix + "w<i>": gw, prefix + "b<i>": gb}, gw shaped as w, and
+    each hidden layer's (dgamma, dbeta) given mods. gw is computed in the
+    layout of w's memory, which keeps each product's BLAS call and lets
+    Adam ravel views: a.T @ delta for a C-ordered w, (delta.T @ a).T for w
+    the transposed view of an (out, in) array, whose .T is C-ordered.
+    """
+    grads, dmods = {}, [None] * (len(layers) - 1)
+    for i in reversed(range(len(layers))):
+        w, a = layers[i][0], acts[i]
+        grads[f"{prefix}w{i}"] = a.T @ delta if w.flags.c_contiguous else (delta.T @ a).T
+        grads[f"{prefix}b{i}"] = delta.sum(axis=0)
+        if i == 0:
+            return grads, dmods
+        delta = delta @ w.T
+        delta *= 1.0 - a * a
+        if mods is not None:
+            dmods[i - 1] = (delta * pres[i - 1], delta)
+            delta = delta * mods[i - 1][0]
 
 
 class Inputs:
@@ -169,16 +202,7 @@ def loss_and_grad(model: VelocityModel, X: np.ndarray, TF: np.ndarray, OBS: np.n
     B = out.shape[0]
     diff = out - np.asarray(V_target, dtype=dtype)
     loss = float(np.sum(diff * diff)) / B
-
-    grads: dict[str, np.ndarray] = {}
-    delta = 2.0 * diff / B
-    for i in reversed(range(len(layers))):
-        a_prev = acts[i]
-        grads[f"w{i}"] = a_prev.T @ delta
-        grads[f"b{i}"] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ layers[i][0].T) * (1.0 - acts[i] * acts[i])
-    return loss, grads
+    return loss, _backward(layers, acts, 2.0 * diff / B)[0]
 
 
 # what both trainers keep their weights, gradients and Adam moments in

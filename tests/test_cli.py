@@ -528,6 +528,18 @@ def test_gen_data_exhaustion_exits_3(tmp_path):
     assert rc == 3
 
 
+def test_a_diverging_train_predictor_exits_3(workdir, tmp_path, capsys):
+    """A predictor whose loss turns non-finite is a runtime failure, as a
+    diverging policy is: exit 3, naming the iteration, and no checkpoint."""
+    out = tmp_path / "out" / "predictor.ckpt"
+    with np.errstate(all="ignore"):
+        rc = main(["train-predictor", "--data", str(workdir / "data" / "demos.bin"),
+                   "--out", str(out), "--iterations", "5", "--lr", "1e300"])
+    assert rc == 3
+    assert "runtime failure: non-finite loss nan at iteration 1 " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_corrupt_dataset_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"not a container at all")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from streampolicy.saliency import (
     calibrate_threshold, decision_scores, embed, init_predictor, load_predictor, loss_and_grad,
     pad_actions, saliency_score, save_predictor, score_decisions,
 )
+from streampolicy.trainer import TrainingDivergedError
 
 
 def _toy_cfg():
@@ -77,6 +80,41 @@ def test_predictor_gradients_match_central_differences():
             denom = max(abs(fd), abs(gflat[idx]), 1e-8)
             worst = max(worst, abs(fd - gflat[idx]) / denom)
     assert worst < 1e-4, worst
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("cfg", [_toy_cfg(), PredictorConfig(
+    obs_dim=3, action_dim=1, embed_dim=1, hidden=2, cond_hidden=1, n_eo_max=1, iterations=1)],
+    ids=["toy", "unit_widths"])
+def test_predictor_gradients_are_c_ordered_in_their_parameters_shapes(dtype, cfg):
+    """Every gradient loss_and_grad returns, one per trainable parameter, is
+    C-contiguous and shaped as its parameter is stored ((out, in) for a
+    weight), so adam_step ravels views of them, not copies: in float64 and
+    in the float32 the trainer runs, and with inputs of width 1, where a
+    weight's transposed view is C-contiguous too."""
+    pred = init_predictor(cfg)
+    pred.params.update({k: v.astype(dtype) for k, v in pred.trainable().items()})
+    rng = np.random.default_rng(5)
+    E = rng.normal(size=(9, cfg.embed_dim))
+    C = rng.normal(size=(9, cfg.cond_dim))
+    _, grads = loss_and_grad(pred, E, C, rng.normal(size=(9, cfg.embed_dim)))
+    assert grads.keys() == pred.trainable().keys()
+    for k, g in grads.items():
+        assert g.dtype == dtype and g.shape == pred.params[k].shape, k
+        assert g.flags.c_contiguous and np.shares_memory(g.ravel(), g), k
+
+
+def test_a_diverging_predictor_raises_training_diverged_naming_the_iteration(small_demos):
+    """A rate of 1e300 overflows Adam's float32 step on the first update, so
+    the second iteration's loss is nan: train_predictor raises
+    TrainingDivergedError, as the policy trainer does, naming iteration 1
+    and the first loss."""
+    cfg = PredictorConfig(iterations=50, batch_size=16, lr=1e300)
+    with pytest.raises(TrainingDivergedError) as err, np.errstate(all="ignore"):
+        saliency.train_predictor(small_demos, cfg)
+    assert err.value.iteration == 1 and "at iteration 1 " in str(err.value)
+    assert not math.isfinite(err.value.loss)
+    assert err.value.last_finite is not None and math.isfinite(err.value.last_finite)
 
 
 def test_encoder_excluded_from_trainable():

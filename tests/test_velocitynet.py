@@ -13,7 +13,8 @@ from streampolicy.saliency import PredictorConfig, init_predictor
 from streampolicy.saliency import loss_and_grad as predictor_loss_and_grad
 from streampolicy.velocitynet import (
     AdamState, Inputs, Policy, adam_step, forward, init_adam, init_velocity_model,
-    load_policy, loss_and_grad, save_policy, time_features, TIME_DIM, _layer_pass, _layers,
+    load_policy, loss_and_grad, save_policy, time_features, TIME_DIM, _backward, _layer_pass,
+    _layers,
 )
 
 
@@ -216,6 +217,43 @@ def test_float32_gradients_match_float64(rng, make):
         assert g.dtype == np.float64 and grads32[k].dtype == np.float32, k
         np.testing.assert_allclose(grads32[k], g, rtol=1e-4, atol=1e-4 * np.abs(g).max(),
                                    err_msg=k)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("transposed", [False, True], ids=["in_out", "out_in_view"])
+def test_zero_film_pass_and_backward_match_the_plain_ones_bitwise(rng, dtype, transposed):
+    """With gamma = beta = 0 the modulated layer pass gives the plain pass's
+    output and activations bit for bit, and _backward the plain gradients,
+    for C-ordered (in, out) weights (the policy's) and for transposed views
+    of (out, in) arrays (the predictor's). Each gradient is shaped as its
+    weight and C-ordered as stored. Each dbeta is then its layer's delta:
+    its column sums are the bias gradient, and dgamma is it times the
+    pre-activation."""
+    sizes, B = (9, 16, 12, 3), 32
+    layers = []
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        w = rng.normal(size=(fan_out, fan_in) if transposed else (fan_in, fan_out)).astype(dtype)
+        layers.append((w.T if transposed else w, rng.normal(size=fan_out).astype(dtype)))
+    x = rng.normal(size=(B, sizes[0])).astype(dtype)
+    delta = rng.normal(size=(B, sizes[-1])).astype(dtype)
+    mods = [(1.0 + np.zeros((B, n), dtype), np.zeros((B, n), dtype)) for n in sizes[1:-1]]
+    plain_acts, film_acts, pres = [x], [x], []
+    plain = _layer_pass(x, layers[:-1], layers[-1], plain_acts)
+    film = _layer_pass(x, layers[:-1], layers[-1], film_acts, mods, pres)
+    assert film.tobytes() == plain.tobytes()
+    assert [a.tobytes() for a in film_acts] == [a.tobytes() for a in plain_acts]
+    want, no_mods = _backward(layers, plain_acts, delta)
+    got, dmods = _backward(layers, film_acts, delta, "", mods, pres)
+    assert no_mods == [None, None] and got.keys() == want.keys()
+    for i, (w, b) in enumerate(layers):
+        gw, gb = got[f"w{i}"], got[f"b{i}"]
+        assert gw.shape == w.shape and gb.shape == b.shape, i
+        assert (gw.T if transposed else gw).flags.c_contiguous and gb.flags.c_contiguous, i
+        for k in (f"w{i}", f"b{i}"):
+            assert got[k].dtype == dtype and got[k].tobytes() == want[k].tobytes(), k
+    for i, (dgamma, dbeta) in enumerate(dmods):
+        assert dbeta.sum(axis=0).tobytes() == got[f"b{i}"].tobytes(), i
+        assert dgamma.tobytes() == (dbeta * pres[i]).tobytes(), i
 
 
 def test_container_roundtrip(tmp_path):
