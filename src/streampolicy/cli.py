@@ -25,6 +25,7 @@ import hashlib
 import json
 import os
 import platform
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -160,16 +161,24 @@ def _artifact(path) -> dict:
 
 @functools.cache
 def _software() -> dict:
-    """The package, Python, numpy and BLAS versions and the CPU count of
-    this process, for its manifest entries; computed once per process.
-    Callers must not modify the result."""
+    """The package, Python, numpy and BLAS versions, the CPU count and the
+    git commit of the package's checkout (None outside one) of this process,
+    for its manifest entries; computed once per process. Callers must not
+    modify the result."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = {"name": blas.get("name"), "version": blas.get("version")}
     except (TypeError, KeyError, AttributeError):  # a numpy without the dicts mode
         blas = {"name": None, "version": None}
+    try:
+        git = subprocess.run(["git", "-C", str(Path(__file__).parent), "rev-parse", "HEAD"],
+                             capture_output=True, text=True, timeout=10)
+        git_sha = git.stdout.strip() if git.returncode == 0 else None
+    except (OSError, subprocess.SubprocessError):  # no git on this host
+        git_sha = None
     return {"streampolicy": __version__, "python": platform.python_version(),
-            "numpy": np.__version__, "blas": blas, "cpu_count": os.cpu_count()}
+            "numpy": np.__version__, "blas": blas, "cpu_count": os.cpu_count(),
+            "git_sha": git_sha}
 
 
 def _write_manifest(directory, command: str, resolved: dict, artifacts: dict[str, dict]) -> None:

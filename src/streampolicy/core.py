@@ -11,9 +11,15 @@ datasets, policy checkpoints and predictor checkpoints, each under its own
 type tag. A dataset file (version 2) is the header as the container's config
 and the episodes concatenated: lengths (E,), features (N, obs_dim), frame_ids
 (N,), capture_times (N,), actions (N, dim) and action_states (N+E, dim).
-Saving and loading check each episode by one rule (_check_record), so what
-save_dataset writes load_dataset reads. A broken file raises DatasetError
-naming the file, and a broken episode names the episode too.
+One record rule checks a dataset in that stored layout, so what save_dataset
+writes load_dataset reads: an O(1) shape and dtype check per episode
+(_shape_fault), then whole-array numpy passes over the concatenated arrays
+(_value_fault) for finite values, the ledger step S[j+1] == S[j] + a[j] of
+every action row, frame ids strictly increasing within each episode and
+within 2**53 in magnitude. save_dataset runs it after concatenating,
+load_dataset before splitting into episodes, and Trajectory.validate on one
+episode. A broken file raises DatasetError naming the file, and a broken
+episode names the lowest such episode and its first failing check.
 """
 
 from __future__ import annotations
@@ -110,21 +116,14 @@ class Trajectory:
                                                self.capture_times.tolist())))
 
     def validate(self) -> None:
-        L, D = self.actions.shape
-        if (len(self.features), *self.frame_ids.shape, *self.capture_times.shape) != (L, L, L):
-            raise DatasetError(f"{len(self.features)} frames, frame ids {self.frame_ids.shape} "
-                               f"and capture times {self.capture_times.shape} for {L} actions")
-        if self.frame_ids.dtype.kind not in "iu" or self.capture_times.dtype.kind != "f":
-            raise DatasetError("frame ids must be integers and capture times floats")
-        if self.action_states.shape != (L + 1, D):
-            raise DatasetError(f"action_states shape {self.action_states.shape}, want {(L + 1, D)}")
-        expect = cumulative_states(self.actions, self.action_states[0])
-        # exact prefix-sum identity, not approximate: the state ledger is
-        # defined as this summation order
-        if not np.array_equal(expect, self.action_states):
-            raise DatasetError("action_states is not the exact prefix sum of actions")
-        if (np.diff(self.frame_ids) <= 0).any():
-            raise DatasetError("frame_id not strictly increasing")
+        """Raise DatasetError unless this episode keeps the record rule
+        (_shape_fault, then _value_fault) at its own action and frame widths,
+        or the package's where an array has none."""
+        dim = self.actions.shape[1] if self.actions.ndim == 2 else ACTION_DIM
+        obs_dim = self.features.shape[1] if getattr(self.features, "ndim", 0) == 2 else OBS_DIM
+        _, fault = _stored_layout([self], dim, obs_dim)
+        if fault is not None:
+            raise DatasetError(fault[1])
 
 
 def cumulative_states(actions: np.ndarray, alpha0: np.ndarray) -> np.ndarray:
@@ -168,27 +167,102 @@ STREAM_INDICATOR = 6
 STREAM_MODEL_INIT = 7
 
 
-def _check_record(traj: Trajectory, dim: int, obs_dim: int) -> None:
-    """The one rule for a stored episode, on save and load alike: an (L, obs_dim)
-    array of finite features, actions of dim, Trajectory.validate, and frame
-    ids that float64 holds exactly (DatasetError)."""
+_FINITE = ("features", "actions", "action_states")
+
+
+def _shape_fault(traj: Trajectory, dim: int, obs_dim: int) -> str | None:
+    """The per-episode half of the record rule, O(1) for an episode of
+    arrays: its first failing check's message, or None. It checks an
+    (L, obs_dim) array of numbers as features, actions of dim, L frame ids
+    and capture times, integer ids and float times, and (L + 1, dim) states.
+    The rule checks values for finiteness after the features and before the
+    rest, so a later failure here reports non-finite values first."""
     try:
         features = np.asarray(traj.features, dtype=np.float64)
     except ValueError:  # rows of unequal shapes, or not numbers
         features = None
     if features is None or features.ndim != 2 or features.shape[1] != obs_dim:
         bad = next((np.shape(f) for f in traj.features if np.shape(f) != (obs_dim,)), None)
-        raise DatasetError("non-numeric features" if bad is None
-                           else f"feature rows of shape {bad}, want ({obs_dim},)")
-    for name, values in (("features", features), ("actions", traj.actions),
-                         ("action_states", traj.action_states)):
-        if not np.isfinite(values).all():
-            raise DatasetError(f"non-finite {name}")
+        return ("non-numeric features" if bad is None
+                else f"feature rows of shape {bad}, want ({obs_dim},)")
+    L = len(traj.actions)
     if traj.actions.ndim != 2 or traj.actions.shape[1] != dim:
-        raise DatasetError(f"actions of shape {traj.actions.shape}, want (L, {dim})")
-    traj.validate()
-    if ((traj.frame_ids < -2**53) | (traj.frame_ids > 2**53)).any():
-        raise DatasetError("frame ids beyond 2**53 in magnitude, which float64 does not hold exactly")
+        fault = f"actions of shape {traj.actions.shape}, want (L, {dim})"
+    elif (len(features), *traj.frame_ids.shape, *traj.capture_times.shape) != (L, L, L):
+        fault = (f"{len(features)} frames, frame ids {traj.frame_ids.shape} "
+                 f"and capture times {traj.capture_times.shape} for {L} actions")
+    elif traj.frame_ids.dtype.kind not in "iu" or traj.capture_times.dtype.kind != "f":
+        fault = "frame ids must be integers and capture times floats"
+    elif traj.action_states.shape != (L + 1, dim):
+        fault = f"action_states shape {traj.action_states.shape}, want {(L + 1, dim)}"
+    else:
+        return None
+    values = (features, traj.actions, traj.action_states)
+    return next((f"non-finite {name}" for name, v in zip(_FINITE, values) if not np.isfinite(v).all()),
+                fault)
+
+
+def _value_fault(arrays: dict[str, np.ndarray]) -> tuple[int, str] | None:
+    """The whole-dataset half of the record rule, over a dataset in its
+    stored layout whose shapes and dtypes already hold: integer lengths
+    (E,), features (N, obs_dim), frame_ids (N,), actions (N, D) and
+    action_states (N + E, D). Returns (episode, message) for the lowest
+    episode that breaks it and that episode's first failing check, in this
+    order: finite features, actions and action_states; every ledger step
+    S[j+1] == S[j] + a[j], which by induction is the exact left-to-right
+    prefix sum from S[0]; strictly increasing frame ids; ids within 2**53
+    in magnitude, which float64 holds exactly. None when every episode
+    keeps it."""
+    lengths, ids, states = arrays["lengths"], arrays["frame_ids"], arrays["action_states"]
+    ends = np.cumsum(lengths)  # one past each episode's last row
+    state_ends = ends + np.arange(1, len(ends) + 1)
+    # action row j of episode i steps from state row j + i to j + i + 1
+    step_from = np.arange(len(ids)) + np.repeat(np.arange(len(ends)), lengths)
+    rising = ids[1:] > ids[:-1]
+    rising[ends[(ends > 0) & (ends < len(ids))] - 1] = True  # pairs across two episodes
+    # (message, where it holds, where each episode's rows end), in check order
+    checks = [
+        *((f"non-finite {name}", np.isfinite(arrays[name]),
+           state_ends if name == "action_states" else ends) for name in _FINITE),
+        ("action_states is not the exact prefix sum of actions",
+         np.take(states, step_from, axis=0) + arrays["actions"] == np.take(states, step_from + 1, axis=0),
+         ends),
+        ("frame_id not strictly increasing", rising, ends),  # pair j is in row j's episode
+        ("frame ids beyond 2**53 in magnitude, which float64 does not hold exactly",
+         (ids >= -2**53) & (ids <= 2**53), ends),
+    ]
+    found = [(int(np.searchsorted(row_ends, np.unravel_index(ok.argmin(), ok.shape)[0], side="right")),
+              message) for message, ok, row_ends in checks if not ok.all()]
+    # min keeps the first of equal episodes: the check that comes first
+    return min(found, key=lambda f: f[0]) if found else None
+
+
+def _stored_layout(trajectories: list[Trajectory], dim: int,
+                   obs_dim: int) -> tuple[dict[str, np.ndarray], tuple[int, str] | None]:
+    """(arrays, fault): the episodes in the stored layout, and the record
+    rule's (episode, message) for the lowest episode that breaks it, or
+    None. Only the episodes before the first shape fault are joined."""
+    shape_faults = ((i, _shape_fault(t, dim, obs_dim)) for i, t in enumerate(trajectories))
+    bad, fault = next(((i, f) for i, f in shape_faults if f is not None), (len(trajectories), None))
+    sound = trajectories[:bad]
+
+    def joined(name, *row_shape):
+        # the empty head gives zero episodes their shape
+        return np.concatenate([np.empty((0, *row_shape)), *(getattr(t, name) for t in sound)],
+                              dtype=np.float64, casting="unsafe")
+
+    frame_ids = np.concatenate([np.empty(0, np.int64), *(t.frame_ids for t in sound)])
+    if frame_ids.dtype.kind == "f":  # signed and unsigned 64-bit ids: exact as Python ints
+        frame_ids = np.concatenate([t.frame_ids for t in sound], dtype=object)
+    arrays = {
+        "lengths": np.array([len(t.actions) for t in sound], dtype=np.int64),
+        "features": joined("features", obs_dim),
+        "frame_ids": frame_ids,
+        "capture_times": joined("capture_times"),
+        "actions": joined("actions", dim),
+        "action_states": joined("action_states", dim),
+    }
+    return arrays, _value_fault(arrays) or (None if fault is None else (bad, fault))
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +365,9 @@ def read_container(path, *, expect_tag: int | None = None, error: type[ValueErro
     return tag, arrays, meta["config"]
 
 
-def _whole(values: np.ndarray) -> bool:
-    """Every value is an integer that float64 holds exactly."""
-    return bool((np.abs(values) <= 2.0**53).all() and (np.floor(values) == values).all())
+def _integral(values: np.ndarray) -> bool:
+    """Every value is a finite integer."""
+    return bool(np.isfinite(values).all() and (np.floor(values) == values).all())
 
 
 def save_dataset(path, trajectories: list[Trajectory], *, dim: int, env_meta: dict, seed: int) -> None:
@@ -302,15 +376,14 @@ def save_dataset(path, trajectories: list[Trajectory], *, dim: int, env_meta: di
 
     float64 holds every stored value exactly, so saving and reloading
     reproduces arrays bitwise and rewriting an unchanged dataset produces a
-    byte-identical file. An episode that breaks load_dataset's rule
-    (_check_record, frames of env_meta's obs_dim or OBS_DIM) raises
-    DatasetError naming it, and nothing is written."""
+    byte-identical file. The record rule load_dataset applies (frames of
+    env_meta's obs_dim or OBS_DIM) runs on the concatenated arrays, after an
+    O(1) shape and dtype check per episode; the lowest episode that breaks
+    it raises DatasetError naming it, and nothing is written."""
     obs_dim = int(env_meta.get("obs_dim", OBS_DIM))
-    for i, traj in enumerate(trajectories):
-        try:
-            _check_record(traj, dim, obs_dim)
-        except DatasetError as exc:
-            raise DatasetError(f"episode {i}: {exc}") from exc
+    arrays, fault = _stored_layout(trajectories, dim, obs_dim)
+    if fault is not None:
+        raise DatasetError(f"episode {fault[0]}: {fault[1]}")
     header = {
         "format": DATASET_FORMAT,
         "version": DATASET_VERSION,
@@ -319,27 +392,16 @@ def save_dataset(path, trajectories: list[Trajectory], *, dim: int, env_meta: di
         "env": env_meta,
         "seed": int(seed),
     }
-
-    def joined(name, *row_shape):
-        # the empty head gives zero episodes their shape
-        return np.concatenate([np.empty((0, *row_shape)), *(getattr(t, name) for t in trajectories)])
-
-    write_container(path, tag=TAG_TRAJECTORY_DATASET, config=header, arrays=[
-        ("lengths", np.array([len(t) for t in trajectories], dtype=np.float64)),
-        ("features", joined("features", obs_dim)),
-        ("frame_ids", joined("frame_ids")),
-        ("capture_times", joined("capture_times")),
-        ("actions", joined("actions", dim)),
-        ("action_states", joined("action_states", dim)),
-    ])
+    write_container(path, tag=TAG_TRAJECTORY_DATASET, config=header, arrays=list(arrays.items()))
 
 
 def load_dataset(path) -> tuple[list[Trajectory], dict]:
     """Read a dataset file, raising DatasetError naming it unless the
     file can be read, the container is sound, the header's format, version
     and sizes fit the arrays, the lengths are non-negative integers that
-    cover every row, the frame ids are integers, and every episode passes
-    _check_record."""
+    cover every row and the frame ids are integers. The record rule then
+    runs once over the stored arrays, before they are split into episodes,
+    and the lowest episode that breaks it is named."""
     try:
         with open(path, "rb") as fh:
             first = fh.read(1)
@@ -365,24 +427,25 @@ def load_dataset(path) -> tuple[list[Trajectory], dict]:
                                    "frame_ids": (n,), "capture_times": (n,), "actions": (n, dim),
                                    "action_states": (n + episodes, dim)}, arrays, error=DatasetError)
     lengths = arrays["lengths"]
-    if not (_whole(lengths) and (lengths >= 0).all() and lengths.sum() == n):
+    if not (_integral(lengths) and (lengths >= 0).all() and lengths.sum() == n):
         raise DatasetError(f"{path}: episode lengths must be non-negative integers that sum "
                            f"to the {n} stored rows")
-    if not _whole(ids):
+    if not _integral(ids):
         raise DatasetError(f"{path}: frame ids must be integers")
+    # the rule compares the float64 ids exactly and bounds them before the cast
+    arrays["lengths"] = lengths.astype(np.int64)
+    fault = _value_fault(arrays)
+    if fault is not None:
+        raise DatasetError(f"{path}: episode {fault[0]}: {fault[1]}")
     ids = ids.astype(np.int64)
+    features, times, actions, states = (arrays[name] for name in
+                                        ("features", "capture_times", "actions", "action_states"))
     out = []
     start = 0
-    for i, end in enumerate(lengths.astype(np.int64).cumsum().tolist()):
+    for i, end in enumerate(arrays["lengths"].cumsum().tolist()):
         # episode i's L + 1 states follow the i states of the episodes before it
-        traj = Trajectory(features=arrays["features"][start:end], frame_ids=ids[start:end],
-                          capture_times=arrays["capture_times"][start:end],
-                          actions=arrays["actions"][start:end],
-                          action_states=arrays["action_states"][start + i:end + i + 1])
-        try:
-            _check_record(traj, dim, obs_dim)
-        except DatasetError as exc:
-            raise DatasetError(f"{path}: episode {i}: {exc}") from exc
-        out.append(traj)
+        out.append(Trajectory(features=features[start:end], frame_ids=ids[start:end],
+                              capture_times=times[start:end], actions=actions[start:end],
+                              action_states=states[start + i:end + i + 1]))
         start = end
     return out, header

@@ -138,17 +138,26 @@ def test_an_unreadable_manifest_is_replaced(tmp_path):
 
 def test_every_manifest_entry_records_the_software_it_ran_on(workdir, tmp_path, monkeypatch):
     """Each command's entry names the package, Python and numpy versions,
-    the BLAS and the CPU count. They are looked up once per process, so a
-    second command does not ask numpy for its build configuration again."""
+    the BLAS, the CPU count and the git commit of the package's checkout.
+    They are looked up once per process, so a second command neither asks
+    numpy for its build configuration nor runs git again."""
     cli._software.cache_clear()
     real, asked = np.show_config, []
     monkeypatch.setattr(np, "show_config", lambda *a, **kw: asked.append(kw) or real(*a, **kw))
+    run, gits = subprocess.run, []
+    monkeypatch.setattr(subprocess, "run", lambda argv, **kw: (
+        gits.append(argv) if argv[0] == "git" else None) or run(argv, **kw))
     policy = workdir / "policy" / "policy.ckpt"
     assert main(["train-predictor", "--data", str(workdir / "data" / "demos.bin"),
                  "--out", str(tmp_path / "predictor.ckpt"), "--iterations", "5"]) == 0
     assert main(["bench", "--policy", str(policy), "--env", "controller", "--episodes", "1",
                  "--step-cap", "12", "--eo", "naive", "--out-dir", str(tmp_path)]) == 0
     assert asked == [{"mode": "dicts"}]
+    package = str(Path(cli.__file__).parent)
+    assert gits == [["git", "-C", package, "rev-parse", "HEAD"]]
+    head = run(["git", "-C", package, "rev-parse", "HEAD"], capture_output=True, text=True)
+    git_sha = head.stdout.strip() if head.returncode == 0 else None
+    assert git_sha is None or re.fullmatch(r"[0-9a-f]{40}", git_sha)
 
     entries = [*_manifest(tmp_path).values(), _manifest(workdir / "data", "gen-data"),
                _manifest(workdir / "policy", "train-policy")]
@@ -159,9 +168,28 @@ def test_every_manifest_entry_records_the_software_it_ran_on(workdir, tmp_path, 
         assert entry["software"] == {
             "streampolicy": streampolicy.__version__, "python": platform.python_version(),
             "numpy": np.__version__, "blas": {"name": blas["name"], "version": blas["version"]},
-            "cpu_count": os.cpu_count()}
+            "cpu_count": os.cpu_count(), "git_sha": git_sha}
         assert all(isinstance(v, str) and v for v in entry["software"]["blas"].values())
         assert isinstance(entry["software"]["cpu_count"], int)
+
+
+def _not_a_checkout(argv, **kw):
+    return subprocess.CompletedProcess(argv, 128, "", "fatal: not a git repository")
+
+
+def _no_git(argv, **kw):
+    raise FileNotFoundError(2, "No such file or directory", argv[0])
+
+
+@pytest.mark.parametrize("git", [_not_a_checkout, _no_git], ids=["not_a_checkout", "no_git"])
+def test_the_manifest_git_sha_is_null_outside_a_checkout(tmp_path, monkeypatch, git):
+    cli._software.cache_clear()
+    monkeypatch.setattr(subprocess, "run", git)
+    try:
+        assert main(["gen-data", "--episodes", "2", "--out", str(tmp_path / "demos.bin")]) == 0
+        assert _manifest(tmp_path, "gen-data")["software"]["git_sha"] is None
+    finally:
+        cli._software.cache_clear()
 
 
 @pytest.mark.parametrize("command, argv", [

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -443,4 +445,203 @@ def test_save_rejects_actions_of_another_dim_naming_the_episode(tmp_path):
     p = tmp_path / "d.bin"
     with pytest.raises(DatasetError, match=r"^episode 0: actions of shape \(3, 2\), want \(L, 3\)$"):
         save_dataset(p, trajs, dim=3, env_meta={}, seed=0)
+    assert not p.exists()
+
+
+def test_unsigned_frame_ids_that_decrease_are_refused(tmp_path):
+    """[5, 3] as uint64 is not increasing, though its difference wraps to
+    a huge positive number; nothing is written."""
+    t = _traj([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
+    t.frame_ids = np.array([5, 3], dtype=np.uint64)
+    with pytest.raises(DatasetError, match="^frame_id not strictly increasing$"):
+        t.validate()
+    p = tmp_path / "d.bin"
+    with pytest.raises(DatasetError, match="^episode 0: frame_id not strictly increasing$"):
+        save_dataset(p, [t], dim=2, env_meta={}, seed=0)
+    assert not p.exists()
+
+
+def test_unsigned_frame_ids_round_trip_beside_signed_ones(tmp_path):
+    trajs = [_traj(np.full((3, 2), 0.25), [0.0, 0.0]) for _ in range(3)]
+    trajs[1].frame_ids = np.array([0, 1, 2**53], dtype=np.uint64)
+    p = tmp_path / "d.bin"
+    save_dataset(p, trajs, dim=2, env_meta={}, seed=0)
+    loaded, _ = load_dataset(p)
+    assert [t.frame_ids.tolist() for t in loaded] == [[0, 1, 2], [0, 1, 2**53], [0, 1, 2]]
+    # no common integer dtype holds both, and a float64 one would round 2**53 + 1 to 2**53
+    trajs[1].frame_ids[2] += 1
+    with pytest.raises(DatasetError, match=r"^episode 1: frame ids beyond 2\*\*53 in magnitude"):
+        save_dataset(tmp_path / "e.bin", trajs, dim=2, env_meta={}, seed=0)
+
+
+_BEYOND_2_53 = "frame ids beyond 2**53 in magnitude, which float64 does not hold exactly"
+
+
+def _first_fault(t):
+    """An episode's first failing value check, one check at a time in the
+    record rule's order: finite values, the exact prefix-sum ledger,
+    strictly increasing frame ids, ids float64 holds exactly."""
+    for name in ("features", "actions", "action_states"):
+        if not np.isfinite(getattr(t, name)).all():
+            return f"non-finite {name}"
+    if not np.array_equal(cumulative_states(t.actions, t.action_states[0]), t.action_states):
+        return "action_states is not the exact prefix sum of actions"
+    ids = t.frame_ids.tolist()
+    if any(b <= a for a, b in zip(ids, ids[1:])):
+        return "frame_id not strictly increasing"
+    if any(abs(i) > 2**53 for i in ids):
+        return _BEYOND_2_53
+    return None
+
+
+def _episode(rng, n):
+    actions = rng.normal(size=(n, 2))
+    return Trajectory(features=rng.normal(size=(n, 7)),
+                      frame_ids=np.cumsum(rng.integers(1, 4, size=n)) + int(rng.integers(-50, 50)),
+                      capture_times=np.arange(n, dtype=np.float64), actions=actions,
+                      action_states=cumulative_states(actions, rng.normal(size=2)))
+
+
+def _raw_dataset(path, trajs):
+    """trajs in the stored layout, written with no check at all."""
+    def joined(name, *row):
+        return np.concatenate([np.empty((0, *row)), *(getattr(t, name) for t in trajs)])
+    _write_dataset(path, {"lengths": np.array([len(t) for t in trajs], dtype=np.float64),
+                          "features": joined("features", 7), "frame_ids": joined("frame_ids"),
+                          "capture_times": joined("capture_times"), "actions": joined("actions", 2),
+                          "action_states": joined("action_states", 2)},
+                   {"format": "streampolicy-trajectories", "version": 2, "dim": 2,
+                    "episodes": len(trajs), "env": {}, "seed": 0})
+
+
+def _corrupt(data, trajs):
+    """One corruption the record rule must catch, at a drawn episode long
+    enough to take it; the ids beyond 2**53 are ones float64 holds, so the
+    raw file keeps them."""
+    kind = data.draw(st.sampled_from(["non_finite", "ledger", "repeat_id", "decrease_id", "huge_id"]))
+    need = {"non_finite": 0, "ledger": 1, "repeat_id": 2, "decrease_id": 2, "huge_id": 1}[kind]
+    fit = [t for t in trajs if len(t) >= need]
+    if not fit:
+        return
+    t = data.draw(st.sampled_from(fit))
+    if kind == "non_finite":
+        name = data.draw(st.sampled_from(["features", "actions", "action_states"] if len(t)
+                                         else ["action_states"]))
+        values = getattr(t, name)
+        row = data.draw(st.integers(0, len(values) - 1))
+        values[row, data.draw(st.integers(0, values.shape[1] - 1))] = \
+            data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    elif kind == "ledger":
+        t.actions[data.draw(st.integers(0, len(t) - 1)), data.draw(st.integers(0, 1))] += 0.5
+    elif kind == "huge_id":
+        t.frame_ids[data.draw(st.integers(0, len(t) - 1))] = \
+            data.draw(st.sampled_from([2**53 + 2, -(2**53) - 2, 2**60, -(2**62)]))
+    else:
+        k = data.draw(st.integers(1, len(t) - 1))
+        t.frame_ids[k] = t.frame_ids[k - 1] - (kind == "decrease_id") * data.draw(st.integers(1, 5))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_the_record_rule_names_the_lowest_broken_episode_on_save_and_load(data):
+    """0-6 episodes of 0-5 steps with zero, one or two corruptions: save
+    and load report the lowest broken episode and its first failing check,
+    save writes nothing, and a sound dataset round-trips bit for bit."""
+    rng = make_rng(data.draw(st.integers(0, 2**32 - 1)))
+    trajs = [_episode(rng, n) for n in data.draw(st.lists(st.integers(0, 5), max_size=6))]
+    for _ in range(data.draw(st.integers(0, 2))):
+        _corrupt(data, trajs)
+    faults = [(i, m) for i, m in ((i, _first_fault(t)) for i, t in enumerate(trajs)) if m]
+    with tempfile.TemporaryDirectory() as tmp:
+        p, raw = Path(tmp) / "d.bin", Path(tmp) / "raw.bin"
+        _raw_dataset(raw, trajs)
+        if faults:
+            i, message = faults[0]
+            with pytest.raises(DatasetError) as exc:
+                save_dataset(p, trajs, dim=2, env_meta={}, seed=0)
+            assert str(exc.value) == f"episode {i}: {message}" and not p.exists()
+            with pytest.raises(DatasetError) as exc:
+                load_dataset(raw)
+            assert str(exc.value) == f"{raw}: episode {i}: {message}"
+            return
+        save_dataset(p, trajs, dim=2, env_meta={}, seed=0)
+        assert p.read_bytes() == raw.read_bytes()
+        loaded, _ = load_dataset(p)
+    assert len(loaded) == len(trajs)
+    for a, b in zip(trajs, loaded):
+        for name in ("features", "frame_ids", "capture_times", "actions", "action_states"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+
+
+# (id, array of episode 2, index, value, the error after "episode 2: ")
+_AFTER_AN_EMPTY_EPISODE = [
+    ("nan_feature", "features", (0, 6), np.nan, "non-finite features"),
+    ("inf_action", "actions", (2, 0), np.inf, "non-finite actions"),
+    ("nan_first_state", "action_states", (0, 1), np.nan, "non-finite action_states"),
+    ("ledger_step", "action_states", (3, 1), 7.0, "action_states is not the exact prefix sum of actions"),
+    ("repeated_id", "frame_ids", 1, 0, "frame_id not strictly increasing"),
+    ("huge_last_id", "frame_ids", 2, 2**54, _BEYOND_2_53),
+]
+
+
+@pytest.mark.parametrize("name, index, value, message", [c[1:] for c in _AFTER_AN_EMPTY_EPISODE],
+                         ids=[c[0] for c in _AFTER_AN_EMPTY_EPISODE])
+def test_a_broken_episode_after_an_empty_one_is_named_on_save_and_load(tmp_path, name, index, value,
+                                                                        message):
+    """Lengths (2, 0, 3): the empty episode holds one state row and no
+    frame, and the rule still names the third episode as episode 2."""
+    trajs = [_traj(np.full((n, 2), 0.5), [1.0, -1.0]) for n in (2, 0, 3)]
+    getattr(trajs[2], name)[index] = value
+    p, raw = tmp_path / "d.bin", tmp_path / "raw.bin"
+    with pytest.raises(DatasetError, match=f"^episode 2: {re.escape(message)}$"):
+        save_dataset(p, trajs, dim=2, env_meta={}, seed=0)
+    assert not p.exists()
+    _raw_dataset(raw, trajs)
+    with pytest.raises(DatasetError, match=f"^{re.escape(str(raw))}: episode 2: {re.escape(message)}$"):
+        load_dataset(raw)
+
+
+def test_an_empty_episode_that_breaks_its_state_is_named(tmp_path):
+    trajs = [_traj(np.full((n, 2), 0.5), [1.0, -1.0]) for n in (2, 0, 3)]
+    trajs[1].action_states[0, 0] = np.inf
+    with pytest.raises(DatasetError, match="^episode 1: non-finite action_states$"):
+        save_dataset(tmp_path / "d.bin", trajs, dim=2, env_meta={}, seed=0)
+
+
+def test_zero_episodes_keep_the_rule_and_round_trip(tmp_path):
+    p, raw = tmp_path / "d.bin", tmp_path / "raw.bin"
+    save_dataset(p, [], dim=2, env_meta={}, seed=0)
+    _raw_dataset(raw, [])
+    assert p.read_bytes() == raw.read_bytes()
+    assert load_dataset(p)[0] == []
+
+
+def test_the_first_failing_check_of_the_lowest_episode_is_reported(tmp_path):
+    """Episode 1 breaks its ledger and, later in check order, its ids;
+    episode 2 has a non-finite feature, which comes first in check order
+    but in a later episode."""
+    trajs = [_traj(np.full((3, 2), 0.25), [0.0, 0.0]) for _ in range(3)]
+    trajs[1].action_states[2, 0] = 9.0
+    trajs[1].frame_ids[2] = 0
+    trajs[2].features[0, 0] = np.nan
+    with pytest.raises(DatasetError, match="^episode 1: action_states is not the exact prefix sum"):
+        save_dataset(tmp_path / "d.bin", trajs, dim=2, env_meta={}, seed=0)
+
+
+def test_a_shape_fault_waits_for_earlier_episodes_and_its_own_values(tmp_path):
+    """A shape fault in episode 2 is reported only when episodes 0 and 1
+    keep the rule, and after episode 2's own non-finite values, which the
+    rule checks before actions' and states' shapes."""
+    trajs = [_traj(np.full((3, 2), 0.25), [0.0, 0.0]) for _ in range(3)]
+    trajs[2].action_states = trajs[2].action_states[:-1]
+    p = tmp_path / "d.bin"
+    with pytest.raises(DatasetError, match=r"^episode 2: action_states shape \(3, 2\), want \(4, 2\)$"):
+        save_dataset(p, trajs, dim=2, env_meta={}, seed=0)
+    trajs[2].actions[0, 0] = np.nan
+    with pytest.raises(DatasetError, match="^episode 2: non-finite actions$"):
+        save_dataset(p, trajs, dim=2, env_meta={}, seed=0)
+    trajs[1].frame_ids[1] = 0
+    with pytest.raises(DatasetError, match="^episode 1: frame_id not strictly increasing$"):
+        save_dataset(p, trajs, dim=2, env_meta={}, seed=0)
     assert not p.exists()
