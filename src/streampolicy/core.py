@@ -28,6 +28,7 @@ import json
 import math
 import struct
 import zlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -152,9 +153,125 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
     stream tuples are statistically independent. Substreams let training
     iterations, episodes, and environments draw reproducibly without
     sharing mutable generator state.
+
+    Building the SeedSequence and the Philox costs about 15-28 µs; a loop
+    over consecutive indices of one stream takes its generators from
+    substreams instead, which draws the same words.
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in stream))
     return np.random.Generator(np.random.Philox(ss))
+
+
+# SeedSequence's uint32 hash (numpy/random/bit_generator.pyx): its constants
+# and its hashmix and mix steps, written for Python ints and uint64 arrays of
+# 32-bit words alike, so each step is reduced to 32 bits
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4
+# indices keyed per numpy pass: 16 bytes of key per index, so a pass holds
+# a few arrays of 32 KB whatever the stream's length
+SUBSTREAM_BLOCK = 2048
+
+
+def _hashmix(value, h):
+    """hashmix(value) under hash constant h: (hashed value, next constant)."""
+    value = (value ^ h) & _M32
+    h = h * _MULT_A & _M32
+    value = value * h & _M32
+    return value ^ value >> 16, h
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ r >> 16
+
+
+def _words(n: int) -> list[int]:
+    """A non-negative integer's little-endian 32-bit words, as SeedSequence
+    splits entropy and spawn keys ([0] for zero)."""
+    n = int(n)
+    if n < 0:
+        raise ValueError(f"expected non-negative integer, got {n}")
+    words = [n & _M32]
+    while n := n >> 32:
+        words.append(n & _M32)
+    return words
+
+
+def _prefix_pool(seed: int, prefix: tuple[int, ...]):
+    """SeedSequence(seed, spawn_key=(*prefix, i))'s pool and hash constant
+    just before the last word, i, is mixed in: neither depends on i."""
+    entropy = _words(seed)
+    entropy += [0] * (_POOL_WORDS - len(entropy))  # a spawn key pads the seed to the pool
+    for s in prefix:
+        entropy += _words(s)
+    h, pool = _INIT_A, []
+    for word in entropy[:_POOL_WORDS]:
+        value, h = _hashmix(word, h)
+        pool.append(value)
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                value, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], value)
+    for word in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            value, h = _hashmix(word, h)
+            pool[dst] = _mix(pool[dst], value)
+    return pool, h
+
+
+def _philox_keys(pool: list[int], h: int, index: np.ndarray):
+    """Philox's two 64-bit key words for each index (a uint64 array of
+    32-bit values): the last word mixed into the pool, then
+    generate_state(2, np.uint64), four words read as two little-endian
+    pairs. Returns them as two lists of Python ints."""
+    mixed = []
+    for word in pool:
+        value, h = _hashmix(index, h)
+        mixed.append(_mix(word, value))
+    out, h = [], _INIT_B
+    for word in mixed:
+        word = word ^ h
+        h = h * _MULT_B & _M32
+        word = word * h & _M32
+        out.append(word ^ word >> 16)
+    return (out[0] | out[1] << 32).tolist(), (out[2] | out[3] << 32).tolist()
+
+
+def substreams(seed: int, *prefix: int, start: int, stop: int) -> Iterator[np.random.Generator]:
+    """Generators for make_rng(seed, *prefix, i), i in range(start, stop).
+
+    Each yielded generator draws exactly what make_rng(seed, *prefix, i)
+    draws. A Philox stream is fixed by its 128-bit key alone, so the keys
+    are hashed in one numpy pass per SUBSTREAM_BLOCK indices, and one
+    Philox is re-keyed for each index by setting its whole state: the key,
+    a zero counter, an empty buffer and no buffered 32-bit word. Every index
+    yields the same Generator object, valid until the next one is drawn;
+    a re-keyed generator costs about 1 µs against make_rng's 15-28 µs.
+
+    Raises ValueError, when called, on a negative seed or prefix word, as
+    SeedSequence does, and on a non-empty range with an index outside
+    [0, 2**32): SeedSequence keys a larger index by more than one word.
+    """
+    if start < stop and not (0 <= start and stop <= 1 << 32):
+        raise ValueError(f"substream indices must lie in [0, 2**32), got range({start}, {stop})")
+    pool, h = _prefix_pool(seed, prefix)
+    return _rekeyed(pool, h, start, stop)
+
+
+def _rekeyed(pool: list[int], h: int, start: int, stop: int) -> Iterator[np.random.Generator]:
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    empty = (0, 0, 0, 0)
+    for lo in range(start, stop, SUBSTREAM_BLOCK):
+        index = np.arange(lo, min(lo + SUBSTREAM_BLOCK, stop), dtype=np.uint64)
+        for key in zip(*_philox_keys(pool, h, index)):
+            bitgen.state = {"bit_generator": "Philox", "state": {"counter": empty, "key": key},
+                            "buffer": empty, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+            yield rng
 
 
 # stream ids used across the package; values are arbitrary but frozen
@@ -348,7 +465,7 @@ def read_container(path, *, expect_tag: int | None = None, error: type[ValueErro
     blob_end = meta_end + 8 * total
     if blob_end + 4 > len(data):
         raise error(f"{path}: truncated array blob")
-    blob = data[meta_end:blob_end]
+    blob = memoryview(data)[meta_end:blob_end]  # a view: no copy of the arrays' bytes
     (crc,) = struct.unpack_from("<I", data, blob_end)
     if crc != (zlib.crc32(blob) & 0xFFFFFFFF):
         raise error(f"{path}: array blob fails checksum")

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (ACTION_DIM, ALPHA0_INITIAL_POSITION, ALPHA0_ZERO, OBS_DIM, Trajectory,
-                   cumulative_states, make_rng, STREAM_DEMO, STREAM_INIT)
+                   cumulative_states, make_rng, substreams, STREAM_DEMO, STREAM_INIT)
 
 WORKSPACE_LO = -5.0
 WORKSPACE_HI = 5.0
@@ -203,14 +203,17 @@ def step_rows(kind: EnvKind, pos: np.ndarray, goal: np.ndarray, latch: np.ndarra
     return pos, goal, latch, latch & (np.sqrt(np.vecdot(d, d)) < SUCCESS_DIST)
 
 
-# the start box's and then the goal box's bounds, so one uniform call draws
-# the values, in the order, that one call per box draws
+# the start box's and then the goal box's bounds, so one draw of four values
+# gives the values, in the order, that one uniform call per box draws
 _INIT_LO = np.concatenate((START_BOX[0], GOAL_BOX[0]))
-_INIT_HI = np.concatenate((START_BOX[1], GOAL_BOX[1]))
+_INIT_SPAN = np.concatenate((START_BOX[1], GOAL_BOX[1])) - _INIT_LO
 
 
 def make_initial_state(rng: np.random.Generator) -> EnvState:
-    u = rng.uniform(_INIT_LO, _INIT_HI)
+    # rng.uniform(lo, hi)'s own arithmetic, lo + (hi - lo) * u, without its
+    # argument conversion and range checks: about 3 µs a start state
+    # against 12-14 µs (timeit)
+    u = _INIT_LO + _INIT_SPAN * rng.random(4)
     return EnvState(position=u[:ACTION_DIM], goal=u[ACTION_DIM:], latch=False, step_count=0)
 
 
@@ -363,13 +366,13 @@ def generate_demos(kind: EnvKind, n: int, seed: int, *, step_cap: int = 120, noi
     """Collect n successful expert episodes; failures are resampled.
 
     Attempt i draws its start state and then its whole noise block, one
-    (2,) row per possible step, from make_rng(seed, STREAM_DEMO, i). Attempts
-    run in lockstep rounds: each round rolls out the attempts still needed,
-    at most DEMO_BLOCK of them (fewer above the default step cap), through
-    rollout_rows with the expert's commands plus each row's noise and
-    EXPERT_PARK_STEPS park steps, and keeps its successes in attempt order,
-    so the demos are the ones attempt-by-attempt generation gives, bit for
-    bit.
+    (2,) row per possible step, from make_rng(seed, STREAM_DEMO, i)'s stream,
+    which a round takes from substreams. Attempts run in lockstep rounds:
+    each round rolls out the attempts still needed, at most DEMO_BLOCK of
+    them (fewer above the default step cap), through rollout_rows with the
+    expert's commands plus each row's noise and EXPERT_PARK_STEPS park
+    steps, and keeps its successes in attempt order, so the demos are the
+    ones attempt-by-attempt generation gives, bit for bit.
 
     Raises ValueError on a step cap below 1 or a negative or non-finite
     noise, and GenerationError after 10 * n attempts, so an unreachable task surfaces as an error
@@ -388,8 +391,7 @@ def generate_demos(kind: EnvKind, n: int, seed: int, *, step_cap: int = 120, noi
             raise GenerationError(f"only {len(demos)}/{n} episodes succeeded after {attempts} attempts")
         block = min(per_round, n - len(demos), 10 * n - attempts)
         states, noises = [], []
-        for i in range(attempts, attempts + block):
-            rng = make_rng(seed, STREAM_DEMO, i)
+        for rng in substreams(seed, STREAM_DEMO, start=attempts, stop=attempts + block):
             states.append(make_initial_state(rng))
             if noise:
                 # a Generator fills the block in order: row t holds step t's draws

@@ -35,7 +35,7 @@ import numpy as np
 
 from .core import (ACTION_DIM, OBS_DIM, STREAM_MODEL_INIT, STREAM_PREDICTOR, TAG_SALIENCY_PREDICTOR,
                    CheckpointError, TrainingDivergedError, Trajectory, check_shapes, make_rng,
-                   read_container, write_container)
+                   read_container, substreams, write_container)
 from .velocitynet import TRAIN_DTYPE, _backward, _layer_pass, adam_step, astype, init_adam
 
 N_EO_MAX = 4
@@ -353,8 +353,7 @@ def train_predictor(trajectories: list[Trajectory], cfg: PredictorConfig,
     log: list[tuple[int, float, float]] = []
     t0 = time.perf_counter()
     last_finite: float | None = None
-    for i in range(cfg.iterations):
-        rng = make_rng(cfg.seed, STREAM_PREDICTOR, i)
+    for i, rng in enumerate(substreams(cfg.seed, STREAM_PREDICTOR, start=0, stop=cfg.iterations)):
         E, target, cond = _sample_pairs(pool, cfg, rng)
         loss, grads = loss_and_grad(predictor, E, cond, target)
         if not math.isfinite(loss):

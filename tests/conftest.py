@@ -1,5 +1,5 @@
-"""Shared fixtures. The trained-policy fixtures are expensive (about 9 s each,
-the predictor about 1.3 s, on a 2-CPU x86-64 host with OpenBLAS at one thread)
+"""Shared fixtures. The trained-policy fixtures are expensive (about 8–9 s each,
+the predictor about 1.3–1.6 s, on a 2-CPU x86-64 host with OpenBLAS at one thread)
 and session-scoped; everything that needs a competent policy shares them. Seeds
 are frozen so every run trains byte-identical models.
 

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from conftest import CTRL, DEMO_SEED, DIRECT
 from streampolicy.core import (
-    TAG_TRAJECTORY_DATASET, DatasetError, Observation, Trajectory, cumulative_states,
-    load_dataset, make_rng, read_container, save_dataset, write_container,
+    STREAM_DEMO, STREAM_PREDICTOR, STREAM_TRAIN, SUBSTREAM_BLOCK, TAG_TRAJECTORY_DATASET,
+    DatasetError, Observation, Trajectory, cumulative_states, load_dataset, make_rng,
+    read_container, save_dataset, substreams, write_container,
 )
 from streampolicy.envsim import env_metadata
 from test_pins import CTRL_DATASET_SHA256, DIRECT_DATASET_SHA256
@@ -238,7 +239,7 @@ def test_make_rng_streams_are_independent_and_stable():
     assert np.array_equal(a, make_rng(7, 1, 0).random(4))
 
 
-@pytest.mark.parametrize("key, words", [
+PINNED_WORDS = [
     ((0,), (0x399e5b222b82fa9, 0x41fd08c1f00f3bc5, 0x78b8824162ee4d04)),
     ((0, 1, 0), (0xe0142d5981f313be, 0xd22aeafad1bfb762, 0xa2f97b1960b5b213)),
     ((11, 1, 599), (0x92373753f7635830, 0xa97b11d1edb8874, 0xba946366b6fb4f63)),
@@ -246,12 +247,86 @@ def test_make_rng_streams_are_independent_and_stable():
     ((3000, 6, 7), (0xb030c583e9bc35d9, 0xc9ae1c790c4fc90a, 0x716362a585ba5ee2)),
     ((5, 3, 15999), (0x4ed3947e75d57eb9, 0x4f33a3b1da38c377, 0x40b015e2440942ac)),
     ((2**40 + 3, 7, 0), (0x6ebfbe3befd3df45, 0xb9191fede8b20329, 0x85151032c53364ee)),
-])
+]
+
+
+@pytest.mark.parametrize("key, words", PINNED_WORDS)
 def test_make_rng_first_words_are_pinned(key, words):
     """The first raw words of make_rng's generator for (seed, *stream) keys
     of the demo, init, train, indicator and model-init streams. A cheaper
     construction of the same streams must give these words first."""
     assert tuple(make_rng(*key).bit_generator.random_raw(3).tolist()) == words
+
+
+def _assert_substreams_are_make_rng(seed, *prefix, start, stop):
+    """Every generator substreams yields has make_rng's whole state (its
+    key, counter, buffer and buffered word) and draws its first three raw
+    words."""
+    streams = substreams(seed, *prefix, start=start, stop=stop)
+    for i in range(start, stop):
+        rng, want = next(streams), make_rng(seed, *prefix, i)
+        assert str(rng.bit_generator.state) == str(want.bit_generator.state), i
+        assert rng.bit_generator.random_raw(3).tolist() == want.bit_generator.random_raw(3).tolist(), i
+    assert next(streams, None) is None
+
+
+@pytest.mark.parametrize("key, words", [(k, w) for k, w in PINNED_WORDS if len(k) > 1])
+def test_substreams_give_the_pinned_words(key, words):
+    """The pinned keys with a stream index (the bare seed (0,) has none, so
+    no substream family holds it)."""
+    seed, *prefix, i = key
+    rng = next(substreams(seed, *prefix, start=i, stop=i + 1))
+    assert tuple(rng.bit_generator.random_raw(3).tolist()) == words
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 1])
+def test_substreams_match_make_rng_across_seed_widths(seed):
+    """Seeds of one, two and three 32-bit words, and the widest one-word seed."""
+    _assert_substreams_are_make_rng(seed, STREAM_TRAIN, start=0, stop=40)
+
+
+@pytest.mark.parametrize("prefix", [(), (STREAM_DEMO, 0), (6, 2**40 + 5, 3), (0, 0, 0, 0)])
+def test_substreams_match_make_rng_with_any_prefix(prefix):
+    """No prefix, and prefixes of several words, one of them two words wide."""
+    _assert_substreams_are_make_rng(12, *prefix, start=3, stop=20)
+
+
+def test_substreams_match_make_rng_across_a_block_boundary():
+    _assert_substreams_are_make_rng(9, STREAM_PREDICTOR, start=5, stop=5 + SUBSTREAM_BLOCK + 3)
+
+
+def test_substreams_resume_and_empty_ranges():
+    _assert_substreams_are_make_rng(5, STREAM_TRAIN, start=15990, stop=16010)
+    _assert_substreams_are_make_rng(3, STREAM_DEMO, start=2**32 - 3, stop=2**32)
+    assert list(substreams(3, STREAM_TRAIN, start=7, stop=7)) == []
+    assert list(substreams(3, STREAM_TRAIN, start=9, stop=7)) == []
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: rng.uniform(-1.0, 2.0, size=5),
+    lambda rng: rng.normal(0.0, 0.4, size=5),
+    lambda rng: rng.integers(0, 2**32, size=5, dtype=np.uint32),
+])
+def test_a_rekeyed_generator_draws_what_a_fresh_one_draws(draw):
+    """After an odd number of 32-bit draws the Philox holds a buffered half
+    word and a part-used block; re-keying drops both."""
+    streams = substreams(4, STREAM_DEMO, start=0, stop=4)
+    for i, rng in enumerate(streams):
+        assert draw(rng).tobytes() == draw(make_rng(4, STREAM_DEMO, i)).tobytes(), i
+        held = rng.bit_generator.state["has_uint32"]
+        rng.integers(0, 2**32, size=2 * i + 1 + held, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+
+
+def test_substreams_refuse_what_seed_sequence_cannot_key():
+    for seed, prefix in ((-1, (STREAM_TRAIN,)), (3, (STREAM_TRAIN, -2))):
+        with pytest.raises(ValueError):
+            make_rng(seed, *prefix, 0)
+        with pytest.raises(ValueError, match="non-negative"):
+            substreams(seed, *prefix, start=0, stop=1)
+    for start, stop in ((-1, 3), (2**32 - 1, 2**32 + 1), (2**32, 2**32 + 1)):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+            substreams(3, STREAM_TRAIN, start=start, stop=stop)
 
 
 def _drop(name):

@@ -14,7 +14,7 @@ import pytest
 from conftest import expert_episode
 from streampolicy import envsim
 from streampolicy.cli import main
-from streampolicy.core import STREAM_DEMO, Trajectory, cumulative_states, make_rng
+from streampolicy.core import STREAM_DEMO, Trajectory, cumulative_states, make_rng, substreams
 from streampolicy.envsim import (
     EXPERT_GAIN, EXPERT_MAX_STEP, EXPERT_NOISE, EXPERT_PARK_STEPS, GOAL_BOX, START_BOX, EnvKind,
     EnvState, GenerationError, KIND_CONTROLLER, KIND_DIRECT, alpha0_for, generate_demos,
@@ -188,11 +188,15 @@ def test_expert_action_equals_the_reference():
 
 
 def test_start_state_matches_one_draw_per_box():
-    for attempt in range(50):
-        got = envsim.make_initial_state(make_rng(7, STREAM_DEMO, attempt))
-        want = _ref_initial_state(make_rng(7, STREAM_DEMO, attempt))
-        assert got.position.tobytes() == want.position.tobytes()
-        assert got.goal.tobytes() == want.goal.tobytes()
+    """lo + span * random(4) gives, byte for byte, the two uniform calls'
+    values: 1,200 attempts on each of five seeds."""
+    for seed in (7, 0, 11, 2**32 + 1, 8101):
+        streams = substreams(seed, STREAM_DEMO, start=0, stop=1200)
+        for attempt, rng in enumerate(streams):
+            got = envsim.make_initial_state(rng)
+            want = _ref_initial_state(make_rng(seed, STREAM_DEMO, attempt))
+            assert got.position.tobytes() == want.position.tobytes(), (seed, attempt)
+            assert got.goal.tobytes() == want.goal.tobytes(), (seed, attempt)
 
 
 # ---------------------------------------------------------------------------
@@ -232,16 +236,18 @@ def test_noise_block_matches_per_step_draws():
 
 
 def _count_demo_streams(monkeypatch):
-    """Record the substream of every STREAM_DEMO make_rng call envsim makes."""
+    """Record the substream, (STREAM_DEMO, i), of every attempt generation
+    draws: the indices envsim's substreams yield generators for."""
     streams = []
-    real = envsim.make_rng
+    real = envsim.substreams
 
-    def counting(seed, *stream):
-        if stream[:1] == (STREAM_DEMO,):
-            streams.append(stream)
-        return real(seed, *stream)
+    def counting(seed, *prefix, start, stop):
+        for i, rng in zip(range(start, stop), real(seed, *prefix, start=start, stop=stop)):
+            if prefix == (STREAM_DEMO,):
+                streams.append((*prefix, i))
+            yield rng
 
-    monkeypatch.setattr(envsim, "make_rng", counting)
+    monkeypatch.setattr(envsim, "substreams", counting)
     return streams
 
 

@@ -267,6 +267,9 @@ def test_container_roundtrip(tmp_path):
     assert cfg == cfgin
     for name, arr in arrays:
         assert np.array_equal(loaded[name], arr)
+        # each a fresh array, not a view of the file's bytes
+        assert loaded[name].flags.writeable and loaded[name].flags.c_contiguous, name
+        assert loaded[name].flags.owndata and loaded[name].dtype == np.float64, name
 
 
 def test_container_rejects_corruption(tmp_path):
