@@ -188,39 +188,22 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _words(n: int) -> list[int]:
-    """A non-negative integer's little-endian 32-bit words, as SeedSequence
-    splits entropy and spawn keys ([0] for zero)."""
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"expected non-negative integer, got {n}")
-    words = [n & _M32]
-    while n := n >> 32:
-        words.append(n & _M32)
-    return words
-
-
 def _prefix_pool(seed: int, prefix: tuple[int, ...]):
     """SeedSequence(seed, spawn_key=(*prefix, i))'s pool and hash constant
-    just before the last word, i, is mixed in: neither depends on i."""
-    entropy = _words(seed)
-    entropy += [0] * (_POOL_WORDS - len(entropy))  # a spawn key pads the seed to the pool
-    for s in prefix:
-        entropy += _words(s)
-    h, pool = _INIT_A, []
-    for word in entropy[:_POOL_WORDS]:
-        value, h = _hashmix(word, h)
-        pool.append(value)
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                value, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], value)
-    for word in entropy[_POOL_WORDS:]:
-        for dst in range(_POOL_WORDS):
-            value, h = _hashmix(word, h)
-            pool[dst] = _mix(pool[dst], value)
-    return pool, h
+    just before the last word, i, is mixed in: neither depends on i.
+
+    The pool is SeedSequence(seed, spawn_key=prefix)'s. The constant is
+    _INIT_A times _MULT_A once per hashmix so far: one per pool word, one per
+    ordered pair of distinct pool words, and one per pool word for each
+    entropy word past the pool, the seed padded to the pool by a spawn key.
+    """
+    seed, prefix = int(seed), tuple(map(int, prefix))  # make_rng's coercion
+    ss = np.random.SeedSequence(seed, spawn_key=prefix)  # refuses negative words
+    words = [max(1, -(-n.bit_length() // 32)) for n in (seed, *prefix)]
+    if prefix:
+        words[0] = max(words[0], _POOL_WORDS)
+    k = _POOL_WORDS * _POOL_WORDS + _POOL_WORDS * max(0, sum(words) - _POOL_WORDS)
+    return ss.pool.tolist(), _INIT_A * pow(_MULT_A, k, 1 << 32) & _M32
 
 
 def _philox_keys(pool: list[int], h: int, index: np.ndarray):
@@ -245,16 +228,19 @@ def substreams(seed: int, *prefix: int, start: int, stop: int) -> Iterator[np.ra
     """Generators for make_rng(seed, *prefix, i), i in range(start, stop).
 
     Each yielded generator draws exactly what make_rng(seed, *prefix, i)
-    draws. A Philox stream is fixed by its 128-bit key alone, so the keys
-    are hashed in one numpy pass per SUBSTREAM_BLOCK indices, and one
-    Philox is re-keyed for each index by setting its whole state: the key,
-    a zero counter, an empty buffer and no buffered 32-bit word. Every index
-    yields the same Generator object, valid until the next one is drawn;
-    a re-keyed generator costs about 1 µs against make_rng's 15-28 µs.
+    draws. A Philox stream is fixed by its 128-bit key alone. The words
+    before i are numpy's own SeedSequence(seed, spawn_key=prefix).pool, so
+    only i's word of SeedSequence's hash is replayed: in one numpy pass per
+    SUBSTREAM_BLOCK indices. One Philox is re-keyed for each index by
+    setting its whole state: the key, a zero counter, an empty buffer and
+    no buffered 32-bit word. Every index yields the same Generator object,
+    valid until the next one is drawn; a re-keyed generator costs about
+    1 µs against make_rng's 15-28 µs.
 
-    Raises ValueError, when called, on a negative seed or prefix word, as
-    SeedSequence does, and on a non-empty range with an index outside
-    [0, 2**32): SeedSequence keys a larger index by more than one word.
+    Raises ValueError, when called, on a negative seed or prefix word
+    (SeedSequence's own error), and on a non-empty range with an index
+    outside [0, 2**32): SeedSequence keys a larger index by more than one
+    word.
     """
     if start < stop and not (0 <= start and stop <= 1 << 32):
         raise ValueError(f"substream indices must lie in [0, 2**32), got range({start}, {stop})")

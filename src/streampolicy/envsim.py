@@ -1,20 +1,20 @@
 """Two planar toy environments with a planted mid-episode distribution shift.
 
-Both share a [-5, 5]^2 workspace, a goal, and a latch region: the first entry
-into the region sets a sticky latch flag and translates the goal by a fixed
-offset. Pre-latch observations therefore cannot predict the post-latch goal,
-which is what makes acting on a stale observation across the latch event
-costly.
+Both share a [-5, 5]^2 workspace, a goal, and a fixed latch region
+(LATCH_BOX_LO to LATCH_BOX_HI): the first entry into the region sets a sticky
+latch flag and translates the goal by a fixed offset. Pre-latch observations
+therefore cannot predict the post-latch goal, which is what makes acting on a
+stale observation across the latch event costly.
 
 Direct kind: position += action, so the running action sum equals position.
-Controller kind: position += c * tanh(action / c), a saturating actuator that
-decouples the action-space state from physical space.
+Controller kind: position += c * tanh(action / c) with c = SATURATION, a
+saturating actuator that decouples the action-space state from physical space.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +38,11 @@ START_BOX = (np.array([-4.05, -4.05]), np.array([-3.75, -3.75]))
 GOAL_BOX = (np.array([1.7, 2.2]), np.array([2.8, 3.3]))
 LATCH_BOX_LO = np.array([-1.0, 0.3])
 LATCH_BOX_HI = np.array([0.2, 1.5])
+# the latch region's bounds as Python floats, for step's scalar test
+_LATCH_X_LO, _LATCH_Y_LO = LATCH_BOX_LO.tolist()
+_LATCH_X_HI, _LATCH_Y_HI = LATCH_BOX_HI.tolist()
+# the controller's per-axis displacement bound c in c * tanh(a / c)
+SATURATION = 0.5
 
 EXPERT_GAIN = 0.55
 EXPERT_MAX_STEP = 0.35
@@ -46,47 +51,20 @@ EXPERT_MAX_STEP = 0.35
 EXPERT_NOISE = 0.05
 
 
-@dataclass(frozen=True)
-class Box:
-    lo: np.ndarray
-    hi: np.ndarray
-    # (lo, hi) of each axis as Python floats, so contains builds no arrays
-    _axes: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_axes", tuple(zip(np.asarray(self.lo, dtype=np.float64).tolist(),
-                                                    np.asarray(self.hi, dtype=np.float64).tolist())))
-
-    def contains(self, p: np.ndarray) -> bool:
-        for (lo, hi), v in zip(self._axes, p.tolist()):
-            if not lo <= v <= hi:  # also false for NaN
-                return False
-        return True
-
-    @property
-    def center(self) -> np.ndarray:
-        return (self.lo + self.hi) / 2.0
-
-
-DEFAULT_LATCH_REGION = Box(lo=LATCH_BOX_LO, hi=LATCH_BOX_HI)
-
 KIND_DIRECT = "direct"
 KIND_CONTROLLER = "controller"
 
 
 @dataclass(frozen=True)
 class EnvKind:
-    """Environment family: actuator variant plus the latch geometry."""
+    """Environment family: the actuator variant. The workspace, latch region
+    and saturation are the module's constants."""
 
     variant: str = KIND_DIRECT
-    saturation: float = 0.5
-    latch_region: Box = DEFAULT_LATCH_REGION
 
     def __post_init__(self):
         if self.variant not in (KIND_DIRECT, KIND_CONTROLLER):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant == KIND_CONTROLLER and not self.saturation > 0:
-            raise ValueError("saturation must be positive")
 
 
 class EnvState(NamedTuple):
@@ -105,12 +83,11 @@ def _displacement(kind: EnvKind, action: np.ndarray) -> np.ndarray:
     """Realized displacement of a (B, 2) batch of actions.
 
     Controller kind passes each action through c * tanh(a / c), bounding the
-    displacement by the saturation constant per axis; direct kind returns it.
+    displacement by SATURATION per axis; direct kind returns it.
     np.tanh gives each row of a batch the bits it gives that row alone.
     """
     if kind.variant == KIND_CONTROLLER:
-        c = kind.saturation
-        return c * np.tanh(action / c)
+        return SATURATION * np.tanh(action / SATURATION)
     return action
 
 
@@ -129,9 +106,8 @@ def step(kind: EnvKind, state: EnvState, action: np.ndarray) -> EnvState:
     step_rows gives the same row, at a lower per-call cost.
     """
     if kind.variant == KIND_CONTROLLER:
-        c = kind.saturation
-        dx, dy = np.tanh(action / c).tolist()
-        dx, dy = c * dx, c * dy
+        dx, dy = np.tanh(action / SATURATION).tolist()
+        dx, dy = SATURATION * dx, SATURATION * dy
     else:
         dx, dy = action.tolist()
     px, py = state.position.tolist()
@@ -142,7 +118,9 @@ def step(kind: EnvKind, state: EnvState, action: np.ndarray) -> EnvState:
         pos = _clip_to_workspace(pos)
     goal = state.goal
     latch = state.latch
-    if not latch and kind.latch_region.contains(pos):
+    # on the unclipped x, y: the region lies inside the workspace, so the clip
+    # cannot move a point into or out of it, and NaN compares false
+    if not latch and _LATCH_X_LO <= x <= _LATCH_X_HI and _LATCH_Y_LO <= y <= _LATCH_Y_HI:
         latch = True
         goal = goal + LATCH_SHIFT
     return EnvState(pos, goal, latch, state.step_count + 1)  # positional: the cheaper call
@@ -194,8 +172,7 @@ def step_rows(kind: EnvKind, pos: np.ndarray, goal: np.ndarray, latch: np.ndarra
     bits a lone step gives it. The step counts are the caller's.
     """
     pos = _clip_to_workspace(pos + _displacement(kind, action))
-    box = kind.latch_region
-    enter = ~latch & ((pos >= box.lo) & (pos <= box.hi)).all(axis=1)
+    enter = ~latch & ((pos >= LATCH_BOX_LO) & (pos <= LATCH_BOX_HI)).all(axis=1)
     if enter.any():
         goal = np.where(enter[:, None], goal + LATCH_SHIFT, goal)
         latch = latch | enter
@@ -233,8 +210,8 @@ def alpha0_for(kind: EnvKind, state: EnvState) -> np.ndarray:
 def env_metadata(kind: EnvKind) -> dict:
     return {
         "variant": kind.variant,
-        "saturation": kind.saturation if kind.variant == KIND_CONTROLLER else None,
-        "latch_region": [list(map(float, kind.latch_region.lo)), list(map(float, kind.latch_region.hi))],
+        "saturation": SATURATION if kind.variant == KIND_CONTROLLER else None,
+        "latch_region": [LATCH_BOX_LO.tolist(), LATCH_BOX_HI.tolist()],
         "latch_shift": [float(x) for x in LATCH_SHIFT],
         "alpha0": alpha0_convention(kind),
         "obs_dim": 7,
@@ -249,9 +226,10 @@ class GenerationError(RuntimeError):
 _WAYPOINT_GAIN = np.array([0.4, 0.6])
 _WAYPOINT_MARGIN = 0.12
 _GOAL_MID = 0.5 * (GOAL_BOX[0] + GOAL_BOX[1])
+_LATCH_CENTER = (LATCH_BOX_LO + LATCH_BOX_HI) / 2.0
 
 
-def latch_waypoint(kind: EnvKind, goal: np.ndarray) -> np.ndarray:
+def latch_waypoint(goal: np.ndarray) -> np.ndarray:
     """Goal-dependent interior point of the latch region.
 
     Anchoring the crossing point to the goal spreads the latch-crossing step
@@ -259,20 +237,19 @@ def latch_waypoint(kind: EnvKind, goal: np.ndarray) -> np.ndarray:
     crossing at the same local action index every time), and the map is
     continuous in the observation so a cloned policy reproduces the spread.
     """
-    box = kind.latch_region
-    w = box.center + _WAYPOINT_GAIN * (goal - _GOAL_MID)
+    w = _LATCH_CENTER + _WAYPOINT_GAIN * (goal - _GOAL_MID)
     # np.clip's result, without its per-call overhead
-    return np.minimum(np.maximum(w, box.lo + _WAYPOINT_MARGIN), box.hi - _WAYPOINT_MARGIN)
+    return np.minimum(np.maximum(w, LATCH_BOX_LO + _WAYPOINT_MARGIN), LATCH_BOX_HI - _WAYPOINT_MARGIN)
 
 
-def _expert_commands(kind: EnvKind, position: np.ndarray, goal: np.ndarray, latch: np.ndarray) -> np.ndarray:
+def _expert_commands(position: np.ndarray, goal: np.ndarray, latch: np.ndarray) -> np.ndarray:
     """The scripted expert's noiseless command for each row of (B, 2)
     positions and goals: head into the latch region, then to the current goal.
 
     np.vecdot(a, a) is the row-wise a.dot(a), which np.linalg.norm computes
     for one real vector, with the same bits per row.
     """
-    target = np.where(latch[:, None], goal, latch_waypoint(kind, goal))
+    target = np.where(latch[:, None], goal, latch_waypoint(goal))
     a = EXPERT_GAIN * (target - position)
     norm = np.sqrt(np.vecdot(a, a))
     over = norm > EXPERT_MAX_STEP
@@ -295,12 +272,12 @@ DEMO_BLOCK = 256
 _ROUND_STEPS = DEMO_BLOCK * (120 + EXPERT_PARK_STEPS)
 
 
-def _expert_act(kind: EnvKind, noise: np.ndarray | None):
+def _expert_act(noise: np.ndarray | None):
     """The expert as rollout_rows' action rule: its commands for the running
     rows, read off their observed positions, goals and latches, plus their
     noise[rows, t] unless noise is None."""
     def act(t: int, rows: np.ndarray, features: np.ndarray) -> np.ndarray:
-        a = _expert_commands(kind, features[:, :2], features[:, 2:4], features[:, 4] != 0)
+        a = _expert_commands(features[:, :2], features[:, 2:4], features[:, 4] != 0)
         return a if noise is None else a + noise[rows, t]
     return act
 
@@ -397,7 +374,7 @@ def generate_demos(kind: EnvKind, n: int, seed: int, *, step_cap: int = 120, noi
                 # a Generator fills the block in order: row t holds step t's draws
                 noises.append(rng.normal(0.0, noise, size=(steps, ACTION_DIM)))
         attempts += block
-        act = _expert_act(kind, np.stack(noises) if noises else None)
+        act = _expert_act(np.stack(noises) if noises else None)
         features, actions, lengths, ok = rollout_rows(kind, states, act, step_cap, EXPERT_PARK_STEPS)
         demos.extend(rollout_trajectory(kind, state, features[b, :lengths[b]], actions[b, :lengths[b]])
                      for b, state in enumerate(states) if ok[b])

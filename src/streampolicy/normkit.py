@@ -91,7 +91,3 @@ def normalize_legacy(v, stats: NormStats) -> np.ndarray:
     normalized sum by one offset per term.
     """
     return (_check_dim(v, stats) - stats.q_min) / stats.scale * 2.0 - 1.0
-
-
-def denormalize_legacy(v, stats: NormStats) -> np.ndarray:
-    return (_check_dim(v, stats) + 1.0) / 2.0 * stats.scale + stats.q_min

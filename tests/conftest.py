@@ -48,7 +48,7 @@ def expert_episode(kind, state, rng, step_cap=120, noise=EXPERT_NOISE):
     steps = step_cap + EXPERT_PARK_STEPS
     block = rng.normal(0.0, noise, size=(1, steps, 2)) if noise else None
     features, actions, lengths, ok = envsim.rollout_rows(
-        kind, [state], envsim._expert_act(kind, block), step_cap, EXPERT_PARK_STEPS)
+        kind, [state], envsim._expert_act(block), step_cap, EXPERT_PARK_STEPS)
     n = lengths[0]
     return envsim.rollout_trajectory(kind, state, features[0, :n], actions[0, :n]), bool(ok[0])
 

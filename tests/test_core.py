@@ -279,16 +279,20 @@ def test_substreams_give_the_pinned_words(key, words):
     assert tuple(rng.bit_generator.random_raw(3).tolist()) == words
 
 
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 1])
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 5, 2**200])
 def test_substreams_match_make_rng_across_seed_widths(seed):
-    """Seeds of one, two and three 32-bit words, and the widest one-word seed."""
+    """Seeds of one, two, three, five and seven 32-bit words, and the widest
+    one-word seed: a seed wider than the pool adds hash steps of its own."""
     _assert_substreams_are_make_rng(seed, STREAM_TRAIN, start=0, stop=40)
 
 
-@pytest.mark.parametrize("prefix", [(), (STREAM_DEMO, 0), (6, 2**40 + 5, 3), (0, 0, 0, 0)])
-def test_substreams_match_make_rng_with_any_prefix(prefix):
-    """No prefix, and prefixes of several words, one of them two words wide."""
-    _assert_substreams_are_make_rng(12, *prefix, start=3, stop=20)
+@pytest.mark.parametrize("seed, prefix", [(12, ()), (12, (STREAM_DEMO, 0)), (12, (6, 2**40 + 5, 3)),
+                                          (12, (0, 0, 0, 0)), (2**200, ())],
+                         ids=[f"prefix{i}" for i in range(5)])
+def test_substreams_match_make_rng_with_any_prefix(seed, prefix):
+    """No prefix, and prefixes of several words, one of them two words wide;
+    and no prefix after a seed wider than the pool."""
+    _assert_substreams_are_make_rng(seed, *prefix, start=3, stop=20)
 
 
 def test_substreams_match_make_rng_across_a_block_boundary():

@@ -36,7 +36,7 @@ def _ref_initial_state(rng):
 
 
 def _ref_expert_action(kind, state, rng, noise):
-    target = state.goal if state.latch else latch_waypoint(kind, state.goal)
+    target = state.goal if state.latch else latch_waypoint(state.goal)
     a = EXPERT_GAIN * (target - state.position)
     norm = math.sqrt(float(a.dot(a)))
     if norm > EXPERT_MAX_STEP:
@@ -181,7 +181,7 @@ def test_expert_action_equals_the_reference():
         for _ in range(200):
             state = EnvState(rng.uniform(-5, 5, size=2), rng.uniform(-5, 5, size=2),
                              bool(rng.integers(2)), 0)
-            got = envsim._expert_commands(kind, state.position[None], state.goal[None],
+            got = envsim._expert_commands(state.position[None], state.goal[None],
                                           np.array([state.latch]))[0]
             assert got.shape == (2,)
             assert got.tobytes() == _ref_expert_action(kind, state, None, 0.0).tobytes()
@@ -215,7 +215,7 @@ def test_row_dot_kernel_matches_the_single_vector_dot():
 
 def test_tanh_kernel_gives_each_row_its_own_bits():
     rng = np.random.default_rng(1)
-    c = KINDS["controller"].saturation
+    c = envsim.SATURATION
     rows = rng.normal(0.0, 0.4, size=(4000, 2)) / c
     batched = np.tanh(rows)
     for b in (1, 2, 3, 5, 8, 17, 4000):

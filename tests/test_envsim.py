@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import expert_episode
 from streampolicy.core import load_dataset, make_rng, save_dataset
 from streampolicy.envsim import (
-    EXPERT_PARK_STEPS, GOAL_BOX, LATCH_SHIFT, START_BOX, SUCCESS_DIST,
+    EXPERT_PARK_STEPS, GOAL_BOX, LATCH_BOX_HI, LATCH_BOX_LO, LATCH_SHIFT, SATURATION, START_BOX,
+    SUCCESS_DIST,
     WORKSPACE_HI, WORKSPACE_LO, EnvKind, GenerationError, KIND_CONTROLLER,
     KIND_DIRECT, EnvHandle, EnvState, _expert_commands, alpha0_for, env_metadata, generate_demos,
     latch_waypoint, make_env, make_initial_state, observe, observe_rows,
@@ -48,7 +49,7 @@ def test_controller_diverges_from_direct(ctrl_env, direct_env):
     big = np.array([2.0, -2.0])
     pc = step(ctrl_env, s, big).position
     pd = step(direct_env, s, big).position
-    assert np.all(np.abs(pc) <= ctrl_env.saturation + 1e-12)
+    assert np.all(np.abs(pc) <= SATURATION + 1e-12)
     assert np.linalg.norm(pd - pc) > 1.0
 
 
@@ -119,8 +120,8 @@ def test_expert_parks_after_success(ctrl_env):
 def test_waypoint_inside_latch_region(ctrl_env, rng):
     for _ in range(50):
         goal = rng.uniform(GOAL_BOX[0], GOAL_BOX[1])
-        w = latch_waypoint(ctrl_env, goal)
-        assert ctrl_env.latch_region.contains(w)
+        w = latch_waypoint(goal)
+        assert np.all((LATCH_BOX_LO <= w) & (w <= LATCH_BOX_HI))
 
 
 def test_generate_demos_counts_and_metadata(ctrl_env):
@@ -158,8 +159,8 @@ def test_start_and_goal_boxes_inside_workspace(rng):
 
 def test_expert_action_zero_noise_is_deterministic(ctrl_env, rng):
     state = make_initial_state(rng)
-    a1 = _expert_commands(ctrl_env, state.position[None], state.goal[None], np.array([state.latch]))[0]
-    a2 = _expert_commands(ctrl_env, state.position[None], state.goal[None], np.array([state.latch]))[0]
+    a1 = _expert_commands(state.position[None], state.goal[None], np.array([state.latch]))[0]
+    a2 = _expert_commands(state.position[None], state.goal[None], np.array([state.latch]))[0]
     assert np.array_equal(a1, a2)
 
 
@@ -217,3 +218,60 @@ def test_step_rows_give_each_row_the_bits_of_a_lone_step(variant):
         assert (bool(new_latch[b]), bool(won[b])) == (want.latch, success(want)), b
     assert 0 < won.sum() < n and 0 < (new_latch & ~latch).sum()
     assert ((pos + actions < WORKSPACE_LO) | (pos + actions > WORKSPACE_HI)).any()
+
+
+_LO_X, _LO_Y = LATCH_BOX_LO.tolist()
+_HI_X, _HI_Y = LATCH_BOX_HI.tolist()
+_MID_X, _MID_Y = ((LATCH_BOX_LO + LATCH_BOX_HI) / 2).tolist()
+# (position, action, latched after the step or None): a zero action leaves
+# the position where it is on both variants
+_LATCH_EDGES = [
+    *(((x, _MID_Y), (0.0, 0.0), True) for x in (_LO_X, _HI_X)),
+    *(((_MID_X, y), (0.0, 0.0), True) for y in (_LO_Y, _HI_Y)),
+    ((_LO_X, _LO_Y), (0.0, 0.0), True),
+    ((_HI_X, _HI_Y), (0.0, 0.0), True),
+    ((_MID_X, _MID_Y), (0.0, 0.0), True),
+    # one ulp outside each bound
+    ((np.nextafter(_LO_X, -np.inf), _MID_Y), (0.0, 0.0), False),
+    ((np.nextafter(_HI_X, np.inf), _MID_Y), (0.0, 0.0), False),
+    ((_MID_X, np.nextafter(_LO_Y, -np.inf)), (0.0, 0.0), False),
+    ((_MID_X, np.nextafter(_HI_Y, np.inf)), (0.0, 0.0), False),
+    # stepping onto a bound
+    ((_LO_X - 0.25, _MID_Y), (0.25, 0.0), None),
+    ((_MID_X, _HI_Y + 0.25), (0.0, -0.25), None),
+    # beyond a workspace wall, so the clip runs
+    ((4.9, _MID_Y), (0.5, 0.0), None),
+    ((_MID_X, _MID_Y), (0.0, 1e3), None),
+    ((-4.9, -4.9), (-1.0, -1.0), None),
+    ((_MID_X, 4.8), (-7.0, 0.3), None),
+    # non-finite actions
+    ((_LO_X - 0.3, _MID_Y), (np.inf, 0.0), None),
+    ((_HI_X + 0.3, _MID_Y), (-np.inf, 0.0), None),
+    ((_MID_X, _LO_Y - 0.3), (0.0, np.inf), None),
+    ((_MID_X, _HI_Y + 0.3), (0.0, -np.inf), None),
+    ((_MID_X, _MID_Y), (np.nan, 0.0), False),
+    ((_MID_X, _MID_Y), (0.0, np.nan), False),
+    ((_LO_X - 0.3, _MID_Y), (np.nan, np.inf), False),
+]
+
+
+@pytest.mark.parametrize("variant", [KIND_CONTROLLER, KIND_DIRECT])
+def test_latch_entry_at_its_edges_is_the_same_on_both_paths(variant):
+    """step and step_rows give the same position, goal, latch and success
+    bits for positions on each bound of the latch region, one ulp outside
+    each bound, beyond a workspace wall, and after NaN and infinite
+    actions; a position on a bound latches and one an ulp outside does not."""
+    kind = EnvKind(variant=variant)
+    goal = np.array([_MID_X, _MID_Y]) - LATCH_SHIFT  # the centre is the shifted goal
+    states = [EnvState(np.array(p, dtype=np.float64), goal, False, 0) for p, _, _ in _LATCH_EDGES]
+    actions = np.array([a for _, a, _ in _LATCH_EDGES], dtype=np.float64)
+    pos, goals, latch = state_rows(states)
+    new_pos, new_goal, new_latch, won = step_rows(kind, pos, goals, latch, actions)
+    for b, (state, (_, _, latched)) in enumerate(zip(states, _LATCH_EDGES)):
+        want = step(kind, state, actions[b])
+        assert new_pos[b].tobytes() == want.position.tobytes(), b
+        assert new_goal[b].tobytes() == want.goal.tobytes(), b
+        assert (bool(new_latch[b]), bool(won[b])) == (want.latch, success(want)), b
+        if latched is not None:
+            assert want.latch is latched, b
+    assert won.any() and not won.all()

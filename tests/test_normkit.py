@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from streampolicy.core import DimensionMismatchError
 from streampolicy.normkit import (
-    NormStats, denormalize, denormalize_legacy, fit_stats, normalize,
+    NormStats, denormalize, fit_stats, normalize,
     normalize_legacy,
 )
 
@@ -50,7 +50,6 @@ def test_legacy_breaks_additivity_on_asymmetric_range():
 def test_roundtrip(v):
     v = np.array(v)
     assert np.allclose(denormalize(normalize(v, STATS), STATS), v, atol=1e-12)
-    assert np.allclose(denormalize_legacy(normalize_legacy(v, STATS), STATS), v, atol=1e-12)
 
 
 def test_fit_stats_covers_actions_and_states(small_demos):

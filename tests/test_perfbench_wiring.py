@@ -3,7 +3,9 @@ wrap_layers). A refactor that removes or renames one of them breaks
 `perfbench/run.py --trace 1`; this test installs the wrappers on the package
 and restores them, so it fails first."""
 
+import ast
 import importlib.util
+import inspect
 from pathlib import Path
 
 from streampolicy import (cli, core, envsim, flowmatch, metrics, normkit, saliency,
@@ -93,3 +95,58 @@ def test_train_workload_counts_windows_through_sample_batch(small_demos, monkeyp
     cfg = trainer.TrainConfig(iterations=3, batch_size=24, hidden=(8, 8))
     trainer.train(small_demos, cfg, alpha0_convention="zero")
     assert ctx.counts == {"trainer.iterations": 3, "trainer.windows": 3 * 24}
+
+
+def _package_references():
+    """(file, line, module, name, call) for every sp.<module>.<name> in
+    perfbench/*.py, sp being the package namespace a workload is handed
+    (also as self.sp or ctx.sp), and every <alias>.<name> where the file
+    binds alias = sp.<module>. call is the ast.Call the reference is the
+    callee of, or None."""
+    def package(node):
+        return (isinstance(node, ast.Name) and node.id == "sp") or (
+            isinstance(node, ast.Attribute) and node.attr == "sp")
+
+    refs = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        aliases = {target.id: node.value.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute)
+                   and package(node.value.value)
+                   for target in node.targets if isinstance(target, ast.Name)}
+        callee = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if isinstance(node.value, ast.Attribute) and package(node.value.value):
+                module = node.value.attr
+            elif isinstance(node.value, ast.Name) and node.value.id in aliases:
+                module = aliases[node.value.id]
+            else:
+                continue
+            refs.append((path.name, node.lineno, module, node.attr, callee.get(id(node))))
+    return refs
+
+
+def test_every_package_name_perfbench_uses_resolves():
+    """The benchmark's workloads reach the package through sp.<module>.<name>;
+    each such name must exist, and each call through one must bind its
+    keywords and positional count to the callee's signature (a dataclass
+    field removed from EnvKind or TrainConfig fails here). Otherwise the
+    break shows only when the benchmark runs."""
+    refs = _package_references()
+    assert len(refs) >= 50, len(refs)  # the walk still finds the workloads' references
+    assert any(module == "streamexec" and f == "wl_wall.py" and name == "SchedulerConfig"
+               for f, _, module, name, _ in refs)  # through the se alias
+    for f, line, module, name, call in refs:
+        where = f"perfbench/{f}:{line}: sp.{module}.{name}"
+        namespace = importlib.import_module(f"streampolicy.{module}")
+        assert hasattr(namespace, name), where
+        target = getattr(namespace, name)
+        if call is None or any(isinstance(a, ast.Starred) for a in call.args):
+            continue
+        keywords = {k.arg: None for k in call.keywords if k.arg is not None}
+        try:
+            inspect.signature(target).bind_partial(*[None] * len(call.args), **keywords)
+        except TypeError as exc:
+            raise AssertionError(f"{where}: {exc}") from None
