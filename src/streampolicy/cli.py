@@ -57,9 +57,9 @@ class CliError(Exception):
 class _Opt(NamedTuple):
     """One option of a subcommand. A None default marks a required option; a
     bool one is a switch whose flag flips its default (--name or --no-name).
-    A value below least (a count that would run nothing, a negative seed),
-    from any source, is refused when the options are resolved, naming the
-    source."""
+    A value below least (a count that would run nothing, a negative seed) or
+    outside choices (the default aside), from any source, is refused when
+    the options are resolved, naming the source."""
 
     name: str
     type: type
@@ -131,6 +131,8 @@ def _resolve(args: argparse.Namespace) -> _Resolved:
             raise CliError(f"{flag} is required")
         if opt.least is not None and value < opt.least:
             raise CliError(f"{source} must be at least {opt.least}, got {value}")
+        if opt.choices is not None and value != opt.default and value not in opt.choices:
+            raise CliError(f"{source} must be one of {', '.join(opt.choices)}, got {value!r}")
         resolved[opt.name] = value
         resolved.sources[opt.name] = source
     return resolved
@@ -195,7 +197,7 @@ def _write_manifest(directory, command: str, resolved: dict, artifacts: dict[str
     if not isinstance(commands, dict):
         commands = {}
     commands[command] = {
-        "config": {k: (v if not isinstance(v, Path) else str(v)) for k, v in resolved.items()},
+        "config": dict(resolved),
         "artifacts": artifacts,
         "software": _software(),
     }

@@ -214,7 +214,7 @@ def env_metadata(kind: EnvKind) -> dict:
         "latch_region": [LATCH_BOX_LO.tolist(), LATCH_BOX_HI.tolist()],
         "latch_shift": [float(x) for x in LATCH_SHIFT],
         "alpha0": alpha0_convention(kind),
-        "obs_dim": 7,
+        "obs_dim": OBS_DIM,
     }
 
 

@@ -40,6 +40,11 @@ from .velocitynet import TRAIN_DTYPE, _backward, _layer_pass, adam_step, astype,
 
 N_EO_MAX = 4
 EMBED_DIM = 16
+HIDDEN = 64
+COND_HIDDEN = 32
+COND_DIM = N_EO_MAX * ACTION_DIM
+GAP_CHOICES = (1, 2, 3)  # frame gaps trained on, ascending: a trajectory holds a prefix
+_GAPS = np.array(GAP_CHOICES, dtype=np.int64)
 
 EO_NAIVE = "naive"
 EO_RANDOM = "random"
@@ -77,32 +82,19 @@ class Indicator:
 
 @dataclass(frozen=True)
 class PredictorConfig:
-    obs_dim: int = OBS_DIM
-    action_dim: int = ACTION_DIM
-    embed_dim: int = EMBED_DIM
-    hidden: int = 64
-    cond_hidden: int = 32
-    n_eo_max: int = N_EO_MAX
+    """Training settings; the predictor's shape and gaps are module constants."""
+
     iterations: int = 3000
     batch_size: int = 64
     lr: float = 1e-4
-    gap_choices: tuple[int, ...] = (1, 2, 3)
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("obs_dim", "action_dim", "embed_dim", "hidden", "cond_hidden", "n_eo_max",
-                     "iterations", "batch_size"):
+        for name in ("iterations", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
-        if not self.gap_choices or min(self.gap_choices) < 1:
-            raise ValueError(f"gap_choices must be one or more gaps of at least 1, "
-                             f"got {tuple(self.gap_choices)}")
-
-    @property
-    def cond_dim(self) -> int:
-        return self.n_eo_max * self.action_dim
 
 
 @dataclass
@@ -115,23 +107,26 @@ class Predictor:
         return {k: v for k, v in self.params.items() if not k.startswith("enc_")}
 
 
-def _param_shapes(cfg: PredictorConfig) -> dict[str, tuple[int, ...]]:
-    """Each parameter's shape under cfg, in init_predictor's draw order."""
-    n_mod = 4 * cfg.hidden  # gamma0, beta0, gamma1, beta1
-    return {
-        "enc_w": (cfg.embed_dim, cfg.obs_dim),
-        "enc_b": (cfg.embed_dim,),
-        "tw0": (cfg.hidden, cfg.embed_dim),
-        "tb0": (cfg.hidden,),
-        "tw1": (cfg.hidden, cfg.hidden),
-        "tb1": (cfg.hidden,),
-        "tw2": (cfg.embed_dim, cfg.hidden),
-        "tb2": (cfg.embed_dim,),
-        "cw0": (cfg.cond_hidden, cfg.cond_dim),
-        "cb0": (cfg.cond_hidden,),
-        "cw1": (n_mod, cfg.cond_hidden),
-        "cb1": (n_mod,),
-    }
+# each parameter's shape, in init_predictor's draw order; the conditioning
+# MLP's output holds the trunk's gamma0, beta0, gamma1 and beta1
+_PARAM_SHAPES = {
+    "enc_w": (EMBED_DIM, OBS_DIM),
+    "enc_b": (EMBED_DIM,),
+    "tw0": (HIDDEN, EMBED_DIM),
+    "tb0": (HIDDEN,),
+    "tw1": (HIDDEN, HIDDEN),
+    "tb1": (HIDDEN,),
+    "tw2": (EMBED_DIM, HIDDEN),
+    "tb2": (EMBED_DIM,),
+    "cw0": (COND_HIDDEN, COND_DIM),
+    "cb0": (COND_HIDDEN,),
+    "cw1": (4 * HIDDEN, COND_HIDDEN),
+    "cb1": (4 * HIDDEN,),
+}
+# the shape and gaps a checkpoint's metadata records, as JSON reads them back
+_FIXED_META = {"obs_dim": OBS_DIM, "action_dim": ACTION_DIM, "embed_dim": EMBED_DIM,
+               "hidden": HIDDEN, "cond_hidden": COND_HIDDEN, "n_eo_max": N_EO_MAX,
+               "gap_choices": list(GAP_CHOICES)}
 
 
 def init_predictor(cfg: PredictorConfig) -> Predictor:
@@ -139,7 +134,7 @@ def init_predictor(cfg: PredictorConfig) -> Predictor:
     rng = make_rng(cfg.seed, STREAM_MODEL_INIT, 2)
     params = {name: (rng.standard_normal(shape) / np.sqrt(shape[1]) if len(shape) == 2
                      else np.zeros(shape))
-              for name, shape in _param_shapes(cfg).items()}
+              for name, shape in _PARAM_SHAPES.items()}
     return Predictor(config=cfg, params=params)
 
 
@@ -150,14 +145,13 @@ def embed(predictor: Predictor, obs_features: np.ndarray) -> np.ndarray:
                    + predictor.params["enc_b"])
 
 
-def pad_actions(remaining: np.ndarray, cfg: PredictorConfig) -> np.ndarray:
-    """Flatten remaining actions, zero-padded (or truncated) to n_eo_max slots.
+def pad_actions(remaining: np.ndarray) -> np.ndarray:
+    """Flatten remaining actions, zero-padded (or truncated) to N_EO_MAX slots.
 
     Truncation keeps the nearest actions, which dominate the imminent change.
     """
-    a = np.asarray(remaining, dtype=float).reshape(-1, cfg.action_dim)
-    a = a[: cfg.n_eo_max]
-    flat = np.zeros(cfg.cond_dim)
+    a = np.asarray(remaining, dtype=float).reshape(-1, ACTION_DIM)[:N_EO_MAX]
+    flat = np.zeros(COND_DIM)
     flat[: a.size] = a.ravel()
     return flat
 
@@ -174,7 +168,7 @@ def _forward(params: dict, E: np.ndarray, C: np.ndarray):
     trunk = [(params[w].T, params[b]) for w, b in (("tw0", "tb0"), ("tw1", "tb1"), ("tw2", "tb2"))]
     cacts, tacts, pres = [C], [E], []
     mod = _layer_pass(C, cond[:1], cond[1], cacts)
-    H = params["tb0"].shape[0]  # mod holds gamma0, beta0, gamma1, beta1
+    H = HIDDEN  # mod holds gamma0, beta0, gamma1, beta1
     mods = [(1.0 + mod[..., j * H:(j + 1) * H], mod[..., (j + 1) * H:(j + 2) * H]) for j in (0, 2)]
     out = _layer_pass(E, trunk[:2], trunk[2], tacts, mods, pres)
     return out, (cond, trunk, cacts, tacts, mods, pres)
@@ -186,7 +180,7 @@ def saliency_score(predictor: Predictor, features: np.ndarray, tails) -> np.ndar
     included, run as one (n, 1, d) stack, whose items get the bits a lone
     (1, d) row gets (see _forward); each norm is taken alone."""
     F = np.asarray(features, dtype=float)[:, None]
-    C = np.array([pad_actions(t, predictor.config) for t in tails])[:, None]
+    C = np.array([pad_actions(t) for t in tails])[:, None]
     out, _ = _forward(predictor.params, embed(predictor, F), C)
     return np.array([np.linalg.norm(row) for row in out.reshape(len(C), -1)])
 
@@ -228,42 +222,32 @@ class _PairPool:
     """Everything _sample_pairs reads that does not depend on the RNG, built
     once per training run from the trajectories longer than the smallest gap.
 
-    The three bounds of a row's draws are read from lengths, n_gaps and gaps:
-    trajectory i holds n_gaps[i] configured gaps shorter than lengths[i],
-    listed in configuration order in gaps[i, :n_gaps[i]] (zero-padded after).
-    Trajectory i's frames start at offsets[i] in embeddings, which holds
-    embed(predictor, features) of every frame: the encoder is frozen, so
-    one pass per run serves every iteration. Its actions start at
-    offsets[i] + i * n_eo_max in actions, each trajectory followed by
-    n_eo_max zero rows so a condition window never reads the next one.
+    The three bounds of a row's draws are read from lengths and n_gaps:
+    trajectory i holds the n_gaps[i] gaps GAP_CHOICES[:n_gaps[i]], those
+    shorter than lengths[i] (the gaps ascend). Trajectory i's frames start
+    at offsets[i] in embeddings, which holds embed(predictor, features) of
+    every frame: the encoder is frozen, so one pass per run serves every
+    iteration. Its actions start at offsets[i] + i * N_EO_MAX in actions,
+    each trajectory followed by N_EO_MAX zero rows so a condition window
+    never reads the next one.
     """
 
     lengths: np.ndarray         # (n_traj,) int64
     n_gaps: np.ndarray          # (n_traj,) int64, each >= 1
-    gaps: np.ndarray            # (n_traj, len(gap_choices)) int64
-    embeddings: np.ndarray      # (sum L, embed_dim) float64
-    actions: np.ndarray         # (sum (L + n_eo_max), D)
+    embeddings: np.ndarray      # (sum L, EMBED_DIM) float64
+    actions: np.ndarray         # (sum (L + N_EO_MAX), ACTION_DIM)
     offsets: np.ndarray
 
 
 def _prepare_pairs(trajectories: list[Trajectory], predictor: Predictor) -> _PairPool:
-    cfg = predictor.config
-    gmin = min(cfg.gap_choices)
-    usable = [t for t in trajectories if len(t) > gmin]
+    usable = [t for t in trajectories if len(t) > GAP_CHOICES[0]]
     if not usable:
-        raise ValueError("no trajectory long enough for the configured gaps")
+        raise ValueError("no trajectory longer than the smallest gap")
     lengths = np.array([len(t) for t in usable], dtype=np.int64)
-    gaps = np.zeros((len(usable), len(cfg.gap_choices)), dtype=np.int64)
-    n_gaps = np.zeros(len(usable), dtype=np.int64)
-    for i, n in enumerate(lengths):
-        feasible = [g for g in cfg.gap_choices if g < n]
-        gaps[i, : len(feasible)] = feasible
-        n_gaps[i] = len(feasible)
-    pad = np.zeros((cfg.n_eo_max, cfg.action_dim))
+    pad = np.zeros((N_EO_MAX, ACTION_DIM))
     return _PairPool(
         lengths=lengths,
-        n_gaps=n_gaps,
-        gaps=gaps,
+        n_gaps=np.searchsorted(_GAPS, lengths),
         embeddings=embed(predictor, np.concatenate([t.features for t in usable])),
         actions=np.concatenate([part for t in usable for part in (t.actions, pad)]),
         offsets=np.concatenate([[0], np.cumsum(lengths)[:-1]]),
@@ -294,7 +278,7 @@ def _scalar_draws(pool: _PairPool, B: int, rng: np.random.Generator):
     draws = []
     for _ in range(B):
         i = rng.integers(n_traj)
-        g = pool.gaps[i, rng.integers(pool.n_gaps[i])]
+        g = _GAPS[rng.integers(pool.n_gaps[i])]
         draws.append((i, g, rng.integers(pool.lengths[i] - g)))
     return np.array(draws, dtype=np.int64).T
 
@@ -319,7 +303,7 @@ def _sample_pairs(pool: _PairPool, cfg: PredictorConfig, rng: np.random.Generato
     words = rng.integers(0, 1 << 32, size=(B, 3), dtype=np.uint32).astype(np.uint64)
     traj, ok_traj = _lemire(words[:, 0], len(pool.lengths))
     k, ok_gap = _lemire(words[:, 1], pool.n_gaps[traj])
-    gap = pool.gaps[traj, k]
+    gap = _GAPS[k]
     f, ok_f = _lemire(words[:, 2], pool.lengths[traj] - gap)
     if not (ok_traj & ok_gap & ok_f).all():
         rng.bit_generator.state = saved
@@ -327,10 +311,10 @@ def _sample_pairs(pool: _PairPool, cfg: PredictorConfig, rng: np.random.Generato
     rows = pool.offsets[traj] + f
     E = pool.embeddings[rows]
     target = pool.embeddings[rows + gap] - E
-    # pad_actions: the first min(gap, n_eo_max) actions from f, zeros after
-    slots = np.arange(cfg.n_eo_max)
-    window = pool.actions[(rows + traj * cfg.n_eo_max)[:, None] + slots]
-    cond = np.where((slots < gap[:, None])[:, :, None], window, 0.0).reshape(B, cfg.cond_dim)
+    # pad_actions: the first min(gap, N_EO_MAX) actions from f, zeros after
+    slots = np.arange(N_EO_MAX)
+    window = pool.actions[(rows + traj * N_EO_MAX)[:, None] + slots]
+    cond = np.where((slots < gap[:, None])[:, :, None], window, 0.0).reshape(B, COND_DIM)
     return E, target, cond
 
 
@@ -408,7 +392,7 @@ def calibrate_threshold(scores: np.ndarray, target_rate: float) -> float:
 
 def save_predictor(path, predictor: Predictor, iteration: int | None = None) -> None:
     arrays = [(name, predictor.params[name]) for name in sorted(predictor.params)]
-    meta = {"kind": "saliency_predictor", **dataclasses.asdict(predictor.config)}
+    meta = {"kind": "saliency_predictor", **_FIXED_META, **dataclasses.asdict(predictor.config)}
     if iteration is not None:
         meta["iteration"] = int(iteration)
     write_container(path, tag=TAG_SALIENCY_PREDICTOR, arrays=arrays, config=meta)
@@ -416,16 +400,20 @@ def save_predictor(path, predictor: Predictor, iteration: int | None = None) -> 
 
 def load_predictor(path) -> Predictor:
     """The predictor save_predictor wrote. Each PredictorConfig field is read
-    back as its default's type, gap_choices as a tuple of ints; a missing or
-    ill-typed field, or a config whose parameter shapes are not the stored
-    arrays' shapes, raises CheckpointError naming the file."""
+    back as its default's type. Metadata that lacks a fixed entry (the shape
+    and gaps) or records another value, a missing or ill-typed field, or
+    stored arrays not of the fixed shapes raise CheckpointError naming the
+    file and the entry."""
     _tag, arrays, meta = read_container(path, expect_tag=TAG_SALIENCY_PREDICTOR)
+    for name, want in _FIXED_META.items():
+        if meta.get(name) != want:
+            got = repr(meta[name]) if name in meta else "missing"
+            raise CheckpointError(f"{path}: predictor metadata entry {name!r} is {got}, "
+                                  f"this predictor's is {want!r}")
     try:
-        cfg = PredictorConfig(**{
-            f.name: (tuple(int(g) for g in meta[f.name]) if f.name == "gap_choices"
-                     else type(f.default)(meta[f.name]))
-            for f in dataclasses.fields(PredictorConfig)})
+        cfg = PredictorConfig(**{f.name: type(f.default)(meta[f.name])
+                                 for f in dataclasses.fields(PredictorConfig)})
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: missing or ill-typed predictor metadata: {exc!r}") from exc
-    check_shapes(path, "predictor", _param_shapes(cfg), arrays)
+    check_shapes(path, "predictor", _PARAM_SHAPES, arrays)
     return Predictor(config=cfg, params=dict(arrays))

@@ -44,8 +44,6 @@ from .velocitynet import TRAIN_DTYPE, AdamState, Policy, VelocityModel
 @dataclass
 class TrainConfig:
     h: int = 10
-    k: float = 5.0
-    sigma0: float = 0.4
     iterations: int = 20000
     batch_size: int = 64
     lr: float = 1e-3
@@ -126,7 +124,7 @@ def training_step(model: VelocityModel, adam: AdamState, OBS: np.ndarray, W: np.
     """One gradient step on sampled windows' observations and ledgers W
     (B, h+1, D); returns the batch loss.
 
-    flow holds the config's k, sigma0 and h, built once by the caller, and
+    flow is FlowParams(h=cfg.h), built once by the caller, and
     times is Policy.time_table(): row T holds time_features(T / h). Raises
     TrainingDivergedError instead of silently carrying non-finite losses
     forward.
@@ -154,9 +152,9 @@ def _lr_at(cfg: TrainConfig, iteration: int) -> float:
     return cfg.lr
 
 
-def _check_resume(policy: Policy, cfg: TrainConfig) -> None:
-    fields = (("h", policy.flow.h, cfg.h), ("k", policy.flow.k, cfg.k),
-              ("sigma0", policy.flow.sigma0, cfg.sigma0),
+def _check_resume(policy: Policy, cfg: TrainConfig, flow: FlowParams) -> None:
+    fields = (("h", policy.flow.h, flow.h), ("k", policy.flow.k, flow.k),
+              ("sigma0", policy.flow.sigma0, flow.sigma0),
               ("hidden", tuple(policy.model.hidden), tuple(cfg.hidden)))
     differ = [f"{name} (checkpoint {have!r}, config {want!r})"
               for name, have, want in fields if have != want]
@@ -173,8 +171,8 @@ def train(trajectories: list[Trajectory], cfg: TrainConfig, *, alpha0_convention
     fixed seed: every iteration draws from its own counter-derived stream
     (make_rng(cfg.seed, STREAM_TRAIN, i), taken from substreams), so
     resuming from a checkpoint continues the identical sequence. Raises
-    ValueError when cfg's h, k, sigma0 or hidden differ from the resumed
-    policy's, which the returned policy would otherwise keep.
+    ValueError when cfg's h or hidden, or FlowParams' k or sigma0, differ
+    from the resumed policy's, which the returned policy would otherwise keep.
 
     The network, its gradients and Adam run in float32; the window sampling
     and flow math stay float64. The initial weights are drawn in float64 and
@@ -184,7 +182,7 @@ def train(trajectories: list[Trajectory], cfg: TrainConfig, *, alpha0_convention
     a checkpoint this code wrote, while a float64-trained checkpoint resumes
     from its weights and moments rounded to float32, once.
     """
-    fp = FlowParams(k=cfg.k, sigma0=cfg.sigma0, h=cfg.h)
+    fp = FlowParams(h=cfg.h)
     if resume is None:
         stats = normkit.fit_stats(trajectories)  # raises on an empty list
         dims = (trajectories[0].actions.shape[1], trajectories[0].features.shape[1])
@@ -195,7 +193,7 @@ def train(trajectories: list[Trajectory], cfg: TrainConfig, *, alpha0_convention
     else:
         # a resumed run keeps the normalization it was trained and is saved with
         policy, adam, start = resume
-        _check_resume(policy, cfg)
+        _check_resume(policy, cfg, fp)
     prep = _prepare(trajectories, cfg, policy.stats)
     times = policy.time_table()
     model = replace(policy.model, params=velocitynet.astype(policy.model.params, TRAIN_DTYPE))

@@ -280,10 +280,10 @@ def _is_bound(flat: _FlatAdam | None, params: dict[str, np.ndarray], state: Adam
                     for k, (p, m, v) in zip(flat.keys, flat.views)))
 
 
-def init_adam(params: dict[str, np.ndarray], lr: float, **kw) -> AdamState:
+def init_adam(params: dict[str, np.ndarray], lr: float) -> AdamState:
     """Zero moments for params. The entries of params are replaced by views
     into the optimizer's flat buffer: keep training through this dict."""
-    st = AdamState(lr=lr, **kw)
+    st = AdamState(lr=lr)
     for k, p in params.items():
         st.m[k] = np.zeros_like(p)
         st.v[k] = np.zeros_like(p)

@@ -170,12 +170,10 @@ def test_05_gradient_checks():
                           model.params, grads)
     assert err < 1e-4, err
 
-    cfg = saliency.PredictorConfig(obs_dim=7, action_dim=2, embed_dim=8,
-                                   hidden=12, cond_hidden=6, seed=1)
-    pred = saliency.init_predictor(cfg)
-    E = rng.normal(size=(5, cfg.embed_dim))
-    C = rng.normal(size=(5, cfg.cond_dim))
-    tgt = rng.normal(size=(5, cfg.embed_dim))
+    pred = saliency.init_predictor(saliency.PredictorConfig(seed=1))
+    E = rng.normal(size=(5, saliency.EMBED_DIM))
+    C = rng.normal(size=(5, saliency.COND_DIM))
+    tgt = rng.normal(size=(5, saliency.EMBED_DIM))
     _, pgrads = saliency.loss_and_grad(pred, E, C, tgt)
     perr = _max_grad_error(lambda: saliency.loss_and_grad(pred, E, C, tgt)[0],
                            pred.params, pgrads)

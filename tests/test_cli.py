@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import streampolicy
-from streampolicy import cli, envsim, saliency, streamexec
+from streampolicy import cli, envsim, metrics, saliency, streamexec
 from streampolicy.cli import main
 from streampolicy.core import (
     TAG_TRAJECTORY_DATASET, CheckpointError, load_dataset, read_container, write_container,
@@ -384,6 +384,73 @@ def test_bench_calibrates_on_a_dataset_without_rollouts(workdir, tmp_path, monke
         eta = saliency.calibrate_threshold(scores, cfg["target_rate"])
         assert math.isfinite(eta)
         assert configs[label].eo.mode == mode and configs[label].eo.eta == eta, label
+
+
+def _bench_sweeps(workdir, tmp_path, monkeypatch, *args):
+    """Run bench with a freshly trained predictor and the given flags; returns
+    the output directory and, per configuration in run order, its scheduler,
+    its trace paths and its episode results."""
+    predictor_path = tmp_path / "predictor.ckpt"
+    assert main(["train-predictor", "--data", str(workdir / "data" / "demos.bin"),
+                 "--out", str(predictor_path), "--iterations", "5"]) == 0
+    real_sweep, sweeps = cli._sweep, []
+
+    def recording_sweep(policy, predictor, envs, stage, scheduler, clock, trace_csv="",
+                        trace_json=""):
+        results = []
+        sweeps.append((scheduler, trace_csv, trace_json, results))
+        for result, rep in real_sweep(policy, predictor, envs, stage, scheduler, clock,
+                                      trace_csv, trace_json):
+            results.append(result)
+            yield result, rep
+
+    monkeypatch.setattr(cli, "_sweep", recording_sweep)
+    out_dir = tmp_path / "bench"
+    assert main(["bench", "--policy", str(workdir / "policy" / "policy.ckpt"),
+                 "--predictor", str(predictor_path), "--env", "controller", "--episodes", "3",
+                 "--step-cap", "30", "--calib-episodes", "3", "--target-rate", "0.3",
+                 "--out-dir", str(out_dir), *args]) == 0
+    return out_dir, sweeps
+
+
+def _indicator_runs(sweeps, mode):
+    (run,) = [s for s in sweeps if s[0].eo is not None and s[0].eo.mode == mode]
+    return run
+
+
+@pytest.mark.parametrize("match", [True, False], ids=["matched", "no_match_random"])
+def test_bench_matches_random_to_the_adaptive_realized_rate(workdir, tmp_path, monkeypatch, match):
+    """By default bench runs the random indicator last, at the firing rate
+    the adaptive one realized over its episodes; --no-match-random keeps it
+    at --target-rate."""
+    _out, sweeps = _bench_sweeps(workdir, tmp_path, monkeypatch, "--eo", "random,adaptive",
+                                 *([] if match else ["--no-match-random"]))
+    adaptive = _indicator_runs(sweeps, saliency.EO_ADAPTIVE)[3]
+    realized = (sum(r.eo_fired for r in adaptive)
+                / max(1, sum(r.eo_decisions for r in adaptive)))
+    assert realized != 0.3
+    assert sweeps[-1] is _indicator_runs(sweeps, saliency.EO_RANDOM)
+    assert sweeps[-1][0].eo.p == (realized if match else 0.3)
+
+
+def test_bench_traces_write_each_configuration_s_first_episode(workdir, tmp_path, monkeypatch):
+    """--traces writes one CSV and one Chrome JSON per configuration, each of
+    its first episode's event log, and the manifest lists every file with
+    its sha256."""
+    out_dir, sweeps = _bench_sweeps(workdir, tmp_path, monkeypatch, "--eo", "naive,adaptive",
+                                    "--traces")
+    artifacts = _manifest(out_dir, "bench")["artifacts"]
+    assert len(sweeps) == 5
+    written = set()
+    for _scheduler, trace_csv, trace_json, results in sweeps:
+        assert metrics.read_trace_csv(trace_csv) == results[0].events
+        assert json.loads(Path(trace_json).read_text())["traceEvents"]
+        for path in (trace_csv, trace_json):
+            written.add(Path(path).name)
+            entry = next(e for e in artifacts.values() if e["path"] == str(path))
+            assert entry["sha256"] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    assert written == {p.name for p in out_dir.glob("trace_*")}
+    assert len(written) == 2 * len(sweeps)
 
 
 def test_predict_timing_reference_values(capsys):
@@ -975,6 +1042,28 @@ def test_damaged_checkpoint_metadata_exits_2(workdir, tmp_path, capsys, command,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("edit, entry", [(_set_hidden(32), "hidden"),
+                                         (_drop("config", "gap_choices"), "gap_choices")],
+                         ids=["hidden_32", "without_gap_choices"])
+def test_a_predictor_of_another_shape_or_gaps_is_refused_naming_the_entry(workdir, tmp_path,
+                                                                          capsys, edit, entry):
+    """The predictor has one shape and one set of gaps: a checkpoint whose
+    metadata records another value of a fixed entry, or lacks one, is
+    refused by load_predictor and by rollout, naming the entry."""
+    sound = tmp_path / "predictor.ckpt"
+    saliency.save_predictor(sound, saliency.init_predictor(saliency.PredictorConfig()))
+    damaged = tmp_path / "damaged.ckpt"
+    _rewrite_metadata(sound, damaged, edit)
+    named = f"{damaged}: predictor metadata entry {entry!r} is "
+    with pytest.raises(CheckpointError) as exc:
+        saliency.load_predictor(damaged)
+    assert str(exc.value).startswith(named)
+    assert main(["rollout", "--policy", str(workdir / "policy" / "policy.ckpt"),
+                 "--predictor", str(damaged), "--env", "controller", "--episodes", "1",
+                 "--step-cap", "5"]) == 2
+    assert f"error: {named}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", [None, [3], {"n": 3}, True, 3.9, "3.9", "many"],
                          ids=["null", "list", "object", "bool", "fraction", "fraction_text",
                               "word"])
@@ -1104,6 +1193,48 @@ def test_every_option_is_set_by_flag_environment_and_config(tmp_path, monkeypatc
     assert resolve(config=b, env=a) == a
     assert resolve(env=b, flag=True) == a
     assert resolve(config=b, env=b, flag=True) == a
+
+
+def _choice_options():
+    return [(command, opt) for command, opt in _options() if opt.choices]
+
+
+@pytest.mark.parametrize("source", ["environment", "config"])
+@pytest.mark.parametrize("command, opt", _choice_options(),
+                         ids=[f"{c}:{o.name}" for c, o in _choice_options()])
+def test_a_value_outside_the_choices_exits_2_naming_its_source_before_any_work(
+        tmp_path, capsys, monkeypatch, command, opt, source):
+    """argparse checks only a flag's choices: a config-file or environment
+    value outside them is refused when the options are resolved, naming its
+    source, before a dataset, a policy or a predictor is loaded and before
+    any demo, calibration rollout or episode runs."""
+    for var in [v for v in os.environ if v.startswith(cli.ENV_PREFIX)]:
+        monkeypatch.delenv(var)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the options were checked")
+
+    for module, name in ((cli, "load_dataset"), (cli, "load_policy"),
+                         (saliency, "load_predictor"), (envsim, "generate_demos"),
+                         (cli, "_calib_rollouts"), (streamexec, "run_episode")):
+        monkeypatch.setattr(module, name, no_work)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    argv = [command] + [a for o in cli._COMMANDS[command][2] if o.default is None
+                        for a in (f"--{o.name.replace('_', '-')}", "given")]
+    if source == "environment":
+        named = cli.ENV_PREFIX + opt.name.upper()
+        monkeypatch.setenv(named, "bogus")
+    else:
+        named = f"config key {opt.name!r}"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({opt.name: "bogus"}))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    assert (capsys.readouterr().err
+            == f"error: {named} must be one of {', '.join(opt.choices)}, got 'bogus'\n")
+    assert not any(work.iterdir())
 
 
 @pytest.mark.parametrize("argv, name, value", [

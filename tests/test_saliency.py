@@ -5,18 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streampolicy import saliency
-from streampolicy.core import STREAM_PREDICTOR, make_rng
+from streampolicy.core import ACTION_DIM, OBS_DIM, STREAM_PREDICTOR, make_rng
 from streampolicy.saliency import (
-    EO_ACTION_NORM, EO_ADAPTIVE, Indicator, PredictorConfig, _prepare_pairs, _sample_pairs,
-    calibrate_threshold, decision_scores, embed, init_predictor, load_predictor, loss_and_grad,
-    pad_actions, saliency_score, save_predictor, score_decisions,
+    COND_DIM, EMBED_DIM, EO_ACTION_NORM, EO_ADAPTIVE, GAP_CHOICES, N_EO_MAX, Indicator,
+    PredictorConfig, _prepare_pairs, _sample_pairs, calibrate_threshold, decision_scores, embed,
+    init_predictor, load_predictor, loss_and_grad, pad_actions, saliency_score, save_predictor,
+    score_decisions,
 )
 from streampolicy.trainer import TrainingDivergedError
 
 
 def _toy_cfg():
-    return PredictorConfig(obs_dim=7, action_dim=2, embed_dim=8, hidden=12,
-                           cond_hidden=6, iterations=1, seed=3)
+    return PredictorConfig(iterations=1, seed=3)
 
 
 def test_indicator_validation():
@@ -32,18 +32,10 @@ def test_predictor_config_rejects_a_learning_rate_that_trains_nothing(lr):
         PredictorConfig(lr=lr)
 
 
-@pytest.mark.parametrize("field, value", [
-    ("obs_dim", 0), ("action_dim", 0), ("embed_dim", 0), ("hidden", 0), ("cond_hidden", -1),
-    ("n_eo_max", 0), ("iterations", 0), ("batch_size", 0)])
+@pytest.mark.parametrize("field, value", [("iterations", 0), ("batch_size", 0)])
 def test_predictor_config_rejects_a_size_below_one_naming_the_field(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be at least 1, got {value}$"):
         PredictorConfig(**{field: value})
-
-
-@pytest.mark.parametrize("gaps", [(), (0, 2), (1, -1)])
-def test_predictor_config_rejects_gap_choices_naming_the_field(gaps):
-    with pytest.raises(ValueError, match="^gap_choices must be one or more gaps of at least 1"):
-        PredictorConfig(gap_choices=gaps)
 
 
 @pytest.mark.parametrize("mode", ["action_norm", "adaptive"])
@@ -60,9 +52,9 @@ def test_predictor_gradients_match_central_differences():
     cfg = _toy_cfg()
     pred = init_predictor(cfg)
     rng = np.random.default_rng(4)
-    E = rng.normal(size=(5, cfg.embed_dim))
-    C = rng.normal(size=(5, cfg.cond_dim))
-    target = rng.normal(size=(5, cfg.embed_dim))
+    E = rng.normal(size=(5, EMBED_DIM))
+    C = rng.normal(size=(5, COND_DIM))
+    target = rng.normal(size=(5, EMBED_DIM))
     _, grads = loss_and_grad(pred, E, C, target)
     eps = 1e-6
     worst = 0.0
@@ -83,21 +75,18 @@ def test_predictor_gradients_match_central_differences():
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("cfg", [_toy_cfg(), PredictorConfig(
-    obs_dim=3, action_dim=1, embed_dim=1, hidden=2, cond_hidden=1, n_eo_max=1, iterations=1)],
-    ids=["toy", "unit_widths"])
+@pytest.mark.parametrize("cfg", [_toy_cfg()], ids=["toy"])
 def test_predictor_gradients_are_c_ordered_in_their_parameters_shapes(dtype, cfg):
     """Every gradient loss_and_grad returns, one per trainable parameter, is
     C-contiguous and shaped as its parameter is stored ((out, in) for a
     weight), so adam_step ravels views of them, not copies: in float64 and
-    in the float32 the trainer runs, and with inputs of width 1, where a
-    weight's transposed view is C-contiguous too."""
+    in the float32 the trainer runs."""
     pred = init_predictor(cfg)
     pred.params.update({k: v.astype(dtype) for k, v in pred.trainable().items()})
     rng = np.random.default_rng(5)
-    E = rng.normal(size=(9, cfg.embed_dim))
-    C = rng.normal(size=(9, cfg.cond_dim))
-    _, grads = loss_and_grad(pred, E, C, rng.normal(size=(9, cfg.embed_dim)))
+    E = rng.normal(size=(9, EMBED_DIM))
+    C = rng.normal(size=(9, COND_DIM))
+    _, grads = loss_and_grad(pred, E, C, rng.normal(size=(9, EMBED_DIM)))
     assert grads.keys() == pred.trainable().keys()
     for k, g in grads.items():
         assert g.dtype == dtype and g.shape == pred.params[k].shape, k
@@ -125,18 +114,17 @@ def test_encoder_excluded_from_trainable():
 
 
 def test_pad_actions_shapes():
-    cfg = _toy_cfg()
-    two = pad_actions(np.ones((2, 2)), cfg)
-    assert two.shape == (cfg.cond_dim,)
+    two = pad_actions(np.ones((2, 2)))
+    assert two.shape == (COND_DIM,)
     assert np.array_equal(two[:4], np.ones(4)) and np.all(two[4:] == 0)
-    crowded = pad_actions(np.arange(12.0).reshape(6, 2), cfg)
-    assert np.array_equal(crowded, np.arange(float(cfg.cond_dim)))
+    crowded = pad_actions(np.arange(12.0).reshape(6, 2))
+    assert np.array_equal(crowded, np.arange(float(COND_DIM)))
 
 
 def _reference_frames(trajectories, predictor):
     """The usable trajectories and every usable frame's embedding, stacked
     trajectory by trajectory, with each trajectory's first row."""
-    usable = [t for t in trajectories if len(t) > min(predictor.config.gap_choices)]
+    usable = [t for t in trajectories if len(t) > min(GAP_CHOICES)]
     table = embed(predictor, np.concatenate([t.features for t in usable]))
     return usable, table, np.cumsum([0] + [len(t) for t in usable])
 
@@ -146,10 +134,10 @@ def _reference_sample_pairs(frames, cfg, rng):
     pair's embeddings from _reference_frames' table."""
     usable, table, first = frames
     B = cfg.batch_size
-    E = np.empty((B, cfg.embed_dim))
-    target = np.empty((B, cfg.embed_dim))
-    cond = np.empty((B, cfg.cond_dim))
-    gaps = np.asarray(cfg.gap_choices)
+    E = np.empty((B, EMBED_DIM))
+    target = np.empty((B, EMBED_DIM))
+    cond = np.empty((B, COND_DIM))
+    gaps = np.asarray(GAP_CHOICES)
     for b in range(B):
         i = int(rng.integers(len(usable)))
         traj = usable[i]
@@ -158,7 +146,7 @@ def _reference_sample_pairs(frames, cfg, rng):
         f = int(rng.integers(len(traj) - gap))
         E[b] = table[first[i] + f]
         target[b] = table[first[i] + f + gap] - E[b]
-        cond[b] = pad_actions(traj.actions[f : f + gap], cfg)
+        cond[b] = pad_actions(traj.actions[f : f + gap])
     return E, target, cond
 
 
@@ -205,18 +193,16 @@ def test_sample_pairs_block_draw_matches_scalar_draws(small_demos, scalar_calls)
     assert not scalar_calls
 
 
-@pytest.mark.parametrize("gaps, n_eo_max", [((1, 2, 3), 4), ((1, 3, 6), 4), ((2, 5), 2)])
-def test_sample_pairs_matches_reference_loop(ragged_demos, scalar_calls, gaps, n_eo_max):
+def test_sample_pairs_matches_reference_loop(ragged_demos, scalar_calls):
     """Bitwise the same pairs and generator end state as the per-row loop, from
-    the same streams, with trajectories shorter than the largest gap and gaps
-    beyond n_eo_max. Bounds of 1 occur here: nearly every batch of 48 rows
+    the same streams, with trajectories shorter than the largest gap. Bounds
+    of 1 occur here: nearly every batch of 48 rows
     meets one and falls back to the scalar loop, while many batches of 8 rows
     still come from the block draw."""
-    assert any(min(gaps) < len(t) <= max(gaps) for t in ragged_demos)
+    assert any(min(GAP_CHOICES) < len(t) <= max(GAP_CHOICES) for t in ragged_demos)
     n = 150
     for batch in (48, 8):
-        predictor = init_predictor(PredictorConfig(gap_choices=gaps, n_eo_max=n_eo_max,
-                                                   batch_size=batch))
+        predictor = init_predictor(PredictorConfig(batch_size=batch))
         pool = _prepare_pairs(ragged_demos, predictor)
         frames = _reference_frames(ragged_demos, predictor)
         for i in range(n):
@@ -241,18 +227,18 @@ def test_sample_pairs_falls_back_on_a_rejected_word(small_demos, scalar_calls):
 
 def test_sample_pairs_needs_a_long_enough_trajectory(ragged_demos):
     with pytest.raises(ValueError):
-        _prepare_pairs([t for t in ragged_demos if len(t) <= 2],
-                       init_predictor(PredictorConfig(gap_choices=(2, 3))))
+        _prepare_pairs([t for t in ragged_demos if len(t) <= 1],
+                       init_predictor(PredictorConfig()))
 
 
 def test_pair_pool_embeds_every_frame_once(monkeypatch, ragged_demos):
     """The pool holds each usable frame's embedding, computed once per run:
     train_predictor calls embed only to build it, whatever the iteration
     count, and the rows agree with embedding each trajectory's frames alone."""
-    predictor = init_predictor(PredictorConfig(gap_choices=(2, 3)))
+    predictor = init_predictor(PredictorConfig())
     pool = _prepare_pairs(ragged_demos, predictor)
-    usable = [t for t in ragged_demos if len(t) > 2]
-    assert pool.embeddings.shape == (sum(len(t) for t in usable), predictor.config.embed_dim)
+    usable = [t for t in ragged_demos if len(t) > 1]
+    assert pool.embeddings.shape == (sum(len(t) for t in usable), EMBED_DIM)
     for t, start in zip(usable, pool.offsets):
         np.testing.assert_allclose(pool.embeddings[start:start + len(t)],
                                    embed(predictor, t.features), rtol=1e-13, atol=1e-15)
@@ -352,17 +338,16 @@ def test_stacked_decision_scores_match_per_decision_scores_bitwise(source, reque
 def test_predictor_stack_matches_lone_rows_bitwise(ctrl_predictor):
     """Each item of an n-decision stack gets the score a lone (n = 1) call of
     score_decisions gives it, in both scored modes, bit for bit, whatever n
-    is, with tails of 1 to n_eo_max + 2 actions mixed in one stack: the wall
+    is, with tails of 1 to N_EO_MAX + 2 actions mixed in one stack: the wall
     clock scores only the actions released by the decision, and a tail
-    longer than n_eo_max is truncated. An adaptive item's score is also the
+    longer than N_EO_MAX is truncated. An adaptive item's score is also the
     norm of a lone (1, d) _forward row's output: the stack's items get the
     bits of unstacked rows."""
-    cfg = ctrl_predictor.config
     rng = make_rng(9, 4, 1)
     for n in (7, 299, 1000):
-        feats = rng.uniform(-5.0, 5.0, size=(n, cfg.obs_dim))
-        lengths = 1 + rng.permutation(n) % (cfg.n_eo_max + 2)
-        tails = [rng.normal(scale=0.3, size=(k, cfg.action_dim)) for k in lengths]
+        feats = rng.uniform(-5.0, 5.0, size=(n, OBS_DIM))
+        lengths = 1 + rng.permutation(n) % (N_EO_MAX + 2)
+        tails = [rng.normal(scale=0.3, size=(k, ACTION_DIM)) for k in lengths]
         for mode in (EO_ADAPTIVE, EO_ACTION_NORM):
             stacked = score_decisions(mode, ctrl_predictor, feats, tails)
             assert stacked.shape == (n,) and stacked.dtype == np.float64
@@ -372,10 +357,10 @@ def test_predictor_stack_matches_lone_rows_bitwise(ctrl_predictor):
                 assert stacked[b].tobytes() == lone[0].tobytes(), (mode, n, b)
             if mode == EO_ADAPTIVE:
                 for b in range(n):
-                    C = pad_actions(tails[b], cfg)[None]
+                    C = pad_actions(tails[b])[None]
                     row, _ = saliency._forward(ctrl_predictor.params,
                                                embed(ctrl_predictor, feats[b:b + 1]), C)
-                    assert row.shape == (1, cfg.embed_dim)
+                    assert row.shape == (1, EMBED_DIM)
                     assert stacked[b].tobytes() == np.linalg.norm(row[0]).tobytes(), (n, b)
 
 
@@ -416,7 +401,7 @@ def test_embed_is_frozen_projection():
     manual = np.tanh(pred.params["enc_w"] @ x + pred.params["enc_b"])
     assert np.allclose(e, manual, atol=1e-15)
     batch = embed(pred, np.stack([x, x * 2]))
-    assert batch.shape == (2, pred.config.embed_dim)
+    assert batch.shape == (2, EMBED_DIM)
 
 
 def test_predictor_save_load_roundtrip(tmp_path, ctrl_predictor):

@@ -215,13 +215,18 @@ def test_resume_from_checkpoint_matches_uninterrupted_run(tmp_path, small_demos)
 def test_resume_rejects_a_config_the_checkpoint_was_not_trained_with(small_demos):
     """The returned policy keeps the checkpoint's flow and network, so a config
     that would train other ones is refused, naming every differing field."""
+    from dataclasses import replace
+
+    from streampolicy.flowmatch import FlowParams
+
     cfg = TrainConfig(**{**TINY, "iterations": 20})
     policy, adam, _ = train(small_demos, cfg, alpha0_convention="zero")
-    for change, names in [({"h": 5}, ["h"]), ({"k": 2.0, "sigma0": 0.3}, ["k", "sigma0"]),
-                          ({"hidden": (16, 16)}, ["hidden"])]:
+    other_flow = replace(policy, flow=FlowParams(k=2.0, sigma0=0.3, h=policy.flow.h))
+    for change, names, resumed in [({"h": 5}, ["h"], policy), ({}, ["k", "sigma0"], other_flow),
+                                   ({"hidden": (16, 16)}, ["hidden"], policy)]:
         other = TrainConfig(**{**TINY, "iterations": 40, **change})
         with pytest.raises(ValueError) as exc:
-            train(small_demos, other, alpha0_convention="zero", resume=(policy, adam, 20))
+            train(small_demos, other, alpha0_convention="zero", resume=(resumed, adam, 20))
         message = str(exc.value)
         for name in ["h", "k", "sigma0", "hidden"]:
             assert (f"{name} (checkpoint" in message) == (name in names), (change, message)
@@ -273,8 +278,9 @@ def test_training_step_flow_math_matches_inline_formulas(monkeypatch, small_demo
     t_node = Tn / float(h)
     rows = np.arange(B)
     mean = W[rows, Tn]
-    x = mean + (cfg.sigma0 * np.exp(-cfg.k * t_node))[:, None] * rng.standard_normal(mean.shape)
-    target = (W[rows, Tn + 1] - mean) * float(h) - cfg.k * (x - mean)
+    flow = FlowParams(h=h)
+    x = mean + (flow.sigma0 * np.exp(-flow.k * t_node))[:, None] * rng.standard_normal(mean.shape)
+    target = (W[rows, Tn + 1] - mean) * float(h) - flow.k * (x - mean)
 
     seen, calls = {}, []
     real_loss_and_grad = velocitynet.loss_and_grad
@@ -293,7 +299,7 @@ def test_training_step_flow_math_matches_inline_formulas(monkeypatch, small_demo
     for name in ("marginal_sample", "discrete_xi_dot", "target_velocity"):
         monkeypatch.setattr(flowmatch, name, counted(name, getattr(flowmatch, name)))
     trainer.training_step(policy.model, adam, OBS, W, make_rng(1, 2),
-                          flow=FlowParams(k=cfg.k, sigma0=cfg.sigma0, h=cfg.h),
+                          flow=FlowParams(h=cfg.h),
                           times=policy.time_table())
     assert calls == ["marginal_sample", "discrete_xi_dot", "target_velocity"]
     assert seen["x"].tobytes() == x.tobytes()
@@ -318,7 +324,7 @@ def test_training_step_does_not_call_forward(monkeypatch, small_demos):
 
     monkeypatch.setattr(velocitynet, "forward", refuse)
     loss = trainer.training_step(policy.model, adam, OBS, W, make_rng(1, 2),
-                                 flow=FlowParams(k=cfg.k, sigma0=cfg.sigma0, h=cfg.h),
+                                 flow=FlowParams(h=cfg.h),
                                  times=policy.time_table())
     assert np.isfinite(loss)
 

@@ -9,7 +9,7 @@ from streampolicy.core import (
 )
 from streampolicy.flowmatch import FlowParams
 from streampolicy.normkit import NormStats
-from streampolicy.saliency import PredictorConfig, init_predictor
+from streampolicy.saliency import COND_DIM, EMBED_DIM, PredictorConfig, init_predictor
 from streampolicy.saliency import loss_and_grad as predictor_loss_and_grad
 from streampolicy.velocitynet import (
     AdamState, Inputs, Policy, adam_step, forward, init_adam, init_velocity_model,
@@ -125,12 +125,11 @@ def _policy_params(rng):
 
 
 def _predictor_trainable(rng):
-    pred = init_predictor(PredictorConfig(obs_dim=7, action_dim=2, embed_dim=8, hidden=12,
-                                          cond_hidden=6, iterations=1, seed=3))
+    pred = init_predictor(PredictorConfig(iterations=1, seed=3))
     trainable = pred.trainable()
-    E = rng.normal(size=(16, 8))
-    C = rng.normal(size=(16, pred.config.cond_dim))
-    target = rng.normal(size=(16, 8))
+    E = rng.normal(size=(16, EMBED_DIM))
+    C = rng.normal(size=(16, COND_DIM))
+    target = rng.normal(size=(16, EMBED_DIM))
 
     def grads():
         pred.params.update(trainable)
@@ -192,11 +191,10 @@ def _policy_loss(rng):
 def _predictor_loss(rng):
     """The predictor's loss_and_grad on one batch, as a function of the
     trainable weights, and those weights."""
-    pred = init_predictor(PredictorConfig(obs_dim=7, action_dim=2, embed_dim=8, hidden=12,
-                                          cond_hidden=6, iterations=1, seed=3))
-    E = rng.normal(size=(32, 8))
-    C = rng.normal(size=(32, pred.config.cond_dim))
-    target = rng.normal(size=(32, 8))
+    pred = init_predictor(PredictorConfig(iterations=1, seed=3))
+    E = rng.normal(size=(32, EMBED_DIM))
+    C = rng.normal(size=(32, COND_DIM))
+    target = rng.normal(size=(32, EMBED_DIM))
     return (lambda params: predictor_loss_and_grad(replace(pred, params={**pred.params, **params}),
                                                    E, C, target), pred.trainable())
 
