@@ -29,7 +29,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -232,28 +232,32 @@ def _policy_env_kind(cfg: dict, policy) -> envsim.EnvKind:
     return kind
 
 
-def _parse_profile(text: str) -> streamexec.StageLatency:
+def _parse_profile(cfg: _Resolved) -> streamexec.StageLatency:
+    """The stage profile --profile names; a bad one is refused naming its source."""
+    text, source = cfg["profile"], cfg.sources["profile"]
     if text == "reference":
         return streamexec.REFERENCE_PROFILE
     if text == "zero":
         return streamexec.ZERO_LATENCY
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) not in (3, 4):
-        raise CliError("profile must be 'reference', 'zero', or t_obs,t_gen,t_exec[,t_pred]")
+        raise CliError(f"{source}: profile must be 'reference', 'zero', or "
+                       "t_obs,t_gen,t_exec[,t_pred]")
     try:
-        vals = [float(p) for p in parts]
+        return streamexec.StageLatency(*(float(p) for p in parts))
     except ValueError as exc:
-        raise CliError(f"bad profile {text!r}") from exc
-    return streamexec.StageLatency(*vals)
+        raise CliError(f"{source}: bad profile {text!r}: {exc}") from exc
 
 
-def _parse_hidden(text: str) -> tuple[int, ...]:
+def _parse_hidden(cfg: _Resolved) -> tuple[int, ...]:
+    """The hidden widths --hidden lists; a bad list is refused naming its source."""
+    text, source = cfg["hidden"], cfg.sources["hidden"]
     try:
         dims = tuple(int(p) for p in text.split(",") if p.strip())
     except ValueError as exc:
-        raise CliError(f"bad hidden layout {text!r}") from exc
+        raise CliError(f"{source}: bad hidden layout {text!r}") from exc
     if not dims:
-        raise CliError("hidden layout must name at least one layer width")
+        raise CliError(f"{source}: hidden layout must name at least one layer width")
     return dims
 
 
@@ -279,6 +283,7 @@ def _cmd_gen_data(cfg) -> int:
 
 
 def _cmd_train_policy(cfg) -> int:
+    hidden = _parse_hidden(cfg)  # refused before the dataset is read
     trajectories, header = load_dataset(cfg["data"])
     convention = header.get("env", {}).get("alpha0", ALPHA0_ZERO)
 
@@ -290,7 +295,7 @@ def _cmd_train_policy(cfg) -> int:
         lr_schedule=cfg["lr_schedule"],
         seed=cfg["seed"],
         use_state_alignment=not cfg["no_state_alignment"],
-        hidden=_parse_hidden(cfg["hidden"]),
+        hidden=hidden,
         log_every=cfg["log_every"],
     )
 
@@ -340,20 +345,19 @@ def _cmd_train_predictor(cfg) -> int:
     return 0
 
 
-def _eo_mode(name: str, predictor) -> str:
-    """The indicator mode --eo name selects; adaptive needs a predictor."""
+def _eo_mode(cfg: _Resolved, name: str) -> str:
+    """The indicator mode the --eo name selects, judged from the option text
+    alone, so an unknown name is refused, naming its source, before any file
+    is read."""
     if name not in EO_NAMES:
-        raise CliError(f"unknown early-observation mode {name!r}")
-    mode = EO_NAMES[name]
-    if mode == saliency.EO_ADAPTIVE and predictor is None:
-        raise CliError("adaptive early observation needs --predictor")
-    return mode
+        raise CliError(f"{cfg.sources['eo']}: unknown early-observation mode {name!r}")
+    return EO_NAMES[name]
 
 
-def _indicator_from(cfg, predictor) -> saliency.Indicator | None:
-    if cfg["eo"] in ("", "none"):
-        return None
-    return saliency.Indicator(mode=_eo_mode(cfg["eo"], predictor), eta=cfg["eta"], p=cfg["p"])
+def _check_adaptive(cfg: _Resolved, modes: Iterable[str | None]) -> None:
+    """The adaptive indicator needs --predictor, judged from the option."""
+    if saliency.EO_ADAPTIVE in modes and not cfg["predictor"]:
+        raise CliError(f"{cfg.sources['eo']}: adaptive early observation needs --predictor")
 
 
 def _sweep(policy, predictor, envs, stage, scheduler, clock, trace_csv="", trace_json=""):
@@ -373,18 +377,21 @@ def _sweep(policy, predictor, envs, stage, scheduler, clock, trace_csv="", trace
 
 def _load_run(cfg) -> tuple:
     """(policy, predictor or None, env kind, stage profile) that rollout and
-    bench run."""
+    bench run; the profile is parsed before either file is read."""
+    stage = _parse_profile(cfg)
     policy, _adam, _it = load_policy(cfg["policy"])
     predictor = saliency.load_predictor(cfg["predictor"]) if cfg["predictor"] else None
-    return policy, predictor, _policy_env_kind(cfg, policy), _parse_profile(cfg["profile"])
+    return policy, predictor, _policy_env_kind(cfg, policy), stage
 
 
 def _cmd_rollout(cfg) -> int:
+    eo = None if cfg["eo"] in ("", "none") else _eo_mode(cfg, cfg["eo"])
+    _check_adaptive(cfg, [eo])
     policy, predictor, kind, stage = _load_run(cfg)
     scheduler = streamexec.SchedulerConfig(
         mode=cfg["mode"], h=policy.flow.h,
         n_replan=cfg["n_replan"] or None,
-        eo=_indicator_from(cfg, predictor),
+        eo=None if eo is None else saliency.Indicator(mode=eo, eta=cfg["eta"], p=cfg["p"]),
         n_eo=cfg["n_eo"], seed=cfg["seed"],
     )
 
@@ -444,24 +451,26 @@ def _bench_configs(cfg, policy, predictor, modes, calib) -> dict[str, streamexec
 
 
 def _cmd_bench(cfg) -> int:
-    policy, predictor, kind, stage = _load_run(cfg)
-
     names = [n.strip() for n in cfg["eo"].split(",") if n.strip() not in ("", "none")]
     calibrate = not cfg["calib_data"] and any(
         EO_NAMES.get(n) in saliency.SCORED_MODES for n in names)
     if calibrate:
         _check_counts(cfg, "calib_episodes")
-        if cfg["step_cap"] < policy.flow.h:
-            raise CliError(f"--step-cap {cfg['step_cap']} is below the policy's h={policy.flow.h}: "
-                           "calibration rollouts that short hold no decision point")
+    # every indicator name is resolved before any file is read
+    modes = {n: _eo_mode(cfg, n) for n in names}
+    policy, predictor, kind, stage = _load_run(cfg)
+    if calibrate and cfg["step_cap"] < policy.flow.h:
+        raise CliError(f"--step-cap {cfg['step_cap']} is below the policy's h={policy.flow.h}: "
+                       "calibration rollouts that short hold no decision point")
     if names:
         h, n_eo, rate = policy.flow.h, cfg["n_eo"], cfg["target_rate"]
         if not 1 <= n_eo < h:
             raise CliError(f"--n-eo must satisfy 1 <= n_eo < h={h}, the policy's horizon; got {n_eo}")
         if not 0.0 <= rate <= 1.0:
             raise CliError(f"--target-rate must lie in [0, 1], got {rate}")
-    # every indicator is resolved before any calibration rollout
-    modes = {n: _eo_mode(n, predictor) for n in names}
+    # after the policy's own checks, since the default list holds adaptive, and
+    # before any calibration rollout
+    _check_adaptive(cfg, modes.values())
     calib = None
     if cfg["calib_data"]:
         calib, _ = load_dataset(cfg["calib_data"])
@@ -529,7 +538,7 @@ def _cmd_bench(cfg) -> int:
 
 
 def _cmd_predict_timing(cfg) -> int:
-    stage = _parse_profile(cfg["profile"])
+    stage = _parse_profile(cfg)
     h, n_rep = cfg["horizon"], cfg["n_replan"]
 
     rows = [

@@ -260,11 +260,11 @@ def _rekeyed(pool: list[int], h: int, start: int, stop: int) -> Iterator[np.rand
             yield rng
 
 
-# stream ids used across the package; values are arbitrary but frozen
+# stream ids used across the package; values are arbitrary but frozen, and 4,
+# once an evaluation stream that nothing drew from, stays unused
 STREAM_DEMO = 1
 STREAM_INIT = 2
 STREAM_TRAIN = 3
-STREAM_EVAL = 4
 STREAM_PREDICTOR = 5
 STREAM_INDICATOR = 6
 STREAM_MODEL_INIT = 7

@@ -17,10 +17,12 @@ streaming). The modes differ only in when an action is ready to execute: at
 the end of its own generation (streaming) or of the whole chunk (sync_chunk).
 One slot rule on both clocks: every event starts when its input is released
 and its lane's previous event has ended and lasts its stage latency
-(_lane_slot). The engine advances the environment causally: an observation
-launched when n_eo executions remain captures the state after exactly
-h - n_eo steps of that horizon, which is precisely the staleness early
-observation trades away. The next observation is one pending (release,
+(_lane_slot). One buffer-capacity rule on both clocks: the action buffer has
+h slots, so generate g is released by its horizon's observation and by the
+start of execution g - h. The engine advances the environment causally: an
+observation launched when n_eo executions remain captures the state after
+exactly h - n_eo steps of that horizon, which is precisely the staleness
+early observation trades away. The next observation is one pending (release,
 state), set by a fired decision or by the horizon's last execution.
 Event logs are deterministic for fixed seeds, with ties ordered
 observe < predict < generate < execute, then by action index.
@@ -74,18 +76,20 @@ not change inside it.
 The wall-clock runner reproduces the same semantics with timestamps from
 the wall clock, for both modes, on two threads: the calling thread observes
 and executes, one generator thread generates, and a queue in each direction
-joins them. Every observe, generate and execute event is planned by the
-same _lane_slot as on the simulated clock and ends when its result is
-released to the next stage. An observation is taken at its request. Until
-the host first overruns a budget, the wall logs the simulated engine's
-timeline bit for bit, apart from the adaptive indicator's predict event and
-the observation it launches, which are timed by the host. As on the
-simulated clock, the modes differ only in when a horizon's actions are
-released to the executor: each as it is generated (streaming) or all
-n_replan after the chunk's last generation (sync_chunk), which leaves the
-sync stages strictly serial. It generates
-every planned action, with each forward pass inside its t_gen budget, and
-never shares a horizon.
+joins them; a third queue hands the generator each execution's planned
+start, for the capacity rule. Every observe, generate and execute event is
+planned by the same _lane_slot, from the same releases, as on the simulated
+clock and ends when its result is released to the next stage. An
+observation is taken at its request. An event departs from its plan only
+on an overrun: until the host first overruns a budget, the wall logs the
+simulated engine's timeline bit for bit, apart from the adaptive
+indicator's predict event and the observation it launches, which are timed
+by the host. As on the simulated clock, the modes differ only in when a
+horizon's actions are released to the executor: each as it is generated
+(streaming) or all n_replan after the chunk's last generation (sync_chunk),
+which leaves the sync stages strictly serial. It generates every planned
+action, with each forward pass inside its t_gen budget, and never shares a
+horizon.
 
 calibration_trajectories, the on-policy rollouts that calibrate indicator
 thresholds, needs neither clock: plain streaming at zero latency with no
@@ -110,7 +114,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass
-from queue import Empty, Full, Queue, SimpleQueue
+from queue import Empty, SimpleQueue
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -520,8 +524,12 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
 # wall-clock runner, for both modes: the calling thread observes and
 # executes, one generator thread generates. The observation slot holds at
 # most one observation (the request for horizon k+2 comes only after an
-# action of horizon k+1, made from observation k+1, has executed); the action
-# buffer holds at most h actions. Every queue item carries the time its
+# action of horizon k+1, made from observation k+1, has executed). The
+# engine's capacity rule bounds the action buffer: generate g is released by
+# its horizon's observation and by the start of execution g - h, which the
+# executor puts on exec_starts as it plans each execution, before sleeping to
+# it; in sync_chunk every execution g - h has started before the chunk's
+# observation, so the term never binds. Every queue item carries the time its
 # payload is released. One slot rule on both clocks: every event is planned
 # by _lane_slot, as on the simulated clock, before its host work runs; it
 # ends at its planned end, which is its result's release, and the thread that
@@ -572,9 +580,11 @@ def _sleep_until(t0: float, ms: float) -> None:
 
 
 class _WallShared:
-    def __init__(self, h: int):
+    def __init__(self):
         self.obs_slot: SimpleQueue = SimpleQueue()
-        self.action_queue: Queue = Queue(maxsize=h)
+        self.action_queue: SimpleQueue = SimpleQueue()
+        # each execution's planned start, in execution order
+        self.exec_starts: SimpleQueue = SimpleQueue()
         self.stop = threading.Event()
         # horizon -> [(release, raw action)], in index order
         self.horizon_actions: dict[int, list[tuple[float, np.ndarray]]] = {}
@@ -582,23 +592,7 @@ class _WallShared:
         self.overruns = dict.fromkeys((STAGE_GENERATE, STAGE_EXECUTE), 0)
         self.error: BaseException | None = None
 
-    def put(self, queue: Queue, item) -> bool:
-        """Put item on queue, giving up once the episode stops; returns
-        whether the queue was full, so that the put waited for room."""
-        try:
-            queue.put_nowait(item)
-            return False
-        except Full:
-            pass
-        while not self.stop.is_set():
-            try:
-                queue.put(item, timeout=_POLL)
-                break
-            except Full:
-                continue
-        return True
-
-    def get(self, queue: Queue | SimpleQueue):
+    def get(self, queue: SimpleQueue):
         """The next item of queue, or None once the episode stops."""
         while not self.stop.is_set():
             try:
@@ -616,28 +610,34 @@ def _wall_generator(shared: _WallShared, events: list[TimelineEvent], policy: Po
         alpha = alpha0_norm
         base = 0
         lane = 0.0
+        exec_starts: list[float] = []
         while (got := shared.get(shared.obs_slot)) is not None:
             features, horizon, released = got
             made = shared.horizon_actions[horizon] = []
             chunk = _Chunk(policy, alpha, features, h)
             pending = []
             for i in range(h):
+                g = base + i
+                while len(exec_starts) <= g - h:  # until execution g - h's start is planned
+                    if (exec_start := shared.get(shared.exec_starts)) is None:
+                        return
+                    exec_starts.append(exec_start)
                 if shared.stop.is_set():
                     return
-                start, end = _lane_slot(released, lane, stage.t_gen)
+                release = released if g < h else max(released, exec_starts[g - h])
+                start, end = _lane_slot(release, lane, stage.t_gen)
                 _sleep_until(t0, start)
                 a_norm, a_raw, ledger = chunk.get(i)
                 lane, late = _ended(end, _now(t0))
                 shared.overruns[STAGE_GENERATE] += late
-                events.append(TimelineEvent(STAGE_GENERATE, base + i, horizon, start, lane))
+                events.append(TimelineEvent(STAGE_GENERATE, g, horizon, start, lane))
                 made.append((lane, a_raw))
                 if i < n_rep:
                     alpha = ledger  # the next horizon starts after n_replan actions
-                    pending.append((base + i, i, horizon, a_norm, a_raw, ledger))
+                    pending.append((g, i, horizon, a_norm, a_raw, ledger))
                 if scheduler.mode == MODE_STREAMING or i == h - 1:
                     for item in pending:
-                        if shared.put(shared.action_queue, (*item, lane)):
-                            lane = max(lane, _now(t0))  # the buffer was full: wait for room
+                        shared.action_queue.put((*item, lane))
                     pending.clear()
             base += n_rep
     except BaseException as exc:  # surfaced by the calling thread
@@ -664,6 +664,7 @@ def _wall_executor(shared: _WallShared, events: list[TimelineEvent], ep: _Episod
         if i == 0:
             decision = ep.begin(horizon)
         start, end = _lane_slot(released, exec_lane, stage.t_exec)
+        shared.exec_starts.put(start)
         _sleep_until(t0, start)
 
         if i == decision:
@@ -695,7 +696,7 @@ def _wall_executor(shared: _WallShared, events: list[TimelineEvent], ep: _Episod
 def _wall(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
           scheduler: SchedulerConfig, record_trajectory: bool) -> EpisodeResult:
     """The wall-clock runner for both modes (see the section comment above)."""
-    shared = _WallShared(scheduler.h)
+    shared = _WallShared()
     ep = _Episode(policy, predictor, env, scheduler, record_trajectory)
     generated: list[TimelineEvent] = []
     executed: list[TimelineEvent] = []

@@ -1237,6 +1237,68 @@ def test_a_value_outside_the_choices_exits_2_naming_its_source_before_any_work(
     assert not any(work.iterdir())
 
 
+_PROFILE_FORM = "profile must be 'reference', 'zero', or t_obs,t_gen,t_exec[,t_pred]"
+
+
+_BAD_OPTION_TEXT = {
+    "rollout-eo": ("rollout", "eo", "bogus", "unknown early-observation mode 'bogus'"),
+    "rollout-eo-adaptive": ("rollout", "eo", "adaptive",
+                            "adaptive early observation needs --predictor"),
+    "bench-eo-list": ("bench", "eo", "naive,bogus", "unknown early-observation mode 'bogus'"),
+    "rollout-profile": ("rollout", "profile", "1,2", _PROFILE_FORM),
+    "rollout-profile-nan": ("rollout", "profile", "nan,1,1",
+                            "bad profile 'nan,1,1': t_obs must be finite and non-negative, got nan"),
+    "bench-profile": ("bench", "profile", "1,x,3",
+                      "bad profile '1,x,3': could not convert string to float: 'x'"),
+    "train-policy-hidden": ("train-policy", "hidden", "1,x", "bad hidden layout '1,x'"),
+    "train-policy-hidden-empty": ("train-policy", "hidden", ",",
+                                  "hidden layout must name at least one layer width"),
+}
+
+
+@pytest.mark.parametrize("command, name, text, message", _BAD_OPTION_TEXT.values(),
+                         ids=_BAD_OPTION_TEXT.keys())
+@pytest.mark.parametrize("source", ["flag", "environment", "config"])
+def test_bad_option_text_exits_2_naming_its_source_before_any_file_is_read(
+        tmp_path, capsys, monkeypatch, command, name, text, message, source):
+    """An --eo name (each of bench's comma list), a --profile or a --hidden
+    list is judged from its text alone: a bad one is refused, naming its
+    flag, variable or config key, before a checkpoint or dataset is opened.
+    rollout also refuses adaptive without --predictor by then; bench, whose
+    default list holds adaptive, refuses it after its policy's own checks."""
+    for var in [v for v in os.environ if v.startswith(cli.ENV_PREFIX)]:
+        monkeypatch.delenv(var)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a file was read before the options were checked")
+
+    for module, attr in ((cli, "load_dataset"), (cli, "load_policy"),
+                         (saliency, "load_predictor"), (cli, "_calib_rollouts"),
+                         (streamexec, "run_episode")):
+        monkeypatch.setattr(module, attr, no_work)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    argv = [command] + [a for o in cli._COMMANDS[command][2] if o.default is None
+                        for a in (f"--{o.name.replace('_', '-')}", "given")]
+    if command == "bench" and name != "eo":
+        argv += ["--predictor", "given"]  # bench's default --eo list holds adaptive
+    if source == "flag":
+        named = f"--{name}"
+        argv += [named, text]
+    elif source == "environment":
+        named = cli.ENV_PREFIX + name.upper()
+        monkeypatch.setenv(named, text)
+    else:
+        named = f"config key {name!r}"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name: text}))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {named}: {message}\n"
+    assert not any(work.iterdir())
+
+
 @pytest.mark.parametrize("argv, name, value", [
     (["train-policy", "--data", "d", "--no-state-alignment"], "no_state_alignment", True),
     (["bench", "--policy", "p", "--traces"], "traces", True),

@@ -23,6 +23,10 @@ CTRL = EnvKind(variant=KIND_CONTROLLER)
 # a tenth of the reference profile keeps wall-clock runs fast while preserving
 # every ordering relation (t_gen < t_exec < t_obs)
 FAST_PROFILE = StageLatency(t_obs=5.8, t_gen=1.8, t_exec=2.7, t_pred=1.0)
+# executions far longer than generations: with early observation a horizon's
+# generator reaches the action buffer's capacity, so generate g waits for
+# execution g - h to start
+BUFFER_BOUND = StageLatency(t_obs=1.5, t_gen=1.0, t_exec=12.0, t_pred=0.5)
 
 
 class _ConstPolicy:
@@ -106,12 +110,19 @@ def test_streaming_event_causality(null_policy):
         assert b.start >= a.end - 1e-12, "execute events overlap"
 
 
-def test_generation_never_runs_h_ahead(null_policy):
-    """Bounded action buffer: generating action g waits until action g-h has
-    started executing."""
+@pytest.mark.parametrize("clock", ["simulated", pytest.param("wall", marks=pytest.mark.wall_clock)])
+@pytest.mark.parametrize("stage, sched", [
+    pytest.param(REFERENCE_PROFILE, SchedulerConfig(mode=MODE_STREAMING), id="reference-streaming"),
+    pytest.param(BUFFER_BOUND,
+                 SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="naive"), n_eo=3),
+                 id="buffer_bound-streaming_naive"),
+])
+def test_generation_never_runs_h_ahead(null_policy, clock, stage, sched):
+    """Bounded action buffer, on both clocks: generating action g waits until
+    action g-h has started executing. At BUFFER_BOUND the bound binds: some
+    generate event starts exactly at execution g-h's start."""
     env = make_env(DIRECT, 1, step_cap=35)
-    sched = SchedulerConfig(mode=MODE_STREAMING)
-    res = run_episode(null_policy, None, env, REFERENCE_PROFILE, sched)
+    res = run_episode(null_policy, None, env, stage, sched, clock=clock)
     gens = {e.action_index: e for e in _by_stage(res.events, STAGE_GENERATE)}
     execs = {e.action_index: e for e in _by_stage(res.events, STAGE_EXECUTE)}
     h = sched.h
@@ -121,6 +132,8 @@ def test_generation_never_runs_h_ahead(null_policy):
             assert ev.start >= execs[g - h].start - 1e-12
             checked += 1
     assert checked > 10
+    if stage is BUFFER_BOUND:
+        assert _buffer_bound_starts(res.events, h)
 
 
 def test_final_alpha_is_exact_ordered_sum(null_policy):
@@ -296,30 +309,60 @@ TIMELINE_SCHEDULES = {
 }
 
 
+def _buffer_bound_starts(events, h: int) -> list[float]:
+    """The starts, in order, of the generate events g >= h that start exactly
+    when execution g - h starts: those the action buffer's capacity released."""
+    execs = {e.action_index: e.start for e in _by_stage(events, STAGE_EXECUTE)}
+    return sorted(e.start for e in _by_stage(events, STAGE_GENERATE)
+                  if e.action_index >= h and execs.get(e.action_index - h) == e.start)
+
+
+# wall runs of a BUFFER_BOUND case until one reaches the buffer's bound before
+# its first overrun; a run whose host overran earlier checks nothing there
+_BOUND_ATTEMPTS = 8
+
+
 @pytest.mark.wall_clock
-@pytest.mark.parametrize("sched", TIMELINE_SCHEDULES.values(), ids=TIMELINE_SCHEDULES.keys())
-def test_wall_logs_the_simulated_timeline(null_policy, sched):
-    """One slot rule on both clocks, so until the host first overruns a
-    budget the wall log is the simulated one bit for bit: each event that
-    starts before the first overrun (an event longer than its budget) has the
-    times of the simulated event of its stage, horizon and action."""
-    env = make_env(DIRECT, 20, step_cap=40)
-    wall = run_episode(null_policy, None, env, FAST_PROFILE, sched, clock="wall")
-    sim = run_episode(null_policy, None, env, FAST_PROFILE, sched)
-    budget = {STAGE_OBSERVE: FAST_PROFILE.t_obs, STAGE_GENERATE: FAST_PROFILE.t_gen,
-              STAGE_EXECUTE: FAST_PROFILE.t_exec, STAGE_PREDICT: FAST_PROFILE.t_pred}
-    first_overrun = min((e.start for e in wall.events if e.end - e.start > budget[e.stage] + 1e-9),
-                        default=math.inf)
+@pytest.mark.parametrize("stage, cap, sched", [
+    *(pytest.param(FAST_PROFILE, 40, sched, id=name) for name, sched in TIMELINE_SCHEDULES.items()),
+    *(pytest.param(BUFFER_BOUND, 25, sched, id=f"buffer_bound-{name}")
+      for name, sched in TIMELINE_SCHEDULES.items()),
+])
+def test_wall_logs_the_simulated_timeline(null_policy, stage, cap, sched):
+    """One slot rule and one buffer-capacity rule on both clocks, so until
+    the host first overruns a budget the wall log is the simulated one bit
+    for bit: each event that starts before the first overrun (an event longer
+    than its budget) has the times of the simulated event of its stage,
+    horizon and action. At BUFFER_BOUND an early-observation schedule's
+    compared events must include one that execution g - h's start released:
+    a wall run that overran before it is run again, up to _BOUND_ATTEMPTS
+    times, and the case is skipped, not passed, if none reaches it."""
+    env = make_env(DIRECT, 20, step_cap=cap)
+    sim = run_episode(null_policy, None, env, stage, sched)
+    budget = {STAGE_OBSERVE: stage.t_obs, STAGE_GENERATE: stage.t_gen,
+              STAGE_EXECUTE: stage.t_exec, STAGE_PREDICT: stage.t_pred}
+    bound = []
+    if stage is BUFFER_BOUND and sched.eo:
+        bound = _buffer_bound_starts(sim.events, sched.h)
+        assert bound, "the buffer's capacity never binds on the simulated clock"
+    for _attempt in range(_BOUND_ATTEMPTS):
+        wall = run_episode(null_policy, None, env, stage, sched, clock="wall")
+        first_overrun = min((e.start for e in wall.events
+                             if e.end - e.start > budget[e.stage] + 1e-9), default=math.inf)
 
-    def before(events):  # the margin keeps float rounding from splitting a tie at the overrun
-        return {(e.stage, e.horizon_index, e.action_index): e for e in events
-                if e.start < first_overrun - 1e-9}
+        def before(events):  # the margin keeps float rounding from splitting a tie at the overrun
+            return {(e.stage, e.horizon_index, e.action_index): e for e in events
+                    if e.start < first_overrun - 1e-9}
 
-    planned = before(sim.events)
-    logged = before(wall.events)
-    assert logged.keys() == planned.keys()
-    for key, e in logged.items():
-        assert (e.start, e.end) == (planned[key].start, planned[key].end), (e, planned[key])
+        planned = before(sim.events)
+        logged = before(wall.events)
+        assert logged.keys() == planned.keys()
+        for key, e in logged.items():
+            assert (e.start, e.end) == (planned[key].start, planned[key].end), (e, planned[key])
+        if not bound or bound[0] < first_overrun - 1e-9:
+            return
+    pytest.skip(f"every one of {_BOUND_ATTEMPTS} wall runs overran before the buffer bound at "
+                f"{bound[0]} ms, so the bound went unchecked")
 
 
 # stage latencies in ms: tenths such as 5.8 and 1.8, whose sums round, and any float
