@@ -3,7 +3,7 @@ checkpoints and print the sha256 of all five files.
 
 Generates the 600 controller demos at seed 11 that tests/conftest.py trains
 on and saves them as `streampolicy gen-data --env controller --episodes 600
---seed 11` does, a version-2 dataset in the binary container (the `dataset`
+--seed 11` does, a version-3 dataset in the binary container (the `dataset`
 line), then does the same for the direct variant (the `direct` line, as
 `gen-data --env direct` saves it). It then
 reloads the controller demos and trains ctrl_policy, misaligned_policy (the

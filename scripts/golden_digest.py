@@ -125,13 +125,15 @@ def feed_result(hasher, res: streamexec.EpisodeResult) -> None:
 
 
 def feed_trajectory(hasher, traj) -> None:
-    """Every frame (its features, id and capture time), action and ledger
-    state of a Trajectory."""
-    for features, frame_id, t in zip(traj.features, traj.frame_ids.tolist(),
-                                     traj.capture_times.tolist()):
+    """Every frame, action and ledger state of a Trajectory. Each frame's
+    index follows its features, as an integer and as a float64. Trajectories
+    once stored a frame id and a capture time there; every trajectory the
+    grid and calibration build starts at step 0 (a make_env state), so both
+    equalled the index, and the digests pinned then still hold."""
+    for i, features in enumerate(traj.features):
         _feed_array(hasher, features)
-        hasher.update(f"{frame_id}|".encode())
-        hasher.update(struct.pack("<d", t))
+        hasher.update(f"{i}|".encode())
+        hasher.update(struct.pack("<d", i))
     _feed_array(hasher, traj.actions)
     _feed_array(hasher, traj.action_states)
 

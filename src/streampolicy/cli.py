@@ -451,13 +451,17 @@ def _bench_configs(cfg, policy, predictor, modes, calib) -> dict[str, streamexec
 
 
 def _cmd_bench(cfg) -> int:
-    names = [n.strip() for n in cfg["eo"].split(",") if n.strip() not in ("", "none")]
+    # with no --eo, the matrix holds every indicator the given files can run
+    eo = cfg["eo"] or "naive,random,anao" + (",adaptive" if cfg["predictor"] else "")
+    names = [n.strip() for n in eo.split(",") if n.strip() not in ("", "none")]
     calibrate = not cfg["calib_data"] and any(
         EO_NAMES.get(n) in saliency.SCORED_MODES for n in names)
     if calibrate:
         _check_counts(cfg, "calib_episodes")
-    # every indicator name is resolved before any file is read
+    # every indicator name is resolved, and checked against --predictor,
+    # before any file is read
     modes = {n: _eo_mode(cfg, n) for n in names}
+    _check_adaptive(cfg, modes.values())
     policy, predictor, kind, stage = _load_run(cfg)
     if calibrate and cfg["step_cap"] < policy.flow.h:
         raise CliError(f"--step-cap {cfg['step_cap']} is below the policy's h={policy.flow.h}: "
@@ -468,9 +472,6 @@ def _cmd_bench(cfg) -> int:
             raise CliError(f"--n-eo must satisfy 1 <= n_eo < h={h}, the policy's horizon; got {n_eo}")
         if not 0.0 <= rate <= 1.0:
             raise CliError(f"--target-rate must lie in [0, 1], got {rate}")
-    # after the policy's own checks, since the default list holds adaptive, and
-    # before any calibration rollout
-    _check_adaptive(cfg, modes.values())
     calib = None
     if cfg["calib_data"]:
         calib, _ = load_dataset(cfg["calib_data"])
@@ -641,8 +642,8 @@ _COMMANDS = {
         _Opt("calib_episodes", int, 100),
         _Opt("calib_seed", int, 3000, least=0),
         _Opt("n_replan", int, 0, least=0),
-        _Opt("eo", str, "naive,random,anao,adaptive",
-             help="comma list drawn from naive,random,anao,adaptive"),
+        _Opt("eo", str, "", help="comma list drawn from naive,random,anao,adaptive "
+                                 "(default: naive,random,anao, and adaptive with --predictor)"),
         _Opt("target_rate", float, 0.85),
         _Opt("match_random", bool, True, help="keep the random indicator at the target rate "
                                               "instead of the adaptive one's realized rate"),

@@ -8,18 +8,18 @@ actions, which is what makes shared normalization statistics meaningful.
 
 One checksummed float64 container (write_container/read_container) holds
 datasets, policy checkpoints and predictor checkpoints, each under its own
-type tag. A dataset file (version 2) is the header as the container's config
-and the episodes concatenated: lengths (E,), features (N, obs_dim), frame_ids
-(N,), capture_times (N,), actions (N, dim) and action_states (N+E, dim).
-One record rule checks a dataset in that stored layout, so what save_dataset
-writes load_dataset reads: an O(1) shape and dtype check per episode
+type tag. A dataset file (version 3) is the header as the container's config
+and the episodes concatenated: lengths (E,), features (N, obs_dim), actions
+(N, dim) and alpha0 (E, dim). It stores nothing a Trajectory derives: each
+episode's ledger is rebuilt from its actions and alpha0 when it is loaded.
+One record rule checks a dataset in that stored layout, so what
+save_dataset writes load_dataset reads: an O(1) shape check per episode
 (_shape_fault), then whole-array numpy passes over the concatenated arrays
-(_value_fault) for finite values, the ledger step S[j+1] == S[j] + a[j] of
-every action row, frame ids strictly increasing within each episode and
-within 2**53 in magnitude. save_dataset runs it after concatenating,
-load_dataset before splitting into episodes, and Trajectory.validate on one
-episode. A broken file raises DatasetError naming the file, and a broken
-episode names the lowest such episode and its first failing check.
+(_value_fault) for finite features, actions and alpha0. save_dataset runs
+it after concatenating, load_dataset before splitting into episodes, and
+Trajectory.validate on one episode. A broken file raises DatasetError
+naming the file, and a broken episode names the lowest such episode and its
+first failing check.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 import struct
 import zlib
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -37,7 +37,7 @@ import numpy as np
 ACTION_DIM = 2
 OBS_DIM = 7
 DATASET_FORMAT = "streampolicy-trajectories"
-DATASET_VERSION = 2
+DATASET_VERSION = 3
 # how an episode seeds its action-state ledger: at zero (a pure action
 # accumulator) or at the initial position (a ledger that tracks position)
 ALPHA0_ZERO = "zero"
@@ -83,29 +83,29 @@ def as_vector(values, dim: int | None = None) -> np.ndarray:
 
 class Observation(NamedTuple):
     """One frame of a Trajectory as its observations view gives it: raw
-    features (position, goal, latch flag, goal offset), the frame's id
-    (strictly increasing within an episode) and its capture time (the step
-    index). Never mutated."""
+    features (position, goal, latch flag, goal offset). Never mutated."""
 
     features: np.ndarray
-    frame_id: int
-    capture_time: float
 
 
 @dataclass
 class Trajectory:
-    """One episode: L frames as features (L, obs_dim), frame_ids (L,) int and
-    capture_times (L,) float, one per action; actions (L, D) and states (L+1, D).
+    """One episode: L frames as features (L, obs_dim), one per action, the
+    actions (L, D) and alpha0 (D,), the start of its action-state ledger.
 
-    action_states[0] is the episode's alpha_0 and action_states[n] is the
-    exact left-to-right running sum of actions 0..n-1 on top of it.
+    action_states (L+1, D) is built once, when the trajectory is made, by
+    cumulative_states(actions, alpha0): action_states[0] is alpha0 and
+    action_states[n] is the exact left-to-right running sum of actions
+    0..n-1 on top of it. It is derived, so a dataset does not store it.
     """
 
     features: np.ndarray
-    frame_ids: np.ndarray
-    capture_times: np.ndarray
     actions: np.ndarray
-    action_states: np.ndarray
+    alpha0: np.ndarray
+    action_states: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.action_states = cumulative_states(self.actions, self.alpha0)
 
     def __len__(self) -> int:
         return self.actions.shape[0]
@@ -113,8 +113,7 @@ class Trajectory:
     @property
     def observations(self) -> list[Observation]:
         """The frames as Observation rows, built on each access: a read-only view."""
-        return list(map(Observation._make, zip(self.features, self.frame_ids.tolist(),
-                                               self.capture_times.tolist())))
+        return [Observation(f) for f in self.features]
 
     def validate(self) -> None:
         """Raise DatasetError unless this episode keeps the record rule
@@ -270,16 +269,15 @@ STREAM_INDICATOR = 6
 STREAM_MODEL_INIT = 7
 
 
-_FINITE = ("features", "actions", "action_states")
+_STORED = ("features", "actions", "alpha0")
 
 
 def _shape_fault(traj: Trajectory, dim: int, obs_dim: int) -> str | None:
     """The per-episode half of the record rule, O(1) for an episode of
     arrays: its first failing check's message, or None. It checks an
-    (L, obs_dim) array of numbers as features, actions of dim, L frame ids
-    and capture times, integer ids and float times, and (L + 1, dim) states.
-    The rule checks values for finiteness after the features and before the
-    rest, so a later failure here reports non-finite values first."""
+    (L, obs_dim) array of numbers as features, (L, dim) actions and a (dim,)
+    alpha0. The rule checks values for finiteness after the features and
+    before the rest, so a later failure here reports non-finite values first."""
     try:
         features = np.asarray(traj.features, dtype=np.float64)
     except ValueError:  # rows of unequal shapes, or not numbers
@@ -291,51 +289,32 @@ def _shape_fault(traj: Trajectory, dim: int, obs_dim: int) -> str | None:
     L = len(traj.actions)
     if traj.actions.ndim != 2 or traj.actions.shape[1] != dim:
         fault = f"actions of shape {traj.actions.shape}, want (L, {dim})"
-    elif (len(features), *traj.frame_ids.shape, *traj.capture_times.shape) != (L, L, L):
-        fault = (f"{len(features)} frames, frame ids {traj.frame_ids.shape} "
-                 f"and capture times {traj.capture_times.shape} for {L} actions")
-    elif traj.frame_ids.dtype.kind not in "iu" or traj.capture_times.dtype.kind != "f":
-        fault = "frame ids must be integers and capture times floats"
-    elif traj.action_states.shape != (L + 1, dim):
-        fault = f"action_states shape {traj.action_states.shape}, want {(L + 1, dim)}"
+    elif len(features) != L:
+        fault = f"{len(features)} frames for {L} actions"
+    elif np.shape(traj.alpha0) != (dim,):
+        fault = f"alpha0 of shape {np.shape(traj.alpha0)}, want ({dim},)"
     else:
         return None
-    values = (features, traj.actions, traj.action_states)
-    return next((f"non-finite {name}" for name, v in zip(_FINITE, values) if not np.isfinite(v).all()),
+    values = (features, traj.actions, traj.alpha0)
+    return next((f"non-finite {name}" for name, v in zip(_STORED, values) if not np.isfinite(v).all()),
                 fault)
 
 
 def _value_fault(arrays: dict[str, np.ndarray]) -> tuple[int, str] | None:
     """The whole-dataset half of the record rule, over a dataset in its
-    stored layout whose shapes and dtypes already hold: integer lengths
-    (E,), features (N, obs_dim), frame_ids (N,), actions (N, D) and
-    action_states (N + E, D). Returns (episode, message) for the lowest
-    episode that breaks it and that episode's first failing check, in this
-    order: finite features, actions and action_states; every ledger step
-    S[j+1] == S[j] + a[j], which by induction is the exact left-to-right
-    prefix sum from S[0]; strictly increasing frame ids; ids within 2**53
-    in magnitude, which float64 holds exactly. None when every episode
-    keeps it."""
-    lengths, ids, states = arrays["lengths"], arrays["frame_ids"], arrays["action_states"]
-    ends = np.cumsum(lengths)  # one past each episode's last row
-    state_ends = ends + np.arange(1, len(ends) + 1)
-    # action row j of episode i steps from state row j + i to j + i + 1
-    step_from = np.arange(len(ids)) + np.repeat(np.arange(len(ends)), lengths)
-    rising = ids[1:] > ids[:-1]
-    rising[ends[(ends > 0) & (ends < len(ids))] - 1] = True  # pairs across two episodes
-    # (message, where it holds, where each episode's rows end), in check order
-    checks = [
-        *((f"non-finite {name}", np.isfinite(arrays[name]),
-           state_ends if name == "action_states" else ends) for name in _FINITE),
-        ("action_states is not the exact prefix sum of actions",
-         np.take(states, step_from, axis=0) + arrays["actions"] == np.take(states, step_from + 1, axis=0),
-         ends),
-        ("frame_id not strictly increasing", rising, ends),  # pair j is in row j's episode
-        ("frame ids beyond 2**53 in magnitude, which float64 does not hold exactly",
-         (ids >= -2**53) & (ids <= 2**53), ends),
-    ]
-    found = [(int(np.searchsorted(row_ends, np.unravel_index(ok.argmin(), ok.shape)[0], side="right")),
-              message) for message, ok, row_ends in checks if not ok.all()]
+    stored layout whose shapes already hold: integer lengths (E,), features
+    (N, obs_dim), actions (N, D) and alpha0 (E, D). Returns (episode,
+    message) for the lowest episode with a non-finite feature, action or
+    alpha0 value, naming the first of the three in that order; None when
+    every value is finite."""
+    ends = np.cumsum(arrays["lengths"])  # one past each episode's last row
+    found = []
+    for name in _STORED:
+        ok = np.isfinite(arrays[name]).all(axis=1)
+        if not ok.all():
+            row = int(ok.argmin())
+            found.append((row if name == "alpha0" else int(np.searchsorted(ends, row, side="right")),
+                          f"non-finite {name}"))
     # min keeps the first of equal episodes: the check that comes first
     return min(found, key=lambda f: f[0]) if found else None
 
@@ -349,21 +328,15 @@ def _stored_layout(trajectories: list[Trajectory], dim: int,
     bad, fault = next(((i, f) for i, f in shape_faults if f is not None), (len(trajectories), None))
     sound = trajectories[:bad]
 
-    def joined(name, *row_shape):
+    def joined(rows, width):
         # the empty head gives zero episodes their shape
-        return np.concatenate([np.empty((0, *row_shape)), *(getattr(t, name) for t in sound)],
-                              dtype=np.float64, casting="unsafe")
+        return np.concatenate([np.empty((0, width)), *rows], dtype=np.float64, casting="unsafe")
 
-    frame_ids = np.concatenate([np.empty(0, np.int64), *(t.frame_ids for t in sound)])
-    if frame_ids.dtype.kind == "f":  # signed and unsigned 64-bit ids: exact as Python ints
-        frame_ids = np.concatenate([t.frame_ids for t in sound], dtype=object)
     arrays = {
         "lengths": np.array([len(t.actions) for t in sound], dtype=np.int64),
-        "features": joined("features", obs_dim),
-        "frame_ids": frame_ids,
-        "capture_times": joined("capture_times"),
-        "actions": joined("actions", dim),
-        "action_states": joined("action_states", dim),
+        "features": joined((t.features for t in sound), obs_dim),
+        "actions": joined((t.actions for t in sound), dim),
+        "alpha0": joined((np.reshape(t.alpha0, (1, dim)) for t in sound), dim),
     }
     return arrays, _value_fault(arrays) or (None if fault is None else (bad, fault))
 
@@ -468,11 +441,6 @@ def read_container(path, *, expect_tag: int | None = None, error: type[ValueErro
     return tag, arrays, meta["config"]
 
 
-def _integral(values: np.ndarray) -> bool:
-    """Every value is a finite integer."""
-    return bool(np.isfinite(values).all() and (np.floor(values) == values).all())
-
-
 def save_dataset(path, trajectories: list[Trajectory], *, dim: int, env_meta: dict, seed: int) -> None:
     """Write trajectories as a container (TAG_TRAJECTORY_DATASET): the header
     as its config, and the episodes' arrays concatenated beside their lengths.
@@ -481,7 +449,7 @@ def save_dataset(path, trajectories: list[Trajectory], *, dim: int, env_meta: di
     reproduces arrays bitwise and rewriting an unchanged dataset produces a
     byte-identical file. The record rule load_dataset applies (frames of
     env_meta's obs_dim or OBS_DIM) runs on the concatenated arrays, after an
-    O(1) shape and dtype check per episode; the lowest episode that breaks
+    O(1) shape check per episode; the lowest episode that breaks
     it raises DatasetError naming it, and nothing is written."""
     obs_dim = int(env_meta.get("obs_dim", OBS_DIM))
     arrays, fault = _stored_layout(trajectories, dim, obs_dim)
@@ -501,54 +469,59 @@ def save_dataset(path, trajectories: list[Trajectory], *, dim: int, env_meta: di
 def load_dataset(path) -> tuple[list[Trajectory], dict]:
     """Read a dataset file, raising DatasetError naming it unless the
     file can be read, the container is sound, the header's format, version
-    and sizes fit the arrays, the lengths are non-negative integers that
-    cover every row and the frame ids are integers. The record rule then
-    runs once over the stored arrays, before they are split into episodes,
-    and the lowest episode that breaks it is named."""
+    and sizes fit the arrays, its ledger convention (env.alpha0, when given)
+    is one the package knows, and the lengths are non-negative integers
+    that cover every row. An older dataset version is refused with a hint to
+    regenerate it. The record rule then runs once over the stored arrays,
+    before they are split into episodes, and the lowest episode that breaks
+    it is named."""
+    regenerate = f"which version {DATASET_VERSION} does not read; regenerate it with gen-data"
     try:
         with open(path, "rb") as fh:
             first = fh.read(1)
     except OSError as exc:
         raise DatasetError(f"{path}: cannot read dataset: {exc.strerror}") from exc
     if first == b"{":
-        raise DatasetError(f"{path}: a version-1 JSON-lines dataset, which version "
-                           f"{DATASET_VERSION} does not read; regenerate it with gen-data")
+        raise DatasetError(f"{path}: a version-1 JSON-lines dataset, {regenerate}")
     _, arrays, header = read_container(path, expect_tag=TAG_TRAJECTORY_DATASET, error=DatasetError)
-    if (header.get("format"), header.get("version")) != (DATASET_FORMAT, DATASET_VERSION):
+    fmt, version = header.get("format"), header.get("version")
+    if fmt == DATASET_FORMAT and version in range(1, DATASET_VERSION):
+        raise DatasetError(f"{path}: a version-{version} dataset, {regenerate}")
+    if (fmt, version) != (DATASET_FORMAT, DATASET_VERSION):
         raise DatasetError(f"{path}: not a version-{DATASET_VERSION} trajectory dataset: format "
-                           f"{header.get('format')!r}, version {header.get('version')!r}")
+                           f"{fmt!r}, version {version!r}")
     try:
         dim = int(header["dim"])
         episodes = int(header["episodes"])
-        obs_dim = int(header.get("env", {}).get("obs_dim", OBS_DIM))
+        env = header.get("env", {})
+        obs_dim = int(env.get("obs_dim", OBS_DIM))
+        convention = env.get("alpha0", ALPHA0_ZERO)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DatasetError(f"{path}: malformed header: {exc!r}") from exc
-    # the frame ids give the row count that every other array and the lengths must fit
-    ids = arrays.get("frame_ids", np.empty(0))
-    n = len(ids) if ids.ndim else 0
+    if convention not in (ALPHA0_ZERO, ALPHA0_INITIAL_POSITION):
+        raise DatasetError(f"{path}: unknown ledger convention {convention!r} in the header's "
+                           f"env.alpha0, want {ALPHA0_ZERO!r} or {ALPHA0_INITIAL_POSITION!r}")
+    # the row count every other array and the lengths must fit: the actions',
+    # or the features' when no actions are stored
+    rows = arrays.get("actions", arrays.get("features", np.empty(0)))
+    n = len(rows) if rows.ndim else 0
     check_shapes(path, "dataset", {"lengths": (episodes,), "features": (n, obs_dim),
-                                   "frame_ids": (n,), "capture_times": (n,), "actions": (n, dim),
-                                   "action_states": (n + episodes, dim)}, arrays, error=DatasetError)
+                                   "actions": (n, dim), "alpha0": (episodes, dim)},
+                 arrays, error=DatasetError)
     lengths = arrays["lengths"]
-    if not (_integral(lengths) and (lengths >= 0).all() and lengths.sum() == n):
+    if not (np.isfinite(lengths).all() and (np.floor(lengths) == lengths).all()
+            and (lengths >= 0).all() and lengths.sum() == n):
         raise DatasetError(f"{path}: episode lengths must be non-negative integers that sum "
                            f"to the {n} stored rows")
-    if not _integral(ids):
-        raise DatasetError(f"{path}: frame ids must be integers")
-    # the rule compares the float64 ids exactly and bounds them before the cast
     arrays["lengths"] = lengths.astype(np.int64)
     fault = _value_fault(arrays)
     if fault is not None:
         raise DatasetError(f"{path}: episode {fault[0]}: {fault[1]}")
-    ids = ids.astype(np.int64)
-    features, times, actions, states = (arrays[name] for name in
-                                        ("features", "capture_times", "actions", "action_states"))
+    features, actions, alpha0 = (arrays[name] for name in _STORED)
     out = []
     start = 0
     for i, end in enumerate(arrays["lengths"].cumsum().tolist()):
-        # episode i's L + 1 states follow the i states of the episodes before it
-        out.append(Trajectory(features=features[start:end], frame_ids=ids[start:end],
-                              capture_times=times[start:end], actions=actions[start:end],
-                              action_states=states[start + i:end + i + 1]))
+        out.append(Trajectory(features=features[start:end], actions=actions[start:end],
+                              alpha0=alpha0[i]))
         start = end
     return out, header

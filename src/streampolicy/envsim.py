@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (ACTION_DIM, ALPHA0_INITIAL_POSITION, ALPHA0_ZERO, OBS_DIM, Trajectory,
-                   cumulative_states, make_rng, substreams, STREAM_DEMO, STREAM_INIT)
+                   make_rng, substreams, STREAM_DEMO, STREAM_INIT)
 
 WORKSPACE_LO = -5.0
 WORKSPACE_HI = 5.0
@@ -331,12 +331,9 @@ def rollout_rows(kind: EnvKind, states: list[EnvState], act, step_cap: int, park
 
 
 def rollout_trajectory(kind: EnvKind, state: EnvState, features: np.ndarray, actions: np.ndarray) -> Trajectory:
-    """One rollout row as a Trajectory: frame ids and capture times count
-    steps from the start state's step_count."""
-    ids = np.arange(state.step_count, state.step_count + len(features))
-    return Trajectory(features=features.copy(), frame_ids=ids, capture_times=ids.astype(np.float64),
-                      actions=actions.copy(),
-                      action_states=cumulative_states(actions, alpha0_for(kind, state)))
+    """One rollout row as a Trajectory, its ledger seeded by kind's alpha0
+    convention at the start state."""
+    return Trajectory(features=features.copy(), actions=actions.copy(), alpha0=alpha0_for(kind, state))
 
 
 def generate_demos(kind: EnvKind, n: int, seed: int, *, step_cap: int = 120, noise: float = EXPERT_NOISE) -> list[Trajectory]:

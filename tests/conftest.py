@@ -87,9 +87,7 @@ def ragged_demos(small_demos):
     out = []
     for i, t in enumerate(small_demos):
         n = cuts[(i // 2) % len(cuts)] if i % 2 else len(t)
-        out.append(Trajectory(features=t.features[:n], frame_ids=t.frame_ids[:n],
-                              capture_times=t.capture_times[:n], actions=t.actions[:n],
-                              action_states=t.action_states[:n + 1]))
+        out.append(Trajectory(features=t.features[:n], actions=t.actions[:n], alpha0=t.alpha0))
     return out
 
 

@@ -20,6 +20,7 @@ from streampolicy.core import (
     TAG_TRAJECTORY_DATASET, CheckpointError, load_dataset, read_container, write_container,
 )
 from streampolicy.velocitynet import load_policy
+from test_core import write_version_2_dataset
 
 
 @pytest.fixture(scope="module")
@@ -296,6 +297,31 @@ def test_bench_writes_results(workdir, tmp_path, capsys):
     assert set(_manifest(out_dir)) == {"bench"}
 
 
+def test_bench_runs_its_default_matrix_without_a_predictor(workdir, tmp_path, monkeypatch):
+    """With no --eo and no --predictor, bench runs the naive, random and
+    anao indicators beside the three schedules: adaptive, which needs a
+    predictor, is left out of the default list rather than refused."""
+    for var in [v for v in os.environ if v.startswith(cli.ENV_PREFIX)]:
+        monkeypatch.delenv(var)
+    out_dir = tmp_path / "bench"
+    assert main(["bench", "--policy", str(workdir / "policy" / "policy.ckpt"),
+                 "--episodes", "2", "--step-cap", "20", "--calib-episodes", "3",
+                 "--out-dir", str(out_dir)]) == 0
+    rows = (out_dir / "results.csv").read_text().strip().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [
+        "sync_replan5", "sync_full", "streaming", "streaming+naive", "streaming+random",
+        "streaming+anao"]
+
+
+def test_bench_default_matrix_adds_adaptive_with_a_predictor(workdir, tmp_path, monkeypatch):
+    for var in [v for v in os.environ if v.startswith(cli.ENV_PREFIX)]:
+        monkeypatch.delenv(var)
+    _out, sweeps = _bench_sweeps(workdir, tmp_path, monkeypatch)
+    assert [s[0].eo and s[0].eo.mode for s in sweeps] == [
+        None, None, None, saliency.EO_NAIVE, saliency.EO_ACTION_NORM, saliency.EO_ADAPTIVE,
+        saliency.EO_RANDOM]
+
+
 def test_bench_runs_every_episode_through_run_episode(workdir, tmp_path, monkeypatch):
     """A benchmark harness may swap streamexec.run_episode for a wrapper with
     exactly these parameters and count what it sees: every matrix episode
@@ -342,7 +368,7 @@ def test_bench_runs_every_episode_through_run_episode(workdir, tmp_path, monkeyp
             env = envsim.make_env(kind, cfg["calib_seed"], ep, step_cap=cfg["step_cap"])
             want = real(policy, None, env, streamexec.ZERO_LATENCY, sched,
                         record_trajectory=True).trajectory
-            for name in ("features", "frame_ids", "capture_times", "actions", "action_states"):
+            for name in ("features", "actions", "alpha0", "action_states"):
                 x, y = getattr(traj, name), getattr(want, name)
                 assert (x.dtype, x.shape) == (y.dtype, y.shape) and x.tobytes() == y.tobytes(), name
         outputs[shared] = [(out_dir / name).read_bytes() for name in ("results.csv", "results.txt")]
@@ -662,6 +688,35 @@ def test_version_1_dataset_exits_2_naming_gen_data(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"error: {old}: a version-1 JSON-lines dataset" in err
     assert "regenerate it with gen-data" in err
+
+
+def _bogus_convention(path):
+    assert main(["gen-data", "--env", "controller", "--episodes", "2", "--seed", "3",
+                 "--out", str(path)]) == 0
+    _, arrays, header = read_container(path, expect_tag=TAG_TRAJECTORY_DATASET)
+    header["env"]["alpha0"] = "bogus"
+    write_container(path, tag=TAG_TRAJECTORY_DATASET, arrays=list(arrays.items()), config=header)
+    return ("unknown ledger convention 'bogus' in the header's env.alpha0, "
+            "want 'zero' or 'initial_position'")
+
+
+@pytest.mark.parametrize("make", [write_version_2_dataset, _bogus_convention],
+                         ids=["version_2", "unknown_alpha0_convention"])
+def test_train_policy_refuses_a_dataset_it_cannot_read_before_training(tmp_path, capsys,
+                                                                       monkeypatch, make):
+    """A version-2 file, or a header whose ledger convention no policy
+    knows, exits 2 naming the file before any training, and writes no
+    checkpoint that rollout would then refuse."""
+    def no_training(*args, **kwargs):
+        raise AssertionError("train-policy trained on the dataset")
+
+    monkeypatch.setattr(cli.trainer, "train", no_training)
+    data = tmp_path / "demos.bin"
+    message = make(data)
+    out = tmp_path / "out" / "p.ckpt"
+    assert main(["train-policy", "--data", str(data), "--out", str(out), "--iterations", "10"]) == 2
+    assert capsys.readouterr().err == f"error: {data}: {message}\n"
+    assert not out.parent.exists()
 
 
 def test_malformed_dataset_record_exits_2(tmp_path, capsys):
@@ -1245,6 +1300,7 @@ _BAD_OPTION_TEXT = {
     "rollout-eo-adaptive": ("rollout", "eo", "adaptive",
                             "adaptive early observation needs --predictor"),
     "bench-eo-list": ("bench", "eo", "naive,bogus", "unknown early-observation mode 'bogus'"),
+    "bench-eo-adaptive": ("bench", "eo", "adaptive", "adaptive early observation needs --predictor"),
     "rollout-profile": ("rollout", "profile", "1,2", _PROFILE_FORM),
     "rollout-profile-nan": ("rollout", "profile", "nan,1,1",
                             "bad profile 'nan,1,1': t_obs must be finite and non-negative, got nan"),
@@ -1264,8 +1320,7 @@ def test_bad_option_text_exits_2_naming_its_source_before_any_file_is_read(
     """An --eo name (each of bench's comma list), a --profile or a --hidden
     list is judged from its text alone: a bad one is refused, naming its
     flag, variable or config key, before a checkpoint or dataset is opened.
-    rollout also refuses adaptive without --predictor by then; bench, whose
-    default list holds adaptive, refuses it after its policy's own checks."""
+    rollout and bench also refuse adaptive without --predictor by then."""
     for var in [v for v in os.environ if v.startswith(cli.ENV_PREFIX)]:
         monkeypatch.delenv(var)
 
@@ -1281,8 +1336,6 @@ def test_bad_option_text_exits_2_naming_its_source_before_any_file_is_read(
     monkeypatch.chdir(work)
     argv = [command] + [a for o in cli._COMMANDS[command][2] if o.default is None
                         for a in (f"--{o.name.replace('_', '-')}", "given")]
-    if command == "bench" and name != "eo":
-        argv += ["--predictor", "given"]  # bench's default --eo list holds adaptive
     if source == "flag":
         named = f"--{name}"
         argv += [named, text]

@@ -14,7 +14,7 @@ import pytest
 from conftest import expert_episode
 from streampolicy import envsim
 from streampolicy.cli import main
-from streampolicy.core import STREAM_DEMO, Trajectory, cumulative_states, make_rng, substreams
+from streampolicy.core import STREAM_DEMO, Trajectory, make_rng, substreams
 from streampolicy.envsim import (
     EXPERT_GAIN, EXPERT_MAX_STEP, EXPERT_NOISE, EXPERT_PARK_STEPS, GOAL_BOX, START_BOX, EnvKind,
     EnvState, GenerationError, KIND_CONTROLLER, KIND_DIRECT, alpha0_for, generate_demos,
@@ -47,12 +47,11 @@ def _ref_expert_action(kind, state, rng, noise):
 
 
 def _ref_episode(kind, state, rng, step_cap=120, noise=EXPERT_NOISE):
-    frames, ids, actions = [], [], []
+    frames, actions = [], []
     alpha0 = alpha0_for(kind, state)
     park = 0
     for _ in range(step_cap + EXPERT_PARK_STEPS):
         frames.append(observe(state))
-        ids.append(state.step_count)
         a = _ref_expert_action(kind, state, rng, noise)
         actions.append(a)
         state = step(kind, state, a)
@@ -63,9 +62,7 @@ def _ref_episode(kind, state, rng, step_cap=120, noise=EXPERT_NOISE):
         elif park == 0 and len(actions) >= step_cap:
             break
     act = np.asarray(actions)
-    return Trajectory(features=np.array(frames), frame_ids=np.array(ids),
-                      capture_times=np.array(ids, dtype=np.float64), actions=act,
-                      action_states=cumulative_states(act, alpha0)), success(state)
+    return Trajectory(features=np.array(frames), actions=act, alpha0=alpha0), success(state)
 
 
 def _ref_demos(kind, n, seed, step_cap=120, noise=EXPERT_NOISE):
@@ -82,8 +79,7 @@ def _ref_demos(kind, n, seed, step_cap=120, noise=EXPERT_NOISE):
 
 
 def _assert_same_trajectory(got, want):
-    assert got.frame_ids.dtype == np.int64 and got.capture_times.dtype == np.float64
-    for name in ("features", "frame_ids", "capture_times", "actions", "action_states"):
+    for name in ("features", "actions", "alpha0", "action_states"):
         g, w = getattr(got, name), getattr(want, name)
         assert (g.dtype, g.shape) == (w.dtype, w.shape) and g.tobytes() == w.tobytes(), name
 
@@ -164,14 +160,13 @@ def test_expert_episode_equals_the_reference(variant, noise):
 
 
 def test_expert_episode_from_a_latched_mid_episode_state():
-    """A start state that is already latched and counted keeps its latch and
-    numbers its frames from its own step count."""
+    """A start state that is already latched and counted keeps its latch."""
     kind = KINDS["controller"]
     state = EnvState(position=np.array([-0.5, 0.9]), goal=np.array([3.2, 2.0]), latch=True, step_count=17)
     got, got_ok = expert_episode(kind, state, make_rng(2, 9), step_cap=40)
     want, want_ok = _ref_episode(kind, state, make_rng(2, 9), step_cap=40)
     assert got_ok is want_ok
-    assert got.frame_ids[0] == 17 and got.features[0, 4] == 1.0
+    assert got.features[0, 4] == 1.0
     _assert_same_trajectory(got, want)
 
 

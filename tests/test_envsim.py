@@ -181,7 +181,7 @@ def test_step_cap_below_one_is_rejected(ctrl_env, cap):
 
 # sha256 of save_dataset on the small_demos recipe (40 controller demos, seed
 # 21): pins demo generation and the dataset encoding together, byte for byte
-SMALL_DEMOS_SHA256 = "ca3031ac4efdb3d8729e84de7a1e85849a8fce31b0721fecbff4006059174389"
+SMALL_DEMOS_SHA256 = "408543988312e1c753964b46934c194901ee4ac5c778cc7f37a31a656866d4df"
 
 
 def test_saved_demos_are_byte_identical_and_reload_to_the_same_bytes(ctrl_env, small_demos, tmp_path):

@@ -64,11 +64,9 @@ def test_fit_stats_covers_actions_and_states(small_demos):
 
 
 def test_fit_stats_degenerate_dim_gets_unit_scale():
-    from streampolicy.core import Trajectory, cumulative_states
+    from streampolicy.core import Trajectory
     actions = np.array([[0.0, 1.0], [0.0, -1.0]])
-    t = Trajectory(features=np.zeros((2, 7)), frame_ids=np.arange(2),
-                   capture_times=np.arange(2.0), actions=actions,
-                   action_states=cumulative_states(actions, np.zeros(2)))
+    t = Trajectory(features=np.zeros((2, 7)), actions=actions, alpha0=np.zeros(2))
     stats = fit_stats([t])
     assert stats.scale[0] == 1.0
 

@@ -29,8 +29,9 @@ from streampolicy.saliency import save_predictor
 from streampolicy.velocitynet import save_policy
 
 PINNED_STACK = "numpy 2.4.6, scipy-openblas 0.3.31.188.0"
-CTRL_DATASET_SHA256 = "9b0467c7a58c97e4b94798df77b38152089bec475353fe932d8b1f32b576ecb9"
-DIRECT_DATASET_SHA256 = "943766a3a8e8008a808df24de47b6464b99827413d4c33e3c960283d2c45e5fb"
+# version-3 datasets, which store lengths, features, actions and alpha0
+CTRL_DATASET_SHA256 = "3517c892212d9a94f651fbcae9240d475496a927ba85a9382a31d7b9c1feb299"
+DIRECT_DATASET_SHA256 = "7ebf3998144df1ae17798103cbadf378f22ea079851f50b0a2fc9cbd99af15dd"
 CTRL_POLICY_SHA256 = "01be65c80937c340ebbe6adbe6d14338dfb8be2f03c9793d39d520bd9c7f01bc"
 CTRL_PREDICTOR_SHA256 = "2e368ec1ff9e9b57ad922049b099e3012bed33cefba81c1f98aa1a4edd09edad"
 # saved with its Adam state and iteration count, as ctrl_policy is

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from streampolicy import envsim, metrics, saliency, streamexec, velocitynet
-from streampolicy.core import STREAM_INDICATOR, DimensionMismatchError, Trajectory, cumulative_states, make_rng
+from streampolicy.core import STREAM_INDICATOR, DimensionMismatchError, Trajectory, make_rng
 from streampolicy.envsim import EnvHandle, EnvKind, KIND_CONTROLLER, KIND_DIRECT, make_env, step as env_step
 from streampolicy.saliency import Indicator
 from streampolicy.streamexec import (
@@ -408,8 +408,7 @@ def test_simulated_timeline_keeps_the_slot_rule_in_floats(null_policy, stage, sc
 # executed or scored, and must give the same results bit for bit. They build
 # their own results, independent of the engines' envsim.rollout_trajectory:
 # a recorded trajectory's frames come from envsim.observe at each
-# execution, numbered by the state's step count, and its ledger from
-# cumulative_states.
+# execution, and its ledger from the executed actions and alpha0.
 # ---------------------------------------------------------------------------
 
 def _eager_finish(success, events, raw, norm, final_alpha, state, horizons, eo_fired, steps,
@@ -420,10 +419,7 @@ def _eager_finish(success, events, raw, norm, final_alpha, state, horizons, eo_f
     trajectory = None
     if traj_parts is not None:
         frames, alpha0_raw = traj_parts
-        ids = np.array([i for _, i in frames])
-        trajectory = Trajectory(features=np.array([f for f, _ in frames]), frame_ids=ids,
-                                capture_times=ids.astype(np.float64), actions=raw_arr,
-                                action_states=cumulative_states(raw_arr, alpha0_raw))
+        trajectory = Trajectory(features=np.array(frames), actions=raw_arr, alpha0=alpha0_raw)
     return EpisodeResult(
         success=success, events=events, actions_raw=raw_arr, actions_norm=norm_arr,
         final_alpha=final_alpha, final_state=state, n_horizons=horizons, eo_fired=eo_fired,
@@ -523,7 +519,7 @@ def _eager_streaming(policy: Policy, predictor, env: EnvHandle, stage: StageLate
             exec_starts.append(start)
             prev_exec_end = end
             if record_obs is not None:
-                record_obs.append((envsim.observe(state), state.step_count))
+                record_obs.append(envsim.observe(state))
             state = envsim.step(kind, state, acts_raw[i])
             executed_raw.append(acts_raw[i])
             executed_norm.append(acts_norm[i])
@@ -598,7 +594,7 @@ def _eager_sync(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
             end = exec_start + stage.t_exec
             events.append(TimelineEvent(STAGE_EXECUTE, base + i, horizon, exec_start, end))
             if record_obs is not None:
-                record_obs.append((envsim.observe(state), state.step_count))
+                record_obs.append(envsim.observe(state))
             state = envsim.step(kind, state, acts_raw[i])
             executed_raw.append(acts_raw[i])
             executed_norm.append(acts_norm[i])
@@ -665,7 +661,7 @@ def _assert_results_identical(a: EpisodeResult, b: EpisodeResult, events: bool =
         ta, tb = a.trajectory, b.trajectory
         assert ta.actions.tobytes() == tb.actions.tobytes()
         assert ta.action_states.tobytes() == tb.action_states.tobytes()
-        for name in ("features", "frame_ids", "capture_times"):
+        for name in ("features", "alpha0"):
             x, y = getattr(ta, name), getattr(tb, name)
             assert (x.dtype, x.shape) == (y.dtype, y.shape) and x.tobytes() == y.tobytes(), name
 
@@ -741,7 +737,7 @@ def _assert_same_trajectories(got, want):
     for g, w in zip(got, want):
         assert g.actions.shape == w.actions.shape and g.actions.tobytes() == w.actions.tobytes()
         assert g.action_states.tobytes() == w.action_states.tobytes()
-        for name in ("features", "frame_ids", "capture_times"):
+        for name in ("features", "alpha0"):
             x, y = getattr(g, name), getattr(w, name)
             assert (x.dtype, x.shape) == (y.dtype, y.shape) and x.tobytes() == y.tobytes(), name
 
