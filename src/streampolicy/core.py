@@ -441,6 +441,14 @@ def read_container(path, *, expect_tag: int | None = None, error: type[ValueErro
     return tag, arrays, meta["config"]
 
 
+def _check_convention(path, convention) -> None:
+    """Raise DatasetError naming path unless convention, a header's
+    env.alpha0, is a ledger convention the package knows."""
+    if convention not in (ALPHA0_ZERO, ALPHA0_INITIAL_POSITION):
+        raise DatasetError(f"{path}: unknown ledger convention {convention!r} in the header's "
+                           f"env.alpha0, want {ALPHA0_ZERO!r} or {ALPHA0_INITIAL_POSITION!r}")
+
+
 def save_dataset(path, trajectories: list[Trajectory], *, dim: int, env_meta: dict, seed: int) -> None:
     """Write trajectories as a container (TAG_TRAJECTORY_DATASET): the header
     as its config, and the episodes' arrays concatenated beside their lengths.
@@ -450,7 +458,9 @@ def save_dataset(path, trajectories: list[Trajectory], *, dim: int, env_meta: di
     byte-identical file. The record rule load_dataset applies (frames of
     env_meta's obs_dim or OBS_DIM) runs on the concatenated arrays, after an
     O(1) shape check per episode; the lowest episode that breaks
-    it raises DatasetError naming it, and nothing is written."""
+    it raises DatasetError naming it, and nothing is written. So does an
+    env_meta ledger convention (alpha0) that load_dataset would refuse."""
+    _check_convention(path, env_meta.get("alpha0", ALPHA0_ZERO))
     obs_dim = int(env_meta.get("obs_dim", OBS_DIM))
     arrays, fault = _stored_layout(trajectories, dim, obs_dim)
     if fault is not None:
@@ -498,9 +508,7 @@ def load_dataset(path) -> tuple[list[Trajectory], dict]:
         convention = env.get("alpha0", ALPHA0_ZERO)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DatasetError(f"{path}: malformed header: {exc!r}") from exc
-    if convention not in (ALPHA0_ZERO, ALPHA0_INITIAL_POSITION):
-        raise DatasetError(f"{path}: unknown ledger convention {convention!r} in the header's "
-                           f"env.alpha0, want {ALPHA0_ZERO!r} or {ALPHA0_INITIAL_POSITION!r}")
+    _check_convention(path, convention)
     # the row count every other array and the lengths must fit: the actions',
     # or the features' when no actions are stored
     rows = arrays.get("actions", arrays.get("features", np.empty(0)))

@@ -74,17 +74,18 @@ per episode for every schedule. The scope assumes the policy's weights do
 not change inside it.
 
 The wall-clock runner reproduces the same semantics with timestamps from
-the wall clock, for both modes, on two threads: the calling thread observes
-and executes, one generator thread generates, and a queue in each direction
-joins them; a third queue hands the generator each execution's planned
-start, for the capacity rule. Every observe, generate and execute event is
-planned by the same _lane_slot, from the same releases, as on the simulated
-clock and ends when its result is released to the next stage. An
-observation is taken at its request. An event departs from its plan only
-on an overrun: until the host first overruns a budget, the wall logs the
-simulated engine's timeline bit for bit, apart from the adaptive
+the wall clock, for both modes, in one loop on the calling thread. Every
+observe, generate and execute event is planned by the same _lane_slot, from
+the same releases, as on the simulated clock, before its host work runs, so
+the loop only keeps the next generate's slot and the next execution's,
+sleeps to the earlier start through its clock (_Clock) and runs that event's
+host work there; an event ends when its result is released to the next
+stage. An observation is taken at its request. An event departs from its
+plan only on an overrun: until the host first overruns a budget, the wall
+logs the simulated engine's timeline bit for bit, apart from the adaptive
 indicator's predict event and the observation it launches, which are timed
-by the host. As on the simulated clock, the modes differ only in when a
+by the host. On a virtual clock, where host work takes no time, nothing
+overruns. As on the simulated clock, the modes differ only in when a
 horizon's actions are released to the executor: each as it is generated
 (streaming) or all n_replan after the chunk's last generation (sync_chunk),
 which leaves the sync stages strictly serial. It generates every planned
@@ -111,10 +112,9 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
-import threading
 import time
+from collections import deque
 from dataclasses import dataclass
-from queue import Empty, SimpleQueue
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -521,44 +521,38 @@ def _simulated(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
 
 
 # ---------------------------------------------------------------------------
-# wall-clock runner, for both modes: the calling thread observes and
-# executes, one generator thread generates. The observation slot holds at
-# most one observation (the request for horizon k+2 comes only after an
-# action of horizon k+1, made from observation k+1, has executed). The
-# engine's capacity rule bounds the action buffer: generate g is released by
-# its horizon's observation and by the start of execution g - h, which the
-# executor puts on exec_starts as it plans each execution, before sleeping to
-# it; in sync_chunk every execution g - h has started before the chunk's
-# observation, so the term never binds. Every queue item carries the time its
-# payload is released. One slot rule on both clocks: every event is planned
-# by _lane_slot, as on the simulated clock, before its host work runs; it
-# ends at its planned end, which is its result's release, and the thread that
-# takes the result sleeps to that release, so neither a wake-up nor a handoff
-# adds to a stage's latency. A generate or execute event whose host work ends
-# after its planned end ends at the measured time and counts one overrun
-# (EpisodeResult.overruns, see _ended). Each thread logs its events in its
-# own list.
+# wall-clock runner, for both modes, in one loop on the calling thread. Every
+# event is planned by _lane_slot, as on the simulated clock, before its host
+# work runs, so the loop makes no timing decision: it keeps the next
+# generate's slot and the next execution's, sleeps to the earlier start and
+# runs that event's host work there. The generate goes first on a tie; the
+# execution goes first while generate g still waits for execution g - h's
+# start, the engine's capacity rule: generate g is released by its horizon's
+# observation and by the start of execution g - h (in sync_chunk every
+# execution g - h has started before the chunk's observation, so the term
+# never binds). An event ends at its planned end, which is its result's
+# release; a generate or execute event whose host work ends after its planned
+# end ends at the measured time and counts one overrun (EpisodeResult.overruns,
+# see _ended). The loop reads the time only through one _Clock; tests replace
+# the class with a virtual clock, on which host work takes no time, nothing
+# overruns and the wall logs the simulated engine's timeline.
 #
 # The executor requests each observation: at 0.0, at a fired decision and
 # otherwise at the end of its n_replan-th execution, so in sync_chunk the
 # stages run one at a time. At the request it observes the current state's
-# features, logs the observe event and hands the features to the generator;
-# that host work runs before the event starts, so an observe event never
-# overruns. The generator owns the action-state ledger: it makes all h
-# actions of a horizon, each inside its t_gen budget, and queues the first
-# n_replan, each as it is made in streaming and all at once after the
-# horizon's last generation in sync_chunk. The executor sleeps to each
-# action's planned start and runs the _Episode bookkeeping there (the
-# decision and the end rule, as on the simulated clock) and the env step
-# inside the slot. A decision scores what the
-# generator has released by the planned start; a fired naive, random or anao
-# decision requests the next observation at that start, as the simulated
-# engine launches it, and an adaptive one when its predictor has run.
+# features and logs the observe event; that host work runs before the event
+# starts, so an observe event never overruns. It stays the one pending
+# observation until the generator has made all h actions of the horizon
+# before it. The generator makes each action inside its t_gen budget, owns
+# the action-state ledger and releases a horizon's first n_replan actions to
+# the executor, each as it is made in streaming and all at once after the
+# horizon's last generation in sync_chunk. An execution runs the _Episode bookkeeping at its planned start
+# (the decision and the end rule, as on the simulated clock) and the env step
+# inside the slot. A decision scores what the generator has released of the
+# horizon by the planned start; a fired naive, random or anao decision
+# requests the next observation at that start, as the simulated engine
+# launches it, and an adaptive one when its predictor has run.
 # ---------------------------------------------------------------------------
-
-_POLL = 0.02
-# seconds the calling thread waits for the generator to stop
-_JOIN_TIMEOUT = 5.0
 
 
 def _ended(end: float, done: float) -> tuple[float, bool]:
@@ -567,156 +561,110 @@ def _ended(end: float, done: float) -> tuple[float, bool]:
     return (done, True) if done > end else (end, False)
 
 
-def _now(t0: float) -> float:
-    """Monotonic milliseconds since t0."""
-    return (time.monotonic() - t0) * 1e3
+class _Clock:
+    """The wall runner's clock: monotonic milliseconds since the episode
+    began."""
 
-
-def _sleep_until(t0: float, ms: float) -> None:
-    """Sleep until ms after monotonic time t0."""
-    left = ms / 1e3 - (time.monotonic() - t0)
-    if left > 0:
-        time.sleep(left)
-
-
-class _WallShared:
     def __init__(self):
-        self.obs_slot: SimpleQueue = SimpleQueue()
-        self.action_queue: SimpleQueue = SimpleQueue()
-        # each execution's planned start, in execution order
-        self.exec_starts: SimpleQueue = SimpleQueue()
-        self.stop = threading.Event()
-        # horizon -> [(release, raw action)], in index order
-        self.horizon_actions: dict[int, list[tuple[float, np.ndarray]]] = {}
-        # overruns per stage; each entry is written by its own thread only
-        self.overruns = dict.fromkeys((STAGE_GENERATE, STAGE_EXECUTE), 0)
-        self.error: BaseException | None = None
+        self.t0 = time.monotonic()
 
-    def get(self, queue: SimpleQueue):
-        """The next item of queue, or None once the episode stops."""
-        while not self.stop.is_set():
-            try:
-                return queue.get(timeout=_POLL)
-            except Empty:
-                continue
-        return None
+    def now(self) -> float:
+        return (time.monotonic() - self.t0) * 1e3
 
-
-def _wall_generator(shared: _WallShared, events: list[TimelineEvent], policy: Policy,
-                    stage: StageLatency, scheduler: SchedulerConfig, alpha0_norm: np.ndarray,
-                    t0: float):
-    try:
-        h, n_rep = scheduler.h, scheduler.replan
-        alpha = alpha0_norm
-        base = 0
-        lane = 0.0
-        exec_starts: list[float] = []
-        while (got := shared.get(shared.obs_slot)) is not None:
-            features, horizon, released = got
-            made = shared.horizon_actions[horizon] = []
-            chunk = _Chunk(policy, alpha, features, h)
-            pending = []
-            for i in range(h):
-                g = base + i
-                while len(exec_starts) <= g - h:  # until execution g - h's start is planned
-                    if (exec_start := shared.get(shared.exec_starts)) is None:
-                        return
-                    exec_starts.append(exec_start)
-                if shared.stop.is_set():
-                    return
-                release = released if g < h else max(released, exec_starts[g - h])
-                start, end = _lane_slot(release, lane, stage.t_gen)
-                _sleep_until(t0, start)
-                a_norm, a_raw, ledger = chunk.get(i)
-                lane, late = _ended(end, _now(t0))
-                shared.overruns[STAGE_GENERATE] += late
-                events.append(TimelineEvent(STAGE_GENERATE, g, horizon, start, lane))
-                made.append((lane, a_raw))
-                if i < n_rep:
-                    alpha = ledger  # the next horizon starts after n_replan actions
-                    pending.append((g, i, horizon, a_norm, a_raw, ledger))
-                if scheduler.mode == MODE_STREAMING or i == h - 1:
-                    for item in pending:
-                        shared.action_queue.put((*item, lane))
-                    pending.clear()
-            base += n_rep
-    except BaseException as exc:  # surfaced by the calling thread
-        shared.error = exc
-        shared.stop.set()
-
-
-def _wall_executor(shared: _WallShared, events: list[TimelineEvent], ep: _Episode,
-                   stage: StageLatency, t0: float):
-    n_rep = ep.scheduler.replan
-    fired_for_horizon = decision = -1
-    obs_lane = exec_lane = 0.0
-
-    def observe(horizon: int, requested: float) -> None:
-        nonlocal obs_lane  # the host work runs at the request, before the slot
-        features = envsim.observe(ep.state)
-        start, obs_lane = _lane_slot(requested, obs_lane, stage.t_obs)
-        events.append(TimelineEvent(STAGE_OBSERVE, horizon * n_rep, horizon, start, obs_lane))
-        shared.obs_slot.put((features, horizon, obs_lane))
-
-    observe(0, 0.0)
-    while (item := shared.get(shared.action_queue)) is not None:
-        g, i, horizon, a_norm, a_raw, ledger, released = item
-        if i == 0:
-            decision = ep.begin(horizon)
-        start, end = _lane_slot(released, exec_lane, stage.t_exec)
-        shared.exec_starts.put(start)
-        _sleep_until(t0, start)
-
-        if i == decision:
-            # decides at the slot's planned start, on what the generator has
-            # released of the horizon by then
-            made = shared.horizon_actions[horizon]
-            fired = ep.decide(lambda: np.asarray([a for r, a in made[i:] if r <= start]))
-            launch = start
-            if ep.adaptive:
-                launch = _now(t0)
-                events.append(TimelineEvent(STAGE_PREDICT, (horizon + 1) * n_rep, horizon,
-                                            start, launch))
-            if fired:
-                fired_for_horizon = horizon
-                observe(horizon + 1, launch)
-
-        state, done = ep.step(a_raw)
-        ended = ep.execute(a_norm, a_raw, ledger, state, done)
-        exec_lane, late = _ended(end, _now(t0))
-        shared.overruns[STAGE_EXECUTE] += late
-        events.append(TimelineEvent(STAGE_EXECUTE, g, horizon, start, exec_lane))
-        if ended:
-            break
-        if i == n_rep - 1 and fired_for_horizon != horizon:
-            _sleep_until(t0, exec_lane)  # observes once the slot has ended
-            observe(horizon + 1, exec_lane)
+    def sleep_until(self, ms: float) -> None:
+        left = ms / 1e3 - (time.monotonic() - self.t0)
+        if left > 0:
+            time.sleep(left)
 
 
 def _wall(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
           scheduler: SchedulerConfig, record_trajectory: bool) -> EpisodeResult:
     """The wall-clock runner for both modes (see the section comment above)."""
-    shared = _WallShared()
+    h, n_rep = scheduler.h, scheduler.replan
+    streaming = scheduler.mode == MODE_STREAMING
     ep = _Episode(policy, predictor, env, scheduler, record_trajectory)
-    generated: list[TimelineEvent] = []
-    executed: list[TimelineEvent] = []
-    t0 = time.monotonic()
-    generator = threading.Thread(target=_wall_generator, daemon=True, name="generator",
-                                 args=(shared, generated, policy, stage, scheduler, ep.alpha, t0))
-    generator.start()
-    try:
-        _wall_executor(shared, executed, ep, stage, t0)
-    finally:
-        shared.stop.set()
-        generator.join(timeout=_JOIN_TIMEOUT)
-    if shared.error is not None:
-        raise shared.error
-    if generator.is_alive():
-        raise RuntimeError(f"wall-clock generator thread still running "
-                           f"{_JOIN_TIMEOUT} s after the episode ended")
-    result = ep.result(generated + executed)
-    result.overruns = sum(shared.overruns.values())
-    return result
+    clock = _Clock()
+    events: list[TimelineEvent] = []
+    emit = events.append
+    overruns = 0
+    obs_lane = gen_lane = exec_lane = 0.0
+    observed = None    # (features, horizon, release) of the observation no chunk has taken
+    chunk = None       # the generator's horizon, until it has made all h actions
+    ledger = ep.alpha  # the generator's: the next horizon starts from it
+    made = []          # (release, raw action) of each action of the generator's horizon
+    held = []          # actions made and not yet released to the executor
+    ready = deque()    # actions released to the executor, in execution order
+    exec_starts = []   # each execution's planned start, in execution order
+    fired_for = decision = -1
+
+    def observe(horizon: int, requested: float) -> None:
+        nonlocal obs_lane, observed  # the host work runs at the request, before the slot
+        features = envsim.observe(ep.state)
+        start, obs_lane = _lane_slot(requested, obs_lane, stage.t_obs)
+        emit(TimelineEvent(STAGE_OBSERVE, horizon * n_rep, horizon, start, obs_lane))
+        observed = (features, horizon, obs_lane)
+
+    observe(0, 0.0)
+    while True:
+        if chunk is None and observed is not None:
+            features, gen_horizon, gen_release = observed
+            observed, chunk, made = None, _Chunk(policy, ledger, features, h), []
+        gen = exe = None
+        if chunk is not None:
+            i = len(made)
+            g = gen_horizon * n_rep + i
+            if g < h or g - h < len(exec_starts):  # else it waits for execution g - h's start
+                release = gen_release if g < h else max(gen_release, exec_starts[g - h])
+                gen = _lane_slot(release, gen_lane, stage.t_gen)
+        if ready:
+            exe = _lane_slot(ready[0][-1], exec_lane, stage.t_exec)
+        if gen is not None and (exe is None or gen[0] <= exe[0]):
+            start, end = gen
+            clock.sleep_until(start)
+            a_norm, a_raw, a_ledger = chunk.get(i)
+            gen_lane, late = _ended(end, clock.now())
+            overruns += late
+            emit(TimelineEvent(STAGE_GENERATE, g, gen_horizon, start, gen_lane))
+            made.append((gen_lane, a_raw))
+            if i < n_rep:
+                ledger = a_ledger  # the next horizon starts after n_replan actions
+                held.append((g, i, gen_horizon, a_norm, a_raw, a_ledger))
+            if streaming or i == h - 1:
+                ready.extend((*item, gen_lane) for item in held)
+                held.clear()
+            if i == h - 1:
+                chunk = None
+            continue
+
+        g, i, horizon, a_norm, a_raw, a_ledger, _ = ready.popleft()
+        start, end = exe
+        exec_starts.append(start)
+        if i == 0:
+            decision = ep.begin(horizon)
+        clock.sleep_until(start)
+        if i == decision:
+            # decides at the slot's planned start, on what the generator has
+            # released of the horizon by then
+            fired = ep.decide(lambda: np.asarray([a for r, a in made[i:] if r <= start]))
+            launch = start
+            if ep.adaptive:
+                launch = clock.now()
+                emit(TimelineEvent(STAGE_PREDICT, (horizon + 1) * n_rep, horizon, start, launch))
+            if fired:
+                fired_for = horizon
+                observe(horizon + 1, launch)
+        state, done = ep.step(a_raw)
+        ended = ep.execute(a_norm, a_raw, a_ledger, state, done)
+        exec_lane, late = _ended(end, clock.now())
+        overruns += late
+        emit(TimelineEvent(STAGE_EXECUTE, g, horizon, start, exec_lane))
+        if ended:
+            result = ep.result(events)
+            result.overruns = overruns
+            return result
+        if i == n_rep - 1 and fired_for != horizon:
+            clock.sleep_until(exec_lane)  # observes once the slot has ended
+            observe(horizon + 1, exec_lane)
 
 
 def run_episode(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
@@ -725,11 +673,13 @@ def run_episode(policy: Policy, predictor, env: EnvHandle, stage: StageLatency,
     """Run one episode under the given scheduling mode and clock.
 
     clock "simulated" uses the deterministic discrete-event engine (identical
-    seeds give bitwise-identical logs); clock "wall" runs the real threaded
-    pipeline. The executed action sequence depends only on observation
-    snapshots and the indicator stream, so the two clocks execute the same
-    actions for the same configuration.
-    """
+    seeds give bitwise-identical logs); clock "wall" runs the same pipeline
+    in real time, one loop that sleeps to each planned event and runs its
+    host work there. The executed action sequence depends only on
+    observation snapshots and the indicator stream, so the two clocks
+    execute the same actions for the same configuration, apart from a
+    scored decision that the generator has not caught up with on the wall
+    (it scores only the actions generated by then)."""
     if clock == "simulated":
         return _simulated(policy, predictor, env, stage, scheduler, record_trajectory)
     if clock == "wall":

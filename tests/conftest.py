@@ -18,7 +18,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from streampolicy import envsim  # noqa: E402
+from streampolicy import envsim, streamexec  # noqa: E402
 from streampolicy.core import Trajectory  # noqa: E402
 from streampolicy.envsim import (  # noqa: E402
     EXPERT_NOISE, EXPERT_PARK_STEPS, EnvKind, KIND_CONTROLLER, KIND_DIRECT, generate_demos,
@@ -141,3 +141,24 @@ def idle_policy(small_demos):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+class VirtualClock:
+    """streamexec._Clock's stand-in: sleeping to a time moves the clock
+    there at once, and host work takes no time, so every wall event ends at
+    its planned end."""
+
+    def __init__(self):
+        self.t = 0.0
+
+    def now(self) -> float:
+        return self.t
+
+    def sleep_until(self, ms: float) -> None:
+        self.t = max(self.t, ms)
+
+
+@pytest.fixture()
+def virtual_clock(monkeypatch):
+    """Runs every wall-clock episode of the test on a VirtualClock."""
+    monkeypatch.setattr(streamexec, "_Clock", VirtualClock)

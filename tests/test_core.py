@@ -546,6 +546,18 @@ def test_save_rejects_an_alpha0_of_another_dim_naming_the_episode(tmp_path):
     assert not p.exists()
 
 
+def test_save_refuses_a_ledger_convention_load_would_refuse(tmp_path):
+    """What save_dataset writes load_dataset reads: an env_meta alpha0
+    convention the package does not know is refused before the file is
+    written, in load_dataset's words."""
+    p = tmp_path / "d.bin"
+    with pytest.raises(DatasetError, match=r"d\.bin: unknown ledger convention 'bogus' in the "
+                                           r"header's env\.alpha0, want 'zero' or 'initial_position'$"):
+        save_dataset(p, [_traj([[1.0, 0.0]], [0.0, 0.0])], dim=2, env_meta={"alpha0": "bogus"},
+                     seed=0)
+    assert not p.exists()
+
+
 def _first_fault(t):
     """An episode's first failing check, one at a time in the record rule's
     order for the faults _corrupt makes: finite features, actions and
@@ -591,8 +603,9 @@ def _corrupt(data, trajs) -> bool:
     elif kind == "alpha0_shape":
         t.alpha0 = np.append(t.alpha0, 0.0)
     else:
-        values = getattr(t, data.draw(st.sampled_from(["features", "actions", "alpha0"] if len(t)
-                                                      else ["alpha0"])))
+        # an earlier "frames" fault can leave a one-step episode with no frame
+        values = getattr(t, data.draw(st.sampled_from(
+            [name for name in ("features", "actions", "alpha0") if getattr(t, name).size])))
         index = tuple(data.draw(st.integers(0, n - 1)) for n in values.shape)
         values[index] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
     return kind != "non_finite"

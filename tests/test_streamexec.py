@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from streampolicy import envsim, metrics, saliency, streamexec, velocitynet
 from streampolicy.core import STREAM_INDICATOR, DimensionMismatchError, Trajectory, make_rng
@@ -1278,40 +1278,6 @@ def test_the_wall_clock_never_shares(monkeypatch, null_policy):
 # ---------------------------------------------------------------------------
 
 
-class _BlockingPolicy:
-    """Duck-typed policy whose action blocks on an event from the call given
-    by block_at onward, as a hung generator would."""
-
-    def __init__(self, block_at: int):
-        self.block_at, self.calls = block_at, 0
-        self.release = threading.Event()
-
-    def initial_alpha(self, position):
-        return np.zeros(2)
-
-    def inputs(self, alpha_norm, obs_features):
-        return None
-
-    def action(self, inputs, alpha_norm, T):
-        self.calls += 1
-        if self.calls > self.block_at:
-            self.release.wait(timeout=30.0)
-        return np.full(2, 0.001), np.full(2, 0.002)
-
-
-@pytest.mark.wall_clock
-def test_wall_runner_fails_when_a_stage_thread_outlives_the_episode(monkeypatch):
-    monkeypatch.setattr(streamexec, "_JOIN_TIMEOUT", 0.2)
-    policy = _BlockingPolicy(block_at=3)
-    env = make_env(DIRECT, 13, step_cap=3)
-    try:
-        with pytest.raises(RuntimeError, match="generator thread still running"):
-            run_episode(policy, None, env, ZERO_LATENCY, SchedulerConfig(mode=MODE_STREAMING),
-                        clock="wall")
-    finally:
-        policy.release.set()
-
-
 class _SlowPolicy:
     """Duck-typed policy whose action takes compute_s of host time."""
 
@@ -1371,7 +1337,7 @@ def test_wall_executions_follow_their_release(null_policy, sched):
 
 
 # one event on the wall clock: (release, lane, budget, done) -> (start, end,
-# overran), lane being the end of the thread's previous event on its lane and
+# overran), lane being the end of the previous event on the event's lane and
 # done the time the event's host work ended; _lane_slot plans the slot on both
 # clocks and _ended ends it on the wall. The first four are generate events
 # (t_gen 1.8), the rest executions (t_exec 2.5), the engine's
@@ -1385,7 +1351,7 @@ def test_wall_executions_follow_their_release(null_policy, sched):
     (11.0, 12.5, 2.5, 12.9, (12.5, 15.0, False)),   # released early: waits for the previous end
     (12.5, 12.5, 2.5, 13.0, (12.5, 15.0, False)),   # the executor wakes late: the slot keeps its plan
     (13.0, 12.5, 2.5, 13.25, (13.0, 15.5, False)),  # starved: released after the previous end
-    (13.0, 12.5, 2.5, 13.1, (13.0, 15.5, False)),   # taken from the queue at 12.75, before its release
+    (13.0, 12.5, 2.5, 13.1, (13.0, 15.5, False)),   # taken up at 12.75, before its release
     (10.0, 10.0, 2.5, 15.0, (10.0, 15.0, True)),    # a stall longer than a slot: ends at done
     (11.0, 15.0, 2.5, 15.2, (15.0, 17.5, False)),   # the next slot starts at the stall's end: no burst
 ], ids=["on_time", "released_late", "lane_busy", "overrun", "first_execution",
@@ -1466,16 +1432,17 @@ def _started_threads(monkeypatch) -> list[str]:
 
 
 @pytest.mark.wall_clock
-def test_wall_runner_starts_one_generator_thread(monkeypatch, null_policy):
-    """The calling thread executes and observes; the generator is the only
-    thread the runner starts, and it is joined before run_episode returns."""
+def test_wall_runner_starts_no_thread(monkeypatch, null_policy):
+    """The wall runner observes, generates and executes in one loop on the
+    calling thread: it starts no thread, and none is left when run_episode
+    returns."""
     started = _started_threads(monkeypatch)
     sched = SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="naive"), n_eo=3)
     before = set(threading.enumerate())
     res = run_episode(null_policy, None, make_env(DIRECT, 16, step_cap=22), FAST_PROFILE, sched,
                       clock="wall")
     assert res.steps == 22
-    assert started == ["generator"]
+    assert started == []
     assert set(threading.enumerate()) == before
 
 
@@ -1547,3 +1514,138 @@ def test_wall_observation_is_requested_at_the_end_of_the_last_execution(null_pol
     assert res.n_horizons >= 4
     for e in observes[1:]:
         assert e.start == last_end[e.horizon_index - 1], e
+
+
+# ---------------------------------------------------------------------------
+# the wall runner on a virtual clock (the virtual_clock fixture): sleeping
+# moves the clock to the planned start and host work takes no time, so no
+# event overruns and the wall logs the simulated engine's timeline, with no
+# dependence on the host's timing
+# ---------------------------------------------------------------------------
+
+VIRTUAL_PROFILES = {"zero": ZERO_LATENCY, "fast": FAST_PROFILE, "reference": REFERENCE_PROFILE,
+                    "buffer_bound": BUFFER_BOUND, "generator_bound": GENERATOR_BOUND}
+
+
+def _virtual_cells():
+    """(schedule, profile) of every cell the virtual-clock equality covers.
+    At the generator-bound profile a scored decision on the wall sees only
+    the actions generated by then, while the simulated engine scores the
+    whole tail (test_wall_decision_scores_what_was_generated_by_its_start),
+    so the scored indicators leave that profile out."""
+    for name in (*TIMELINE_SCHEDULES, "streaming_anao", "streaming_adaptive"):
+        for profile in VIRTUAL_PROFILES:
+            if profile != "generator_bound" or name in TIMELINE_SCHEDULES:
+                yield pytest.param(name, profile, id=f"{profile}-{name}")
+
+
+@pytest.fixture(scope="module")
+def virtual_runs(null_policy, ctrl_policy, direct_policy, ctrl_predictor, calibrated_etas):
+    """(policy, env kind, episode ids, step cap, anao and adaptive thresholds)
+    of each policy the virtual-clock equality runs: both trained fixture
+    policies, whose episodes succeed, and the untrained one, whose episodes
+    run to the step cap."""
+    trajs = streamexec.calibration_trajectories(direct_policy, DIRECT, 1, 6, 42)
+    direct_etas = {mode: saliency.calibrate_threshold(
+                       saliency.decision_scores(ctrl_predictor, trajs, direct_policy.flow.h, N_EO,
+                                                mode), 0.5)
+                   for mode in (saliency.EO_ACTION_NORM, saliency.EO_ADAPTIVE)}
+    return [(ctrl_policy, CTRL, range(6), 42, calibrated_etas),
+            (direct_policy, DIRECT, range(6), 42, direct_etas),
+            (null_policy, DIRECT, range(2), 25, calibrated_etas)]
+
+
+def _cut(events: list[TimelineEvent], last: TimelineEvent) -> list[tuple]:
+    """The events of the horizons up to the last execution's that start at
+    or before it, with their times in hex, so that equal means bit for bit.
+    This drops the generates the simulated engine plans past the episode's
+    end and the observation a fired decision launches before the episode
+    ends."""
+    return [(e.stage, e.action_index, e.horizon_index, e.start.hex(), e.end.hex()) for e in events
+            if e.horizon_index <= last.horizon_index and e.start <= last.start]
+
+
+@pytest.mark.parametrize("name, profile", _virtual_cells())
+def test_virtual_clock_wall_logs_the_simulated_timeline(virtual_clock, virtual_runs, ctrl_predictor,
+                                                        name, profile):
+    """On the virtual clock the wall runner executes the simulated clock's
+    actions, makes its decisions and fires the same ones, overruns nothing
+    and logs the simulated timeline bit for bit up to the last execution.
+    The adaptive indicator's predict event lasts its host time on the wall,
+    none here, so its log is left out until that event gets a slot. At
+    BUFFER_BOUND an early-observation schedule's wall log holds generates
+    that execution g - h's start released."""
+    stage = VIRTUAL_PROFILES[profile]
+    covered = {"success": 0, "fired": 0, "bound": 0}
+    for policy, kind, episodes, cap, etas in virtual_runs:
+        if name in TIMELINE_SCHEDULES:
+            sched = TIMELINE_SCHEDULES[name]
+        else:
+            mode = saliency.EO_ACTION_NORM if name == "streaming_anao" else saliency.EO_ADAPTIVE
+            sched = SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode=mode, eta=etas[mode]),
+                                    n_eo=N_EO)
+        for ep in episodes:
+            env = make_env(kind, 20, ep, step_cap=cap)
+            sim = run_episode(policy, ctrl_predictor, env, stage, sched)
+            wall = run_episode(policy, ctrl_predictor, env, stage, sched, clock="wall")
+            assert wall.actions_raw.tobytes() == sim.actions_raw.tobytes()
+            assert (wall.eo_decisions, wall.eo_fired) == (sim.eo_decisions, sim.eo_fired)
+            assert (wall.success, wall.steps, wall.overruns) == (sim.success, sim.steps, 0)
+            if name != "streaming_adaptive":
+                last = max(_by_stage(sim.events, STAGE_EXECUTE), key=lambda e: e.start)
+                assert _cut(wall.events, last) == _cut(sim.events, last)
+            covered["success"] += sim.success
+            covered["fired"] += sim.eo_fired
+            covered["bound"] += bool(_buffer_bound_starts(wall.events, sched.h))
+    assert covered["success"] and (sched.eo is None or covered["fired"]), covered
+    if stage is BUFFER_BOUND and sched.eo is not None:
+        assert covered["bound"], covered
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(stage=st.builds(StageLatency, _STAGE_MS, _STAGE_MS, _STAGE_MS, _STAGE_MS),
+       sched=st.sampled_from(list(TIMELINE_SCHEDULES.values())), seed=st.integers(0, 30),
+       cap=st.integers(1, 40))
+def test_virtual_clock_wall_logs_the_simulated_timeline_on_any_profile(virtual_clock, null_policy,
+                                                                       stage, sched, seed, cap):
+    """On any stage profile, ties in floats included, the virtual-clock wall
+    run of a schedule without a scored indicator executes the simulated
+    actions, overruns nothing and logs the simulated timeline bit for bit
+    up to the last execution."""
+    env = make_env(DIRECT, seed, step_cap=cap)
+    sim = run_episode(null_policy, None, env, stage, sched)
+    wall = run_episode(null_policy, None, env, stage, sched, clock="wall")
+    assert wall.actions_raw.tobytes() == sim.actions_raw.tobytes()
+    assert wall.overruns == 0
+    last = max(_by_stage(sim.events, STAGE_EXECUTE), key=lambda e: e.start)
+    assert _cut(wall.events, last) == _cut(sim.events, last)
+
+
+def test_wall_decision_scores_what_was_generated_by_its_start(virtual_clock, monkeypatch,
+                                                              null_policy):
+    """Generator-bound (GENERATOR_BOUND), a wall decision scores exactly
+    the raw actions of its horizon whose generate event ended by the
+    decision's planned start, which are fewer than n_eo, where the simulated
+    engine scores the whole remaining tail."""
+    scored = []
+    real_score = saliency.score_decisions
+
+    def recording_score(mode, predictor, features, tails):
+        scored.extend(np.array(t) for t in tails)
+        return real_score(mode, predictor, features, tails)
+
+    monkeypatch.setattr(saliency, "score_decisions", recording_score)
+    sched = SchedulerConfig(mode=MODE_STREAMING, eo=Indicator(mode="action_norm", eta=0.1),
+                            n_eo=N_EO)
+    res = run_episode(null_policy, None, make_env(DIRECT, 24, step_cap=45), GENERATOR_BOUND, sched,
+                      clock="wall")
+    assert res.steps == 45 and res.eo_decisions == len(scored) == 4
+    execs = {e.action_index: e for e in _by_stage(res.events, STAGE_EXECUTE)}
+    gen_end = {e.action_index: e.end for e in _by_stage(res.events, STAGE_GENERATE)}
+    # horizon k decides at its execution h - n_eo
+    decisions = [execs[k * sched.h + sched.h - N_EO] for k in range(res.eo_decisions)]
+    for tail, decision in zip(scored, decisions):
+        g0 = decision.action_index
+        want = [res.actions_raw[g] for g in range(g0, g0 + N_EO) if gen_end[g] <= decision.start]
+        assert tail.tobytes() == np.asarray(want).tobytes(), decision
+    assert min(len(t) for t in scored) < N_EO
